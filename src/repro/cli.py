@@ -46,14 +46,14 @@ Commands
     nonzero when any rule fires (the CI gate).
 ``serve``
     Boot the socket serving tier (:mod:`repro.server`): one or more
-    sharded transaction managers behind the length-prefixed JSON wire
+    shard engines behind the length-prefixed JSON wire
     protocol, with per-connection sessions, bounded work queues (BUSY
     backpressure), and graceful drain on SIGTERM/SIGINT.  ``--trace-file``
     records every ``server.*`` / ``txn.*`` event so the run can be
     certified offline with ``repro check --trace-file``.  ``--processes
     N`` shards the objects across *N* WAL-backed worker processes
     (shared-nothing, group commit, cross-shard 2PC, supervised respawn)
-    instead of in-loop managers; ``--data-dir`` roots the per-shard
+    instead of in-process shards; ``--data-dir`` roots the per-shard
     WALs so a restarted server recovers its state.
 ``bench serve``
     Run the closed-/open-loop load generator against an in-process
@@ -1304,7 +1304,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--processes", type=int, default=0, metavar="N",
         help="shard across N WAL-backed worker processes instead of "
-        "in-loop managers (shared-nothing; survives restarts)",
+        "in-process shards (shared-nothing; survives restarts)",
     )
     serve.add_argument(
         "--data-dir", default="serve_data",

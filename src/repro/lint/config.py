@@ -53,9 +53,10 @@ class RuleScope:
         return any(fragment in normalized for fragment in self.allowlist)
 
 
-#: The real-I/O edge of the serving tier.  ``protocol.py`` and
-#: ``session.py`` are deliberately *absent*: framing and session
-#: bookkeeping are pure and stay under the full discipline.
+#: The real-I/O edge of the serving tier.  ``protocol.py``,
+#: ``session.py`` and ``engine.py`` are deliberately *absent*: framing,
+#: session bookkeeping and the shard engine (which is handed its log
+#: already open) are pure and stay under the full discipline.
 _SERVER_REAL_IO = (
     "/server/server.py",
     "/server/client.py",

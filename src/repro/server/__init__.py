@@ -7,12 +7,16 @@ and synchronous; this package is where the outside world attaches:
   wire protocol (payloads through the tagged trace codec);
 * :mod:`~repro.server.session` — per-connection transaction handles and
   the idempotent commit-ack cache;
+* :mod:`~repro.server.engine` — the one shard engine (manager, stride,
+  optional WAL; the op vocabulary and the only exception → error-code
+  ladder), its in-process transport, and the shard set with the
+  presumed-abort 2PC coordinator;
 * :mod:`~repro.server.server` — the asyncio front end: sessions,
-  bounded work queues with BUSY backpressure, sharded managers, and
-  graceful drain;
-* :mod:`~repro.server.procpool` — shared-nothing shard *processes*:
-  one WAL-backed manager per OS process under group commit, cross-shard
-  2PC, supervised respawn with recovery;
+  bounded work queues with BUSY backpressure, request → op planning,
+  and graceful drain, over whichever transport the shards sit behind;
+* :mod:`~repro.server.procpool` — the process transport: one WAL-backed
+  engine per OS process under group commit, supervised respawn with
+  recovery;
 * :mod:`~repro.server.client` — sync and asyncio client libraries;
 * :mod:`~repro.server.bench` — the closed-/open-loop load harness
   behind ``repro bench serve``;
@@ -23,7 +27,8 @@ See ``docs/serving.md`` for the protocol and lifecycle reference.
 """
 
 from .client import AsyncClient, SyncClient
-from .procpool import ShardDown, ShardProcess, ShardProcessPool
+from .engine import ShardDown, ShardedTimestampGenerator, ShardEngine, shard_for
+from .procpool import ShardProcess, ShardProcessPool
 from .protocol import (
     ACTIONS,
     ERROR_CODES,
@@ -41,7 +46,7 @@ from .protocol import (
     request_frame,
     response_frame,
 )
-from .server import ReproServer, ShardedTimestampGenerator, shard_for
+from .server import ReproServer
 from .session import Session, SessionError, TxnRecord
 from .top import render_top, run_top
 
@@ -67,6 +72,7 @@ __all__ = [
     "ReproServer",
     "ShardedTimestampGenerator",
     "shard_for",
+    "ShardEngine",
     "ShardProcess",
     "ShardProcessPool",
     "ShardDown",

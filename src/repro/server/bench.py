@@ -44,8 +44,9 @@ from ..obs import (
 )
 from ..obs.sinks import JSONLSink, read_jsonl
 from .client import AsyncClient
+from .engine import shard_for
 from .protocol import WireError
-from .server import ReproServer, shard_for
+from .server import ReproServer
 
 __all__ = [
     "run_serve_bench",
@@ -302,10 +303,10 @@ async def _run(
         server.create_object(name, ADT_NAME)
     # Seed the hot account so the concurrent debits always take the Ok
     # outcome (DEBIT_LOCK), the pair the contention profiler measures.
-    hot_manager = server.managers[shard_for(hot_object, workers)]
-    seed = hot_manager.begin("bench-seed")
-    hot_manager.invoke(seed, hot_object, "Credit", HOT_SEED_BALANCE)
-    hot_manager.commit(seed)
+    seed = [(hot_object, "Credit", (HOT_SEED_BALANCE,))]
+    server.pool.shards[shard_for(hot_object, workers)].single(
+        {"op": "txn", "name": "bench-seed", "steps": seed}
+    )
 
     closed_loop = []
     for clients in client_levels:

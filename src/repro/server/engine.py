@@ -1,0 +1,523 @@
+"""The shard engine: the serving tier's one executor, under every transport.
+
+The paper's model (Sections 1 and 3.3) is shared-nothing: each site owns
+its objects, mints commit timestamps locally, and learns cross-site
+decisions from the commit protocol's messages.  :class:`ShardEngine` is
+one such site — a :class:`~repro.runtime.TransactionManager` on one
+:class:`ShardedTimestampGenerator` stride, an optional write-ahead log —
+driven by ops: dicts with an ``"op"`` key, each answered ``{"ok": ...}``
+or ``{"error": CODE, "message": text}``::
+
+    create begin invoke commit abort txn          single-shard work
+    prepare decide apply_commit                   presumed-abort 2PC
+    snapshot stats catalog prepared decision      queries
+    crash                                         fault injection
+
+:meth:`ShardEngine.execute` holds the package's only exception → error
+code ladder; :meth:`ShardEngine.execute_batch` is the group-commit
+contract (run every op, flush log and trace sink **once**, then reply).
+A *transport* exposes an engine as ``call(ops)`` / ``single(op)``:
+:class:`LocalShard` calls it directly,
+:class:`~repro.server.procpool.ShardProcess` over a pipe into a child
+process.  :class:`ShardSet` is a fixed set of shards behind either — the
+catalog and the one presumed-abort 2PC coordinator.
+
+The module is pure (no sockets, clocks, pipes or files: a log or trace
+sink is handed in already open), so it stays under REP104/REP106.
+"""
+
+from __future__ import annotations
+
+import zlib
+from typing import Any, Dict, List, Optional, Sequence
+
+from ..adts import get_adt
+from ..core.errors import (
+    LockConflict,
+    ProtocolError,
+    ReproError,
+    TransactionAborted,
+    WouldBlock,
+)
+from ..core.timestamps import TimestampGenerator
+from ..protocols import get_protocol
+from ..runtime import TransactionManager
+
+__all__ = [
+    "EngineCrash",
+    "LocalShard",
+    "ShardDown",
+    "ShardEngine",
+    "ShardSet",
+    "ShardedTimestampGenerator",
+    "shard_for",
+]
+
+
+def shard_for(obj: str, workers: int) -> int:
+    """The worker shard owning ``obj`` (stable across runs and processes)."""
+    if workers <= 1:
+        return 0
+    return zlib.crc32(obj.encode("utf-8")) % workers
+
+
+class ShardedTimestampGenerator(TimestampGenerator):
+    """Monotone per-shard timestamps, globally unique across shards.
+
+    Worker ``shard`` of ``shards`` issues the integers congruent to
+    ``shard`` modulo ``shards``, always strictly above both its own last
+    issue and every bound the transaction observed — the Section 3.3
+    constraint per manager, with no inter-shard coordination and no
+    possibility of two shards committing the same timestamp.
+    """
+
+    def __init__(self, shard: int = 0, shards: int = 1):
+        if not 0 <= shard < shards:
+            raise ValueError(f"shard {shard} out of range for {shards} shard(s)")
+        self._shard = shard
+        self._shards = shards
+        self._last = 0
+        self._bounds: Dict[str, int] = {}
+
+    @property
+    def shard(self) -> int:
+        """This generator's stride residue (worker index)."""
+        return self._shard
+
+    @property
+    def shards(self) -> int:
+        """The stride modulus (worker-pool size) timestamps are unique under."""
+        return self._shards
+
+    def observe(self, transaction: str, committed_timestamp: Any) -> None:
+        current = self._bounds.get(transaction, 0)
+        if int(committed_timestamp) > current:
+            self._bounds[transaction] = int(committed_timestamp)
+
+    def commit_timestamp(self, transaction: str) -> int:
+        floor = max(self._last, self._bounds.get(transaction, 0))
+        candidate = floor + 1
+        candidate += (self._shard - candidate) % self._shards
+        self._last = candidate
+        return candidate
+
+    def vote(self, transaction: str) -> int:
+        """This shard's 2PC vote: the floor the decided timestamp must clear.
+
+        The §3.3 piggyback — everything committed here, and everything
+        ``transaction`` observed here, sits at or below this value, so a
+        coordinator deciding strictly above every vote satisfies the
+        constraint at every participant.
+        """
+        return max(self._last, self._bounds.get(transaction, 0))
+
+    def observe_decision(self, timestamp: Any) -> None:
+        """Advance past a coordinator-decided timestamp (2PC phase two).
+
+        The decided value lives on the *coordinator's* stride, but this
+        shard must never mint below it for transactions that observed the
+        committed effects — folding it into ``_last`` keeps the local
+        stream above every decision applied here.
+        """
+        if int(timestamp) > self._last:
+            self._last = int(timestamp)
+
+    def forget(self, transaction: str) -> None:
+        self._bounds.pop(transaction, None)
+
+
+class ShardDown(ReproError):
+    """The shard's worker process is dead (or died mid-request)."""
+
+
+class EngineCrash(BaseException):
+    """The ``crash`` op: die now, flushing nothing.
+
+    Deliberately outside the :class:`Exception` ladder — it is not an
+    answer but an instruction to the transport hosting the engine (the
+    shard process calls ``os._exit``; staged group-commit records and
+    all volatile state are lost, as in a real crash).
+    """
+
+
+#: Ops that address a live transaction by name (``op["txn"]``).
+_BY_NAME = frozenset({"invoke", "commit", "abort", "prepare", "decide", "apply_commit"})
+
+
+class ShardEngine:
+    """One shard: a manager, its stride, an optional WAL, logged decisions.
+
+    A non-empty ``wal`` is *recovered from* — committed intentions
+    redone, prepared transactions back with their locks, ``decided``
+    rebuilt from the commit records — and a log written under another
+    stride is refused.  ``sink`` is the trace sink to flush with each
+    batch and close at :meth:`close`, when the engine owns one.
+    """
+
+    def __init__(
+        self,
+        shard: int = 0,
+        shards: int = 1,
+        protocol: str = "hybrid",
+        wal: Any = None,
+        tracer: Any = None,
+        sink: Any = None,
+        incarnation: int = 1,
+    ):
+        self.shard = shard
+        self.shards = shards
+        self.incarnation = incarnation
+        self.wal = wal
+        self.sink = sink
+        self._protocol = get_protocol(protocol)
+        self._flush_wal = getattr(wal, "flush", None)
+        self.generator = ShardedTimestampGenerator(shard, shards)
+        #: 2PC transaction name -> the commit timestamp applied here: what
+        #: a peer resolving a prepared transaction asks about (single-shard
+        #: commits have no peer, so they are not remembered).
+        self.decided: Dict[str, int] = {}
+        self.committed = 0
+        self.aborted = 0
+        site = f"shard{shard}"
+        if wal is not None and len(wal):
+            # Imported where it is needed: a volatile engine (every
+            # in-process server) never loads the recovery package.
+            from ..recovery import decode_value, recover_manager
+
+            self.manager, _report = recover_manager(
+                wal, tracer=tracer, generator=self.generator, site=site
+            )
+            for record in wal.records():
+                if record["kind"] == "commit":
+                    timestamp = decode_value(record["ts"])
+                    if isinstance(timestamp, int):
+                        self.decided[record["txn"]] = timestamp
+        else:
+            self.manager = TransactionManager(
+                generator=self.generator, wal=wal, tracer=tracer, site=site
+            )
+
+    def execute_batch(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Run every op, make the batch durable under one sync, then reply."""
+        replies = []
+        for op in ops:  # a plain loop: the served path pays no listcomp frame
+            replies.append(self.execute(op))
+        if self._flush_wal is not None:
+            self._flush_wal()
+        if self.sink is not None:
+            self.sink.flush()
+        return replies
+
+    def close(self) -> None:
+        """Flush the log and close the trace sink (orderly shutdown)."""
+        if self._flush_wal is not None:
+            self._flush_wal()
+        if self.sink is not None:
+            self.sink.close()
+
+    def execute(self, op: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one op; never raises (``crash`` excepted: see :class:`EngineCrash`)."""
+        manager = self.manager
+        try:
+            kind = op["op"]
+            if kind in _BY_NAME:
+                name = op["txn"]
+                transaction = manager.transaction(name)
+                if transaction is None:
+                    if kind == "abort":
+                        return {"ok": None}  # already aborted (presumed abort)
+                    if kind == "apply_commit" and self.decided.get(name) == op["ts"]:
+                        return {"ok": op["ts"]}  # decision retransmit: idempotent
+                    code = "NO_VOTE" if kind == "prepare" else "UNKNOWN_TXN"
+                    return {"error": code, "message": f"no transaction {name!r}"}
+                if kind == "invoke":
+                    result = manager.invoke(
+                        transaction, op["obj"], op["operation"], *op.get("args", ())
+                    )
+                    return {"ok": result}
+                if kind == "commit":
+                    timestamp = manager.commit(transaction)
+                    self.committed += 1
+                    return {"ok": timestamp}
+                if kind == "abort":
+                    manager.abort(transaction)
+                    self.aborted += 1
+                    return {"ok": None}
+                if kind == "prepare":
+                    return {"ok": manager.prepare(transaction)}
+                if kind == "decide":
+                    # Primary role: mint the decision strictly above every
+                    # vote, on this shard's stride, and commit locally.
+                    self.generator.observe_decision(max(op["votes"]))
+                    timestamp = self.generator.commit_timestamp(name)
+                else:  # apply_commit: the participant's phase two
+                    timestamp = int(op["ts"])
+                manager.commit_prepared(transaction, timestamp)
+                self.decided[name] = timestamp
+                self.committed += 1
+                return {"ok": timestamp}
+            if kind == "begin":
+                manager.begin(op["name"], _quiet=bool(op.get("quiet")))
+                return {"ok": op["name"]}
+            if kind == "txn":
+                # Fast path: a whole single-shard transaction in one op.
+                transaction = manager.begin(op["name"])
+                try:
+                    results = [
+                        manager.invoke(transaction, obj, operation, *args)
+                        for obj, operation, args in op["steps"]
+                    ]
+                except Exception:
+                    # Whatever a step raised, the transaction must not
+                    # outlive the op holding its locks.
+                    if transaction.is_active:
+                        manager.abort(transaction)
+                    self.aborted += 1
+                    raise
+                timestamp = manager.commit(transaction)
+                self.committed += 1
+                return {"ok": timestamp, "results": results}
+            if kind == "create":
+                protocol = self._protocol
+                if op.get("protocol"):
+                    protocol = get_protocol(op["protocol"])
+                manager.create_object(op["name"], get_adt(op["adt"]), protocol=protocol)
+                return {"ok": op["name"]}
+            if kind == "decision":
+                timestamp = self.decided.get(op["txn"])
+                if timestamp is None:
+                    return {"ok": {"outcome": "unknown"}}
+                return {"ok": {"outcome": "commit", "ts": timestamp}}
+            if kind == "prepared":
+                return {"ok": manager.prepared_transactions()}
+            if kind == "snapshot":
+                return {"ok": manager.object(op["obj"]).snapshot()}
+            if kind == "catalog":
+                return {"ok": sorted(manager.objects)}
+            if kind == "stats":
+                return {"ok": self.stats()}
+            if kind == "crash":
+                raise EngineCrash()
+            return {"error": "BAD_REQUEST", "message": f"unknown op {kind!r}"}
+        except LockConflict as exc:
+            return {"error": "CONFLICT", "message": str(exc)}
+        except WouldBlock as exc:
+            return {"error": "WOULD_BLOCK", "message": str(exc)}
+        except TransactionAborted as exc:
+            return {"error": "ABORTED", "message": str(exc)}
+        except KeyError as exc:
+            detail = exc.args[0] if exc.args else exc
+            return {"error": "BAD_REQUEST", "message": str(detail)}
+        except (ProtocolError, ValueError) as exc:
+            return {"error": "BAD_REQUEST", "message": str(exc)}
+        except ReproError as exc:  # any other library error: typed, not a crash
+            return {"error": "INTERNAL", "message": str(exc)}
+        except Exception as exc:
+            # Malformed operation arguments can raise anything out of an
+            # ADT spec (e.g. TypeError from Credit(<list>)); an escape
+            # would kill the shard, so the answer is typed.
+            return {"error": "INTERNAL", "message": f"{type(exc).__name__}: {exc}"}
+
+    def stats(self) -> Dict[str, Any]:
+        """Counters for this shard (log counters are 0 without a file log)."""
+        wal, base = self.wal, getattr(self.wal, "base", self.wal)
+        return {
+            "shard": self.shard,
+            "shards": self.shards,
+            "incarnation": self.incarnation,
+            "committed": self.committed,
+            "aborted": self.aborted,
+            "objects": len(self.manager.objects),
+            "prepared": self.manager.prepared_transactions(),
+            "wal_appends": getattr(base, "appends", 0),
+            "wal_syncs": getattr(base, "syncs", 0),
+            "wal_records": len(base) if base is not None else 0,
+            "batches": getattr(wal, "batches", None),
+            "batched_records": getattr(wal, "batched_records", None),
+        }
+
+
+class LocalShard:
+    """An engine called directly, on the caller's thread.
+
+    ``blocking`` is what a caller running an event loop needs to know
+    about a transport: a local ``call`` returns as soon as the manager
+    has, so it may be invoked straight from the loop; a
+    :class:`~repro.server.procpool.ShardProcess` call waits on a pipe.
+    """
+
+    blocking = False
+    alive = True
+
+    def __init__(self, engine: ShardEngine):
+        self.engine = engine
+        #: Bound, not wrapped: the in-process path pays no transport frame.
+        self.call = engine.execute_batch
+
+    def single(self, op: Dict[str, Any]) -> Dict[str, Any]:
+        """One-op convenience batch."""
+        return self.call([op])[0]
+
+    def stop(self) -> None:
+        self.engine.close()
+
+
+class ShardSet:
+    """A fixed set of shards behind one transport, plus their catalog.
+
+    Objects are partitioned by :func:`shard_for`; everything here is
+    written over ``shards[i].single(op)`` alone, whatever the transport.
+    """
+
+    def __init__(self, shards: Sequence[Any], tracer: Any = None):
+        self.shards = list(shards)
+        self.workers = len(self.shards)
+        self.tracer = tracer
+        #: Do calls into these shards wait on something (see
+        #: :class:`LocalShard`)?  One transport per set, so one answer.
+        self.blocking = self.shards[0].blocking
+
+    # -- lifecycle -----------------------------------------------------
+
+    def start(self) -> None:
+        """Settle what recovery brought back: with every shard up, each
+        shard's prepared transactions get their verdict.  (A shard that
+        failed to start keeps its cause for its first caller.)"""
+        for index in range(self.workers):
+            try:
+                self.resolve_prepared(index)
+            except ShardDown:
+                continue
+
+    def stop(self) -> None:
+        """Flush and release every shard."""
+        for shard in self.shards:
+            shard.stop()
+
+    def resolve_prepared(self, index: int) -> List[str]:
+        """Deliver the pending verdict for a recovered shard's prepared set:
+        commit if any live peer logged the decision, presumed abort
+        otherwise.  Returns the transaction names resolved."""
+        shard = self.shards[index]
+        prepared = shard.single({"op": "prepared"})["ok"]
+        for name in prepared:
+            timestamp = None
+            for other in self.shards:
+                if other is shard or not other.alive:
+                    continue
+                verdict = other.single({"op": "decision", "txn": name})["ok"]
+                if verdict["outcome"] == "commit":
+                    timestamp = verdict["ts"]
+                    break
+            if timestamp is not None:
+                shard.single({"op": "apply_commit", "txn": name, "ts": timestamp})
+            else:
+                # No shard logged a commit: the coordinator never decided
+                # (or decided abort) — presumed abort.
+                shard.single({"op": "abort", "txn": name})
+        return list(prepared)
+
+    # -- routing -------------------------------------------------------
+
+    def shard_of(self, obj: str) -> int:
+        """The worker index owning ``obj``."""
+        return shard_for(obj, self.workers)
+
+    def create_object(
+        self, name: str, adt_name: str, protocol: Optional[str] = None
+    ) -> int:
+        """Create ``name`` on its owning shard; returns the worker index."""
+        index = self.shard_of(name)
+        reply = self.shards[index].single(
+            {"op": "create", "name": name, "adt": adt_name, "protocol": protocol}
+        )
+        if "error" in reply:
+            raise ValueError(reply["message"])
+        return index
+
+    def catalog(self) -> List[List[str]]:
+        """Per-shard object names — including ones *recovered* from the
+        WALs, which the parent has never seen create requests for."""
+        return [shard.single({"op": "catalog"})["ok"] for shard in self.shards]
+
+    def stats(self) -> List[Dict[str, Any]]:
+        """Per-shard engine statistics (skipping dead workers)."""
+        out = []
+        for index, shard in enumerate(self.shards):
+            try:
+                out.append(shard.single({"op": "stats"})["ok"])
+            except ShardDown:
+                out.append({"shard": index, "down": True})
+        return out
+
+    # -- cross-shard 2PC (the distributed coordinator, calls for wires) --
+
+    def commit_cross_shard(
+        self, name: str, participants: Sequence[int], primary: int
+    ) -> Dict[str, Any]:
+        """Run presumed-abort 2PC for ``name`` across ``participants``.
+
+        Phase one collects every shard's vote (its timestamp floor,
+        force-written with the intentions); any refusal aborts everywhere.
+        Phase two decides ``max(votes) < ts`` on the primary's stride and
+        retransmits the decision until each participant acks — through a
+        worker death, by respawning it (recovery resurrects the prepared
+        transaction) and re-applying.  Returns ``{"ok": ts}`` or an error
+        reply shaped like the engine's.
+        """
+        votes: List[int] = []
+        voted: List[int] = []
+        for index in sorted(set(participants)):
+            try:
+                reply = self.shards[index].single({"op": "prepare", "txn": name})
+            except ShardDown:
+                reply = {"error": "NO_VOTE", "message": f"shard{index} is down"}
+            if "error" in reply:
+                self.abort_cross_shard(name, voted)
+                return reply
+            votes.append(int(reply["ok"]))
+            voted.append(index)
+        try:
+            decided = self.shards[primary].single(
+                {"op": "decide", "txn": name, "votes": votes}
+            )
+        except ShardDown:
+            # The primary died between prepare and decide: no commit
+            # record exists anywhere, so the outcome is presumed abort.
+            # Its own prepared entry resolves the same way on respawn.
+            self.abort_cross_shard(name, [i for i in voted if i != primary])
+            return {"error": "ABORTED", "message": f"shard{primary} died deciding"}
+        if "error" in decided:
+            self.abort_cross_shard(name, [i for i in voted if i != primary])
+            return decided
+        timestamp = int(decided["ok"])
+        for index in voted:
+            if index == primary:
+                continue
+            self._deliver_commit(index, name, timestamp)
+        return {"ok": timestamp}
+
+    def _deliver_commit(self, index: int, name: str, timestamp: int) -> None:
+        """Retransmit a commit decision until the participant acks it."""
+        while True:
+            try:
+                self.shards[index].single(
+                    {"op": "apply_commit", "txn": name, "ts": timestamp}
+                )
+                return
+            except ShardDown:
+                # Only a transport whose shards can die raises this, and
+                # it knows how to bring one back.  Respawn recovers the
+                # prepared transaction (its vote and intentions are on
+                # the shard's stable log) and resolve_prepared may already
+                # find the primary's commit record; the retried apply is
+                # then an idempotent ack.
+                self.respawn(index)
+
+    def abort_cross_shard(self, name: str, participants: Sequence[int]) -> None:
+        """Deliver an abort everywhere it ran; dead shards presume it."""
+        for index in sorted(set(participants)):
+            try:
+                self.shards[index].single({"op": "abort", "txn": name})
+            except ShardDown:
+                continue  # presumed abort on recovery

@@ -1,15 +1,12 @@
-"""Shared-nothing shard workers: one OS process per shard.
+"""The process transport: one OS process per shard engine.
 
 The paper's multi-site model (Sections 1 and 3.3) is shared-nothing by
-construction: each site owns its objects, generates timestamps locally,
-and learns cross-site decisions from the commit protocol's messages.
-This module gives the serving tier that shape for real.  Each shard is
-a child *process* hosting its own :class:`~repro.runtime.TransactionManager`
-over a :class:`~repro.server.server.ShardedTimestampGenerator` (stride
-``shard`` mod ``shards`` — coordination-free global uniqueness), its own
-:class:`~repro.recovery.wal.FileWAL` under group commit, and its own
-trace file; the parent process routes work over pipes and never touches
-a machine directly.
+construction; this module gives the serving tier that shape for real.
+Each shard is a child *process* hosting one
+:class:`~repro.server.engine.ShardEngine` — its manager on stride
+``shard`` mod ``shards``, its own :class:`~repro.recovery.wal.FileWAL`
+under group commit, its own trace file; the parent routes work over
+pipes and never touches a machine directly.
 
 Message protocol (one pipe per child, strictly request/reply)::
 
@@ -18,24 +15,15 @@ Message protocol (one pipe per child, strictly request/reply)::
     parent -> child   ("stop",)        child flushes, acks, exits
     child  -> parent  ("fatal", text)  unrecoverable startup failure
 
-Each ``op`` is a dict with an ``"op"`` key; each reply is either
-``{"ok": ...}`` or ``{"error": CODE, "message": text}``.  The child
-executes the whole batch, then flushes its group-commit WAL **once**,
-then replies — so every acknowledged commit is durable, and the batch
-shares one fsync (the group-commit contract; fsyncs/txn ≈ 1/depth).
+Ops and replies are the engine's; the child is recv →
+``engine.execute_batch`` → send, so a batch shares one fsync
+(fsyncs/txn ≈ 1/depth) and every acknowledged commit is durable.
 
-Single-shard transactions run entirely inside one child (the ``txn``
-fast path: begin + invokes + commit in one message).  Cross-shard
-transactions run the classic presumed-abort 2PC from
-:mod:`repro.distributed` — PREPARE force-writes the intentions and
-returns the shard's timestamp floor as its vote, the first-touch
-(primary) shard decides strictly above every vote *on its own stride*,
-and the decision is retransmitted until every participant acks, through
-worker death and recovery if need be.  A respawned child rebuilds
-itself from its WAL via :func:`repro.recovery.recover_manager` (which
-refuses a resized stride), resurrects prepared transactions with their
-locks, and the pool resolves them by querying the surviving shards for
-the decision — commit if any shard logged it, presumed abort otherwise.
+:class:`ShardProcessPool` is a :class:`~repro.server.engine.ShardSet`
+whose shards can die: it spawns them, and a respawned child rebuilds
+itself from its WAL (which refuses a resized stride), resurrecting
+prepared transactions with their locks for the set to resolve —
+commit if any shard logged the decision, presumed abort otherwise.
 """
 
 from __future__ import annotations
@@ -43,264 +31,80 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pathlib
+import signal
 import threading
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core.errors import ReproError
-from .server import ShardedTimestampGenerator, shard_for
+from ..obs import JSONLSink, TraceBus
+from .engine import EngineCrash, ShardDown, ShardEngine, ShardSet
 
 __all__ = ["ShardDown", "ShardProcess", "ShardProcessPool"]
 
-
-class ShardDown(ReproError):
-    """The shard's worker process is dead (or died mid-request)."""
-
-
-# ----------------------------------------------------------------------
-# Child process
-# ----------------------------------------------------------------------
+#: Fork where the platform has it (the child inherits the loaded code),
+#: spawn elsewhere.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
-def _open_wal(spec: Dict[str, Any]):
-    """The child's log stack: FileWAL, group-commit-wrapped unless asked
-    for per-append durability.  Returns ``(base, wal)``."""
+def _build_engine(spec: Dict[str, Any]) -> ShardEngine:
+    """Open the shard's log and trace file and build (or recover) its
+    engine: a FileWAL, group-commit-wrapped unless per-append durability
+    was asked for, and one JSONL trace file per incarnation."""
+    # Child-only: a server without shard processes never loads recovery.
     from ..recovery.wal import FileWAL, GroupCommitWAL
 
-    base = FileWAL(pathlib.Path(spec["data_dir"]))
-    if spec["durability"] == "append":
-        return base, base
-    return base, GroupCommitWAL(base, max_batch=int(spec["max_batch"]))
-
-
-def _child_state(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Build (or recover) the shard's manager, WAL, tracer, and maps."""
-    from ..recovery.recovery import recover_manager
-    from ..runtime import TransactionManager
-
-    site = f"shard{spec['shard']}"
-    generator = ShardedTimestampGenerator(spec["shard"], spec["shards"])
-    tracer = None
-    sink = None
-    if spec.get("trace_path"):
-        from ..obs import JSONLSink, TraceBus
-
+    tracer = sink = None
+    if spec["trace_path"]:
         tracer = TraceBus()
         sink = tracer.subscribe(JSONLSink(spec["trace_path"]))
-    base, wal = _open_wal(spec)
-    decided: Dict[str, int] = {}
-    if len(base):
-        manager, _report = recover_manager(
-            wal, tracer=tracer, generator=generator, site=site
-        )
-        for record in base.records():
-            if record["kind"] == "commit":
-                from ..recovery.wal import decode_value
-
-                timestamp = decode_value(record["ts"])
-                if isinstance(timestamp, int):
-                    decided[record["txn"]] = timestamp
-    else:
-        manager = TransactionManager(
-            generator=generator, wal=wal, tracer=tracer, site=site
-        )
-    return {
-        "spec": spec,
-        "site": site,
-        "manager": manager,
-        "generator": generator,
-        "base": base,
-        "wal": wal,
-        "tracer": tracer,
-        "sink": sink,
-        "decided": decided,
-        "committed": 0,
-        "aborted": 0,
-    }
-
-
-def _execute_op(state: Dict[str, Any], op: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one op against the child's manager; never raises."""
-    from ..adts import get_adt
-    from ..core.errors import (
-        LockConflict,
-        ProtocolError,
-        TransactionAborted,
-        WouldBlock,
+    wal = FileWAL(pathlib.Path(spec["data_dir"]))
+    if spec["durability"] != "append":
+        wal = GroupCommitWAL(wal)
+    return ShardEngine(
+        spec["shard"],
+        spec["shards"],
+        protocol=spec["protocol"],
+        wal=wal,
+        tracer=tracer,
+        sink=sink,
+        incarnation=spec["incarnation"],
     )
-    from ..protocols import get_protocol
-
-    manager = state["manager"]
-    generator = state["generator"]
-    decided = state["decided"]
-    kind = op["op"]
-    try:
-        if kind == "txn":
-            # Fast path: a whole single-shard transaction in one message.
-            transaction = manager.begin(op["name"])
-            try:
-                results = [
-                    manager.invoke(transaction, obj, operation, *args)
-                    for obj, operation, args in op["steps"]
-                ]
-            except (LockConflict, WouldBlock):
-                manager.abort(transaction)
-                state["aborted"] += 1
-                raise
-            timestamp = manager.commit(transaction)
-            decided[op["name"]] = timestamp
-            state["committed"] += 1
-            return {"ok": timestamp, "results": results}
-        if kind == "create":
-            protocol = get_protocol(op.get("protocol") or state["spec"]["protocol"])
-            manager.create_object(op["name"], get_adt(op["adt"]), protocol=protocol)
-            return {"ok": op["name"]}
-        if kind == "begin":
-            manager.begin(op["name"], _quiet=bool(op.get("quiet")))
-            return {"ok": op["name"]}
-        if kind == "stats":
-            base = state["base"]
-            wal = state["wal"]
-            return {
-                "ok": {
-                    "shard": state["spec"]["shard"],
-                    "shards": state["spec"]["shards"],
-                    "incarnation": state["spec"]["incarnation"],
-                    "committed": state["committed"],
-                    "aborted": state["aborted"],
-                    "objects": len(manager.objects),
-                    "prepared": manager.prepared_transactions(),
-                    "wal_appends": base.appends,
-                    "wal_syncs": base.syncs,
-                    "wal_records": len(base),
-                    "batches": getattr(wal, "batches", None),
-                    "batched_records": getattr(wal, "batched_records", None),
-                }
-            }
-        if kind == "catalog":
-            return {"ok": sorted(manager.objects)}
-        if kind == "prepared":
-            return {"ok": manager.prepared_transactions()}
-        if kind == "decision":
-            timestamp = decided.get(op["txn"])
-            if timestamp is None:
-                return {"ok": {"outcome": "unknown"}}
-            return {"ok": {"outcome": "commit", "ts": timestamp}}
-        if kind == "snapshot":
-            return {"ok": manager.object(op["obj"]).snapshot()}
-        if kind == "crash":
-            # Fault injection: die without flushing — staged group-commit
-            # records and all volatile state are lost, as in a real crash.
-            os._exit(17)
-        # The remaining ops address a live transaction by name.
-        name = op["txn"]
-        transaction = manager.transaction(name)
-        if kind == "invoke":
-            if transaction is None:
-                return {"error": "UNKNOWN_TXN", "message": f"no transaction {name!r}"}
-            result = manager.invoke(
-                transaction, op["obj"], op["operation"], *tuple(op.get("args", ()))
-            )
-            return {"ok": result}
-        if kind == "commit":
-            if transaction is None:
-                return {"error": "UNKNOWN_TXN", "message": f"no transaction {name!r}"}
-            timestamp = manager.commit(transaction)
-            decided[name] = timestamp
-            state["committed"] += 1
-            return {"ok": timestamp}
-        if kind == "abort":
-            if transaction is not None:
-                manager.abort(transaction)
-                state["aborted"] += 1
-            return {"ok": None}  # unknown: already aborted (presumed abort)
-        if kind == "prepare":
-            if transaction is None:
-                return {"error": "NO_VOTE", "message": f"no transaction {name!r}"}
-            return {"ok": manager.prepare(transaction)}
-        if kind == "decide":
-            # Primary role: mint the decision strictly above every vote,
-            # on this shard's stride, and commit locally.
-            if transaction is None:
-                return {"error": "UNKNOWN_TXN", "message": f"no transaction {name!r}"}
-            generator.observe_decision(max(op["votes"]))
-            timestamp = generator.commit_timestamp(name)
-            manager.commit_prepared(transaction, timestamp)
-            decided[name] = timestamp
-            state["committed"] += 1
-            return {"ok": timestamp}
-        if kind == "apply_commit":
-            timestamp = int(op["ts"])
-            if transaction is None:
-                if decided.get(name) == timestamp:
-                    return {"ok": timestamp}  # decision retransmit: idempotent
-                return {"error": "UNKNOWN_TXN", "message": f"no transaction {name!r}"}
-            manager.commit_prepared(transaction, timestamp)
-            decided[name] = timestamp
-            state["committed"] += 1
-            return {"ok": timestamp}
-        return {"error": "BAD_REQUEST", "message": f"unknown op {kind!r}"}
-    except LockConflict as exc:
-        return {"error": "CONFLICT", "message": str(exc)}
-    except WouldBlock as exc:
-        return {"error": "WOULD_BLOCK", "message": str(exc)}
-    except TransactionAborted as exc:
-        return {"error": "ABORTED", "message": str(exc)}
-    except KeyError as exc:
-        detail = exc.args[0] if exc.args else exc
-        return {"error": "BAD_REQUEST", "message": str(detail)}
-    except (ProtocolError, ValueError) as exc:
-        return {"error": "BAD_REQUEST", "message": str(exc)}
-    except ReproError as exc:
-        return {"error": "INTERNAL", "message": str(exc)}
-    except Exception as exc:  # an escape would kill the shard: answer typed
-        return {"error": "INTERNAL", "message": f"{type(exc).__name__}: {exc}"}
 
 
 def _shard_main(conn, spec: Dict[str, Any]) -> None:
     """Child entry point: serve batches until told to stop."""
-    import signal
-
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates
     try:
-        state = _child_state(spec)
+        engine = _build_engine(spec)
     except Exception as exc:
         try:
             conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
         finally:
             conn.close()
         return
-    wal = state["wal"]
-    flush = getattr(wal, "flush", None)
     while True:
         try:
             message = conn.recv()
         except EOFError:
             break
         if message[0] == "stop":
-            if flush is not None:
-                flush()
-            if state["sink"] is not None:
-                state["sink"].close()
+            engine.close()
             conn.send(("ok", []))
             break
-        replies = [_execute_op(state, op) for op in message[1]]
-        # Group commit: the whole batch becomes durable under one fsync
-        # *before* any reply is acknowledged.
-        if flush is not None:
-            flush()
-        if state["sink"] is not None:
-            state["sink"].flush()
+        try:
+            replies = engine.execute_batch(message[1])
+        except EngineCrash:
+            os._exit(17)  # nothing flushed, nothing acknowledged
         conn.send(("ok", replies))
     conn.close()
 
 
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-
-
 class ShardProcess:
     """Parent-side handle for one shard worker process."""
+
+    #: ``call`` waits on a pipe: an event loop must run it off-loop.
+    blocking = True
 
     def __init__(
         self,
@@ -310,20 +114,21 @@ class ShardProcess:
         trace_dir: Optional[pathlib.Path],
         protocol: str,
         durability: str,
-        max_batch: int,
-        context,
     ):
         self.shard = shard
-        self.shards = shards
-        self.data_dir = data_dir
         self.trace_dir = trace_dir
-        self.protocol = protocol
-        self.durability = durability
-        self.max_batch = max_batch
         self.incarnation = 0
-        self._context = context
+        #: What every incarnation's child is told (plus its trace file).
+        self._spec = {
+            "shard": shard,
+            "shards": shards,
+            "data_dir": str(data_dir),
+            "protocol": protocol,
+            "durability": durability,
+        }
         self._process = None
         self._conn = None
+        self._fatal: Optional[str] = None
         self._lock = threading.Lock()
         #: Trace files written by past and present incarnations, oldest
         #: first — the merge feed for certification.
@@ -337,10 +142,6 @@ class ShardProcess:
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
-
     def spawn(self) -> None:
         """Start (or restart) the worker; a restart recovers from the WAL."""
         self.incarnation += 1
@@ -351,40 +152,34 @@ class ShardProcess:
             path = self.trace_dir / f"{self.name}.{self.incarnation}.jsonl"
             self.trace_paths.append(path)
             trace_path = str(path)
-        spec = {
-            "shard": self.shard,
-            "shards": self.shards,
-            "data_dir": str(self.data_dir),
-            "trace_path": trace_path,
-            "protocol": self.protocol,
-            "durability": self.durability,
-            "max_batch": self.max_batch,
-            "incarnation": self.incarnation,
-        }
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
+        spec = dict(self._spec, trace_path=trace_path, incarnation=self.incarnation)
+        parent_conn, child_conn = _CONTEXT.Pipe()
+        process = _CONTEXT.Process(
             target=_shard_main, args=(child_conn, spec), daemon=True
         )
         process.start()
         child_conn.close()
         self._process = process
         self._conn = parent_conn
+        self._fatal = None
 
-    def _drain_fatal(self) -> None:
-        """Surface a buffered fatal startup announcement, if any.
+    def _check_fatal(self, reply: Any = None) -> None:
+        """Raise the child's fatal startup announcement, if it made one.
 
         A child that fails to start sends ``("fatal", text)`` and exits;
-        the message stays buffered in the pipe after the death, so a
-        caller racing the exit must still see the cause (e.g. a stride
-        mismatch on recovery), not a bare "not running".
+        the message stays buffered in the pipe, so a caller racing the
+        exit still sees the cause (e.g. a stride mismatch), not a bare
+        "not running" — as does every caller after: the cause is kept.
         """
         try:
-            if self._conn is not None and self._conn.poll(0):
+            if reply is None and self._fatal is None and self._conn.poll(0):
                 reply = self._conn.recv()
-                if reply[0] == "fatal":
-                    raise ShardDown(f"{self.name} failed to start: {reply[1]}")
         except (EOFError, OSError):
             pass
+        if reply is not None and reply[0] == "fatal":
+            self._fatal = reply[1]
+        if self._fatal is not None:
+            raise ShardDown(f"{self.name} failed to start: {self._fatal}")
 
     def call(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Send one batch and wait for its replies (thread-safe).
@@ -397,7 +192,7 @@ class ShardProcess:
             if self._conn is None:
                 raise ShardDown(f"{self.name} is not running")
             if not self.alive:
-                self._drain_fatal()
+                self._check_fatal()
                 raise ShardDown(f"{self.name} is not running")
             try:
                 self._conn.send(("batch", list(ops)))
@@ -409,10 +204,9 @@ class ShardProcess:
                 # healthy worker and skip the restart.
                 if self._process is not None:
                     self._process.join(timeout=5.0)
-                self._drain_fatal()
+                self._check_fatal()
                 raise ShardDown(f"{self.name} died mid-request") from None
-        if reply[0] == "fatal":
-            raise ShardDown(f"{self.name} failed to start: {reply[1]}")
+            self._check_fatal(reply)
         return reply[1]
 
     def single(self, op: Dict[str, Any]) -> Dict[str, Any]:
@@ -443,12 +237,9 @@ class ShardProcess:
             self._process.join(timeout=5.0)
 
 
-class ShardProcessPool:
-    """A fixed-size pool of shard worker processes plus their catalog.
+class ShardProcessPool(ShardSet):
+    """A fixed-size pool of shard worker processes.
 
-    Objects are partitioned by the same stable hash the in-loop server
-    uses (:func:`~repro.server.server.shard_for`), so a catalog built
-    against the pool agrees with one built against in-loop workers.
     ``durability`` selects group commit (``"group"``, the default: one
     fsync per pipe batch) or per-append durability (``"append"``: one
     fsync per record — the pre-group-commit baseline, kept for
@@ -462,59 +253,36 @@ class ShardProcessPool:
         trace_dir=None,
         protocol: str = "hybrid",
         durability: str = "group",
-        max_batch: int = 256,
-        start_method: Optional[str] = None,
         tracer: Any = None,
     ):
         if workers < 1:
             raise ValueError("need at least one shard worker")
         if durability not in ("group", "append"):
             raise ValueError(f"unknown durability mode {durability!r}")
-        self.workers = workers
-        self.data_dir = pathlib.Path(data_dir)
-        self.trace_dir = pathlib.Path(trace_dir) if trace_dir is not None else None
-        self.protocol = protocol
         self.durability = durability
-        self.tracer = tracer
-        if start_method is None:
-            start_method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        context = multiprocessing.get_context(start_method)
         self._respawn_lock = threading.Lock()
-        self.shards: List[ShardProcess] = []
+        if trace_dir is not None:
+            trace_dir = pathlib.Path(trace_dir)
+            trace_dir.mkdir(parents=True, exist_ok=True)
+        shards = []
         for shard in range(workers):
-            shard_dir = self.data_dir / f"shard{shard}"
+            shard_dir = pathlib.Path(data_dir) / f"shard{shard}"
             shard_dir.mkdir(parents=True, exist_ok=True)
-            if self.trace_dir is not None:
-                self.trace_dir.mkdir(parents=True, exist_ok=True)
-            self.shards.append(
-                ShardProcess(
-                    shard,
-                    workers,
-                    shard_dir,
-                    self.trace_dir,
-                    protocol,
-                    durability,
-                    max_batch,
-                    context,
-                )
+            shards.append(
+                ShardProcess(shard, workers, shard_dir, trace_dir, protocol, durability)
             )
+        super().__init__(shards, tracer=tracer)
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Spawn every worker (restarts recover from their WALs)."""
-        for shard in self.shards:
-            if not shard.alive:
-                shard.spawn()
-
-    def stop(self) -> None:
-        """Flush and join every worker."""
-        for shard in self.shards:
-            shard.stop()
+        """Spawn every worker that is not running (restarts recover from
+        their WALs); after a spawn, settle the recovered prepared sets."""
+        down = [shard for shard in self.shards if not shard.alive]
+        for shard in down:
+            shard.spawn()
+        if down:
+            super().start()
 
     def respawn(self, index: int) -> List[str]:
         """Restart a dead worker and resolve its prepared transactions.
@@ -522,9 +290,8 @@ class ShardProcessPool:
         Emits ``site.crash`` (hard) for the lost incarnation, spawns a
         fresh one (which replays its WAL — committed intentions redone,
         prepared transactions back with their locks), then queries the
-        other shards for each prepared transaction's decision: commit if
-        any shard logged one, presumed abort otherwise.  Returns the
-        prepared transaction names that were resolved.
+        other shards for each prepared transaction's decision.  Returns
+        the prepared transaction names that were resolved.
         """
         shard = self.shards[index]
         with self._respawn_lock:
@@ -535,126 +302,12 @@ class ShardProcessPool:
             shard.spawn()
             return self.resolve_prepared(index)
 
-    def resolve_prepared(self, index: int) -> List[str]:
-        """Deliver the pending verdict for a recovered shard's prepared set."""
-        shard = self.shards[index]
-        prepared = shard.single({"op": "prepared"})["ok"]
-        for name in prepared:
-            timestamp = None
-            for other in self.shards:
-                if other.shard == index or not other.alive:
-                    continue
-                verdict = other.single({"op": "decision", "txn": name})["ok"]
-                if verdict["outcome"] == "commit":
-                    timestamp = verdict["ts"]
-                    break
-            if timestamp is not None:
-                shard.single({"op": "apply_commit", "txn": name, "ts": timestamp})
-            else:
-                # No shard logged a commit: the coordinator never decided
-                # (or decided abort) — presumed abort.
-                shard.single({"op": "abort", "txn": name})
-        return list(prepared)
-
-    # -- routing -------------------------------------------------------
-
-    def shard_of(self, obj: str) -> int:
-        """The worker index owning ``obj`` (same hash as the in-loop tier)."""
-        return shard_for(obj, self.workers)
-
-    def create_object(
-        self, name: str, adt_name: str, protocol: Optional[str] = None
-    ) -> int:
-        """Create ``name`` on its owning shard; returns the worker index."""
-        index = self.shard_of(name)
-        reply = self.shards[index].single(
-            {"op": "create", "name": name, "adt": adt_name, "protocol": protocol}
-        )
-        if "error" in reply:
-            raise ValueError(reply["message"])
-        return index
-
-    def catalog(self) -> List[List[str]]:
-        """Per-shard object names — including ones *recovered* from the
-        WALs, which the parent has never seen create requests for."""
-        return [shard.single({"op": "catalog"})["ok"] for shard in self.shards]
-
-    def stats(self) -> List[Dict[str, Any]]:
-        """Per-shard child statistics (skipping dead workers)."""
-        out = []
-        for shard in self.shards:
-            try:
-                out.append(shard.single({"op": "stats"})["ok"])
-            except ShardDown:
-                out.append({"shard": shard.shard, "down": True})
-        return out
-
-    # -- cross-shard 2PC (the distributed coordinator, pipes for wires) --
-
-    def commit_cross_shard(
-        self, name: str, participants: Sequence[int], primary: int
-    ) -> Dict[str, Any]:
-        """Run presumed-abort 2PC for ``name`` across ``participants``.
-
-        Phase one collects every shard's vote (its timestamp floor,
-        force-written with the intentions); any refusal aborts everywhere.
-        Phase two decides ``max(votes) < ts`` on the primary's stride and
-        retransmits the decision until each participant acks — through a
-        worker death, by respawning it (recovery resurrects the prepared
-        transaction) and re-applying.  Returns ``{"ok": ts}`` or an error
-        reply shaped like the child ones.
-        """
-        votes: List[int] = []
-        voted: List[int] = []
-        for index in sorted(set(participants)):
-            try:
-                reply = self.shards[index].single({"op": "prepare", "txn": name})
-            except ShardDown:
-                reply = {"error": "NO_VOTE", "message": f"shard{index} is down"}
-            if "error" in reply:
-                self.abort_cross_shard(name, voted)
-                return reply
-            votes.append(int(reply["ok"]))
-            voted.append(index)
-        try:
-            decided = self.shards[primary].single(
-                {"op": "decide", "txn": name, "votes": votes}
-            )
-        except ShardDown:
-            # The primary died between prepare and decide: no commit
-            # record exists anywhere, so the outcome is presumed abort.
-            # Its own prepared entry resolves the same way on respawn.
-            self.abort_cross_shard(name, [i for i in voted if i != primary])
-            return {"error": "ABORTED", "message": f"shard{primary} died deciding"}
-        if "error" in decided:
-            self.abort_cross_shard(name, [i for i in voted if i != primary])
-            return decided
-        timestamp = int(decided["ok"])
-        for index in voted:
-            if index == primary:
-                continue
-            self._deliver_commit(index, name, timestamp)
-        return {"ok": timestamp}
-
-    def _deliver_commit(self, index: int, name: str, timestamp: int) -> None:
-        """Retransmit a commit decision until the participant acks it."""
-        while True:
-            try:
-                self.shards[index].single(
-                    {"op": "apply_commit", "txn": name, "ts": timestamp}
-                )
-                return
-            except ShardDown:
-                # Respawn recovers the prepared transaction (its vote and
-                # intentions are on the shard's stable log) and
-                # resolve_prepared may already find the primary's commit
-                # record; the retried apply is then an idempotent ack.
-                self.respawn(index)
-
-    def abort_cross_shard(self, name: str, participants: Sequence[int]) -> None:
-        """Deliver an abort everywhere it ran; dead shards presume it."""
-        for index in sorted(set(participants)):
-            try:
-                self.shards[index].single({"op": "abort", "txn": name})
-            except ShardDown:
-                continue  # presumed abort on recovery
+    def status(self) -> Dict[str, Any]:
+        """The supervisor's view, with no pipe round-trips (introspection
+        must answer while the shard pipes are saturated)."""
+        return {
+            "workers": self.workers,
+            "durability": self.durability,
+            "alive": [shard.alive for shard in self.shards],
+            "incarnations": [shard.incarnation for shard in self.shards],
+        }

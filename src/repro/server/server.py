@@ -3,20 +3,18 @@
 This is the real wire boundary the paper's model assumes (Sections 1 and
 3.3: external clients submit operations to transaction managers).  The
 front end accepts client connections, frames requests with
-:mod:`repro.server.protocol`, and routes them onto one or more
-:class:`~repro.runtime.TransactionManager` instances — the concurrency-
-control kernel stays wholly unaware that a network exists, exactly the
-layering Malta & Martinez argue for (wire tier strictly outside the
-commutativity kernel).
+:mod:`repro.server.protocol`, translates them into shard ops, and routes
+those onto one :class:`~repro.server.engine.ShardEngine` per shard — the
+concurrency-control kernel stays wholly unaware that a network exists,
+exactly the layering Malta & Martinez argue for (wire tier strictly
+outside the commutativity kernel).
 
 Concurrency model
 -----------------
 
-Everything runs on one event loop; the managers are synchronous and are
-only ever touched from worker coroutines (plus the inline cleanup paths,
-which also run on the loop).  The work queue is therefore *not* a thread
-guard — it is the **backpressure** mechanism: each worker owns a bounded
-queue, a request is admitted only while the queue is below its
+Everything here runs on one event loop.  Each shard has one worker
+coroutine and one bounded queue, and the queue is the **backpressure**
+mechanism: a request is admitted only while the queue is below its
 high-water mark, and past it the server answers ``BUSY`` immediately
 (``server.busy`` trace event) instead of buffering unboundedly.  Clients
 treat BUSY like a lock conflict: back off and retry.
@@ -24,32 +22,39 @@ treat BUSY like a lock conflict: back off and retry.
 Sharding
 --------
 
-With ``workers > 1`` each worker owns a disjoint shard of the objects
-(stable CRC32 of the object name).  A transaction is pinned to the shard
-owning the *first* object it touches (its *primary*); its
+Each shard owns a disjoint set of the objects (stable CRC32 of the
+object name).  A transaction is pinned to the shard owning the *first*
+object it touches (its *primary*); its
 :class:`~repro.server.session.TxnRecord` accumulates every shard it
-touches.  Commit timestamps stay globally unique because worker *i* of
+touches.  Commit timestamps stay globally unique because shard *i* of
 *W* issues only timestamps ≡ *i* (mod *W*) — each shard's generator is
 monotone, so the Section 3.3 constraint holds per manager, and the
 shards' timestamp streams never collide, so a merged trace still
 certifies.
 
-Two deployment shapes share this front end:
+Engine and transports
+---------------------
 
-* **in-loop** (default): each shard is a synchronous
-  :class:`~repro.runtime.TransactionManager` touched only from its
-  worker coroutine.  Touching a second shard answers ``CROSS_SHARD`` —
-  there is no commit protocol between in-loop managers.
-* **process pool** (``pool=``): each shard is a *worker OS process*
-  (:class:`~repro.server.procpool.ShardProcessPool`) with its own WAL
-  under group commit.  The worker coroutine drains its queue into
-  *batches* — one pipe round-trip, one group-commit fsync for the whole
-  batch — and cross-shard transactions are legal: commit runs
+The shards are a :class:`~repro.server.engine.ShardSet`, and a worker
+does the same thing whatever is behind it: plan the ops, ``call`` the
+shard, finish the reply.  All it asks of the transport is whether
+``call`` *blocks*:
+
+* a **local shard** (``workers=N``, the default) is an engine in this
+  process, with no log.  Its call returns when the manager has, so the
+  worker makes it straight from the loop, one request at a time, and
+  writes the reply before the next queued request executes.  A touch of
+  a second shard answers ``CROSS_SHARD``: the commit protocol between
+  shards runs off-loop, which only shards living elsewhere allow.
+* a **process shard** (``pool=``, a
+  :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
+  the call runs in the loop's executor and the worker first drains its
+  queue into one *batch* — one pipe round-trip, one group-commit fsync
+  for the lot.  Cross-shard transactions are legal: commit runs
   presumed-abort 2PC across exactly the recorded participants.  A dead
-  worker process is respawned (recovering from its WAL, resurrecting
-  prepared transactions); the requests and handles it stranded are
-  answered ``SHARD_DOWN`` and cleaned up on every participant, never
-  leaked.
+  worker process is respawned (recovering from its WAL); the requests
+  and handles it stranded are answered ``SHARD_DOWN`` and cleaned up on
+  every participant, never leaked.
 
 Graceful drain
 --------------
@@ -65,20 +70,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..adts import get_adt
-from ..core.errors import (
-    LockConflict,
-    ProtocolError,
-    ReproError,
-    TransactionAborted,
-    WouldBlock,
-)
-from ..core.timestamps import TimestampGenerator
-from ..protocols import get_protocol
-from ..runtime import TransactionManager
+from .engine import LocalShard, ShardDown, ShardEngine, ShardSet, shard_for
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -92,79 +86,11 @@ from .protocol import (
 )
 from .session import Session, SessionError
 
-__all__ = ["ReproServer", "ShardedTimestampGenerator", "shard_for"]
+__all__ = ["ReproServer"]
 
-
-def shard_for(obj: str, workers: int) -> int:
-    """The worker shard owning ``obj`` (stable across runs and processes)."""
-    if workers <= 1:
-        return 0
-    return zlib.crc32(obj.encode("utf-8")) % workers
-
-
-class ShardedTimestampGenerator(TimestampGenerator):
-    """Monotone per-shard timestamps, globally unique across shards.
-
-    Worker ``shard`` of ``shards`` issues the integers congruent to
-    ``shard`` modulo ``shards``, always strictly above both its own last
-    issue and every bound the transaction observed — the Section 3.3
-    constraint per manager, with no inter-shard coordination and no
-    possibility of two shards committing the same timestamp.
-    """
-
-    def __init__(self, shard: int = 0, shards: int = 1):
-        if not 0 <= shard < shards:
-            raise ValueError(f"shard {shard} out of range for {shards} shard(s)")
-        self._shard = shard
-        self._shards = shards
-        self._last = 0
-        self._bounds: Dict[str, int] = {}
-
-    @property
-    def shard(self) -> int:
-        """This generator's stride residue (worker index)."""
-        return self._shard
-
-    @property
-    def shards(self) -> int:
-        """The stride modulus (worker-pool size) timestamps are unique under."""
-        return self._shards
-
-    def observe(self, transaction: str, committed_timestamp: Any) -> None:
-        current = self._bounds.get(transaction, 0)
-        if int(committed_timestamp) > current:
-            self._bounds[transaction] = int(committed_timestamp)
-
-    def commit_timestamp(self, transaction: str) -> int:
-        floor = max(self._last, self._bounds.get(transaction, 0))
-        candidate = floor + 1
-        candidate += (self._shard - candidate) % self._shards
-        self._last = candidate
-        return candidate
-
-    def vote(self, transaction: str) -> int:
-        """This shard's 2PC vote: the floor the decided timestamp must clear.
-
-        The §3.3 piggyback — everything committed here, and everything
-        ``transaction`` observed here, sits at or below this value, so a
-        coordinator deciding strictly above every vote satisfies the
-        constraint at every participant.
-        """
-        return max(self._last, self._bounds.get(transaction, 0))
-
-    def observe_decision(self, timestamp: Any) -> None:
-        """Advance past a coordinator-decided timestamp (2PC phase two).
-
-        The decided value lives on the *coordinator's* stride, but this
-        shard must never mint below it for transactions that observed the
-        committed effects — folding it into ``_last`` keeps the local
-        stream above every decision applied here.
-        """
-        if int(timestamp) > self._last:
-            self._last = int(timestamp)
-
-    def forget(self, transaction: str) -> None:
-        self._bounds.pop(transaction, None)
+#: Most requests one blocking shard call carries: bounds a batch's
+#: latency, not its durability (the engine's log bounds its own staging).
+BATCH_LIMIT = 64
 
 
 class _Connection:
@@ -191,7 +117,7 @@ class _Connection:
 
 
 class ReproServer:
-    """The socket front end over one or more transaction managers.
+    """The socket front end over a set of shard engines.
 
     Parameters
     ----------
@@ -199,7 +125,7 @@ class ReproServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
     workers:
-        Number of manager shards (each with its own bounded queue).
+        Number of local shards (each with its own bounded queue).
     queue_limit:
         High-water mark per worker queue; admissions beyond it answer
         ``BUSY``.
@@ -208,7 +134,7 @@ class ReproServer:
         wire or via :meth:`create_object` (default ``hybrid``).
     tracer:
         Optional :class:`~repro.obs.TraceBus`; the server emits
-        ``server.*`` events and the managers emit the usual ``txn.*`` /
+        ``server.*`` events and local shards emit the usual ``txn.*`` /
         ``lock.*`` / ``obj.create`` stream through it, so a served run
         is certifiable end-to-end by the :class:`AtomicityChecker`.
     drain_grace:
@@ -234,6 +160,9 @@ class ReproServer:
         ``profile.folded`` / ``profile.json`` after the drain.
     profile_dir:
         Where the drain-time profile dump goes (requires ``profiler``).
+    pool:
+        A :class:`~repro.server.procpool.ShardProcessPool` to serve
+        from instead (``workers`` is then the pool's).
     """
 
     def __init__(
@@ -253,17 +182,26 @@ class ReproServer:
         profiler: Any = None,
         profile_dir: Optional[str] = None,
         pool: Any = None,
-        pool_batch_limit: int = 64,
     ):
-        if pool is not None:
-            workers = pool.workers
-        if workers < 1:
-            raise ValueError("need at least one worker")
+        if pool:
+            # Route crash telemetry from the pool supervisor through
+            # this server's bus.
+            if pool.tracer is None:
+                pool.tracer = tracer
+        else:
+            if workers < 1:
+                raise ValueError("need at least one worker")
+            pool = ShardSet(
+                [
+                    LocalShard(ShardEngine(index, workers, protocol, tracer=tracer))
+                    for index in range(workers)
+                ]
+            )
         self.host = host
         self.port = port
-        self.workers = workers
+        #: The shards, whatever transport they sit behind.
         self.pool = pool
-        self.pool_batch_limit = pool_batch_limit
+        self.workers = pool.workers
         self.queue_limit = queue_limit
         self.max_frame_bytes = max_frame_bytes
         self.tracer = tracer
@@ -275,22 +213,6 @@ class ReproServer:
         self.profiler = profiler
         self.profile_dir = profile_dir
         self._started_at: Optional[float] = None
-        self._protocol = get_protocol(protocol)
-        if pool is not None:
-            # Shard state lives in the worker processes; the parent keeps
-            # only the catalog and sessions.  Route crash telemetry from
-            # the pool supervisor through this server's bus.
-            self.managers: List[TransactionManager] = []
-            if pool.tracer is None:
-                pool.tracer = tracer
-        else:
-            self.managers = [
-                TransactionManager(
-                    generator=ShardedTimestampGenerator(index, workers),
-                    tracer=tracer,
-                )
-                for index in range(workers)
-            ]
         #: object name -> owning worker index.
         self._catalog: Dict[str, int] = {}
         self._queues: List[asyncio.Queue] = []
@@ -322,30 +244,23 @@ class ReproServer:
         """Create ``name`` on its owning shard; returns the worker index."""
         if name in self._catalog:
             raise ValueError(f"object {name!r} already exists")
-        if self.pool is not None:
-            worker = self.pool.create_object(name, adt_name, protocol)
-        else:
-            worker = shard_for(name, self.workers)
-            spec = get_protocol(protocol) if protocol else self._protocol
-            self.managers[worker].create_object(
-                name, get_adt(adt_name), protocol=spec
-            )
+        worker = self.pool.create_object(name, adt_name, protocol)
         self._catalog[name] = worker
         return worker
 
     async def start(self) -> Tuple[str, int]:
         """Bind, spawn the workers, and begin accepting connections."""
-        if self.pool is not None:
-            self.pool.start()  # spawn (or confirm) the shard processes
-            # Adopt objects the shards recovered from their WALs: a
-            # restarted server serves its pre-crash catalog immediately.
-            for index, names in enumerate(self.pool.catalog()):
-                for name in names:
-                    self._catalog.setdefault(name, index)
+        self.pool.start()  # bring every shard up (or confirm it is)
+        # Adopt objects the shards already hold — recovered from their
+        # WALs, or created before start(): a restarted server serves
+        # its pre-crash catalog immediately.
+        for index, names in enumerate(self.pool.catalog()):
+            for name in names:
+                self._catalog.setdefault(name, index)
         self._queues = [asyncio.Queue() for _ in range(self.workers)]
-        run = self._pool_worker if self.pool is not None else self._worker
         self._worker_tasks = [
-            asyncio.ensure_future(run(index)) for index in range(self.workers)
+            asyncio.ensure_future(self._worker(index))
+            for index in range(self.workers)
         ]
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -386,8 +301,8 @@ class ReproServer:
             and loop.time() < deadline
         ):
             await asyncio.sleep(0.02)
-        # Force-abort whatever is still open, inline (the loop owns the
-        # managers; the queues only exist for backpressure).
+        # Force-abort whatever is still open, directly (the queues only
+        # exist for backpressure).
         forced = 0
         for connection in self._connections:
             session = connection.session
@@ -401,11 +316,10 @@ class ReproServer:
             queue.put_nowait(None)
         for task in self._worker_tasks:
             await task
-        if self.pool is not None:
-            # Flush every shard's group-commit WAL and trace sink and
-            # join the processes — after this the per-shard trace files
-            # are complete and mergeable.
-            await asyncio.get_event_loop().run_in_executor(None, self.pool.stop)
+        # Flush every shard's log and trace sink (and join its process,
+        # if it has one) — after this the per-shard trace files are
+        # complete and mergeable.
+        await self._off_loop(self.pool.stop)
         report = {
             "sessions": len(self._connections),
             "finished": max(0, active_at_start - forced),
@@ -515,19 +429,22 @@ class ReproServer:
         return aborted
 
     async def _force_abort(self, handle: str, record: Any) -> int:
-        """Abort ``handle`` wherever it ran; returns 1 when it was live."""
-        if self.pool is not None:
-            if not record.bound:
-                return 0
-            await asyncio.get_event_loop().run_in_executor(
-                None, self.pool.abort_cross_shard, handle, list(record.participants)
+        """Abort ``handle`` wherever it ran; returns 1 when it had run."""
+        if not record.bound:
+            return 0
+        await self._off_loop(
+            self.pool.abort_cross_shard, handle, list(record.participants)
+        )
+        return 1
+
+    async def _off_loop(self, function: Callable, *args: Any) -> Any:
+        """Call into the shard set without stalling the loop: through the
+        executor when its calls block, directly when they do not."""
+        if self.pool.blocking:
+            return await asyncio.get_event_loop().run_in_executor(
+                None, function, *args
             )
-            return 1
-        transaction = record.transaction
-        if transaction is not None and transaction.is_active:
-            self.managers[record.primary].abort(transaction)
-            return 1
-        return 0
+        return function(*args)
 
     # ------------------------------------------------------------------
     # Request admission (runs in the connection handler)
@@ -556,7 +473,7 @@ class ReproServer:
                 sent=request.sent,
                 transaction=request.params.get("transaction"),
             )
-        # Inline fast paths: pure bookkeeping, no manager involved.
+        # Inline fast paths: pure bookkeeping, no shard involved.
         if action in ("stats", "health"):
             # Introspection is answered inline, never queued behind
             # shard work — it must stay responsive exactly when the
@@ -604,8 +521,8 @@ class ReproServer:
             return
         if worker is None:
             # A completion for a transaction that never touched an
-            # object: decide it inline, no manager involved.
-            await self._complete_unbound(connection, request)
+            # object: decide it inline, no shard involved.
+            await connection.send(self._completed(session, request))
             return
         queue = self._queues[worker]
         if self._stopping or queue.qsize() >= self.queue_limit:
@@ -672,16 +589,8 @@ class ReproServer:
         result["server"] = dict(self.stats)
         result["queue_limit"] = self.queue_limit
         result["queues"] = [queue.qsize() for queue in self._queues]
-        if self.pool is not None:
-            # Parent-side view only: no pipe round-trips from the
-            # dispatch path (introspection must answer while the shard
-            # pipes are saturated).
-            result["pool"] = {
-                "workers": self.pool.workers,
-                "durability": self.pool.durability,
-                "alive": [shard.alive for shard in self.pool.shards],
-                "incarnations": [shard.incarnation for shard in self.pool.shards],
-            }
+        if self.pool.blocking:
+            result["pool"] = self.pool.status()  # processes to supervise
         if self.registry is not None:
             result["metrics"] = self.registry.snapshot()
         if self.flight is not None:
@@ -718,16 +627,18 @@ class ReproServer:
             obj = params.get("obj")
             if not isinstance(obj, str):
                 raise WireError("BAD_REQUEST", "invoke needs an obj name")
+            if not isinstance(params.get("operation"), str):
+                raise WireError("BAD_REQUEST", "invoke needs an operation name")
             owner = self._catalog.get(obj)
             if owner is None:
                 raise WireError("UNKNOWN_OBJECT", f"no managed object {obj!r}")
             if (
-                self.pool is None
+                not self.pool.blocking
                 and record.primary is not None
                 and record.primary != owner
             ):
-                # In-loop managers have no commit protocol between them;
-                # the pool runs 2PC, so there this touch is legal.
+                # 2PC runs off-loop, beside the workers: legal only when
+                # the shards live elsewhere and their calls serialise.
                 raise WireError(
                     "CROSS_SHARD",
                     f"transaction {handle!r} is bound to shard {record.primary}; "
@@ -735,175 +646,36 @@ class ReproServer:
                     " only)",
                 )
             return owner
-        # commit / abort run on the primary (the 2PC decider in pool mode).
+        # commit / abort run on the primary (the 2PC decider).
         return record.primary
 
-    async def _complete_unbound(
-        self, connection: _Connection, request: Request
-    ) -> None:
-        """Commit/abort a transaction that never invoked an operation."""
-        await connection.send(self._decide_unbound(connection.session, request))
-
-    def _decide_unbound(self, session: Session, request: Request) -> bytes:
-        """Decide an unbound completion inline; returns the response frame."""
-        handle = request.params["transaction"]
-        session.close_transaction(handle)
-        if request.action == "commit":
-            result = {"transaction": handle, "timestamp": None, "committed": True}
-            self.stats["transactions_committed"] += 1
-        else:
-            result = {"transaction": handle, "aborted": True}
-            self.stats["transactions_aborted"] += 1
-        session.record_ack(request.id, result)
-        return response_frame(request.id, result)
-
     # ------------------------------------------------------------------
-    # Workers (one bounded queue each)
+    # Workers (one per shard, one bounded queue each)
     # ------------------------------------------------------------------
 
     async def _worker(self, index: int) -> None:
+        """Serve one shard's queue: plan ops, call the shard, answer.
+
+        A blocking shard is called through the executor, so the worker
+        first drains its queue into one *batch*: one round-trip, one
+        group-commit fsync for the lot — under load the queue is never
+        empty, so the cost amortises across every queued request.  A
+        non-blocking shard is called right here, one request at a time,
+        its reply written before the next request executes.
+        """
         queue = self._queues[index]
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            connection, request, worker, admitted = item
-            tracer = self.tracer
-            timed = tracer is not None and tracer.active
-            started = tracer.clock() if timed else 0.0
-            frame = self._execute(connection.session, request, worker)
-            executed = tracer.clock() if timed else 0.0
-            await connection.send(frame)
-            if timed:
-                responded = tracer.clock()
-                tracer.emit(
-                    "server.respond",
-                    session=connection.session.name,
-                    action=request.action,
-                    trace=request.trace_id,
-                    transaction=request.params.get("transaction"),
-                    shard=worker,
-                    queued=(
-                        max(0.0, started - admitted)
-                        if admitted is not None
-                        else 0.0
-                    ),
-                    executing=max(0.0, executed - started),
-                    respond=max(0.0, responded - executed),
-                )
-
-    def _execute(self, session: Session, request: Request, worker: int) -> bytes:
-        """Run one admitted request against its shard's manager."""
-        manager = self.managers[worker]
-        action = request.action
-        params = request.params
-        try:
-            if action == "create":
-                name = params["name"]
-                adt_name = params.get("adt", "Counter")
-                protocol = params.get("protocol")
-                try:
-                    shard = self.create_object(name, adt_name, protocol)
-                except KeyError as exc:
-                    return error_frame(request.id, "BAD_REQUEST", str(exc.args[0]))
-                except ValueError as exc:
-                    return error_frame(request.id, "BAD_REQUEST", str(exc))
-                return response_frame(
-                    request.id, {"obj": name, "adt": adt_name, "worker": shard}
-                )
-            handle = params["transaction"]
-            try:
-                transaction = session.lookup(handle).transaction
-            except SessionError:
-                # Completed (or aborted by a disconnect race) since
-                # admission — for completions, the ack cache answers.
-                cached = session.cached_ack(request.id)
-                if cached is not None:
-                    return response_frame(request.id, cached)
-                return error_frame(
-                    request.id, "UNKNOWN_TXN", f"no open transaction {handle!r}"
-                )
-            if action == "invoke":
-                if transaction is None:
-                    # First touch pins the transaction to this shard.
-                    transaction = manager.begin(handle)
-                    session.bind(handle, worker, transaction)
-                args = params.get("args", ())
-                if not isinstance(args, (tuple, list)):
-                    return error_frame(
-                        request.id, "BAD_REQUEST", "args must be a sequence"
-                    )
-                result = manager.invoke(
-                    transaction, params["obj"], params["operation"], *tuple(args)
-                )
-                return response_frame(
-                    request.id,
-                    {
-                        "transaction": handle,
-                        "obj": params["obj"],
-                        "result": result,
-                    },
-                )
-            if action == "commit":
-                timestamp = manager.commit(transaction)
-                session.close_transaction(handle)
-                payload = {
-                    "transaction": handle,
-                    "timestamp": timestamp,
-                    "committed": True,
-                }
-                session.record_ack(request.id, payload)
-                self.stats["transactions_committed"] += 1
-                return response_frame(request.id, payload)
-            if action == "abort":
-                manager.abort(transaction)
-                session.close_transaction(handle)
-                payload = {"transaction": handle, "aborted": True}
-                session.record_ack(request.id, payload)
-                self.stats["transactions_aborted"] += 1
-                return response_frame(request.id, payload)
-            return error_frame(request.id, "BAD_REQUEST", f"unroutable {action!r}")
-        except LockConflict as exc:
-            return error_frame(request.id, "CONFLICT", str(exc))
-        except WouldBlock as exc:
-            return error_frame(request.id, "WOULD_BLOCK", str(exc))
-        except TransactionAborted as exc:
-            return error_frame(request.id, "ABORTED", str(exc))
-        except KeyError as exc:
-            return error_frame(request.id, "BAD_REQUEST", f"missing field: {exc}")
-        except ProtocolError as exc:
-            return error_frame(request.id, "BAD_REQUEST", str(exc))
-        except ReproError as exc:  # any other library error: typed, not a crash
-            return error_frame(request.id, "INTERNAL", str(exc))
-        except Exception as exc:
-            # Malformed operation arguments can raise anything out of an
-            # ADT spec (e.g. TypeError from Credit(<list>)). Answer INTERNAL
-            # rather than letting the exception escape: an escape kills the
-            # shard's worker task, stranding every queued request and
-            # hanging drain forever.
-            self.stats["errors"] += 1
-            return error_frame(
-                request.id, "INTERNAL", f"{type(exc).__name__}: {exc}"
-            )
-
-    # ------------------------------------------------------------------
-    # Process-pool workers (one bounded queue each, batched pipe calls)
-    # ------------------------------------------------------------------
-
-    async def _pool_worker(self, index: int) -> None:
-        """Serve one shard's queue by *batching*: each drain of the queue
-        becomes one pipe round-trip, and the shard worker makes the whole
-        batch durable under a single group-commit fsync.  Concurrency is
-        what fills batches — under load the queue is never empty, so the
-        fsync cost amortises across every queued request."""
-        queue = self._queues[index]
+        shard = self.pool.shards[index]
+        blocking = shard.blocking
+        limit = BATCH_LIMIT if blocking else 1
+        loop = asyncio.get_event_loop()
+        tracer = self.tracer
         stopping = False
         while not stopping:
             item = await queue.get()
             if item is None:
                 return
             batch = [item]
-            while len(batch) < self.pool_batch_limit:
+            while len(batch) < limit:
                 try:
                     extra = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -912,91 +684,73 @@ class ReproServer:
                     stopping = True
                     break
                 batch.append(extra)
-            await self._serve_pool_batch(index, batch)
-
-    async def _serve_pool_batch(
-        self, index: int, batch: List[Tuple[Any, Any, int, Any]]
-    ) -> None:
-        from .procpool import ShardDown
-
-        loop = asyncio.get_event_loop()
-        tracer = self.tracer
-        plans: List[Tuple[Any, List[Dict[str, Any]], Callable]] = []
-        direct: List[Tuple[Any, bytes]] = []
-        cross: List[Tuple[Any, Callable]] = []
-        for item in batch:
-            connection, request, _worker, _admitted = item
-            kind, payload = self._plan_pool(connection.session, request, index)
-            if kind == "frame":
-                direct.append((item, payload))
-            elif kind == "cross":
-                cross.append((item, payload))
-            else:
-                plans.append((item, payload[0], payload[1]))
-        for item, frame in direct:
-            await self._respond_pool(item, frame, None, None)
-        if plans:
-            ops = [op for _, plan_ops, _ in plans for op in plan_ops]
             timed = tracer is not None and tracer.active
-            started = tracer.clock() if timed else None
-            try:
-                replies = await loop.run_in_executor(
-                    None, self.pool.shards[index].call, ops
-                )
-            except ShardDown:
-                await self._shard_down(index, [item for item, _, _ in plans])
-            else:
-                executed = tracer.clock() if timed else None
-                offset = 0
-                for item, plan_ops, finisher in plans:
-                    chunk = replies[offset : offset + len(plan_ops)]
-                    offset += len(plan_ops)
-                    await self._respond_pool(item, finisher(chunk), started, executed)
-        for item, thunk in cross:
-            timed = tracer is not None and tracer.active
-            started = tracer.clock() if timed else None
-            frame = await thunk()
-            executed = tracer.clock() if timed else None
-            await self._respond_pool(item, frame, started, executed)
+            started = tracer.clock() if timed else 0.0
+            plans = []
+            ops: List[Dict[str, Any]] = []
+            for connection, request, _shard, _admitted in batch:
+                plan = self._plan(connection.session, request, index)
+                plans.append(plan)
+                if type(plan) is list:
+                    ops.extend(plan)
+            replies: Any = ()
+            if ops:
+                try:
+                    if blocking:
+                        replies = await loop.run_in_executor(None, shard.call, ops)
+                    else:
+                        replies = shard.call(ops)
+                except ShardDown:
+                    replies = None
+                    stranded = zip(batch, plans)
+                    await self._shard_down(
+                        index, [item for item, plan in stranded if type(plan) is list]
+                    )
+            executed = tracer.clock() if timed else 0.0
+            offset = 0
+            for item, plan in zip(batch, plans):
+                connection, request, worker, admitted = item
+                session = connection.session
+                begun, done = started, executed
+                if type(plan) is list:
+                    if replies is None:
+                        continue  # answered SHARD_DOWN above
+                    offset += len(plan)
+                    frame = self._finish(session, request, index, replies[offset - 1])
+                elif type(plan) is bytes:
+                    frame = plan
+                else:
+                    # A multi-shard completion: 2PC, after the batch.
+                    begun = tracer.clock() if timed else 0.0
+                    frame = await self._complete_cross(session, request, plan)
+                    done = tracer.clock() if timed else 0.0
+                await connection.send(frame)
+                if timed:
+                    responded = tracer.clock()
+                    tracer.emit(
+                        "server.respond",
+                        session=session.name,
+                        action=request.action,
+                        trace=request.trace_id,
+                        transaction=request.params.get("transaction"),
+                        shard=worker,
+                        queued=(
+                            max(0.0, begun - admitted)
+                            if admitted is not None
+                            else 0.0
+                        ),
+                        executing=max(0.0, done - begun),
+                        respond=max(0.0, responded - done),
+                    )
 
-    async def _respond_pool(
-        self,
-        item: Tuple[Any, Any, int, Any],
-        frame: bytes,
-        started: Optional[float],
-        executed: Optional[float],
-    ) -> None:
-        connection, request, worker, admitted = item
-        await connection.send(frame)
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            responded = tracer.clock()
-            begun = started if started is not None else responded
-            done = executed if executed is not None else begun
-            tracer.emit(
-                "server.respond",
-                session=connection.session.name,
-                action=request.action,
-                trace=request.trace_id,
-                transaction=request.params.get("transaction"),
-                shard=worker,
-                queued=(
-                    max(0.0, begun - admitted) if admitted is not None else 0.0
-                ),
-                executing=max(0.0, done - begun),
-                respond=max(0.0, responded - done),
-            )
+    def _plan(self, session: Session, request: Request, index: int) -> Any:
+        """Translate one admitted request into ops for shard ``index``.
 
-    def _plan_pool(
-        self, session: Session, request: Request, index: int
-    ) -> Tuple[str, Any]:
-        """Translate one admitted request into shard-worker ops.
-
-        Returns ``("frame", bytes)`` for requests answerable without the
-        shard, ``("ops", (ops, finisher))`` for batched single-shard
-        work (``finisher(replies) -> frame`` consumes ``len(ops)``
-        replies), or ``("cross", thunk)`` for multi-shard completions
-        (``await thunk() -> frame`` runs 2PC off-loop).
+        Returns the list of ops (:meth:`_finish` turns the reply to the
+        last one into the response); or the response frame itself, for a
+        request answerable without the shard; or the
+        :class:`~repro.server.session.TxnRecord` of a multi-shard
+        completion, which :meth:`_complete_cross` runs 2PC over.
         """
         action = request.action
         params = request.params
@@ -1004,149 +758,121 @@ class ReproServer:
         if action == "create":
             name = params.get("name")
             if name in self._catalog:
-                return (
-                    "frame",
-                    error_frame(rid, "BAD_REQUEST", f"object {name!r} already exists"),
+                return error_frame(
+                    rid, "BAD_REQUEST", f"object {name!r} already exists"
                 )
-            adt_name = params.get("adt", "Counter")
-            create_op = {
-                "op": "create",
-                "name": name,
-                "adt": adt_name,
-                "protocol": params.get("protocol"),
-            }
-
-            def finish_create(replies: List[Dict[str, Any]]) -> bytes:
-                reply = replies[0]
-                if "error" in reply:
-                    return error_frame(rid, "BAD_REQUEST", reply["message"])
-                self._catalog[name] = index
-                return response_frame(
-                    rid, {"obj": name, "adt": adt_name, "worker": index}
-                )
-
-            return ("ops", ([create_op], finish_create))
+            return [
+                {
+                    "op": "create",
+                    "name": name,
+                    "adt": params.get("adt", "Counter"),
+                    "protocol": params.get("protocol"),
+                }
+            ]
         handle = params.get("transaction")
-        try:
-            record = session.lookup(handle)
-        except SessionError:
+        record = session.transactions.get(handle)
+        if record is None:
+            # Completed (or aborted by a disconnect race) since
+            # admission — for completions, the ack cache answers.
             cached = session.cached_ack(rid)
             if cached is not None:
-                return ("frame", response_frame(rid, cached))
-            return (
-                "frame",
-                error_frame(rid, "UNKNOWN_TXN", f"no open transaction {handle!r}"),
-            )
+                return response_frame(rid, cached)
+            return error_frame(rid, "UNKNOWN_TXN", f"no open transaction {handle!r}")
         if action == "invoke":
             args = params.get("args", ())
             if not isinstance(args, (tuple, list)):
-                return (
-                    "frame",
-                    error_frame(rid, "BAD_REQUEST", "args must be a sequence"),
-                )
-            ops: List[Dict[str, Any]] = []
-            if record.touch(index):
-                begin_op: Dict[str, Any] = {"op": "begin", "name": handle}
-                if record.primary != index:
-                    # A non-primary participant: begin quietly — the
-                    # transaction's one loud txn.begin came from its
-                    # primary, and the checker rejects duplicates.
-                    begin_op["quiet"] = True
-                ops.append(begin_op)
-            obj = params.get("obj")
-            ops.append(
+                return error_frame(rid, "BAD_REQUEST", "args must be a sequence")
+            ops = [
                 {
                     "op": "invoke",
                     "txn": handle,
-                    "obj": obj,
-                    "operation": params.get("operation"),
-                    "args": tuple(args),
+                    "obj": params["obj"],
+                    "operation": params["operation"],
+                    "args": args,
                 }
-            )
-
-            def finish_invoke(replies: List[Dict[str, Any]]) -> bytes:
-                reply = replies[-1]
-                if "error" in reply:
-                    return error_frame(rid, reply["error"], reply["message"])
-                return response_frame(
-                    rid, {"transaction": handle, "obj": obj, "result": reply["ok"]}
+            ]
+            if index not in record.participants:
+                record.touch(index)
+                # First touch of this shard begins the transaction here
+                # — quietly on a non-primary participant: the one loud
+                # txn.begin came from the primary, and the checker
+                # rejects duplicates.
+                ops.insert(
+                    0,
+                    {"op": "begin", "name": handle, "quiet": record.primary != index},
                 )
+            return ops
+        if record.cross_shard:
+            return record
+        return [{"op": action, "txn": handle}]  # commit / abort
 
-            return ("ops", (ops, finish_invoke))
-        if not record.bound:
-            return ("frame", self._decide_unbound(session, request))
-        if action == "commit":
-            if record.cross_shard:
-                return ("cross", lambda: self._commit_cross(session, request, record))
-            commit_op = {"op": "commit", "txn": handle}
+    def _finish(
+        self, session: Session, request: Request, index: int, reply: Dict[str, Any]
+    ) -> bytes:
+        """The response frame for the engine's reply to a planned request."""
+        rid = request.id
+        if "error" in reply:
+            return self._error(rid, reply)
+        action = request.action
+        params = request.params
+        if action == "create":
+            name = params["name"]
+            self._catalog[name] = index
+            return response_frame(
+                rid,
+                {"obj": name, "adt": params.get("adt", "Counter"), "worker": index},
+            )
+        if action == "invoke":
+            result = {
+                "transaction": params["transaction"],
+                "obj": params["obj"],
+                "result": reply["ok"],
+            }
+            return response_frame(rid, result)
+        return self._completed(session, request, reply["ok"])
 
-            def finish_commit(replies: List[Dict[str, Any]]) -> bytes:
-                reply = replies[0]
-                if "error" in reply:
-                    return error_frame(rid, reply["error"], reply["message"])
-                payload = {
-                    "transaction": handle,
-                    "timestamp": reply["ok"],
-                    "committed": True,
-                }
-                session.record_ack(rid, payload)
-                session.close_transaction(handle)
-                self.stats["transactions_committed"] += 1
-                return response_frame(rid, payload)
+    def _error(self, rid: int, reply: Dict[str, Any]) -> bytes:
+        """The frame for an engine error reply."""
+        if reply["error"] == "INTERNAL":
+            self.stats["errors"] += 1
+        return error_frame(rid, reply["error"], reply["message"])
 
-            return ("ops", ([commit_op], finish_commit))
-        if action == "abort":
-            if record.cross_shard:
-                return ("cross", lambda: self._abort_cross(session, request, record))
-            abort_op = {"op": "abort", "txn": handle}
+    def _completed(
+        self, session: Session, request: Request, timestamp: Any = None
+    ) -> bytes:
+        """Record a commit/abort decision: close the handle, remember the
+        ack for retransmits, count it; returns the response frame."""
+        handle = request.params["transaction"]
+        if request.action == "commit":
+            result = {"transaction": handle, "timestamp": timestamp, "committed": True}
+            self.stats["transactions_committed"] += 1
+        else:
+            result = {"transaction": handle, "aborted": True}
+            self.stats["transactions_aborted"] += 1
+        session.close_transaction(handle)
+        session.record_ack(request.id, result)
+        return response_frame(request.id, result)
 
-            def finish_abort(replies: List[Dict[str, Any]]) -> bytes:
-                payload = {"transaction": handle, "aborted": True}
-                session.record_ack(rid, payload)
-                session.close_transaction(handle)
-                self.stats["transactions_aborted"] += 1
-                return response_frame(rid, payload)
-
-            return ("ops", ([abort_op], finish_abort))
-        return ("frame", error_frame(rid, "BAD_REQUEST", f"unroutable {action!r}"))
-
-    async def _commit_cross(
+    async def _complete_cross(
         self, session: Session, request: Request, record: Any
     ) -> bytes:
-        """Commit a multi-shard transaction: presumed-abort 2PC off-loop."""
+        """Complete a multi-shard transaction off-loop: presumed-abort 2PC
+        for a commit, an abort on every participant otherwise."""
         handle = request.params["transaction"]
-        reply = await asyncio.get_event_loop().run_in_executor(
-            None,
-            self.pool.commit_cross_shard,
-            handle,
-            list(record.participants),
-            record.primary,
+        participants = list(record.participants)
+        if request.action == "abort":
+            await self._off_loop(self.pool.abort_cross_shard, handle, participants)
+            return self._completed(session, request)
+        reply = await self._off_loop(
+            self.pool.commit_cross_shard, handle, participants, record.primary
         )
         if "error" in reply:
             # The 2PC already aborted the transaction on every
             # participant; the handle is finished, not leaked.
             session.close_transaction(handle)
             self.stats["transactions_aborted"] += 1
-            return error_frame(request.id, reply["error"], reply["message"])
-        payload = {"transaction": handle, "timestamp": reply["ok"], "committed": True}
-        session.record_ack(request.id, payload)
-        session.close_transaction(handle)
-        self.stats["transactions_committed"] += 1
-        return response_frame(request.id, payload)
-
-    async def _abort_cross(
-        self, session: Session, request: Request, record: Any
-    ) -> bytes:
-        """Abort a multi-shard transaction on every participant."""
-        handle = request.params["transaction"]
-        await asyncio.get_event_loop().run_in_executor(
-            None, self.pool.abort_cross_shard, handle, list(record.participants)
-        )
-        payload = {"transaction": handle, "aborted": True}
-        session.record_ack(request.id, payload)
-        session.close_transaction(handle)
-        self.stats["transactions_aborted"] += 1
-        return response_frame(request.id, payload)
+            return self._error(request.id, reply)
+        return self._completed(session, request, reply["ok"])
 
     async def _shard_down(self, index: int, items: List[Any]) -> int:
         """A worker process died mid-batch: answer, clean up, respawn.
@@ -1159,7 +885,6 @@ class ReproServer:
         respawn), and the shard is respawned, recovered, and put back in
         rotation.  Returns the number of handles cleaned up.
         """
-        loop = asyncio.get_event_loop()
         for item in items:
             connection, request, _worker, _admitted = item
             self.stats["errors"] += 1
@@ -1180,11 +905,11 @@ class ReproServer:
                     continue
                 survivors = [p for p in record.participants if p != index]
                 if survivors:
-                    await loop.run_in_executor(
-                        None, self.pool.abort_cross_shard, handle, survivors
+                    await self._off_loop(
+                        self.pool.abort_cross_shard, handle, survivors
                     )
                 session.close_transaction(handle)
                 self.stats["transactions_aborted"] += 1
                 cleaned += 1
-        await loop.run_in_executor(None, self.pool.respawn, index)
+        await self._off_loop(self.pool.respawn, index)
         return cleaned

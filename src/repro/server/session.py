@@ -3,12 +3,13 @@
 A session is the server-side shadow of one client connection.  It owns
 
 * the connection's *transaction handles* — short opaque strings minted at
-  ``begin`` and mapped to a :class:`TxnRecord`: the live
-  :class:`repro.runtime.Transaction` (in-loop mode), the *primary* shard
+  ``begin`` and mapped to a :class:`TxnRecord`: the *primary* shard
   (first touch) and the full *participant set* of shards the transaction
-  has touched.  Single-shard transactions have one participant; in
-  process-pool mode a transaction may touch several, and commit then
-  runs two-phase commit across exactly the recorded participants — the
+  has touched (the transaction itself lives in the shard engines, under
+  the handle as its name).  Single-shard transactions have one
+  participant; over process shards a transaction may touch several, and
+  commit then runs two-phase commit across exactly the recorded
+  participants — the
   record is the coordinator's worklist, so completion (or a worker
   death) can always clean up every shard that ever heard of the
   transaction, leaking nothing;
@@ -42,20 +43,17 @@ class TxnRecord:
     """One open handle: where the transaction runs and what it touched.
 
     ``primary`` is the shard that first-touch began the transaction (the
-    2PC coordinator-side decider in pool mode); ``participants`` lists
-    every shard it has touched, in touch order, primary first.  An
-    unbound record (``primary is None``) belongs to a transaction that
-    has not invoked anything yet — its completion is decided inline.
-    ``transaction`` carries the live runtime object only in in-loop
-    mode; the process pool keeps transactions inside the shard workers.
+    2PC decider); ``participants`` lists every shard it has touched, in
+    touch order, primary first.  An unbound record (``primary is None``)
+    belongs to a transaction that has not invoked anything yet — its
+    completion is decided inline.
     """
 
-    __slots__ = ("primary", "participants", "transaction")
+    __slots__ = ("primary", "participants")
 
     def __init__(self) -> None:
         self.primary: Optional[int] = None
         self.participants: List[int] = []
-        self.transaction: Any = None
 
     @property
     def bound(self) -> bool:
@@ -107,7 +105,7 @@ class Session:
     def __init__(self, session_id: int, peer: str = "?", ack_capacity: int = 256):
         self.session_id = session_id
         self.peer = peer
-        #: handle -> TxnRecord (primary shard, participant set, live txn).
+        #: handle -> TxnRecord (primary shard, participant set).
         #: The binding is lazy: a transaction is pinned to the shard
         #: owning the first object it touches.
         self.transactions: Dict[str, TxnRecord] = {}
@@ -134,14 +132,6 @@ class Session:
         """Register a handle minted by :meth:`mint_handle` as open."""
         record = TxnRecord()
         self.transactions[handle] = record
-        return record
-
-    def bind(self, handle: str, worker: int, transaction: Any) -> TxnRecord:
-        """Record that ``handle`` touched ``worker`` (first touch pins it)."""
-        record = self.lookup(handle)
-        record.touch(worker)
-        if transaction is not None:
-            record.transaction = transaction
         return record
 
     def lookup(self, handle: str) -> TxnRecord:

@@ -80,6 +80,15 @@ class TestAllowlistShape:
             assert not allowlisted(rule, "src/repro/server/session.py")
             assert in_scope(rule, "src/repro/server/session.py")
 
+    def test_shard_engine_is_not_exempt(self):
+        # The engine is pure — it is handed its log and sink already
+        # open — so it is checked like protocol.py and session.py, while
+        # the process transport beside it (pipes, fsyncs) is exempt.
+        for rule in ("REP104", "REP106"):
+            assert not allowlisted(rule, "src/repro/server/engine.py")
+            assert in_scope(rule, "src/repro/server/engine.py")
+            assert allowlisted(rule, "src/repro/server/procpool.py")
+
     def test_scoped_rules_cover_the_simulated_layers(self):
         for rule in ("REP104", "REP106"):
             for path in (

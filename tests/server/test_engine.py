@@ -1,0 +1,401 @@
+"""The shard engine, driven in-process: every op of the vocabulary.
+
+No sockets, no child processes: a :class:`ShardEngine` over a
+:class:`MemoryWAL` is the whole fixture, which is what makes the 2PC ops
+(``prepare`` / ``decide`` / ``apply_commit`` / ``decision`` /
+``prepared``) and recovery reachable without forking anything.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.recovery.wal import GroupCommitWAL, MemoryWAL
+from repro.server import ShardEngine
+from repro.server.engine import EngineCrash, LocalShard, ShardSet
+
+OPS = (
+    "create begin invoke commit abort txn prepare decide apply_commit "
+    "snapshot stats catalog prepared decision crash"
+).split()
+
+
+def engine_with(*objects, shard=0, shards=1, wal=None, adt="Account"):
+    engine = ShardEngine(shard, shards, wal=MemoryWAL() if wal is None else wal)
+    for name in objects:
+        assert engine.execute({"op": "create", "name": name, "adt": adt}) == {
+            "ok": name
+        }
+    return engine
+
+
+def invoke(engine, txn, obj, operation, *args):
+    return engine.execute(
+        {"op": "invoke", "txn": txn, "obj": obj, "operation": operation, "args": args}
+    )
+
+
+class TestSingleShardOps:
+    def test_create_catalog_and_duplicate(self):
+        engine = engine_with("a", "b")
+        assert engine.execute({"op": "catalog"}) == {"ok": ["a", "b"]}
+        again = engine.execute({"op": "create", "name": "a", "adt": "Account"})
+        assert again["error"] == "BAD_REQUEST" and "already exists" in again["message"]
+        unknown_adt = engine.execute({"op": "create", "name": "c", "adt": "Nope"})
+        assert unknown_adt["error"] == "BAD_REQUEST"
+        unknown_protocol = engine.execute(
+            {"op": "create", "name": "c", "adt": "Account", "protocol": "nope"}
+        )
+        assert unknown_protocol["error"] == "BAD_REQUEST"
+
+    def test_begin_invoke_commit_snapshot(self):
+        engine = engine_with("a")
+        assert engine.execute({"op": "begin", "name": "t1"}) == {"ok": "t1"}
+        assert invoke(engine, "t1", "a", "Credit", 5) == {"ok": "Ok"}
+        committed = engine.execute({"op": "commit", "txn": "t1"})
+        assert committed == {"ok": 1}
+        assert engine.execute({"op": "snapshot", "obj": "a"})["ok"] == 5
+        # The handle is gone: late ops answer UNKNOWN_TXN, a late abort
+        # is the presumed-abort no-op.
+        assert invoke(engine, "t1", "a", "Credit", 1)["error"] == "UNKNOWN_TXN"
+        assert engine.execute({"op": "commit", "txn": "t1"})["error"] == "UNKNOWN_TXN"
+        assert engine.execute({"op": "abort", "txn": "t1"}) == {"ok": None}
+
+    def test_abort_releases_locks_and_counts(self):
+        engine = engine_with("a")
+        engine.execute({"op": "txn", "name": "seed", "steps": [("a", "Credit", (3,))]})
+        engine.execute({"op": "begin", "name": "t1"})
+        engine.execute({"op": "begin", "name": "t2"})
+        assert invoke(engine, "t1", "a", "Debit", 1) == {"ok": "Ok"}
+        assert invoke(engine, "t2", "a", "Debit", 1)["error"] == "CONFLICT"
+        assert engine.execute({"op": "abort", "txn": "t1"}) == {"ok": None}
+        assert invoke(engine, "t2", "a", "Debit", 1) == {"ok": "Ok"}
+        stats = engine.execute({"op": "stats"})["ok"]
+        assert (stats["committed"], stats["aborted"]) == (1, 1)
+
+    def test_would_block_is_typed(self):
+        engine = engine_with("q", adt="FIFOQueue")
+        engine.execute({"op": "begin", "name": "t1"})
+        assert invoke(engine, "t1", "q", "Deq")["error"] == "WOULD_BLOCK"
+
+    def test_txn_fast_path_and_stride(self):
+        engine = engine_with("a", shard=1, shards=3)
+        reply = engine.execute(
+            {"op": "txn", "name": "T", "steps": [("a", "Credit", (2,)), ("a", "Credit", (3,))]}
+        )
+        assert reply["results"] == ["Ok", "Ok"]
+        assert reply["ok"] % 3 == 1
+        assert engine.execute({"op": "snapshot", "obj": "a"})["ok"] == 5
+
+    def test_stats_shape(self):
+        engine = engine_with("a", wal=GroupCommitWAL(MemoryWAL()))
+        engine.execute_batch(
+            [{"op": "txn", "name": "T", "steps": [("a", "Credit", (1,))]}]
+        )
+        stats = engine.execute({"op": "stats"})["ok"]
+        assert stats["shard"] == 0 and stats["shards"] == 1
+        assert stats["incarnation"] == 1
+        assert stats["objects"] == 1 and stats["prepared"] == []
+        assert stats["wal_records"] >= 4          # meta, create, invoke.., commit
+        assert stats["batches"] >= 1
+        # Without a log every counter still answers.
+        bare = ShardEngine().execute({"op": "stats"})["ok"]
+        assert bare["wal_records"] == 0 and bare["batches"] is None
+
+    def test_unknown_op_and_crash(self):
+        engine = engine_with()
+        assert engine.execute({"op": "frobnicate"})["error"] == "BAD_REQUEST"
+        with pytest.raises(EngineCrash):
+            engine.execute({"op": "crash"})
+
+
+class TestErrorLadder:
+    """The one exception → code mapping, op by op."""
+
+    @pytest.mark.parametrize(
+        "operation, args, code",
+        [
+            ("Credit", (), "BAD_REQUEST"),          # wrong arity: ValueError
+            ("Credit", (1, 2), "BAD_REQUEST"),
+            ("Credit", ([25],), "INTERNAL"),        # TypeError inside the spec
+        ],
+    )
+    def test_malformed_invocations(self, operation, args, code):
+        engine = engine_with("a")
+        engine.execute({"op": "begin", "name": "t"})
+        reply = invoke(engine, "t", "a", operation, *args)
+        assert reply["error"] == code, reply
+        # The transaction survives a refused operation.
+        assert invoke(engine, "t", "a", "Credit", 1) == {"ok": "Ok"}
+
+    def test_queue_arity_and_unknown_object(self):
+        engine = engine_with("q", adt="FIFOQueue")
+        engine.execute({"op": "begin", "name": "t"})
+        assert invoke(engine, "t", "q", "Enq")["error"] == "BAD_REQUEST"
+        assert invoke(engine, "t", "nope", "Enq", 1)["error"] == "BAD_REQUEST"
+        assert engine.execute({"op": "snapshot", "obj": "nope"})["error"] == "BAD_REQUEST"
+
+    def test_duplicate_begin_is_bad_request(self):
+        engine = engine_with()
+        engine.execute({"op": "begin", "name": "t"})
+        assert engine.execute({"op": "begin", "name": "t"})["error"] == "BAD_REQUEST"
+
+
+class TestTxnOpLeak:
+    """Satellite regression: a failed step must not strand the transaction."""
+
+    @pytest.mark.parametrize(
+        "bad_step, code",
+        [
+            (("nope", "Credit", (1,)), "BAD_REQUEST"),      # KeyError
+            (("a", "Credit", ([1],)), "INTERNAL"),          # TypeError
+            (("a", "Credit", ()), "BAD_REQUEST"),           # ValueError
+        ],
+    )
+    def test_failed_step_aborts_before_answering(self, bad_step, code):
+        engine = engine_with("a")
+        engine.execute({"op": "txn", "name": "seed", "steps": [("a", "Credit", (5,))]})
+        reply = engine.execute(
+            {"op": "txn", "name": "t1", "steps": [("a", "Debit", (1,)), bad_step]}
+        )
+        assert reply["error"] == code, reply
+        assert engine.manager.transaction("t1") is None
+        assert engine.execute({"op": "stats"})["ok"]["aborted"] == 1
+        # Its Debit lock is gone: the next Debit is not refused ...
+        after = engine.execute(
+            {"op": "txn", "name": "t2", "steps": [("a", "Debit", (1,))]}
+        )
+        assert after["results"] == ["Ok"]
+        assert engine.execute({"op": "snapshot", "obj": "a"})["ok"] == 4
+        # ... and the same name can be begun again (it used to answer
+        # "already exists"; the machine at ``a`` still remembers the
+        # aborted name, as the formal model's ``s.aborted`` does).
+        assert engine.execute({"op": "begin", "name": "t1"}) == {"ok": "t1"}
+        assert engine.execute({"op": "abort", "txn": "t1"}) == {"ok": None}
+
+    def test_conflicting_step_still_aborts(self):
+        engine = engine_with("a")
+        engine.execute({"op": "txn", "name": "seed", "steps": [("a", "Credit", (5,))]})
+        engine.execute({"op": "begin", "name": "holder"})
+        invoke(engine, "holder", "a", "Debit", 1)
+        reply = engine.execute(
+            {"op": "txn", "name": "t1", "steps": [("a", "Debit", (1,))]}
+        )
+        assert reply["error"] == "CONFLICT"
+        assert engine.manager.transaction("t1") is None
+
+
+class TestTwoPhaseCommit:
+    """The participant and primary roles, one engine each."""
+
+    @staticmethod
+    def pair():
+        primary = engine_with("a", shard=0, shards=2)
+        participant = engine_with("b", shard=1, shards=2)
+        primary.execute({"op": "begin", "name": "X"})
+        participant.execute({"op": "begin", "name": "X", "quiet": True})
+        assert invoke(primary, "X", "a", "Credit", 1) == {"ok": "Ok"}
+        assert invoke(participant, "X", "b", "Credit", 2) == {"ok": "Ok"}
+        return primary, participant
+
+    def test_prepare_decide_apply(self):
+        primary, participant = self.pair()
+        votes = [
+            primary.execute({"op": "prepare", "txn": "X"})["ok"],
+            participant.execute({"op": "prepare", "txn": "X"})["ok"],
+        ]
+        assert participant.execute({"op": "prepared"}) == {"ok": ["X"]}
+        assert participant.execute({"op": "decision", "txn": "X"}) == {
+            "ok": {"outcome": "unknown"}
+        }
+        decided = primary.execute({"op": "decide", "txn": "X", "votes": votes})["ok"]
+        assert decided > max(votes) and decided % 2 == 0    # primary's stride
+        assert primary.execute({"op": "decision", "txn": "X"}) == {
+            "ok": {"outcome": "commit", "ts": decided}
+        }
+        applied = participant.execute({"op": "apply_commit", "txn": "X", "ts": decided})
+        assert applied == {"ok": decided}
+        assert participant.execute({"op": "prepared"}) == {"ok": []}
+        assert participant.execute({"op": "snapshot", "obj": "b"})["ok"] == 2
+        # The participant never mints below a decision it applied.
+        later = participant.execute(
+            {"op": "txn", "name": "L", "steps": [("b", "Credit", (1,))]}
+        )
+        assert later["ok"] > decided and later["ok"] % 2 == 1
+
+    def test_apply_commit_retransmit_is_idempotent(self):
+        primary, participant = self.pair()
+        votes = [
+            primary.execute({"op": "prepare", "txn": "X"})["ok"],
+            participant.execute({"op": "prepare", "txn": "X"})["ok"],
+        ]
+        decided = primary.execute({"op": "decide", "txn": "X", "votes": votes})["ok"]
+        apply = {"op": "apply_commit", "txn": "X", "ts": decided}
+        assert participant.execute(apply) == {"ok": decided}
+        assert participant.execute(apply) == {"ok": decided}       # the retransmit
+        assert participant.execute({"op": "snapshot", "obj": "b"})["ok"] == 2
+        # A different timestamp for a finished transaction is not an ack.
+        wrong = participant.execute({"op": "apply_commit", "txn": "X", "ts": decided + 2})
+        assert wrong["error"] == "UNKNOWN_TXN"
+
+    def test_missing_transaction_answers(self):
+        engine = engine_with("a")
+        assert engine.execute({"op": "prepare", "txn": "Z"})["error"] == "NO_VOTE"
+        assert engine.execute({"op": "decide", "txn": "Z", "votes": [1]})["error"] == (
+            "UNKNOWN_TXN"
+        )
+        assert engine.execute({"op": "apply_commit", "txn": "Z", "ts": 4})["error"] == (
+            "UNKNOWN_TXN"
+        )
+
+    def test_unprepared_apply_is_refused(self):
+        primary, _ = self.pair()
+        reply = primary.execute({"op": "apply_commit", "txn": "X", "ts": 10})
+        assert reply["error"] == "BAD_REQUEST" and "never prepared" in reply["message"]
+
+    def test_prepared_transaction_survives_recovery(self):
+        wal = MemoryWAL()
+        engine = engine_with("b", shard=1, shards=2, wal=wal)
+        engine.execute({"op": "begin", "name": "X"})
+        invoke(engine, "X", "b", "Credit", 2)
+        vote = engine.execute({"op": "prepare", "txn": "X"})["ok"]
+        recovered = ShardEngine(1, 2, wal=wal, incarnation=2)
+        assert recovered.execute({"op": "catalog"}) == {"ok": ["b"]}
+        assert recovered.execute({"op": "prepared"}) == {"ok": ["X"]}
+        # Its Credit lock came back with it.
+        recovered.execute({"op": "begin", "name": "Y"})
+        assert invoke(recovered, "Y", "b", "Debit", 1)["error"] == "CONFLICT"
+        applied = recovered.execute({"op": "apply_commit", "txn": "X", "ts": vote + 3})
+        assert applied == {"ok": vote + 3}
+        # A third life rebuilds the decision from the commit record.
+        third = ShardEngine(1, 2, wal=wal, incarnation=3)
+        assert third.execute({"op": "decision", "txn": "X"})["ok"] == {
+            "outcome": "commit",
+            "ts": vote + 3,
+        }
+        assert third.execute({"op": "stats"})["ok"]["incarnation"] == 3
+
+    def test_stride_mismatch_is_refused(self):
+        wal = MemoryWAL()
+        engine_with("a", shard=0, shards=2, wal=wal)
+        with pytest.raises(Exception, match="stride"):
+            ShardEngine(0, 3, wal=wal)
+
+
+class TestBatchAndShardSet:
+    def test_batch_flushes_once_after_every_op(self):
+        base = MemoryWAL()
+        wal = GroupCommitWAL(base)
+        engine = engine_with("a", wal=wal)
+        wal.flush()
+        before = wal.batches
+        replies = engine.execute_batch(
+            [
+                {"op": "txn", "name": f"B{i}", "steps": [("a", "Credit", (1,))]}
+                for i in range(8)
+            ]
+        )
+        assert all("ok" in reply for reply in replies)
+        assert wal.batches == before + 1
+        assert len(base) == len(wal)            # nothing left staged
+
+    def test_coordinator_over_local_shards(self):
+        shards = ShardSet(
+            [LocalShard(ShardEngine(index, 2, wal=MemoryWAL())) for index in range(2)]
+        )
+        names = {}
+        index = 0
+        while len(names) < 2:
+            names.setdefault(shards.shard_of(f"Q{index}"), f"Q{index}")
+            index += 1
+        for name in names.values():
+            shards.create_object(name, "Account")
+        assert shards.catalog() == [[names[0]], [names[1]]]
+        with pytest.raises(ValueError, match="already exists"):
+            shards.create_object(names[0], "Account")
+        shards.shards[0].single({"op": "begin", "name": "X"})
+        shards.shards[1].single({"op": "begin", "name": "X", "quiet": True})
+        for home in (0, 1):
+            shards.shards[home].single(
+                {
+                    "op": "invoke",
+                    "txn": "X",
+                    "obj": names[home],
+                    "operation": "Credit",
+                    "args": (4,),
+                }
+            )
+        reply = shards.commit_cross_shard("X", [0, 1], primary=1)
+        assert reply["ok"] % 2 == 1
+        assert [row["committed"] for row in shards.stats()] == [1, 1]
+        # An abort everywhere is harmless after the fact, and a prepare
+        # nobody can vote on aborts the rest.
+        shards.abort_cross_shard("X", [0, 1])
+        shards.shards[0].single({"op": "begin", "name": "Y"})
+        refused = shards.commit_cross_shard("Y", [0, 1], primary=0)
+        assert refused["error"] == "NO_VOTE"
+        assert shards.shards[0].engine.manager.transaction("Y") is None
+        assert not shards.blocking
+
+
+# ----------------------------------------------------------------------
+# "execute never raises": hypothesis-generated malformed ops
+# ----------------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.text(max_size=4),
+    st.sampled_from(["a", "q", "t", "nope", "Credit", "Debit", "Enq", "Deq"]),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    ),
+    max_leaves=6,
+)
+_fields = st.sampled_from(
+    ["op", "name", "txn", "obj", "operation", "args", "steps", "votes", "ts",
+     "adt", "protocol", "quiet"]
+)
+_malformed_ops = st.one_of(
+    _values,                                                # not even a dict
+    st.dictionaries(_fields, _values, max_size=6),          # any op, any shape
+    st.builds(                                              # a real op, bent
+        lambda kind, rest: {**rest, "op": kind},
+        st.sampled_from(OPS),
+        st.dictionaries(_fields, _values, max_size=6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(_malformed_ops, min_size=1, max_size=6))
+def test_execute_never_raises(ops):
+    engine = engine_with("a")
+    engine.execute({"op": "create", "name": "q", "adt": "FIFOQueue"})
+    engine.execute({"op": "begin", "name": "t"})
+    for op in ops:
+        try:
+            reply = engine.execute(op)
+        except EngineCrash:
+            assert op["op"] == "crash"          # the one sanctioned escape
+            continue
+        assert set(reply) in ({"ok"}, {"ok", "results"}, {"error", "message"}), reply
+    # Whatever came before, the engine still serves.
+    assert engine.execute({"op": "catalog"})["ok"][:1] == ["a"]
+
+
+def test_vocabulary_is_the_documented_one():
+    # Every op named in the module docstring is dispatched (none answers
+    # "unknown op"), so the docstring cannot drift from the ladder.
+    engine = engine_with("a")
+    for kind in OPS:
+        if kind == "crash":
+            continue
+        reply = engine.execute({"op": kind})
+        assert "unknown op" not in reply.get("message", ""), kind

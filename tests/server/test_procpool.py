@@ -432,3 +432,98 @@ class TestSessionRecords:
         assert record.touch(0) is True
         assert record.cross_shard
         assert record.participants == [2, 0]
+
+
+class TestRestartResolvesPrepared:
+    """Satellite regression: a *full* restart settles the prepared sets.
+
+    ``resolve_prepared`` used to run only from ``respawn``; a pool
+    stopped (or killed) with a prepared, undecided cross-shard
+    transaction came back holding its locks for ever.
+    """
+
+    @staticmethod
+    def _prepared_on_both(tmp_path):
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
+        a, b = two_shard_names(pool)
+        pool.create_object(a, "Account")
+        pool.create_object(b, "Account")
+        pool.shards[0].single({"op": "begin", "name": "X"})
+        pool.shards[1].single({"op": "begin", "name": "X", "quiet": True})
+        votes = []
+        for home, name in ((0, a), (1, b)):
+            pool.shards[home].single(
+                {
+                    "op": "invoke",
+                    "txn": "X",
+                    "obj": name,
+                    "operation": "Credit",
+                    "args": (5,),
+                }
+            )
+            votes.append(pool.shards[home].single({"op": "prepare", "txn": "X"})["ok"])
+        return pool, a, b, votes
+
+    def test_decision_logged_on_primary_commits_participant(self, tmp_path):
+        pool, a, b, votes = self._prepared_on_both(tmp_path)
+        decided = pool.shards[0].single(
+            {"op": "decide", "txn": "X", "votes": votes}
+        )["ok"]
+        pool.stop()  # the decision never reached shard 1
+        reopened = ShardProcessPool(2, tmp_path / "data")
+        reopened.start()
+        try:
+            assert reopened.shards[1].single({"op": "prepared"})["ok"] == []
+            verdict = reopened.shards[1].single({"op": "decision", "txn": "X"})["ok"]
+            assert verdict == {"outcome": "commit", "ts": decided}
+            assert reopened.shards[1].single({"op": "snapshot", "obj": b})["ok"] == 5
+            assert reopened.shards[0].single({"op": "snapshot", "obj": a})["ok"] == 5
+        finally:
+            reopened.stop()
+
+    def test_undecided_is_presumed_aborted_and_unlocked(self, tmp_path):
+        pool, a, b, _votes = self._prepared_on_both(tmp_path)
+        pool.stop()  # no shard ever logged a decision
+        reopened = ShardProcessPool(2, tmp_path / "data")
+        reopened.start()
+        try:
+            for home, name in ((0, a), (1, b)):
+                shard = reopened.shards[home]
+                assert shard.single({"op": "prepared"})["ok"] == []
+                assert shard.single({"op": "decision", "txn": "X"})["ok"] == {
+                    "outcome": "unknown"
+                }
+                # The Credit lock went with it: Debit answers from the
+                # (empty) committed balance instead of CONFLICT.
+                probe = shard.single(
+                    {"op": "txn", "name": "probe", "steps": [(name, "Debit", (1,))]}
+                )
+                assert probe["results"] == ["Overdraft"], probe
+        finally:
+            reopened.stop()
+
+    def test_a_second_start_is_a_no_op(self, tmp_path):
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
+        try:
+            before = [shard.incarnation for shard in pool.shards]
+            pool.start()
+            assert [shard.incarnation for shard in pool.shards] == before
+        finally:
+            pool.stop()
+
+    def test_fatal_startup_cause_survives_the_first_caller(self, tmp_path):
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
+        a, _ = two_shard_names(pool)
+        pool.create_object(a, "FIFOQueue")
+        pool.stop()
+        resized = ShardProcessPool(3, tmp_path / "data")
+        try:
+            resized.start()  # its own resolve pass already met the refusal
+            for _ in range(2):
+                with pytest.raises(ShardDown, match="stride"):
+                    resized.shards[0].single({"op": "stats"})
+        finally:
+            resized.stop()
