@@ -8,8 +8,9 @@ extracts its headline numbers, and appends one JSON line to
 artifact name: ``BENCH_serve.json`` rows carry the peak-concurrency
 throughput, p50/p99 and certification verdict (the same row ``compare``
 judges); ``BENCH_machine_micro.json`` rows carry the plain-machine
-hybrid churn rate and the compiled-relation speedups, so the conflict
-compiler's margin is tracked over time too.  The log is append-only on
+hybrid churn rate and the class table's margin over the hand-written
+predicate inside and outside the declared universe, so that margin is
+tracked over time too.  The log is append-only on
 purpose: a rewritten history is no history at all.
 
 Run directly::
@@ -44,10 +45,10 @@ def machine_micro_headline(data):
     }
     micro = data.get("relation_micro")
     if isinstance(micro, dict):
-        row["compiled_over_memoised"] = micro["calls"]["compiled_over_memoised"]
-        row["compiled_over_predicate"] = micro["churn"][
-            "compiled_over_predicate"
-        ]
+        for where in ("inside", "outside"):
+            row[f"compiled_over_predicate_{where}"] = micro["calls"][where][
+                "compiled_over_predicate"
+            ]
     return row
 
 
@@ -116,12 +117,16 @@ def render_history(rows, last=10):
             )
             continue
         if row.get("kind") == "machine_micro":
-            compiled = row.get("compiled_over_memoised")
-            margin = (
-                f"compiled/memo {compiled:.2f}x"
-                if compiled is not None
-                else "no relation micro"
-            )
+            if "compiled_over_predicate_inside" in row:
+                margin = (
+                    "table/predicate "
+                    f"{row['compiled_over_predicate_inside']:.2f}x inside "
+                    f"{row['compiled_over_predicate_outside']:.2f}x outside"
+                )
+            elif "compiled_over_memoised" in row:  # rows from before PR 15
+                margin = f"bitset/memo {row['compiled_over_memoised']:.2f}x"
+            else:
+                margin = "no relation micro"
             lines.append(
                 f"{row['recorded_at']}  {row['txn_per_second']:>9,.0f} txn/s  "
                 f"machine-micro hybrid churn  {margin}{smoke}"
@@ -248,8 +253,10 @@ def test_machine_micro_history_row(tmp_path):
                     }
                 },
                 "relation_micro": {
-                    "calls": {"compiled_over_memoised": 1.8},
-                    "churn": {"compiled_over_predicate": 1.4},
+                    "calls": {
+                        "inside": {"compiled_over_predicate": 1.8},
+                        "outside": {"compiled_over_predicate": 2.1},
+                    },
                 },
             }
         )
@@ -258,7 +265,7 @@ def test_machine_micro_history_row(tmp_path):
     row = record(artifact, history_path=log)
     assert row["kind"] == "machine_micro"
     assert row["txn_per_second"] == 30000.0
-    assert row["compiled_over_memoised"] == 1.8
+    assert row["compiled_over_predicate_inside"] == 1.8
     rendered = render_history(load_history(log))
     assert "machine-micro" in rendered
     assert "1.80x" in rendered

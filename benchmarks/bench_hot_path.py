@@ -12,13 +12,14 @@ two machine-readable artifacts (validated by ``bench_schema.py``):
   enumeration rates, and a checker-certified manager churn run.
 * ``BENCH_machine_micro.json`` — the machine × protocol commit-churn grid
   (the ``bench_machine_micro.py`` numbers, in a schema'd envelope), plus
-  the compiled-relation micro-benchmark: ``related()`` call rates for the
-  compiled bitset table vs the memoised predicate (warm — the
-  pre-compiler default) vs a bare un-memoised predicate, and commit
-  churn against a pack of live lock-holding transactions so every
-  executed operation pays real conflict checks.  The schema enforces the
-  compiler's acceptance floor: compiled must not be slower than the warm
-  memo.
+  the conflict-relation micro-benchmark: ``related()`` call rates for the
+  class table the machines lock with vs the bare hand-written predicate
+  it is tabulated from, and commit churn against a pack of live
+  lock-holding transactions so every executed operation pays real
+  conflict checks — each on operations inside the declared universe and
+  outside it (where four served operations in five fall).  The schema
+  enforces the floor: the table must not be slower than the predicate on
+  either side.
 
 Run directly::
 
@@ -36,14 +37,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.adts import make_account_adt
-from repro.core import CompactingLockMachine, Invocation, LockMachine
-from repro.core.compile import (
-    compile_relation,
-    default_universe,
-    reference_relation,
-)
-from repro.core.conflict import CompiledRelation, PredicateRelation
+from repro.adts import ACCOUNT_CONFLICT, make_account_adt
+from repro.core import CompactingLockMachine, Invocation, LockMachine, Operation
+from repro.core.conflict import PredicateRelation
 from repro.obs import AtomicityChecker, TraceBus
 from repro.protocols import ALL_PROTOCOLS
 from repro.runtime import TransactionManager
@@ -169,8 +165,7 @@ def relation_memo(adt, rounds):
     """Pair-grid enumeration: memoised relation vs a cold one per round.
 
     ``Relation.pairs`` memoises per (instance, universe); building a
-    fresh un-memoised relation each round re-pays the |U|² predicate
-    grid, which is what the bounded derivations used to do on every
+    fresh relation each round re-pays the |U|² predicate grid, which is what the bounded derivations used to do on every
     restriction.
     """
     universe = adt.universe()
@@ -182,9 +177,7 @@ def relation_memo(adt, rounds):
     warm = time.perf_counter() - started
     started = time.perf_counter()
     for _ in range(rounds):
-        PredicateRelation(
-            adt.conflict.related, name="cold", memoize=False
-        ).pairs(universe)
+        PredicateRelation(adt.conflict.related, name="cold").pairs(universe)
     cold = time.perf_counter() - started
     return {
         "universe_size": len(universe),
@@ -195,28 +188,22 @@ def relation_memo(adt, rounds):
     }
 
 
-def _compiled_conflict(adt):
-    """The ADT's compiled conflict table (compiled on the fly when the
-    factory fell back to the hand-written relation, e.g. a fresh checkout
-    before the first ``repro compile``)."""
-    conflict = adt.conflict
-    if isinstance(conflict, CompiledRelation):
-        return conflict
-    return compile_relation(conflict, default_universe(adt))
+#: Credit/Debit amounts outside Account's declared universe (amounts 2, 3).
+OUTSIDE_AMOUNT = 57
 
 
 def churn_with_holders(
-    machine, holders=RELATION_HOLDERS, transactions=CHURN_TRANSACTIONS
+    machine, amount, holders=RELATION_HOLDERS, transactions=CHURN_TRANSACTIONS
 ):
     """Commit churn with ``holders`` transactions holding live locks.
 
-    The holders execute one in-universe ``Credit`` each and never finish,
-    so every subsequent operation's lock acquisition walks all held
-    operations through ``conflict.related`` — the access pattern the
-    conflict-relation compiler targets.  Credits commute under the hybrid
-    table, so nothing blocks and the loop measures pure relation cost.
+    The holders execute one ``Credit(amount)`` each and never finish, so
+    every subsequent operation's lock acquisition walks all held
+    operations through ``conflict.related``.  Credits commute under the
+    hybrid table, so nothing blocks and the loop measures pure relation
+    cost.
     """
-    held = Invocation("Credit", (2,))
+    held = Invocation("Credit", (amount,))
     for index in range(holders):
         machine.execute(f"H{index}", held)
     for index in range(transactions):
@@ -226,29 +213,25 @@ def churn_with_holders(
 
 
 def relation_micro(adt, rounds, repeats):
-    """Compiled bitset vs predicate ``related()``: call rates and churn.
+    """Class table vs bare predicate ``related()``: call rates and churn.
 
-    ``calls`` times raw ``related()`` over the full compiled-universe
-    pair grid: the compiled bitset table, the memoised predicate *warm*
-    (the pre-compiler hot-path default), and a bare un-memoised
-    predicate (what every cold pair used to pay).  ``churn`` runs the
-    holder-heavy commit loop on a plain LOCK machine with the compiled
-    table vs the hand-written reference.  Best-of-``repeats`` per
-    variant.
+    ``calls`` times raw ``related()`` over a pair grid and ``churn`` runs
+    the holder-heavy commit loop on a plain LOCK machine, each with the
+    class table ``adt.conflict`` and with the hand-written relation it was
+    tabulated from.  ``inside`` uses the table's own universe; ``outside``
+    uses the same operation classes with an amount the universe does not
+    hold.  Best-of-``repeats`` per variant.
     """
-    compiled = _compiled_conflict(adt)
-    # The memoised variant is the reference relation itself — the exact
-    # object the machine's hot path used before the compiler — with its
-    # internal per-pair memos warmed.
-    memoised = reference_relation(compiled)
-    bare = PredicateRelation(memoised.related, name="bare", memoize=False)
-    pairs = [(q, p) for q in compiled.universe for p in compiled.universe]
-    for q, p in pairs:  # warm every memo before timing
-        compiled.related(q, p)
-        memoised.related(q, p)
-        bare.related(q, p)
+    relations = {"compiled": adt.conflict, "predicate": ACCOUNT_CONFLICT}
+    inside = adt.conflict.universe
+    outside = [
+        Operation(Invocation(op.name, (OUTSIDE_AMOUNT,)), op.result)
+        for op in inside
+    ]
+    assert not set(outside) & set(inside)
+    amounts = {"inside": 2, "outside": OUTSIDE_AMOUNT}
 
-    def call_rate(relation):
+    def call_rate(relation, pairs):
         best = float("inf")
         related = relation.related
         for _ in range(repeats):
@@ -259,36 +242,39 @@ def relation_micro(adt, rounds, repeats):
             best = min(best, time.perf_counter() - started)
         return rounds * len(pairs) / best
 
-    compiled_rate = call_rate(compiled)
-    memoised_rate = call_rate(memoised)
-    bare_rate = call_rate(bare)
-
+    calls = {}
     churn_rows = {"holders": RELATION_HOLDERS}
-    for key, relation in (("compiled", compiled), ("predicate", memoised)):
-        best = float("inf")
-        for _ in range(max(repeats, 3)):
-            machine = LockMachine(adt.spec, relation)
-            started = time.perf_counter()
-            churn_with_holders(machine)
-            best = min(best, time.perf_counter() - started)
-        churn_rows[key] = {
-            "transactions": CHURN_TRANSACTIONS,
-            "elapsed_seconds": best,
-            "txn_per_second": CHURN_TRANSACTIONS / best,
+    for where, operations in (("inside", inside), ("outside", outside)):
+        pairs = [(q, p) for q in operations for p in operations]
+        rates = {
+            key: call_rate(relation, pairs) for key, relation in relations.items()
         }
-    churn_rows["compiled_over_predicate"] = (
-        churn_rows["compiled"]["txn_per_second"]
-        / churn_rows["predicate"]["txn_per_second"]
-    )
+        calls[where] = {
+            "compiled_calls_per_second": rates["compiled"],
+            "predicate_calls_per_second": rates["predicate"],
+            "compiled_over_predicate": rates["compiled"] / rates["predicate"],
+        }
+        rows = {}
+        for key, relation in relations.items():
+            best = float("inf")
+            for _ in range(max(repeats, 3)):
+                machine = LockMachine(adt.spec, relation)
+                started = time.perf_counter()
+                churn_with_holders(machine, amounts[where])
+                best = min(best, time.perf_counter() - started)
+            rows[key] = {
+                "transactions": CHURN_TRANSACTIONS,
+                "elapsed_seconds": best,
+                "txn_per_second": CHURN_TRANSACTIONS / best,
+            }
+        rows["compiled_over_predicate"] = (
+            rows["compiled"]["txn_per_second"] / rows["predicate"]["txn_per_second"]
+        )
+        churn_rows[where] = rows
     return {
-        "universe_size": len(compiled.universe),
+        "universe_size": len(inside),
         "rounds": rounds,
-        "calls": {
-            "compiled_calls_per_second": compiled_rate,
-            "memoised_warm_calls_per_second": memoised_rate,
-            "predicate_calls_per_second": bare_rate,
-            "compiled_over_memoised": compiled_rate / memoised_rate,
-        },
+        "calls": calls,
         "churn": churn_rows,
     }
 
@@ -424,20 +410,19 @@ def render_summary(hot_path, machine_micro=None):
     )
     if machine_micro and "relation_micro" in machine_micro:
         micro = machine_micro["relation_micro"]
-        calls = micro["calls"]
-        lines.append(
-            f"relation calls: compiled {calls['compiled_calls_per_second']:,.0f}"
-            f" vs warm memo {calls['memoised_warm_calls_per_second']:,.0f}"
-            f" vs bare {calls['predicate_calls_per_second']:,.0f} calls/s"
-            f" (compiled/memo {calls['compiled_over_memoised']:.2f}x)"
-        )
-        churn_rows = micro["churn"]
-        lines.append(
-            f"relation churn ({churn_rows['holders']} holders): compiled"
-            f" {churn_rows['compiled']['txn_per_second']:,.0f} vs predicate"
-            f" {churn_rows['predicate']['txn_per_second']:,.0f} txn/s"
-            f" ({churn_rows['compiled_over_predicate']:.2f}x)"
-        )
+        for where in ("inside", "outside"):
+            calls = micro["calls"][where]
+            churn_rows = micro["churn"][where]
+            lines.append(
+                f"relation {where} the declared universe: class table"
+                f" {calls['compiled_calls_per_second']:,.0f} vs predicate"
+                f" {calls['predicate_calls_per_second']:,.0f} calls/s"
+                f" ({calls['compiled_over_predicate']:.2f}x);"
+                f" {micro['churn']['holders']}-holder churn"
+                f" {churn_rows['compiled']['txn_per_second']:,.0f} vs"
+                f" {churn_rows['predicate']['txn_per_second']:,.0f} txn/s"
+                f" ({churn_rows['compiled_over_predicate']:.2f}x)"
+            )
     return "\n".join(lines)
 
 
@@ -478,7 +463,8 @@ def test_hot_path_smoke(tmp_path, save_artifact):
     assert longest["speedup"] >= 2.0
     assert hot_path["certified_churn"]["certification"]["ok"]
     micro = machine_micro["relation_micro"]
-    assert micro["calls"]["compiled_over_memoised"] >= 1.0
+    for where in ("inside", "outside"):
+        assert micro["calls"][where]["compiled_over_predicate"] >= 1.0
     save_artifact(
         "hot_path_smoke",
         render_summary(hot_path, machine_micro),

@@ -19,6 +19,7 @@ runtime, the simulator, and the analysis tools can treat types uniformly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
@@ -33,6 +34,7 @@ __all__ = [
     "registry",
     "get_adt",
     "get_factory",
+    "declared_tables",
 ]
 
 
@@ -103,18 +105,19 @@ def registry() -> List[str]:
 
 
 def get_factory(name: str) -> Callable[[], ADT]:
-    """The registered factory for an ADT, without instantiating it.
-
-    The conflict-relation compiler uses this to locate each bundle's
-    defining module (``factory.__module__``) when generating compiled
-    tables.
-    """
+    """The registered factory for an ADT, without instantiating it."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown ADT {name!r}; registered: {', '.join(registry())}"
         ) from None
+
+
+def declared_tables(name: str) -> Dict[str, Relation]:
+    """Every relation a registered type can lock with, by table key: the
+    ``COMPILED_TABLES`` of the module that registered it."""
+    return dict(sys.modules[get_factory(name).__module__].COMPILED_TABLES)
 
 
 def get_adt(name: str) -> ADT:

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, List, Sequence, Tuple
 
-from ..core.conflict import PredicateRelation, symmetric_closure
+from ..core.conflict import CompiledRelation, PredicateRelation, symmetric_closure
 from ..core.operations import Invocation, Operation
 from ..core.specs import SerialSpec
-from ._compiled import load_compiled
 from .base import ADT, register
 
 __all__ = [
@@ -140,14 +139,6 @@ COUNTER_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 
     _counter_mc, name="Counter conflicts (commutativity)"
 )
 
-#: Tables ``repro compile`` derives, verifies (REP107) and compiles for
-#: this module; the factories load the compiled bitset versions with
-#: these hand-written relations as the out-of-universe fallback.
-COMPILED_TABLES = {
-    "CONFLICT": COUNTER_CONFLICT,
-    "COMMUTATIVITY_CONFLICT": COUNTER_COMMUTATIVITY_CONFLICT,
-}
-
 
 def counter_universe(
     amounts: Sequence[int] = (1, 2), values: Sequence[int] = (0, 1, 2)
@@ -163,16 +154,25 @@ def counter_universe(
     return ops
 
 
+#: What the machines lock with: the hand-written tables above, tabulated
+#: by operation class.  REP107 and ``repro audit`` verify these entries
+#: against the serial specification.
+COMPILED_TABLES = {
+    "CONFLICT": CompiledRelation(COUNTER_CONFLICT, counter_universe()),
+    "COMMUTATIVITY_CONFLICT": CompiledRelation(
+        COUNTER_COMMUTATIVITY_CONFLICT, counter_universe()
+    ),
+}
+
+
 def make_counter_adt(initial: int = 0) -> ADT:
     """Bundle the Counter type."""
     return ADT(
         name="Counter",
         spec=CounterSpec(initial),
         dependency=COUNTER_DEPENDENCY,
-        conflict=load_compiled("counter", "CONFLICT", COUNTER_CONFLICT),
-        commutativity_conflict=load_compiled(
-            "counter", "COMMUTATIVITY_CONFLICT", COUNTER_COMMUTATIVITY_CONFLICT
-        ),
+        conflict=COMPILED_TABLES["CONFLICT"],
+        commutativity_conflict=COMPILED_TABLES["COMMUTATIVITY_CONFLICT"],
         is_read=lambda operation: operation.name == "Read",
         universe=counter_universe,
     )

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
-from ..core.conflict import PredicateRelation, symmetric_closure
+from ..core.conflict import CompiledRelation, PredicateRelation, symmetric_closure
 from ..core.operations import Invocation, Operation
 from ..core.specs import SerialSpec
-from ._compiled import load_compiled
 from .base import ADT, register
 
 __all__ = [
@@ -242,12 +241,6 @@ DIRECTORY_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP10
     _directory_mc, name="Directory conflicts (commutativity)"
 )
 
-#: Tables ``repro compile`` derives, verifies (REP107) and compiles.
-COMPILED_TABLES = {
-    "CONFLICT": DIRECTORY_CONFLICT,
-    "COMMUTATIVITY_CONFLICT": DIRECTORY_COMMUTATIVITY_CONFLICT,
-}
-
 
 def directory_universe(
     keys: Sequence[Any] = ("a",), values: Sequence[Any] = (1, 2)
@@ -267,16 +260,29 @@ def directory_universe(
     return ops
 
 
+#: The declared universe plus a second key: with one key the tabulation
+#: would never see two operations on different keys.
+_TABULATED = directory_universe(keys=("a", "b"))
+
+#: What the machines lock with: the hand-written tables above, tabulated
+#: by operation class.  REP107 and ``repro audit`` verify these entries
+#: against the serial specification.
+COMPILED_TABLES = {
+    "CONFLICT": CompiledRelation(DIRECTORY_CONFLICT, _TABULATED),
+    "COMMUTATIVITY_CONFLICT": CompiledRelation(
+        DIRECTORY_COMMUTATIVITY_CONFLICT, _TABULATED
+    ),
+}
+
+
 def make_directory_adt(initial: Mapping[Any, Any] = ()) -> ADT:
     """Bundle the Directory type."""
     return ADT(
         name="Directory",
         spec=DirectorySpec(initial),
         dependency=DIRECTORY_DEPENDENCY,
-        conflict=load_compiled("directory", "CONFLICT", DIRECTORY_CONFLICT),
-        commutativity_conflict=load_compiled(
-            "directory", "COMMUTATIVITY_CONFLICT", DIRECTORY_COMMUTATIVITY_CONFLICT
-        ),
+        conflict=COMPILED_TABLES["CONFLICT"],
+        commutativity_conflict=COMPILED_TABLES["COMMUTATIVITY_CONFLICT"],
         is_read=lambda operation: operation.name == "Lookup",
         universe=directory_universe,
     )

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from typing import Any, Hashable, Iterable, List, Sequence, Tuple
 
-from ..core.conflict import PredicateRelation, symmetric_closure
+from ..core.conflict import CompiledRelation, PredicateRelation, symmetric_closure
 from ..core.operations import Invocation, Operation
 from ..core.specs import SerialSpec
-from ._compiled import load_compiled
 from .base import ADT, register
 
 __all__ = [
@@ -130,14 +129,6 @@ QUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 ve
     name="Queue conflicts (commutativity)",
 )
 
-#: Tables ``repro compile`` derives, verifies (REP107) and compiles —
-#: both minimal conflict relations, since the factory can load either.
-COMPILED_TABLES = {
-    "CONFLICT_FIG42": QUEUE_CONFLICT_FIG42,
-    "CONFLICT_FIG43": QUEUE_CONFLICT_FIG43,
-    "COMMUTATIVITY_CONFLICT": QUEUE_COMMUTATIVITY_CONFLICT,
-}
-
 
 def queue_universe(values: Sequence[Any] = (1, 2)) -> List[Operation]:
     """Every Enq/Deq operation over a finite value domain."""
@@ -148,6 +139,18 @@ def queue_universe(values: Sequence[Any] = (1, 2)) -> List[Operation]:
     return ops
 
 
+#: What the machines lock with: the hand-written tables above, tabulated
+#: by operation class.  REP107 and ``repro audit`` verify these entries
+#: against the serial specification.
+COMPILED_TABLES = {
+    "CONFLICT_FIG42": CompiledRelation(QUEUE_CONFLICT_FIG42, queue_universe()),
+    "CONFLICT_FIG43": CompiledRelation(QUEUE_CONFLICT_FIG43, queue_universe()),
+    "COMMUTATIVITY_CONFLICT": CompiledRelation(
+        QUEUE_COMMUTATIVITY_CONFLICT, queue_universe()
+    ),
+}
+
+
 def make_queue_adt(dependency: str = "fig42") -> ADT:
     """Bundle the queue.
 
@@ -156,21 +159,17 @@ def make_queue_adt(dependency: str = "fig42") -> ADT:
     showcases hybrid's extra concurrency) or ``"fig43"``.
     """
     if dependency == "fig42":
-        dep, conflict = QUEUE_DEPENDENCY_FIG42, QUEUE_CONFLICT_FIG42
+        dep, conflict = QUEUE_DEPENDENCY_FIG42, COMPILED_TABLES["CONFLICT_FIG42"]
     elif dependency == "fig43":
-        dep, conflict = QUEUE_DEPENDENCY_FIG43, QUEUE_CONFLICT_FIG43
+        dep, conflict = QUEUE_DEPENDENCY_FIG43, COMPILED_TABLES["CONFLICT_FIG43"]
     else:
         raise ValueError("dependency must be 'fig42' or 'fig43'")
     return ADT(
         name="FIFOQueue",
         spec=FifoQueueSpec(),
         dependency=dep,
-        conflict=load_compiled(
-            "queue", f"CONFLICT_{dependency.upper()}", conflict
-        ),
-        commutativity_conflict=load_compiled(
-            "queue", "COMMUTATIVITY_CONFLICT", QUEUE_COMMUTATIVITY_CONFLICT
-        ),
+        conflict=conflict,
+        commutativity_conflict=COMPILED_TABLES["COMMUTATIVITY_CONFLICT"],
         is_read=lambda operation: False,  # both Enq and Deq mutate
         universe=queue_universe,
         alternative_dependencies={

@@ -1,6 +1,5 @@
 """Analysis tools: figure tables, relation comparison, derivation reports."""
 
-from .audit import AuditFinding, AuditReport, audit_adt
 from .compare import ComparisonReport, Ordering, compare_relations, concurrency_score
 from .derive import FigureReport, derive_commutativity_figure, derive_figure
 from .report import generate_report
@@ -14,9 +13,6 @@ from .tables import render_grid, render_relation, render_schema_relation, schema
 from .timeline import render_timeline
 
 __all__ = [
-    "AuditFinding",
-    "AuditReport",
-    "audit_adt",
     "render_relation",
     "render_schema_relation",
     "render_grid",

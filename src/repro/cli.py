@@ -8,14 +8,13 @@ Commands
 ``derive <adt>``
     Derive the invalidated-by and failure-to-commute tables for a type
     from its serial specification and print them in the paper's style.
-``compile [adt...]``
-    The conflict-relation compiler: re-derive every declared table from
-    its serial specification, verify the hand-written relations (an
-    unsound table — asymmetric or failing Definition 3 — is an error; a
-    non-minimal one a warning), and emit compiled bitset modules under
-    ``adts/_compiled/`` that the factories load by default.  With
-    ``--check``, verify only and exit 1 when a generated module is
-    missing, stale, or any table is refuted (the CI gate).
+``audit [adt...]``
+    The one verifier of the conflict tables: for every declared table
+    (the tabulated relations the lock machines run), re-derive the
+    relation from the serial specification and report the hand-written
+    figure that disagrees.  An unsound table (asymmetric, or failing
+    Definition 3) is an error and exits 1; a non-minimal one a warning.
+    Lint rule REP107 makes the same call on the source under lint.
 ``simulate <workload>``
     Run a simulated workload under one or more protocols and print the
     metrics table.  ``--crash-rate`` injects Poisson manager crashes;
@@ -104,8 +103,7 @@ Examples::
     python -m repro list
     python -m repro derive Account
     python -m repro derive FIFOQueue --values 1 2 3
-    python -m repro compile
-    python -m repro compile --check
+    python -m repro audit
     python -m repro simulate queue --protocol hybrid commutativity
     python -m repro simulate account --duration 500 --seed 3
     python -m repro simulate account --crash-rate 0.01 --wal-dir /tmp/wals
@@ -138,16 +136,15 @@ import sys
 import time
 from typing import List, Optional, Sequence
 
-from .adts import get_adt, get_factory, registry
+from .adts import declared_tables, get_adt, registry
 from .analysis import (
-    audit_adt,
     compare_relations,
     concurrency_score,
     derive_commutativity_figure,
     derive_figure,
     generate_report,
 )
-from .core.compile import DEFAULT_DOMAINS, depths_for
+from .core.compile import default_universe, verify_adt
 from .protocols import ALL_PROTOCOLS, OPTIMISTIC, get_protocol
 from .sim import (
     AccountWorkload,
@@ -191,8 +188,7 @@ def _universe_for(adt, values: Optional[List[str]]):
     if values:
         parsed = [int(v) if v.lstrip("-").isdigit() else v for v in values]
         return adt.universe(tuple(parsed))
-    domains = DEFAULT_DOMAINS.get(adt.name, ((1, 2),))
-    return adt.universe(*domains)
+    return default_universe(adt)
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -225,129 +221,31 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     names = args.adt or registry()
-    all_passed = True
+    sound = True
+    verified = 0
     for name in names:
         try:
             adt = get_adt(name)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
-        universe = _universe_for(adt, None)
-        max_h1, max_h2, mc_depth = depths_for(adt.name)
-        report = audit_adt(
-            adt,
-            universe,
-            max_h1=max_h1,
-            max_h2=max_h2,
-            mc_depth=mc_depth,
-            check_minimal=args.minimal,
+        tables = declared_tables(name)
+        issues = verify_adt(
+            adt, tables, check_minimal_dependency=args.minimal
         )
-        print(report.render())
-        print()
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 1
-
-
-def _compile_bundle(name: str):
-    """Resolve one registered type to its compile-pipeline pieces.
-
-    Returns ``None`` for types without declared ``COMPILED_TABLES`` (the
-    opt-in hook each adts module exposes), else a tuple of the bundle,
-    its defining module, the module stem, and the tables mapping.
-    """
-    factory = get_factory(name)
-    module = sys.modules[factory.__module__]
-    tables = getattr(module, "COMPILED_TABLES", None)
-    if not tables:
-        return None
-    stem = factory.__module__.rsplit(".", 1)[-1]
-    return factory(), module, stem, tables
-
-
-def _cmd_compile(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .core.compile import (
-        compile_masks,
-        default_universe,
-        reference_relation,
-        render_module,
-        verify_commutativity_table,
-        verify_conflict_table,
-    )
-
-    names = args.adt or registry()
-    sound = True
-    fresh = True
-    for name in names:
-        try:
-            resolved = _compile_bundle(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        if resolved is None:
-            if args.adt:
-                print(f"{name}: no COMPILED_TABLES declared; skipped")
+        for issue in issues:
+            print(f"audit: {issue}", file=sys.stderr)
+        if any(issue.severity == "error" for issue in issues):
+            sound = False
             continue
-        adt, module, stem, tables = resolved
-        universe = default_universe(adt)
-        max_h1, _max_h2, mc_depth = depths_for(name)
-        masks = {}
-        clean = True
-        for key in sorted(tables):
-            reference = reference_relation(tables[key])
-            label = f"{name}.{key}"
-            if "COMMUTATIVITY" in key:
-                issues = verify_commutativity_table(
-                    label, reference, adt.spec, universe, mc_depth=mc_depth
-                )
-            else:
-                issues = verify_conflict_table(
-                    label, reference, adt.spec, universe,
-                    max_h=max_h1, max_k=mc_depth,
-                )
-            for issue in issues:
-                print(f"compile: {issue}", file=sys.stderr)
-                if issue.severity == "error":
-                    sound = False
-                    clean = False
-            masks[key] = compile_masks(reference, universe)
-        if not clean:
-            # Never emit (or certify) tables that failed verification.
-            continue
-        text = render_module(name, module.__name__, universe, masks)
-        target = Path(module.__file__).parent / "_compiled" / f"{stem}.py"
-        if args.check:
-            on_disk = target.read_text(encoding="utf-8") if target.is_file() else None
-            if on_disk is None:
-                print(
-                    f"compile: {name}: {target} is missing — "
-                    "run `python -m repro compile`",
-                    file=sys.stderr,
-                )
-                fresh = False
-            elif on_disk != text:
-                print(
-                    f"compile: {name}: {target} is stale — "
-                    "regenerate with `python -m repro compile`",
-                    file=sys.stderr,
-                )
-                fresh = False
-            else:
-                print(
-                    f"{name}: verified {len(masks)} table(s) over "
-                    f"{len(universe)} op(s); {target.name} up to date"
-                )
-        else:
-            if target.is_file() and target.read_text(encoding="utf-8") == text:
-                print(f"{name}: {target} unchanged")
-            else:
-                target.write_text(text, encoding="utf-8")
-                print(
-                    f"{name}: wrote {target} "
-                    f"({len(masks)} table(s), {len(universe)} op(s))"
-                )
-    return 0 if sound and fresh else 1
+        verified += len(tables)
+        print(
+            f"{name}: verified {len(tables)} table(s) and the declared "
+            f"dependency{' (minimal)' if args.minimal else ''} over "
+            f"{len(default_universe(adt))} op(s)"
+        )
+    print(f"audit: {verified} table(s) of {len(names)} type(s) verified")
+    return 0 if sound else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1095,20 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument("adt", nargs="*", help="type names (default: all)")
     audit.add_argument(
-        "--minimal", action="store_true", help="also check minimality (slower)"
-    )
-
-    compile_cmd = commands.add_parser(
-        "compile",
-        help="derive, verify (REP107) and compile the conflict tables to "
-        "bitset modules under adts/_compiled/",
-    )
-    compile_cmd.add_argument("adt", nargs="*", help="type names (default: all)")
-    compile_cmd.add_argument(
-        "--check",
+        "--minimal",
         action="store_true",
-        help="verify the hand-written tables and fail when a generated "
-        "module is missing or stale, without writing anything (the CI gate)",
+        help="also require the declared dependency relation to be minimal",
     )
 
     report = commands.add_parser(
@@ -1441,7 +1328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "list": _cmd_list,
         "derive": _cmd_derive,
         "audit": _cmd_audit,
-        "compile": _cmd_compile,
         "report": _cmd_report,
         "simulate": _cmd_simulate,
         "recover": _cmd_recover,

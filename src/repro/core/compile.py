@@ -1,42 +1,39 @@
-"""Conflict-relation compiler: derive, verify, and compile to bitsets.
+"""Conflict-table verification: every relation a type declares, checked
+against its serial specification.
 
-The hand-written conflict tables in :mod:`repro.adts` are transcriptions
-of the paper's figures, and PR 5's profiling showed they are also the hot
-path: every lock check pays predicate dispatch (rescued by a capped memo).
-This module closes both gaps with a derive→verify→compile pipeline:
+The hand-written tables in :mod:`repro.adts` are transcriptions of the
+paper's figures; each module tabulates them by operation class
+(:class:`~repro.core.conflict.CompiledRelation`) when it is imported, and
+the tabulated relations are what the lock machines run.  This module is
+the one verifier of those relations, over each type's declared finite
+universe and derivation depths:
 
-* **Derive** — given a serial specification and a declared finite
-  operation universe, compute the invalidated-by dependency relation
-  (Definitions 8/9, Theorem 10), the failure-to-commute relation
-  (Definitions 25/26, Theorem 28), and check any candidate table against
-  Definition 3 directly.
-* **Verify** — cross-check a hand-written table against the derivation:
-  a conflict table that is not symmetric or not a dependency relation is
-  *unsound* (it voids the Theorem 11/16 hybrid-atomicity guarantee — an
-  error), while a conflict pair whose removal still leaves a dependency
-  relation is merely *non-minimal* (it forfeits Section 7 concurrency —
-  a warning).  The lint rules REP107/REP108 and ``repro compile --check``
-  report these through the standard finding pipeline.
-* **Compile** — lower a verified relation over its finite universe to a
-  :class:`~repro.core.conflict.CompiledRelation` (operation → small-int
-  id, conflicts as per-row bitmasks) and emit it as a generated Python
-  module under ``repro/adts/_compiled/`` so the tables load with zero
-  derivation cost at import time.  Operations outside the compiled
-  universe fall back to the reference predicate relation, which stays in
-  the source as the cross-check oracle.
+* a lock-conflict table that is not symmetric or not a dependency
+  relation (Definition 3) is *unsound* (it voids the Theorem 11/16
+  hybrid-atomicity guarantee, an error quoting the violating history),
+  while a conflict pair whose removal still leaves a dependency relation
+  is merely *non-minimal* (it forfeits Section 7 concurrency, a warning);
+* a failure-to-commute table must equal the relation derived from the
+  specification (Definitions 25/26), and that relation must itself be a
+  dependency relation (Theorem 28);
+* the declared dependency relation must equal the derived invalidated-by
+  relation (Definitions 8/9, Theorem 10), and every alternative
+  dependency relation must satisfy Definition 3.
 
-This module deliberately never imports :mod:`repro.adts` — the ADT layer
-builds on core, not the other way round.  Callers (the CLI, the lint
-rules, the benchmarks) hand in duck-typed bundles.
+:func:`verify_adt` runs all of it for one bundle; lint rule REP107 and
+``repro audit`` both call it, on the relations the bundle locks with.
+
+This module deliberately never imports :mod:`repro.adts`: the ADT layer
+builds on core, not the other way round.  Callers hand in duck-typed
+bundles.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
+    Collection,
     Dict,
     FrozenSet,
     List,
@@ -48,13 +45,13 @@ from typing import (
 )
 
 from .commutativity import failure_to_commute
-from .conflict import (
-    CompiledRelation,
-    EnumeratedRelation,
-    Relation,
-    is_symmetric,
+from .conflict import EnumeratedRelation, Relation
+from .dependency import (
+    check_dependency_relation,
+    is_dependency_relation,
+    is_minimal_dependency_relation,
 )
-from .dependency import check_dependency_relation, is_dependency_relation
+from .invalidated_by import invalidated_by
 from .operations import Operation
 from .specs import SerialSpec
 
@@ -62,19 +59,14 @@ __all__ = [
     "DEFAULT_DOMAINS",
     "DERIVATION_DEPTHS",
     "DEFAULT_DEPTHS",
-    "GENERATED_MARKER",
     "TableIssue",
     "depths_for",
     "default_universe",
-    "reference_relation",
     "verify_conflict_table",
     "verify_commutativity_table",
+    "verify_dependencies",
+    "verify_adt",
     "derived_commutativity",
-    "compile_masks",
-    "compile_relation",
-    "table_digest",
-    "module_digest",
-    "render_module",
 ]
 
 #: Universe builders per type: positional args fed to ``adt.universe``.
@@ -108,10 +100,6 @@ DERIVATION_DEPTHS: Dict[str, Tuple[int, int, int]] = {
 
 DEFAULT_DEPTHS: Tuple[int, int, int] = (3, 2, 3)
 
-#: Sentinel line every generated module carries; REP108 only fires on
-#: files that declare themselves generated.
-GENERATED_MARKER = "Generated by `repro compile` -- do not edit by hand."
-
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -125,19 +113,6 @@ def default_universe(adt: Any) -> List[Operation]:
     """The declared finite operation universe for an ADT bundle."""
     domains = DEFAULT_DOMAINS.get(adt.name, _FALLBACK_DOMAIN)
     return list(adt.universe(*domains))
-
-
-def reference_relation(relation: Relation) -> Relation:
-    """The hand-written oracle behind a relation.
-
-    A :class:`CompiledRelation` carries the predicate table it was
-    compiled from as its out-of-universe fallback; verification and
-    cross-check code must always test *that* table, not the compiled
-    artifact (which would make staleness checks vacuous).
-    """
-    if isinstance(relation, CompiledRelation) and relation.fallback is not None:
-        return relation.fallback
-    return relation
 
 
 @dataclass(frozen=True)
@@ -267,6 +242,28 @@ def _removable_pairs(
     return removable
 
 
+def _difference_issue(
+    label: str,
+    what: str,
+    derived: EnumeratedRelation,
+    declared: EnumeratedRelation,
+) -> Optional[TableIssue]:
+    """The error for a declared relation that is not the derived one."""
+    parts = []
+    for side, pairs in (
+        ("derived", derived.pair_set - declared.pair_set),
+        ("declared", declared.pair_set - derived.pair_set),
+    ):
+        if pairs:
+            q, p = sorted(pairs, key=str)[0]
+            parts.append(f"{side} has {len(pairs)} extra pair(s), e.g. ({q}, {p})")
+    if not parts:
+        return None
+    return TableIssue(
+        label, SEVERITY_ERROR, f"disagrees with derived {what}: " + "; ".join(parts)
+    )
+
+
 def derived_commutativity(
     spec: SerialSpec, universe: Sequence[Operation], mc_depth: int = 3
 ) -> EnumeratedRelation:
@@ -286,9 +283,11 @@ def verify_commutativity_table(
     The table must be symmetric (commuting is symmetric in ``p`` and
     ``q``) and agree *exactly* with the derived relation: a missing pair
     is unsound for a commutativity-locking protocol, an extra pair is a
-    mis-transcription — both are errors, reported with the disagreeing
-    pairs.  This check supersedes the hand audits that previously
-    justified the ``# repro: symmetric`` annotations in ``adts/``.
+    mis-transcription — either is an error, reported with a disagreeing
+    pair from each side.  This check supersedes the hand audits that
+    previously justified the ``# repro: symmetric`` annotations in
+    ``adts/``.  The derived relation must in turn be a dependency relation
+    (Theorem 28), or locking with it would not be safe either.
     """
     issues: List[TableIssue] = []
     asymmetry = _symmetry_issue(label, relation, universe)
@@ -296,168 +295,130 @@ def verify_commutativity_table(
         issues.append(asymmetry)
 
     derived = derived_commutativity(spec, universe, mc_depth)
-    declared = relation.restrict(universe)
-    missing = derived.pair_set - declared.pair_set
-    extra = declared.pair_set - derived.pair_set
-    if missing:
-        q, p = sorted(missing, key=str)[0]
+    violation = check_dependency_relation(
+        derived, spec, universe, max_h=mc_depth, max_k=mc_depth
+    )
+    if violation is not None:
         issues.append(
             TableIssue(
                 label,
                 SEVERITY_ERROR,
-                f"disagrees with derived failure-to-commute: missing "
-                f"{len(missing)} pair(s), e.g. ({q}, {p}) — these "
-                "operations do not commute (Definition 26)",
+                "derived failure-to-commute is not a dependency relation "
+                f"(Theorem 28): {violation}",
             )
         )
-    if extra:
-        q, p = sorted(extra, key=str)[0]
+    difference = _difference_issue(
+        label, "failure-to-commute", derived, relation.restrict(universe)
+    )
+    if difference is not None:
+        issues.append(difference)
+    return issues
+
+
+def verify_dependencies(
+    adt: Any,
+    universe: Sequence[Operation],
+    max_h1: int = 3,
+    max_h2: int = 2,
+    max_k: int = 3,
+    check_minimal: bool = False,
+) -> List[TableIssue]:
+    """Verify a bundle's declared dependency relations against its spec.
+
+    ``adt.dependency`` is documented as the type's invalidated-by relation
+    and must equal the bounded derivation (Definitions 8/9); each entry of
+    ``adt.alternative_dependencies`` only has to satisfy Definition 3.
+    ``check_minimal`` additionally requires that dropping any single pair
+    of the declared dependency breaks Definition 3; invalidated-by "need
+    not be a minimal dependency relation", so this is off unless asked for.
+    """
+    issues: List[TableIssue] = []
+    label = f"{adt.name}.dependency"
+    declared = adt.dependency.restrict(universe)
+    difference = _difference_issue(
+        label,
+        "invalidated-by",
+        invalidated_by(adt.spec, universe, max_h1=max_h1, max_h2=max_h2),
+        declared,
+    )
+    if difference is not None:
+        issues.append(difference)
+    for key, alternative in sorted(adt.alternative_dependencies.items()):
+        violation = check_dependency_relation(
+            alternative, adt.spec, universe, max_h=max_h1, max_k=max_k
+        )
+        if violation is not None:
+            issues.append(
+                TableIssue(
+                    f"{label}[{key!r}]",
+                    SEVERITY_ERROR,
+                    f"not a dependency relation (Definition 3): {violation}",
+                )
+            )
+    if check_minimal and not is_minimal_dependency_relation(
+        declared, adt.spec, universe, max_h1, max_k
+    ):
         issues.append(
             TableIssue(
                 label,
                 SEVERITY_ERROR,
-                f"disagrees with derived failure-to-commute: {len(extra)} "
-                f"extra pair(s), e.g. ({q}, {p}) — these operations "
-                "commute in every reachable state",
+                "not a minimal dependency relation: it fails Definition 3, "
+                "or still satisfies it with one pair removed",
             )
         )
     return issues
 
 
-def compile_masks(
-    relation: Relation, universe: Sequence[Operation]
-) -> Tuple[int, ...]:
-    """Row bitmasks for ``relation`` over ``universe``.
+def verify_adt(
+    adt: Any,
+    tables: Optional[Mapping[str, Relation]] = None,
+    nonminimal: Collection[str] = (),
+    check_minimal_dependency: bool = False,
+) -> List[TableIssue]:
+    """Every check the repository makes of one bundle's relations.
 
-    Bit ``i`` of row ``q`` is set iff ``relation.related(q, universe[i])``.
+    ``tables`` maps a table key to a relation the type can lock with (a
+    module's ``COMPILED_TABLES``); a key containing ``COMMUTATIVITY`` is
+    verified as a failure-to-commute table, any other as a lock-conflict
+    table.  It defaults to the two relations the bundle carries.  Keys in
+    ``nonminimal`` skip the conflict-table minimality warning.
     """
-    masks: List[int] = []
-    for q in universe:
-        row = 0
-        for index, p in enumerate(universe):
-            if relation.related(q, p):
-                row |= 1 << index
-        masks.append(row)
-    return tuple(masks)
-
-
-def compile_relation(
-    relation: Relation,
-    universe: Sequence[Operation],
-    name: Optional[str] = None,
-    fallback: Optional[Relation] = None,
-) -> CompiledRelation:
-    """Lower a relation over a finite universe to bitmask tests.
-
-    The fallback (for operations outside the compiled universe) defaults
-    to the source relation itself, making the result a drop-in
-    replacement everywhere.
-    """
-    reference = reference_relation(relation)
-    return CompiledRelation(
-        tuple(universe),
-        compile_masks(reference, universe),
-        name=name if name is not None else reference.name,
-        fallback=reference if fallback is None else fallback,
-    )
-
-
-def table_digest(
-    adt_name: str,
-    universe: Sequence[Operation],
-    tables: Mapping[str, Sequence[int]],
-) -> str:
-    """Content digest binding a generated module's tables together.
-
-    Computed over the canonical reprs of the universe and the sorted
-    mask tables, so any hand edit to either is detectable (REP108)
-    without re-running the derivation.
-    """
-    payload = repr(
-        (
-            adt_name,
-            tuple(repr(op) for op in universe),
-            tuple(sorted((key, tuple(masks)) for key, masks in tables.items())),
+    if tables is None:
+        tables = {
+            "CONFLICT": adt.conflict,
+            "COMMUTATIVITY_CONFLICT": adt.commutativity_conflict,
+        }
+    universe = default_universe(adt)
+    max_h1, max_h2, mc_depth = depths_for(adt.name)
+    issues: List[TableIssue] = []
+    for key in sorted(tables):
+        label = f"{adt.name}.{key}"
+        if "COMMUTATIVITY" in key:
+            issues.extend(
+                verify_commutativity_table(
+                    label, tables[key], adt.spec, universe, mc_depth=mc_depth
+                )
+            )
+        else:
+            issues.extend(
+                verify_conflict_table(
+                    label,
+                    tables[key],
+                    adt.spec,
+                    universe,
+                    max_h=max_h1,
+                    max_k=mc_depth,
+                    check_minimal=key not in nonminimal,
+                )
+            )
+    issues.extend(
+        verify_dependencies(
+            adt,
+            universe,
+            max_h1=max_h1,
+            max_h2=max_h2,
+            max_k=mc_depth,
+            check_minimal=check_minimal_dependency,
         )
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def module_digest(namespace: Mapping[str, Any]) -> Optional[str]:
-    """Recompute the digest from a generated module's loaded values.
-
-    ``namespace`` is the module (or exec'd source) namespace; returns
-    ``None`` when the expected shape is missing entirely (the file is not
-    a generated table module).
-    """
-    adt_name = namespace.get("ADT_NAME")
-    universe = namespace.get("UNIVERSE")
-    if not isinstance(adt_name, str) or not isinstance(universe, tuple):
-        return None
-    tables = {
-        key[: -len("_MASKS")]: value
-        for key, value in namespace.items()
-        if key.endswith("_MASKS") and isinstance(value, tuple)
-    }
-    if not tables:
-        return None
-    return table_digest(adt_name, universe, tables)
-
-
-def render_module(
-    adt_name: str,
-    source_module: str,
-    universe: Sequence[Operation],
-    tables: Mapping[str, Sequence[int]],
-) -> str:
-    """Emit the generated Python module text for one type's tables.
-
-    The output is import-light (operation constructors only), carries the
-    :data:`GENERATED_MARKER` sentinel and a content :func:`table_digest`,
-    and round-trips exactly: executing it and recomputing
-    :func:`module_digest` over its namespace reproduces ``DIGEST``.
-    """
-    universe = tuple(universe)
-    op_reprs = [repr(op) for op in universe]
-    needs_fraction = any("Fraction(" in text for text in op_reprs)
-    lines: List[str] = [
-        f'"""Compiled conflict tables for {adt_name}.',
-        "",
-        GENERATED_MARKER,
-        "",
-        f"Source of truth: the hand-written tables in {source_module}",
-        "(the compiled fallback / cross-check oracle) over the declared",
-        "finite universe in repro.core.compile.DEFAULT_DOMAINS.",
-        "Regenerate with `python -m repro compile`; `repro compile",
-        "--check` and lint rule REP108 fail when this file drifts from a",
-        "fresh derivation or is edited by hand.",
-        '"""',
-        "",
-    ]
-    if needs_fraction:
-        lines.append("from fractions import Fraction")
-        lines.append("")
-    lines.append("from ...core.operations import Invocation, Operation")
-    lines.append("")
-    lines.append(f"ADT_NAME = {adt_name!r}")
-    lines.append(f"SOURCE = {source_module!r}")
-    lines.append("")
-    lines.append("UNIVERSE = (")
-    for text in op_reprs:
-        lines.append(f"    {text},")
-    lines.append(")")
-    for key in sorted(tables):
-        lines.append("")
-        lines.append(f"{key}_MASKS = (")
-        for row in tables[key]:
-            lines.append(f"    {row:#x},")
-        lines.append(")")
-    digest = table_digest(adt_name, universe, tables)
-    lines.append("")
-    lines.append(f'DIGEST = "{digest}"')
-    lines.append("")
-    return "\n".join(lines)
-
-
-#: Signature of a compiled-table loader (see ``repro.adts._compiled``).
-CompiledLoader = Callable[[str, str, Relation], Relation]
+    return issues

@@ -11,6 +11,8 @@ provides a small algebra of such relations:
 * :class:`EnumeratedRelation` — an explicit finite set of pairs; this is
   what the bounded derivations in :mod:`repro.core.invalidated_by` and
   :mod:`repro.core.commutativity` produce;
+* :class:`CompiledRelation` — a predicate relation tabulated by operation
+  class over a finite universe; this is what the lock machines run;
 * combinators: union, difference, symmetric closure, restriction to a
   finite universe, and comparison helpers.
 
@@ -22,7 +24,19 @@ closure of a dependency relation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
+import itertools
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from .operations import Operation
 
@@ -120,46 +134,21 @@ class PredicateRelation(Relation):
                          and q.result != p.args[0],
             name="file-dependency",
         )
-    """
 
-    #: Memo entries are dropped wholesale past this size so a long-lived
-    #: relation over an unbounded live workload cannot leak; paper
-    #: universes are tiny, so the cap is never hit by the derivations.
-    _MEMO_LIMIT = 65536
+    This is how the paper's figures are written down and verified; the
+    lock machines run their tabulation (:class:`CompiledRelation`).
+    """
 
     def __init__(
         self,
         predicate: Callable[[Operation, Operation], bool],
         name: str = "relation",
-        memoize: bool = True,
     ):
         self._predicate = predicate
-        self._memo: Optional[Dict[Pair, bool]] = {} if memoize else None
         self.name = name
 
     def related(self, q: Operation, p: Operation) -> bool:
-        """Memoised predicate evaluation.
-
-        The paper's tables are pure functions of the operation pair, and
-        both the machine's conflict check and the bounded derivations ask
-        about the same pairs over and over — so the verdict is cached per
-        ``(q, p)``.  Pairs with unhashable payloads fall back to a direct
-        call.
-        """
-        memo = self._memo
-        if memo is None:
-            return bool(self._predicate(q, p))
-        key = (q, p)
-        try:
-            hit = memo.get(key)
-        except TypeError:  # unhashable operation arguments or results
-            return bool(self._predicate(q, p))
-        if hit is None:
-            hit = bool(self._predicate(q, p))
-            if len(memo) >= self._MEMO_LIMIT:
-                memo.clear()
-            memo[key] = hit
-        return hit
+        return bool(self._predicate(q, p))
 
 
 class EnumeratedRelation(Relation):
@@ -200,73 +189,152 @@ class EnumeratedRelation(Relation):
         return f"EnumeratedRelation({{{body}}})"
 
 
+#: Position-wise :func:`_compare` results for two operations' values.
+_Pattern = Tuple[int, ...]
+
+#: A class-table entry: one answer for the whole class pair, or one per
+#: comparison pattern.
+_Entry = Union[bool, Dict[_Pattern, bool]]
+
+
+def _compare(a: Any, b: Any) -> int:
+    """Three-way comparison (-1, 0, 1); 2 for unequal values with no order."""
+    if a == b:
+        return 0
+    try:
+        return -1 if a < b else 1
+    except TypeError:
+        return 2
+
+
+def _is_symbolic(result: Any) -> bool:
+    """Does a result name an outcome ("Ok", "Overdraft", True, a tagged
+    tuple like ``("Found", v)``) rather than carry a value?"""
+    if isinstance(result, tuple):
+        return bool(result) and isinstance(result[0], str)
+    return result is None or isinstance(result, (str, bool))
+
+
 class CompiledRelation(Relation):
-    """Relation compiled to bitmask tests over a finite operation universe.
+    """A relation tabulated by operation class: the paper's figures as data.
 
-    ``repro.core.compile`` assigns every operation in the declared universe
-    a small integer id and precomputes, for each row ``q``, one integer
-    whose ``p``-th bit says whether ``(q, p)`` is related.  A membership
-    query is then two dict probes and a shift — no predicate dispatch, no
-    memo-key tuple allocation, and (unlike :class:`PredicateRelation`'s
-    memo) no eviction cliff.
+    Figures 4-1 .. 4-5 and 7-1 have one row and one column per operation
+    *class* (``Debit(m),Ok``; ``Deq,v``) and entries that are ``true``,
+    blank, or a comparison of the two operations' values (``v != v'``).
+    This class is that table.  An operation's class is its name plus its
+    symbolic result; its values are its arguments followed by whatever its
+    result carries.  An entry is a constant, or a map from the pattern of
+    position-wise three-way comparisons of the two value tuples to a bool.
 
-    Operations outside the compiled universe (a live workload is not
-    bounded by the derivation domain) fall back to the reference relation
-    the table was compiled from, so a ``CompiledRelation`` is a drop-in
-    replacement: agreement on the universe is enforced by the REP107/108
-    lint rules and ``repro compile --check``, and everywhere else the
-    answer *is* the reference's answer.
+    The table is built once, by evaluating ``source`` over ``universe``.
+    Construction raises :class:`ValueError` when two pairs with the same
+    classes and pattern get different answers, because then no table of
+    this shape says what ``source`` says.  An entry becomes a constant only
+    when every pattern was seen (or every answer is ``True``), so a
+    comparison is never assumed irrelevant on the strength of values the
+    universe happened not to contain.  Two unequal values that Python
+    cannot order (a ``str`` against an ``int``) are answered where the
+    table says the same for either order, and are unseen otherwise.
+
+    :meth:`related` never calls ``source`` again and never hashes an
+    operation.  A class or pattern the universe did not show is answered
+    ``True``: dependency relations are upward closed
+    (:mod:`repro.core.dependency`), so an extra conflict costs concurrency,
+    never atomicity.
     """
 
     def __init__(
         self,
+        source: Relation,
         universe: Sequence[Operation],
-        masks: Sequence[int],
-        name: str = "compiled",
-        fallback: Optional[Relation] = None,
+        name: Optional[str] = None,
     ):
-        if len(universe) != len(masks):
-            raise ValueError(
-                f"universe has {len(universe)} operations but "
-                f"{len(masks)} row masks were supplied"
-            )
-        self._ids: Dict[Operation, int] = {
-            op: index for index, op in enumerate(universe)
-        }
+        self.name = source.name if name is None else name
         self._universe: Tuple[Operation, ...] = tuple(universe)
-        self._masks: Tuple[int, ...] = tuple(masks)
-        self.fallback = fallback
-        self.name = name
+        # A result is a value for every operation of a name that returns
+        # one anywhere in the universe (a Deq of "Ok" is still an item).
+        self._valued: FrozenSet[str] = frozenset(
+            op.name for op in self._universe if not _is_symbolic(op.result)
+        )
+        seen: Dict[Tuple[Any, Any], Dict[_Pattern, bool]] = {}
+        witnesses: Dict[Tuple[Any, Any, _Pattern], Pair] = {}
+        classified = [(op, *self._classify(op)) for op in self._universe]
+        for q, q_class, q_values in classified:
+            for p, p_class, p_values in classified:
+                pattern = tuple(map(_compare, q_values, p_values))
+                answer = bool(source.related(q, p))
+                patterns = seen.setdefault((q_class, p_class), {})
+                first = witnesses.setdefault((q_class, p_class, pattern), (q, p))
+                if patterns.setdefault(pattern, answer) != answer:
+                    raise ValueError(
+                        f"{self.name}: not a function of operation class: "
+                        f"related({q}, {p}) is {answer} but "
+                        f"related({first[0]}, {first[1]}) is {not answer}, "
+                        f"and both are {q_class} x {p_class} with "
+                        f"comparison pattern {pattern}"
+                    )
+        self._table: Dict[Any, Dict[Any, _Entry]] = {}
+        for (q_class, p_class), patterns in seen.items():
+            self._table.setdefault(q_class, {})[p_class] = self._entry(patterns)
+
+    @staticmethod
+    def _entry(patterns: Dict[_Pattern, bool]) -> _Entry:
+        answers = set(patterns.values())
+        arity = len(next(iter(patterns)))
+        every_pattern = set(itertools.product((-1, 0, 1), repeat=arity))
+        if answers == {True} or (len(answers) == 1 and every_pattern <= set(patterns)):
+            return answers.pop()
+        # Values with no order (a str against an int) compare as 2.  Such a
+        # pattern gets an answer when the table gives the same one for
+        # either order, that is, when only equality matters there.
+        for pattern in itertools.product((-1, 0, 1, 2), repeat=arity):
+            either_order = {
+                patterns.get(
+                    tuple(o if c == 2 else c for c, o in zip(pattern, order))
+                )
+                for order in itertools.product((-1, 1), repeat=arity)
+            }
+            if 2 in pattern and len(either_order) == 1 and None not in either_order:
+                patterns.setdefault(pattern, either_order.pop())
+        return patterns
+
+    def _classify(self, operation: Operation) -> Tuple[Any, Tuple[Any, ...]]:
+        """``(class, values)`` of an operation."""
+        invocation = operation.invocation
+        name = invocation.name
+        result = operation.result
+        if name in self._valued:
+            return (name, None), invocation.args + (result,)
+        if type(result) is tuple and result:
+            return (name, result[0]), invocation.args + result[1:]
+        return (name, result), invocation.args
+
+    def tabulated(self, q: Operation, p: Operation) -> Optional[bool]:
+        """The table's answer for ``(q, p)``; None when the universe never
+        showed the pair's classes together with its comparison pattern."""
+        try:
+            q_class, q_values = self._classify(q)
+            p_class, p_values = self._classify(p)
+            entry = self._table[q_class][p_class]
+        except (KeyError, TypeError):  # unseen class / unhashable result
+            return None
+        if isinstance(entry, dict):
+            return entry.get(tuple(map(_compare, q_values, p_values)))
+        return entry
 
     def related(self, q: Operation, p: Operation) -> bool:
-        ids = self._ids
-        try:
-            iq = ids.get(q)
-            ip = ids.get(p)
-        except TypeError:  # unhashable operation arguments or results
-            iq = ip = None
-        if iq is None or ip is None:
-            fallback = self.fallback
-            if fallback is not None:
-                return fallback.related(q, p)
-            return False
-        return self._masks[iq] >> ip & 1 != 0
+        answer = self.tabulated(q, p)
+        return True if answer is None else answer
 
     @property
     def universe(self) -> Tuple[Operation, ...]:
-        """The compiled operation universe, in id order."""
+        """The operations the table was built from."""
         return self._universe
-
-    @property
-    def masks(self) -> Tuple[int, ...]:
-        """Row bitmasks, one per universe operation."""
-        return self._masks
 
     def __repr__(self) -> str:
         return (
             f"CompiledRelation(name={self.name!r}, "
-            f"universe={len(self._universe)} ops, "
-            f"fallback={getattr(self.fallback, 'name', None)!r})"
+            f"{len(self._table)} classes from {len(self._universe)} ops)"
         )
 
 

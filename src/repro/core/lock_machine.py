@@ -126,11 +126,10 @@ class LockMachine:
         nothing.  The returned dict is a copy — introspection tools may
         not alias protocol state.
         """
-        completed = self.completed()
         return {
             transaction: operations
             for transaction, operations in self._intentions.items()
-            if transaction not in completed
+            if self.is_active(transaction)
         }
 
     def commit_timestamp(self, transaction: str) -> Optional[Any]:
@@ -148,12 +147,19 @@ class LockMachine:
         return set(self._aborted)
 
     def completed(self) -> Set[str]:
-        """``s.completed = s.aborted ∪ dom(s.committed)``."""
+        """``s.completed = s.aborted ∪ dom(s.committed)``, as a fresh set.
+
+        An observer: it costs time proportional to every abort the object
+        has ever seen, so the transitions test :meth:`is_active` instead.
+        """
         return self._aborted | set(self._committed)
 
     def is_active(self, transaction: str) -> bool:
         """True when the transaction has neither committed nor aborted."""
-        return transaction not in self.completed()
+        return (
+            transaction not in self._aborted
+            and transaction not in self._committed
+        )
 
     def active_transactions(self) -> List[str]:
         """Transactions with recorded steps that have not completed."""
@@ -395,7 +401,7 @@ class LockMachine:
             raise ProtocolError(
                 f"{transaction} already has a pending invocation (well-formedness)"
             )
-        if transaction in self.completed():
+        if not self.is_active(transaction):
             raise ProtocolError(f"{transaction} has already completed")
         states = self.view_states(transaction)
         results = self.spec.results_for(states, invocation)
@@ -474,7 +480,7 @@ class LockMachine:
         completion is recorded — the coordinator's verdict is still owed.
         """
         ops = tuple(intentions)
-        if transaction in self.completed():
+        if not self.is_active(transaction):
             raise ProtocolError(f"{transaction} already completed; cannot replay")
         if not self.spec.run_from(self._committed_states(), ops):
             raise IllegalOperation(
@@ -506,7 +512,7 @@ class LockMachine:
         invocation = self._pending.get(transaction)
         if invocation is None:
             raise ProtocolError(f"{transaction} has no pending invocation")
-        if transaction in self.completed():
+        if not self.is_active(transaction):
             raise ProtocolError(f"{transaction} has already completed")
         operation = Operation(invocation, result)
         states = self.view_states(transaction)
@@ -521,9 +527,9 @@ class LockMachine:
     def _check_conflicts(self, transaction: str, operation: Operation) -> None:
         """Fourth precondition: no conflicting lock held by another active
         transaction (completed transactions hold no locks)."""
-        completed = self.completed()
+        committed, aborted = self._committed, self._aborted
         for other, ops in self._intentions.items():
-            if other == transaction or other in completed:
+            if other == transaction or other in committed or other in aborted:
                 continue
             for held in ops:
                 if self.conflict.related(held, operation) or self.conflict.related(

@@ -96,17 +96,9 @@ RULE_SCOPES: Dict[str, RuleScope] = {
         allowlist=_SERVER_REAL_IO,
     ),
     # Table/spec agreement: the semantic re-derivation applies to the
-    # table-declaring modules in adts/.  The generated bitset artifacts
-    # under _compiled/ carry no COMPILED_TABLES hook, so the rule skips
-    # them without an allowlist carve-out (their integrity is REP108's
-    # job).
+    # table-declaring modules in adts/.
     "REP107": RuleScope(
         include=("/adts/",),
-    ),
-    # Generated-table integrity: only the compiled artifacts carry the
-    # digest sentinel this rule pins.
-    "REP108": RuleScope(
-        include=("/adts/_compiled/",),
     ),
 }
 

@@ -1,27 +1,26 @@
-"""REP107/REP108 — semantic verification of the conflict tables.
+"""REP107 — semantic verification of the conflict tables.
 
-The repo's first *semantic* lint rules: instead of proving a syntactic
-discipline over the AST, they evaluate the linted module and re-run the
-paper's derivations against it (the :mod:`repro.core.compile` pipeline).
+The repo's *semantic* lint rule: instead of proving a syntactic
+discipline over the AST, it evaluates the linted module and re-runs the
+paper's derivations against it (:func:`repro.core.compile.verify_adt`,
+the same call ``repro audit`` makes).
 
-* **REP107** (``table-spec-agreement``) — every relation a type declares
-  in its module-level ``COMPILED_TABLES`` hook is re-verified against the
-  serial specification over the declared finite universe: a conflict
-  table that is asymmetric or fails Definition 3 voids the Theorem 11/16
-  hybrid-atomicity guarantee (error); a failure-to-commute table that
-  disagrees with the derived relation is a mis-transcription (error); a
-  sound conflict table carrying a removable pair forfeits Section 7
-  concurrency (warning — silence with ``# repro: nonminimal`` on the
-  declaration once the extra conflict is deliberate).  This check
-  supersedes the hand audits that previously justified the
-  ``# repro: symmetric`` annotations.
-* **REP108** (``generated-table-integrity``) — a generated module under
-  ``adts/_compiled/`` (identified by its sentinel line) must reproduce
-  its embedded content digest: a hand edit to the universe or any mask
-  table breaks the digest and is reported.  Staleness against a *fresh*
-  derivation is the (more expensive) job of ``repro compile --check``.
+**REP107** (``table-spec-agreement``) — every relation a type declares in
+its module-level ``COMPILED_TABLES`` hook (the tabulated relations its
+factory hands to the lock machines) is re-verified against the serial
+specification over the declared finite universe: a conflict table that
+is asymmetric or fails Definition 3 voids the Theorem 11/16
+hybrid-atomicity guarantee (error); a failure-to-commute table that
+disagrees with the derived relation is a mis-transcription (error); a
+sound conflict table carrying a removable pair forfeits Section 7
+concurrency (warning — silence with ``# repro: nonminimal`` on the
+table's ``COMPILED_TABLES`` entry once the extra conflict is
+deliberate); a declared dependency relation that is not the derived
+invalidated-by relation, or an alternative that fails Definition 3, is
+an error.  This check supersedes the hand audits that previously
+justified the ``# repro: symmetric`` annotations.
 
-Both rules evaluate source from the file under lint — never the
+The rule evaluates source from the file under lint — never the
 installed module — so mutated copies of the tree (the lint mutation
 suite, review checkouts) are judged on their own content.  Verdicts are
 cached per source digest: re-linting an unchanged file is free.
@@ -33,19 +32,11 @@ import ast
 import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ...core.compile import (
-    GENERATED_MARKER,
-    default_universe,
-    depths_for,
-    module_digest,
-    reference_relation,
-    verify_commutativity_table,
-    verify_conflict_table,
-)
+from ...core.compile import verify_adt
 from ..config import in_scope
 from ..engine import FileContext, Finding, Project, Rule, register
 
-__all__ = ["TableSpecAgreement", "GeneratedTableIntegrity"]
+__all__ = ["TableSpecAgreement"]
 
 #: severity-tagged verdicts per source digest: (line, col, message, severity).
 _Verdict = Tuple[int, int, str, str]
@@ -73,12 +64,30 @@ def _assignment_line(tree: ast.Module, name: str) -> Optional[int]:
     return None
 
 
+def _entry_lines(tree: ast.Module, name: str) -> Dict[str, int]:
+    """Line of each string key in the dict literal bound to ``name`` (the
+    last such binding, which is the one the module ends up with)."""
+    lines: Dict[str, int] = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+        ):
+            lines = {
+                key.value: key.lineno
+                for key in node.value.keys
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            }
+    return lines
+
+
 def _exec_module(context: FileContext, module_name: str) -> dict:
     """Execute the linted file's source as ``module_name``.
 
     Relative imports resolve against the installed ``repro`` package, so
     a mutated copy of one adts module is evaluated with the real core
-    underneath it — exactly the judgement ``repro compile`` would make.
+    underneath it — exactly the judgement ``repro audit`` would make.
     """
     namespace: dict = {
         "__name__": module_name,
@@ -176,116 +185,16 @@ class TableSpecAgreement(Rule):
             )
             return
 
-        universe = default_universe(bundle)
-        max_h1, _max_h2, mc_depth = depths_for(bundle.name)
-        for table_key in sorted(tables):
-            relation = reference_relation(tables[table_key])
-            line, check_minimal = self._anchor(context, namespace, relation, hook_line)
-            label = f"{bundle.name}.{table_key}"
-            if "COMMUTATIVITY" in table_key:
-                issues = verify_commutativity_table(
-                    label, relation, bundle.spec, universe, mc_depth=mc_depth
-                )
-            else:
-                issues = verify_conflict_table(
-                    label,
-                    relation,
-                    bundle.spec,
-                    universe,
-                    max_h=max_h1,
-                    max_k=mc_depth,
-                    check_minimal=check_minimal,
-                )
-            for issue in issues:
-                yield (line, 0, f"{issue.table}: {issue.message}", issue.severity)
-
-    @staticmethod
-    def _anchor(context, namespace, relation, hook_line):
-        """Declaration line for a table relation, and whether to check
-        minimality (suppressed by ``# repro: nonminimal`` on that line)."""
-        for name, value in namespace.items():
-            if value is relation and not name.startswith("__"):
-                line = _assignment_line(context.tree, name)
-                if line is not None:
-                    return line, not context.has_marker("nonminimal", line)
-        return hook_line, not context.has_marker("nonminimal", hook_line)
-
-
-@register
-class GeneratedTableIntegrity(Rule):
-    id = "REP108"
-    name = "generated-table-integrity"
-    rationale = (
-        "compiled bitset tables are derived artifacts: a hand edit "
-        "silently de-couples the locked conflicts from the verified "
-        "relation, so the embedded content digest must round-trip"
-    )
-
-    def check(self, context: FileContext, project: Project) -> Iterable[Finding]:
-        if not in_scope(self.id, context.path):
-            return
-        if GENERATED_MARKER not in context.source:
-            return  # the loader shim, or a not-yet-generated file
-        key = _source_key(self.id, context.source)
-        verdicts = _VERDICT_CACHE.get(key)
-        if verdicts is None:
-            verdicts = list(self._verify(context))
-            _VERDICT_CACHE[key] = verdicts
-        for line, col, message, severity in verdicts:
-            yield Finding(
-                rule=self.id,
-                path=context.path,
-                line=line,
-                col=col,
-                message=message,
-                severity=severity,
-            )
-
-    def _verify(self, context: FileContext) -> Iterable[_Verdict]:
-        stem = context.path.replace("\\", "/").rsplit("/", 1)[-1][: -len(".py")]
-        try:
-            namespace = _exec_module(context, f"repro.adts._compiled.{stem}")
-        except Exception as exc:  # noqa: BLE001
-            yield (1, 0, f"cannot evaluate generated module: {exc!r}", "error")
-            return
-        digest_line = _assignment_line(context.tree, "DIGEST") or 1
-        declared = namespace.get("DIGEST")
-        if not isinstance(declared, str):
+        lines = _entry_lines(context.tree, "COMPILED_TABLES")
+        nonminimal = {
+            key
+            for key in tables
+            if context.has_marker("nonminimal", lines.get(key, hook_line))
+        }
+        for issue in verify_adt(bundle, tables, nonminimal=nonminimal):
+            key = issue.table.partition(".")[2]
             yield (
-                digest_line, 0,
-                "generated module carries no DIGEST constant — regenerate "
-                "with `python -m repro compile`",
-                "error",
-            )
-            return
-        universe = namespace.get("UNIVERSE")
-        if isinstance(universe, tuple):
-            for name, value in sorted(namespace.items()):
-                if name.endswith("_MASKS") and isinstance(value, tuple):
-                    if len(value) != len(universe):
-                        yield (
-                            _assignment_line(context.tree, name) or digest_line,
-                            0,
-                            f"{name} has {len(value)} row(s) for a "
-                            f"{len(universe)}-operation universe",
-                            "error",
-                        )
-        recomputed = module_digest(namespace)
-        if recomputed is None:
-            yield (
-                1, 0,
-                "generated module lost its table shape (ADT_NAME / "
-                "UNIVERSE / *_MASKS) — regenerate with "
-                "`python -m repro compile`",
-                "error",
-            )
-            return
-        if recomputed != declared:
-            yield (
-                digest_line, 0,
-                "content digest mismatch: the universe or a mask table "
-                "was edited by hand — regenerate with "
-                "`python -m repro compile` (REP108 pins generated tables "
-                "to their derivation)",
-                "error",
+                lines.get(key, hook_line), 0,
+                f"{issue.table}: {issue.message}",
+                issue.severity,
             )

@@ -20,7 +20,6 @@ from repro.core import (
     is_minimal_dependency_relation,
     is_symmetric,
 )
-from repro.core.compile import reference_relation
 
 
 class TestFigure42:
@@ -79,14 +78,18 @@ class TestIncomparability:
 
 class TestBundles:
     def test_default_bundle_uses_fig42(self):
+        # The bundle locks with the tabulated Figure 4-2 table: concurrent
+        # enqueues, dequeues held off by enqueues of other items.
         adt = make_queue_adt()
-        # The bundle may hand out a compiled bitset view; its reference
-        # (out-of-universe fallback) must be the Figure 4-2 table.
-        assert reference_relation(adt.conflict) is QUEUE_CONFLICT_FIG42
+        assert adt.conflict.name == QUEUE_CONFLICT_FIG42.name
+        assert not adt.conflict.related(enq(1), enq(2))
+        assert adt.conflict.related(deq(1), enq(2))
 
     def test_fig43_bundle(self):
         adt = make_queue_adt("fig43")
-        assert reference_relation(adt.conflict) is QUEUE_CONFLICT_FIG43
+        assert adt.conflict.name == QUEUE_CONFLICT_FIG43.name
+        assert adt.conflict.related(enq(1), enq(2))
+        assert not adt.conflict.related(deq(1), enq(2))
 
     def test_unknown_choice_rejected(self):
         with pytest.raises(ValueError):

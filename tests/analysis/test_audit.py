@@ -1,53 +1,38 @@
-"""Audit machinery: every registered type passes; broken bundles fail."""
+"""The one table verifier: every registered type passes; broken bundles fail."""
 
 import pytest
 
-from repro.adts import ADT, get_adt, registry
-from repro.adts import deq, enq, make_queue_adt, queue_universe
-from repro.analysis import audit_adt
+from repro.adts import ADT, declared_tables, get_adt, registry
+from repro.adts import make_queue_adt
 from repro.core import EMPTY_RELATION, PredicateRelation
-
-# Smaller derivation depths for the big-universe extension types.
-DEPTHS = {
-    "Counter": (2, 2, 2),
-    "Set": (2, 2, 2),
-    "Directory": (2, 2, 2),
-}
-
-DOMAINS = {
-    "File": ((0, 1),),
-    "BoundedQueue": ((1, 2),),
-    "FIFOQueue": ((1, 2),),
-    "Stack": ((1, 2),),
-    "SemiQueue": ((1, 2),),
-    "Account": ((2, 3), (50,)),
-    "Counter": ((1, 2), (0, 1, 2)),
-    "Set": ((1, 2),),
-    "Directory": (("a",), (1, 2)),
-}
+from repro.core.compile import (
+    DEFAULT_DOMAINS,
+    default_universe,
+    verify_adt,
+    verify_dependencies,
+)
 
 
-@pytest.mark.parametrize("name", sorted(DOMAINS))
+@pytest.mark.parametrize("name", sorted(DEFAULT_DOMAINS))
 def test_every_registered_type_passes_audit(name):
-    adt = get_adt(name)
-    universe = adt.universe(*DOMAINS[name])
-    max_h1, max_h2, mc_depth = DEPTHS.get(name, (3, 2, 3))
-    report = audit_adt(
-        adt, universe, max_h1=max_h1, max_h2=max_h2, mc_depth=mc_depth
-    )
-    assert report.passed, report.render()
+    issues = verify_adt(get_adt(name), declared_tables(name))
+    assert issues == [], "\n".join(str(issue) for issue in issues)
 
 
 def test_registry_covers_all_domains():
-    assert set(registry()) == set(DOMAINS)
+    assert set(registry()) == set(DEFAULT_DOMAINS)
 
 
 def test_minimality_check_for_paper_types():
     adt = get_adt("File")
-    universe = adt.universe((0, 1))
-    report = audit_adt(adt, universe, check_minimal=True)
-    assert report.passed
-    assert any("minimal" in f.check for f in report.findings)
+    assert verify_adt(adt, check_minimal_dependency=True) == []
+    # Invalidated-by "need not be a minimal dependency relation": the
+    # bounded queue's is not, and only the opt-in check says so.
+    bounded = get_adt("BoundedQueue")
+    assert verify_adt(bounded) == []
+    issues = verify_adt(bounded, check_minimal_dependency=True)
+    assert [i.table for i in issues] == ["BoundedQueue.dependency"]
+    assert "minimal" in issues[0].message
 
 
 class TestBrokenBundlesFail:
@@ -68,40 +53,47 @@ class TestBrokenBundlesFail:
 
     def test_asymmetric_conflict_caught(self):
         broken = self._broken(conflict=make_queue_adt().dependency)
-        report = audit_adt(broken, queue_universe((1, 2)))
-        assert not report.passed
+        issues = verify_adt(broken)
         assert any(
-            not f.passed and "symmetric" in f.check for f in report.findings
+            i.severity == "error"
+            and i.table == "FIFOQueue.CONFLICT"
+            and "not symmetric" in i.message
+            for i in issues
         )
 
     def test_wrong_dependency_caught(self):
         broken = self._broken(dependency=EMPTY_RELATION)
-        report = audit_adt(broken, queue_universe((1, 2)))
-        failing = [f for f in report.findings if not f.passed]
-        assert any("matches derived" in f.check for f in failing)
-        assert any("Definition 3" in f.check for f in failing)
+        failing = [i for i in verify_adt(broken) if i.severity == "error"]
+        assert [i.table for i in failing] == ["FIFOQueue.dependency"]
+        assert "invalidated-by" in failing[0].message
+
+    def test_wrong_alternative_caught(self):
+        broken = self._broken(alternative_dependencies={"none": EMPTY_RELATION})
+        failing = [i for i in verify_adt(broken) if i.severity == "error"]
+        assert [i.table for i in failing] == ["FIFOQueue.dependency['none']"]
+        assert "Definition 3" in failing[0].message
+        assert "h*p*k illegal" in failing[0].message  # the violating history
 
     def test_wrong_commutativity_caught(self):
         too_small = PredicateRelation(
             lambda q, p: q.name == "Deq" and p.name == "Deq"
         )
         broken = self._broken(commutativity_conflict=too_small)
-        report = audit_adt(broken, queue_universe((1, 2)))
         assert any(
-            not f.passed and "failure-to-commute matches" in f.check
-            for f in report.findings
+            i.severity == "error"
+            and i.table == "FIFOQueue.COMMUTATIVITY_CONFLICT"
+            and "failure-to-commute" in i.message
+            for i in verify_adt(broken)
         )
 
     def test_diff_detail_names_a_pair(self):
         broken = self._broken(dependency=EMPTY_RELATION)
-        report = audit_adt(broken, queue_universe((1, 2)))
-        finding = next(
-            f for f in report.findings if "matches derived" in f.check
+        (issue,) = verify_dependencies(broken, default_universe(broken))
+        assert "derived has 4 extra pair(s), e.g. ([Deq(), 1], [Deq(), 1])" in (
+            issue.message
         )
-        assert "derived has extra" in finding.detail
 
     def test_render_mentions_failures(self):
         broken = self._broken(dependency=EMPTY_RELATION)
-        text = audit_adt(broken, queue_universe((1, 2))).render()
-        assert "FAILURES PRESENT" in text
-        assert "[FAIL]" in text
+        text = "\n".join(str(issue) for issue in verify_adt(broken))
+        assert "[error] FIFOQueue.dependency: disagrees with derived" in text

@@ -1,35 +1,26 @@
-"""Unit tests for the conflict-relation compiler (repro.core.compile).
+"""Unit tests for the table verifier (repro.core.compile) and the class
+table it verifies (repro.core.conflict.CompiledRelation).
 
 The property suite (tests/properties/test_compiled_equivalence.py) covers
-the compiled relations shipped by the factories; these tests pin the
-pipeline pieces themselves — verification verdicts, mask compilation,
-digests, the generated-module round trip, and the forgiving loader.
+the tabulated relations shipped by the factories; these tests pin the
+pieces themselves — verification verdicts and the tabulation step.
 """
 
 import pytest
 
 from repro.adts import get_adt
-from repro.adts._compiled import load_compiled
 from repro.adts.file import FILE_COMMUTATIVITY_CONFLICT, FILE_CONFLICT
 from repro.core import CompiledRelation, Invocation, Operation
 from repro.core.compile import (
-    GENERATED_MARKER,
-    compile_masks,
-    compile_relation,
     default_universe,
     depths_for,
     derived_commutativity,
-    module_digest,
-    reference_relation,
-    render_module,
-    table_digest,
     verify_commutativity_table,
     verify_conflict_table,
 )
 from repro.core.conflict import (
     EMPTY_RELATION,
     TOTAL_RELATION,
-    EnumeratedRelation,
     PredicateRelation,
 )
 
@@ -47,10 +38,7 @@ def file_universe(file_adt):
 class TestVerifyConflictTable:
     def test_shipped_table_is_sound_and_minimal(self, file_adt, file_universe):
         issues = verify_conflict_table(
-            "File.CONFLICT",
-            reference_relation(file_adt.conflict),
-            file_adt.spec,
-            file_universe,
+            "File.CONFLICT", file_adt.conflict, file_adt.spec, file_universe
         )
         assert issues == []
 
@@ -112,7 +100,7 @@ class TestVerifyCommutativityTable:
         _max_h1, _max_h2, mc_depth = depths_for(adt.name)
         issues = verify_commutativity_table(
             "Set.COMMUTATIVITY_CONFLICT",
-            reference_relation(adt.conflict),
+            adt.conflict,
             adt.spec,
             universe,
             mc_depth=mc_depth,
@@ -132,111 +120,87 @@ class TestVerifyCommutativityTable:
 
 
 class TestCompile:
-    def test_masks_encode_the_relation(self, file_universe):
-        masks = compile_masks(FILE_CONFLICT, file_universe)
-        assert len(masks) == len(file_universe)
-        for iq, q in enumerate(file_universe):
-            for ip, p in enumerate(file_universe):
-                assert (masks[iq] >> ip & 1 == 1) == FILE_CONFLICT.related(q, p)
-
     def test_compile_relation_is_a_drop_in(self, file_universe):
-        compiled = compile_relation(FILE_CONFLICT, file_universe)
-        assert isinstance(compiled, CompiledRelation)
+        compiled = CompiledRelation(FILE_CONFLICT, file_universe)
         assert compiled.name == FILE_CONFLICT.name
-        assert reference_relation(compiled) is FILE_CONFLICT
+        assert compiled.universe == tuple(file_universe)
         for q in file_universe:
             for p in file_universe:
                 assert compiled.related(q, p) == FILE_CONFLICT.related(q, p)
+        assert CompiledRelation(FILE_CONFLICT, file_universe, name="x").name == "x"
 
-    def test_off_universe_queries_use_the_fallback(self, file_universe):
-        compiled = compile_relation(FILE_CONFLICT, file_universe)
+    def test_compiling_a_compiled_relation_changes_nothing(self, file_universe):
+        once = CompiledRelation(FILE_CONFLICT, file_universe)
+        twice = CompiledRelation(once, file_universe)
+        for q in file_universe:
+            for p in file_universe:
+                assert twice.tabulated(q, p) == once.tabulated(q, p)
+
+    def test_off_universe_queries_are_answered_by_the_table(self, file_universe):
+        compiled = CompiledRelation(FILE_CONFLICT, file_universe)
         alien = Operation(Invocation("Write", (123,)), "Ok")
         assert alien not in compiled.universe
         for p in file_universe:
-            assert compiled.related(alien, p) == FILE_CONFLICT.related(alien, p)
+            assert compiled.tabulated(alien, p) == FILE_CONFLICT.related(alien, p)
+            assert compiled.tabulated(p, alien) == FILE_CONFLICT.related(p, alien)
 
-    def test_no_fallback_means_off_universe_is_unrelated(self, file_universe):
-        bare = CompiledRelation(
-            file_universe, compile_masks(FILE_CONFLICT, file_universe)
+    def test_unknown_name_and_unseen_pattern_answer_true(self, file_universe):
+        compiled = CompiledRelation(FILE_CONFLICT, file_universe)
+        write = Operation(Invocation("Write", (1,)), "Ok")
+        # A name, and a symbolic result, the universe never showed.
+        for alien in (
+            Operation(Invocation("Truncate"), "Ok"),
+            Operation(Invocation("Write", (1,)), "Denied"),
+        ):
+            assert compiled.tabulated(alien, write) is None
+            assert compiled.related(alien, write) is True
+            assert compiled.related(write, alien) is True
+        # A universe of one value shows Read/Write only with equal values
+        # (unrelated); an unequal pair is an unseen pattern, not "unrelated".
+        narrow = CompiledRelation(FILE_CONFLICT, get_adt("File").universe((0,)))
+        read = Operation(Invocation("Read"), 0)
+        assert narrow.related(read, Operation(Invocation("Write", (0,)), "Ok")) is False
+        assert narrow.tabulated(read, write) is None
+        assert narrow.related(read, write) is True
+
+    def test_value_dependent_predicate_is_refused(self, file_universe):
+        only_three = PredicateRelation(
+            lambda q, p: q.name == p.name == "Write" and q.args == p.args == (3,),
+            name="only-three",
         )
-        alien = Operation(Invocation("Write", (123,)), "Ok")
-        assert bare.related(alien, file_universe[0]) is False
+        values = get_adt("File").universe((1, 3))
+        with pytest.raises(ValueError, match="not a function of operation class"):
+            CompiledRelation(only_three, values)
 
-    def test_mask_row_count_must_match_universe(self, file_universe):
-        with pytest.raises(ValueError):
-            CompiledRelation(file_universe, (0,))
+    def test_unhashable_arguments_are_answered(self, file_universe):
+        compiled = CompiledRelation(FILE_CONFLICT, file_universe)
+        write = Operation(Invocation("Write", ([1, 2],)), "Ok")
+        same = Operation(Invocation("Read"), [1, 2])
+        other = Operation(Invocation("Read"), [3])
+        assert compiled.related(same, write) is False
+        assert compiled.related(other, write) is True
+        assert compiled.related(write, other) is True
 
-    def test_compiling_a_compiled_relation_reuses_the_reference(
-        self, file_universe
-    ):
-        once = compile_relation(FILE_CONFLICT, file_universe)
-        twice = compile_relation(once, file_universe)
-        assert reference_relation(twice) is FILE_CONFLICT
+    def test_a_result_that_looks_symbolic_is_still_a_value(self, file_universe):
+        # Read returns values in the declared universe, so Read -> "Ok" is a
+        # file holding the string "Ok", not a new result class.
+        compiled = CompiledRelation(FILE_CONFLICT, file_universe)
+        read = Operation(Invocation("Read"), "Ok")
+        assert compiled.related(read, Operation(Invocation("Write", ("Ok",)), "Ok")) is False
+        assert compiled.related(read, Operation(Invocation("Write", ("No",)), "Ok")) is True
+        assert compiled.related(read, Operation(Invocation("Read"), "No")) is False
 
-
-class TestDigests:
-    def test_digest_is_stable_and_order_insensitive(self, file_universe):
-        tables = {
-            "CONFLICT": compile_masks(FILE_CONFLICT, file_universe),
-            "COMMUTATIVITY_CONFLICT": compile_masks(
-                FILE_COMMUTATIVITY_CONFLICT, file_universe
-            ),
-        }
-        digest = table_digest("File", file_universe, tables)
-        reordered = dict(reversed(list(tables.items())))
-        assert table_digest("File", file_universe, reordered) == digest
-
-    def test_digest_sees_any_table_edit(self, file_universe):
-        masks = compile_masks(FILE_CONFLICT, file_universe)
-        digest = table_digest("File", file_universe, {"CONFLICT": masks})
-        edited = masks[:-1] + (masks[-1] ^ 1,)
-        assert (
-            table_digest("File", file_universe, {"CONFLICT": edited}) != digest
-        )
-        assert (
-            table_digest("File", file_universe[:-1], {"CONFLICT": masks})
-            != digest
-        )
-
-    def test_module_digest_requires_the_generated_shape(self):
-        assert module_digest({}) is None
-        assert module_digest({"ADT_NAME": "File", "UNIVERSE": ()}) is None
-
-
-class TestRenderModule:
-    def test_rendered_module_round_trips(self, file_universe):
-        tables = {"CONFLICT": compile_masks(FILE_CONFLICT, file_universe)}
-        text = render_module(
-            "File", "repro.adts.file", file_universe, tables
-        )
-        assert GENERATED_MARKER in text
-        namespace = {
-            "__name__": "repro.adts._compiled.file",
-            "__package__": "repro.adts._compiled",
-        }
-        exec(compile(text, "<rendered>", "exec"), namespace)
-        assert namespace["UNIVERSE"] == tuple(file_universe)
-        assert namespace["CONFLICT_MASKS"] == tables["CONFLICT"]
-        assert module_digest(namespace) == namespace["DIGEST"]
-
-    def test_rendering_is_deterministic(self, file_universe):
-        tables = {"CONFLICT": compile_masks(FILE_CONFLICT, file_universe)}
-        first = render_module("File", "repro.adts.file", file_universe, tables)
-        second = render_module("File", "repro.adts.file", file_universe, tables)
-        assert first == second
-
-
-class TestLoader:
-    def test_missing_module_returns_the_fallback(self):
-        sentinel = EnumeratedRelation((), name="sentinel")
-        assert load_compiled("no_such_stem", "CONFLICT", sentinel) is sentinel
-
-    def test_missing_table_returns_the_fallback(self):
-        sentinel = EnumeratedRelation((), name="sentinel")
-        assert load_compiled("file", "NO_SUCH_TABLE", sentinel) is sentinel
-
-    def test_real_module_loads_a_compiled_relation(self):
-        loaded = load_compiled("file", "CONFLICT", FILE_CONFLICT)
-        assert isinstance(loaded, CompiledRelation)
-        assert loaded.fallback is FILE_CONFLICT
-        assert loaded.name == FILE_CONFLICT.name
+    def test_values_with_no_order_are_compared_for_equality(self):
+        # A str key against an int key is "unequal" under either order, and
+        # Directory only asks whether keys are equal: no conflict.  Counter's
+        # Read depends on Dec by v >= n, so there the order is the question
+        # and an unordered pair gets the conservative answer.
+        directory = get_adt("Directory").conflict
+        bind = Operation(Invocation("Bind", ("a", 1)), "Ok")
+        assert directory.tabulated(Operation(Invocation("Bind", (7, 1)), "Ok"), bind) is False
+        assert directory.tabulated(Operation(Invocation("Bind", ("a", 2)), "Ok"), bind) is True
+        counter = get_adt("Counter").conflict
+        read = Operation(Invocation("Read"), "many")
+        dec = Operation(Invocation("Dec", (1,)), "Ok")
+        assert counter.tabulated(read, dec) is None
+        assert counter.related(read, dec) is True

@@ -36,7 +36,7 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for rule_id in (
             "REP101", "REP102", "REP103", "REP104",
-            "REP105", "REP106", "REP107", "REP108",
+            "REP105", "REP106", "REP107",
         ):
             assert rule_id in out
 

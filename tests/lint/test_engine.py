@@ -38,7 +38,7 @@ class TestRunner:
     def test_all_rules_registered(self):
         assert [cls.id for cls in all_rules()] == [
             "REP101", "REP102", "REP103", "REP104",
-            "REP105", "REP106", "REP107", "REP108",
+            "REP105", "REP106", "REP107",
         ]
         for cls in all_rules():
             assert cls.rationale  # every rule states its paper tie-in

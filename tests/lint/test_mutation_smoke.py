@@ -64,12 +64,6 @@ MUTATIONS = {
         '    "COMMUTATIVITY_CONFLICT": SET_CONFLICT,\n'
         "}\n",
     ),
-    # Hand-edit a generated bitset table: the content digest no longer
-    # round-trips.
-    "REP108": (
-        os.path.join("adts", "_compiled", "account.py"),
-        "\nCONFLICT_MASKS = CONFLICT_MASKS[:-1] + (0x7F,)\n",
-    ),
 }
 
 
@@ -90,6 +84,24 @@ def test_each_rule_fires_on_a_mutated_tree(tree_copy, rule_id):
     assert not result.ok, f"{rule_id} did not fire on its mutation"
     assert any(f.rule == rule_id for f in result.findings)
     assert any(relpath in f.path for f in result.findings)
+
+
+def test_rep107_quotes_the_history_a_deleted_pair_admits(tree_copy):
+    # Delete the Read/Write entry from File's hand-written Figure 4-1: the
+    # module still imports (the figure is still a class table), the table
+    # the machines would lock with is unsound, and REP107 says why.
+    victim = tree_copy / "adts" / "file.py"
+    source = victim.read_text(encoding="utf-8")
+    entry = "and q.result != p.args[0]"
+    assert source.count(entry) == 1
+    victim.write_text(source.replace(entry, "and False"), encoding="utf-8")
+    result = Runner(select=["REP107"]).run([str(tree_copy)])
+    messages = [f.message for f in result.findings if "file.py" in f.path]
+    assert any(
+        "File.CONFLICT: not a dependency relation (Definition 3)" in m
+        and "against the history" in m
+        for m in messages
+    ), messages
 
 
 def test_fully_mutated_tree_exits_nonzero(tree_copy, capsys):

@@ -36,9 +36,10 @@ class TestDerive:
 class TestAudit:
     def test_audit_one_type(self, capsys):
         assert main(["audit", "File"]) == 0
-        out = capsys.readouterr().out
-        assert "ALL CHECKS PASS" in out
-        assert "[FAIL]" not in out
+        captured = capsys.readouterr()
+        assert "File: verified 2 table(s)" in captured.out
+        assert "audit: 2 table(s) of 1 type(s) verified" in captured.out
+        assert captured.err == ""
 
     def test_audit_unknown_type(self, capsys):
         assert main(["audit", "Blob"]) == 2
@@ -47,6 +48,30 @@ class TestAudit:
     def test_audit_with_minimality(self, capsys):
         assert main(["audit", "SemiQueue", "--minimal"]) == 0
         assert "minimal" in capsys.readouterr().out
+        # Invalidated-by is not minimal for the bounded queue; only the
+        # opt-in check objects, and objecting fails the run.
+        assert main(["audit", "BoundedQueue"]) == 0
+        assert main(["audit", "BoundedQueue", "--minimal"]) == 1
+        assert "[error] BoundedQueue.dependency" in capsys.readouterr().err
+
+    def test_audit_fails_on_a_deleted_conflict(self, capsys, monkeypatch):
+        # Drop Read/Write from File's figure, as a mis-transcription would:
+        # the verb must go red and quote the history that breaks.
+        import repro.adts.file as file_module
+        from repro.core import CompiledRelation, EMPTY_RELATION
+
+        monkeypatch.setitem(
+            file_module.COMPILED_TABLES,
+            "CONFLICT",
+            CompiledRelation(
+                EMPTY_RELATION, file_module.file_universe(), name="mutant"
+            ),
+        )
+        assert main(["audit"]) == 1
+        captured = capsys.readouterr()
+        assert "[error] File.CONFLICT: not a dependency relation" in captured.err
+        assert "against the history" in captured.err
+        assert "audit: 17 table(s) of 9 type(s) verified" in captured.out
 
 
 class TestSimulate:
