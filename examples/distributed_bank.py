@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """A multi-site bank: cross-site transfers under simulated network latency.
 
-Accounts live at three sites connected by a latency-simulating network.
-Clients act as their own two-phase-commit coordinators; commit timestamps
-come from Lamport clocks piggybacked on the PREPARE votes (the paper's
-§3.3 mechanism).  A site crashes every 25 time units; 2PC turns its
-in-flight transactions into clean aborts.  At the end, the globally
-recorded interleaving is checked hybrid atomic.
+Accounts live at three sites connected by a latency-simulating network;
+each site is the serving tier's shard engine behind a simulated host.
+Clients drive the one presumed-abort 2PC procedure over messages: every
+PREPARE vote carries the site's timestamp floor and the first-touched
+site decides above them all on its own stride (the paper's §3.3
+mechanism).  A site crashes every 25 time units; 2PC turns its in-flight
+transactions into clean aborts.  At the end, the globally recorded
+interleaving is checked hybrid atomic.
 
 Run:  python examples/distributed_bank.py
 """
@@ -34,7 +36,8 @@ def main() -> None:
 
     for name, site in sorted(run.sites.items()):
         balances = {obj: float(site.snapshot(obj)) for obj in site.objects()}
-        print(f"  {name}: clock={site.clock.now:4d} " +
+        stats = site.single({"op": "stats"})["ok"]
+        print(f"  {name}: commits={stats['committed']:4d} " +
               " ".join(f"{obj}={bal:9.2f}" for obj, bal in balances.items()))
 
     history = run.history()

@@ -1,27 +1,28 @@
-"""Distributed clients: each is its own two-phase-commit coordinator.
+"""Distributed clients: message scheduling, retries and metrics.
 
-A client runs scripted transactions whose steps name (site, object,
-operation, args).  Every interaction is two simulated messages (request +
-reply).  At the end of a script the client runs 2PC over the participant
-sites: PREPARE fan-out, vote collection, then a commit timestamp
-
-    (max(piggybacked site clocks) + 1, transaction-name)
-
-— strictly above every timestamp committed at any site the transaction
-read, satisfying the §3.3 constraint by construction, and globally unique
-by the transaction-name tiebreak.  COMMIT/ABORT fan-out completes the
-protocol; decisions are retransmitted until each participant acks, so a
-site that fail-stops after voting still learns the verdict once it has
-recovered.  Lock refusals retry with backoff; a NO vote (site crash) or
-retry exhaustion aborts and restarts with a fresh script.
+A client runs scripted transactions whose steps name (site index, object,
+operation, args).  Every interaction is one simulated message carrying
+engine ops to a :class:`~repro.distributed.site.Site` and, where the
+answer matters, one carrying the reply back: 2 messages per operation
+(the first touch of a site piggybacks ``begin``).  A single-site script
+ends with plain ``commit``, as in the server; a multi-site one runs
+:func:`repro.server.engine.two_phase_commit` — the decision procedure
+``ShardSet`` runs over blocking calls — one message per op of a round:
+``prepare`` + ``vote`` per participant, ``decide`` + reply on the
+first-touched site (the primary), one ``apply_commit`` per other
+participant.  Verdicts (``apply_commit`` / ``abort``) are retransmitted
+after a backoff while their site is down, so a site that fail-stops
+after voting still learns the outcome.  Lock refusals retry with
+backoff; a lost transaction (site crash) or retry exhaustion aborts and
+restarts with a fresh script.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from ..core.operations import Invocation
+from ..server.engine import ShardDown, two_phase_commit
 from ..sim.des import Simulator
 from ..sim.metrics import Metrics
 from .network import Network
@@ -29,8 +30,8 @@ from .site import Site
 
 __all__ = ["DistributedClient", "DistributedStep"]
 
-#: One step: (site name, object name, operation name, args tuple).
-DistributedStep = Tuple[str, str, str, Tuple[Any, ...]]
+#: One step: (site index, object name, operation name, args tuple).
+DistributedStep = Tuple[int, str, str, Tuple[Any, ...]]
 
 
 class DistributedClient:
@@ -41,17 +42,14 @@ class DistributedClient:
         index: int,
         simulator: Simulator,
         network: Network,
-        sites: Dict[str, Site],
+        sites: Sequence[Site],
         script_fn: Callable[[int, random.Random], List[DistributedStep]],
         metrics: Metrics,
         rng: random.Random,
         think_time: float = 0.5,
         backoff: float = 1.0,
         max_step_retries: int = 10,
-        tracer=None,
     ):
-        #: Optional :class:`repro.obs.TraceBus` (coordinator-side events).
-        self.tracer = tracer
         self.index = index
         self.simulator = simulator
         self.network = network
@@ -67,13 +65,12 @@ class DistributedClient:
         self.script: List[DistributedStep] = []
         self.position = 0
         self.retries = 0
-        self.participants: Set[str] = set()
+        #: Site indices in first-touch order; the first is the 2PC primary.
+        self.participants: List[int] = []
         self.started_at = 0.0
 
-    # ------------------------------------------------------------------
-
     def start(self) -> None:
-        """Kick off the first transaction after a stagger."""
+        """Begin the next (or first) transaction after a think time."""
         self.simulator.schedule(
             self.rng.expovariate(1.0 / self.think_time), self._begin
         )
@@ -84,50 +81,74 @@ class DistributedClient:
         self.script = self.script_fn(self.index, self.rng)
         self.position = 0
         self.retries = 0
-        self.participants = set()
+        self.participants = []
         self.started_at = self.simulator.now
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "txn.begin", transaction=self.transaction, read_only=False
-            )
         self._send_step()
+
+    def _send(
+        self,
+        site: int,
+        ops: List[Dict[str, Any]],
+        on_reply: Optional[Callable[[Optional[Dict[str, Any]]], None]] = None,
+    ) -> None:
+        """One message carrying ``ops`` to ``site``.
+
+        With ``on_reply``, the reply to the last op (None from a dead
+        site) rides back as its own message.  Without, the message is a
+        verdict: nothing comes back, and it is sent again after a backoff
+        for as long as the site is down.
+        """
+        label = ops[-1]["op"]
+
+        def at_site() -> None:
+            try:
+                reply = self.sites[site].call(ops)[-1]
+            except ShardDown:
+                if on_reply is None:
+                    self.simulator.schedule(self.backoff, lambda: self._send(site, ops))
+                    return
+                reply = None
+            if on_reply is not None:
+                self.network.send(
+                    "vote" if label == "prepare" else f"{label}-reply",
+                    lambda: on_reply(reply),
+                )
+
+        self.network.send(label, at_site)
 
     # -- operation phase --------------------------------------------------
 
     def _send_step(self) -> None:
         if self.position >= len(self.script):
-            self._send_prepares()
+            self._complete()
             return
-        site_name, obj, operation, args = self.script[self.position]
-        site = self.sites[site_name]
+        site, obj, operation, args = self.script[self.position]
         transaction = self.transaction
-        invocation = Invocation(operation, args)
+        ops = [{"op": "invoke", "txn": transaction, "obj": obj,
+                "operation": operation, "args": args}]
+        if site not in self.participants:
+            # First touch begins the transaction there — quietly off the
+            # primary, whose txn.begin is the one loud one.
+            quiet = bool(self.participants)
+            ops.insert(0, {"op": "begin", "name": transaction, "quiet": quiet})
+            self.participants.append(site)
+        self._send(site, ops, lambda reply: self._on_invoke_reply(transaction, reply))
 
-        def at_site() -> None:
-            reply = site.handle_invoke(transaction, obj, invocation)
-            self.network.send(
-                "invoke-reply", lambda: self._on_invoke_reply(transaction, site_name, reply)
-            )
-
-        self.network.send("invoke", at_site)
-
-    def _on_invoke_reply(self, transaction: str, site_name: str, reply: Tuple) -> None:
+    def _on_invoke_reply(self, transaction: str, reply: Optional[Dict]) -> None:
         if transaction != self.transaction:
             return  # stale reply for an earlier incarnation
-        kind = reply[0]
-        if kind == "ok":
-            self.participants.add(site_name)
+        code = "SHARD_DOWN" if reply is None else reply.get("error")
+        if code is None:
             self.metrics.operations += 1
             self.position += 1
             self.retries = 0
             self._send_step()
             return
-        if kind == "conflict":
+        if code == "CONFLICT":
             self.metrics.conflicts += 1
-        elif kind == "block":
+        elif code == "WOULD_BLOCK":
             self.metrics.blocks += 1
-        else:  # site lost us (crash tombstone): restart
+        else:  # the site is down, or lost us to a crash: restart
             self._abort_and_restart()
             return
         self.retries += 1
@@ -138,100 +159,52 @@ class DistributedClient:
             self.rng.expovariate(1.0 / self.backoff), self._send_step
         )
 
-    # -- two-phase commit --------------------------------------------------
-
-    def _send_prepares(self) -> None:
-        if not self.participants:
-            # Nothing touched (degenerate script): count and move on.
-            self.metrics.committed += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "txn.commit", transaction=self.transaction, timestamp=None
-                )
-            self._schedule_next()
-            return
-        transaction = self.transaction
-        votes: Dict[str, Tuple] = {}
-        expected = set(self.participants)
-
-        def make_prepare(site_name: str) -> None:
-            site = self.sites[site_name]
-
-            def at_site() -> None:
-                reply = site.handle_prepare(transaction)
-                self.network.send(
-                    "vote", lambda: on_vote(site_name, reply)
-                )
-
-            self.network.send("prepare", at_site)
-
-        def on_vote(site_name: str, reply: Tuple) -> None:
-            if transaction != self.transaction:
-                return
-            votes[site_name] = reply
-            if set(votes) != expected:
-                return
-            if all(vote[0] == "yes" for vote in votes.values()):
-                number = max(vote[1] for vote in votes.values()) + 1
-                self._decide_commit((number, transaction))
-            else:
-                self._abort_and_restart()
-
-        for site_name in sorted(expected):
-            make_prepare(site_name)
-
-    def _decide_commit(self, timestamp: Tuple) -> None:
-        transaction = self.transaction
-        tracer = self.tracer
-        if tracer is not None:
-            # The coordinator's decision is *the* commit; later per-site
-            # deliveries show up as extra events on the closed span.
-            tracer.emit("txn.commit", transaction=transaction, timestamp=timestamp)
-        for site_name in sorted(self.participants):
-            self._deliver_completion(site_name, transaction, "commit", timestamp)
-        self.metrics.committed += 1
-        self.metrics.total_latency += self.simulator.now - self.started_at
-        self._schedule_next()
-
     def _abort_and_restart(self) -> None:
-        transaction = self.transaction
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit("txn.abort", transaction=transaction)
-        for site_name in sorted(self.participants):
-            self._deliver_completion(site_name, transaction, "abort", None)
-        self.metrics.aborted += 1
-        self._schedule_next()
+        for site in self.participants:
+            self._send(site, [{"op": "abort", "txn": self.transaction}])
+        self._finished(None)
 
-    def _deliver_completion(
-        self, site_name: str, transaction: str, kind: str, timestamp: Any
-    ) -> None:
-        """Deliver the 2PC decision, retrying until the site acks.
+    # -- completion ---------------------------------------------------------
 
-        A decision is irrevocable: a participant may be down when it is
-        made, but a prepared transaction holds locks (and its intentions
-        sit on the stable log) until the verdict arrives, so the
-        coordinator keeps retransmitting after each recovery window.
-        Detached from ``self.transaction`` — retries outlive ``_begin``.
-        """
-        site = self.sites[site_name]
+    def _complete(self) -> None:
+        name, sites = self.transaction, self.participants
+        if len(sites) > 1:
+            self._run_rounds(two_phase_commit(name, sites, sites[0]))
+        elif sites:
+            self._send(sites[0], [{"op": "commit", "txn": name}], self._finished)
+        else:  # nothing touched (degenerate script)
+            self._finished({"ok": None})
 
-        def at_site() -> None:
-            if kind == "commit":
-                acked = site.handle_commit(transaction, timestamp)
-            else:
-                acked = site.handle_abort(transaction)
-            if not acked:  # site is down: retry after a backoff
-                self.simulator.schedule(
-                    self.backoff,
-                    lambda: self._deliver_completion(
-                        site_name, transaction, kind, timestamp
-                    ),
-                )
+    def _run_rounds(self, rounds: Generator, replies: Optional[List] = None) -> None:
+        """Drive the decision procedure: one message per op of a round, the
+        next round once every question of this one has its answer."""
+        try:
+            ops = rounds.send(replies)
+        except StopIteration as done:
+            self._finished(done.value)
+            return
+        answers: List[Any] = [None] * len(ops)
+        if not ops or ops[0][1]["op"] in ("apply_commit", "abort"):
+            for site, op in ops:  # verdicts: retransmitted, never answered
+                self._send(site, [op])
+            self._run_rounds(rounds, answers)
+            return
+        waiting = set(range(len(ops)))
 
-        self.network.send(kind, at_site)
+        def collect(slot: int, reply: Optional[Dict[str, Any]]) -> None:
+            answers[slot] = reply
+            waiting.discard(slot)
+            if not waiting:
+                self._run_rounds(rounds, answers)
 
-    def _schedule_next(self) -> None:
-        self.simulator.schedule(
-            self.rng.expovariate(1.0 / self.think_time), self._begin
-        )
+        for slot, (site, op) in enumerate(ops):
+            self._send(site, [op], lambda reply, slot=slot: collect(slot, reply))
+
+    def _finished(self, outcome: Optional[Dict[str, Any]]) -> None:
+        """Count the outcome (an ``ok`` reply: committed) and move on."""
+        if outcome is not None and "ok" in outcome:
+            self.metrics.committed += 1
+            self.metrics.total_latency += self.simulator.now - self.started_at
+        else:
+            self.metrics.aborted += 1
+        self.start()

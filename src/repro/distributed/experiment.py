@@ -1,11 +1,13 @@
 """Distributed experiments: a multi-site bank over the simulated network.
 
 :func:`run_distributed_experiment` spreads accounts across ``site_count``
-sites, spawns clients whose transactions touch up to ``max_spread``
-distinct sites (cross-site transfers coordinated by 2PC), optionally
-injects site crashes, runs the event loop, and returns the metrics plus
-the network traffic breakdown — and, when recording, the globally
-interleaved event history for the Section 3 checkers.
+sites (each a :class:`~repro.distributed.site.Site`: one shard engine on
+its own timestamp stride), spawns clients whose transactions touch up to
+``max_spread`` distinct sites (cross-site transfers coordinated by 2PC),
+optionally injects site crashes, runs the event loop, and returns the
+metrics plus the network traffic breakdown — and, when recording, the
+globally interleaved event history for the Section 3 checkers, read off
+the trace bus every site shares.
 
 Two fault models are available.  ``crash_every`` (legacy) soft-crashes a
 rotating site periodically: volatile transactions abort, committed state
@@ -19,13 +21,23 @@ against the pre-crash snapshot.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from ..adts.account import make_account_adt
+from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
 from ..core.history import History
+from ..core.operations import Invocation
+from ..obs import RegistrySink, TraceBus
+from ..recovery import (
+    CrashPlan,
+    FileCheckpointStore,
+    FileWAL,
+    MemoryCheckpointStore,
+    MemoryWAL,
+)
 from ..sim.des import Simulator
 from ..sim.metrics import Metrics
 from .client import DistributedClient, DistributedStep
@@ -33,6 +45,29 @@ from .network import Network
 from .site import Site
 
 __all__ = ["DistributedRun", "run_distributed_experiment"]
+
+
+class _HistoryRecorder:
+    """A trace sink rebuilding the paper's event history (Section 3) from
+    what the machines and managers of every site emit, in global order."""
+
+    def __init__(self) -> None:
+        self.events: List[Any] = []
+
+    def __call__(self, event: Any) -> None:
+        kind, data = event.kind, event.data
+        name = data.get("transaction")
+        if kind == "txn.invoke":
+            invocation = Invocation(data["operation"], tuple(data["args"]))
+            self.events.append(InvocationEvent(name, data["obj"], invocation))
+        elif kind == "txn.respond":
+            self.events.append(ResponseEvent(name, data["obj"], data["result"]))
+        elif kind == "txn.commit":
+            for obj in data["objects"]:
+                self.events.append(CommitEvent(name, obj, data["timestamp"]))
+        elif kind == "txn.abort":
+            for obj in data["objects"]:
+                self.events.append(AbortEvent(name, obj))
 
 
 @dataclass
@@ -45,28 +80,21 @@ class DistributedRun:
     events: List[Any] = field(default_factory=list)
     #: One report per completed checkpoint + WAL-replay recovery.
     recovery_reports: List[Any] = field(default_factory=list)
-    #: site name -> checkpoint store (durable runs only).
-    stores: Dict[str, Any] = field(default_factory=dict)
 
     def history(self) -> History:
         """The recorded global history (empty unless recording was on)."""
         return History(self.events, validate=False)
 
+    def _homes(self):
+        return ((site, obj) for site in self.sites.values() for obj in site.objects())
+
     def specs(self) -> Dict[str, Any]:
         """Object-name → serial-spec map across all sites."""
-        specs: Dict[str, Any] = {}
-        for site in self.sites.values():
-            for obj in site.objects():
-                specs[obj] = site.adt(obj).spec
-        return specs
+        return {obj: site.adt(obj).spec for site, obj in self._homes()}
 
     def total_balance(self) -> Any:
         """Sum of committed balances across every account."""
-        total = 0
-        for site in self.sites.values():
-            for obj in site.objects():
-                total += site.snapshot(obj)
-        return total
+        return sum(site.snapshot(obj) for site, obj in self._homes())
 
 
 def run_distributed_experiment(
@@ -102,67 +130,56 @@ def run_distributed_experiment(
     disk (one subdirectory per site) instead of in memory.
 
     ``tracer`` (a :class:`repro.obs.TraceBus`, clock rebound to simulated
-    time) is threaded through the network, every site, and every client;
+    time) is threaded through the network and every site's engine;
     ``registry`` (a :class:`repro.obs.MetricsRegistry`) accumulates
     event-derived counters plus per-object horizon gauges and the final
     ``Metrics`` row.
     """
     simulator = Simulator()
-    registry_sink = None
-    if registry is not None:
-        from ..obs import RegistrySink, TraceBus
-
-        if tracer is None:
-            tracer = TraceBus()
-        registry_sink = tracer.subscribe(RegistrySink(registry))
+    if tracer is None and (record or registry is not None):
+        tracer = TraceBus()
+    registry_sink = (
+        tracer.subscribe(RegistrySink(registry)) if registry is not None else None
+    )
+    recorder = tracer.subscribe(_HistoryRecorder()) if record else None
     if tracer is not None:
         tracer.clock = lambda: simulator.now
     network = Network(simulator, seed=seed, mean_latency=mean_latency, tracer=tracer)
-    recorder: Optional[List[Any]] = [] if record else None
     durable = durable or crash_rate > 0 or wal_dir is not None or checkpoint_every > 0
 
-    stores: Dict[str, Any] = {}
-    sites: Dict[str, Site] = {}
-    placement: List[Tuple[str, str]] = []  # (site, object)
+    hosts: List[Site] = []
     for s in range(site_count):
-        wal = None
-        if durable:
-            from ..recovery import (
-                FileCheckpointStore,
-                FileWAL,
-                MemoryCheckpointStore,
-                MemoryWAL,
-            )
-
-            if wal_dir is not None:
-                site_dir = os.path.join(wal_dir, f"S{s}")
-                wal = FileWAL(site_dir)
-                stores[f"S{s}"] = FileCheckpointStore(site_dir)
-            else:
-                wal = MemoryWAL()
-                stores[f"S{s}"] = MemoryCheckpointStore()
-        site = Site(f"S{s}", recorder=recorder, wal=wal, tracer=tracer)
-        sites[site.name] = site
-        for a in range(accounts_per_site):
-            obj = f"acct{s}_{a}"
-            site.create_object(obj, make_account_adt(initial=initial_balance))
-            placement.append((site.name, obj))
+        wal = store = None
+        if wal_dir is not None:
+            site_dir = os.path.join(wal_dir, f"shard{s}")
+            wal, store = FileWAL(site_dir), FileCheckpointStore(site_dir)
+        elif durable:
+            wal, store = MemoryWAL(), MemoryCheckpointStore()
+        site = Site(s, site_count, wal=wal, store=store, tracer=tracer)
+        hosts.append(site)
+        # Open every account, then fund them in one local transaction
+        # (the engine creates registry types at their initial state).
+        accounts = [f"acct{s}_{a}" for a in range(accounts_per_site)]
+        for obj in accounts:
+            site.single({"op": "create", "name": obj, "adt": "Account"})
+        deposits = [(obj, "Credit", (initial_balance,)) for obj in accounts]
+        site.single({"op": "txn", "name": f"open{s}", "steps": deposits})
+    sites = {site.name: site for site in hosts}
 
     def script(client_index: int, rng: random.Random) -> List[DistributedStep]:
         spread = rng.randint(1, min(max_spread, site_count))
-        chosen_sites = rng.sample(sorted(sites), spread)
+        chosen_sites = rng.sample(range(site_count), spread)
         steps: List[DistributedStep] = []
         for _ in range(ops_per_transaction):
-            site_name = rng.choice(chosen_sites)
-            local = [obj for s, obj in placement if s == site_name]
-            obj = rng.choice(local)
+            site_index = rng.choice(chosen_sites)
+            obj = f"acct{site_index}_{rng.randrange(accounts_per_site)}"
             roll = rng.random()
             if roll < 0.5:
-                steps.append((site_name, obj, "Credit", (rng.randint(1, 20),)))
+                steps.append((site_index, obj, "Credit", (rng.randint(1, 20),)))
             elif roll < 0.9:
-                steps.append((site_name, obj, "Debit", (rng.randint(1, 20),)))
+                steps.append((site_index, obj, "Debit", (rng.randint(1, 20),)))
             else:
-                steps.append((site_name, obj, "Post", (5,)))
+                steps.append((site_index, obj, "Post", (5,)))
         return steps
 
     metrics = Metrics()
@@ -171,38 +188,33 @@ def run_distributed_experiment(
             index,
             simulator,
             network,
-            sites,
+            hosts,
             script,
             metrics,
             random.Random(f"{seed}/client{index}"),
-            tracer=tracer,
         ).start()
 
+    def every(period: float, action) -> None:
+        def tick() -> None:
+            action()
+            simulator.schedule(period, tick)
+
+        simulator.schedule(period, tick)
+
     if crash_every > 0:
-        crash_rng = random.Random(f"{seed}/crash")
-        order = sorted(sites)
-
-        def crash_tick(round_index: int = 0) -> None:
-            victim = sites[order[round_index % len(order)]]
-            victim.crash()
-            simulator.schedule(crash_every, lambda: crash_tick(round_index + 1))
-
-        simulator.schedule(crash_every, crash_tick)
-
+        rotation = itertools.cycle(hosts)
+        every(crash_every, lambda: next(rotation).crash())
     if checkpoint_every > 0:
 
-        def checkpoint_tick() -> None:
-            for name in sorted(sites):
-                if sites[name].alive:
-                    sites[name].checkpoint(stores[name], taken_at=simulator.now)
-            simulator.schedule(checkpoint_every, checkpoint_tick)
+        def checkpoint_all() -> None:
+            for site in hosts:
+                if site.alive:
+                    site.checkpoint()
 
-        simulator.schedule(checkpoint_every, checkpoint_tick)
+        every(checkpoint_every, checkpoint_all)
 
     recovery_reports: List[Any] = []
     if crash_rate > 0:
-        from ..recovery import CrashPlan
-
         plan = CrashPlan.seeded(
             crash_seed if crash_seed is not None else seed,
             sorted(sites),
@@ -210,28 +222,25 @@ def run_distributed_experiment(
             rate=crash_rate,
             downtime=crash_downtime,
         )
-        recovery_reports = plan.install(
-            simulator, sites, metrics=metrics, stores=stores, verify=True
-        )
+        recovery_reports = plan.install(simulator, sites, metrics=metrics, verify=True)
 
     simulator.run_until(duration)
     metrics.duration = duration
     if registry_sink is not None:
-        for site_name in sorted(sites):
-            site = sites[site_name]
-            for obj in site.objects():
-                machine = site.machine(obj)
+        for site in hosts:
+            for obj, machine in sorted(site.machines().items()):
                 registry.gauge(f"compaction.horizon[{obj}]").set(machine.horizon())
                 registry.gauge(f"compaction.retained[{obj}]").set(
                     machine.retained_intentions()
                 )
         registry.absorb_metrics(metrics)
         tracer.unsubscribe(registry_sink)
+    if recorder is not None:
+        tracer.unsubscribe(recorder)
     return DistributedRun(
         metrics=metrics,
         network=network,
         sites=sites,
-        events=recorder or [],
+        events=recorder.events if recorder is not None else [],
         recovery_reports=recovery_reports,
-        stores=stores,
     )

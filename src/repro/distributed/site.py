@@ -1,401 +1,155 @@
-"""Sites: object homes with local clocks and two-phase-commit handlers.
+"""The simulated transport: one shard engine behind a kill switch.
 
-Each site owns some hybrid atomic objects (compacting LOCK machines) and
-a Lamport logical clock.  The clock advances past every commit timestamp
-the site observes, so a site's clock is always an upper bound on the
-timestamps of transactions committed there — the value the coordinator
-needs for the §3.3 constraint.
+A :class:`Site` is a simulated host.  Everything a site *does* — execute
+operations under the hybrid protocol, vote in 2PC with its timestamp
+floor riding the vote (§3.3: "algorithms that piggyback timestamp
+information on the messages of a commit protocol"), log, checkpoint,
+recover — is the :class:`~repro.server.engine.ShardEngine` it hosts,
+the same participant the serving tier runs in-process and in child
+processes.  What the host adds is the ability to fail:
 
-Message handlers (invoked via the simulated network):
-
-* ``handle_invoke`` — execute an operation under the hybrid protocol and
-  reply ``("ok", result)``, ``("conflict",)`` or ``("block",)``;
-* ``handle_prepare`` — 2PC vote: ``("yes", clock)`` (the clock rides the
-  vote — "algorithms that piggyback timestamp information on the
-  messages of a commit protocol"), or ``("no",)`` when the transaction
-  was lost to a crash;
-* ``handle_commit`` / ``handle_abort`` — deliver the completion to every
-  local object the transaction touched; they return False while the site
-  is down, so coordinators retry decision delivery until it lands.
-
-Two failure modes are modelled.  ``crash`` fail-stops the site's volatile
-state in place: active transactions are aborted locally and remembered as
-tombstones so a later PREPARE is answered ``no``.  ``crash_hard`` is a
-full fail-stop with volatile loss — machines, touched maps, prepared
-sets, and the clock are all destroyed, and only the write-ahead log and
-checkpoint (stable storage, attached via the ``wal`` parameter) survive;
-``recover`` rebuilds the site from them via
-:func:`repro.recovery.recover_site_state`: committed intentions are
-replayed in timestamp order on top of the checkpointed versions,
-2PC-prepared transactions come back active with their locks, and
-everything else is presumed aborted.
+* while down, ``call`` / ``single`` raise
+  :class:`~repro.server.engine.ShardDown` (the ``crash`` op takes the
+  site down mid-request, as it kills a shard process);
+* :meth:`crash` is a soft fail-stop — the manager aborts every
+  *unprepared* transaction, prepared ones (on the stable log) and
+  committed state survive, and the site stays up; a later ``prepare`` for
+  a victim answers ``NO_VOTE``, which is presumed abort;
+* :meth:`crash_hard` loses every volatile structure by dropping the
+  engine; only the write-ahead log and checkpoint store survive, and
+  :meth:`recover` boots a fresh engine over them: committed intentions
+  replayed on top of the checkpointed versions, 2PC-prepared
+  transactions back with their locks, everything else presumed aborted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..adts.base import ADT
-from ..core.compaction import CompactingLockMachine
-from ..core.errors import LockConflict, WouldBlock
-from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
-from ..core.operations import Invocation
-from ..core.timestamps import LogicalClock
-from ..protocols.base import HYBRID, ProtocolSpec
+from ..server.engine import EngineCrash, ShardDown, ShardEngine
 
 __all__ = ["Site"]
 
 
 class Site:
-    """One site: named objects plus the local clock and 2PC handlers."""
+    """Site ``index`` of ``sites``: a :class:`ShardEngine` that can die."""
+
+    #: ``call`` returns as soon as the engine has (see ``LocalShard``).
+    blocking = False
 
     def __init__(
         self,
-        name: str,
-        recorder: Optional[List[Any]] = None,
+        index: int = 0,
+        sites: int = 1,
         wal: Optional[Any] = None,
+        store: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ):
-        self.name = name
-        #: Optional :class:`repro.obs.TraceBus`, propagated to machines.
-        self.tracer = tracer
-        self.clock = LogicalClock()
-        self._machines: Dict[str, CompactingLockMachine] = {}
-        self._adts: Dict[str, ADT] = {}
-        #: object -> transactions with intentions there (for completion fan-out).
-        self._touched: Dict[str, Set[str]] = {}
-        #: Transactions lost to a crash: PREPARE must vote no.
-        self._tombstones: Set[str] = set()
-        #: Transactions whose PREPARE was accepted: their intentions are
-        #: on the stable log and survive crashes (2PC's prepared state).
-        self._prepared: Set[str] = set()
-        self._recorder = recorder
-        #: Stable storage: a WriteAheadLog, or None for a volatile site.
+        self.index = index
+        self.sites = sites
+        #: The engine's own label for this shard in logs and trace events.
+        self.name = f"shard{index}"
+        #: Stable storage: what survives :meth:`crash_hard`.
         self.wal = wal
-        self.alive = True
-        if wal is not None and len(wal) == 0:
-            from ..recovery.wal import meta_record
+        self.store = store
+        self.tracer = tracer
+        self.incarnation = 0
+        self.engine: Optional[ShardEngine] = self._boot()
 
-            wal.append(meta_record("site", name, compacting=True))
-
-    # ------------------------------------------------------------------
-
-    def create_object(
-        self, name: str, adt: ADT, protocol: ProtocolSpec = HYBRID
-    ) -> None:
-        """Home a new object at this site."""
-        if name in self._machines:
-            raise ValueError(f"object {name!r} already exists at {self.name}")
-        machine = CompactingLockMachine(
-            adt.spec, protocol.conflict_for(adt), obj=name
+    def _boot(self) -> ShardEngine:
+        self.incarnation += 1
+        return ShardEngine(
+            self.index,
+            self.sites,
+            wal=self.wal,
+            store=self.store,
+            tracer=self.tracer,
+            incarnation=self.incarnation,
         )
-        machine.tracer = self.tracer
-        self._machines[name] = machine
-        self._adts[name] = adt
-        self._touched[name] = set()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "obj.create",
-                obj=name,
-                adt=adt.name,
-                protocol=protocol.name,
-                relation=machine.conflict.name,
-                initial=adt.spec.initial_states(),
-                site=self.name,
-            )
-        if self.wal is not None:
-            from ..recovery.wal import create_record
 
-            self.wal.append(
-                create_record(name, adt.name, protocol.name, adt.spec.initial_states())
+    # -- the transport contract ----------------------------------------
+
+    @property
+    def alive(self) -> bool:
+        return self.engine is not None
+
+    def call(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """Run one batch on the hosted engine; :class:`ShardDown` while down."""
+        if self.engine is None:
+            raise ShardDown(f"{self.name} is down")
+        try:
+            return self.engine.execute_batch(ops)
+        except EngineCrash:
+            self.crash_hard()
+            raise ShardDown(f"{self.name} died mid-request") from None
+
+    def single(self, op: Dict[str, Any]) -> Dict[str, Any]:
+        """One-op convenience batch."""
+        return self.call([op])[0]
+
+    def stop(self) -> None:
+        if self.engine is not None:
+            self.engine.close()
+
+    # -- failure and repair --------------------------------------------
+
+    def crash(self) -> List[str]:
+        """Soft fail-stop: abort every unprepared transaction; returns them
+        (a site that is already down has nothing volatile left to lose)."""
+        return self.engine.manager.crash() if self.engine is not None else []
+
+    def crash_hard(self) -> None:
+        """Full fail-stop: the engine, and with it every volatile structure,
+        is gone; only the log and the checkpoint store survive."""
+        self.engine = None
+        if self.tracer is not None:
+            self.tracer.emit("site.crash", site=self.name, hard=True)
+
+    def recover(self) -> Any:
+        """Boot a fresh engine over the same log and checkpoint store.
+
+        Returns the :class:`~repro.recovery.RecoveryReport` (its
+        ``elapsed_seconds`` stays 0.0: no wall clock is read, so
+        crash-seeded runs stay bit-for-bit reproducible).
+        """
+        if self.wal is None:
+            from ..recovery import RecoveryError
+
+            raise RecoveryError(
+                f"site {self.name!r} has no write-ahead log; nothing to recover"
             )
+        self.engine = self._boot()
+        return self.engine.recovery
+
+    #: The transport contract's name for it (``ShardSet.respawn``).
+    spawn = recover
+
+    def checkpoint(self) -> Dict[str, Any]:
+        """Snapshot every local version into the store and truncate the log."""
+        return self.single({"op": "checkpoint"})
+
+    # -- read-only views (fault plans, experiments, tests) -------------
 
     def objects(self) -> List[str]:
         """Names of objects homed here."""
-        return sorted(self._machines)
+        return sorted(self.engine.manager.objects)
 
-    def machine(self, obj: str) -> CompactingLockMachine:
-        """The LOCK machine for a local object."""
-        return self._machines[obj]
-
-    def machines(self) -> Dict[str, CompactingLockMachine]:
-        """Name → LOCK machine for every local object (a fresh map).
-
-        The machines themselves are the live protocol objects; the
-        *mapping* is a copy, so callers cannot add or remove objects
-        behind the site's back.
-        """
-        return dict(self._machines)
-
-    def prepared_transactions(self) -> Set[str]:
-        """Transactions in 2PC's prepared state (a copy)."""
-        return set(self._prepared)
+    def machines(self) -> Dict[str, Any]:
+        """Name → live LOCK machine for every local object (a fresh map)."""
+        return {
+            name: managed.machine
+            for name, managed in self.engine.manager.objects.items()
+        }
 
     def adt(self, obj: str) -> ADT:
         """The ADT bundle for a local object."""
-        return self._adts[obj]
+        return self.engine.manager.object(obj).adt
 
     def snapshot(self, obj: str) -> Any:
         """Committed-state snapshot of one local object."""
-        machine = self._machines[obj]
-        states = machine.spec.run_from(
-            machine.version_states, machine.committed_state()
-        )
-        return sorted(states, key=repr)[0]
+        return self.engine.manager.object(obj).snapshot()
 
-    def _record(self, event: Any) -> None:
-        if self._recorder is not None:
-            self._recorder.append(event)
-
-    def _footprint(self, transaction: str) -> Dict[str, Any]:
-        """The transaction's local intentions lists, by object."""
-        return {
-            obj: self._machines[obj].intentions(transaction)
-            for obj, holders in self._touched.items()
-            if transaction in holders
-        }
-
-    # ------------------------------------------------------------------
-    # Message handlers
-    # ------------------------------------------------------------------
-
-    def handle_invoke(
-        self, transaction: str, obj: str, invocation: Invocation
-    ) -> Tuple:
-        """Execute one operation; returns the reply tuple."""
-        if not self.alive:
-            return ("down",)
-        if transaction in self._tombstones:
-            return ("no-such-transaction",)
-        machine = self._machines[obj]
-        try:
-            result = machine.execute(transaction, invocation)
-        except LockConflict:
-            return ("conflict",)
-        except WouldBlock:
-            return ("block",)
-        self._touched[obj].add(transaction)
-        if self.wal is not None:
-            from ..recovery.wal import invoke_record, respond_record
-
-            self.wal.append(invoke_record(transaction, obj, invocation))
-            self.wal.append(respond_record(transaction, obj, result))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append",
-                    record="invoke+respond",
-                    site=self.name,
-                    transaction=transaction,
-                )
-        self._record(InvocationEvent(transaction, obj, invocation))
-        self._record(ResponseEvent(transaction, obj, result))
-        # The reply carries the site clock: everything committed here has
-        # a timestamp at or below it, so the coordinator can maintain the
-        # precedes-order bound incrementally too.
-        return ("ok", result, self.clock.now)
-
-    def handle_prepare(self, transaction: str) -> Tuple:
-        """2PC phase one: vote, piggybacking the local clock.
-
-        A transaction without a local footprint votes ``no``: either it
-        never ran here, or its volatile intentions were lost to a crash —
-        voting yes would commit operations the site cannot redo.
-        """
-        if not self.alive:
-            return ("down",)
-        if transaction in self._tombstones:
-            return ("no",)
-        footprint = self._footprint(transaction)
-        if not footprint and transaction not in self._prepared:
-            return ("no",)
-        if self.wal is not None and transaction not in self._prepared:
-            from ..recovery.wal import prepare_record
-
-            # Force-write the intentions: the prepared state must survive
-            # a crash so the coordinator's verdict can still be honoured.
-            self.wal.append(prepare_record(transaction, self.clock.now, footprint))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append",
-                    record="prepare",
-                    site=self.name,
-                    transaction=transaction,
-                )
-        self._prepared.add(transaction)  # force-write to the stable log
-        return ("yes", self.clock.now)
-
-    def handle_commit(self, transaction: str, timestamp: Any) -> bool:
-        """2PC phase two: deliver ``commit(timestamp)`` locally.
-
-        Returns True once delivered; False while the site is down (the
-        coordinator must retry — a decided transaction may not linger
-        prepared forever)."""
-        if not self.alive:
-            return False
-        if self.wal is not None:
-            footprint = self._footprint(transaction)
-            if footprint:
-                from ..recovery.wal import commit_record
-
-                self.wal.append(commit_record(transaction, timestamp, footprint))
-        delivered = []
-        for obj, holders in self._touched.items():
-            if transaction in holders:
-                self._machines[obj].commit(transaction, timestamp)
-                self._record(CommitEvent(transaction, obj, timestamp))
-                holders.discard(transaction)
-                delivered.append(obj)
-        self._prepared.discard(transaction)
-        self.clock.observe(timestamp[0])
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "txn.commit",
-                transaction=transaction,
-                timestamp=timestamp,
-                objects=sorted(delivered),
-                site=self.name,
-            )
-        return True
-
-    def handle_abort(self, transaction: str) -> bool:
-        """Deliver an abort to every local object the transaction touched.
-
-        Returns True once delivered, False while the site is down."""
-        if not self.alive:
-            return False
-        if self.wal is not None and any(
-            transaction in holders for holders in self._touched.values()
-        ):
-            from ..recovery.wal import abort_record
-
-            self.wal.append(abort_record(transaction))
-        delivered = []
-        for obj, holders in self._touched.items():
-            if transaction in holders:
-                self._machines[obj].abort(transaction)
-                self._record(AbortEvent(transaction, obj))
-                holders.discard(transaction)
-                delivered.append(obj)
-        self._prepared.discard(transaction)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "txn.abort",
-                transaction=transaction,
-                objects=sorted(delivered),
-                site=self.name,
-            )
-        return True
-
-    # ------------------------------------------------------------------
-    # Durability
-    # ------------------------------------------------------------------
-
-    def checkpoint(self, store: Any, taken_at: float = 0.0) -> Any:
-        """Snapshot every local version into ``store`` and truncate the WAL.
-
-        The checkpoint is keyed by each machine's horizon-bounded version
-        timestamp; the truncation drops exactly the log prefix those
-        versions prove redundant.  Returns the checkpoint.
-        """
-        if self.wal is None:
-            raise ValueError(f"site {self.name!r} has no write-ahead log")
-        from ..recovery.checkpoint import take_checkpoint, truncate_wal
-
-        checkpoint = take_checkpoint(
-            self._machines, site_clock=self.clock.now, taken_at=taken_at
-        )
-        store.save(checkpoint)
-        truncate_wal(self.wal, self._machines, extra_live=self._prepared)
-        return checkpoint
-
-    def recover(self, store: Any = None, catalog: Any = None, clock: Any = None):
-        """Rebuild the site from checkpoint + WAL replay after ``crash_hard``.
-
-        ``clock`` is an optional zero-argument callable timing the rebuild
-        (e.g. ``time.perf_counter`` from a CLI); simulated runs leave it
-        unset and the report's ``elapsed_seconds`` stays 0.0, keeping
-        crash-seeded runs bit-for-bit reproducible.  Returns the
-        :class:`~repro.recovery.recovery.RecoveryReport`.
-        """
-        from ..recovery.recovery import recover_site_state
-
-        return recover_site_state(self, store=store, catalog=catalog, clock=clock)
-
-    def install_recovered_state(
-        self,
-        machines: Dict[str, CompactingLockMachine],
-        adts: Dict[str, ADT],
-        prepared: Any,
-        tombstones: Any,
-        touched: Optional[Dict[str, Set[str]]] = None,
-    ) -> None:
-        """Install the volatile state recovery rebuilt from stable storage.
-
-        The sanctioned mutation point for :mod:`repro.recovery.recovery`:
-        machines and ADT bundles replace the ones ``crash_hard`` destroyed,
-        ``prepared`` transactions come back awaiting their 2PC verdict,
-        ``tombstones`` (presumed abort) are remembered so a late PREPARE is
-        voted down, and ``touched`` restores the completion fan-out map for
-        prepared intentions.  All inputs are copied.
-        """
-        self._machines = dict(machines)
-        self._adts = dict(adts)
-        self._touched = {obj: set() for obj in self._machines}
-        if touched:
-            for obj, holders in touched.items():
-                self._touched[obj].update(holders)
-        self._prepared = set(prepared)
-        self._tombstones = set(tombstones)
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-
-    def crash(self) -> List[str]:
-        """Fail-stop: abort every *unprepared* local transaction (their
-        volatile intentions are lost); committed state and prepared
-        transactions (on the stable log) survive.  Returns the victims.
-        The site comes back up immediately but remembers the victims as
-        tombstones so their PREPAREs are voted down."""
-        victims: Set[str] = set()
-        for obj, holders in self._touched.items():
-            for transaction in sorted(holders):
-                if transaction in self._prepared:
-                    continue  # stable: awaiting the coordinator's verdict
-                self._machines[obj].abort(transaction)
-                self._record(AbortEvent(transaction, obj))
-                victims.add(transaction)
-            for transaction in victims:
-                holders.discard(transaction)
-        if self.wal is not None:
-            from ..recovery.wal import abort_record
-
-            for transaction in sorted(victims):
-                self.wal.append(abort_record(transaction))
-        self._tombstones |= victims
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "site.crash", site=self.name, hard=False, victims=sorted(victims)
-            )
-        return sorted(victims)
-
-    def crash_hard(self) -> None:
-        """Full fail-stop: every volatile structure is lost.
-
-        Machines, touched maps, prepared and tombstone sets, and the
-        clock are destroyed; only stable storage (the WAL and any
-        checkpoint) survives.  The site answers ``("down",)`` / False
-        until :meth:`recover` rebuilds it."""
-        self.alive = False
-        self._machines = {}
-        self._adts = {}
-        self._touched = {}
-        self._prepared = set()
-        self._tombstones = set()
-        self.clock = LogicalClock()
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit("site.crash", site=self.name, hard=True)
+    def prepared_transactions(self) -> List[str]:
+        """Transactions in 2PC's prepared state (sorted, a copy)."""
+        return self.engine.manager.prepared_transactions()

@@ -5,7 +5,7 @@ The LOCK machine's four state components (Section 5.1: ``pending``,
 atomicity is proved about *their* evolution under the machine's own
 transitions.  Any code that aliases or mutates them from outside —
 a snapshot helper returning the live intentions dict, a fault injector
-poking ``site._machines`` — can violate the theorems without tripping a
+poking ``manager._prepared`` — can violate the theorems without tripping a
 single runtime check.
 
 Two checks:
@@ -43,10 +43,7 @@ _MONITORED_ATTRS = {
     "_bounds",
     "_version",
     "_pins",
-    "_machines",
     "_prepared",
-    "_tombstones",
-    "_touched",
     "_waiting_for",
     "_waiters",
 }

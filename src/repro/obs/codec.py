@@ -11,7 +11,7 @@ write-ahead log's encoding (:mod:`repro.recovery.wal`):
 ========================  =========================================
 tag                       value
 ========================  =========================================
-``{"__t__": [...]}``      tuple (e.g. distributed commit timestamps)
+``{"__t__": [...]}``      tuple (e.g. operation arguments, queue states)
 ``{"__l__": [...]}``      list
 ``{"__s__": [...]}``      set (elements in canonical-key order)
 ``{"__fs__": [...]}``     frozenset (state sets; canonical-key order)

@@ -9,8 +9,9 @@ hence a checkpoint) may absorb.  This package makes that operational:
   batches appends under one fsync);
 * :mod:`~repro.recovery.checkpoint` — version snapshots keyed by the
   horizon timestamp, plus log truncation;
-* :mod:`~repro.recovery.recovery` — checkpoint + replay drivers for
-  managers and sites, with the recovered-state invariant check;
+* :mod:`~repro.recovery.recovery` — the checkpoint + replay driver
+  (one routine: every deployment recovers a manager), with the
+  recovered-state invariant check;
 * :mod:`~repro.recovery.faults` — seeded crash plans for fault-injected
   distributed simulations.
 """
@@ -32,7 +33,6 @@ from .recovery import (
     committed_state_sets,
     recover_machines,
     recover_manager,
-    recover_site_state,
     verify_recovery,
 )
 from .wal import (
@@ -89,7 +89,6 @@ __all__ = [
     "RecoveryReport",
     "recover_machines",
     "recover_manager",
-    "recover_site_state",
     "committed_state_set",
     "committed_state_sets",
     "verify_recovery",

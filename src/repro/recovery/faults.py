@@ -2,7 +2,8 @@
 
 A :class:`CrashPlan` is a deterministic schedule of fail-stop events —
 each kills one site with total volatile loss (:meth:`Site.crash_hard`)
-and brings it back ``downtime`` later via checkpoint + WAL replay.  Plans
+and brings it back ``downtime`` later (:meth:`Site.recover`: a fresh
+engine over the site's own checkpoint store and WAL).  Plans
 are generated from a seed (Poisson arrivals across the cluster) so whole
 fault-injected runs are reproducible bit for bit, and
 :meth:`CrashPlan.install` wires the schedule into a
@@ -16,11 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..sim.des import Simulator
 from ..sim.metrics import Metrics
-from .checkpoint import CheckpointStore
 from .recovery import RecoveryReport, committed_state_sets, verify_recovery
 
 __all__ = ["CrashEvent", "CrashPlan"]
@@ -86,10 +86,7 @@ class CrashPlan:
         simulator: Simulator,
         sites: Mapping[str, object],
         metrics: Optional[Metrics] = None,
-        stores: Optional[Mapping[str, CheckpointStore]] = None,
-        catalog=None,
         verify: bool = True,
-        on_recovered: Optional[Callable[[RecoveryReport], None]] = None,
     ) -> List[RecoveryReport]:
         """Schedule every event; returns the (live) list of reports.
 
@@ -112,8 +109,7 @@ class CrashPlan:
                 metrics.crashes += 1
 
             def back() -> None:
-                store = (stores or {}).get(event.site)
-                report = site.recover(store=store, catalog=catalog)
+                report = site.recover()
                 if verify:
                     verify_recovery(expected, site.machines())
                     recovered_prepared = site.prepared_transactions()
@@ -126,8 +122,6 @@ class CrashPlan:
                     metrics.replayed_records += report.replayed_records
                     metrics.recovery_time += report.elapsed_seconds
                 reports.append(report)
-                if on_recovered is not None:
-                    on_recovered(report)
 
             simulator.schedule_at(event.time + event.downtime, back)
 

@@ -38,7 +38,6 @@ __all__ = [
     "verify_recovery",
     "recover_machines",
     "recover_manager",
-    "recover_site_state",
 ]
 
 
@@ -296,16 +295,6 @@ def recover_machines(
         if transaction in image.commits or transaction in image.aborted:
             continue
         bound, intentions = image.prepares[transaction]
-        if image.meta.get("role") == "site" and isinstance(bound, int):
-            # Site commit timestamps are (number, name) tuples; the vote
-            # clock is a plain number.  The coordinator assigns
-            # number = max(votes) + 1, so the eventual commit timestamp
-            # sorts above every (clock, name) — the tight tuple-shaped
-            # lower bound is (clock + 1,), which tuple comparison places
-            # above all same-number commits and below all later ones.
-            # The looser (clock, "") would pin the recovered horizon
-            # below commits the never-crashed machine already folded.
-            bound = (bound + 1,)
         for obj, encoded_ops in intentions.items():
             machine = machines.get(obj)
             if machine is None:
@@ -440,21 +429,29 @@ def recover_manager(
 
     # Advance the generator past every recovered timestamp and the name
     # counter past every recovered transaction (names must stay unique).
-    # Stride generators advance via observe_decision (their observe() is
-    # per-transaction); prepare votes count too — the decided timestamp
-    # of an in-flight 2PC transaction will exceed its vote, and the local
-    # stream must already sit above everything this shard promised.
-    max_serial = 0
-    advance = getattr(manager._generator, "observe_decision", None)
-    for timestamp, _ in image.commits.values():
-        if advance is not None and isinstance(timestamp, int):
-            advance(timestamp)
-        else:
+    # The checkpoint's floor and version timestamps stand in for the
+    # commit records truncation dropped; prepare votes count too — the
+    # decided timestamp of an in-flight 2PC transaction will exceed its
+    # vote, and the local stream must already sit above everything this
+    # shard promised.  (Stride generators advance via observe_decision:
+    # their observe() is per-transaction.)
+    observe_decision = getattr(manager._generator, "observe_decision", None)
+
+    def advance(timestamp: Any) -> None:
+        if observe_decision is not None and isinstance(timestamp, int):
+            observe_decision(timestamp)
+        elif timestamp is not NEG_INFINITY:
             manager._generator.observe("recovery", timestamp)
-    if advance is not None:
-        for bound, _ in image.prepares.values():
-            if isinstance(bound, int):
-                advance(bound)
+
+    if checkpoint is not None:
+        advance(checkpoint.site_clock)
+        for restored in checkpoint.objects.values():
+            advance(restored.version_timestamp)
+    for timestamp, _ in image.commits.values():
+        advance(timestamp)
+    for bound, _ in image.prepares.values():
+        advance(bound)
+    max_serial = 0
     for transaction in image.seen:
         match = _TXN_NAME.match(transaction)
         if match:
@@ -485,85 +482,3 @@ def recover_manager(
             from_checkpoint=report.from_checkpoint,
         )
     return manager, report
-
-
-# ----------------------------------------------------------------------
-# Site-level recovery (in place: clients keep their handle to the Site)
-# ----------------------------------------------------------------------
-
-
-def recover_site_state(
-    site,
-    store: Optional[CheckpointStore] = None,
-    catalog: Optional[Mapping[str, ADT]] = None,
-    clock: Optional[Callable[[], float]] = None,
-) -> RecoveryReport:
-    """Rebuild a crashed :class:`~repro.distributed.site.Site` in place.
-
-    The site's WAL and checkpoint store are its stable storage; volatile
-    state (machines, touched maps, prepared/tombstone sets, the clock) is
-    reconstructed.  ``clock`` is an optional wall-clock callable for the
-    report's ``elapsed_seconds``; simulated runs leave it unset so the
-    report is deterministic.  Returns the :class:`RecoveryReport`.
-    """
-    from ..core.timestamps import LogicalClock
-
-    if site.wal is None:
-        raise RecoveryError(
-            f"site {site.name!r} has no write-ahead log; nothing to recover"
-        )
-    started = clock() if clock is not None else 0.0
-    tracer = getattr(site, "tracer", None)
-    checkpoint = store.load() if store is not None else None
-    records = site.wal.records()
-    machines, adts, image, report = recover_machines(
-        records, checkpoint=checkpoint, catalog=catalog, compacting=True,
-        tracer=tracer,
-    )
-    for machine in machines.values():
-        machine.tracer = tracer
-
-    # Prepared transactions come back with their intentions live; the
-    # completion fan-out map must know which objects they touched.
-    touched: Dict[str, Set[str]] = {}
-    for transaction in report.prepared_transactions:
-        _, intentions = image.prepares[transaction]
-        for obj in intentions:
-            touched.setdefault(obj, set()).add(transaction)
-    # Transactions whose volatile intentions were lost must never pass a
-    # later PREPARE: they are installed as tombstones (presumed abort).
-    site.install_recovered_state(
-        machines,
-        adts,
-        prepared=report.prepared_transactions,
-        tombstones=report.discarded_transactions,
-        touched=touched,
-    )
-
-    site_clock = LogicalClock()
-    if checkpoint is not None:
-        site_clock.observe(checkpoint.site_clock)
-    for timestamp, _ in image.commits.values():
-        number = timestamp[0] if isinstance(timestamp, tuple) else timestamp
-        if isinstance(number, int):
-            site_clock.observe(number)
-    for bound, _ in image.prepares.values():
-        if isinstance(bound, int):
-            site_clock.observe(bound)
-    site.clock = site_clock
-    site.alive = True
-
-    report.name = site.name
-    report.elapsed_seconds = (clock() - started) if clock is not None else 0.0
-    if tracer is not None:
-        tracer.emit(
-            "site.recover",
-            site=site.name,
-            objects=list(report.recovered_objects),
-            replayed_records=report.replayed_records,
-            replayed_operations=report.replayed_operations,
-            prepared=list(report.prepared_transactions),
-            discarded=list(report.discarded_transactions),
-            from_checkpoint=report.from_checkpoint,
-        )
-    return report

@@ -179,6 +179,7 @@ class TransactionManager:
                 protocol=protocol.name,
                 relation=relation.name,
                 initial=adt.spec.initial_states(),
+                site=self.site,
             )
         if self.wal is not None:
             from ..recovery.wal import create_record
@@ -598,7 +599,11 @@ class TransactionManager:
         truncate the WAL prefix the horizon proves redundant.
 
         Requires a WAL and compacting objects; returns the
-        :class:`~repro.recovery.checkpoint.Checkpoint`.
+        :class:`~repro.recovery.checkpoint.Checkpoint`.  The checkpoint
+        carries the timestamp floor — every timestamp issued or applied
+        here was delivered to some object, so the largest object clock
+        bounds them all — because truncation drops the commit records
+        recovery would otherwise re-derive it from.
         """
         if self.wal is None:
             raise ProtocolError("checkpointing requires a write-ahead log")
@@ -610,7 +615,9 @@ class TransactionManager:
         from ..recovery.checkpoint import take_checkpoint, truncate_wal
 
         machines = {name: m.machine for name, m in self._objects.items()}
-        checkpoint = take_checkpoint(machines)
+        clocks = [m.max_committed_timestamp() for m in self._objects.values()]
+        floor = max((clock for clock in clocks if isinstance(clock, int)), default=0)
+        checkpoint = take_checkpoint(machines, site_clock=floor)
         store.save(checkpoint)
         truncate_wal(self.wal, machines)
         return checkpoint

@@ -1,35 +1,44 @@
-"""The shard engine: the serving tier's one executor, under every transport.
+"""The shard engine: the one 2PC participant, under every transport.
 
 The paper's model (Sections 1 and 3.3) is shared-nothing: each site owns
 its objects, mints commit timestamps locally, and learns cross-site
 decisions from the commit protocol's messages.  :class:`ShardEngine` is
 one such site — a :class:`~repro.runtime.TransactionManager` on one
-:class:`ShardedTimestampGenerator` stride, an optional write-ahead log —
-driven by ops: dicts with an ``"op"`` key, each answered ``{"ok": ...}``
-or ``{"error": CODE, "message": text}``::
+:class:`ShardedTimestampGenerator` stride, an optional write-ahead log
+and checkpoint store — driven by ops: dicts with an ``"op"`` key, each
+answered ``{"ok": ...}`` or ``{"error": CODE, "message": text}``::
 
     create begin invoke commit abort txn          single-shard work
     prepare decide apply_commit                   presumed-abort 2PC
     snapshot stats catalog prepared decision      queries
+    checkpoint                                    log truncation
     crash                                         fault injection
 
 :meth:`ShardEngine.execute` holds the package's only exception → error
 code ladder; :meth:`ShardEngine.execute_batch` is the group-commit
 contract (run every op, flush log and trace sink **once**, then reply).
-A *transport* exposes an engine as ``call(ops)`` / ``single(op)``:
-:class:`LocalShard` calls it directly,
-:class:`~repro.server.procpool.ShardProcess` over a pipe into a child
-process.  :class:`ShardSet` is a fixed set of shards behind either — the
-catalog and the one presumed-abort 2PC coordinator.
 
-The module is pure (no sockets, clocks, pipes or files: a log or trace
-sink is handed in already open), so it stays under REP104/REP106.
+A *transport* exposes an engine as ``call(ops)`` / ``single(op)`` plus
+``alive``, ``blocking`` and ``stop()``; one whose ``call`` can raise
+:class:`ShardDown` also has ``spawn()``, which brings the shard back
+over the same log.  There are three: :class:`LocalShard` calls the
+engine directly and adds nothing;
+:class:`~repro.server.procpool.ShardProcess` adds a pipe and a child
+process; :class:`~repro.distributed.site.Site` adds a simulated host
+with a kill switch.  :func:`two_phase_commit` is the one decision
+procedure — written as rounds of ``(shard, op)`` so that
+:class:`ShardSet` can run it with blocking calls and
+:class:`~repro.distributed.client.DistributedClient` with simulated
+messages.
+
+The module is pure (no sockets, clocks, pipes or files: a log, store or
+trace sink is handed in already open), so it stays under REP104/REP106.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..adts import get_adt
 from ..core.errors import (
@@ -51,6 +60,7 @@ __all__ = [
     "ShardSet",
     "ShardedTimestampGenerator",
     "shard_for",
+    "two_phase_commit",
 ]
 
 
@@ -147,11 +157,13 @@ _BY_NAME = frozenset({"invoke", "commit", "abort", "prepare", "decide", "apply_c
 class ShardEngine:
     """One shard: a manager, its stride, an optional WAL, logged decisions.
 
-    A non-empty ``wal`` is *recovered from* — committed intentions
-    redone, prepared transactions back with their locks, ``decided``
-    rebuilt from the commit records — and a log written under another
-    stride is refused.  ``sink`` is the trace sink to flush with each
-    batch and close at :meth:`close`, when the engine owns one.
+    A non-empty ``wal`` is *recovered from* — on top of the checkpoint
+    in ``store``, when it holds one: committed intentions redone,
+    prepared transactions back with their locks, ``decided`` rebuilt
+    from the commit records — and a log written under another stride is
+    refused.  ``store`` is also where the ``checkpoint`` op saves to.
+    ``sink`` is the trace sink to flush with each batch and close at
+    :meth:`close`, when the engine owns one.
     """
 
     def __init__(
@@ -163,11 +175,13 @@ class ShardEngine:
         tracer: Any = None,
         sink: Any = None,
         incarnation: int = 1,
+        store: Any = None,
     ):
         self.shard = shard
         self.shards = shards
         self.incarnation = incarnation
         self.wal = wal
+        self.store = store
         self.sink = sink
         self._protocol = get_protocol(protocol)
         self._flush_wal = getattr(wal, "flush", None)
@@ -178,14 +192,17 @@ class ShardEngine:
         self.decided: Dict[str, int] = {}
         self.committed = 0
         self.aborted = 0
+        #: The :class:`~repro.recovery.RecoveryReport` of the replay that
+        #: built this engine (None: it started from an empty log).
+        self.recovery = None
         site = f"shard{shard}"
         if wal is not None and len(wal):
             # Imported where it is needed: a volatile engine (every
             # in-process server) never loads the recovery package.
             from ..recovery import decode_value, recover_manager
 
-            self.manager, _report = recover_manager(
-                wal, tracer=tracer, generator=self.generator, site=site
+            self.manager, self.recovery = recover_manager(
+                wal, store=store, tracer=tracer, generator=self.generator, site=site
             )
             for record in wal.records():
                 if record["kind"] == "commit":
@@ -296,6 +313,10 @@ class ShardEngine:
                 return {"ok": sorted(manager.objects)}
             if kind == "stats":
                 return {"ok": self.stats()}
+            if kind == "checkpoint":
+                if self.store is None:
+                    raise ProtocolError("this shard has no checkpoint store")
+                return {"ok": len(manager.checkpoint(self.store).objects)}
             if kind == "crash":
                 raise EngineCrash()
             return {"error": "BAD_REQUEST", "message": f"unknown op {kind!r}"}
@@ -450,74 +471,104 @@ class ShardSet:
                 out.append({"shard": index, "down": True})
         return out
 
-    # -- cross-shard 2PC (the distributed coordinator, calls for wires) --
+    # -- cross-shard 2PC: the decision procedure, driven by blocking calls --
 
     def commit_cross_shard(
         self, name: str, participants: Sequence[int], primary: int
     ) -> Dict[str, Any]:
-        """Run presumed-abort 2PC for ``name`` across ``participants``.
-
-        Phase one collects every shard's vote (its timestamp floor,
-        force-written with the intentions); any refusal aborts everywhere.
-        Phase two decides ``max(votes) < ts`` on the primary's stride and
-        retransmits the decision until each participant acks — through a
-        worker death, by respawning it (recovery resurrects the prepared
-        transaction) and re-applying.  Returns ``{"ok": ts}`` or an error
-        reply shaped like the engine's.
-        """
-        votes: List[int] = []
-        voted: List[int] = []
-        for index in sorted(set(participants)):
-            try:
-                reply = self.shards[index].single({"op": "prepare", "txn": name})
-            except ShardDown:
-                reply = {"error": "NO_VOTE", "message": f"shard{index} is down"}
-            if "error" in reply:
-                self.abort_cross_shard(name, voted)
-                return reply
-            votes.append(int(reply["ok"]))
-            voted.append(index)
+        """Run :func:`two_phase_commit` for ``name``; returns ``{"ok": ts}``
+        or an error reply shaped like the engine's."""
+        rounds = two_phase_commit(name, participants, primary)
         try:
-            decided = self.shards[primary].single(
-                {"op": "decide", "txn": name, "votes": votes}
-            )
-        except ShardDown:
-            # The primary died between prepare and decide: no commit
-            # record exists anywhere, so the outcome is presumed abort.
-            # Its own prepared entry resolves the same way on respawn.
-            self.abort_cross_shard(name, [i for i in voted if i != primary])
-            return {"error": "ABORTED", "message": f"shard{primary} died deciding"}
-        if "error" in decided:
-            self.abort_cross_shard(name, [i for i in voted if i != primary])
-            return decided
-        timestamp = int(decided["ok"])
-        for index in voted:
-            if index == primary:
-                continue
-            self._deliver_commit(index, name, timestamp)
-        return {"ok": timestamp}
-
-    def _deliver_commit(self, index: int, name: str, timestamp: int) -> None:
-        """Retransmit a commit decision until the participant acks it."""
-        while True:
-            try:
-                self.shards[index].single(
-                    {"op": "apply_commit", "txn": name, "ts": timestamp}
-                )
-                return
-            except ShardDown:
-                # Only a transport whose shards can die raises this, and
-                # it knows how to bring one back.  Respawn recovers the
-                # prepared transaction (its vote and intentions are on
-                # the shard's stable log) and resolve_prepared may already
-                # find the primary's commit record; the retried apply is
-                # then an idempotent ack.
-                self.respawn(index)
+            ops = next(rounds)
+            while True:
+                ops = rounds.send([self._deliver(index, op) for index, op in ops])
+        except StopIteration as done:
+            return done.value
 
     def abort_cross_shard(self, name: str, participants: Sequence[int]) -> None:
         """Deliver an abort everywhere it ran; dead shards presume it."""
         for index in sorted(set(participants)):
+            self._deliver(index, {"op": "abort", "txn": name})
+
+    def _deliver(self, index: int, op: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """One op to one shard.  A dead shard leaves a question unanswered
+        (None) and presumes an abort, but a commit decision is
+        retransmitted until acked — through the death, by respawning the
+        shard: recovery resurrects the prepared transaction (its vote and
+        intentions are on the stable log), :meth:`resolve_prepared` may
+        already find the primary's commit record, and the retried apply
+        is then an idempotent ack."""
+        while True:
             try:
-                self.shards[index].single({"op": "abort", "txn": name})
+                return self.shards[index].single(op)
             except ShardDown:
-                continue  # presumed abort on recovery
+                if op["op"] != "apply_commit":
+                    return None
+                self.respawn(index)
+
+    def respawn(self, index: int) -> List[str]:
+        """Bring a dead shard back and resolve its prepared transactions.
+
+        Emits ``site.crash`` (hard) for the lost incarnation, ``spawn``s a
+        fresh one (which replays its WAL — committed intentions redone,
+        prepared transactions back with their locks), then queries the
+        other shards for each prepared transaction's decision.  Returns
+        the prepared transaction names that were resolved.
+        """
+        shard = self.shards[index]
+        if shard.alive:
+            return []  # another caller already brought it back
+        if self.tracer is not None:
+            self.tracer.emit("site.crash", site=f"shard{index}", hard=True)
+        shard.spawn()
+        return self.resolve_prepared(index)
+
+
+def two_phase_commit(
+    name: str, participants: Sequence[int], primary: int
+) -> Generator[List[Tuple[int, Dict[str, Any]]], List[Any], Dict[str, Any]]:
+    """Presumed-abort 2PC for ``name``, as rounds of ``(shard, op)``.
+
+    The one decision rule, free of any transport: each ``yield`` hands
+    the driver a round of ops to deliver and is sent back their replies,
+    in order; the generator's return value is the outcome, ``{"ok": ts}``
+    or an error reply shaped like the engine's.
+
+    ``prepare`` and ``decide`` are *questions*: a shard that cannot be
+    reached answers ``None``.  Phase one collects every participant's
+    vote (its timestamp floor, force-written with the intentions); any
+    refusal aborts the voters.  Phase two has the primary ``decide``
+    ``max(votes) < ts`` on its own stride; a primary that died between
+    prepare and decide logged no commit record, so the outcome is
+    presumed abort — for its own prepared entry too, once it is back.
+    ``apply_commit`` and ``abort`` are *verdicts*: their replies are not
+    read.  A commit must be retransmitted until the participant acks it;
+    an abort may be dropped by a driver that resolves prepared
+    transactions when it respawns a shard (:meth:`ShardSet.respawn`) and
+    must be retransmitted by one that does not.
+    """
+    participants = sorted(set(participants))
+    replies = yield [(index, {"op": "prepare", "txn": name}) for index in participants]
+    votes: List[int] = []
+    voted: List[int] = []
+    outcome = None
+    for index, reply in zip(participants, replies):
+        if reply is None:
+            reply = {"error": "NO_VOTE", "message": f"shard{index} is down"}
+        if "error" in reply:
+            outcome = outcome or reply
+        else:
+            votes.append(int(reply["ok"]))
+            voted.append(index)
+    if outcome is None:
+        (outcome,) = yield [(primary, {"op": "decide", "txn": name, "votes": votes})]
+        if outcome is None:
+            outcome = {"error": "ABORTED", "message": f"shard{primary} died deciding"}
+        if "error" not in outcome:
+            timestamp = int(outcome["ok"])
+            apply = {"op": "apply_commit", "txn": name, "ts": timestamp}
+            yield [(index, apply) for index in voted if index != primary]
+            return {"ok": timestamp}
+    yield [(index, {"op": "abort", "txn": name}) for index in voted]
+    return outcome

@@ -285,22 +285,10 @@ class ShardProcessPool(ShardSet):
             super().start()
 
     def respawn(self, index: int) -> List[str]:
-        """Restart a dead worker and resolve its prepared transactions.
-
-        Emits ``site.crash`` (hard) for the lost incarnation, spawns a
-        fresh one (which replays its WAL — committed intentions redone,
-        prepared transactions back with their locks), then queries the
-        other shards for each prepared transaction's decision.  Returns
-        the prepared transaction names that were resolved.
-        """
-        shard = self.shards[index]
+        """:meth:`ShardSet.respawn`, once per death: workers and 2PC
+        coordinators race to it from executor threads."""
         with self._respawn_lock:
-            if shard.alive:
-                return []  # another caller already brought it back
-            if self.tracer is not None:
-                self.tracer.emit("site.crash", site=shard.name, hard=True)
-            shard.spawn()
-            return self.resolve_prepared(index)
+            return super().respawn(index)
 
     def status(self) -> Dict[str, Any]:
         """The supervisor's view, with no pipe round-trips (introspection

@@ -110,7 +110,7 @@ ERROR_CODES = frozenset(
         "ABORTED",          # transaction no longer active
         "BUSY",             # work queue past its high-water mark
         "SHUTTING_DOWN",    # server is draining; no new transactions
-        "CROSS_SHARD",      # transaction bound to another worker's shard
+        "NO_VOTE",          # a 2PC participant lost the txn; aborted everywhere
         "SHARD_DOWN",       # shard worker process died; txn presumed aborted
         "INTERNAL",         # unexpected server-side failure
     }

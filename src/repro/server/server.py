@@ -37,24 +37,23 @@ Engine and transports
 
 The shards are a :class:`~repro.server.engine.ShardSet`, and a worker
 does the same thing whatever is behind it: plan the ops, ``call`` the
-shard, finish the reply.  All it asks of the transport is whether
+shard, finish the reply.  A transaction may touch any shard; its commit
+runs :func:`~repro.server.engine.two_phase_commit` across exactly the
+recorded participants.  All the worker asks of the transport is whether
 ``call`` *blocks*:
 
 * a **local shard** (``workers=N``, the default) is an engine in this
   process, with no log.  Its call returns when the manager has, so the
   worker makes it straight from the loop, one request at a time, and
-  writes the reply before the next queued request executes.  A touch of
-  a second shard answers ``CROSS_SHARD``: the commit protocol between
-  shards runs off-loop, which only shards living elsewhere allow.
+  writes the reply before the next queued request executes (the 2PC
+  rounds run the same way: nothing on the loop can interleave).
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
   the call runs in the loop's executor and the worker first drains its
   queue into one *batch* — one pipe round-trip, one group-commit fsync
-  for the lot.  Cross-shard transactions are legal: commit runs
-  presumed-abort 2PC across exactly the recorded participants.  A dead
-  worker process is respawned (recovering from its WAL); the requests
-  and handles it stranded are answered ``SHARD_DOWN`` and cleaned up on
-  every participant, never leaked.
+  for the lot.  A dead worker process is respawned (recovering from its
+  WAL); the requests and handles it stranded are answered ``SHARD_DOWN``
+  and cleaned up on every participant, never leaked.
 
 Graceful drain
 --------------
@@ -602,8 +601,8 @@ class ReproServer:
     def _route(self, session: Session, request: Request) -> Optional[int]:
         """The worker shard for one request (None: decide inline).
 
-        Raises :class:`WireError` for unknown objects/handles and
-        cross-shard touches — refused before consuming queue budget.
+        Raises :class:`WireError` for unknown objects/handles — refused
+        before consuming queue budget.
         """
         action = request.action
         params = request.params
@@ -632,19 +631,6 @@ class ReproServer:
             owner = self._catalog.get(obj)
             if owner is None:
                 raise WireError("UNKNOWN_OBJECT", f"no managed object {obj!r}")
-            if (
-                not self.pool.blocking
-                and record.primary is not None
-                and record.primary != owner
-            ):
-                # 2PC runs off-loop, beside the workers: legal only when
-                # the shards live elsewhere and their calls serialise.
-                raise WireError(
-                    "CROSS_SHARD",
-                    f"transaction {handle!r} is bound to shard {record.primary}; "
-                    f"{obj!r} lives on shard {owner} (single-shard transactions"
-                    " only)",
-                )
             return owner
         # commit / abort run on the primary (the 2PC decider).
         return record.primary

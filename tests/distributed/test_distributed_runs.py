@@ -12,8 +12,11 @@ class TestRuns:
             site_count=3, clients=4, duration=150, seed=1
         )
         assert run.metrics.committed > 20
-        assert run.network.sent["prepare"] == run.network.sent["vote"]
-        assert run.network.sent["commit"] >= run.metrics.committed
+        sent = run.network.sent
+        assert 0 <= sent["prepare"] - sent["vote"] <= 2
+        # Every commit the clients counted was decided by one site: a
+        # plain commit (single-site) or the primary's decide (2PC).
+        assert sent["commit"] + sent["decide"] >= run.metrics.committed
 
     def test_deterministic(self):
         a = run_distributed_experiment(duration=120, seed=9)

@@ -38,8 +38,8 @@ class TestCrashPlan:
 
         plan = CrashPlan(
             [
-                CrashEvent(time=10.0, site="S0", downtime=50.0),
-                CrashEvent(time=20.0, site="S0", downtime=50.0),
+                CrashEvent(time=10.0, site="shard0", downtime=50.0),
+                CrashEvent(time=20.0, site="shard0", downtime=50.0),
             ]
         )
         run = _run_with_plan(plan, duration=100.0)
@@ -48,33 +48,25 @@ class TestCrashPlan:
 
 
 def _run_with_plan(plan, duration=100.0):
-    """Drive a durable distributed run under an explicit plan."""
-    from repro.distributed.experiment import run_distributed_experiment
-
-    # run_distributed_experiment only takes a rate; emulate an explicit
-    # plan by building the pieces it would build.
+    """Drive a durable distributed run under an explicit plan
+    (``run_distributed_experiment`` only takes a rate)."""
     import random
 
-    from repro.adts.account import make_account_adt
-    from repro.distributed.client import DistributedClient
-    from repro.distributed.network import Network
-    from repro.distributed.site import Site
+    from repro.distributed import DistributedClient, DistributedRun, Network, Site
     from repro.recovery import MemoryCheckpointStore, MemoryWAL
-    from repro.sim.metrics import Metrics
+    from repro.sim import Metrics
 
     simulator = Simulator()
     network = Network(simulator, seed=0)
-    sites = {}
-    stores = {}
+    sites = []
     for s in range(2):
-        site = Site(f"S{s}", wal=MemoryWAL())
-        site.create_object(f"acct{s}", make_account_adt(initial=1000))
-        sites[site.name] = site
-        stores[site.name] = MemoryCheckpointStore()
+        site = Site(s, 2, wal=MemoryWAL(), store=MemoryCheckpointStore())
+        site.single({"op": "create", "name": f"acct{s}", "adt": "Account"})
+        sites.append(site)
 
     def script(index, rng):
-        name = rng.choice(sorted(sites))
-        return [(name, f"acct{name[1:]}", "Credit", (rng.randint(1, 5),))]
+        home = rng.randrange(2)
+        return [(home, f"acct{home}", "Credit", (rng.randint(1, 5),))]
 
     metrics = Metrics()
     for index in range(3):
@@ -82,13 +74,11 @@ def _run_with_plan(plan, duration=100.0):
             index, simulator, network, sites, script, metrics,
             random.Random(f"plan/{index}"),
         ).start()
-    plan.install(simulator, sites, metrics=metrics, stores=stores)
+    by_name = {site.name: site for site in sites}
+    plan.install(simulator, by_name, metrics=metrics)
     simulator.run_until(duration)
     metrics.duration = duration
-
-    from repro.distributed.experiment import DistributedRun
-
-    return DistributedRun(metrics=metrics, network=network, sites=sites)
+    return DistributedRun(metrics=metrics, network=network, sites=by_name)
 
 
 class TestFaultInjectedRuns:
@@ -123,13 +113,17 @@ class TestFaultInjectedRuns:
         assert is_hybrid_atomic(run.history(), run.specs())
 
     def test_crash_runs_are_deterministic(self):
-        kwargs = dict(duration=150.0, seed=4, crash_rate=0.03, crash_seed=2)
+        kwargs = dict(
+            duration=150.0, seed=4, crash_rate=0.03, crash_seed=2, record=True
+        )
         a = run_distributed_experiment(**kwargs)
         b = run_distributed_experiment(**kwargs)
         # Every metric, recovery_time included: simulated recovery takes
-        # no wall-clock timings, so the full row is reproducible.
+        # no wall-clock timings, so the full row is reproducible — and so
+        # is the recorded history, event for event.
         assert a.metrics.as_row() == b.metrics.as_row()
         assert a.total_balance() == b.total_balance()
+        assert a.events == b.events and len(a.events) > 100
 
     def test_durable_run_without_crashes_matches_volatile(self):
         volatile = run_distributed_experiment(duration=150.0, seed=3)
@@ -146,4 +140,4 @@ class TestFaultInjectedRuns:
             wal_dir=str(tmp_path),
         )
         assert run.metrics.recoveries == run.metrics.crashes > 0
-        assert (tmp_path / "S0" / "wal.jsonl").exists()
+        assert (tmp_path / "shard0" / "wal.jsonl").exists()

@@ -13,13 +13,10 @@ import pytest
 
 from repro.adts import (
     make_account_adt,
-    make_bounded_queue_adt,
     make_counter_adt,
     make_product_adt,
-    make_stack_adt,
 )
 from repro.core import (
-    Invocation,
     LockConflict,
     SkewedTimestampGenerator,
     WouldBlock,
@@ -92,20 +89,20 @@ class TestExtensionTypesAtSites:
     def test_stack_and_bounded_queue_at_a_site(self):
         from repro.distributed import Site
 
-        site = Site("S0")
-        site.create_object("stack", make_stack_adt())
-        site.create_object("buffer", make_bounded_queue_adt(capacity=2))
-        assert site.handle_invoke("T1", "stack", Invocation("Push", (1,)))[0] == "ok"
-        assert site.handle_invoke("T1", "buffer", Invocation("Enq", (1,)))[0] == "ok"
-        site.handle_commit("T1", (1, "T1"))
-        assert site.snapshot("stack") == (1,)
-        # Fill the bounded buffer to its cap; further enqueues block.
-        reply = site.handle_invoke("T2", "buffer", Invocation("Enq", (2,)))
-        assert reply[0] == "ok"
-        site.handle_commit("T2", (2, "T2"))
-        assert site.handle_invoke("T3", "buffer", Invocation("Enq", (3,))) == (
-            "block",
+        site = Site()
+        site.single({"op": "create", "name": "stack", "adt": "Stack"})
+        site.single({"op": "create", "name": "buffer", "adt": "BoundedQueue"})
+        first = site.single(
+            {"op": "txn", "name": "T1", "steps": [("stack", "Push", (1,)), ("buffer", "Enq", (1,))]}
         )
+        assert first["results"] == ["Ok", "Ok"]
+        assert site.snapshot("stack") == (1,)
+        # Fill the bounded buffer to its cap (2); further enqueues block.
+        site.single({"op": "txn", "name": "T2", "steps": [("buffer", "Enq", (2,))]})
+        refused = site.single(
+            {"op": "txn", "name": "T3", "steps": [("buffer", "Enq", (3,))]}
+        )
+        assert refused["error"] == "WOULD_BLOCK"
 
 
 class TestReadonlyAndCrash:

@@ -195,14 +195,19 @@ class TestDistributedPath:
         )
         metrics = run.metrics
         assert metrics.committed > 0
-        committed = builder.committed()
-        assert len(committed) == metrics.committed
+        # Spans close at the deciding site; the client counts the commit
+        # when it hears of it, so a reply still in flight at the cut-off
+        # is a span ahead (the two ``open<site>`` spans fund the accounts).
+        committed = [
+            span for span in builder.committed() if span.transaction.startswith("C")
+        ]
+        assert 0 <= len(committed) - metrics.committed <= 4
         names = [span.transaction for span in builder.spans]
         assert len(names) == len(set(names))
         for span in committed:
             assert span.well_formed, (
                 f"{span.transaction}: {span.violations()}"
             )
-        # Per-site commit deliveries land after the coordinator's verdict.
+        # Participants apply the commit after the primary has decided it.
         assert sum(span.extra_events for span in committed) > 0
         assert registry.counter("net.messages").value == run.network.total_messages

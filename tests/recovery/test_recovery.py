@@ -1,9 +1,8 @@
-"""Recovery drivers: manager rebuild, in-place site rebuild, 2PC edges."""
+"""Recovery: the manager rebuild, and a site host recovering over it."""
 
 import pytest
 
 from repro.adts import make_account_adt, make_queue_adt
-from repro.core import Invocation
 from repro.distributed import Site
 from repro.recovery import (
     FileCheckpointStore,
@@ -16,6 +15,7 @@ from repro.recovery import (
     verify_recovery,
 )
 from repro.runtime import TransactionManager
+from repro.server import ShardDown
 
 
 def manager_with_wal(wal=None, compacting=True):
@@ -126,109 +126,121 @@ class TestManagerRecovery:
             verify_recovery(expected, machines_of(recovered))
 
 
-def durable_site():
-    site = Site("S0", wal=MemoryWAL())
-    site.create_object("A", make_account_adt(initial=100))
+def durable_site(store=None):
+    site = Site(wal=MemoryWAL(), store=store)
+    site.single({"op": "create", "name": "A", "adt": "Account"})
+    site.single({"op": "txn", "name": "open", "steps": [("A", "Credit", (100,))]})
     return site
 
 
+def invoke(site, txn, operation, *args):
+    ops = [{"op": "invoke", "txn": txn, "obj": "A", "operation": operation, "args": args}]
+    if site.engine.manager.transaction(txn) is None:
+        ops.insert(0, {"op": "begin", "name": txn})
+    return site.call(ops)[-1]
+
+
+def commit_2pc(site, txn, timestamp):
+    assert "ok" in site.single({"op": "prepare", "txn": txn})
+    return site.single({"op": "apply_commit", "txn": txn, "ts": timestamp})
+
+
 class TestSiteRecovery:
+    """What the simulated host adds: hard crash + recover over its own log
+    (the replay itself is ``recover_manager``, tested above)."""
+
     def test_crash_hard_loses_volatile_state(self):
         site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
+        invoke(site, "T1", "Credit", 5)
         site.crash_hard()
         assert not site.alive
-        assert site.handle_invoke("T1", "A", Invocation("Credit", (1,))) == ("down",)
-        assert site.handle_prepare("T1") == ("down",)
-        assert site.handle_commit("T1", (1, "T1")) is False
-        assert site.handle_abort("T1") is False
+        for op in ("prepare", "apply_commit", "abort", "catalog"):
+            with pytest.raises(ShardDown):
+                site.single({"op": op, "txn": "T1", "ts": 1})
 
     def test_committed_state_survives(self):
         site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_prepare("T1")
-        site.handle_commit("T1", (3, "T1"))
-        expected = committed_state_sets(site._machines)
+        invoke(site, "T1", "Credit", 5)
+        commit_2pc(site, "T1", 3)
+        expected = committed_state_sets(site.machines())
         site.crash_hard()
         report = site.recover()
-        verify_recovery(expected, site._machines)
+        verify_recovery(expected, site.machines())
         assert site.snapshot("A") == 105
-        assert site.clock.now >= 3
-        assert report.name == "S0"
+        # The stride stays above everything recovered.
+        assert site.single({"op": "txn", "name": "T2", "steps": []})["ok"] > 3
+        assert report.name == "shard0"
 
     def test_unprepared_transaction_lost_and_tombstoned(self):
         site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
+        invoke(site, "T1", "Credit", 5)
         site.crash_hard()
-        site.recover()
+        report = site.recover()
+        assert report.discarded_transactions == ("T1",)
         # Its volatile intentions are gone: the vote must be no, and the
         # lock it held must be free for others.
-        assert site.handle_prepare("T1") == ("no",)
-        assert site.handle_invoke("T2", "A", Invocation("Debit", (5,)))[0] == "ok"
+        assert site.single({"op": "prepare", "txn": "T1"})["error"] == "NO_VOTE"
+        assert invoke(site, "T2", "Debit", 5) == {"ok": "Ok"}
 
     def test_prepared_transaction_survives_and_commits(self):
         site = durable_site()
         # A failed debit (Overdraft) holds a lock that excludes credits.
-        reply = site.handle_invoke("T1", "A", Invocation("Debit", (500,)))
-        assert reply[:2] == ("ok", "Overdraft")
-        assert site.handle_prepare("T1")[0] == "yes"
+        assert invoke(site, "T1", "Debit", 500) == {"ok": "Overdraft"}
+        vote = site.single({"op": "prepare", "txn": "T1"})["ok"]
         site.crash_hard()
         report = site.recover()
         assert report.prepared_transactions == ("T1",)
-        assert "T1" in site._prepared
+        assert site.prepared_transactions() == ["T1"]
         # The re-derived lock still excludes conflicting operations.
-        assert site.handle_invoke("T2", "A", Invocation("Credit", (5,))) == (
-            "conflict",
-        )
+        assert invoke(site, "T2", "Credit", 5)["error"] == "CONFLICT"
         # A repeated PREPARE (coordinator retry) still answers yes.
-        assert site.handle_prepare("T1")[0] == "yes"
+        assert site.single({"op": "prepare", "txn": "T1"}) == {"ok": vote}
         # The verdict can finally land.
-        assert site.handle_commit("T1", (5, "T1")) is True
+        assert site.single({"op": "apply_commit", "txn": "T1", "ts": vote + 4}) == {
+            "ok": vote + 4
+        }
         assert site.snapshot("A") == 100
 
     def test_prepared_transaction_survives_and_aborts(self):
         site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (7,)))
-        site.handle_prepare("T1")
+        invoke(site, "T1", "Credit", 7)
+        site.single({"op": "prepare", "txn": "T1"})
         site.crash_hard()
         site.recover()
-        assert site.handle_abort("T1") is True
+        assert site.single({"op": "abort", "txn": "T1"}) == {"ok": None}
         assert site.snapshot("A") == 100
-        assert site.handle_invoke("T2", "A", Invocation("Debit", (1,)))[0] == "ok"
+        assert invoke(site, "T2", "Debit", 1) == {"ok": "Ok"}
 
     def test_double_crash_recover(self):
         site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_prepare("T1")
-        site.handle_commit("T1", (2, "T1"))
+        invoke(site, "T1", "Credit", 5)
+        commit_2pc(site, "T1", 2)
         site.crash_hard()
         site.recover()
-        site.handle_invoke("T2", "A", Invocation("Credit", (6,)))
-        site.handle_prepare("T2")
-        site.handle_commit("T2", (4, "T2"))
-        expected = committed_state_sets(site._machines)
+        invoke(site, "T2", "Credit", 6)
+        commit_2pc(site, "T2", 4)
+        expected = committed_state_sets(site.machines())
         site.crash_hard()
         site.recover()
-        verify_recovery(expected, site._machines)
-        assert site.snapshot("A") == 111
+        verify_recovery(expected, site.machines())
+        assert site.snapshot("A") == 111 and site.incarnation == 3
 
     def test_checkpoint_then_recover(self):
-        site = durable_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_commit("T1", (2, "T1"))
-        store = MemoryCheckpointStore()
-        site.checkpoint(store)
-        site.handle_invoke("T2", "A", Invocation("Credit", (6,)))
-        site.handle_commit("T2", (4, "T2"))
-        expected = committed_state_sets(site._machines)
+        site = durable_site(store=MemoryCheckpointStore())
+        invoke(site, "T1", "Credit", 5)
+        commit_2pc(site, "T1", 2)
+        assert site.checkpoint() == {"ok": 1}
+        invoke(site, "T2", "Credit", 6)
+        commit_2pc(site, "T2", 4)
+        expected = committed_state_sets(site.machines())
         site.crash_hard()
-        report = site.recover(store=store)
-        verify_recovery(expected, site._machines)
+        report = site.recover()
+        verify_recovery(expected, site.machines())
         assert report.from_checkpoint
         assert site.snapshot("A") == 111
 
     def test_recover_without_wal_rejected(self):
-        site = Site("S0")
-        site.create_object("A", make_account_adt())
+        site = Site()
+        site.single({"op": "create", "name": "A", "adt": "Account"})
         with pytest.raises(RecoveryError):
             site.recover()

@@ -13,7 +13,6 @@ same workload.
 """
 
 from repro.adts import make_account_adt, make_queue_adt
-from repro.core import Invocation
 from repro.distributed import Site
 from repro.recovery import MemoryWAL, recover_manager
 from repro.runtime import TransactionManager
@@ -74,33 +73,41 @@ class TestSiteRecoveryCompaction:
     intentions must be retained (its verdict is still owed) while the
     committed prefix below its bound still folds."""
 
-    def build_and_run(self, site):
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_prepare("T1")
-        site.handle_commit("T1", (3, "T1"))
+    @staticmethod
+    def site_after_workload():
+        site = Site(wal=MemoryWAL())
+        site.single({"op": "create", "name": "A", "adt": "Account"})
+
+        def run(txn, operation, amount):
+            replies = site.call(
+                [
+                    {"op": "begin", "name": txn},
+                    {"op": "invoke", "txn": txn, "obj": "A", "operation": operation,
+                     "args": (amount,)},
+                    {"op": "prepare", "txn": txn},
+                ]
+            )
+            assert all("ok" in reply for reply in replies), replies
+
+        run("T1", "Credit", 5)
+        site.single({"op": "apply_commit", "txn": "T1", "ts": 3})
         # T2 executes after T1's commit, so its bound rides above it;
         # it prepares but never learns its verdict.
-        site.handle_invoke("T2", "A", Invocation("Debit", (2,)))
-        site.handle_prepare("T2")
+        run("T2", "Debit", 2)
+        return site
 
     def test_prepared_survivor_retained_but_prefix_folds(self):
-        site = Site("S0", wal=MemoryWAL())
-        site.create_object("A", make_account_adt(initial=100))
-        peer = Site("S1", wal=MemoryWAL())
-        peer.create_object("A", make_account_adt(initial=100))
-        self.build_and_run(site)
-        self.build_and_run(peer)
+        site, peer = self.site_after_workload(), self.site_after_workload()
         site.crash_hard()
         report = site.recover()
         assert report.prepared_transactions == ("T2",)
-        recovered_machine = site._machines["A"]
-        peer_machine = peer._machines["A"]
-        assert_same_compaction(recovered_machine, peer_machine)
+        recovered_machine = site.machines()["A"]
+        assert_same_compaction(recovered_machine, peer.machines()["A"])
         # T1 folded into the version, T2's single operation retained.
         assert recovered_machine.forgotten_transactions == ("T1",)
         assert recovered_machine.retained_intentions() == len(
             recovered_machine.intentions("T2")
         ) == 1
         # The verdict can still land, and the machine folds it in turn.
-        assert site.handle_commit("T2", (7, "T2")) is True
+        assert site.single({"op": "apply_commit", "txn": "T2", "ts": 7}) == {"ok": 7}
         assert recovered_machine.retained_intentions() == 0

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.recovery import MemoryCheckpointStore
 from repro.recovery.wal import GroupCommitWAL, MemoryWAL
 from repro.server import ShardEngine
 from repro.server.engine import EngineCrash, LocalShard, ShardSet
 
 OPS = (
     "create begin invoke commit abort txn prepare decide apply_commit "
-    "snapshot stats catalog prepared decision crash"
+    "snapshot stats catalog prepared decision checkpoint crash"
 ).split()
 
 
@@ -101,6 +102,30 @@ class TestSingleShardOps:
         # Without a log every counter still answers.
         bare = ShardEngine().execute({"op": "stats"})["ok"]
         assert bare["wal_records"] == 0 and bare["batches"] is None
+
+    def test_checkpoint_truncates_and_the_next_life_starts_above_it(self):
+        wal, store = MemoryWAL(), MemoryCheckpointStore()
+        engine = ShardEngine(1, 2, wal=wal, store=store)
+        for name in ("a", "b"):
+            engine.execute({"op": "create", "name": name, "adt": "Account"})
+        for i in range(3):
+            engine.execute({"op": "txn", "name": f"T{i}", "steps": [("a", "Credit", (1,))]})
+        before = len(wal)
+        assert engine.execute({"op": "checkpoint"}) == {"ok": 2}
+        assert len(wal) < before
+        recovered = ShardEngine(1, 2, wal=wal, store=store, incarnation=2)
+        assert recovered.recovery.from_checkpoint
+        assert recovered.execute({"op": "snapshot", "obj": "a"})["ok"] == 3
+        # The folded commits are gone from the log, not from the floor.
+        later = recovered.execute(
+            {"op": "txn", "name": "L", "steps": [("b", "Credit", (1,))]}
+        )
+        assert later["ok"] == 7
+        # Without a store (or a log) the op is refused, typed.
+        assert engine_with("a").execute({"op": "checkpoint"})["error"] == "BAD_REQUEST"
+        assert ShardEngine(store=store).execute({"op": "checkpoint"})["error"] == (
+            "BAD_REQUEST"
+        )
 
     def test_unknown_op_and_crash(self):
         engine = engine_with()

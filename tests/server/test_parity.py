@@ -1,18 +1,20 @@
-"""Error-code parity: one body, both transports, one table of answers.
+"""Answer parity: one body, three transports, one table of answers.
 
-The engine's exception → code ladder is the only one in the package, so
-a malformed request must be refused with the *same* code whether the
-shard is a local engine or a child process.  Each case runs over a real
-socket against both.
+The engine's exception → code ladder is the only one in the package and
+the 2PC decision procedure is written once, so a request must get the
+*same* answer whether the shard is a local engine, a child process or a
+simulated site.  Each case runs over a real socket against all three.
 """
 
 import asyncio
 
 import pytest
 
+from repro.distributed import Site
 from repro.server import AsyncClient, ReproServer, ShardProcessPool, WireError
+from repro.server.engine import ShardSet
 
-#: request label -> the code every transport must answer.
+#: request label -> what every transport must answer.
 EXPECTED = {
     "Credit()": "BAD_REQUEST",
     "Credit(1, 2)": "BAD_REQUEST",
@@ -21,6 +23,8 @@ EXPECTED = {
     "unknown object": "UNKNOWN_OBJECT",
     "unknown handle": "UNKNOWN_TXN",
     "commit, new id, closed handle": "UNKNOWN_TXN",
+    "cross-shard transfer": "committed on the primary's stride",
+    "cross-shard commit, participant lost it": "NO_VOTE",
 }
 
 
@@ -30,19 +34,25 @@ async def _code(awaitable):
     return caught.value.code
 
 
-@pytest.mark.parametrize("transport", ["local", "process"])
+@pytest.mark.parametrize("transport", ["local", "process", "site"])
 def test_both_transports_answer_the_same_codes(transport, tmp_path):
     async def scenario():
         if transport == "local":
             server = ReproServer(workers=2, drain_grace=0.5)
-        else:
+        elif transport == "process":
             server = ReproServer(
                 pool=ShardProcessPool(2, tmp_path / "data"), drain_grace=0.5
+            )
+        else:
+            server = ReproServer(
+                pool=ShardSet([Site(0, 2), Site(1, 2)]), drain_grace=0.5
             )
         await server.start()
         client = await AsyncClient.connect(server.host, server.port)
         await client.create("acct", "Account")
         await client.create("queue", "FIFOQueue")
+        home, away = server.pool.shard_of("acct"), server.pool.shard_of("queue")
+        assert home != away                     # the names split the shards
         codes = {}
         txn = await client.begin()
         codes["Credit()"] = await _code(client.invoke(txn, "acct", "Credit"))
@@ -60,7 +70,25 @@ def test_both_transports_answer_the_same_codes(transport, tmp_path):
         other = await client.begin()
         codes["Enq()"] = await _code(client.invoke(other, "queue", "Enq"))
         await client.abort(other)
-        assert server.stats["transactions_committed"] == 1
+        # One transaction on both shards: presumed-abort 2PC on commit.
+        transfer = await client.begin()
+        await client.invoke(transfer, "acct", "Debit", 2)
+        await client.invoke(transfer, "queue", "Enq", 2)
+        decided, _ = await client.commit(transfer)
+        assert decided > timestamp and decided % 2 == home
+        codes["cross-shard transfer"] = "committed on the primary's stride"
+        # ... and refused when a participant lost the transaction.
+        lost = await client.begin()
+        await client.invoke(lost, "acct", "Credit", 1)
+        await client.invoke(lost, "queue", "Enq", 3)
+        server.pool.shards[away].single({"op": "abort", "txn": lost})
+        codes["cross-shard commit, participant lost it"] = await _code(
+            client.commit(lost)
+        )
+        assert server.pool.shards[home].single({"op": "snapshot", "obj": "acct"}) == {
+            "ok": 3
+        }
+        assert server.stats["transactions_committed"] == 2
         assert server.stats["errors"] >= 1          # the INTERNAL was counted
         await client.aclose()
         await server.drain()

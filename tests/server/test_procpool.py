@@ -2,8 +2,8 @@
 
 Covers the multi-process serving tier end to end — real child processes,
 real pipes, real WALs in a tmp directory — plus the two session-hygiene
-regressions: a CROSS_SHARD refusal (in-loop mode) and a worker death
-(pool mode) must leak no session state and strand no queued request.
+regressions: a refused 2PC (in-loop mode) and a worker death (pool
+mode) must leak no session state and strand no queued request.
 """
 
 import asyncio
@@ -376,44 +376,39 @@ class TestPoolServer:
 
 
 class TestCrossShardRefusalHygiene:
-    """Satellite regression: the in-loop CROSS_SHARD refusal leaks nothing."""
+    """Satellite regression: a refused in-loop 2PC leaks nothing."""
 
     def test_refusal_leaves_no_half_bound_state(self, tmp_path):
         async def scenario():
             server = ReproServer(workers=2, drain_grace=0.5)
             await server.start()
             client = await AsyncClient.connect(server.host, server.port)
-            # Objects on distinct in-loop shards.
-            names = {}
-            index = 0
-            while len(names) < 2:
-                candidate = f"Q{index}"
-                from repro.server import shard_for
-
-                names.setdefault(shard_for(candidate, 2), candidate)
-                index += 1
-            a, b = names[0], names[1]
+            a, b = two_shard_names(server.pool)
             await client.create(a, "FIFOQueue")
             await client.create(b, "FIFOQueue")
             txn = await client.begin()
             await client.invoke(txn, a, "Enq", 1)
+            await client.invoke(txn, b, "Enq", 2)
+            # Shard b loses the transaction behind the server's back (what
+            # a crash does to an unprepared transaction): its vote is no.
+            server.pool.shards[1].single({"op": "abort", "txn": txn})
             with pytest.raises(WireError) as caught:
-                await client.invoke(txn, b, "Enq", 2)
-            assert caught.value.code == "CROSS_SHARD"
-            # The refusal must not corrupt the binding: the transaction
-            # is still usable on its own shard and completes cleanly.
-            await client.invoke(txn, a, "Enq", 3)
-            record = server._connections[0].session.lookup(txn)
-            assert record.participants == [shard_for(a, 2)]
-            timestamp, _ = await client.commit(txn)
-            assert isinstance(timestamp, int)
-            # ...and the handle is gone afterwards: no session leak.
+                await client.commit(txn)
+            assert caught.value.code == "NO_VOTE"
+            # The refusal aborted the voter and closed the handle: no
+            # session leak, no prepared transaction, no lock left behind.
             assert server._connections[0].session.active == 0
-            # The refused shard holds no locks: another transaction can
-            # use b immediately without a conflict.
+            assert [row["prepared"] for row in server.pool.stats()] == [[], []]
             other = await client.begin()
+            await client.invoke(other, a, "Enq", 9)
             await client.invoke(other, b, "Enq", 9)
-            await client.commit(other)
+            timestamp, _ = await client.commit(other)
+            assert isinstance(timestamp, int)
+            snapshots = [
+                server.pool.shards[i].single({"op": "snapshot", "obj": name})["ok"]
+                for i, name in enumerate((a, b))
+            ]
+            assert snapshots == [(9,), (9,)]
             await client.aclose()
             await server.drain()
 

@@ -324,25 +324,40 @@ class TestSharding:
                 return first, candidate
         raise AssertionError("no shard split found")
 
-    def test_cross_shard_touch_is_refused(self):
+    def test_cross_shard_transfer_commits_atomically(self):
         first, second = self.two_objects_on_different_shards()
 
         async def scenario():
-            server = await start_server(workers=2)
+            bus = TraceBus()
+            checker = bus.subscribe(AtomicityChecker())
+            server = await start_server(workers=2, tracer=bus)
             server.create_object(first, "Account")
             server.create_object(second, "Account")
             client = await AsyncClient.connect(server.host, server.port)
+            fund = await client.begin()
+            await client.invoke(fund, first, "Credit", 10)
+            await client.commit(fund)
+            # One transaction, both shards: in-loop presumed-abort 2PC.
             handle = await client.begin()
-            await client.invoke(handle, first, "Credit", 1)
-            with pytest.raises(WireError) as excinfo:
-                await client.invoke(handle, second, "Credit", 1)
-            assert excinfo.value.code == "CROSS_SHARD"
-            # The transaction is still alive on its own shard.
-            await client.invoke(handle, first, "Credit", 1)
+            assert await client.invoke(handle, first, "Debit", 4) == "Ok"
+            assert await client.invoke(handle, second, "Credit", 4) == "Ok"
             timestamp, _ = await client.commit(handle)
-            assert timestamp is not None
+            primary = shard_for(first, 2)
+            assert timestamp % 2 == primary       # decided on the primary's stride
+            balances = [
+                server.pool.shards[shard_for(name, 2)].single(
+                    {"op": "snapshot", "obj": name}
+                )["ok"]
+                for name in (first, second)
+            ]
+            assert balances == [6, 4]
+            assert [row["committed"] for row in server.pool.stats()] == (
+                [2, 1] if primary == 0 else [1, 2]
+            )
+            assert server._connections[0].session.active == 0
             await client.aclose()
             await server.drain()
+            assert checker.ok, checker.render_report()
 
         run(scenario())
 

@@ -1,0 +1,172 @@
+"""One 2PC participant, one decision rule, three transports.
+
+``ShardSet.commit_cross_shard`` drives :func:`two_phase_commit` over
+whatever its shards are: local engines, child processes or simulated
+sites.  Every case below runs the same body over all three and expects
+the same replies — including the crash cases, which the site transport
+makes cheap to state: a shard is killed at a chosen op and the outcome
+must be the one presumed abort prescribes.
+"""
+
+import pytest
+
+from repro.distributed import Site
+from repro.recovery import MemoryWAL
+from repro.server import ShardDown, ShardEngine, ShardProcessPool
+from repro.server.engine import LocalShard, ShardSet
+
+TRANSPORTS = ["local", "process", "site"]
+
+
+class MortalLocalShard(LocalShard):
+    """A local shard with the kill switch production never needs: killing
+    it drops the engine, ``spawn`` builds a fresh one over the same log."""
+
+    def __init__(self, index, shards):
+        wal, lives = MemoryWAL(), iter(range(1, 10))
+        self._boot = lambda: ShardEngine(
+            index, shards, wal=wal, incarnation=next(lives)
+        )
+        super().__init__(self._boot())
+
+    def kill(self):
+        self.alive = False
+        self.call = self._down
+
+    def _down(self, ops):
+        raise ShardDown("local shard is down")
+
+    def spawn(self):
+        self.alive = True
+        super().__init__(self._boot())
+
+
+@pytest.fixture(params=TRANSPORTS)
+def shards(request, tmp_path):
+    """Two shards behind one transport, an Account homed on each, and a
+    transaction ``X`` that has credited both (primary: shard 0)."""
+    if request.param == "local":
+        built = ShardSet([MortalLocalShard(index, 2) for index in range(2)])
+    elif request.param == "process":
+        built = ShardProcessPool(2, tmp_path / "data")
+        built.start()
+    else:
+        built = ShardSet([Site(index, 2, wal=MemoryWAL()) for index in range(2)])
+    built.names = {}
+    index = 0
+    while len(built.names) < 2:
+        built.names.setdefault(built.shard_of(f"Q{index}"), f"Q{index}")
+        index += 1
+    for name in built.names.values():
+        built.create_object(name, "Account")
+    for home in (0, 1):
+        replies = built.shards[home].call(
+            [
+                {"op": "begin", "name": "X", "quiet": home != 0},
+                {"op": "invoke", "txn": "X", "obj": built.names[home],
+                 "operation": "Credit", "args": (4,)},
+            ]
+        )
+        assert replies == [{"ok": "X"}, {"ok": "Ok"}]
+    yield built
+    built.stop()
+
+
+def kill(shard):
+    shard.crash_hard() if isinstance(shard, Site) else shard.kill()
+
+
+def kill_at(shard, kind):
+    """Kill ``shard`` the moment it is sent an op of ``kind`` (once)."""
+    deliver = shard.single
+
+    def single(op):
+        if op["op"] == kind:
+            shard.single = deliver
+            kill(shard)
+        return deliver(op)
+
+    shard.single = single
+
+
+def balances(shards):
+    return [
+        shards.shards[home].single({"op": "snapshot", "obj": shards.names[home]})["ok"]
+        for home in (0, 1)
+    ]
+
+
+def prepared(shards):
+    return [shard.single({"op": "prepared"})["ok"] for shard in shards.shards]
+
+
+class TestDecisionProcedure:
+    def test_commit_is_decided_on_the_primary_stride_and_applied(self, shards):
+        assert shards.catalog() == [[shards.names[0]], [shards.names[1]]]
+        with pytest.raises(ValueError, match="already exists"):
+            shards.create_object(shards.names[0], "Account")
+        reply = shards.commit_cross_shard("X", [1, 0], primary=1)
+        assert reply == {"ok": 1}                       # both voted 0; stride 1 of 2
+        assert balances(shards) == [4, 4] and prepared(shards) == [[], []]
+        assert [row["committed"] for row in shards.stats()] == [1, 1]
+        for shard in shards.shards:
+            assert shard.single({"op": "decision", "txn": "X"}) == {
+                "ok": {"outcome": "commit", "ts": 1}
+            }
+        # A retransmitted verdict is an idempotent ack; an abort after the
+        # fact is harmless.
+        retransmit = {"op": "apply_commit", "txn": "X", "ts": 1}
+        assert shards.shards[0].single(retransmit) == {"ok": 1}
+        shards.abort_cross_shard("X", [0, 1])
+        assert balances(shards) == [4, 4]
+        # Neither shard mints below the decision afterwards.
+        later = shards.shards[0].single(
+            {"op": "txn", "name": "L", "steps": [(shards.names[0], "Credit", (1,))]}
+        )
+        assert later["ok"] == 2
+
+    def test_a_refused_vote_aborts_the_voters(self, shards):
+        shards.shards[1].single({"op": "abort", "txn": "X"})
+        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
+        assert refused == {"error": "NO_VOTE", "message": "no transaction 'X'"}
+        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
+        assert shards.shards[0].single({"op": "prepare", "txn": "X"})["error"] == "NO_VOTE"
+
+
+class TestCrashes:
+    def test_participant_down_at_prepare(self, shards):
+        kill(shards.shards[1])
+        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
+        assert refused == {"error": "NO_VOTE", "message": "shard1 is down"}
+        # The voter was aborted; the dead shard presumes it on recovery.
+        assert shards.shards[0].single({"op": "prepared"}) == {"ok": []}
+        assert shards.respawn(1) == []
+        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
+        assert shards.shards[1].single({"op": "prepare", "txn": "X"})["error"] == "NO_VOTE"
+
+    def test_primary_dies_between_prepare_and_decide(self, shards):
+        kill_at(shards.shards[0], "decide")
+        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
+        assert refused == {"error": "ABORTED", "message": "shard0 died deciding"}
+        # No commit record exists anywhere: presumed abort everywhere —
+        # at once on the participant, on respawn for the primary's own
+        # prepared entry.
+        assert shards.shards[1].single({"op": "prepared"}) == {"ok": []}
+        assert shards.respawn(0) == ["X"]
+        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
+        for shard in shards.shards:
+            assert shard.single({"op": "decision", "txn": "X"}) == {
+                "ok": {"outcome": "unknown"}
+            }
+
+    def test_participant_dies_after_the_decision(self, shards):
+        kill_at(shards.shards[1], "apply_commit")
+        # The decision is retransmitted until acked: through the death,
+        # by respawning the participant, whose log still holds the vote.
+        assert shards.commit_cross_shard("X", [0, 1], primary=0) == {"ok": 2}
+        assert shards.shards[1].alive
+        assert shards.shards[1].single({"op": "stats"})["ok"]["incarnation"] == 2
+        assert prepared(shards) == [[], []] and balances(shards) == [4, 4]
+        replay = {"op": "apply_commit", "txn": "X", "ts": 2}
+        assert shards.shards[1].single(replay) == {"ok": 2}     # idempotent
+        assert balances(shards) == [4, 4]

@@ -85,8 +85,8 @@ class TestWaitsForEdges:
 
 class TestSiteAccessors:
     def make_site(self):
-        site = Site("S0", wal=MemoryWAL())
-        site.create_object("A", make_account_adt())
+        site = Site(wal=MemoryWAL())
+        site.single({"op": "create", "name": "A", "adt": "Account"})
         return site
 
     def test_machines_mapping_is_a_copy(self):
@@ -98,36 +98,18 @@ class TestSiteAccessors:
 
     def test_prepared_transactions_is_a_copy(self):
         site = self.make_site()
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_prepare("T1")
-        prepared = site.prepared_transactions()
-        assert prepared == {"T1"}
-        prepared.add("T9")
-        assert site.prepared_transactions() == {"T1"}
-
-    def test_install_recovered_state_copies_inputs(self):
-        site = self.make_site()
-        machines = site.machines()
-        adts = {"A": site.adt("A")}
-        prepared = {"T1"}
-        tombstones = {"T0"}
-        touched = {"A": {"T1"}}
-        site.crash_hard()
-        site.install_recovered_state(
-            machines, adts, prepared=prepared, tombstones=tombstones,
-            touched=touched,
+        site.call(
+            [
+                {"op": "begin", "name": "T1"},
+                {"op": "invoke", "txn": "T1", "obj": "A", "operation": "Credit",
+                 "args": (5,)},
+                {"op": "prepare", "txn": "T1"},
+            ]
         )
-        site.alive = True
-        # Mutating the caller's containers afterwards must not leak in.
-        machines.clear()
-        prepared.add("T9")
-        touched["A"].add("T9")
-        assert site.objects() == ["A"]
-        assert site.prepared_transactions() == {"T1"}
-        # Tombstoned transactions are still voted down.
-        assert site.handle_prepare("T0") == ("no",)
-        # The touched map fans the commit out to the prepared intentions.
-        assert site.handle_prepare("T1")[0] == "yes"
+        prepared = site.prepared_transactions()
+        assert prepared == ["T1"]
+        prepared.append("T9")
+        assert site.prepared_transactions() == ["T1"]
 
 
 class TestRecoveryClockInjection:
@@ -155,22 +137,12 @@ class TestRecoveryClockInjection:
         assert report.elapsed_seconds == pytest.approx(2.5)
 
     def test_site_recover_defaults_deterministic(self):
-        site = Site("S0", wal=MemoryWAL())
-        site.create_object("A", make_account_adt())
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_prepare("T1")
-        site.handle_commit("T1", (3, "T1"))
+        # The simulated host never reads a clock: there is no way to
+        # hand it one.
+        site = Site(wal=MemoryWAL())
+        site.single({"op": "create", "name": "A", "adt": "Account"})
+        site.single({"op": "txn", "name": "T1", "steps": [("A", "Credit", (5,))]})
         site.crash_hard()
         report = site.recover()
         assert report.elapsed_seconds == 0.0
         assert site.snapshot("A") == 5
-
-    def test_site_recover_with_clock(self):
-        site = Site("S0", wal=MemoryWAL())
-        site.create_object("A", make_account_adt())
-        site.handle_invoke("T1", "A", Invocation("Credit", (5,)))
-        site.handle_commit("T1", (3, "T1"))
-        site.crash_hard()
-        ticks = iter([1.0, 1.75])
-        report = site.recover(clock=lambda: next(ticks))
-        assert report.elapsed_seconds == pytest.approx(0.75)
