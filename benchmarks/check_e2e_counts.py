@@ -1,0 +1,69 @@
+"""Gate the serving tier's mechanism on counts, not on wall-clock.
+
+Reads a result set written by ``benchmarks/e2e/run.py --all --out F`` and
+checks, on its traced records, the counts that say *how* requests were
+served — frames per ``recv``, time spent queued, frames and requests per
+transaction, certification.  They repeat on a shared runner where
+throughput does not, so CI's ``e2e-smoke`` job gates on them::
+
+    python3 benchmarks/e2e/run.py --all --smoke --out smoke.json
+    python3 benchmarks/check_e2e_counts.py smoke.json
+"""
+
+import json
+import sys
+from pathlib import Path
+
+#: Local shards: requests execute in the connection handler.
+IN_THREAD = ("solo-latency", "mem-uniform", "mem-contended")
+#: No conflicts, so no retries: begin + 2 invokes + commit, exactly.
+UNIFORM = ("solo-latency", "mem-uniform", "wal-pool")
+
+
+def check(records):
+    """Every violated expectation of the traced ``records``, as text."""
+    traced = {run["workload"]: run["metrics"] for run in records if run["trace"]}
+    problems = []
+
+    def expect(workload, name, holds, wanted):
+        if workload not in traced:
+            problems.append(f"{workload}: no traced record")
+            return
+        value = traced[workload][name]["value"]
+        if not holds(value):
+            problems.append(f"{workload}: {name} = {value:g}, expected {wanted}")
+
+    # Pipelined requests are answered with one write per read, so the
+    # generator's replies arrive several to a recv (1.1 one write each).
+    expect("mem-uniform", "loadgen.frames_per_recv", lambda v: v >= 2, ">= 2")
+    for workload in IN_THREAD:
+        # No queue and no worker task in front of a local shard.
+        expect(workload, "server.server.queue_us_p50", lambda v: v == 0, "0")
+    for workload in UNIFORM:
+        expect(workload, "server.protocol.frames_per_txn", lambda v: v == 8, "8")
+        expect(
+            workload,
+            "server.server.requests_per_txn",
+            lambda v: abs(v - 3.0) <= 0.05,
+            "3.0 +- 0.05",
+        )
+    for workload in sorted(traced):
+        expect(workload, "obs.certified", lambda v: v == 1, "1")
+    return problems
+
+
+def main(argv):
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: check_e2e_counts.py RESULT_SET.json", file=sys.stderr)
+        return 2
+    problems = check(json.loads(Path(argv[0]).read_text())["runs"])
+    for problem in problems:
+        print(f"check_e2e_counts: {problem}", file=sys.stderr)
+    if not problems:
+        print("check_e2e_counts: ok")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

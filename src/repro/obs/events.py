@@ -68,19 +68,25 @@ kind                   emitted when / payload highlights
 ``server.disconnect``  a connection closed; any transactions it still
                        held were aborted (``session``, ``requests``,
                        ``aborted``)
-``server.request``     a request was admitted to a worker queue
-                       (``session``, ``action``, ``queue_depth``,
-                       ``shard``, and the client's ``trace`` id)
+``server.request``     a request was routed to a shard and admitted
+                       (``session``, ``action``, ``shard``, the
+                       client's ``trace`` id, and ``queue_depth``: the
+                       requests waiting in that shard's queue with this
+                       one — 0 on a non-blocking shard, which has none)
 ``server.busy``        a request was refused with BUSY — the bounded
                        work queue was past its high-water mark
 ``server.decode``      a complete request was decoded off the wire;
                        carries the client's trace context (``trace``
                        id and ``sent`` timestamp), so the client→server
                        leg of an end-to-end span is measurable
-``server.respond``     a worker-executed request was answered; carries
-                       the per-phase latency split (``queued`` in the
-                       shard queue, ``executing`` against the manager,
-                       ``respond`` writing the reply) plus the trace id
+``server.respond``     a shard-executed request was answered; carries
+                       the trace id and the per-phase latency split:
+                       ``queued`` in the shard queue (0 on a
+                       non-blocking shard), ``executing`` against the
+                       manager, ``respond`` until the reply is written
+                       — with its batch-mates', in one write: a worker's
+                       batch on a blocking shard, the rest of the read
+                       on a non-blocking one
 ``server.drain``       graceful shutdown finished: accepted requests
                        all answered, in-flight transactions resolved
                        (``sessions``, ``finished``, ``aborted``)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import re
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .events import TraceEvent
 
@@ -326,6 +326,20 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Bound(dict):
+    """name -> instrument, fetched from the registry on first use: a
+    lookup is then one dict subscript, and the registry still lists only
+    the instruments some event touched."""
+
+    def __init__(self, fetch: Callable[[str], Any]):
+        super().__init__()
+        self._fetch = fetch
+
+    def __missing__(self, name: str) -> Any:
+        instrument = self[name] = self._fetch(name)
+        return instrument
+
+
 class RegistrySink:
     """Bus sink that folds trace events into a :class:`MetricsRegistry`.
 
@@ -341,143 +355,165 @@ class RegistrySink:
         latency_buckets: Optional[Sequence[float]] = None,
     ):
         self.registry = registry
-        self._buckets = tuple(latency_buckets or DEFAULT_LATENCY_BUCKETS)
+        buckets = tuple(latency_buckets or DEFAULT_LATENCY_BUCKETS)
+        self._counters = _Bound(registry.counter)
+        self._gauges = _Bound(registry.gauge)
+        self._histograms = _Bound(lambda name: registry.histogram(name, buckets))
         self._begin_ts: Dict[str, float] = {}
         #: Last event timestamp per live transaction — the anchor for
         #: attributing blocked time to conflict pairs (same interval
         #: convention as the span builder's ``blocked`` tally).
         self._last_ts: Dict[str, float] = {}
         self._connections = 0
+        count = self._count
+        #: kind -> handler; a kind without one is ignored.
+        self._handlers: Dict[str, Callable[[TraceEvent], None]] = {
+            "txn.begin": self._txn_begin,
+            "txn.commit": self._txn_commit,
+            "txn.abort": self._txn_abort,
+            "lock.conflict": self._lock_conflict,
+            "lock.block": count("lock.blocks"),
+            "lock.wait": count("lock.waits"),
+            "lock.deadlock": count("lock.deadlocks"),
+            "compaction.advance": self._compaction_advance,
+            "wal.append": count("wal.appends"),
+            "wal.replay": count("wal.replays"),
+            "net.send": self._net_send,
+            "site.crash": count("site.crashes"),
+            "site.recover": count("site.recoveries"),
+            "validation.success": count("validation.successes"),
+            "validation.invalidated": count("validation.invalidated"),
+            "quorum.assemble": count("quorum.assembled"),
+            "quorum.deny": count("quorum.denied"),
+            "check.violation": count("check.violations"),
+            "server.connect": self._server_connect,
+            "server.disconnect": self._server_disconnect,
+            "server.request": self._server_request,
+            "server.busy": self._server_busy,
+            "server.decode": self._server_decode,
+            "server.respond": self._server_respond,
+            "server.drain": count("server.drains"),
+            "flight.dump": count("flight.dumps"),
+        }
 
     def __call__(self, event: TraceEvent) -> None:
-        registry = self.registry
         kind = event.kind
+        if kind.startswith(("txn.", "lock.")):
+            transaction = event.data.get("transaction")
+            if transaction is not None:
+                self._blocked_time(kind, transaction, event)
+        handler = self._handlers.get(kind)
+        if handler is not None:
+            handler(event)
+
+    def _blocked_time(self, kind: str, transaction: str, event: TraceEvent) -> None:
+        """Charge the interval since the transaction's previous event to
+        the refusal (and conflict pair) that ended it."""
+        if kind in ("lock.conflict", "lock.block", "lock.wait"):
+            anchor = self._last_ts.get(transaction, event.ts)
+            interval = max(0.0, event.ts - anchor)
+            self._counters["lock.blocked_time"].inc(interval)
+            if kind == "lock.conflict":
+                data = event.data
+                pair = f"{data.get('operation')} × {data.get('held')}"
+                self._counters[f"lock.blocked_time[{pair}]"].inc(interval)
+        if kind in ("txn.commit", "txn.abort"):
+            self._last_ts.pop(transaction, None)
+        else:
+            self._last_ts[transaction] = event.ts
+
+    def _count(self, name: str) -> Callable[[TraceEvent], None]:
+        """A handler that just counts its events under ``name``."""
+        counters = self._counters
+
+        def handler(event: TraceEvent) -> None:
+            counters[name].inc()
+
+        return handler
+
+    def _txn_begin(self, event: TraceEvent) -> None:
+        self._counters["txn.begun"].inc()
+        self._begin_ts[event.data["transaction"]] = event.ts
+
+    def _txn_commit(self, event: TraceEvent) -> None:
+        begun = self._begin_ts.pop(event.data["transaction"], None)
+        if begun is not None:
+            self._counters["txn.committed"].inc()
+            self._histograms["txn.latency"].observe(event.ts - begun)
+
+    def _txn_abort(self, event: TraceEvent) -> None:
+        begun = self._begin_ts.pop(event.data["transaction"], None)
+        if begun is not None:
+            self._counters["txn.aborted"].inc()
+            self._histograms["txn.abort_latency"].observe(event.ts - begun)
+
+    def _lock_conflict(self, event: TraceEvent) -> None:
         data = event.data
-        transaction = data.get("transaction")
-        if transaction is not None and kind.startswith(("txn.", "lock.")):
-            if kind in ("lock.conflict", "lock.block", "lock.wait"):
-                anchor = self._last_ts.get(transaction, event.ts)
-                interval = max(0.0, event.ts - anchor)
-                registry.counter("lock.blocked_time").inc(interval)
-                if kind == "lock.conflict":
-                    pair = f"{data.get('operation')} × {data.get('held')}"
-                    registry.counter(f"lock.blocked_time[{pair}]").inc(
-                        interval
-                    )
-            if kind in ("txn.commit", "txn.abort"):
-                self._last_ts.pop(transaction, None)
-            else:
-                self._last_ts[transaction] = event.ts
-        if kind == "txn.begin":
-            registry.counter("txn.begun").inc()
-            self._begin_ts[data["transaction"]] = event.ts
-        elif kind == "txn.commit":
-            transaction = data["transaction"]
-            begun = self._begin_ts.pop(transaction, None)
-            if begun is not None:
-                registry.counter("txn.committed").inc()
-                registry.histogram("txn.latency", self._buckets).observe(
-                    event.ts - begun
-                )
-        elif kind == "txn.abort":
-            transaction = data["transaction"]
-            begun = self._begin_ts.pop(transaction, None)
-            if begun is not None:
-                registry.counter("txn.aborted").inc()
-                registry.histogram("txn.abort_latency", self._buckets).observe(
-                    event.ts - begun
-                )
-        elif kind == "lock.conflict":
-            registry.counter("lock.conflicts").inc()
-            pair = f"{data.get('operation')} × {data.get('held')}"
-            registry.counter(f"lock.conflict[{pair}]").inc()
-        elif kind == "lock.block":
-            registry.counter("lock.blocks").inc()
-        elif kind == "lock.wait":
-            registry.counter("lock.waits").inc()
-        elif kind == "lock.deadlock":
-            registry.counter("lock.deadlocks").inc()
-        elif kind == "compaction.advance":
-            registry.counter("compaction.advances").inc()
-            registry.counter("compaction.collapsed_ops").inc(
-                data.get("collapsed", 0)
-            )
-        elif kind == "wal.append":
-            registry.counter("wal.appends").inc()
-        elif kind == "wal.replay":
-            registry.counter("wal.replays").inc()
-        elif kind == "net.send":
-            registry.counter("net.messages").inc()
-            label = data.get("label")
-            if label:
-                registry.counter(f"net.send[{label}]").inc()
-        elif kind == "site.crash":
-            registry.counter("site.crashes").inc()
-        elif kind == "site.recover":
-            registry.counter("site.recoveries").inc()
-        elif kind == "validation.success":
-            registry.counter("validation.successes").inc()
-        elif kind == "validation.invalidated":
-            registry.counter("validation.invalidated").inc()
-        elif kind == "quorum.assemble":
-            registry.counter("quorum.assembled").inc()
-        elif kind == "quorum.deny":
-            registry.counter("quorum.denied").inc()
-        elif kind == "check.violation":
-            registry.counter("check.violations").inc()
-        elif kind == "server.connect":
-            registry.counter("server.connections_opened").inc()
-            self._connections += 1
-            registry.gauge("server.connections").set(self._connections)
-        elif kind == "server.disconnect":
-            registry.counter("server.connections_closed").inc()
-            self._connections -= 1
-            registry.gauge("server.connections").set(self._connections)
-        elif kind == "server.request":
-            registry.counter("server.requests").inc()
-            action = data.get("action")
-            if action:
-                registry.counter(f"server.request[{action}]").inc()
-            registry.gauge("server.queue_depth").set(data.get("queue_depth"))
-            shard = data.get("shard")
-            if shard is not None:
-                registry.gauge(f"server.queue_depth[shard{shard}]").set(
-                    data.get("queue_depth")
-                )
-        elif kind == "server.busy":
-            registry.counter("server.busy").inc()
-            registry.gauge("server.queue_depth").set(data.get("queue_depth"))
-            shard = data.get("shard")
-            if shard is not None:
-                registry.gauge(f"server.queue_depth[shard{shard}]").set(
-                    data.get("queue_depth")
-                )
-        elif kind == "server.decode":
-            registry.counter("server.decoded").inc()
-            sent = data.get("sent")
-            if sent is not None:
-                registry.histogram("server.client_wire", self._buckets).observe(
-                    max(0.0, event.ts - sent)
-                )
-        elif kind == "server.respond":
-            registry.counter("server.responses").inc()
-            queued = data.get("queued")
-            if queued is not None:
-                registry.histogram("server.queued", self._buckets).observe(queued)
-            executing = data.get("executing")
-            if executing is not None:
-                registry.histogram("server.executing", self._buckets).observe(
-                    executing
-                )
-            respond = data.get("respond")
-            if respond is not None:
-                registry.histogram(
-                    "server.respond_write", self._buckets
-                ).observe(respond)
-            shard = data.get("shard")
-            if shard is not None:
-                registry.counter(f"server.responses[shard{shard}]").inc()
-        elif kind == "server.drain":
-            registry.counter("server.drains").inc()
-        elif kind == "flight.dump":
-            registry.counter("flight.dumps").inc()
+        self._counters["lock.conflicts"].inc()
+        pair = f"{data.get('operation')} × {data.get('held')}"
+        self._counters[f"lock.conflict[{pair}]"].inc()
+
+    def _compaction_advance(self, event: TraceEvent) -> None:
+        self._counters["compaction.advances"].inc()
+        self._counters["compaction.collapsed_ops"].inc(
+            event.data.get("collapsed", 0)
+        )
+
+    def _net_send(self, event: TraceEvent) -> None:
+        self._counters["net.messages"].inc()
+        label = event.data.get("label")
+        if label:
+            self._counters[f"net.send[{label}]"].inc()
+
+    def _server_connect(self, event: TraceEvent) -> None:
+        self._counters["server.connections_opened"].inc()
+        self._connections += 1
+        self._gauges["server.connections"].set(self._connections)
+
+    def _server_disconnect(self, event: TraceEvent) -> None:
+        self._counters["server.connections_closed"].inc()
+        self._connections -= 1
+        self._gauges["server.connections"].set(self._connections)
+
+    def _queue_depth(self, data: Mapping[str, Any]) -> None:
+        gauges = self._gauges
+        depth = data.get("queue_depth")
+        gauges["server.queue_depth"].set(depth)
+        shard = data.get("shard")
+        if shard is not None:
+            gauges[f"server.queue_depth[shard{shard}]"].set(depth)
+
+    def _server_request(self, event: TraceEvent) -> None:
+        data = event.data
+        counters = self._counters
+        counters["server.requests"].inc()
+        action = data.get("action")
+        if action:
+            counters[f"server.request[{action}]"].inc()
+        self._queue_depth(data)
+
+    def _server_busy(self, event: TraceEvent) -> None:
+        self._counters["server.busy"].inc()
+        self._queue_depth(event.data)
+
+    def _server_decode(self, event: TraceEvent) -> None:
+        self._counters["server.decoded"].inc()
+        sent = event.data.get("sent")
+        if sent is not None:
+            self._histograms["server.client_wire"].observe(max(0.0, event.ts - sent))
+
+    def _server_respond(self, event: TraceEvent) -> None:
+        data = event.data
+        histograms = self._histograms
+        self._counters["server.responses"].inc()
+        for key, name in (
+            ("queued", "server.queued"),
+            ("executing", "server.executing"),
+            ("respond", "server.respond_write"),
+        ):
+            value = data.get(key)
+            if value is not None:
+                histograms[name].observe(value)
+        shard = data.get("shard")
+        if shard is not None:
+            self._counters[f"server.responses[shard{shard}]"].inc()

@@ -12,12 +12,18 @@ outside the commutativity kernel).
 Concurrency model
 -----------------
 
-Everything here runs on one event loop.  Each shard has one worker
-coroutine and one bounded queue, and the queue is the **backpressure**
-mechanism: a request is admitted only while the queue is below its
-high-water mark, and past it the server answers ``BUSY`` immediately
-(``server.busy`` trace event) instead of buffering unboundedly.  Clients
-treat BUSY like a lock conflict: back off and retry.
+Everything here runs on one event loop, one handler task per
+connection.  A handler serves one ``read`` at a time: it decodes every
+frame the read completed, answers them in arrival order, and hands the
+socket **one** ``write`` for the lot — one decode → execute → encode
+pass per readable batch.  A request for a non-blocking shard executes
+right there, in the handler; one for a blocking shard goes onto that
+shard's bounded queue, which is the **backpressure** mechanism: a
+request is admitted only while the queue is below its high-water mark,
+and past it the server answers ``BUSY`` immediately (``server.busy``
+trace event) instead of buffering unboundedly.  Clients treat BUSY like
+a lock conflict: back off and retry.  (A non-blocking shard holds
+nothing beyond the read being served, so TCP is its backpressure.)
 
 Sharding
 --------
@@ -35,25 +41,30 @@ certifies.
 Engine and transports
 ---------------------
 
-The shards are a :class:`~repro.server.engine.ShardSet`, and a worker
-does the same thing whatever is behind it: plan the ops, ``call`` the
+The shards are a :class:`~repro.server.engine.ShardSet`, and a request
+is served the same way whatever is behind it: plan the ops, ``call`` the
 shard, finish the reply.  A transaction may touch any shard; its commit
 runs :func:`~repro.server.engine.two_phase_commit` across exactly the
-recorded participants.  All the worker asks of the transport is whether
-``call`` *blocks*:
+recorded participants.  All the server asks of the transport is whether
+``call`` *blocks* — that alone decides where a request executes:
 
 * a **local shard** (``workers=N``, the default) is an engine in this
   process, with no log.  Its call returns when the manager has, so the
-  worker makes it straight from the loop, one request at a time, and
-  writes the reply before the next queued request executes (the 2PC
-  rounds run the same way: nothing on the loop can interleave).
+  connection handler makes it directly, as the request arrives: no
+  queue, no worker task, replies in request order (the 2PC rounds run
+  the same way: nothing on the loop can interleave).  A simulated
+  :class:`~repro.distributed.Site` is served the same way.
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
-  the call runs in the loop's executor and the worker first drains its
-  queue into one *batch* — one pipe round-trip, one group-commit fsync
-  for the lot.  A dead worker process is respawned (recovering from its
-  WAL); the requests and handles it stranded are answered ``SHARD_DOWN``
-  and cleaned up on every participant, never leaked.
+  it has a queue and a worker coroutine: the worker drains the queue
+  into one *batch* and makes the call in the loop's executor — one pipe
+  round-trip, one group-commit fsync for the lot — then answers with
+  one write per connection.
+
+A shard that dies under a call (a killed process, a crashed site) is
+respawned, recovering from its WAL; the requests and handles it stranded
+are answered ``SHARD_DOWN`` and cleaned up on every participant, never
+leaked.
 
 Graceful drain
 --------------
@@ -61,8 +72,10 @@ Graceful drain
 ``drain()`` (wired to SIGTERM by ``repro serve``) stops accepting
 connections, lets in-flight transactions finish for a grace period,
 force-aborts stragglers, answers every admitted request, emits
-``server.drain``, and flushes the trace sinks — an accepted request is
-never dropped, and the trace file ends with a complete, certifiable run.
+``server.drain``, hangs up on the remaining connections (each handler
+emits its ``server.disconnect``) and only then flushes the trace sinks —
+an accepted request is never dropped, and the trace file ends with a
+complete, certifiable run.
 """
 
 from __future__ import annotations
@@ -96,6 +109,8 @@ class _Connection:
     """One accepted socket: its session, decoder, and write lock."""
 
     def __init__(self, session: Session, reader, writer):
+        #: The handler task serving this connection (its creator).
+        self.handler = asyncio.current_task()
         self.session = session
         self.reader = reader
         self.writer = writer
@@ -103,13 +118,16 @@ class _Connection:
         self._write_lock = asyncio.Lock()
         self.open = True
 
-    async def send(self, frame: bytes) -> None:
-        """Write one frame; tolerate a peer that vanished mid-response."""
+    async def send(self, frames: bytes) -> None:
+        """One write for ``frames`` (any number of them, concatenated);
+        tolerate a peer that vanished mid-response.  The lock is for
+        process shards, where the handler and several workers answer one
+        connection: ``drain()`` allows a single waiter."""
         if not self.open:
             return
         try:
             async with self._write_lock:
-                self.writer.write(frame)
+                self.writer.write(frames)
                 await self.writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             self.open = False
@@ -124,10 +142,11 @@ class ReproServer:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
     workers:
-        Number of local shards (each with its own bounded queue).
+        Number of local shards.
     queue_limit:
-        High-water mark per worker queue; admissions beyond it answer
-        ``BUSY``.
+        High-water mark of a blocking shard's queue; admissions beyond
+        it answer ``BUSY``.  (Nothing queues for a non-blocking shard,
+        so only a limit of 0 refuses there.)
     protocol:
         Conflict-relation protocol name for objects created over the
         wire or via :meth:`create_object` (default ``hybrid``).
@@ -160,8 +179,9 @@ class ReproServer:
     profile_dir:
         Where the drain-time profile dump goes (requires ``profiler``).
     pool:
-        A :class:`~repro.server.procpool.ShardProcessPool` to serve
-        from instead (``workers`` is then the pool's).
+        A :class:`~repro.server.engine.ShardSet` to serve from instead —
+        a :class:`~repro.server.procpool.ShardProcessPool`, say
+        (``workers`` is then the set's).
     """
 
     def __init__(
@@ -214,6 +234,8 @@ class ReproServer:
         self._started_at: Optional[float] = None
         #: object name -> owning worker index.
         self._catalog: Dict[str, int] = {}
+        #: One queue and one worker task per *blocking* shard (none for
+        #: shards the connection handlers call directly).
         self._queues: List[asyncio.Queue] = []
         self._worker_tasks: List[asyncio.Task] = []
         self._connections: List[_Connection] = []
@@ -256,11 +278,12 @@ class ReproServer:
         for index, names in enumerate(self.pool.catalog()):
             for name in names:
                 self._catalog.setdefault(name, index)
-        self._queues = [asyncio.Queue() for _ in range(self.workers)]
-        self._worker_tasks = [
-            asyncio.ensure_future(self._worker(index))
-            for index in range(self.workers)
-        ]
+        if self.pool.blocking:
+            self._queues = [asyncio.Queue() for _ in range(self.workers)]
+            self._worker_tasks = [
+                asyncio.ensure_future(self._worker(index))
+                for index in range(self.workers)
+            ]
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -301,7 +324,7 @@ class ReproServer:
         ):
             await asyncio.sleep(0.02)
         # Force-abort whatever is still open, directly (the queues only
-        # exist for backpressure).
+        # exist for batching and backpressure).
         forced = 0
         for connection in self._connections:
             session = connection.session
@@ -340,12 +363,19 @@ class ReproServer:
                 from ..obs.prof import write_profile
 
                 write_profile(self.profile_dir, profiler=self.profiler)
+        # Hang up on whoever is still connected and let each handler
+        # finish — it emits the session's ``server.disconnect`` — before
+        # the sinks close.  (The timeout is for a peer that stopped
+        # reading: its handler waits on a socket that never drains.)
+        handlers = [connection.handler for connection in self._connections]
+        for connection in list(self._connections):
+            self._close_connection(connection)
+        if handlers:
+            await asyncio.wait(handlers, timeout=1.0)
         for sink in self._flush_on_drain:
             closer = getattr(sink, "close", None) or getattr(sink, "flush", None)
             if closer is not None:
                 closer()
-        for connection in list(self._connections):
-            self._close_connection(connection)
         self._drain_report = report
         self._drained.set()
         return report
@@ -384,22 +414,11 @@ class ReproServer:
         if tracer is not None:
             tracer.emit("server.connect", session=session.name, peer=peer)
         try:
-            while True:
+            while connection.open:
                 data = await reader.read(65536)
                 if not data:
                     break
-                try:
-                    messages = connection.decoder.feed(data)
-                except FrameError as exc:
-                    # Typed error, then disconnect: the stream offset is
-                    # unrecoverable after a framing violation.
-                    self.stats["errors"] += 1
-                    await connection.send(error_frame(None, exc.code, exc.message))
-                    break
-                for body in messages:
-                    await self._dispatch(connection, body)
-                if not connection.open:
-                    break
+                await self._serve(connection, data)
         except (ConnectionError, OSError):
             pass
         finally:
@@ -446,17 +465,57 @@ class ReproServer:
         return function(*args)
 
     # ------------------------------------------------------------------
-    # Request admission (runs in the connection handler)
+    # Serving one read (runs in the connection handler)
     # ------------------------------------------------------------------
 
-    async def _dispatch(self, connection: _Connection, body: Dict[str, Any]) -> None:
+    async def _serve(self, connection: _Connection, data: bytes) -> None:
+        """Answer everything one read completed, with one write.
+
+        Each frame is admitted in arrival order.  What admission answers
+        itself joins the read's replies; a request routed to a blocking
+        shard goes onto that shard's queue, for its worker's next batch;
+        one routed to a non-blocking shard executes right here, so its
+        reply joins the others in request order.
+        """
         session = connection.session
+        queues = self._queues
+        tracer = self.tracer
+        timed = tracer is not None and tracer.active
+        out: List[bytes] = []
+        answered: List[Tuple[Any, ...]] = []
+        poisoned = False
+        try:
+            for body in connection.decoder.feed_iter(data):
+                routed = self._admit(session, body)
+                if type(routed) is bytes:
+                    out.append(routed)
+                elif queues:
+                    # The admission timestamp anchors the queued phase
+                    # the worker measures.
+                    admitted = tracer.clock() if timed else None
+                    queues[routed[1]].put_nowait((connection, *routed, admitted))
+                else:
+                    await self._execute(session, *routed, out, answered)
+        except FrameError as exc:
+            # Typed error, then disconnect: the stream offset is
+            # unrecoverable after a framing violation — but the frames
+            # this read completed before it keep their answers.
+            self.stats["errors"] += 1
+            out.append(error_frame(None, exc.code, exc.message))
+            poisoned = True
+        await self._flush({connection: out}, answered)
+        if poisoned:
+            self._close_connection(connection)
+
+    def _admit(self, session: Session, body: Dict[str, Any]) -> Any:
+        """Admit one decoded frame: the reply frame when it can be
+        answered here (pure bookkeeping or a refusal, no shard involved),
+        else the routed ``(request, shard index)``."""
         try:
             request = parse_request(body)
         except WireError as exc:
             self.stats["errors"] += 1
-            await connection.send(error_frame(body.get("id"), exc.code, exc.message))
-            return
+            return error_frame(body.get("id"), exc.code, exc.message)
         session.requests += 1
         action = request.action
         tracer = self.tracer
@@ -472,100 +531,139 @@ class ReproServer:
                 sent=request.sent,
                 transaction=request.params.get("transaction"),
             )
-        # Inline fast paths: pure bookkeeping, no shard involved.
         if action in ("stats", "health"):
-            # Introspection is answered inline, never queued behind
-            # shard work — it must stay responsive exactly when the
-            # queues are saturated.
-            await connection.send(
-                response_frame(request.id, self._introspect(action))
-            )
-            return
+            # Introspection never waits behind shard work — it must stay
+            # responsive exactly when the queues are saturated.
+            return response_frame(request.id, self._introspect(action))
         if action == "ping":
-            await connection.send(
-                response_frame(
-                    request.id,
-                    {
-                        "protocol_version": PROTOCOL_VERSION,
-                        "workers": self.workers,
-                        "draining": self.draining,
-                        "objects": sorted(self._catalog),
-                    },
-                )
+            return response_frame(
+                request.id,
+                {
+                    "protocol_version": PROTOCOL_VERSION,
+                    "workers": self.workers,
+                    "draining": self.draining,
+                    "objects": sorted(self._catalog),
+                },
             )
-            return
         if action in ("commit", "abort"):
             cached = session.cached_ack(request.id)
             if cached is not None:
-                await connection.send(response_frame(request.id, cached))
-                return
+                return response_frame(request.id, cached)
         if action == "begin":
             if self.draining:
-                await connection.send(
-                    error_frame(
-                        request.id, "SHUTTING_DOWN", "server is draining"
-                    )
-                )
-                return
+                return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
             handle = session.mint_handle()
             session.open_transaction(handle)
-            await connection.send(response_frame(request.id, {"transaction": handle}))
-            return
-        # Everything else routes to a worker shard.
+            return response_frame(request.id, {"transaction": handle})
+        # Everything else routes to a shard.
         try:
             worker = self._route(session, request)
         except WireError as exc:
             self.stats["errors"] += 1
-            await connection.send(error_frame(request.id, exc.code, exc.message))
-            return
+            return error_frame(request.id, exc.code, exc.message)
         if worker is None:
             # A completion for a transaction that never touched an
-            # object: decide it inline, no shard involved.
-            await connection.send(self._completed(session, request))
-            return
-        queue = self._queues[worker]
-        if self._stopping or queue.qsize() >= self.queue_limit:
-            if self._stopping:
-                await connection.send(
-                    error_frame(request.id, "SHUTTING_DOWN", "server is draining")
-                )
-                return
+            # object: decide it here, no shard involved.
+            return self._completed(session, request)
+        if self._stopping:
+            return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
+        # Requests wait only for a blocking shard, in its queue; a
+        # non-blocking one executes them as they arrive.
+        queues = self._queues
+        depth = queues[worker].qsize() if queues else 0
+        if depth >= self.queue_limit:
             self.stats["busy"] += 1
             if tracer is not None:
                 tracer.emit(
                     "server.busy",
                     session=session.name,
                     action=action,
-                    queue_depth=queue.qsize(),
+                    queue_depth=depth,
                     shard=worker,
                     trace=request.trace_id,
                 )
-            await connection.send(
-                error_frame(
-                    request.id,
-                    "BUSY",
-                    f"worker {worker} queue at high-water mark "
-                    f"({self.queue_limit}); retry",
-                )
+            return error_frame(
+                request.id,
+                "BUSY",
+                f"worker {worker} queue at high-water mark "
+                f"({self.queue_limit}); retry",
             )
-            return
-        # The admission timestamp anchors the queued phase measured by
-        # the worker; None when nobody is listening (keeps the
-        # telemetry-off hot path free of clock reads).
-        admitted = (
-            tracer.clock() if tracer is not None and tracer.active else None
-        )
-        queue.put_nowait((connection, request, worker, admitted))
         self.stats["requests"] += 1
         if tracer is not None:
             tracer.emit(
                 "server.request",
                 session=session.name,
                 action=action,
-                queue_depth=queue.qsize(),
+                # With this request, where it is about to be queued.
+                queue_depth=depth + 1 if queues else 0,
                 shard=worker,
                 trace=request.trace_id,
             )
+        return request, worker
+
+    async def _execute(
+        self,
+        session: Session,
+        request: Request,
+        index: int,
+        out: List[bytes],
+        answered: List[Tuple[Any, ...]],
+    ) -> None:
+        """Run one routed request on non-blocking shard ``index`` and
+        append its reply to ``out``: plan, call, finish.  Nothing here
+        suspends (a non-blocking shard set is called directly even for
+        2PC and respawn), so requests execute in arrival order."""
+        tracer = self.tracer
+        timed = tracer is not None and tracer.active
+        begun = tracer.clock() if timed else 0.0
+        plan = self._plan(session, request, index)
+        if type(plan) is list:
+            try:
+                replies = self.pool.shards[index].call(plan)
+            except ShardDown:
+                out.append(self._shard_down_frame(request, index))
+                await self._shard_down(index, {})  # `out` leaves with the read
+                return
+            frame = self._finish(session, request, index, replies[-1])
+        elif type(plan) is bytes:
+            frame = plan
+        else:
+            frame = await self._complete_cross(session, request, plan)
+        out.append(frame)
+        if timed:
+            done = tracer.clock()
+            answered.append((session, request, index, 0.0, done - begun, done))
+
+    async def _flush(
+        self,
+        outbox: Dict[_Connection, List[bytes]],
+        answered: List[Tuple[Any, ...]],
+    ) -> None:
+        """Write each connection's pending replies with one write, then
+        emit ``server.respond`` for the shard-executed ones among them.
+        ``respond`` is stamped after the write, so it includes a reply's
+        wait for its batch-mates and the three phases sum to the
+        request's residence in the server.  Empties both arguments."""
+        for connection, frames in outbox.items():
+            if frames:
+                await connection.send(b"".join(frames))
+        outbox.clear()
+        if answered:
+            tracer = self.tracer
+            responded = tracer.clock()
+            for session, request, worker, queued, executing, done in answered:
+                tracer.emit(
+                    "server.respond",
+                    session=session.name,
+                    action=request.action,
+                    trace=request.trace_id,
+                    transaction=request.params.get("transaction"),
+                    shard=worker,
+                    queued=queued,
+                    executing=executing,
+                    respond=max(0.0, responded - done),
+                )
+            answered.clear()
 
     def _introspect(self, action: str) -> Dict[str, Any]:
         """The ``stats`` / ``health`` result body (inline, read-only)."""
@@ -587,7 +685,10 @@ class ReproServer:
         result: Dict[str, Any] = dict(health)
         result["server"] = dict(self.stats)
         result["queue_limit"] = self.queue_limit
-        result["queues"] = [queue.qsize() for queue in self._queues]
+        # One depth per shard; a non-blocking shard has no queue: 0.
+        result["queues"] = [queue.qsize() for queue in self._queues] or (
+            [0] * self.workers
+        )
         if self.pool.blocking:
             result["pool"] = self.pool.status()  # processes to supervise
         if self.registry is not None:
@@ -636,23 +737,20 @@ class ReproServer:
         return record.primary
 
     # ------------------------------------------------------------------
-    # Workers (one per shard, one bounded queue each)
+    # Workers (one per blocking shard, one bounded queue each)
     # ------------------------------------------------------------------
 
     async def _worker(self, index: int) -> None:
-        """Serve one shard's queue: plan ops, call the shard, answer.
+        """Serve one blocking shard's queue: plan ops, call the shard, answer.
 
-        A blocking shard is called through the executor, so the worker
-        first drains its queue into one *batch*: one round-trip, one
+        The shard is called through the executor, so the worker first
+        drains its queue into one *batch*: one round-trip, one
         group-commit fsync for the lot — under load the queue is never
-        empty, so the cost amortises across every queued request.  A
-        non-blocking shard is called right here, one request at a time,
-        its reply written before the next request executes.
+        empty, so the cost amortises across every queued request.  The
+        batch's replies leave with one write per connection.
         """
         queue = self._queues[index]
         shard = self.pool.shards[index]
-        blocking = shard.blocking
-        limit = BATCH_LIMIT if blocking else 1
         loop = asyncio.get_event_loop()
         tracer = self.tracer
         stopping = False
@@ -661,7 +759,7 @@ class ReproServer:
             if item is None:
                 return
             batch = [item]
-            while len(batch) < limit:
+            while len(batch) < BATCH_LIMIT:
                 try:
                     extra = queue.get_nowait()
                 except asyncio.QueueEmpty:
@@ -679,19 +777,20 @@ class ReproServer:
                 plans.append(plan)
                 if type(plan) is list:
                     ops.extend(plan)
+            outbox: Dict[_Connection, List[bytes]] = {}
+            answered: List[Tuple[Any, ...]] = []
             replies: Any = ()
             if ops:
                 try:
-                    if blocking:
-                        replies = await loop.run_in_executor(None, shard.call, ops)
-                    else:
-                        replies = shard.call(ops)
+                    replies = await loop.run_in_executor(None, shard.call, ops)
                 except ShardDown:
                     replies = None
-                    stranded = zip(batch, plans)
-                    await self._shard_down(
-                        index, [item for item, plan in stranded if type(plan) is list]
-                    )
+                    for (connection, request, *_), plan in zip(batch, plans):
+                        if type(plan) is list:
+                            outbox.setdefault(connection, []).append(
+                                self._shard_down_frame(request, index)
+                            )
+                    await self._shard_down(index, outbox)
             executed = tracer.clock() if timed else 0.0
             offset = 0
             for item, plan in zip(batch, plans):
@@ -706,28 +805,20 @@ class ReproServer:
                 elif type(plan) is bytes:
                     frame = plan
                 else:
-                    # A multi-shard completion: 2PC, after the batch.
+                    # A multi-shard completion: 2PC, after the batch —
+                    # and after the replies already made have left, so
+                    # none of them waits on it.
+                    await self._flush(outbox, answered)
                     begun = tracer.clock() if timed else 0.0
                     frame = await self._complete_cross(session, request, plan)
                     done = tracer.clock() if timed else 0.0
-                await connection.send(frame)
+                outbox.setdefault(connection, []).append(frame)
                 if timed:
-                    responded = tracer.clock()
-                    tracer.emit(
-                        "server.respond",
-                        session=session.name,
-                        action=request.action,
-                        trace=request.trace_id,
-                        transaction=request.params.get("transaction"),
-                        shard=worker,
-                        queued=(
-                            max(0.0, begun - admitted)
-                            if admitted is not None
-                            else 0.0
-                        ),
-                        executing=max(0.0, done - begun),
-                        respond=max(0.0, responded - done),
+                    queued = max(0.0, begun - admitted) if admitted is not None else 0.0
+                    answered.append(
+                        (session, request, worker, queued, max(0.0, done - begun), done)
                     )
+            await self._flush(outbox, answered)
 
     def _plan(self, session: Session, request: Request, index: int) -> Any:
         """Translate one admitted request into ops for shard ``index``.
@@ -860,28 +951,32 @@ class ReproServer:
             return self._error(request.id, reply)
         return self._completed(session, request, reply["ok"])
 
-    async def _shard_down(self, index: int, items: List[Any]) -> int:
-        """A worker process died mid-batch: answer, clean up, respawn.
+    def _shard_down_frame(self, request: Request, index: int) -> bytes:
+        """The typed answer for a request its shard died under."""
+        self.stats["errors"] += 1
+        return error_frame(
+            request.id,
+            "SHARD_DOWN",
+            f"shard {index} worker died; its active transactions are"
+            " presumed aborted",
+        )
 
-        Every in-flight request gets a typed ``SHARD_DOWN`` answer (never
-        stranded), every handle that touched the dead shard is aborted on
-        its surviving participants and closed (never leaked — the dead
+    async def _shard_down(
+        self, index: int, outbox: Dict[_Connection, List[bytes]]
+    ) -> int:
+        """A shard died under a call: clean up, answer, respawn.
+
+        Every handle that touched the dead shard is aborted on its
+        surviving participants and closed (never leaked — the dead
         shard's own active transactions died with its volatile state;
         prepared ones are resurrected from the WAL and resolved by the
-        respawn), and the shard is respawned, recovered, and put back in
+        respawn).  Then the typed ``SHARD_DOWN`` answers waiting in
+        ``outbox`` leave (:meth:`_shard_down_frame` — never stranded): a
+        client that reacts to one finds its handle gone, not half
+        cleaned, and does not wait for the respawn, which replays a log.
+        Last the shard is respawned, recovered, and put back in
         rotation.  Returns the number of handles cleaned up.
         """
-        for item in items:
-            connection, request, _worker, _admitted = item
-            self.stats["errors"] += 1
-            await connection.send(
-                error_frame(
-                    request.id,
-                    "SHARD_DOWN",
-                    f"shard {index} worker died; its active transactions are"
-                    " presumed aborted",
-                )
-            )
         cleaned = 0
         for connection in self._connections:
             session = connection.session
@@ -897,5 +992,6 @@ class ReproServer:
                 session.close_transaction(handle)
                 self.stats["transactions_aborted"] += 1
                 cleaned += 1
+        await self._flush(outbox, [])
         await self._off_loop(self.pool.respawn, index)
         return cleaned

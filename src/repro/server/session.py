@@ -93,6 +93,7 @@ class Session:
 
     __slots__ = (
         "session_id",
+        "name",
         "peer",
         "transactions",
         "requests",
@@ -104,29 +105,27 @@ class Session:
 
     def __init__(self, session_id: int, peer: str = "?", ack_capacity: int = 256):
         self.session_id = session_id
+        #: The session's name as it appears in trace payloads.
+        self.name = f"s{session_id}"
         self.peer = peer
         #: handle -> TxnRecord (primary shard, participant set).
         #: The binding is lazy: a transaction is pinned to the shard
         #: owning the first object it touches.
         self.transactions: Dict[str, TxnRecord] = {}
-        #: Requests admitted (not refused BUSY) on this session.
+        #: Requests parsed on this session — counted before admission, so
+        #: refused ones (BUSY, routing errors) are included.
         self.requests = 0
         self._next_txn = 0
         self._acks: "OrderedDict[int, Dict[str, Any]]" = OrderedDict()
         self._ack_capacity = ack_capacity
         self.closed = False
 
-    @property
-    def name(self) -> str:
-        """The session's name as it appears in trace payloads."""
-        return f"s{self.session_id}"
-
     # -- transaction handles -------------------------------------------
 
     def mint_handle(self) -> str:
         """A fresh transaction handle (globally unique via the session id)."""
         self._next_txn += 1
-        return f"s{self.session_id}.t{self._next_txn}"
+        return f"{self.name}.t{self._next_txn}"
 
     def open_transaction(self, handle: str) -> TxnRecord:
         """Register a handle minted by :meth:`mint_handle` as open."""

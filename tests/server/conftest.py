@@ -1,0 +1,33 @@
+"""One served two-shard deployment per transport, for tests that run one
+body over all of them."""
+
+import pytest
+
+from repro.distributed import Site
+from repro.recovery import MemoryWAL
+from repro.server import ReproServer, ShardProcessPool
+from repro.server.engine import ShardSet
+
+
+@pytest.fixture
+def serve_over(tmp_path):
+    """``await serve_over(transport, **kwargs)``: a started
+    :class:`ReproServer` over two shards behind ``transport`` — ``"local"``
+    engines, ``"process"`` children or simulated ``"site"`` hosts (each
+    with a log, so a killed one can be respawned)."""
+
+    async def start(transport, **kwargs):
+        kwargs.setdefault("drain_grace", 0.5)
+        if transport == "local":
+            kwargs["workers"] = 2
+        elif transport == "process":
+            kwargs["pool"] = ShardProcessPool(2, tmp_path / "data")
+        else:
+            kwargs["pool"] = ShardSet(
+                [Site(index, 2, wal=MemoryWAL()) for index in range(2)]
+            )
+        server = ReproServer(**kwargs)
+        await server.start()
+        return server
+
+    return start

@@ -10,9 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.distributed import Site
-from repro.server import AsyncClient, ReproServer, ShardProcessPool, WireError
-from repro.server.engine import ShardSet
+from repro.server import AsyncClient, WireError
 
 #: request label -> what every transport must answer.
 EXPECTED = {
@@ -35,19 +33,9 @@ async def _code(awaitable):
 
 
 @pytest.mark.parametrize("transport", ["local", "process", "site"])
-def test_both_transports_answer_the_same_codes(transport, tmp_path):
+def test_both_transports_answer_the_same_codes(transport, serve_over):
     async def scenario():
-        if transport == "local":
-            server = ReproServer(workers=2, drain_grace=0.5)
-        elif transport == "process":
-            server = ReproServer(
-                pool=ShardProcessPool(2, tmp_path / "data"), drain_grace=0.5
-            )
-        else:
-            server = ReproServer(
-                pool=ShardSet([Site(0, 2), Site(1, 2)]), drain_grace=0.5
-            )
-        await server.start()
+        server = await serve_over(transport)
         client = await AsyncClient.connect(server.host, server.port)
         await client.create("acct", "Account")
         await client.create("queue", "FIFOQueue")

@@ -6,6 +6,7 @@ to it over real sockets.  No pytest-asyncio: tests drive their own
 """
 
 import asyncio
+import struct
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.server import (
     WireError,
     shard_for,
 )
+from repro.server.protocol import FrameDecoder, request_frame
 
 
 def run(coroutine):
@@ -228,6 +230,36 @@ class TestTypedErrors:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "violation, code",
+        [
+            (struct.pack(">I", 1 << 30), "FRAME_TOO_LARGE"),
+            (struct.pack(">I", 3) + b"\xff\xfe{", "BAD_FRAME"),
+        ],
+        ids=["oversized-header", "undecodable-body"],
+    )
+    def test_requests_before_a_framing_violation_are_still_answered(
+        self, violation, code
+    ):
+        # Regression: the good frames of a read used to be lost with the
+        # FrameError the bad one raised, so whether the ping was answered
+        # depended on how TCP happened to segment the bytes.
+        async def scenario():
+            server = await start_server()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(request_frame(1, "ping") + violation)   # one segment
+            await writer.drain()
+            data = await reader.read()                # until the server closes
+            writer.close()
+            await server.drain()
+            return FrameDecoder().feed(data)
+
+        ping, error = run(scenario())
+        assert ping["id"] == 1 and ping["ok"] is True
+        assert error["id"] is None and error["error"]["code"] == code
+
     def test_bad_version_is_refused(self):
         async def scenario():
             server = await start_server()
@@ -249,13 +281,15 @@ class TestTypedErrors:
 
 
 class TestBackpressure:
-    def test_queue_at_high_water_answers_busy(self):
+    @pytest.mark.parametrize("transport", ["local", "process", "site"])
+    def test_queue_at_high_water_answers_busy(self, transport, serve_over):
         async def scenario():
             bus = TraceBus()
             registry = MetricsRegistry()
             bus.subscribe(RegistrySink(registry))
-            # queue_limit=0: every routed request is beyond high water.
-            server = await start_server(queue_limit=0, tracer=bus)
+            # queue_limit=0: every routed request is beyond high water,
+            # with or without a queue behind the limit.
+            server = await serve_over(transport, queue_limit=0, tracer=bus)
             server.create_object("A", "Account")
             client = await AsyncClient.connect(server.host, server.port)
             handle = await client.begin()              # inline: unaffected

@@ -8,11 +8,19 @@ makes cheap to state: a shard is killed at a chosen op and the outcome
 must be the one presumed abort prescribes.
 """
 
+import asyncio
+
 import pytest
 
 from repro.distributed import Site
 from repro.recovery import MemoryWAL
-from repro.server import ShardDown, ShardEngine, ShardProcessPool
+from repro.server import (
+    AsyncClient,
+    ShardDown,
+    ShardEngine,
+    ShardProcessPool,
+    WireError,
+)
 from repro.server.engine import LocalShard, ShardSet
 
 TRANSPORTS = ["local", "process", "site"]
@@ -170,3 +178,51 @@ class TestCrashes:
         replay = {"op": "apply_commit", "txn": "X", "ts": 2}
         assert shards.shards[1].single(replay) == {"ok": 2}     # idempotent
         assert balances(shards) == [4, 4]
+
+
+@pytest.mark.parametrize("transport", ["process", "site"])
+def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_over):
+    """The whole ``ShardDown`` ladder behind a socket, whether the dying
+    call was made by a worker (process shards) or by the connection
+    handler itself (sites): a typed answer, the stranded handle cleaned up
+    everywhere, the shard respawned and serving."""
+
+    async def code(awaitable):
+        with pytest.raises(WireError) as caught:
+            await asyncio.wait_for(awaitable, 30)
+        return caught.value.code
+
+    async def scenario():
+        server = await serve_over(transport)
+        client = await AsyncClient.connect(server.host, server.port)
+        names = {}
+        for index in range(100):
+            names.setdefault(server.pool.shard_of(f"Q{index}"), f"Q{index}")
+        for name in names.values():
+            await client.create(name, "FIFOQueue")
+        # One transaction holding locks on both shards.
+        stranded = await client.begin()
+        await client.invoke(stranded, names[0], "Enq", 1)
+        await client.invoke(stranded, names[1], "Enq", 2)
+        kill(server.pool.shards[1])
+        outcome = [
+            await code(client.invoke(stranded, names[1], "Enq", 3)),
+            await code(client.commit(stranded)),
+        ]
+        assert [c.session.active for c in server._connections] == [0]
+        # The survivor released the handle's locks and the dead shard is
+        # back, recovered: both serve the next transaction.
+        fresh = await client.begin()
+        await client.invoke(fresh, names[0], "Enq", 4)
+        await client.invoke(fresh, names[1], "Enq", 5)
+        timestamp, _ = await client.commit(fresh)
+        assert isinstance(timestamp, int)
+        stats = server.pool.shards[1].single({"op": "stats"})["ok"]
+        assert server.pool.shards[1].alive and stats["incarnation"] == 2
+        outcome += [server.stats["errors"], server.stats["transactions_aborted"]]
+        await client.aclose()
+        await server.drain()
+        return outcome
+
+    # Both refusals are counted as errors; the stranded handle as aborted.
+    assert asyncio.run(scenario()) == ["SHARD_DOWN", "UNKNOWN_TXN", 2, 1]
