@@ -3,7 +3,9 @@
 Reads a result set written by ``benchmarks/e2e/run.py --all --out F`` and
 checks, on its traced records, the counts that say *how* requests were
 served — frames per ``recv``, time spent queued, frames and requests per
-transaction, certification.  They repeat on a shared runner where
+transaction, fsyncs per transaction under group commit, what a SIGKILL
+and restart lost or left locked, whether 2PC and the conflict path were
+exercised, certification.  They repeat on a shared runner where
 throughput does not, so CI's ``e2e-smoke`` job gates on them::
 
     python3 benchmarks/e2e/run.py --all --smoke --out smoke.json
@@ -47,6 +49,20 @@ def check(records):
             lambda v: abs(v - 3.0) <= 0.05,
             "3.0 +- 0.05",
         )
+    # Group commit: one fsync per pipe batch, so one per transaction
+    # submitted alone and a sixteenth each for sixteen submitted together.
+    # The SIGKILL and restart lost no acknowledged commit and left no
+    # prepared transaction holding its locks.  What was certified went
+    # through cross-shard 2PC and, contended, through lock refusals.
+    for workload, name, holds, wanted in (
+        ("wal-pool", "server.procpool.fsyncs_per_txn_depth1", lambda v: v == 1, "1"),
+        ("wal-pool", "server.procpool.fsyncs_per_txn_depth16", lambda v: v < 1, "< 1"),
+        ("wal-pool", "recovery.recovery.acked_lost", lambda v: v == 0, "0"),
+        ("wal-pool", "recovery.recovery.unresolved_locks", lambda v: v == 0, "0"),
+        ("wal-pool", "server.procpool.cross_share", lambda v: v > 0, "> 0"),
+        ("mem-contended", "core.lock_machine.conflict_share", lambda v: v > 0, "> 0"),
+    ):
+        expect(workload, name, holds, wanted)
     for workload in sorted(traced):
         expect(workload, "obs.certified", lambda v: v == 1, "1")
     return problems

@@ -53,42 +53,27 @@ Commands
     N`` shards the objects across *N* WAL-backed worker processes
     (shared-nothing, group commit, cross-shard 2PC, supervised respawn)
     instead of in-process shards; ``--data-dir`` roots the per-shard
-    WALs so a restarted server recovers its state.
-``bench serve``
-    Run the closed-/open-loop load generator against an in-process
-    server and write the schema-validated ``BENCH_serve.json`` artifact
-    (sustained txn/s and p50/p99 latency across a concurrency sweep,
-    with the atomicity checker's verdict, the end-to-end span
-    breakdown, and the critical-path phase budget embedded).
-    ``--profile-dir`` additionally runs the sampling profiler for the
-    whole serve window and drops ``profile.folded`` / ``profile.json``
-    there for ``repro profile``.
-``bench shard``
-    Run the multi-process sharding benchmark and write the
-    schema-validated ``BENCH_shard.json`` artifact: group-commit worker
-    scaling against a durable-per-append baseline, the fsync/txn
-    amortisation sweep, sequential cross-shard 2PC throughput, and a
-    certified merged-trace run (``shard_trace.jsonl``).
-``bench compare OLD.json NEW.json``
-    Compare two ``BENCH_serve.json`` artifacts and exit nonzero when
-    the new run regressed (throughput down >20% or p99 up >50% at the
-    peak concurrency level) — the CI trajectory guard.
+    WALs so a restarted server recovers its state.  ``--profile-dir``
+    runs the sampling profiler for the whole serve window and drops
+    ``profile.folded`` / ``profile.json`` there on drain.
 ``profile <dump>``
     Render a profile artifact offline: a ``profile.json`` dump, a
-    ``.folded`` collapsed-stack file, or a ``--profile-dir`` directory.
-    Shows the hottest frames and stacks from the sampler, the
-    critical-path phase budget with coz-lite what-if estimates, and the
-    contention table (blocked time per conflict pair).  ``--top N``
-    bounds the tables, ``--json`` dumps the raw report.
+    ``.folded`` collapsed-stack file, or a ``serve --profile-dir``
+    directory.  Shows the hottest frames and stacks from the sampler
+    (the critical-path budget and the contention table come from
+    ``analyze``).  ``--top N`` bounds the tables, ``--json`` dumps the
+    raw report.
 ``top``
     Curses-free live view over a running server's ``stats`` op:
     queue depths, commit/abort/BUSY rates, latency quantiles, hottest
     conflict pairs, flight-recorder status — refreshed on an interval.
 ``analyze <trace.jsonl>``
     Fold a recorded server trace (or a flight-recorder dump) into a
-    postmortem report: per-phase latency breakdown, hottest conflict
-    pairs, shard imbalance, queue-depth timeline, slowest transactions
-    with their span waterfalls (``--json`` for the raw report).
+    postmortem report: per-phase latency breakdown, critical-path phase
+    budget with what-if estimates, contention table (blocked time per
+    conflict pair), shard imbalance, queue-depth timeline, slowest
+    transactions with their span waterfalls (``--json`` for the raw
+    report).
 ``check [workload | --trace-file FILE]``
     Certify a run hybrid atomic with the streaming oracle
     (:class:`repro.obs.AtomicityChecker`): either run a workload live
@@ -121,12 +106,9 @@ Examples::
     python -m repro top --connect 127.0.0.1:7400 --iterations 3
     python -m repro analyze /tmp/serve.jsonl
     python -m repro serve --processes 4 --data-dir /tmp/shards
-    python -m repro bench serve --smoke --output-dir /tmp
-    python -m repro bench serve --smoke --output-dir /tmp --profile-dir /tmp/prof
-    python -m repro bench shard --smoke --output-dir /tmp
+    python -m repro serve --workers 2 --profile-dir /tmp/prof
     python -m repro profile /tmp/prof
     python -m repro profile /tmp/prof/profile.folded --top 5
-    python -m repro bench compare BENCH_old.json BENCH_new.json
 """
 
 from __future__ import annotations
@@ -698,7 +680,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             data_dir,
             trace_dir=data_dir / "traces" if args.trace_file else None,
             protocol=args.protocol,
-            durability=args.durability,
         )
     server = ReproServer(
         host=args.host,
@@ -729,7 +710,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 2
         server.install_signal_handlers([signal.SIGTERM, signal.SIGINT])
         tier = (
-            f"{args.processes} shard process(es), {args.durability} commit"
+            f"{args.processes} shard process(es), group commit"
             if pool is not None
             else f"{server.workers} worker(s)"
         )
@@ -807,77 +788,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_postmortem(report))
     return 0 if not report["violations"] else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-    from pathlib import Path
-
-    from .server.bench import (
-        compare_artifacts,
-        render_comparison,
-        render_summary,
-        run_serve_bench,
-    )
-
-    if args.target == "compare":
-        if len(args.artifacts) != 2:
-            print(
-                "bench compare needs exactly two artifacts: OLD.json NEW.json",
-                file=sys.stderr,
-            )
-            return 2
-        payloads = []
-        for path in args.artifacts:
-            if not os.path.isfile(path):
-                print(f"no such artifact: {path}", file=sys.stderr)
-                return 2
-            with open(path, encoding="utf-8") as handle:
-                payloads.append(json.load(handle))
-        comparison = compare_artifacts(*payloads)
-        print(render_comparison(comparison))
-        return 0 if comparison["ok"] else 1
-    if args.artifacts:
-        print(f"bench {args.target} takes no positional artifacts",
-              file=sys.stderr)
-        return 2
-    if args.target == "shard":
-        from .server.shardbench import render_shard_summary, run_shard_bench
-
-        try:
-            result = run_shard_bench(
-                smoke=args.smoke, output_dir=Path(args.output_dir)
-            )
-        except AssertionError as exc:
-            print(f"bench shard failed: {exc}", file=sys.stderr)
-            return 1
-        print(render_shard_summary(result))
-        print(
-            f"\nartifact written to "
-            f"{Path(args.output_dir) / 'BENCH_shard.json'}"
-        )
-        return 0
-    if args.target != "serve":  # pragma: no cover - argparse enforces choices
-        print(f"unknown bench target {args.target!r}", file=sys.stderr)
-        return 2
-    try:
-        result = run_serve_bench(
-            smoke=args.smoke,
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            duration=args.duration,
-            output_dir=Path(args.output_dir),
-            profile_dir=Path(args.profile_dir) if args.profile_dir else None,
-        )
-    except AssertionError as exc:
-        print(f"bench serve failed: {exc}", file=sys.stderr)
-        return 1
-    print(render_summary(result))
-    print(f"\nartifact written to {Path(args.output_dir) / 'BENCH_serve.json'}")
-    if args.profile_dir:
-        print(f"profile written to {args.profile_dir}")
-    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -1198,45 +1108,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard WAL/trace root for --processes (default: serve_data)",
     )
     serve.add_argument(
-        "--durability", choices=["group", "append"], default="group",
-        help="--processes WAL mode: one fsync per batch (group) or per "
-        "append (append)",
-    )
-
-    bench = commands.add_parser(
-        "bench", help="run a load benchmark and write its artifact"
-    )
-    bench.add_argument(
-        "target", choices=["serve", "shard", "compare"],
-        help="serve: run the load generator; shard: the multi-process "
-        "group-commit sweep; compare: diff two artifacts",
-    )
-    bench.add_argument(
-        "artifacts", nargs="*",
-        help="for compare: OLD.json NEW.json (exit 1 on regression)",
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="short CI-sized sweep")
-    bench.add_argument("--workers", type=int, default=2)
-    bench.add_argument("--queue-limit", type=int, default=64)
-    bench.add_argument(
-        "--duration", type=float, default=None,
-        help="seconds per sweep level (default: 0.6 smoke / 3.0 full)",
-    )
-    bench.add_argument(
-        "--output-dir", default=".",
-        help="directory for BENCH_serve.json and serve_trace.jsonl",
-    )
-    bench.add_argument(
-        "--profile-dir", default=None,
-        help="also run the sampling profiler and write profile.folded / "
-        "profile.json (with critical-path and contention reports) here",
+        "--durability", choices=["group"], default="group",
+        help="accepted for command-line compatibility only: shard "
+        "processes always log under group commit (one fsync per batch)",
     )
 
     profile = commands.add_parser(
         "profile",
-        help="render a profile dump: hottest frames/stacks, critical-path "
-        "budget, contention table",
+        help="render a profile dump: the sampler's hottest frames and stacks",
     )
     profile.add_argument(
         "path",
@@ -1336,7 +1215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "check": _cmd_check,
         "lint": _cmd_lint,
         "serve": _cmd_serve,
-        "bench": _cmd_bench,
         "top": _cmd_top,
         "analyze": _cmd_analyze,
         "profile": _cmd_profile,

@@ -60,17 +60,15 @@ class RuleScope:
 _SERVER_REAL_IO = (
     "/server/server.py",
     "/server/client.py",
-    "/server/bench.py",
     "/server/top.py",
     "/server/procpool.py",
-    "/server/shardbench.py",
 )
 
 RULE_SCOPES: Dict[str, RuleScope] = {
     # Determinism: simulation subsystems replay bit-for-bit from a seed.
     # The serving tier is in scope (its pure modules must not fold wall
-    # clocks into protocol state) but its socket/benchmark modules are
-    # allowlisted — measuring real latency *is* their job.
+    # clocks into protocol state) but its socket / process edge modules
+    # are allowlisted — real clocks and real I/O *are* their job.
     "REP104": RuleScope(
         include=(
             "/core/",

@@ -11,7 +11,7 @@ did.
 Inside the scoped subsystems (see ``RULE_SCOPES`` in
 :mod:`repro.lint.config`: ``core/``, ``distributed/``, ``recovery/``,
 ``sim/``, ``replication/``, and the serving tier's pure modules — its
-real-I/O socket/benchmark modules are allowlisted by engine
+real-I/O socket / process modules are allowlisted by engine
 configuration there) this rule forbids:
 
 * module-level RNG calls (``random.random()``, ``random.choice`` … —

@@ -10,7 +10,7 @@ folds a replayed event stream into one JSON-friendly report
 
 Everything here is a pure fold over :class:`~repro.obs.events.TraceEvent`
 records — no sockets, no clocks — so the same report comes out of a
-live capture, a bench trace, or a flight dump replayed years later.
+live capture, a benchmark trace, or a flight dump replayed years later.
 """
 
 from __future__ import annotations

@@ -36,10 +36,9 @@ pairs cost the most wall-clock wait — is the target list ROADMAP item
 from finer relations is bounded; measure where the remaining time goes
 before compiling anything).
 
-Everything here works offline: ``repro profile`` renders dumps,
-``repro analyze`` embeds the critical-path and contention sections in
-its postmortem, and ``repro bench serve`` ships the phase budget inside
-``BENCH_serve.json``.
+Everything here works offline: ``repro profile`` renders the sampler's
+dumps, and ``repro analyze`` computes the critical-path and contention
+sections of its postmortem from a recorded trace.
 """
 
 from __future__ import annotations
@@ -519,40 +518,28 @@ def contention_profile(
 
 
 def write_profile(
-    directory: str,
-    profiler: Optional[SamplingProfiler] = None,
-    critical: Optional[Dict[str, Any]] = None,
-    contention: Optional[Dict[str, Any]] = None,
-    prefix: str = "profile",
+    directory: str, profiler: SamplingProfiler, prefix: str = "profile"
 ) -> List[str]:
     """Write ``<prefix>.folded`` and ``<prefix>.json`` under ``directory``.
 
     The ``.folded`` file is ``flamegraph.pl`` input; the JSON dump
-    carries the sampler stacks plus whichever of the critical-path and
-    contention reports were computed (values through the tagged codec,
-    like every other obs artifact).  Returns the paths written.
+    carries the sampler's stacks and status (values through the tagged
+    codec, like every other obs artifact).  Returns the paths written.
     """
     os.makedirs(directory, exist_ok=True)
-    paths: List[str] = []
-    if profiler is not None:
-        folded_path = os.path.join(directory, f"{prefix}.folded")
-        with open(folded_path, "w", encoding="utf-8") as handle:
-            handle.write(profiler.folded())
-        paths.append(folded_path)
-    payload: Dict[str, Any] = {"schema_version": PROFILE_SCHEMA_VERSION}
-    if profiler is not None:
-        payload["sampler"] = profiler.as_dict()
-    if critical is not None:
-        payload["critical_path"] = critical
-    if contention is not None:
-        payload["contention"] = contention
+    folded_path = os.path.join(directory, f"{prefix}.folded")
+    with open(folded_path, "w", encoding="utf-8") as handle:
+        handle.write(profiler.folded())
+    payload = {
+        "schema_version": PROFILE_SCHEMA_VERSION,
+        "sampler": profiler.as_dict(),
+    }
     json_path = os.path.join(directory, f"{prefix}.json")
     with open(json_path, "w", encoding="utf-8") as handle:
         handle.write(
             json.dumps(encode_value(payload), indent=2, sort_keys=True) + "\n"
         )
-    paths.append(json_path)
-    return paths
+    return [folded_path, json_path]
 
 
 def read_profile(path: str) -> Dict[str, Any]:
@@ -716,13 +703,4 @@ def render_profile(report: Mapping[str, Any], top: int = 15) -> str:
             lines.append("\nhottest stacks:")
             for frames, count in hot_stacks[:top]:
                 lines.append(f"  {count:>7d}  {';'.join(frames)}")
-    critical = report.get("critical_path")
-    if critical:
-        lines.append("")
-        # Embedded critical-path reports are stored in milliseconds.
-        lines.append(render_critical_path(critical, scale_to_ms=1.0))
-    contention = report.get("contention")
-    if contention is not None:
-        lines.append("")
-        lines.append(render_contention(contention))
     return "\n".join(lines) + "\n"

@@ -18,12 +18,11 @@ and synchronous; this package is where the outside world attaches:
   engine per OS process under group commit, supervised respawn with
   recovery;
 * :mod:`~repro.server.client` — sync and asyncio client libraries;
-* :mod:`~repro.server.bench` — the closed-/open-loop load harness
-  behind ``repro bench serve``;
 * :mod:`~repro.server.top` — the curses-free live view behind
   ``repro top``, rendered from the in-band ``stats`` op.
 
-See ``docs/serving.md`` for the protocol and lifecycle reference.
+See ``docs/serving.md`` for the protocol and lifecycle reference; the
+tier is measured from outside the process by ``benchmarks/e2e/``.
 """
 
 from .client import AsyncClient, SyncClient

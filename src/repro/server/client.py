@@ -27,7 +27,7 @@ timestamp.  A transaction's requests all reuse the trace id minted at
 span the :class:`~repro.obs.SpanBuilder` assembles from them — name one
 id for the whole client call chain.  The ``sent`` timestamp is only
 comparable with the server's clock when both ends share
-``CLOCK_MONOTONIC`` (same machine — the bench and test topology);
+``CLOCK_MONOTONIC`` (same machine — the benchmark and test topology);
 cross-host deployments should read the ``client`` span phase as
 approximate.
 """
@@ -50,8 +50,8 @@ from .protocol import (
 
 __all__ = ["SyncClient", "AsyncClient"]
 
-#: Process-wide client numbering, so concurrent clients (the bench's
-#: closed-loop threads) mint disjoint trace-id spaces.
+#: Process-wide client numbering, so the clients of one process mint
+#: disjoint trace-id spaces.
 _CLIENT_IDS = itertools.count(1)
 
 
@@ -76,7 +76,7 @@ class _TraceMinter:
 
 
 class SyncClient:
-    """A blocking client for scripts, tests, and the closed-loop bench.
+    """A blocking client for scripts, tests, and probes.
 
     Not thread-safe; one instance per thread.  Responses are matched by
     request id, so a slow queued operation never corrupts the reply of a
@@ -194,25 +194,15 @@ class SyncClient:
         if request_id is None:
             request_id = self.next_id()
         trace_id = self._traces.by_txn.get(transaction)
-        last: Optional[WireError] = None
         for _attempt in range(max(1, retries)):
-            try:
-                response = self.call(
-                    "commit", {"transaction": transaction}, request_id, trace_id
-                )
-            except ConnectionError:
-                raise
-            try:
-                timestamp = response.raise_for_error().result["timestamp"]
-            except WireError as exc:
-                if exc.code != "BUSY":
-                    self._traces.by_txn.pop(transaction, None)
-                    raise
-                last = exc
-            else:
+            response = self.call(
+                "commit", {"transaction": transaction}, request_id, trace_id
+            )
+            if response.error_code != "BUSY":
+                # Committed or refused, the server has closed the handle.
                 self._traces.by_txn.pop(transaction, None)
-                return timestamp
-        raise last  # type: ignore[misc]
+                break
+        return response.raise_for_error().result["timestamp"]
 
     def abort(self, transaction: str, request_id: Optional[int] = None) -> None:
         """Abort ``transaction`` (idempotent under request-id reuse)."""
@@ -241,8 +231,8 @@ class AsyncClient:
     """An asyncio client; safe for many in-flight requests at once.
 
     A background reader task resolves one future per request id, so any
-    number of coroutines can share a single connection — the shape the
-    open-loop load generator needs.
+    number of coroutines can share a single connection and pipeline
+    their requests on it.
     """
 
     def __init__(self) -> None:
@@ -252,6 +242,8 @@ class AsyncClient:
         self._ids = itertools.count(1)
         self._futures: Dict[int, "asyncio.Future[Response]"] = {}
         self._reader_task: Optional[asyncio.Task] = None
+        #: Why the read loop ended; no reply can arrive once it is set.
+        self._broken: Optional[Exception] = None
         self._traces = _TraceMinter()
         self.closed = False
 
@@ -281,6 +273,7 @@ class AsyncClient:
         self._fail_pending(ConnectionError("server closed the connection"))
 
     def _fail_pending(self, exc: Exception) -> None:
+        self._broken = exc
         for future in self._futures.values():
             if not future.done():
                 future.set_exception(exc)
@@ -300,6 +293,10 @@ class AsyncClient:
         """Send one request and await its (possibly error) response."""
         if self._writer is None:
             raise ConnectionError("not connected")
+        if self._broken is not None:
+            # The socket may still take the write (half-closed), but
+            # nobody is left to deliver the reply.
+            raise ConnectionError(str(self._broken)) from self._broken
         if request_id is None:
             request_id = self.next_id()
         future: "asyncio.Future[Response]" = (
@@ -374,8 +371,10 @@ class AsyncClient:
         response = await self.call(
             "commit", {"transaction": transaction}, request_id, trace_id
         )
+        if response.error_code != "BUSY":
+            # Committed or refused, the server has closed the handle.
+            self._traces.by_txn.pop(transaction, None)
         response.raise_for_error()
-        self._traces.by_txn.pop(transaction, None)
         return response.result["timestamp"], response
 
     async def abort(

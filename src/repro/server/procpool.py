@@ -49,8 +49,8 @@ _CONTEXT = multiprocessing.get_context(
 
 def _build_engine(spec: Dict[str, Any]) -> ShardEngine:
     """Open the shard's log and trace file and build (or recover) its
-    engine: a FileWAL, group-commit-wrapped unless per-append durability
-    was asked for, and one JSONL trace file per incarnation."""
+    engine: a group-commit-wrapped FileWAL and one JSONL trace file per
+    incarnation."""
     # Child-only: a server without shard processes never loads recovery.
     from ..recovery.wal import FileWAL, GroupCommitWAL
 
@@ -58,14 +58,11 @@ def _build_engine(spec: Dict[str, Any]) -> ShardEngine:
     if spec["trace_path"]:
         tracer = TraceBus()
         sink = tracer.subscribe(JSONLSink(spec["trace_path"]))
-    wal = FileWAL(pathlib.Path(spec["data_dir"]))
-    if spec["durability"] != "append":
-        wal = GroupCommitWAL(wal)
     return ShardEngine(
         spec["shard"],
         spec["shards"],
         protocol=spec["protocol"],
-        wal=wal,
+        wal=GroupCommitWAL(FileWAL(pathlib.Path(spec["data_dir"]))),
         tracer=tracer,
         sink=sink,
         incarnation=spec["incarnation"],
@@ -113,7 +110,6 @@ class ShardProcess:
         data_dir: pathlib.Path,
         trace_dir: Optional[pathlib.Path],
         protocol: str,
-        durability: str,
     ):
         self.shard = shard
         self.trace_dir = trace_dir
@@ -124,7 +120,6 @@ class ShardProcess:
             "shards": shards,
             "data_dir": str(data_dir),
             "protocol": protocol,
-            "durability": durability,
         }
         self._process = None
         self._conn = None
@@ -238,12 +233,8 @@ class ShardProcess:
 
 
 class ShardProcessPool(ShardSet):
-    """A fixed-size pool of shard worker processes.
-
-    ``durability`` selects group commit (``"group"``, the default: one
-    fsync per pipe batch) or per-append durability (``"append"``: one
-    fsync per record — the pre-group-commit baseline, kept for
-    benchmarking the difference honestly).
+    """A fixed-size pool of shard worker processes, each logging under
+    group commit: one fsync per pipe batch, before the batch is answered.
     """
 
     def __init__(
@@ -252,14 +243,10 @@ class ShardProcessPool(ShardSet):
         data_dir,
         trace_dir=None,
         protocol: str = "hybrid",
-        durability: str = "group",
         tracer: Any = None,
     ):
         if workers < 1:
             raise ValueError("need at least one shard worker")
-        if durability not in ("group", "append"):
-            raise ValueError(f"unknown durability mode {durability!r}")
-        self.durability = durability
         self._respawn_lock = threading.Lock()
         if trace_dir is not None:
             trace_dir = pathlib.Path(trace_dir)
@@ -269,7 +256,7 @@ class ShardProcessPool(ShardSet):
             shard_dir = pathlib.Path(data_dir) / f"shard{shard}"
             shard_dir.mkdir(parents=True, exist_ok=True)
             shards.append(
-                ShardProcess(shard, workers, shard_dir, trace_dir, protocol, durability)
+                ShardProcess(shard, workers, shard_dir, trace_dir, protocol)
             )
         super().__init__(shards, tracer=tracer)
 
@@ -295,7 +282,6 @@ class ShardProcessPool(ShardSet):
         must answer while the shard pipes are saturated)."""
         return {
             "workers": self.workers,
-            "durability": self.durability,
             "alive": [shard.alive for shard in self.shards],
             "incarnations": [shard.incarnation for shard in self.shards],
         }

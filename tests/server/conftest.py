@@ -14,14 +14,19 @@ def serve_over(tmp_path):
     """``await serve_over(transport, **kwargs)``: a started
     :class:`ReproServer` over two shards behind ``transport`` — ``"local"``
     engines, ``"process"`` children or simulated ``"site"`` hosts (each
-    with a log, so a killed one can be respawned)."""
+    with a log, so a killed one can be respawned).  A traced server's
+    process shards trace too (``shard.trace_paths``)."""
 
     async def start(transport, **kwargs):
         kwargs.setdefault("drain_grace", 0.5)
         if transport == "local":
             kwargs["workers"] = 2
         elif transport == "process":
-            kwargs["pool"] = ShardProcessPool(2, tmp_path / "data")
+            kwargs["pool"] = ShardProcessPool(
+                2,
+                tmp_path / "data",
+                trace_dir=tmp_path / "traces" if "tracer" in kwargs else None,
+            )
         else:
             kwargs["pool"] = ShardSet(
                 [Site(index, 2, wal=MemoryWAL()) for index in range(2)]

@@ -1,17 +1,15 @@
-"""The sync client (real cross-thread sockets) and the bench harness."""
+"""The client libraries: sync (real cross-thread sockets) and asyncio.
+
+(The file name is historical: the in-process load harness it also
+covered is gone; the served benchmark is ``benchmarks/e2e``.)
+"""
 
 import asyncio
-import json
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
-from repro.server import ReproServer, SyncClient, WireError
-from repro.server.bench import render_summary, run_serve_bench
-
-BENCHMARKS = Path(__file__).resolve().parents[2] / "benchmarks"
+from repro.server import AsyncClient, ReproServer, SyncClient, WireError
 
 
 @pytest.fixture
@@ -81,34 +79,55 @@ class TestSyncClient:
             client.abort(handle)
 
 
-class TestServeBench:
-    def test_smoke_run_validates_and_certifies(self, tmp_path):
-        result = run_serve_bench(
-            smoke=True, duration=0.25, output_dir=tmp_path
-        )
-        artifact = tmp_path / "BENCH_serve.json"
-        assert artifact.is_file()
-        on_disk = json.loads(artifact.read_text())
-        sys.path.insert(0, str(BENCHMARKS))
-        try:
-            from bench_schema import validate_artifact
-        finally:
-            sys.path.pop(0)
-        validate_artifact("BENCH_serve.json", on_disk)
-        # The acceptance floor: 64 concurrent connections did real work.
-        assert result["max_concurrent_clients"] >= 64
-        top = next(
-            row
-            for row in result["closed_loop"]
-            if row["clients"] == result["max_concurrent_clients"]
-        )
-        assert top["committed"] > 0
-        assert top["stats"]["txn_per_second"] > 0
-        assert result["certification"]["ok"]
-        assert result["certification"]["verdict"] == "clean"
-        # The trace file is flushed and non-trivial.
-        trace = tmp_path / "serve_trace.jsonl"
-        assert trace.is_file() and trace.stat().st_size > 0
-        # The renderer covers every section without raising.
-        summary = render_summary(result)
-        assert "closed loop" in summary and "certification" in summary
+class TestRefusedCommit:
+    """A refused commit closed the handle on the server; the client must
+    not keep its handle -> trace binding.  (The raw ``abort`` closes the
+    handle behind the client's back, so the commit is ``UNKNOWN_TXN``.)"""
+
+    def test_sync_client_drops_the_binding(self, threaded_server):
+        server = threaded_server
+        with SyncClient(server.host, server.port) as client:
+            handle = client.begin()
+            client.call("abort", {"transaction": handle}).raise_for_error()
+            assert handle in client._traces.by_txn
+            with pytest.raises(WireError) as excinfo:
+                client.commit(handle)
+            assert excinfo.value.code == "UNKNOWN_TXN"
+            assert client._traces.by_txn == {}
+
+    def test_async_client_drops_the_binding(self):
+        async def scenario():
+            server = ReproServer(workers=1, drain_grace=0.5)
+            await server.start()
+            client = await AsyncClient.connect(server.host, server.port)
+            handle = await client.begin()
+            raw = await client.call("abort", {"transaction": handle})
+            raw.raise_for_error()
+            assert handle in client._traces.by_txn
+            with pytest.raises(WireError) as excinfo:
+                await client.commit(handle)
+            assert excinfo.value.code == "UNKNOWN_TXN"
+            assert client._traces.by_txn == {}
+            await client.aclose()
+            await server.drain()
+
+        asyncio.run(scenario())
+
+
+class TestAsyncClientAfterHangUp:
+    def test_call_raises_instead_of_waiting_for_ever(self):
+        async def scenario():
+            server = ReproServer(workers=1, drain_grace=0.5)
+            await server.start()
+            client = await AsyncClient.connect(server.host, server.port)
+            await client.ping()
+            await server.aclose()
+            # The first call may still race the EOF (and be failed by
+            # it); the second certainly finds the read loop finished,
+            # and used to register a future nobody would ever resolve.
+            for _ in range(2):
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(client.call("ping"), 2.0)
+            await client.aclose()
+
+        asyncio.run(scenario())

@@ -511,3 +511,85 @@ class TestGracefulDrain:
             await client.aclose()
 
         run(scenario())
+
+
+class TestManyConnections:
+    """64 sockets at once with one hot object between them, so the
+    conflict -> abort -> retry path is on the certified history."""
+
+    CONNECTIONS = 64
+    ROUNDS = 3
+
+    @pytest.mark.parametrize("transport", ["local", "process"])
+    def test_64_connections_commit_and_certify(
+        self, transport, serve_over, tmp_path
+    ):
+        trace = tmp_path / "trace.jsonl"
+
+        async def connection(client, index):
+            """ROUNDS transactions, retried until each commits: credits
+            to the connection's own account and, for every fourth
+            connection, one round of debits from the shared one (five
+            or six of them at a time).  Debit x Debit conflicts."""
+            own = f"own-{index}"
+            await client.create(own, "Account")
+            committed = aborted = 0
+            for round_ in range(self.ROUNDS):
+                hot = index % 4 == 0 and round_ == index // 4 % self.ROUNDS
+                obj, operation = ("hot", "Debit") if hot else (own, "Credit")
+                while True:
+                    handle = await client.begin()
+                    try:
+                        for _ in range(2):
+                            await client.invoke(handle, obj, operation, 1)
+                        await client.commit(handle)
+                    except WireError as exc:
+                        assert exc.code == "CONFLICT" and hot, exc
+                        await client.abort(handle)
+                        aborted += 1
+                    else:
+                        committed += 1
+                        break
+            return committed, aborted
+
+        async def scenario():
+            bus = TraceBus()
+            sink = bus.subscribe(JSONLSink(str(trace)))
+            server = await serve_over(transport, tracer=bus, flush_on_drain=[sink])
+            seed = await AsyncClient.connect(server.host, server.port)
+            await seed.create("hot", "Account")
+            handle = await seed.begin()
+            await seed.invoke(handle, "hot", "Credit", 10 * self.CONNECTIONS)
+            await seed.commit(handle)
+            clients = [
+                await AsyncClient.connect(server.host, server.port)
+                for _ in range(self.CONNECTIONS)
+            ]
+            for client in clients:
+                await client.ping()  # answered: the server has registered it
+            assert (await seed.health())["connections"] == 1 + self.CONNECTIONS
+            counts = await asyncio.gather(
+                *(connection(client, index) for index, client in enumerate(clients))
+            )
+            stats = await seed.stats()
+            for client in [seed, *clients]:
+                await client.aclose()
+            await server.drain()
+            return counts, stats["server"]
+
+        counts, stats = run(scenario())
+        assert all(committed == self.ROUNDS for committed, _ in counts)
+        committed = 1 + sum(committed for committed, _ in counts)
+        aborted = sum(aborted for _, aborted in counts)
+        assert aborted > 0, "the hot account never refused a Debit"
+        assert stats["transactions_committed"] == committed
+        assert stats["transactions_aborted"] == aborted
+        # Process shards trace in their own files; merge by timestamp.
+        events = read_jsonl(str(trace))
+        for path in (tmp_path / "traces").glob("*.jsonl"):
+            events.extend(read_jsonl(str(path)))
+        events.sort(key=lambda event: event.ts)
+        report = AtomicityChecker().replay(events).report()
+        assert report["verdict"] == "clean", report["violations"]
+        assert report["transactions"]["committed"] == committed
+        assert report["transactions"]["aborted"] == aborted

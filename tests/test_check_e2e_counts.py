@@ -1,0 +1,91 @@
+"""CI's count gate over an e2e result set (``benchmarks/check_e2e_counts.py``).
+
+The committed baseline sets are the fixtures: set-A and set-B were taken
+before local shards lost their queue (PR 17), and set-B before a full
+restart resolved its prepared transactions (PR 14) — so the gate must
+flag exactly those and nothing else.
+"""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+_spec = importlib.util.spec_from_file_location(
+    "check_e2e_counts", BENCHMARKS / "check_e2e_counts.py"
+)
+check_e2e_counts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_e2e_counts)
+
+#: What PR 17 changed on purpose; both baseline sets predate it.
+PRE_PR17 = [
+    "mem-uniform: loadgen.frames_per_recv",
+    "solo-latency: server.server.queue_us_p50",
+    "mem-uniform: server.server.queue_us_p50",
+    "mem-contended: server.server.queue_us_p50",
+]
+
+
+def baseline(name):
+    return json.loads((BENCHMARKS / "e2e" / "baseline" / name).read_text())["runs"]
+
+
+def flagged(problems):
+    """``workload: metric`` of each problem, without the value."""
+    return [problem.split(" = ")[0] for problem in problems]
+
+
+def test_set_a_fails_only_what_pr17_changed():
+    assert flagged(check_e2e_counts.check(baseline("set-A.json"))) == PRE_PR17
+
+
+def test_set_b_also_shows_the_restart_hole():
+    # One prepared transaction still held its locks after the restart:
+    # the bug PR 14 closed, in a record this repository really produced.
+    problems = check_e2e_counts.check(baseline("set-B.json"))
+    assert flagged(problems) == PRE_PR17 + [
+        "wal-pool: recovery.recovery.unresolved_locks"
+    ]
+    assert problems[-1].endswith("= 1, expected 0")
+
+
+@pytest.mark.parametrize(
+    "workload, metric, value",
+    [
+        ("wal-pool", "server.procpool.fsyncs_per_txn_depth1", 5.0),
+        ("wal-pool", "server.procpool.fsyncs_per_txn_depth16", 1.0),
+        ("wal-pool", "recovery.recovery.acked_lost", 1.0),
+        ("wal-pool", "recovery.recovery.unresolved_locks", 2.0),
+        ("wal-pool", "server.procpool.cross_share", 0.0),
+        ("mem-contended", "core.lock_machine.conflict_share", 0.0),
+    ],
+)
+def test_a_doctored_record_trips_its_gate_once(workload, metric, value):
+    runs = copy.deepcopy(baseline("set-A.json"))
+    for run in runs:
+        if run["workload"] == workload and run["trace"]:
+            run["metrics"][metric]["value"] = value
+    assert flagged(check_e2e_counts.check(runs)) == PRE_PR17 + [
+        f"{workload}: {metric}"
+    ]
+
+
+def test_main_exit_status(tmp_path, capsys):
+    main = check_e2e_counts.main
+    assert main([]) == 2
+    assert main([str(BENCHMARKS / "e2e" / "baseline" / "set-B.json")]) == 1
+    assert "unresolved_locks = 1, expected 0" in capsys.readouterr().err
+    # Set-A as PR 17 would have left it passes every gate.
+    runs = baseline("set-A.json")
+    for run in runs:
+        if run["trace"]:
+            run["metrics"]["server.server.queue_us_p50"]["value"] = 0.0
+            run["metrics"]["loadgen.frames_per_recv"]["value"] = 8.0
+    clean = tmp_path / "clean.json"
+    clean.write_text(json.dumps({"runs": runs}))
+    assert main([str(clean)]) == 0
+    assert "check_e2e_counts: ok" in capsys.readouterr().out
