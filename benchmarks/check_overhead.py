@@ -45,18 +45,32 @@ without needing the pre-instrumentation binary:
   (there the committed prefix is already folded, so the cache only has
   to be ~free, not faster).  Floors are far below the measured margins
   (see ``BENCH_hot_path.json``) to stay robust on loaded CI runners.
+* **served-telemetry budget** — the guards above hold "no tracer, no
+  cost"; this one holds the *enabled* path, which ``repro serve`` always
+  runs.  The 15 events of one served uniform transaction go through the
+  default wiring (``TraceBus`` + ``RegistrySink`` + ``FlightRecorder``)
+  under ``sys.setprofile``, and the Python-level and C-level calls at and
+  below ``emit`` must equal ``SERVED_CALLS`` *exactly*: the counts repeat,
+  so a helper call or a membership test that creeps back into a sink
+  fails here before it is a percent on ``cpu_ms_per_txn_ref``.  A loose
+  wall-clock ratio against the same mix on a bus with one no-op sink
+  (interleaved repeats, like the sampler's) is the backstop for costs
+  that are not calls.
 
 Run directly (``PYTHONPATH=src python benchmarks/check_overhead.py``) or
 via pytest.  Exits non-zero on violation.
 """
 
 import sys
+import tempfile
 import time
 
 from repro.adts import ACCOUNT_CONFLICT, make_account_adt
 from repro.core import CompactingLockMachine, Invocation, LockMachine
 from repro.obs import (
+    WIRE_LATENCY_BUCKETS,
     AtomicityChecker,
+    FlightRecorder,
     MetricsRegistry,
     RegistrySink,
     SamplingProfiler,
@@ -94,6 +108,17 @@ COMPILED_TOLERANCE = 1.10
 COMPILED_HOLDERS = 24
 #: An amount inside Account's declared universe, and one outside it.
 COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
+# Calls at and below ``emit`` for one served uniform transaction's 15
+# events through the ``repro serve`` wiring: (Python-level, C-level).
+# Exact — re-derive with ``served_calls()`` when a sink changes on purpose.
+# (Before the admission event was merged and the sinks became one call
+# each, the same transaction was 18 events and 169 + 156 calls.)
+SERVED_CALLS = (93, 112)
+SERVED_TRANSACTIONS = 50
+# The default wiring against one no-op sink, same events: ~2.3x measured
+# (~3.1x before), so this only catches a sink that got much dearer.
+SERVED_TOLERANCE = 3.5
+SERVED_REPEATS = 7
 
 
 def churn(machine, transactions=TRANSACTIONS):
@@ -176,6 +201,112 @@ def sampler_budget(build, repeats=SAMPLER_REPEATS):
     return plain_best, profiled_best
 
 
+def served_transaction(name):
+    """The ``(kind, payload)`` events ``repro serve`` emits for one begin /
+    2 x Credit / commit transaction on a local shard, as an untraced
+    client sends it (no ``trace`` / ``sent`` stamp — the benchmark's
+    traffic): the mix ``tests/server/test_telemetry.py`` pins by count."""
+
+    def request(action, transaction, shard):
+        payload = dict(session="s1", action=action, trace=None, sent=None)
+        payload.update(transaction=transaction, shard=shard, queue_depth=0)
+        return "server.request", payload
+
+    def respond(action):
+        payload = dict(session="s1", action=action, trace=None, transaction=name)
+        payload.update(shard=0, queued=0.0, executing=7e-05, respond=1.5e-05)
+        return "server.respond", payload
+
+    def operation(obj, amount):
+        invoke = dict(transaction=name, obj=obj, operation="Credit", args=(amount,))
+        return [
+            ("txn.invoke", invoke),
+            ("txn.respond", dict(transaction=name, obj=obj, result="Ok")),
+            respond("invoke"),
+        ]
+
+    def advance(obj):
+        payload = dict(obj=obj, old_horizon=2, new_horizon=3, collapsed=1)
+        payload.update(forgotten=(name,), retained=0)
+        return "compaction.advance", payload
+
+    return [
+        request("begin", None, None),
+        request("invoke", name, 0),
+        ("txn.begin", dict(transaction=name, read_only=False)),
+        *operation("acct1", 5),
+        request("invoke", name, 0),
+        *operation("acct2", 7),
+        request("commit", name, 0),
+        ("txn.commit", dict(transaction=name, timestamp=3, objects=["acct1", "acct2"])),
+        advance("acct1"),
+        advance("acct2"),
+        respond("commit"),
+    ]
+
+
+def served_bus(directory):
+    """A bus wired the way ``repro serve`` wires its own."""
+    bus = TraceBus()
+    bus.subscribe(RegistrySink(MetricsRegistry(), WIRE_LATENCY_BUCKETS))
+    bus.subscribe(FlightRecorder(directory, queue_high_water=64, emit_to=bus))
+    return bus
+
+
+def served_mix(bus, transactions, prefix):
+    """Push ``transactions`` served transactions' events through ``bus``."""
+    mix = [served_transaction(f"{prefix}.t{n}") for n in range(transactions)]
+    emit = bus.emit
+    started = time.perf_counter()
+    for events in mix:
+        for kind, data in events:
+            emit(kind, **data)
+    return time.perf_counter() - started
+
+
+def served_calls(transactions=SERVED_TRANSACTIONS):
+    """(Python-level, C-level) calls per served transaction at and below
+    ``emit`` on the served wiring, counted by ``sys.setprofile``."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    with tempfile.TemporaryDirectory() as directory:
+        bus = served_bus(directory)
+        served_mix(bus, 3, "warm")  # bind the instruments
+        mix = [served_transaction(f"s1.t{n}") for n in range(transactions)]
+        emit = bus.emit
+        sys.setprofile(profile)
+        try:
+            for events in mix:
+                for kind, data in events:
+                    emit(kind, **data)
+        finally:
+            sys.setprofile(None)
+    return counts["call"] / transactions, counts["c_call"] / transactions
+
+
+def served_budget(repeats=SERVED_REPEATS):
+    """Best no-op-sink vs best served-wiring time for the same events,
+    interleaved repeats."""
+    bare_best = float("inf")
+    wired_best = float("inf")
+    with tempfile.TemporaryDirectory() as directory:
+        wired = served_bus(directory)
+        bare = TraceBus()
+        bare.subscribe(lambda event: None)
+        for repeat in range(repeats):
+            bare_best = min(
+                bare_best, served_mix(bare, SERVED_TRANSACTIONS, f"b{repeat}")
+            )
+            wired_best = min(
+                wired_best, served_mix(wired, SERVED_TRANSACTIONS, f"w{repeat}")
+            )
+    return bare_best, wired_best
+
+
 def best_of_manager(build, repeats=REPEATS):
     best = float("inf")
     for _ in range(repeats):
@@ -254,6 +385,8 @@ def main():
         for where, amount in COMPILED_AMOUNTS.items()
     }
     unprofiled_best, profiled_best = sampler_budget(disabled)
+    served_counts = served_calls()
+    bare_best, wired_best = served_budget()
     disabled_tps = TRANSACTIONS / disabled_best
     traced_tps = TRANSACTIONS / traced_best
     idle_tps = TRANSACTIONS / idle_best
@@ -287,6 +420,13 @@ def main():
     print(
         f"sampler: plain {unprofiled_best:.6f}s vs profiled "
         f"{profiled_best:.6f}s ({profiled_best / unprofiled_best:.3f}x)"
+    )
+
+    print(
+        f"served telemetry: {served_counts[0]:g} Python + {served_counts[1]:g} C "
+        f"calls per 15-event transaction; wired {wired_best:.6f}s vs one no-op "
+        f"sink {bare_best:.6f}s ({wired_best / bare_best:.2f}x, "
+        f"{wired_best / SERVED_TRANSACTIONS * 1e6:.1f} us/txn)"
     )
 
     failures = []
@@ -354,6 +494,20 @@ def main():
             f"{SAMPLER_TOLERANCE:.2f}x the unprofiled run "
             f"({unprofiled_best:.6f}s) — the sampler is no longer "
             "low-overhead"
+        )
+
+    if served_counts != SERVED_CALLS:
+        failures.append(
+            f"a served transaction's events cost {served_counts[0]:g} Python + "
+            f"{served_counts[1]:g} C calls on the repro-serve wiring, not the "
+            f"budgeted {SERVED_CALLS[0]} + {SERVED_CALLS[1]} — a sink's "
+            "per-event path changed (update SERVED_CALLS if on purpose)"
+        )
+    if wired_best > bare_best * SERVED_TOLERANCE:
+        failures.append(
+            f"the repro-serve wiring ({wired_best:.6f}s) exceeds "
+            f"{SERVED_TOLERANCE:.1f}x one no-op sink ({bare_best:.6f}s) on "
+            "the served event mix — the always-on sinks got dearer"
         )
 
     if failures:

@@ -724,6 +724,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
     status = asyncio.run(run())
+    for sink, exc in tracer.failures:
+        print(
+            f"serve: trace sink {type(sink).__name__} failed and was "
+            f"detached: {exc!r}",
+            file=sys.stderr,
+        )
     if status:
         return status
     print(

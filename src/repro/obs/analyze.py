@@ -77,7 +77,7 @@ def _queue_timeline(
     samples = [
         (event.ts, event.data.get("queue_depth") or 0)
         for event in events
-        if event.kind == "server.request"
+        if event.kind == "server.request" and event.data.get("shard") is not None
     ]
     if not samples:
         return []

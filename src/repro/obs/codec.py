@@ -28,13 +28,16 @@ string payloads).
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any
 
 from ..core.canon import canonical_key
 from ..core.compaction import NEG_INFINITY
 
-__all__ = ["encode_value", "decode_value"]
+__all__ = ["encode_value", "encode_event", "decode_value"]
+
+_ENCODER = json.JSONEncoder(default=repr)
 
 
 def encode_value(value: Any) -> Any:
@@ -68,6 +71,15 @@ def encode_value(value: Any) -> Any:
             ]
         }
     return {"__r__": repr(value)}
+
+
+def encode_event(event: Any) -> str:
+    """One trace event as its JSON line (no newline): ``ts``, ``kind``,
+    then each payload value through :func:`encode_value`."""
+    record = {"ts": event.ts, "kind": event.kind}
+    for key, value in event.data.items():
+        record[key] = encode_value(value)
+    return _ENCODER.encode(record)
 
 
 def decode_value(value: Any) -> Any:

@@ -68,17 +68,17 @@ kind                   emitted when / payload highlights
 ``server.disconnect``  a connection closed; any transactions it still
                        held were aborted (``session``, ``requests``,
                        ``aborted``)
-``server.request``     a request was routed to a shard and admitted
-                       (``session``, ``action``, ``shard``, the
-                       client's ``trace`` id, and ``queue_depth``: the
-                       requests waiting in that shard's queue with this
-                       one — 0 on a non-blocking shard, which has none)
-``server.busy``        a request was refused with BUSY — the bounded
-                       work queue was past its high-water mark
-``server.decode``      a complete request was decoded off the wire;
-                       carries the client's trace context (``trace``
-                       id and ``sent`` timestamp), so the client→server
-                       leg of an end-to-end span is measurable
+``server.request``     a request was parsed and admitted: ``session``,
+                       ``action``, ``transaction``, the client's trace
+                       context (``trace`` id, ``sent`` timestamp — the
+                       client→server leg of the span) and where it went:
+                       ``shard`` and that shard's ``queue_depth`` with
+                       this request (0 on a non-blocking shard, which has
+                       no queue), or ``shard=None`` when admission
+                       answered it (``begin``, ``ping``, ``stats``, a
+                       cached ack, a routing refusal)
+``server.busy``        a request was refused with BUSY instead — the
+                       bounded work queue was past its high-water mark
 ``server.respond``     a shard-executed request was answered; carries
                        the trace id and the per-phase latency split:
                        ``queued`` in the shard queue (0 on a
@@ -95,9 +95,11 @@ kind                   emitted when / payload highlights
                        (``reason``, ``events``, ``dropped``, ``path``)
 =====================  =============================================
 
-Events are deliberately plain: a frozen dataclass of ``(ts, kind,
-data)`` where ``data`` is a small dict.  Everything downstream — spans,
-metric registries, JSONL files — is a fold over the event stream.
+Events are deliberately plain: a slotted dataclass of ``(ts, kind,
+data)`` where ``data`` is a small dict (not frozen: one is built on every
+emit, and a frozen ``__init__`` costs twice a plain one).  Everything
+downstream — spans, metric registries, JSONL files — is a fold over the
+event stream.
 """
 
 from __future__ import annotations
@@ -141,7 +143,6 @@ EVENT_KINDS = frozenset(
         "server.disconnect",
         "server.request",
         "server.busy",
-        "server.decode",
         "server.respond",
         "server.drain",
         "flight.dump",
@@ -239,13 +240,10 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
     "server.connect": frozenset({"session", "peer"}),
     "server.disconnect": frozenset({"session", "requests", "aborted"}),
     "server.request": frozenset(
-        {"session", "action", "queue_depth", "shard", "trace"}
+        {"session", "action", "trace", "sent", "transaction", "shard", "queue_depth"}
     ),
     "server.busy": frozenset(
-        {"session", "action", "queue_depth", "shard", "trace"}
-    ),
-    "server.decode": frozenset(
-        {"session", "action", "trace", "sent", "transaction"}
+        {"session", "action", "trace", "sent", "transaction", "shard", "queue_depth"}
     ),
     "server.respond": frozenset(
         {
@@ -266,7 +264,7 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """One timestamped observation.
 
@@ -287,11 +285,4 @@ class TraceEvent:
 
     def to_dict(self) -> Dict[str, Any]:
         """Flatten to a JSON-friendly dict (payload keys at top level)."""
-        record: Dict[str, Any] = {"ts": self.ts, "kind": self.kind}
-        for key, value in self.data.items():
-            record[key] = value
-        return record
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        body = " ".join(f"{k}={v!r}" for k, v in self.data.items())
-        return f"[{self.ts:12.4f}] {self.kind:20s} {body}"
+        return {"ts": self.ts, "kind": self.kind, **self.data}

@@ -43,12 +43,11 @@ snapshots rather than one per event.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from typing import Any, Dict, List, Optional
 
-from .codec import encode_value
+from .codec import encode_event
 from .events import TraceEvent
 from .registry import DEFAULT_LATENCY_BUCKETS, Histogram
 from .sinks import RingBufferSink
@@ -124,50 +123,60 @@ class FlightRecorder:
         self.profile_snapshots: List[str] = []
         self.last_reason: Optional[str] = None
         self._seq = 0
-        self._events_since_dump: Optional[int] = None  # None: never dumped
+        #: ``ring.seen`` at the last dump (the cooldown counts from it).
+        self._dumped_at: Optional[int] = None
         self._latency = Histogram("flight.latency", DEFAULT_LATENCY_BUCKETS)
         self._begin_ts: Dict[str, float] = {}
+        #: The kinds that can fire a trigger as configured; for any other
+        #: event ``__call__`` is the ring append and nothing else.
+        self._watched = set(_TRIGGER_KINDS)
+        if queue_high_water is not None:
+            self._watched.add("server.request")
+        if latency_threshold is not None:
+            self._watched |= {"txn.begin", "txn.commit", "txn.abort"}
 
     # -- bus sink ------------------------------------------------------
 
     def __call__(self, event: TraceEvent) -> None:
-        if event.kind == "flight.dump":
+        kind = event.kind
+        if kind == "flight.dump":
             # Our own announcement echoed back through a shared bus.
             return
-        self.ring(event)
-        if self._events_since_dump is not None:
-            self._events_since_dump += 1
-        reason = self._trigger(event)
-        if reason is not None:
-            self.dump(reason, ts=event.ts)
+        # RingBufferSink.__call__, inline: this runs for every event.
+        ring = self.ring
+        events = ring._events
+        if len(events) == events.maxlen:
+            ring.dropped += 1
+        events.append(event)
+        ring.seen += 1
+        if kind in self._watched:
+            reason = self._trigger(kind, event)
+            if reason is not None:
+                self.dump(reason, ts=event.ts)
 
-    def _trigger(self, event: TraceEvent) -> Optional[str]:
-        """The dump reason this event fires, if any."""
-        kind = event.kind
+    def _trigger(self, kind: str, event: TraceEvent) -> Optional[str]:
+        """The dump reason this watched event fires, if any."""
         reason = _TRIGGER_KINDS.get(kind)
         if reason is not None:
             return reason
-        if (
-            kind == "server.request"
-            and self.queue_high_water is not None
-            and (event.data.get("queue_depth") or 0) >= self.queue_high_water
-        ):
-            return "queue-high-water"
-        if self.latency_threshold is not None:
-            transaction = event.data.get("transaction")
-            if transaction is not None:
-                if kind == "txn.begin":
-                    self._begin_ts[transaction] = event.ts
-                elif kind in ("txn.commit", "txn.abort"):
-                    begin = self._begin_ts.pop(transaction, None)
-                    if begin is not None:
-                        self._latency.observe(max(0.0, event.ts - begin))
-                        if (
-                            self._latency.total >= self.min_latency_samples
-                            and self._latency.quantile(0.99)
-                            > self.latency_threshold
-                        ):
-                            return "p99-breach"
+        if kind == "server.request":
+            depth = event.data.get("queue_depth") or 0
+            return "queue-high-water" if depth >= self.queue_high_water else None
+        # txn.begin / txn.commit / txn.abort: the latency trigger.
+        transaction = event.data.get("transaction")
+        if transaction is None:
+            return None
+        if kind == "txn.begin":
+            self._begin_ts[transaction] = event.ts
+            return None
+        begin = self._begin_ts.pop(transaction, None)
+        if begin is not None:
+            self._latency.observe(max(0.0, event.ts - begin))
+            if (
+                self._latency.total >= self.min_latency_samples
+                and self._latency.quantile(0.99) > self.latency_threshold
+            ):
+                return "p99-breach"
         return None
 
     # -- dumping -------------------------------------------------------
@@ -178,8 +187,8 @@ class FlightRecorder:
         Honors the cooldown (returns ``None`` when still cooling
         down).  Callable directly for operator-initiated snapshots.
         """
-        since = self._events_since_dump
-        if since is not None and since < self.cooldown_events:
+        since = self._dumped_at
+        if since is not None and self.ring.seen - since < self.cooldown_events:
             return None
         events = self.ring.events()
         safe_reason = _REASON_SAFE.sub("-", reason) or "manual"
@@ -188,8 +197,6 @@ class FlightRecorder:
         path = os.path.join(self.directory, name)
         os.makedirs(self.directory, exist_ok=True)
         header = {
-            "ts": ts,
-            "kind": "flight.dump",
             "reason": reason,
             "events": len(events),
             "dropped": self.ring.dropped,
@@ -197,15 +204,11 @@ class FlightRecorder:
             "path": name,
         }
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, default=repr) + "\n")
-            for event in events:
-                record: Dict[str, Any] = {"ts": event.ts, "kind": event.kind}
-                for key, value in event.data.items():
-                    record[key] = encode_value(value)
-                handle.write(json.dumps(record, default=repr) + "\n")
+            for event in (TraceEvent(ts, "flight.dump", header), *events):
+                handle.write(encode_event(event) + "\n")
         self.dumps.append(path)
         self.last_reason = reason
-        self._events_since_dump = 0
+        self._dumped_at = self.ring.seen
         if reason == "p99-breach" and self.profiler is not None:
             folded_path = os.path.join(
                 self.directory, f"flight-{self._seq:03d}-{safe_reason}.folded"

@@ -327,16 +327,17 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
 
 
 class _Bound(dict):
-    """name -> instrument, fetched from the registry on first use: a
+    """key -> instrument, fetched from the registry on first use: a
     lookup is then one dict subscript, and the registry still lists only
-    the instruments some event touched."""
+    the instruments some event touched.  The key is the instrument's
+    name, or the label ``fetch`` formats into one."""
 
-    def __init__(self, fetch: Callable[[str], Any]):
+    def __init__(self, fetch: Callable[[Any], Any]):
         super().__init__()
         self._fetch = fetch
 
-    def __missing__(self, name: str) -> Any:
-        instrument = self[name] = self._fetch(name)
+    def __missing__(self, key: Any) -> Any:
+        instrument = self[key] = self._fetch(key)
         return instrument
 
 
@@ -346,7 +347,9 @@ class RegistrySink:
     Derived counters live under event-shaped names (``txn.committed``,
     ``lock.conflicts``, ``lock.conflict[pair]``, ``net.messages`` …) so
     they never collide with the ``Metrics`` fields imported by
-    :meth:`MetricsRegistry.absorb_metrics`.
+    :meth:`MetricsRegistry.absorb_metrics`.  It sees every event of a
+    served run, so an event costs one dict dispatch and its handler, and
+    handlers write an instrument's ``.value`` directly.
     """
 
     def __init__(
@@ -356,25 +359,33 @@ class RegistrySink:
     ):
         self.registry = registry
         buckets = tuple(latency_buckets or DEFAULT_LATENCY_BUCKETS)
-        self._counters = _Bound(registry.counter)
-        self._gauges = _Bound(registry.gauge)
+        counter, gauge = registry.counter, registry.gauge
+        self._counters = _Bound(counter)
+        self._gauges = _Bound(gauge)
         self._histograms = _Bound(lambda name: registry.histogram(name, buckets))
+        # Labelled instruments, bound per label (an action, a shard index).
+        self._request_actions = _Bound(lambda a: counter(f"server.request[{a}]"))
+        self._shard_depths = _Bound(lambda i: gauge(f"server.queue_depth[shard{i}]"))
+        self._shard_responses = _Bound(lambda i: counter(f"server.responses[shard{i}]"))
         self._begin_ts: Dict[str, float] = {}
-        #: Last event timestamp per live transaction — the anchor for
-        #: attributing blocked time to conflict pairs (same interval
-        #: convention as the span builder's ``blocked`` tally).
+        #: Last ``txn.*`` / ``lock.*`` timestamp per live transaction — the
+        #: anchor for attributing blocked time to conflict pairs (same
+        #: interval convention as the span builder's ``blocked`` tally).
+        #: Each of those kinds' handlers moves it.
         self._last_ts: Dict[str, float] = {}
         self._connections = 0
         count = self._count
         #: kind -> handler; a kind without one is ignored.
         self._handlers: Dict[str, Callable[[TraceEvent], None]] = {
             "txn.begin": self._txn_begin,
-            "txn.commit": self._txn_commit,
-            "txn.abort": self._txn_abort,
+            "txn.invoke": self._advance,
+            "txn.respond": self._advance,
+            "txn.commit": self._terminal("txn.committed", "txn.latency"),
+            "txn.abort": self._terminal("txn.aborted", "txn.abort_latency"),
             "lock.conflict": self._lock_conflict,
-            "lock.block": count("lock.blocks"),
-            "lock.wait": count("lock.waits"),
-            "lock.deadlock": count("lock.deadlocks"),
+            "lock.block": self._refusal("lock.blocks"),
+            "lock.wait": self._refusal("lock.waits"),
+            "lock.deadlock": self._lock_deadlock,
             "compaction.advance": self._compaction_advance,
             "wal.append": count("wal.appends"),
             "wal.replay": count("wal.replays"),
@@ -390,122 +401,133 @@ class RegistrySink:
             "server.disconnect": self._server_disconnect,
             "server.request": self._server_request,
             "server.busy": self._server_busy,
-            "server.decode": self._server_decode,
             "server.respond": self._server_respond,
             "server.drain": count("server.drains"),
             "flight.dump": count("flight.dumps"),
         }
 
     def __call__(self, event: TraceEvent) -> None:
-        kind = event.kind
-        if kind.startswith(("txn.", "lock.")):
-            transaction = event.data.get("transaction")
-            if transaction is not None:
-                self._blocked_time(kind, transaction, event)
-        handler = self._handlers.get(kind)
+        handler = self._handlers.get(event.kind)
         if handler is not None:
             handler(event)
-
-    def _blocked_time(self, kind: str, transaction: str, event: TraceEvent) -> None:
-        """Charge the interval since the transaction's previous event to
-        the refusal (and conflict pair) that ended it."""
-        if kind in ("lock.conflict", "lock.block", "lock.wait"):
-            anchor = self._last_ts.get(transaction, event.ts)
-            interval = max(0.0, event.ts - anchor)
-            self._counters["lock.blocked_time"].inc(interval)
-            if kind == "lock.conflict":
-                data = event.data
-                pair = f"{data.get('operation')} × {data.get('held')}"
-                self._counters[f"lock.blocked_time[{pair}]"].inc(interval)
-        if kind in ("txn.commit", "txn.abort"):
-            self._last_ts.pop(transaction, None)
-        else:
-            self._last_ts[transaction] = event.ts
 
     def _count(self, name: str) -> Callable[[TraceEvent], None]:
         """A handler that just counts its events under ``name``."""
         counters = self._counters
 
         def handler(event: TraceEvent) -> None:
-            counters[name].inc()
+            counters[name].value += 1
 
         return handler
 
+    def _advance(self, event: TraceEvent) -> None:
+        transaction = event.data.get("transaction")
+        if transaction is not None:
+            self._last_ts[transaction] = event.ts
+
     def _txn_begin(self, event: TraceEvent) -> None:
-        self._counters["txn.begun"].inc()
-        self._begin_ts[event.data["transaction"]] = event.ts
+        transaction = event.data["transaction"]
+        self._counters["txn.begun"].value += 1
+        self._begin_ts[transaction] = self._last_ts[transaction] = event.ts
 
-    def _txn_commit(self, event: TraceEvent) -> None:
-        begun = self._begin_ts.pop(event.data["transaction"], None)
-        if begun is not None:
-            self._counters["txn.committed"].inc()
-            self._histograms["txn.latency"].observe(event.ts - begun)
+    def _terminal(self, outcome: str, latency: str) -> Callable[[TraceEvent], None]:
+        """A handler for a transaction's last event: count it under
+        ``outcome`` and observe its ``latency`` when its begin was seen."""
 
-    def _txn_abort(self, event: TraceEvent) -> None:
-        begun = self._begin_ts.pop(event.data["transaction"], None)
-        if begun is not None:
-            self._counters["txn.aborted"].inc()
-            self._histograms["txn.abort_latency"].observe(event.ts - begun)
+        def handler(event: TraceEvent) -> None:
+            transaction = event.data["transaction"]
+            self._last_ts.pop(transaction, None)
+            begun = self._begin_ts.pop(transaction, None)
+            if begun is not None:
+                self._counters[outcome].value += 1
+                self._histograms[latency].observe(event.ts - begun)
+
+        return handler
+
+    def _blocked_time(self, event: TraceEvent, pair: Optional[str] = None) -> None:
+        """Charge the interval since the transaction's previous event to
+        the refusal that ended it (and to the conflict ``pair``)."""
+        transaction = event.data.get("transaction")
+        if transaction is not None:
+            ts = event.ts
+            interval = max(0.0, ts - self._last_ts.get(transaction, ts))
+            self._last_ts[transaction] = ts
+            self._counters["lock.blocked_time"].value += interval
+            if pair is not None:
+                self._counters[f"lock.blocked_time[{pair}]"].value += interval
+
+    def _refusal(self, name: str) -> Callable[[TraceEvent], None]:
+        """A handler that counts a refusal under ``name`` and charges it
+        its blocked time."""
+
+        def handler(event: TraceEvent) -> None:
+            self._blocked_time(event)
+            self._counters[name].value += 1
+
+        return handler
 
     def _lock_conflict(self, event: TraceEvent) -> None:
         data = event.data
-        self._counters["lock.conflicts"].inc()
         pair = f"{data.get('operation')} × {data.get('held')}"
-        self._counters[f"lock.conflict[{pair}]"].inc()
+        self._blocked_time(event, pair)
+        self._counters["lock.conflicts"].value += 1
+        self._counters[f"lock.conflict[{pair}]"].value += 1
+
+    def _lock_deadlock(self, event: TraceEvent) -> None:
+        self._advance(event)
+        self._counters["lock.deadlocks"].value += 1
 
     def _compaction_advance(self, event: TraceEvent) -> None:
-        self._counters["compaction.advances"].inc()
-        self._counters["compaction.collapsed_ops"].inc(
-            event.data.get("collapsed", 0)
-        )
+        counters = self._counters
+        counters["compaction.advances"].value += 1
+        counters["compaction.collapsed_ops"].value += event.data.get("collapsed", 0)
 
     def _net_send(self, event: TraceEvent) -> None:
-        self._counters["net.messages"].inc()
+        self._counters["net.messages"].value += 1
         label = event.data.get("label")
         if label:
-            self._counters[f"net.send[{label}]"].inc()
+            self._counters[f"net.send[{label}]"].value += 1
 
     def _server_connect(self, event: TraceEvent) -> None:
-        self._counters["server.connections_opened"].inc()
+        self._counters["server.connections_opened"].value += 1
         self._connections += 1
-        self._gauges["server.connections"].set(self._connections)
+        self._gauges["server.connections"].value = self._connections
 
     def _server_disconnect(self, event: TraceEvent) -> None:
-        self._counters["server.connections_closed"].inc()
+        self._counters["server.connections_closed"].value += 1
         self._connections -= 1
-        self._gauges["server.connections"].set(self._connections)
+        self._gauges["server.connections"].value = self._connections
 
-    def _queue_depth(self, data: Mapping[str, Any]) -> None:
-        gauges = self._gauges
-        depth = data.get("queue_depth")
-        gauges["server.queue_depth"].set(depth)
-        shard = data.get("shard")
-        if shard is not None:
-            gauges[f"server.queue_depth[shard{shard}]"].set(depth)
-
-    def _server_request(self, event: TraceEvent) -> None:
+    def _decoded(self, event: TraceEvent) -> Any:
+        """Count one parsed request, its client→server leg and the queue
+        it was bound for; returns the shard (None: answered inline)."""
         data = event.data
-        counters = self._counters
-        counters["server.requests"].inc()
-        action = data.get("action")
-        if action:
-            counters[f"server.request[{action}]"].inc()
-        self._queue_depth(data)
-
-    def _server_busy(self, event: TraceEvent) -> None:
-        self._counters["server.busy"].inc()
-        self._queue_depth(event.data)
-
-    def _server_decode(self, event: TraceEvent) -> None:
-        self._counters["server.decoded"].inc()
-        sent = event.data.get("sent")
+        self._counters["server.decoded"].value += 1
+        sent = data.get("sent")
         if sent is not None:
             self._histograms["server.client_wire"].observe(max(0.0, event.ts - sent))
+        shard = data.get("shard")
+        if shard is not None:
+            depth = data.get("queue_depth")
+            self._gauges["server.queue_depth"].value = depth
+            self._shard_depths[shard].value = depth
+        return shard
+
+    def _server_request(self, event: TraceEvent) -> None:
+        if self._decoded(event) is not None:
+            self._counters["server.requests"].value += 1
+            action = event.data.get("action")
+            if action:
+                self._request_actions[action].value += 1
+
+    def _server_busy(self, event: TraceEvent) -> None:
+        self._decoded(event)
+        self._counters["server.busy"].value += 1
 
     def _server_respond(self, event: TraceEvent) -> None:
         data = event.data
         histograms = self._histograms
-        self._counters["server.responses"].inc()
+        self._counters["server.responses"].value += 1
         for key, name in (
             ("queued", "server.queued"),
             ("executing", "server.executing"),
@@ -516,4 +538,4 @@ class RegistrySink:
                 histograms[name].observe(value)
         shard = data.get("shard")
         if shard is not None:
-            self._counters[f"server.responses[shard{shard}]"].inc()
+            self._shard_responses[shard].value += 1

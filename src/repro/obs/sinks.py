@@ -16,7 +16,7 @@ from collections import Counter as _Counter
 from collections import deque
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from .codec import decode_value, encode_value
+from .codec import decode_value, encode_event
 from .events import TraceEvent
 from .registry import Histogram
 from .spans import Span
@@ -50,8 +50,7 @@ class RingBufferSink:
         self.dropped = 0
 
     def __call__(self, event: TraceEvent) -> None:
-        maxlen = self._events.maxlen
-        if maxlen is not None and len(self._events) == maxlen:
+        if len(self._events) == self._events.maxlen:  # None when unbounded
             self.dropped += 1
         self._events.append(event)
         self.seen += 1
@@ -91,10 +90,7 @@ class JSONLSink:
         self.written = 0
 
     def __call__(self, event: TraceEvent) -> None:
-        record: Dict[str, Any] = {"ts": event.ts, "kind": event.kind}
-        for key, value in event.data.items():
-            record[key] = encode_value(value)
-        self._file.write(json.dumps(record, default=repr) + "\n")
+        self._file.write(encode_event(event) + "\n")
         self.written += 1
 
     def flush(self) -> None:

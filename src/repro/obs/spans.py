@@ -48,7 +48,7 @@ _TERMINAL_KINDS = frozenset({"txn.commit", "txn.abort"})
 #: client's trace context and the per-request phase split, and are
 #: folded into the owning transaction's wire phases (never into the
 #: kinds list — they are wire bookkeeping, not history events).
-WIRE_SPAN_KINDS = frozenset({"server.decode", "server.respond"})
+WIRE_SPAN_KINDS = frozenset({"server.request", "server.busy", "server.respond"})
 
 #: Kinds the span builder deliberately ignores: connection-scoped or
 #: server-scoped, with no single owning transaction.  The trace-
@@ -59,8 +59,6 @@ SPAN_IRRELEVANT_KINDS = frozenset(
     {
         "server.connect",
         "server.disconnect",
-        "server.request",
-        "server.busy",
         "server.drain",
         "flight.dump",
     }
@@ -93,10 +91,10 @@ class Span:
     #: The raw event kinds, in arrival order (for well-formedness checks).
     kinds: List[str] = field(default_factory=list)
     #: The originating client's trace id, when the transaction was
-    #: served over the wire (``server.decode``/``server.respond``).
+    #: served over the wire (``server.request``/``server.respond``).
     trace: Optional[str] = None
     #: End-to-end wire phases, accumulated across the transaction's
-    #: requests: ``client`` (send→decode), ``queue`` (shard queue),
+    #: requests: ``client`` (send→admit), ``queue`` (shard queue),
     #: ``execute`` (machine work), ``respond`` (reply write).
     phases: Dict[str, float] = field(default_factory=dict)
 
@@ -168,9 +166,9 @@ class SpanBuilder:
         #: Last event timestamp per open transaction (interval anchor).
         self._last_ts: Dict[str, float] = {}
         #: Wire context seen before the machine's ``txn.begin`` — the
-        #: serving tier decodes a request (and stamps its trace) before
+        #: serving tier admits a request (and stamps its trace) before
         #: the manager opens the transaction, so the first
-        #: ``server.decode`` predates the span.  Stashed here and
+        #: ``server.request`` predates the span.  Stashed here and
         #: promoted to the real span when it opens, evicted FIFO past
         #: ``pending_limit`` entries.
         self._pending: Dict[str, Span] = {}
@@ -179,10 +177,11 @@ class SpanBuilder:
         self.pending_evicted = 0
 
     def _fold_wire(self, event: TraceEvent) -> None:
-        """Fold a ``server.decode``/``server.respond`` into its span.
+        """Fold a ``server.request``/``server.busy``/``server.respond``
+        into its span.
 
         Wire events bracket the machine's own event window: the first
-        decode arrives before ``txn.begin``, the commit's respond after
+        request arrives before ``txn.begin``, the commit's respond after
         ``txn.commit``.  They therefore fold into whichever span exists
         — open, already completed, or a pre-begin stash — rather than
         participating in the queued/blocked/executing interval split.
@@ -202,13 +201,13 @@ class SpanBuilder:
         trace = event.data.get("trace")
         if trace is not None:
             span.trace = trace
-        if event.kind == "server.decode":
+        if event.kind != "server.respond":  # admitted, or refused BUSY
             sent = event.data.get("sent")
             if sent is not None:
                 span.phases["client"] = span.phases.get("client", 0.0) + max(
                     0.0, event.ts - sent
                 )
-        else:  # server.respond
+        else:
             for payload_key, phase in (
                 ("queued", "queue"),
                 ("executing", "execute"),

@@ -152,9 +152,12 @@ class ReproServer:
         wire or via :meth:`create_object` (default ``hybrid``).
     tracer:
         Optional :class:`~repro.obs.TraceBus`; the server emits
-        ``server.*`` events and local shards emit the usual ``txn.*`` /
-        ``lock.*`` / ``obj.create`` stream through it, so a served run
-        is certifiable end-to-end by the :class:`AtomicityChecker`.
+        ``server.*`` events (one ``server.request`` or ``server.busy``
+        per parsed request, one ``server.respond`` per shard-executed
+        one) and local shards the usual ``txn.*`` / ``lock.*`` /
+        ``obj.create`` stream through it, so a served run is certifiable
+        end-to-end by the :class:`AtomicityChecker`.  ``stats`` reports
+        how many of its sinks failed and were detached.
     drain_grace:
         Seconds :meth:`drain` waits for in-flight transactions before
         force-aborting them.
@@ -375,7 +378,11 @@ class ReproServer:
         for sink in self._flush_on_drain:
             closer = getattr(sink, "close", None) or getattr(sink, "flush", None)
             if closer is not None:
-                closer()
+                try:
+                    closer()
+                except (OSError, ValueError) as exc:  # full disk, closed file
+                    if tracer is not None:
+                        tracer.failures.append((sink, exc))
         self._drain_report = report
         self._drained.set()
         return report
@@ -510,27 +517,65 @@ class ReproServer:
     def _admit(self, session: Session, body: Dict[str, Any]) -> Any:
         """Admit one decoded frame: the reply frame when it can be
         answered here (pure bookkeeping or a refusal, no shard involved),
-        else the routed ``(request, shard index)``."""
+        else the routed ``(request, shard index)``.  Every parsed request
+        leaves one event — ``server.request`` with the shard it went to
+        (None when answered here), or ``server.busy`` — carrying the
+        client's trace context: its ``sent`` stamp against the event's own
+        ``ts`` is the client→server leg of the end-to-end span."""
         try:
             request = parse_request(body)
         except WireError as exc:
             self.stats["errors"] += 1
             return error_frame(body.get("id"), exc.code, exc.message)
         session.requests += 1
-        action = request.action
         tracer = self.tracer
+        worker, depth = None, 0
+        routed = self._answer(session, request)
+        if type(routed) is int:
+            # Requests wait only for a blocking shard, in its queue; a
+            # non-blocking one executes them as they arrive.
+            worker, queues = routed, self._queues
+            depth = queues[worker].qsize() if queues else 0
+            if depth >= self.queue_limit:
+                self.stats["busy"] += 1
+                if tracer is not None:
+                    tracer.emit(
+                        "server.busy",
+                        session=session.name,
+                        action=request.action,
+                        trace=request.trace_id,
+                        sent=request.sent,
+                        transaction=request.params.get("transaction"),
+                        shard=worker,
+                        queue_depth=depth,
+                    )
+                return error_frame(
+                    request.id,
+                    "BUSY",
+                    f"worker {worker} queue at high-water mark "
+                    f"({self.queue_limit}); retry",
+                )
+            self.stats["requests"] += 1
+            if queues:
+                depth += 1  # with this request, about to be queued there
+            routed = request, worker
         if tracer is not None:
-            # The decode event carries the client's trace context: its
-            # `sent` timestamp against the event's own `ts` measures the
-            # client→server wire+queue leg of the end-to-end span.
             tracer.emit(
-                "server.decode",
+                "server.request",
                 session=session.name,
-                action=action,
+                action=request.action,
                 trace=request.trace_id,
                 sent=request.sent,
                 transaction=request.params.get("transaction"),
+                shard=worker,
+                queue_depth=depth,
             )
+        return routed
+
+    def _answer(self, session: Session, request: Request) -> Any:
+        """The reply frame for a request no shard is needed for, else the
+        index of the shard it routes to."""
+        action = request.action
         if action in ("stats", "health"):
             # Introspection never waits behind shard work — it must stay
             # responsive exactly when the queues are saturated.
@@ -567,39 +612,7 @@ class ReproServer:
             return self._completed(session, request)
         if self._stopping:
             return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
-        # Requests wait only for a blocking shard, in its queue; a
-        # non-blocking one executes them as they arrive.
-        queues = self._queues
-        depth = queues[worker].qsize() if queues else 0
-        if depth >= self.queue_limit:
-            self.stats["busy"] += 1
-            if tracer is not None:
-                tracer.emit(
-                    "server.busy",
-                    session=session.name,
-                    action=action,
-                    queue_depth=depth,
-                    shard=worker,
-                    trace=request.trace_id,
-                )
-            return error_frame(
-                request.id,
-                "BUSY",
-                f"worker {worker} queue at high-water mark "
-                f"({self.queue_limit}); retry",
-            )
-        self.stats["requests"] += 1
-        if tracer is not None:
-            tracer.emit(
-                "server.request",
-                session=session.name,
-                action=action,
-                # With this request, where it is about to be queued.
-                queue_depth=depth + 1 if queues else 0,
-                shard=worker,
-                trace=request.trace_id,
-            )
-        return request, worker
+        return worker
 
     async def _execute(
         self,
@@ -691,6 +704,8 @@ class ReproServer:
         )
         if self.pool.blocking:
             result["pool"] = self.pool.status()  # processes to supervise
+        if self.tracer is not None:
+            result["sink_failures"] = len(self.tracer.failures)
         if self.registry is not None:
             result["metrics"] = self.registry.snapshot()
         if self.flight is not None:

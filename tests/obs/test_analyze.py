@@ -19,20 +19,14 @@ def served_transaction(bus, clock, name, trace, shard=0, slow=0.0):
     """One wire-served committed transaction with a full phase split."""
     clock[0] += 0.001
     bus.emit(
-        "server.decode",
+        "server.request",
         session="s1",
         action="invoke",
         trace=trace,
         sent=clock[0] - 0.002,
         transaction=name,
-    )
-    bus.emit(
-        "server.request",
-        session="s1",
-        action="invoke",
-        queue_depth=2,
         shard=shard,
-        trace=trace,
+        queue_depth=2,
     )
     bus.emit("txn.begin", transaction=name)
     clock[0] += 0.004 + slow

@@ -1,5 +1,7 @@
 """The trace bus: emit-if-anyone-listens semantics and typed events."""
 
+import pytest
+
 from repro.obs import EVENT_KINDS, TraceBus, TraceEvent
 
 
@@ -45,6 +47,37 @@ class TestTraceBus:
         assert events == []
         assert not bus.active
 
+    def test_a_raising_sink_is_detached_and_the_rest_still_hear(self):
+        bus = TraceBus(clock=make_clock([1.0, 2.0]))
+        before, after = [], []
+
+        def broken(event):
+            raise ValueError("I/O operation on closed file")
+
+        bus.subscribe(before.append)
+        bus.subscribe(broken)
+        bus.subscribe(after.append)
+        bus.emit("txn.begin", transaction="T1")  # does not raise
+        bus.emit("txn.commit", transaction="T1", timestamp=1)
+        # The sinks on either side of it got both events; it got one.
+        assert [e.kind for e in before] == ["txn.begin", "txn.commit"]
+        assert after == before
+        ((sink, error),) = bus.failures
+        assert sink is broken and isinstance(error, ValueError)
+
+    def test_only_exceptions_are_isolated(self):
+        # An interrupt (or the engine's crash op, a BaseException) is not
+        # a sink failure: it passes, and the sink stays subscribed.
+        bus = TraceBus(clock=make_clock([1.0]))
+
+        def interrupted(event):
+            raise KeyboardInterrupt
+
+        bus.subscribe(interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            bus.emit("txn.begin", transaction="T1")
+        assert bus.failures == [] and bus.active
+
     def test_clock_is_rebindable(self):
         bus = TraceBus()
         bus.clock = lambda: 42.5
@@ -59,6 +92,15 @@ class TestTraceEvent:
         event = TraceEvent(1.0, "txn.begin", {"transaction": "T9"})
         assert event.transaction == "T9"
         assert TraceEvent(1.0, "compaction.advance", {"obj": "Q"}).transaction is None
+
+    def test_is_a_slotted_dataclass_with_equality(self):
+        import dataclasses
+
+        event = TraceEvent(1.0, "txn.commit", {"transaction": "T1", "timestamp": 3})
+        moved = dataclasses.replace(event, ts=2.0)  # the checker's mutations
+        assert moved != event and moved.data is event.data
+        assert moved == TraceEvent(2.0, "txn.commit", dict(event.data))
+        assert not hasattr(event, "__dict__")
 
     def test_to_dict_flattens_payload(self):
         event = TraceEvent(2.5, "lock.conflict", {"transaction": "T1", "obj": "A"})

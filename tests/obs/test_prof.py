@@ -381,18 +381,20 @@ class TestBenchReplayAgreement:
         # The analyzer and the span builder must agree end to end: feed
         # a served-transaction trace through SpanBuilder and assert the
         # report attributes the phase the wire events paid.
-        # The decode lands one second after the client sent (client
+        # The request lands one second after the client sent (client
         # phase 1.0s), which outweighs the 0.25s queue phase.
         ticks = iter([1.0, 1.0, 2.0, 3.0, 4.0])
         bus = TraceBus(clock=lambda: next(ticks))
         builder = bus.subscribe(SpanBuilder())
         bus.emit(
-            "server.decode",
+            "server.request",
             session="s1",
             action="invoke",
             trace="c1",
             sent=0.0,
             transaction="T1",
+            shard=0,
+            queue_depth=0,
         )
         bus.emit("txn.begin", transaction="T1")
         bus.emit("txn.invoke", transaction="T1", obj="A", operation="Credit(1)")

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.obs import (
+    DEFAULT_LATENCY_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -222,3 +223,162 @@ class TestPrometheusRender:
         registry.histogram("txn.latency", (1.0, 5.0)).observe(2.0)
         rebuilt = MetricsRegistry.from_snapshot(registry.snapshot())
         assert render_prometheus(rebuilt) == render_prometheus(registry)
+
+
+def _admitted(ts, session, action, transaction, shard, depth, trace=None, sent=None):
+    """A ``server.request`` (``shard=None``: answered at admission)."""
+    payload = dict(session=session, action=action, trace=trace, sent=sent)
+    payload.update(transaction=transaction, shard=shard, queue_depth=depth)
+    return ts, "server.request", payload
+
+
+def _refused(*args, **kwargs):
+    """The same request, refused BUSY."""
+    ts, _, payload = _admitted(*args, **kwargs)
+    return ts, "server.busy", payload
+
+
+def _answered(ts, session, action, transaction, shard, *phases, trace=None):
+    payload = dict(session=session, action=action, trace=trace)
+    payload.update(transaction=transaction, shard=shard)
+    payload.update(zip(("queued", "executing", "respond"), phases))
+    return ts, "server.respond", payload
+
+
+def _operation(ts, transaction, obj, operation, *args):
+    invoke = dict(transaction=transaction, obj=obj, operation=operation, args=args)
+    respond = dict(transaction=transaction, obj=obj, result="Ok")
+    return [(ts, "txn.invoke", invoke), (ts + 0.25, "txn.respond", respond)]
+
+
+def _conflict(ts, transaction, obj, operation, holder, held):
+    payload = dict(transaction=transaction, obj=obj, operation=operation)
+    payload.update(holder=holder, held=held, relation="hybrid")
+    return ts, "lock.conflict", payload
+
+
+def _advance(ts, obj, transaction, horizon, collapsed):
+    payload = dict(obj=obj, old_horizon=0, new_horizon=horizon, collapsed=collapsed)
+    payload.update(forgotten=(transaction,), retained=0)
+    return ts, "compaction.advance", payload
+
+
+#: One served stream, ``(ts, kind, payload)``: a committed uniform
+#: transaction on shard 0; on shard 1 a transaction refused by a
+#: ``lock.conflict`` and aborted, whose retry is refused on a different
+#: operation pair and by a ``lock.block`` before it commits; a BUSY; a
+#: routing refusal; connect / disconnect.  The transactions' events
+#: interleave, so blocked time is charged per transaction, not per stream.
+SERVED_STREAM = [
+    (0.0, "server.connect", {"session": "s1", "peer": "10.0.0.1:1"}),
+    (0.0, "server.connect", {"session": "s2", "peer": "10.0.0.2:2"}),
+    _admitted(1.0, "s1", "begin", None, None, 0, trace="c1-1", sent=0.5),
+    _admitted(1.0, "s2", "begin", None, None, 0),
+    _admitted(2.0, "s1", "invoke", "s1.t1", 0, 0, trace="c1-2", sent=1.75),
+    (2.0, "txn.begin", {"transaction": "s1.t1", "read_only": False}),
+    *_operation(2.25, "s1.t1", "A", "Credit", 5),
+    _answered(3.0, "s1", "invoke", "s1.t1", 0, 0.0, 0.5, 0.5, trace="c1-2"),
+    _admitted(3.0, "s2", "invoke", "s2.t1", 1, 3),
+    (4.0, "txn.begin", {"transaction": "s2.t1", "read_only": False}),
+    *_operation(4.25, "s2.t1", "B", "Debit", 2),
+    _admitted(5.0, "s1", "invoke", "s1.t1", 0, 0, trace="c1-3", sent=4.0),
+    *_operation(5.0, "s1.t1", "A", "Credit", 7),
+    _conflict(7.0, "s2.t1", "A", "[Debit(3), 'Ok']", "s1.t1", "[Credit(5), 'Ok']"),
+    (7.5, "txn.abort", {"transaction": "s2.t1"}),
+    _answered(8.0, "s2", "invoke", "s2.t1", 1, 1.0, 3.5, 0.25),
+    _admitted(8.0, "s1", "commit", "s1.t1", 0, 0, trace="c1-4", sent=7.0),
+    (8.5, "txn.commit", {"transaction": "s1.t1", "timestamp": 2}),
+    _advance(8.5, "A", "s1.t1", 2, 2),
+    _answered(9.0, "s1", "commit", "s1.t1", 0, 0.0, 0.5, 0.5, trace="c1-4"),
+    _refused(9.0, "s2", "invoke", "s2.t2", 1, 64, trace="c2-9", sent=8.0),
+    _admitted(10.0, "s2", "invoke", "s2.t2", 1, 2),
+    _admitted(10.0, "s1", "invoke", "s1.t9", None, 0, trace="c1-5", sent=9.75),
+    (11.0, "txn.begin", {"transaction": "s2.t2", "read_only": False}),
+    (11.0, "txn.begin", {"transaction": "s1.t2", "read_only": False}),
+    *_operation(12.0, "s1.t2", "B", "Post", 1),
+    _conflict(14.0, "s2.t2", "B", "[Debit(2), 'Ok']", "s1.t2", "[Post(1), 'Ok']"),
+    (14.5, "txn.commit", {"transaction": "s1.t2", "timestamp": 3}),
+    _advance(14.5, "B", "s1.t2", 3, 1),
+    (15.5, "lock.block", {"transaction": "s2.t2", "obj": "Q", "operation": "Deq"}),
+    *_operation(16.0, "s2.t2", "B", "Debit", 2),
+    (36.0, "txn.commit", {"transaction": "s2.t2", "timestamp": 5}),
+    _answered(36.5, "s2", "commit", "s2.t2", 1, 2.0, 20.0, 0.5),
+    (37.0, "server.disconnect", {"session": "s2", "requests": 5, "aborted": 0}),
+    (38.0, "server.drain", {"sessions": 1, "finished": 0, "aborted": 0}),
+    (38.0, "flight.dump", {"reason": "drain", "events": 40, "dropped": 0, "seen": 40}),
+]
+
+
+def _histogram(counts, total, sum, mean):
+    """A default-bucket histogram's snapshot entry."""
+    return {
+        "boundaries": list(DEFAULT_LATENCY_BUCKETS),
+        "counts": counts,
+        "total": total,
+        "sum": sum,
+        "mean": mean,
+    }
+
+
+#: ``snapshot()`` of the stream above, written from the fold as it stood
+#: before its one-dispatch rewrite: every instrument name and value
+#: ``repro top``, ``stats --connect`` and ``render_prometheus`` show.
+SERVED_SNAPSHOT = {
+    "counters": {
+        "compaction.advances": 2,
+        "compaction.collapsed_ops": 3,
+        "flight.dumps": 1,
+        "lock.blocked_time": 7.0,
+        "lock.blocked_time[[Debit(2), 'Ok'] × [Post(1), 'Ok']]": 3.0,
+        "lock.blocked_time[[Debit(3), 'Ok'] × [Credit(5), 'Ok']]": 2.5,
+        "lock.blocks": 1,
+        "lock.conflict[[Debit(2), 'Ok'] × [Post(1), 'Ok']]": 1,
+        "lock.conflict[[Debit(3), 'Ok'] × [Credit(5), 'Ok']]": 1,
+        "lock.conflicts": 2,
+        "server.busy": 1,
+        "server.connections_closed": 1,
+        "server.connections_opened": 2,
+        "server.decoded": 9,
+        "server.drains": 1,
+        "server.request[commit]": 1,
+        "server.request[invoke]": 4,
+        "server.requests": 5,
+        "server.responses": 4,
+        "server.responses[shard0]": 2,
+        "server.responses[shard1]": 2,
+        "txn.aborted": 1,
+        "txn.begun": 4,
+        "txn.committed": 3,
+    },
+    "gauges": {
+        "server.connections": 1,
+        "server.queue_depth": 2,
+        "server.queue_depth[shard0]": 0,
+        "server.queue_depth[shard1]": 2,
+    },
+    "histograms": {
+        "server.client_wire": _histogram(
+            [6, 0, 0, 0, 0, 0, 0, 0, 0, 0], 6, 4.0, 0.6666666666666666
+        ),
+        "server.executing": _histogram([2, 0, 1, 0, 1, 0, 0, 0, 0, 0], 4, 24.5, 6.125),
+        "server.queued": _histogram([3, 1, 0, 0, 0, 0, 0, 0, 0, 0], 4, 3.0, 0.75),
+        "server.respond_write": _histogram(
+            [4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 4, 1.75, 0.4375
+        ),
+        "txn.abort_latency": _histogram([0, 0, 1, 0, 0, 0, 0, 0, 0, 0], 1, 3.5, 3.5),
+        "txn.latency": _histogram(
+            [0, 0, 1, 1, 0, 1, 0, 0, 0, 0], 3, 35.0, 11.666666666666666
+        ),
+    },
+}
+
+
+class TestRegistryFold:
+    def test_whole_snapshot_of_a_served_stream(self):
+        registry = MetricsRegistry()
+        now = [0.0]
+        bus = TraceBus(clock=lambda: now[0])
+        bus.subscribe(RegistrySink(registry))
+        for now[0], kind, data in SERVED_STREAM:
+            bus.emit(kind, **data)
+        assert registry.snapshot() == SERVED_SNAPSHOT

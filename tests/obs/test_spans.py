@@ -106,12 +106,14 @@ class TestPendingBound:
         builder = bus.subscribe(SpanBuilder(pending_limit=3))
         for index in range(5):
             bus.emit(
-                "server.decode",
+                "server.request",
                 session="s1",
                 action="invoke",
                 trace=f"c{index}",
                 sent=0.0,
                 transaction=f"T{index}",
+                shard=0,
+                queue_depth=0,
             )
         assert len(builder._pending) == 3
         assert builder.pending_evicted == 2
@@ -125,12 +127,14 @@ class TestPendingBound:
         builder = bus.subscribe(SpanBuilder(pending_limit=2))
         for index in range(3):
             bus.emit(
-                "server.decode",
+                "server.request",
                 session="s1",
                 action="invoke",
                 trace=f"c{index}",
                 sent=0.0,
                 transaction=f"T{index}",
+                shard=0,
+                queue_depth=0,
             )
         assert builder.pending_evicted == 1
         bus.emit("txn.begin", transaction="T2")

@@ -424,3 +424,46 @@ def test_vocabulary_is_the_documented_one():
             continue
         reply = engine.execute({"op": kind})
         assert "unknown op" not in reply.get("message", ""), kind
+
+
+class TestFailingSink:
+    def test_a_sink_that_raises_cannot_split_an_atomic_commit(self):
+        """A trace sink on a full disk raises between the two objects of
+        one commit: both still commit, at one timestamp, the reply is
+        ``ok`` — and the bus, not the machine, hears about it."""
+        import errno
+
+        from repro.obs import TraceBus
+
+        seen = []
+
+        def full_disk(event):
+            if event.kind == "compaction.advance":
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        bus = TraceBus()
+        bus.subscribe(full_disk)
+        bus.subscribe(seen.append)
+        engine = ShardEngine(0, 1, wal=MemoryWAL(), tracer=bus)
+        for name in ("a", "b"):
+            engine.execute({"op": "create", "name": name, "adt": "Account"})
+        engine.execute({"op": "begin", "name": "t1"})
+        assert invoke(engine, "t1", "a", "Credit", 5) == {"ok": "Ok"}
+        assert invoke(engine, "t1", "b", "Credit", 7) == {"ok": "Ok"}
+        assert engine.execute({"op": "commit", "txn": "t1"}) == {"ok": 1}
+        assert engine.execute({"op": "snapshot", "obj": "a"})["ok"] == 5
+        assert engine.execute({"op": "snapshot", "obj": "b"})["ok"] == 7
+        # One transaction, one timestamp: nothing is left to commit again.
+        assert engine.execute({"op": "commit", "txn": "t1"})["error"] == "UNKNOWN_TXN"
+        commits = [event for event in seen if event.kind == "txn.commit"]
+        assert [event.data["timestamp"] for event in commits] == [1]
+        # The failing sink is detached with its exception kept; the
+        # healthy one saw both objects' compaction and keeps listening.
+        ((sink, error),) = bus.failures
+        assert sink is full_disk and error.errno == errno.ENOSPC
+        assert [e.data["obj"] for e in seen if e.kind == "compaction.advance"] == [
+            "a",
+            "b",
+        ]
+        engine.execute({"op": "begin", "name": "t2"})
+        assert seen[-1].kind == "txn.begin"

@@ -16,12 +16,14 @@ against real sockets:
 """
 
 import asyncio
+import collections
 
 import pytest
 
 from repro.obs import (
     WIRE_LATENCY_BUCKETS,
     FlightRecorder,
+    JSONLSink,
     MetricsRegistry,
     RegistrySink,
     SpanBuilder,
@@ -31,7 +33,8 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.server import AsyncClient, ReproServer, render_top
-from repro.server.protocol import parse_request, request_frame
+from repro.server.engine import shard_for
+from repro.server.protocol import WireError, parse_request, request_frame
 
 
 def run(coroutine):
@@ -208,3 +211,163 @@ class TestFlightIntegration:
         assert report["transactions"]["committed"] == 1
         assert report["flight_dumps"], "dump header must announce itself"
         assert report["slowest"][0]["trace"] is not None
+
+
+#: Kinds a served run emits once per object, connection or server —
+#: everything else on the bus is per request.
+LIFECYCLE_KINDS = {"obj.create", "server.connect", "server.disconnect", "server.drain"}
+
+
+def co_located(count, shards=2):
+    """``count`` object names that all live on shard 0 of ``shards``."""
+    names = (f"acct{n}" for n in range(64))
+    return [name for name in names if shard_for(name, shards) == 0][:count]
+
+
+class TestEventsPerTransaction:
+    """What a served request costs the bus, as exact counts (they repeat
+    where wall-clock does not)."""
+
+    @pytest.mark.parametrize(
+        "transport, expected",
+        [
+            pytest.param(
+                "local",
+                {
+                    "server.request": 4,
+                    "server.respond": 3,
+                    "txn.begin": 1,
+                    "txn.invoke": 2,
+                    "txn.respond": 2,
+                    "txn.commit": 1,
+                    "compaction.advance": 2,
+                },
+                id="local",
+            ),
+            # The kernel's events are on the shard children's own buses.
+            pytest.param(
+                "process", {"server.request": 4, "server.respond": 3}, id="process"
+            ),
+        ],
+    )
+    def test_one_uniform_transaction(self, transport, expected, serve_over):
+        events = []
+
+        async def scenario():
+            bus = TraceBus()
+            bus.subscribe(events.append)
+            server = await serve_over(transport, tracer=bus)
+            first, second = co_located(2)
+            server.create_object(first, "Account")
+            server.create_object(second, "Account")
+            client = await AsyncClient.connect(server.host, server.port)
+            handle = await client.begin()
+            await client.invoke(handle, first, "Credit", 5)
+            await client.invoke(handle, second, "Credit", 7)
+            await client.commit(handle)
+            await client.aclose()
+            await server.drain()
+
+        run(scenario())
+        per_request = collections.Counter(
+            event.kind for event in events if event.kind not in LIFECYCLE_KINDS
+        )
+        assert per_request == expected
+        admissions = [e.data for e in events if e.kind == "server.request"]
+        assert [data["action"] for data in admissions] == [
+            "begin",
+            "invoke",
+            "invoke",
+            "commit",
+        ]
+        # `begin` is answered at admission; the rest went to shard 0.
+        assert [data["shard"] for data in admissions] == [None, 0, 0, 0]
+        assert all(data["sent"] is not None for data in admissions)
+
+    def test_a_busy_refusal_is_one_server_busy(self, serve_over):
+        events = []
+
+        async def scenario():
+            bus = TraceBus()
+            bus.subscribe(events.append)
+            server = await serve_over("local", tracer=bus, queue_limit=0)
+            (name,) = co_located(1)
+            server.create_object(name, "Account")
+            client = await AsyncClient.connect(server.host, server.port)
+            handle = await client.begin()
+            mark = len(events)
+            with pytest.raises(WireError) as refused:
+                await client.invoke(handle, name, "Credit", 5)
+            assert refused.value.code == "BUSY"
+            refusal = events[mark:]
+            await client.aclose()
+            await server.drain()
+            return handle, refusal
+
+        handle, (busy,) = run(scenario())
+        assert busy.kind == "server.busy"
+        assert busy.data["transaction"] == handle and busy.data["action"] == "invoke"
+        assert busy.data["shard"] == 0 and busy.data["queue_depth"] == 0
+        assert busy.data["trace"] is not None and busy.data["sent"] <= busy.ts
+
+    def test_a_routing_refusal_is_one_unrouted_server_request(self, serve_over):
+        events = []
+
+        async def scenario():
+            bus = TraceBus()
+            bus.subscribe(events.append)
+            server = await serve_over("local", tracer=bus)
+            client = await AsyncClient.connect(server.host, server.port)
+            mark = len(events)
+            with pytest.raises(WireError) as refused:
+                await client.commit("s1.t99")
+            assert refused.value.code == "UNKNOWN_TXN"
+            refusal = events[mark:]
+            await client.aclose()
+            await server.drain()
+            assert server.stats["requests"] == 0  # the routed count
+            return refusal
+
+        (request,) = run(scenario())
+        assert request.kind == "server.request"
+        assert request.data["shard"] is None and request.data["queue_depth"] == 0
+        assert request.data["transaction"] == "s1.t99"
+
+
+class TestFailingSink:
+    def test_a_closed_trace_file_costs_no_request_its_answer(self, tmp_path):
+        """The trace file goes away under a serving ``JSONLSink``: the sink
+        is detached and counted, every request keeps its typed answer and
+        the other sinks keep their events."""
+        bus, registry, flight = telemetry_stack(tmp_path)
+        trace = open(tmp_path / "trace.jsonl", "w", encoding="utf-8")
+        sink = bus.subscribe(JSONLSink(trace))
+        results = {}
+
+        async def scenario():
+            server = await start_server(
+                tracer=bus, registry=registry, flight=flight, flush_on_drain=[sink]
+            )
+            server.create_object("A", "Account")
+            client = await AsyncClient.connect(server.host, server.port)
+            first = await client.begin()
+            await client.invoke(first, "A", "Credit", 5)
+            trace.close()
+            results["committed"] = await client.commit(first)
+            second = await client.begin()
+            results["result"] = await client.invoke(second, "A", "Credit", 7)
+            results["second"] = await client.commit(second)
+            results["stats"] = await client.stats()
+            await client.aclose()
+            await server.drain()
+
+        run(scenario())
+        assert results["committed"] < results["second"] and results["result"] == "Ok"
+        assert results["stats"]["sink_failures"] == 1
+        assert results["stats"]["server"]["errors"] == 0
+        # Detached at its first failed write; the drain's close() failing
+        # on the same file is recorded too, not raised.
+        assert [failed for failed, _ in bus.failures] == [sink, sink]
+        assert all(isinstance(error, ValueError) for _, error in bus.failures)
+        assert registry.counter("txn.committed").value == 2
+        assert flight.last_reason == "drain"
