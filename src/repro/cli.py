@@ -1077,7 +1077,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--protocol", default="hybrid",
-        help="conflict-relation protocol for served objects",
+        choices=[p.name for p in ALL_PROTOCOLS],
+        help="locking protocol (conflict relation) for served objects",
     )
     serve.add_argument(
         "--object", action="append", metavar="NAME[:ADT]",

@@ -51,6 +51,7 @@ from .errors import (
     ProtocolError,
     ReproError,
     TransactionAborted,
+    ValidationFailed,
     WouldBlock,
 )
 from .events import (
@@ -151,4 +152,5 @@ __all__ = [
     "WouldBlock",
     "IllegalOperation",
     "TransactionAborted",
+    "ValidationFailed",
 ]

@@ -9,6 +9,7 @@ __all__ = [
     "WouldBlock",
     "IllegalOperation",
     "TransactionAborted",
+    "ValidationFailed",
 ]
 
 
@@ -51,3 +52,17 @@ class IllegalOperation(ReproError):
 
 class TransactionAborted(ReproError):
     """The transaction was aborted and cannot take further steps."""
+
+
+class ValidationFailed(TransactionAborted):
+    """Commit-time validation found a dependency on a later-committed
+    operation that replay could not reconcile; the transaction aborts.
+
+    A participant's veto that is a :class:`TransactionAborted` is final:
+    the coordinator aborts everywhere before re-raising it.
+    """
+
+    def __init__(self, message: str = "", obj: str = ""):
+        super().__init__(message or "optimistic validation failed")
+        #: Object at which validation failed.
+        self.obj = obj

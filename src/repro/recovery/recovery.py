@@ -192,8 +192,7 @@ def _build_machine(
     record: Mapping[str, Any],
     checkpoint: Optional[Checkpoint],
     catalog: Optional[Mapping[str, ADT]],
-    compacting: bool,
-) -> Tuple[LockMachine, ADT]:
+) -> Tuple[CompactingLockMachine, ADT]:
     import dataclasses
 
     from ..protocols import get_protocol
@@ -207,15 +206,12 @@ def _build_machine(
     if initial != adt.spec.initial_states():
         adt = dataclasses.replace(adt, spec=_RerootedSpec(adt.spec, initial))
     conflict = get_protocol(record["protocol"]).conflict_for(adt)
-    if compacting:
-        machine: LockMachine = CompactingLockMachine(adt.spec, conflict, obj=obj)
-        restored = checkpoint.objects.get(obj) if checkpoint else None
-        if restored is not None:
-            machine.restore_version(
-                restored.version, restored.clock, restored.version_timestamp
-            )
-    else:
-        machine = LockMachine(adt.spec, conflict, obj=obj)
+    machine = CompactingLockMachine(adt.spec, conflict, obj=obj)
+    restored = checkpoint.objects.get(obj) if checkpoint else None
+    if restored is not None:
+        machine.restore_version(
+            restored.version, restored.clock, restored.version_timestamp
+        )
     return machine, adt
 
 
@@ -223,9 +219,10 @@ def recover_machines(
     records: List[Dict[str, Any]],
     checkpoint: Optional[Checkpoint] = None,
     catalog: Optional[Mapping[str, ADT]] = None,
-    compacting: Optional[bool] = None,
     tracer: Optional[Any] = None,
-) -> Tuple[Dict[str, LockMachine], Dict[str, ADT], _LogImage, RecoveryReport]:
+) -> Tuple[
+    Dict[str, CompactingLockMachine], Dict[str, ADT], _LogImage, RecoveryReport
+]:
     """Rebuild machines from decoded log records plus an optional checkpoint.
 
     Returns ``(machines, adts, log image, report)``; the report's timing
@@ -234,14 +231,12 @@ def recover_machines(
     replayed transaction.
     """
     image = _scan(records)
-    if compacting is None:
-        compacting = bool(image.meta.get("compacting", True))
-    machines: Dict[str, LockMachine] = {}
+    machines: Dict[str, CompactingLockMachine] = {}
     adts: Dict[str, ADT] = {}
     for record in image.creates:
         if record["obj"] in machines:
             raise RecoveryError(f"duplicate create record for {record['obj']!r}")
-        machine, adt = _build_machine(record, checkpoint, catalog, compacting)
+        machine, adt = _build_machine(record, checkpoint, catalog)
         machines[record["obj"]] = machine
         adts[record["obj"]] = adt
         if tracer is not None:
@@ -302,10 +297,7 @@ def recover_machines(
                     f"prepare record for unknown object {obj!r}"
                 )
             ops = [decode_operation(data) for data in encoded_ops]
-            if isinstance(machine, CompactingLockMachine):
-                machine.replay_active(transaction, ops, bound=bound)
-            else:
-                machine.replay_active(transaction, ops)
+            machine.replay_active(transaction, ops, bound=bound)
             report.replayed_operations += len(ops)
         prepared.append(transaction)
         report.replayed_records += 1
@@ -332,8 +324,7 @@ def recover_machines(
     # live commit — tests/recovery/test_recovery_compaction.py pins that a
     # recovered machine retains exactly what a never-crashed peer does.
     for machine in machines.values():
-        if isinstance(machine, CompactingLockMachine):
-            machine.forget()
+        machine.forget()
     return machines, adts, image, report
 
 
@@ -413,12 +404,7 @@ def recover_manager(
             f" unsharded, but recovery offered shard {offered[0]} of"
             f" {offered[1]} — its committed timestamps span every residue"
         )
-    manager = TransactionManager(
-        generator=generator,
-        compacting=bool(image.meta.get("compacting", True)),
-        tracer=tracer,
-        site=site,
-    )
+    manager = TransactionManager(generator=generator, tracer=tracer, site=site)
     for record in image.creates:
         obj = record["obj"]
         managed = manager.create_object(

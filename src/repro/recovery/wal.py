@@ -166,18 +166,17 @@ def _encode_intentions(
 def meta_record(
     role: str,
     name: str,
-    compacting: bool = True,
     shard: Optional[int] = None,
     shards: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """First record of every log: who wrote it and on which machine kind.
+    """First record of every log: who wrote it.
 
     Sharded sites additionally pin their stride-partition coordinates
     (``shard`` of ``shards``): recovery refuses to reopen the log under a
     different modulus, because a resized pool would mint timestamps that
     collide with ones already committed here.
     """
-    record = {"kind": "meta", "role": role, "name": name, "compacting": compacting}
+    record = {"kind": "meta", "role": role, "name": name}
     if shards is not None:
         record["shard"] = shard
         record["shards"] = shards

@@ -28,29 +28,23 @@ available than read/write quorums under the same failures.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adts.base import ADT
+from ..core.compaction import NEG_INFINITY
 from ..core.conflict import Relation
-from ..core.errors import (
-    LockConflict,
-    ProtocolError,
-    ReproError,
-    TransactionAborted,
-    WouldBlock,
-)
-from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
-from ..core.history import History
+from ..core.errors import LockConflict, ReproError, WouldBlock
 from ..core.operations import Invocation, Operation, OperationSequence
-from ..core.timestamps import MonotoneTimestampGenerator, TimestampGenerator
-from ..runtime.transaction import Status, Transaction
+from ..runtime.manager import TransactionManager
 from .quorum import QuorumAssignment
 
 __all__ = ["Unavailable", "Replica", "ReplicatedObject", "ReplicatedTransactionManager"]
 
 #: A committed log entry: (commit timestamp, transaction name, intentions).
 LogEntry = Tuple[Any, str, OperationSequence]
+#: Logs are keyed by commit timestamp — unique per committed transaction,
+#: where a *name* may be reused once its transaction has completed.
+Log = Dict[Any, LogEntry]
 
 
 class Unavailable(ReproError):
@@ -68,8 +62,8 @@ class Replica:
     def __init__(self, name: str):
         self.name = name
         self.alive = True
-        #: Committed entries keyed by transaction name (idempotent merge).
-        self._log: Dict[str, LogEntry] = {}
+        #: Committed entries (idempotent merge).
+        self._log: Log = {}
 
     def fail(self) -> None:
         """Fail-stop: the replica stops answering; its log persists."""
@@ -79,11 +73,11 @@ class Replica:
         """Rejoin with the (possibly stale) stable log."""
         self.alive = True
 
-    def merge(self, entries: Dict[str, LogEntry]) -> None:
+    def merge(self, entries: Log) -> None:
         """Union incoming entries into the log (write-back propagation)."""
         self._log.update(entries)
 
-    def entries(self) -> Dict[str, LogEntry]:
+    def entries(self) -> Log:
         """A copy of the log."""
         return dict(self._log)
 
@@ -116,7 +110,7 @@ class ReplicatedObject:
         self._intentions: Dict[str, List[Operation]] = {}
         #: Per-transaction merged view of committed entries (snapshot of
         #: what its quorum reads have shown so far).
-        self._views: Dict[str, Dict[str, LogEntry]] = {}
+        self._views: Dict[str, Log] = {}
         #: Rotating offset so successive quorums spread across replicas
         #: (any k-of-n choice preserves counted intersection).
         self._rotation = 0
@@ -176,8 +170,8 @@ class ReplicatedObject:
             )
         return chosen
 
-    def _read_quorum(self, size: int) -> Dict[str, LogEntry]:
-        merged: Dict[str, LogEntry] = {}
+    def _read_quorum(self, size: int) -> Log:
+        merged: Log = {}
         tracer = self.tracer
         for replica in self._choose(size, "initial"):
             entries = replica.entries()
@@ -191,7 +185,7 @@ class ReplicatedObject:
             merged.update(entries)
         return merged
 
-    def _write_quorum(self, size: int, entries: Dict[str, LogEntry]) -> None:
+    def _write_quorum(self, size: int, entries: Log) -> None:
         tracer = self.tracer
         for replica in self._choose(size, "final"):
             replica.merge(entries)
@@ -204,7 +198,7 @@ class ReplicatedObject:
                 )
 
     @staticmethod
-    def _ordered(entries: Dict[str, LogEntry]) -> OperationSequence:
+    def _ordered(entries: Log) -> OperationSequence:
         sequence: List[Operation] = []
         for timestamp, _txn, ops in sorted(entries.values(), key=lambda e: e[0]):
             sequence.extend(ops)
@@ -235,6 +229,23 @@ class ReplicatedObject:
                 conflict = exc
                 continue
             mine.append(operation)
+            tracer = self.tracer
+            if tracer is not None:
+                # Like the LOCK machine, record invoke+respond only on
+                # acceptance: a refused attempt leaves the object unchanged.
+                tracer.emit(
+                    "txn.invoke",
+                    transaction=transaction,
+                    obj=self.name,
+                    operation=invocation.name,
+                    args=invocation.args,
+                )
+                tracer.emit(
+                    "txn.respond",
+                    transaction=transaction,
+                    obj=self.name,
+                    result=result,
+                )
             return result
         assert conflict is not None
         raise conflict
@@ -264,81 +275,69 @@ class ReplicatedObject:
                         operation=held,
                     )
 
-    def required_final_quorum(self, transaction: str) -> int:
-        """The largest final quorum among the transaction's operations."""
-        ops = self._intentions.get(transaction, [])
-        if not ops:
-            return 0
+    def _final_quorum(self, ops: Sequence[Operation]) -> int:
+        """The largest final quorum among ``ops`` (0: there are none)."""
         return max(
-            self.assignment.spec_for(op.invocation).final for op in ops
+            (self.assignment.spec_for(op.invocation).final for op in ops), default=0
         )
 
-    def can_commit(self, transaction: str) -> bool:
-        """Would the commit write reach its final quorum right now?"""
-        return len(self.live_replicas()) >= self.required_final_quorum(
-            transaction
-        )
+    def prepare(self, transaction: str) -> None:
+        """Veto with :class:`Unavailable` unless the commit write would
+        reach its final quorum right now (not final: the transaction stays
+        active, to retry after recovery or abort)."""
+        needed = self._final_quorum(self._intentions.get(transaction, ()))
+        live = len(self.live_replicas())
+        if live < needed:
+            raise Unavailable(
+                f"cannot commit {transaction}: {self.name} lacks its"
+                " final quorum",
+                needed=needed,
+                live=live,
+            )
 
-    def apply_commit(self, transaction: str, timestamp: Any) -> None:
+    def intentions(self, transaction: str) -> OperationSequence:
+        """Operations executed so far by the transaction at this object."""
+        return tuple(self._intentions.get(transaction, ()))
+
+    def commit(self, transaction: str, timestamp: Any) -> None:
         """Write the committed entry (plus the merged view — the
         propagation rule) to the final quorum and release locks."""
         ops = tuple(self._intentions.pop(transaction, []))
-        view_entries = self._views.pop(transaction, {})
-        size = (
-            max(self.assignment.spec_for(op.invocation).final for op in ops)
-            if ops
-            else 1
-        )
-        entries = dict(view_entries)
-        entries[transaction] = (timestamp, transaction, ops)
-        self._write_quorum(size, entries)
+        entries = self._views.pop(transaction, {})
+        entries[timestamp] = (timestamp, transaction, ops)
+        self._write_quorum(self._final_quorum(ops) or 1, entries)
 
-    def discard(self, transaction: str) -> None:
+    def abort(self, transaction: str) -> None:
         """Abort: drop volatile intentions and the cached view."""
         self._intentions.pop(transaction, None)
         self._views.pop(transaction, None)
 
-    def max_committed_timestamp(self, transaction: str) -> Optional[Any]:
+    def observed(self, transaction: str) -> Any:
         """Largest commit timestamp visible in the transaction's view."""
         entries = self._views.get(transaction)
         if not entries:
-            return None
+            return NEG_INFINITY
         return max(entry[0] for entry in entries.values())
 
     def snapshot(self) -> Any:
         """Committed-state snapshot from a full read of live replicas."""
-        merged: Dict[str, LogEntry] = {}
+        merged: Log = {}
         for replica in self.live_replicas():
             merged.update(replica.entries())
         states = self.spec.run(self._ordered(merged))
         return sorted(states, key=repr)[0]
 
 
-class ReplicatedTransactionManager:
-    """Transactions over quorum-replicated objects.
+class ReplicatedTransactionManager(TransactionManager):
+    """A :class:`~repro.runtime.TransactionManager` over quorum-replicated
+    objects.
 
-    Same surface as the other managers.  Commit is atomic across objects:
-    every touched object's final-quorum availability is checked *before*
-    any write (the prepare phase of the assumed commitment protocol);
-    if any object is short of replicas the commit raises
-    :class:`Unavailable` and the transaction stays active so the caller
-    can retry after recovery or abort.
+    Commit is atomic across objects: every touched object's final-quorum
+    availability is checked *before* any write (the prepare phase of the
+    assumed commitment protocol); if any object is short of replicas the
+    commit raises :class:`Unavailable` and the transaction stays active so
+    the caller can retry after recovery or abort.
     """
-
-    def __init__(
-        self,
-        generator: Optional[TimestampGenerator] = None,
-        record_history: bool = False,
-        tracer: Optional[Any] = None,
-    ):
-        self._generator = generator or MonotoneTimestampGenerator()
-        self._objects: Dict[str, ReplicatedObject] = {}
-        self._transactions: Dict[str, Transaction] = {}
-        self._names = itertools.count(1)
-        self._record = record_history
-        self._events: List[Any] = []
-        #: Optional :class:`repro.obs.TraceBus`, propagated to objects.
-        self.tracer = tracer
 
     def create_object(
         self,
@@ -351,8 +350,6 @@ class ReplicatedTransactionManager:
     ) -> ReplicatedObject:
         """Create a replicated object; validates the assignment by default
         against the ADT's dependency relation over its default universe."""
-        if name in self._objects:
-            raise ValueError(f"object {name!r} already exists")
         if validate:
             ops = list(universe) if universe is not None else adt.universe()
             violations = assignment.validate(
@@ -364,170 +361,6 @@ class ReplicatedTransactionManager:
                     + "; ".join(str(v) for v in violations)
                 )
         managed = ReplicatedObject(name, adt, assignment, conflict)
-        managed.tracer = self.tracer
-        self._objects[name] = managed
-        if self.tracer is not None:
-            self.tracer.emit(
-                "obj.create",
-                obj=name,
-                adt=adt.name,
-                protocol="quorum",
-                relation=managed.conflict.name,
-                initial=adt.spec.initial_states(),
-                replicas=assignment.replicas,
-            )
-        return managed
-
-    def object(self, name: str) -> ReplicatedObject:
-        """Look up an object by name."""
-        return self._objects[name]
-
-    @property
-    def objects(self) -> Dict[str, ReplicatedObject]:
-        """All objects by name."""
-        return dict(self._objects)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def begin(self, name: Optional[str] = None) -> Transaction:
-        """Start a new transaction."""
-        if name is None:
-            name = f"T{next(self._names)}"
-        if name in self._transactions:
-            raise ValueError(f"transaction {name!r} already exists")
-        transaction = Transaction(name)
-        self._transactions[name] = transaction
-        if self.tracer is not None:
-            self.tracer.emit("txn.begin", transaction=name, read_only=False)
-        return transaction
-
-    def invoke(
-        self, transaction: Transaction, obj: str, operation: str, *args: Any
-    ) -> Any:
-        """Execute one operation through the object's quorums."""
-        self._require_active(transaction)
-        invocation = Invocation(operation, args)
-        managed = self._objects[obj]
-        result = managed.execute(transaction.name, invocation)
-        tracer = self.tracer
-        if tracer is not None:
-            # Like the LOCK machine, record invoke+respond only on
-            # acceptance: a refused attempt leaves the object unchanged.
-            tracer.emit(
-                "txn.invoke",
-                transaction=transaction.name,
-                obj=obj,
-                operation=operation,
-                args=invocation.args,
-            )
-            tracer.emit(
-                "txn.respond",
-                transaction=transaction.name,
-                obj=obj,
-                result=result,
-            )
-        transaction.touched.add(obj)
-        transaction.operations += 1
-        observed = managed.max_committed_timestamp(transaction.name)
-        if observed is not None:
-            self._generator.observe(transaction.name, observed)
-        if self._record:
-            self._events.append(InvocationEvent(transaction.name, obj, invocation))
-            self._events.append(ResponseEvent(transaction.name, obj, result))
-        return result
-
-    def commit(self, transaction: Transaction) -> Any:
-        """Two-phase commit: check quorums everywhere, then write."""
-        self._require_active(transaction)
-        for obj in sorted(transaction.touched):  # prepare
-            managed = self._objects[obj]
-            if not managed.can_commit(transaction.name):
-                raise Unavailable(
-                    f"cannot commit {transaction.name}: {obj} lacks its"
-                    " final quorum",
-                    needed=managed.required_final_quorum(transaction.name),
-                    live=len(managed.live_replicas()),
-                )
-        timestamp = self._generator.commit_timestamp(transaction.name)
-        if self.tracer is not None:
-            # Decision time: the commit event precedes the quorum writes
-            # it triggers, so downstream events trail the commit.
-            self.tracer.emit(
-                "txn.commit",
-                transaction=transaction.name,
-                timestamp=timestamp,
-                objects=sorted(transaction.touched),
-            )
-        for obj in sorted(transaction.touched):  # commit
-            self._objects[obj].apply_commit(transaction.name, timestamp)
-            if self._record:
-                self._events.append(CommitEvent(transaction.name, obj, timestamp))
-        transaction.status = Status.COMMITTED
-        transaction.timestamp = timestamp
-        self._generator.forget(transaction.name)
-        return timestamp
-
-    def abort(self, transaction: Transaction) -> None:
-        """Abort: drop volatile state everywhere (always available)."""
-        self._require_active(transaction)
-        for obj in sorted(transaction.touched):
-            self._objects[obj].discard(transaction.name)
-            if self._record:
-                self._events.append(AbortEvent(transaction.name, obj))
-        transaction.status = Status.ABORTED
-        self._generator.forget(transaction.name)
-        if self.tracer is not None:
-            self.tracer.emit(
-                "txn.abort",
-                transaction=transaction.name,
-                objects=sorted(transaction.touched),
-            )
-
-    def _require_active(self, transaction: Transaction) -> None:
-        if self._transactions.get(transaction.name) is not transaction:
-            raise ProtocolError(f"unknown transaction {transaction.name!r}")
-        if not transaction.is_active:
-            raise TransactionAborted(
-                f"{transaction.name} is {transaction.status.value}"
-            )
-
-    # -- convenience ------------------------------------------------------
-
-    def run_transaction(
-        self, body, max_attempts: int = 25, name: Optional[str] = None
-    ) -> Any:
-        """Run with retry on lock conflicts / blocked partial operations."""
-        from ..runtime.manager import TransactionContext
-
-        error: Optional[Exception] = None
-        for attempt in range(max_attempts):
-            suffix = f"#{attempt}" if attempt else ""
-            transaction = self.begin(None if name is None else name + suffix)
-            context = TransactionContext(self, transaction)
-            try:
-                value = body(context)
-                self.commit(transaction)
-                return value
-            except (LockConflict, WouldBlock) as exc:
-                if transaction.is_active:
-                    self.abort(transaction)
-                error = exc
-                continue
-            except BaseException:
-                if transaction.is_active:
-                    self.abort(transaction)
-                raise
-        assert error is not None
-        raise error
-
-    # -- verification -----------------------------------------------------
-
-    def history(self) -> History:
-        """The recorded global history (requires ``record_history=True``)."""
-        if not self._record:
-            raise ProtocolError("manager was created with record_history=False")
-        return History(self._events, validate=False)
-
-    def specs(self) -> Dict[str, Any]:
-        """Object-name → serial-spec map for the atomicity checkers."""
-        return {name: managed.spec for name, managed in self._objects.items()}
+        return self._register(
+            managed, "quorum", managed.conflict, replicas=assignment.replicas
+        )

@@ -1,4 +1,6 @@
-"""Runtime layer: transaction manager over hybrid atomic objects."""
+"""Runtime layer: the one transaction manager and two kinds of the objects
+it drives — the Section 6 LOCK machine and the optimistic object (the
+third kind is :class:`repro.replication.ReplicatedObject`)."""
 
 from .manager import ManagedObject, TransactionContext, TransactionManager
 from .optimistic import (

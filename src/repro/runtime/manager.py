@@ -1,17 +1,28 @@
 """The transaction manager: objects, timestamps, atomic commitment.
 
 This module plays the role the Avalon runtime plays for the appendix's
-Account implementation: it creates hybrid atomic objects, hands out
-transaction identities, collects which objects each transaction touches,
-obtains commit timestamps satisfying the Section 3.3 constraint, and
-delivers completion events to every touched object (atomic commitment —
-the paper assumes a standard commit protocol [7, 15, 19]; here the manager
-*is* the coordinator and delivery is atomic by construction).
+Account implementation: it creates atomic objects, hands out transaction
+identities, collects which objects each transaction touches, obtains
+commit timestamps satisfying the Section 3.3 constraint, and delivers
+completion events to every touched object (atomic commitment — the paper
+assumes a standard commit protocol [7, 15, 19]; here the manager *is* the
+coordinator and delivery is atomic by construction).
 
-Each managed object is a :class:`~repro.core.compaction.CompactingLockMachine`
-(or the plain machine, on request) running the hybrid protocol — or any
-baseline protocol from :mod:`repro.protocols`, since those merely use a
-larger conflict relation on the same machine.
+:class:`TransactionManager` is the one place that knows a transaction's
+lifecycle.  Every kind of object is a *participant* it drives through one
+small surface, each method taking the transaction's name:
+``execute(txn, invocation)`` (run one operation, or refuse by raising),
+``observed(txn)`` (the largest commit timestamp the transaction may have
+seen here, or ``NEG_INFINITY`` — the Section 3.3 input to the generator),
+``prepare(txn)`` (phase one of commitment; veto by raising),
+``intentions(txn)`` (what a redo record carries), ``commit(txn,
+timestamp)`` / ``abort(txn)`` (the completion events) and ``snapshot()``;
+plus ``name``, ``adt`` and a settable ``tracer``.  Three kinds exist:
+:class:`ManagedObject` here (the Section 6 LOCK machine under the hybrid
+protocol or any baseline from :mod:`repro.protocols`, which merely use a
+larger conflict relation on the same machine),
+:class:`~repro.runtime.optimistic.OptimisticObject` and
+:class:`~repro.replication.ReplicatedObject`.
 
 The manager can also record the *global* history of accepted events so a
 test can feed it to the Section 3 checkers.
@@ -25,11 +36,16 @@ from typing import Any, Callable, Dict, List, Optional
 from ..adts.base import ADT
 from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.conflict import Relation
-from ..core.errors import LockConflict, ProtocolError, TransactionAborted, WouldBlock
+from ..core.errors import (
+    LockConflict,
+    ProtocolError,
+    TransactionAborted,
+    ValidationFailed,
+    WouldBlock,
+)
 from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
 from ..core.history import History
-from ..core.lock_machine import LockMachine
-from ..core.operations import Invocation, Operation
+from ..core.operations import Invocation, Operation, OperationSequence
 from ..core.timestamps import MonotoneTimestampGenerator, TimestampGenerator
 from ..protocols.base import HYBRID, ProtocolSpec
 from .transaction import Status, Transaction
@@ -38,31 +54,54 @@ __all__ = ["ManagedObject", "TransactionManager"]
 
 
 class ManagedObject:
-    """A named hybrid atomic object owned by a :class:`TransactionManager`."""
+    """A named hybrid atomic object: the Section 6 compacting LOCK machine
+    as a :class:`TransactionManager` participant.
 
-    def __init__(
-        self,
-        name: str,
-        adt: ADT,
-        conflict: Relation,
-        compacting: bool = True,
-    ):
+    Every method reads ``self.machine`` when called — recovery and the
+    benchmarks install a rebuilt or instrumented machine after creation.
+    """
+
+    def __init__(self, name: str, adt: ADT, conflict: Relation):
         self.name = name
         self.adt = adt
-        machine_cls = CompactingLockMachine if compacting else LockMachine
-        self.machine = machine_cls(adt.spec, conflict, obj=name)
+        self.machine = CompactingLockMachine(adt.spec, conflict, obj=name)
 
-    def max_committed_timestamp(self) -> Any:
+    @property
+    def tracer(self) -> Any:
+        """The machine's :class:`repro.obs.TraceBus` (None: tracing off)."""
+        return self.machine.tracer
+
+    @tracer.setter
+    def tracer(self, bus: Any) -> None:
+        self.machine.tracer = bus
+
+    def execute(self, transaction: str, invocation: Invocation) -> Any:
+        """One locked operation (:class:`LockConflict` / :class:`WouldBlock`
+        when refused)."""
+        return self.machine.execute(transaction, invocation)
+
+    def observed(self, transaction: str) -> Any:
         """The largest commit timestamp this object has observed.
 
         This is the value a transaction "may have seen" after completing an
         operation here — the input to the timestamp generator's bound.
         """
-        machine = self.machine
-        if isinstance(machine, CompactingLockMachine):
-            return machine.clock
-        committed = machine.committed_transactions
-        return max(committed.values()) if committed else NEG_INFINITY
+        return self.machine.clock
+
+    def prepare(self, transaction: str) -> None:
+        """A lock machine never vetoes: what it accepted stays legal."""
+
+    def intentions(self, transaction: str) -> OperationSequence:
+        """Operations executed so far by the transaction at this object."""
+        return self.machine.intentions(transaction)
+
+    def commit(self, transaction: str, timestamp: Any) -> None:
+        """Deliver ``commit(timestamp)``: merge intentions, release locks."""
+        self.machine.commit(transaction, timestamp)
+
+    def abort(self, transaction: str) -> None:
+        """Deliver the abort event: discard intentions, release locks."""
+        self.machine.abort(transaction)
 
     def snapshot(self) -> Any:
         """A committed-state snapshot (one abstract state), for inspection.
@@ -71,17 +110,14 @@ class ManagedObject:
         specification's non-determinism leaves several.
         """
         machine = self.machine
-        if isinstance(machine, CompactingLockMachine):
-            states = machine.spec.run_from(
-                machine.version_states, machine.committed_state()
-            )
-        else:
-            states = machine.spec.run(machine.committed_state())
+        states = machine.spec.run_from(
+            machine.version_states, machine.committed_state()
+        )
         return sorted(states, key=repr)[0]
 
 
 class TransactionManager:
-    """Coordinates transactions across a set of hybrid atomic objects.
+    """Coordinates transactions across a set of atomic objects.
 
     Parameters
     ----------
@@ -91,9 +127,6 @@ class TransactionManager:
         When True, every accepted event is appended to a global log
         retrievable via :meth:`history` — used by the verification tests.
         Leave off for long simulations.
-    compacting:
-        Build objects on the Section 6 compacting machine (default) or the
-        plain machine.
     wal:
         Optional :class:`~repro.recovery.wal.WriteAheadLog`.  When given,
         object creations, accepted operations, and completions (with
@@ -104,7 +137,7 @@ class TransactionManager:
         Optional :class:`~repro.obs.TraceBus`.  When given, the manager
         emits ``txn.begin``/``txn.commit``/``txn.abort`` and
         ``wal.append`` trace events and propagates the bus to every
-        machine it creates (``lock.conflict``, ``compaction.advance``,
+        participant it admits (``lock.conflict``, ``compaction.advance``,
         …).  None (the default) keeps every hot path a single
         attribute check.
     """
@@ -113,13 +146,12 @@ class TransactionManager:
         self,
         generator: Optional[TimestampGenerator] = None,
         record_history: bool = False,
-        compacting: bool = True,
         wal: Optional[Any] = None,
         tracer: Optional[Any] = None,
         site: Optional[str] = None,
     ):
         self._generator = generator or MonotoneTimestampGenerator()
-        self._objects: Dict[str, ManagedObject] = {}
+        self._objects: Dict[str, Any] = {}
         self._transactions: Dict[str, Transaction] = {}
         #: Transactions in 2PC's prepared state: intentions force-written,
         #: locks held, awaiting the coordinator's verdict.
@@ -127,7 +159,6 @@ class TransactionManager:
         self._names = itertools.count(1)
         self._record = record_history
         self._events: List[Any] = []
-        self._compacting = compacting
         self.wal = wal
         self.tracer = tracer
         #: Site label stamped on prepare/commit trace events when this
@@ -141,7 +172,6 @@ class TransactionManager:
                 meta_record(
                     "manager",
                     site if site is not None else "manager",
-                    compacting=compacting,
                     shard=getattr(self._generator, "shard", None),
                     shards=shards,
                 )
@@ -159,27 +189,58 @@ class TransactionManager:
         adt: ADT,
         protocol: ProtocolSpec = HYBRID,
         conflict: Optional[Relation] = None,
-    ) -> ManagedObject:
-        """Create and register a managed object.
+    ) -> Any:
+        """Create and register the participant ``protocol`` calls for.
 
-        ``conflict`` overrides the protocol's conflict relation when given
-        (e.g. to run a hand-tuned table).
+        The protocol's engine picks the kind — ``"locking"`` a
+        :class:`ManagedObject`, ``"optimistic"`` an
+        :class:`~repro.runtime.optimistic.OptimisticObject` — so one
+        manager may hold both.  ``conflict`` overrides the protocol's
+        relation when given (e.g. to run a hand-tuned table).
         """
+        relation = conflict if conflict is not None else protocol.conflict_for(adt)
+        if protocol.engine == "optimistic":
+            # Imported here: optimistic.py subclasses this module's manager.
+            from .optimistic import OptimisticObject
+
+            self._require_monotone(
+                "optimistic objects",
+                "the object appends in commit order, which must then be"
+                " timestamp order",
+            )
+            participant: Any = OptimisticObject(name, adt, relation)
+        else:
+            participant = ManagedObject(name, adt, relation)
+        return self._register(participant, protocol.name, relation)
+
+    def _register(
+        self,
+        participant: Any,
+        protocol_name: str,
+        relation: Relation,
+        replicas: Optional[int] = None,
+    ) -> Any:
+        """Admit a built participant: the one way an object joins."""
+        name, adt = participant.name, participant.adt
         if name in self._objects:
             raise ValueError(f"object {name!r} already exists")
-        relation = conflict if conflict is not None else protocol.conflict_for(adt)
-        managed = ManagedObject(name, adt, relation, compacting=self._compacting)
-        managed.machine.tracer = self.tracer
-        self._objects[name] = managed
+        if self.wal is not None and not isinstance(participant, ManagedObject):
+            raise ProtocolError(
+                f"a {type(participant).__name__} cannot join a manager that"
+                " has a write-ahead log: recovery rebuilds lock machines only"
+            )
+        participant.tracer = self.tracer
+        self._objects[name] = participant
         if self.tracer is not None:
             self.tracer.emit(
                 "obj.create",
                 obj=name,
                 adt=adt.name,
-                protocol=protocol.name,
+                protocol=protocol_name,
                 relation=relation.name,
                 initial=adt.spec.initial_states(),
                 site=self.site,
+                replicas=replicas,
             )
         if self.wal is not None:
             from ..recovery.wal import create_record
@@ -187,19 +248,37 @@ class TransactionManager:
             # A conflict override is code, not data: recovery rebuilds the
             # relation from the protocol name (pass a catalog otherwise).
             self.wal.append(
-                create_record(name, adt.name, protocol.name, adt.spec.initial_states())
+                create_record(
+                    name, adt.name, protocol_name, adt.spec.initial_states()
+                )
             )
             if self.tracer is not None:
                 self.tracer.emit("wal.append", record="create", obj=name)
-        return managed
+        return participant
 
-    def object(self, name: str) -> ManagedObject:
-        """Look up a managed object by name."""
+    def _require_monotone(self, what: str, why: str) -> None:
+        if not isinstance(self._generator, MonotoneTimestampGenerator):
+            raise ProtocolError(
+                f"{what} require a monotone timestamp generator: {why}"
+            )
+
+    def _lock_machines(self, what: str) -> Dict[str, CompactingLockMachine]:
+        """Every object's LOCK machine; refuses when some object has none."""
+        for name, participant in self._objects.items():
+            if not isinstance(participant, ManagedObject):
+                raise ProtocolError(
+                    f"{what} needs every object on a lock machine;"
+                    f" {name!r} is a {type(participant).__name__}"
+                )
+        return {name: managed.machine for name, managed in self._objects.items()}
+
+    def object(self, name: str) -> Any:
+        """Look up an object by name."""
         return self._objects[name]
 
     @property
-    def objects(self) -> Dict[str, ManagedObject]:
-        """All managed objects by name."""
+    def objects(self) -> Dict[str, Any]:
+        """All objects by name."""
         return dict(self._objects)
 
     # ------------------------------------------------------------------
@@ -226,14 +305,15 @@ class TransactionManager:
         the committed state as of that timestamp, take no locks, never
         block updaters, and never abort.  Requires a monotone timestamp
         generator (future updaters must commit above the start timestamp
-        for the snapshot to be complete).
+        for the snapshot to be complete) and lock machines throughout
+        (multiversion reads use the horizon machinery).
         """
-        if not isinstance(self._generator, MonotoneTimestampGenerator):
-            raise ProtocolError(
-                "read-only transactions require a monotone timestamp"
-                " generator: a skewed generator could commit an updater"
-                " below the reader's start timestamp"
-            )
+        self._require_monotone(
+            "read-only transactions",
+            "a skewed generator could commit an updater below the reader's"
+            " start timestamp",
+        )
+        machines = self._lock_machines("a read-only transaction")
         transaction = self.begin(name, _quiet=True)
         transaction.read_only = True
         transaction.timestamp = self._generator.commit_timestamp(transaction.name)
@@ -248,10 +328,8 @@ class TransactionManager:
         # Pin the snapshot everywhere now — the read set is not known in
         # advance, and an object must not fold commits above the reader's
         # timestamp into its version while the reader lives.
-        for managed in self._objects.values():
-            machine = managed.machine
-            if isinstance(machine, CompactingLockMachine):
-                machine.pin(transaction.name, transaction.timestamp)
+        for machine in machines.values():
+            machine.pin(transaction.name, transaction.timestamp)
         return transaction
 
     def invoke(
@@ -259,66 +337,59 @@ class TransactionManager:
     ) -> Any:
         """Execute one operation; returns its result.
 
-        Raises :class:`LockConflict` when another active transaction holds
-        a conflicting lock (retry later), :class:`WouldBlock` when a
-        partial operation has no legal outcome yet, and
-        :class:`TransactionAborted` when the transaction is not active.
+        Raises whatever the object refuses with — :class:`LockConflict`
+        when another active transaction holds a conflicting lock (retry
+        later), :class:`WouldBlock` when a partial operation has no legal
+        outcome yet — and :class:`TransactionAborted` when the transaction
+        is not active.
         """
         self._require_active(transaction)
         managed = self._objects[obj]
         invocation = Invocation(operation, args)
+        name = transaction.name
         if transaction.read_only:
             result = self._read_only_invoke(transaction, managed, invocation)
             transaction.touched.add(obj)
             transaction.operations += 1
-            if self._record:
-                self._events.append(
-                    InvocationEvent(transaction.name, obj, invocation)
-                )
-                self._events.append(ResponseEvent(transaction.name, obj, result))
-            return result
-        result = managed.machine.execute(transaction.name, invocation)
-        transaction.touched.add(obj)
-        transaction.operations += 1
-        if self.wal is not None:
-            from ..recovery.wal import invoke_record, respond_record
+        else:
+            result = managed.execute(name, invocation)
+            transaction.touched.add(obj)
+            transaction.operations += 1
+            if self.wal is not None:
+                from ..recovery.wal import invoke_record, respond_record
 
-            self.wal.append(invoke_record(transaction.name, obj, invocation))
-            self.wal.append(respond_record(transaction.name, obj, result))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append", record="invoke+respond", transaction=transaction.name
-                )
-        # Section 3.3 / Section 6: after a response at X the transaction's
-        # eventual commit timestamp must exceed every timestamp committed
-        # at X — feed the object's clock into the generator's bound.
-        observed = managed.max_committed_timestamp()
-        if observed is not NEG_INFINITY:
-            self._generator.observe(transaction.name, observed)
+                self.wal.append(invoke_record(name, obj, invocation))
+                self.wal.append(respond_record(name, obj, result))
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        "wal.append", record="invoke+respond", transaction=name
+                    )
+            # Section 3.3 / Section 6: after a response at X the
+            # transaction's eventual commit timestamp must exceed every
+            # timestamp it may have seen committed at X — feed that into
+            # the generator's bound.
+            observed = managed.observed(name)
+            if observed is not NEG_INFINITY:
+                self._generator.observe(name, observed)
         if self._record:
-            self._events.append(
-                InvocationEvent(transaction.name, obj, invocation)
-            )
-            self._events.append(ResponseEvent(transaction.name, obj, result))
+            self._events.append(InvocationEvent(name, obj, invocation))
+            self._events.append(ResponseEvent(name, obj, result))
         return result
 
     def _read_only_invoke(
-        self, transaction: Transaction, managed: ManagedObject, invocation: Invocation
+        self, transaction: Transaction, managed: Any, invocation: Invocation
     ) -> Any:
         """Serve a read at the transaction's start timestamp, lock-free."""
-        machine = managed.machine
-        if not isinstance(machine, CompactingLockMachine):
-            raise ProtocolError(
-                "read-only transactions require compacting objects"
-                " (multiversion reads use the horizon machinery)"
-            )
-        if not machine.has_pin(transaction.name):
+        if not isinstance(managed, ManagedObject) or not managed.machine.has_pin(
+            transaction.name
+        ):
             # The object was created after the reader began; its snapshot
             # at the reader's timestamp may already be unaddressable.
             raise ProtocolError(
                 f"object {managed.name!r} was created after read-only"
                 f" transaction {transaction.name} began"
             )
+        machine = managed.machine
         states = machine.read_view_states(transaction.timestamp)
         results = machine.spec.results_for(states, invocation)
         if not results:
@@ -352,12 +423,13 @@ class TransactionManager:
         return result
 
     def commit(self, transaction: Transaction) -> Any:
-        """Commit: choose a timestamp and deliver it to all touched objects.
+        """Commit: prepare everywhere, choose a timestamp, deliver it.
 
         Returns the commit timestamp.  Delivery is atomic: either every
         touched object learns ``commit(t)`` or none does (the manager is a
         single-site coordinator, so the paper's assumed commitment protocol
-        degenerates to a loop).
+        degenerates to a loop).  A participant may veto (see
+        :meth:`_prepare_participants`).
 
         Read-only transactions just release their pins; their timestamp
         was fixed at start.
@@ -365,36 +437,72 @@ class TransactionManager:
         self._require_active(transaction)
         if transaction.read_only:
             return self._finish_readonly(transaction, commit=True)
+        self._prepare_participants(transaction)
         timestamp = self._generator.commit_timestamp(transaction.name)
+        return self._deliver(transaction, timestamp, prepared=False)
+
+    def _prepare_participants(self, transaction: Transaction) -> None:
+        """Phase one at every touched object, before anything is decided.
+
+        Whether a veto is final is a property of the exception: one that
+        is a :class:`TransactionAborted` (a failed validation) aborts the
+        transaction everywhere before it is re-raised; any other (a
+        replicated object short of its final quorum) leaves the
+        transaction active, so the caller may retry the commit or abort.
+        """
+        name = transaction.name
+        try:
+            for obj in sorted(transaction.touched):
+                self._objects[obj].prepare(name)
+        except TransactionAborted:
+            self.abort(transaction)
+            raise
+
+    def _intentions(self, transaction: Transaction) -> Dict[str, OperationSequence]:
+        """The transaction's intentions list at every touched object."""
+        name = transaction.name
+        return {
+            obj: self._objects[obj].intentions(name)
+            for obj in sorted(transaction.touched)
+        }
+
+    def _deliver(self, transaction: Transaction, timestamp: Any, prepared: bool) -> Any:
+        """Log, announce and deliver a decided commit — the one routine
+        behind :meth:`commit` and :meth:`commit_prepared`."""
+        name = transaction.name
+        touched = sorted(transaction.touched)
+        tracer = self.tracer
         if self.wal is not None:
             from ..recovery.wal import commit_record
 
             # Force-write the redo entry — the committed intentions lists —
             # before delivering the commit (which may fold them away).
-            intentions = {
-                obj: self._objects[obj].machine.intentions(transaction.name)
-                for obj in sorted(transaction.touched)
-            }
-            self.wal.append(commit_record(transaction.name, timestamp, intentions))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append", record="commit", transaction=transaction.name
-                )
-        tracer = self.tracer
+            self.wal.append(
+                commit_record(name, timestamp, self._intentions(transaction))
+            )
+            if tracer is not None:
+                tracer.emit("wal.append", record="commit", transaction=name)
         if tracer is not None:
             # Emit at decision time, *before* delivery: delivering the
             # commit may immediately fold the intentions (compaction
             # events), and those must trail the commit they depend on.
-            tracer.emit(
-                "txn.commit",
-                transaction=transaction.name,
-                timestamp=timestamp,
-                objects=sorted(transaction.touched),
-            )
-        for obj in sorted(transaction.touched):
-            self._objects[obj].machine.commit(transaction.name, timestamp)
+            # Only a 2PC participant's commit names its site.
+            if prepared:
+                tracer.emit(
+                    "txn.commit",
+                    transaction=name,
+                    timestamp=timestamp,
+                    objects=touched,
+                    site=self.site,
+                )
+            else:
+                tracer.emit(
+                    "txn.commit", transaction=name, timestamp=timestamp, objects=touched
+                )
+        for obj in touched:
+            self._objects[obj].commit(name, timestamp)
             if self._record:
-                self._events.append(CommitEvent(transaction.name, obj, timestamp))
+                self._events.append(CommitEvent(name, obj, timestamp))
         transaction.status = Status.COMMITTED
         transaction.timestamp = timestamp
         self._finish(transaction)
@@ -406,42 +514,36 @@ class TransactionManager:
         if transaction.read_only:
             self._finish_readonly(transaction, commit=False)
             return
-        if self.wal is not None and transaction.touched:
+        name = transaction.name
+        touched = sorted(transaction.touched)
+        if self.wal is not None and touched:
             from ..recovery.wal import abort_record
 
-            self.wal.append(abort_record(transaction.name))
+            self.wal.append(abort_record(name))
             if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append", record="abort", transaction=transaction.name
-                )
-        for obj in sorted(transaction.touched):
-            self._objects[obj].machine.abort(transaction.name)
+                self.tracer.emit("wal.append", record="abort", transaction=name)
+        for obj in touched:
+            self._objects[obj].abort(name)
             if self._record:
-                self._events.append(AbortEvent(transaction.name, obj))
+                self._events.append(AbortEvent(name, obj))
         transaction.status = Status.ABORTED
         self._finish(transaction)
         tracer = self.tracer
         if tracer is not None:
-            tracer.emit(
-                "txn.abort",
-                transaction=transaction.name,
-                objects=sorted(transaction.touched),
-            )
+            tracer.emit("txn.abort", transaction=name, objects=touched)
 
     def _finish_readonly(self, transaction: Transaction, commit: bool) -> Any:
         """Release pins and record the outcome of a read-only transaction."""
-        for name, managed in self._objects.items():
-            machine = managed.machine
-            if isinstance(machine, CompactingLockMachine):
-                machine.unpin(transaction.name)
-        for obj in sorted(transaction.touched):
-            if self._record:
-                if commit:
-                    self._events.append(
-                        CommitEvent(transaction.name, obj, transaction.timestamp)
-                    )
-                else:
-                    self._events.append(AbortEvent(transaction.name, obj))
+        name, timestamp = transaction.name, transaction.timestamp
+        touched = sorted(transaction.touched)
+        for managed in self._objects.values():
+            if isinstance(managed, ManagedObject):
+                managed.machine.unpin(name)
+        if self._record:
+            for obj in touched:
+                self._events.append(
+                    CommitEvent(name, obj, timestamp) if commit else AbortEvent(name, obj)
+                )
         transaction.status = Status.COMMITTED if commit else Status.ABORTED
         self._finish(transaction)
         tracer = self.tracer
@@ -449,19 +551,16 @@ class TransactionManager:
             if commit:
                 tracer.emit(
                     "txn.commit",
-                    transaction=transaction.name,
-                    timestamp=transaction.timestamp,
-                    objects=sorted(transaction.touched),
+                    transaction=name,
+                    timestamp=timestamp,
+                    objects=touched,
                     read_only=True,
                 )
             else:
                 tracer.emit(
-                    "txn.abort",
-                    transaction=transaction.name,
-                    objects=sorted(transaction.touched),
-                    read_only=True,
+                    "txn.abort", transaction=name, objects=touched, read_only=True
                 )
-        return transaction.timestamp
+        return timestamp
 
     def _finish(self, transaction: Transaction) -> None:
         """Drop per-transaction bookkeeping once the outcome is decided.
@@ -477,18 +576,14 @@ class TransactionManager:
         self._generator.forget(transaction.name)
 
     def _require_active(self, transaction: Transaction) -> None:
-        if self._transactions.get(transaction.name) is not transaction:
-            if not transaction.is_active:
-                # Completed transactions are popped from the registry;
-                # a late commit/abort/invoke still gets the honest answer.
-                raise TransactionAborted(
-                    f"{transaction.name} is {transaction.status.value}"
-                )
-            raise ProtocolError(f"unknown transaction {transaction.name!r}")
         if not transaction.is_active:
+            # Completed transactions are popped from the registry; a late
+            # commit/abort/invoke still gets the honest answer.
             raise TransactionAborted(
                 f"{transaction.name} is {transaction.status.value}"
             )
+        if self._transactions.get(transaction.name) is not transaction:
+            raise ProtocolError(f"unknown transaction {transaction.name!r}")
 
     def transaction(self, name: str) -> Optional[Transaction]:
         """The live (active or prepared) transaction registered as ``name``."""
@@ -528,17 +623,16 @@ class TransactionManager:
         self._require_active(transaction)
         if transaction.read_only:
             raise ProtocolError("read-only transactions do not prepare")
+        self._prepare_participants(transaction)
         generator = self._generator
         vote_fn = getattr(generator, "vote", None)
         vote = int(vote_fn(transaction.name)) if vote_fn is not None else 0
         if self.wal is not None:
             from ..recovery.wal import prepare_record
 
-            intentions = {
-                obj: self._objects[obj].machine.intentions(transaction.name)
-                for obj in sorted(transaction.touched)
-            }
-            self.wal.append(prepare_record(transaction.name, vote, intentions))
+            self.wal.append(
+                prepare_record(transaction.name, vote, self._intentions(transaction))
+            )
             if self.tracer is not None:
                 self.tracer.emit(
                     "wal.append",
@@ -561,44 +655,18 @@ class TransactionManager:
             raise ProtocolError(
                 f"{transaction.name} was never prepared on this shard"
             )
-        if self.wal is not None:
-            from ..recovery.wal import commit_record
-
-            intentions = {
-                obj: self._objects[obj].machine.intentions(transaction.name)
-                for obj in sorted(transaction.touched)
-            }
-            self.wal.append(commit_record(transaction.name, timestamp, intentions))
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "wal.append", record="commit", transaction=transaction.name
-                )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                "txn.commit",
-                transaction=transaction.name,
-                timestamp=timestamp,
-                objects=sorted(transaction.touched),
-                site=self.site,
-            )
-        for obj in sorted(transaction.touched):
-            self._objects[obj].machine.commit(transaction.name, timestamp)
-            if self._record:
-                self._events.append(CommitEvent(transaction.name, obj, timestamp))
+        self._deliver(transaction, timestamp, prepared=True)
         observe_decision = getattr(self._generator, "observe_decision", None)
         if observe_decision is not None:
             observe_decision(timestamp)
-        transaction.status = Status.COMMITTED
-        transaction.timestamp = timestamp
-        self._finish(transaction)
         return timestamp
 
     def checkpoint(self, store: Any) -> Any:
         """Snapshot every object's collapsed version into ``store`` and
         truncate the WAL prefix the horizon proves redundant.
 
-        Requires a WAL and compacting objects; returns the
+        Requires a WAL and lock machines throughout (the version is the
+        checkpointable state); returns the
         :class:`~repro.recovery.checkpoint.Checkpoint`.  The checkpoint
         carries the timestamp floor — every timestamp issued or applied
         here was delivered to some object, so the largest object clock
@@ -607,15 +675,10 @@ class TransactionManager:
         """
         if self.wal is None:
             raise ProtocolError("checkpointing requires a write-ahead log")
-        if not self._compacting:
-            raise ProtocolError(
-                "checkpointing requires compacting objects (the version is"
-                " the checkpointable state)"
-            )
+        machines = self._lock_machines("a checkpoint")
         from ..recovery.checkpoint import take_checkpoint, truncate_wal
 
-        machines = {name: m.machine for name, m in self._objects.items()}
-        clocks = [m.max_committed_timestamp() for m in self._objects.values()]
+        clocks = [machine.clock for machine in machines.values()]
         floor = max((clock for clock in clocks if isinstance(clock, int)), default=0)
         checkpoint = take_checkpoint(machines, site_clock=floor)
         store.save(checkpoint)
@@ -652,13 +715,15 @@ class TransactionManager:
         max_attempts: int = 25,
         name: Optional[str] = None,
     ) -> Any:
-        """Run ``body`` as a transaction, retrying on lock conflicts.
+        """Run ``body`` as a transaction, retrying when it is refused.
 
         ``body`` receives a :class:`TransactionContext` and may call
-        ``ctx.invoke(obj, op, *args)``.  On :class:`LockConflict` or
-        :class:`WouldBlock` the whole transaction is aborted and restarted
-        (simple and livelock-free under a fair scheduler); after
-        ``max_attempts`` failures the last error propagates.
+        ``ctx.invoke(obj, op, *args)``.  On a refusal —
+        :class:`LockConflict`, :class:`WouldBlock`, or
+        :class:`ValidationFailed` at commit — the whole transaction is
+        aborted and restarted (simple and livelock-free under a fair
+        scheduler); after ``max_attempts`` failures the last error
+        propagates.
         """
         error: Optional[Exception] = None
         for attempt in range(max_attempts):
@@ -667,16 +732,15 @@ class TransactionManager:
             context = TransactionContext(self, transaction)
             try:
                 value = body(context)
-            except (LockConflict, WouldBlock) as exc:
-                self.abort(transaction)
+                self.commit(transaction)
+                return value
+            except (LockConflict, WouldBlock, ValidationFailed) as exc:
                 error = exc
-                continue
-            except BaseException:
+            finally:
+                # Whatever escaped — a refusal, the body's own exception, a
+                # veto that left the handle live — nothing stays registered.
                 if transaction.is_active:
                     self.abort(transaction)
-                raise
-            self.commit(transaction)
-            return value
         assert error is not None
         raise error
 

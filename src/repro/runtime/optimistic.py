@@ -21,7 +21,9 @@ that mechanism on the same substrate as the locking runtime:
 * validation failure aborts the transaction (:class:`ValidationFailed`),
   the optimistic analogue of a lock refusal.
 
-Commit timestamps are issued monotonically at commit, so the
+An :class:`OptimisticObject` is a participant of the one
+:class:`~repro.runtime.TransactionManager`: validation is its ``prepare``.
+The manager admits it only under a monotone timestamp generator, so the
 serialization order is the commit order and validation against
 "committed since start" is exactly what hybrid atomicity needs.  The
 verification tests check recorded histories with the Section 3 machinery,
@@ -31,38 +33,28 @@ rising contention.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional
 
 from ..adts.base import ADT
+from ..core.compaction import NEG_INFINITY
 from ..core.conflict import Relation
-from ..core.errors import ProtocolError, ReproError, TransactionAborted, WouldBlock
-from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
-from ..core.history import History
+from ..core.errors import ValidationFailed, WouldBlock
 from ..core.operations import Invocation, Operation, OperationSequence
-from ..core.timestamps import LogicalClock
-from .transaction import Status, Transaction
+from ..protocols.base import OPTIMISTIC
+from .manager import TransactionManager
 
 __all__ = ["ValidationFailed", "OptimisticObject", "OptimisticTransactionManager"]
 
 
-class ValidationFailed(ReproError):
-    """Commit-time validation found a dependency on a later-committed
-    operation that replay could not reconcile; the transaction aborts."""
-
-    def __init__(self, message: str = "", obj: str = ""):
-        super().__init__(message or "optimistic validation failed")
-        #: Object at which validation failed.
-        self.obj = obj
-
-
 class OptimisticObject:
-    """One object under optimistic control.
+    """One object under optimistic control, as a
+    :class:`~repro.runtime.TransactionManager` participant.
 
-    Keeps the committed operation sequence (compacted into a state-set
-    version plus a tail so validation windows stay addressable), each
-    active transaction's intentions, and the committed-sequence index at
-    which each transaction started.
+    Keeps the whole committed operation sequence, each active
+    transaction's intentions, and the committed-sequence index at which
+    each transaction started.  Nothing is compacted: 1,000 commits retain
+    1,000 operations, and every ``execute`` replays its view from the
+    initial state.
     """
 
     def __init__(self, name: str, adt: ADT, dependency: Optional[Relation] = None):
@@ -94,7 +86,7 @@ class OptimisticObject:
         """Operations executed so far by the transaction at this object."""
         return tuple(self._intentions.get(transaction, ()))
 
-    def invoke(self, transaction: str, invocation: Invocation) -> Any:
+    def execute(self, transaction: str, invocation: Invocation) -> Any:
         """Execute without locking: choose a result legal in the view.
 
         Raises :class:`WouldBlock` when the view enables no outcome.
@@ -126,8 +118,16 @@ class OptimisticObject:
             )
         return result
 
-    def validate(self, transaction: str) -> bool:
-        """Commit-time certification against newly committed operations."""
+    def observed(self, transaction: str) -> Any:
+        """Nothing to feed the generator: the manager admits this object
+        only under a monotone generator, whose every timestamp already
+        exceeds everything committed here."""
+        return NEG_INFINITY
+
+    def prepare(self, transaction: str) -> None:
+        """Commit-time certification against newly committed operations;
+        vetoes with :class:`ValidationFailed` (final: the manager aborts
+        the transaction everywhere)."""
         tracer = self.tracer
         mine = self._intentions.get(transaction, [])
         start = self._start_index.get(transaction, len(self._committed))
@@ -139,59 +139,43 @@ class OptimisticObject:
                 obj=self.name,
                 new_commits=len(new_ops),
             )
-        if not new_ops or not mine:
-            self.fast_validations += 1
-            if tracer is not None:
-                tracer.emit(
-                    "validation.success",
-                    transaction=transaction,
-                    obj=self.name,
-                    path="fast",
-                )
-            return True
         # Fast path: nothing of mine depends on anything new (Lemma 7).
-        if not any(
-            self.dependency.related(q, p) for q in mine for p in new_ops
-        ):
+        if not any(self.dependency.related(q, p) for q in mine for p in new_ops):
             self.fast_validations += 1
-            if tracer is not None:
-                tracer.emit(
-                    "validation.success",
-                    transaction=transaction,
+            path = "fast"
+        else:
+            # Slow path: replay after the full committed sequence.
+            self.replay_validations += 1
+            path = "replay"
+            if not self.spec.run(tuple(self._committed) + tuple(mine)):
+                self.failed_validations += 1
+                if tracer is not None:
+                    index, culprit = next(
+                        (index, new_op)
+                        for index, new_op in enumerate(new_ops)
+                        if any(self.dependency.related(q, new_op) for q in mine)
+                    )
+                    tracer.emit(
+                        "validation.invalidated",
+                        transaction=transaction,
+                        obj=self.name,
+                        invalidated_by=self._committed_by[start + index],
+                        operation=str(culprit),
+                    )
+                raise ValidationFailed(
+                    f"{transaction} invalidated by a concurrent commit"
+                    f" at {self.name}",
                     obj=self.name,
-                    path="fast",
                 )
-            return True
-        # Slow path: replay after the full committed sequence.
-        self.replay_validations += 1
-        if self.spec.run(tuple(self._committed) + tuple(mine)):
-            if tracer is not None:
-                tracer.emit(
-                    "validation.success",
-                    transaction=transaction,
-                    obj=self.name,
-                    path="replay",
-                )
-            return True
-        self.failed_validations += 1
         if tracer is not None:
-            invalidated_by = None
-            culprit = None
-            for index, new_op in enumerate(new_ops):
-                if any(self.dependency.related(q, new_op) for q in mine):
-                    invalidated_by = self._committed_by[start + index]
-                    culprit = str(new_op)
-                    break
             tracer.emit(
-                "validation.invalidated",
+                "validation.success",
                 transaction=transaction,
                 obj=self.name,
-                invalidated_by=invalidated_by,
-                operation=culprit,
+                path=path,
             )
-        return False
 
-    def apply_commit(self, transaction: str) -> None:
+    def commit(self, transaction: str, timestamp: Any) -> None:
         """Fold a validated transaction's intentions into the committed
         sequence (commit order = timestamp order)."""
         mine = self._intentions.pop(transaction, [])
@@ -199,7 +183,7 @@ class OptimisticObject:
         self._committed_by.extend([transaction] * len(mine))
         self._start_index.pop(transaction, None)
 
-    def discard(self, transaction: str) -> None:
+    def abort(self, transaction: str) -> None:
         """Drop an aborted transaction's footprint."""
         self._intentions.pop(transaction, None)
         self._start_index.pop(transaction, None)
@@ -210,180 +194,18 @@ class OptimisticObject:
         return sorted(states, key=repr)[0]
 
 
-class OptimisticTransactionManager:
-    """Drop-in alternative to :class:`~repro.runtime.TransactionManager`
-    running the optimistic engine.
+class OptimisticTransactionManager(TransactionManager):
+    """A :class:`~repro.runtime.TransactionManager` whose objects default
+    to the optimistic engine.
 
-    Same surface: ``create_object`` / ``begin`` / ``invoke`` / ``commit``
-    / ``abort`` / ``run_transaction`` / ``history`` / ``specs``.  Commit
-    raises :class:`ValidationFailed` (after aborting the transaction) when
-    certification fails at any touched object — the atomic-commitment
-    analogue of a coordinator voting "no".
+    Commit raises :class:`ValidationFailed` (after aborting the
+    transaction) when certification fails at any touched object — the
+    atomic-commitment analogue of a participant voting "no".
     """
 
-    def __init__(self, record_history: bool = False, tracer=None):
-        self._objects: Dict[str, OptimisticObject] = {}
-        self._transactions: Dict[str, Transaction] = {}
-        self._names = itertools.count(1)
-        self._clock = LogicalClock()
-        self._record = record_history
-        self._events: List[Any] = []
-        self.tracer = tracer
-
-    # -- setup ----------------------------------------------------------
-
     def create_object(
-        self, name: str, adt: ADT, dependency: Optional[Relation] = None, **_ignored
+        self, name: str, adt: ADT, dependency: Optional[Relation] = None
     ) -> OptimisticObject:
         """Create an optimistic object (``dependency`` overrides the
-        fast-path relation; extra kwargs accepted for interface parity)."""
-        if name in self._objects:
-            raise ValueError(f"object {name!r} already exists")
-        managed = OptimisticObject(name, adt, dependency)
-        managed.tracer = self.tracer
-        self._objects[name] = managed
-        if self.tracer is not None:
-            self.tracer.emit(
-                "obj.create",
-                obj=name,
-                adt=adt.name,
-                protocol="optimistic",
-                relation=managed.dependency.name,
-                initial=adt.spec.initial_states(),
-            )
-        return managed
-
-    def object(self, name: str) -> OptimisticObject:
-        """Look up an object by name."""
-        return self._objects[name]
-
-    @property
-    def objects(self) -> Dict[str, OptimisticObject]:
-        """All objects by name."""
-        return dict(self._objects)
-
-    # -- transaction lifecycle -------------------------------------------
-
-    def begin(self, name: Optional[str] = None) -> Transaction:
-        """Start a new transaction."""
-        if name is None:
-            name = f"T{next(self._names)}"
-        if name in self._transactions:
-            raise ValueError(f"transaction {name!r} already exists")
-        transaction = Transaction(name)
-        self._transactions[name] = transaction
-        if self.tracer is not None:
-            self.tracer.emit("txn.begin", transaction=name, read_only=False)
-        return transaction
-
-    def invoke(
-        self, transaction: Transaction, obj: str, operation: str, *args: Any
-    ) -> Any:
-        """Execute one operation without locking."""
-        self._require_active(transaction)
-        invocation = Invocation(operation, args)
-        result = self._objects[obj].invoke(transaction.name, invocation)
-        transaction.touched.add(obj)
-        transaction.operations += 1
-        if self._record:
-            self._events.append(InvocationEvent(transaction.name, obj, invocation))
-            self._events.append(ResponseEvent(transaction.name, obj, result))
-        return result
-
-    def commit(self, transaction: Transaction) -> Any:
-        """Validate at every touched object, then commit atomically.
-
-        On validation failure the transaction is aborted everywhere and
-        :class:`ValidationFailed` is raised.
-        """
-        self._require_active(transaction)
-        for obj in sorted(transaction.touched):
-            if not self._objects[obj].validate(transaction.name):
-                self._abort_internal(transaction)
-                raise ValidationFailed(
-                    f"{transaction.name} invalidated by a concurrent commit"
-                    f" at {obj}",
-                    obj=obj,
-                )
-        timestamp = self._clock.tick()
-        if self.tracer is not None:
-            self.tracer.emit(
-                "txn.commit",
-                transaction=transaction.name,
-                timestamp=timestamp,
-                objects=sorted(transaction.touched),
-            )
-        for obj in sorted(transaction.touched):
-            self._objects[obj].apply_commit(transaction.name)
-            if self._record:
-                self._events.append(CommitEvent(transaction.name, obj, timestamp))
-        transaction.status = Status.COMMITTED
-        transaction.timestamp = timestamp
-        return timestamp
-
-    def abort(self, transaction: Transaction) -> None:
-        """Abort: discard the transaction's footprint everywhere."""
-        self._require_active(transaction)
-        self._abort_internal(transaction)
-
-    def _abort_internal(self, transaction: Transaction) -> None:
-        for obj in sorted(transaction.touched):
-            self._objects[obj].discard(transaction.name)
-            if self._record:
-                self._events.append(AbortEvent(transaction.name, obj))
-        transaction.status = Status.ABORTED
-        if self.tracer is not None:
-            self.tracer.emit(
-                "txn.abort",
-                transaction=transaction.name,
-                objects=sorted(transaction.touched),
-            )
-
-    def _require_active(self, transaction: Transaction) -> None:
-        if self._transactions.get(transaction.name) is not transaction:
-            raise ProtocolError(f"unknown transaction {transaction.name!r}")
-        if not transaction.is_active:
-            raise TransactionAborted(
-                f"{transaction.name} is {transaction.status.value}"
-            )
-
-    # -- convenience ------------------------------------------------------
-
-    def run_transaction(
-        self, body, max_attempts: int = 25, name: Optional[str] = None
-    ) -> Any:
-        """Run ``body`` with restart-on-validation-failure semantics."""
-        from .manager import TransactionContext
-
-        error: Optional[Exception] = None
-        for attempt in range(max_attempts):
-            suffix = f"#{attempt}" if attempt else ""
-            transaction = self.begin(None if name is None else name + suffix)
-            context = TransactionContext(self, transaction)
-            try:
-                value = body(context)
-                self.commit(transaction)
-                return value
-            except (ValidationFailed, WouldBlock) as exc:
-                if transaction.is_active:
-                    self.abort(transaction)
-                error = exc
-                continue
-            except BaseException:
-                if transaction.is_active:
-                    self.abort(transaction)
-                raise
-        assert error is not None
-        raise error
-
-    # -- verification -----------------------------------------------------
-
-    def history(self) -> History:
-        """The recorded global history (requires ``record_history=True``)."""
-        if not self._record:
-            raise ProtocolError("manager was created with record_history=False")
-        return History(self._events, validate=False)
-
-    def specs(self) -> Dict[str, Any]:
-        """Object-name → serial-spec map for the atomicity checkers."""
-        return {name: managed.spec for name, managed in self._objects.items()}
+        fast-path relation)."""
+        return super().create_object(name, adt, OPTIMISTIC, conflict=dependency)

@@ -49,7 +49,7 @@ from ..core.errors import (
     WouldBlock,
 )
 from ..core.timestamps import TimestampGenerator
-from ..protocols import get_protocol
+from ..protocols import ProtocolSpec, get_protocol
 from ..runtime import TransactionManager
 
 __all__ = [
@@ -150,6 +150,18 @@ class EngineCrash(BaseException):
     """
 
 
+def _locking_protocol(name: str) -> ProtocolSpec:
+    """The named protocol, refused unless it runs on lock machines — the
+    engine's ops (votes, checkpoints, recovery) are defined for those."""
+    protocol = get_protocol(name)
+    if protocol.engine != "locking":
+        raise ValueError(
+            f"protocol {name!r} runs on the {protocol.engine} engine;"
+            " a shard serves locking protocols only"
+        )
+    return protocol
+
+
 #: Ops that address a live transaction by name (``op["txn"]``).
 _BY_NAME = frozenset({"invoke", "commit", "abort", "prepare", "decide", "apply_commit"})
 
@@ -183,7 +195,7 @@ class ShardEngine:
         self.wal = wal
         self.store = store
         self.sink = sink
-        self._protocol = get_protocol(protocol)
+        self._protocol = _locking_protocol(protocol)
         self._flush_wal = getattr(wal, "flush", None)
         self.generator = ShardedTimestampGenerator(shard, shards)
         #: 2PC transaction name -> the commit timestamp applied here: what
@@ -297,7 +309,7 @@ class ShardEngine:
             if kind == "create":
                 protocol = self._protocol
                 if op.get("protocol"):
-                    protocol = get_protocol(op["protocol"])
+                    protocol = _locking_protocol(op["protocol"])
                 manager.create_object(op["name"], get_adt(op["adt"]), protocol=protocol)
                 return {"ok": op["name"]}
             if kind == "decision":

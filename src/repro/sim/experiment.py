@@ -24,11 +24,14 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.errors import LockConflict, TransactionAborted, WouldBlock
-from ..core.compaction import CompactingLockMachine
+from ..core.errors import (
+    LockConflict,
+    TransactionAborted,
+    ValidationFailed,
+    WouldBlock,
+)
 from ..protocols.base import HYBRID, ProtocolSpec
-from ..runtime.manager import TransactionManager
-from ..runtime.optimistic import OptimisticTransactionManager, ValidationFailed
+from ..runtime.manager import ManagedObject, TransactionManager
 from ..runtime.transaction import Transaction
 from .des import Simulator
 from .metrics import Metrics
@@ -178,18 +181,19 @@ class _Client:
     def _commit(self) -> None:
         try:
             self.manager.commit(self.transaction)
-        except TransactionAborted:
-            self._restart_after_crash()
-            return
         except ValidationFailed:
-            # Optimistic engine only: certification failed; the manager
+            # Optimistic objects only: certification failed; the manager
             # already aborted the transaction — restart with a new script.
+            # (Caught first: it is a TransactionAborted.)
             self.metrics.validation_failures += 1
             self.metrics.aborted += 1
             self.simulator.schedule(
                 self.params.jittered(self.rng, self.params.think_time),
                 self._begin,
             )
+            return
+        except TransactionAborted:
+            self._restart_after_crash()
             return
         if self.registry is not None:
             self.registry.release(self.transaction.name)
@@ -244,18 +248,11 @@ def run_experiment(
         registry_sink = tracer.subscribe(RegistrySink(registry))
     if tracer is not None:
         tracer.clock = lambda: simulator.now
-    if protocol.engine == "optimistic":
-        if wal is not None or crash_rate > 0:
-            raise ValueError(
-                "durability and crash injection require the locking engine"
-            )
-        manager = OptimisticTransactionManager(tracer=tracer)
-        for name, adt in workload.objects():
-            manager.create_object(name, adt, dependency=protocol.conflict_for(adt))
-    else:
-        manager = TransactionManager(wal=wal, tracer=tracer)
-        for name, adt in workload.objects():
-            manager.create_object(name, adt, protocol=protocol)
+    if crash_rate > 0 and protocol.engine != "locking":
+        raise ValueError("crash injection requires the locking engine")
+    manager = TransactionManager(wal=wal, tracer=tracer)
+    for name, adt in workload.objects():
+        manager.create_object(name, adt, protocol=protocol)
     metrics = Metrics()
     if crash_rate > 0:
         crash_rng = random.Random(f"crash/{crash_seed if crash_seed is not None else seed}")
@@ -287,25 +284,24 @@ def run_experiment(
         client.start()
     simulator.run_until(duration)
     metrics.duration = duration
+    machines = {
+        name: managed.machine
+        for name, managed in sorted(manager.objects.items())
+        if isinstance(managed, ManagedObject)
+    }
     metrics.retained_intentions = sum(
-        managed.machine.retained_intentions()
-        for managed in manager.objects.values()
-        if isinstance(getattr(managed, "machine", None), CompactingLockMachine)
+        machine.retained_intentions() for machine in machines.values()
     )
     if registry_sink is not None:
         obs_registry = registry
-        for name, managed in sorted(manager.objects.items()):
-            machine = getattr(managed, "machine", None)
-            if isinstance(machine, CompactingLockMachine):
-                obs_registry.gauge(f"compaction.horizon[{name}]").set(
-                    machine.horizon()
-                )
-                obs_registry.gauge(f"compaction.retained[{name}]").set(
-                    machine.retained_intentions()
-                )
-                obs_registry.gauge(f"compaction.forgotten_ops[{name}]").set(
-                    machine.forgotten_operations
-                )
+        for name, machine in machines.items():
+            obs_registry.gauge(f"compaction.horizon[{name}]").set(machine.horizon())
+            obs_registry.gauge(f"compaction.retained[{name}]").set(
+                machine.retained_intentions()
+            )
+            obs_registry.gauge(f"compaction.forgotten_ops[{name}]").set(
+                machine.forgotten_operations
+            )
         obs_registry.gauge("retained_intentions").set(metrics.retained_intentions)
         obs_registry.absorb_metrics(metrics)
         tracer.unsubscribe(registry_sink)

@@ -27,10 +27,10 @@ OPS = [
 ]
 
 
-def run_random_workload(seed, steps, compacting=True, checkpoint_at=None):
+def run_random_workload(seed, steps, checkpoint_at=None):
     """Drive a random logged workload; returns (manager, store)."""
     rng = random.Random(f"recovery-prop/{seed}")
-    manager = TransactionManager(wal=MemoryWAL(), compacting=compacting)
+    manager = TransactionManager(wal=MemoryWAL())
     manager.create_object("Q", make_queue_adt())
     manager.create_object("A", make_account_adt(initial=30))
     manager.create_object("Z", make_set_adt())
@@ -38,7 +38,7 @@ def run_random_workload(seed, steps, compacting=True, checkpoint_at=None):
     active = []
     counter = 0
     for step in range(steps):
-        if checkpoint_at is not None and step == checkpoint_at and compacting:
+        if checkpoint_at is not None and step == checkpoint_at:
             manager.checkpoint(store)
         roll = rng.random()
         if roll < 0.15 and active:
@@ -73,15 +73,6 @@ class TestRecoveryEquivalence:
         recovered, report = recover_manager(manager.wal)
         verify_recovery(expected, machines_of(recovered))
         assert set(report.recovered_objects) == {"Q", "A", "Z"}
-
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(10, 60))
-    def test_plain_machine_recovery_matches(self, seed, steps):
-        manager, _ = run_random_workload(seed, steps, compacting=False)
-        expected = committed_state_sets(machines_of(manager))
-        recovered, _ = recover_manager(manager.wal)
-        assert not recovered._compacting
-        verify_recovery(expected, machines_of(recovered))
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000), st.integers(20, 60))

@@ -134,28 +134,3 @@ def test_optimistic_random_runs_hybrid_atomic(seed):
     h = manager.history()
     assert timestamps_respect_precedes(h)
     assert is_hybrid_atomic(h, manager.specs())
-
-
-@settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_compacting_and_plain_agree(seed):
-    """The same client decisions produce the same committed snapshots on
-    compacting and non-compacting managers."""
-    from repro.protocols import HYBRID
-
-    snapshots = []
-    for compacting in (True, False):
-        rng = random.Random(seed)
-        manager = TransactionManager(compacting=compacting)
-        manager.create_object("A", make_account_adt())
-        for i in range(10):
-            txn = manager.begin()
-            try:
-                manager.invoke(
-                    txn, "A", rng.choice(["Credit", "Debit"]), rng.randint(1, 5)
-                )
-                manager.commit(txn)
-            except (LockConflict, WouldBlock):
-                manager.abort(txn)
-        snapshots.append(manager.object("A").snapshot())
-    assert snapshots[0] == snapshots[1]

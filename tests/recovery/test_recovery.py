@@ -18,8 +18,8 @@ from repro.runtime import TransactionManager
 from repro.server import ShardDown
 
 
-def manager_with_wal(wal=None, compacting=True):
-    manager = TransactionManager(wal=wal if wal is not None else MemoryWAL(), compacting=compacting)
+def manager_with_wal(wal=None):
+    manager = TransactionManager(wal=wal if wal is not None else MemoryWAL())
     manager.create_object("A", make_account_adt(initial=100))
     manager.create_object("Q", make_queue_adt())
     return manager
@@ -91,13 +91,21 @@ class TestManagerRecovery:
         assert report.from_checkpoint
         assert report.scanned_records < 40  # prefix was truncated
 
-    def test_plain_machines_recover_too(self):
-        manager = manager_with_wal(compacting=False)
+    def test_a_log_written_with_the_compacting_key_still_opens(self):
+        # Record 0 used to say which machine kind wrote the log; the key
+        # is no longer written and, where an old log has it, ignored.
+        manager = manager_with_wal()
         self.run_some(manager)
-        expected = committed_state_sets(machines_of(manager))
-        recovered, _ = recover_manager(manager.wal)
-        assert not recovered._compacting
-        verify_recovery(expected, machines_of(recovered))
+        written = manager.wal.records()
+        assert "compacting" not in written[0]
+        old = MemoryWAL()
+        old.append({**written[0], "compacting": True})
+        for record in written[1:]:
+            old.append(record)
+        recovered, _ = recover_manager(old)
+        verify_recovery(
+            committed_state_sets(machines_of(manager)), machines_of(recovered)
+        )
 
     def test_file_backed_end_to_end(self, tmp_path):
         wal = FileWAL(tmp_path)

@@ -19,7 +19,7 @@ from repro.runtime import TransactionManager
 
 
 def compacting_manager():
-    manager = TransactionManager(wal=MemoryWAL(), compacting=True)
+    manager = TransactionManager(wal=MemoryWAL())
     manager.create_object("A", make_account_adt(initial=100))
     manager.create_object("Q", make_queue_adt())
     return manager

@@ -78,9 +78,9 @@ class TestLifecycle:
 
 class TestAtomicCommitment:
     def test_commit_reaches_every_touched_object(self):
-        # Plain (non-compacting) machines retain committed timestamps, so
-        # delivery can be observed directly.
-        manager = TransactionManager(compacting=False)
+        # A machine's clock is the largest commit timestamp delivered to
+        # it, so delivery can be observed directly.
+        manager = TransactionManager()
         manager.create_object("checking", make_account_adt())
         manager.create_object("savings", make_account_adt())
         t = manager.begin()
@@ -88,8 +88,7 @@ class TestAtomicCommitment:
         manager.invoke(t, "savings", "Credit", 20)
         ts = manager.commit(t)
         for name in ("checking", "savings"):
-            machine = manager.object(name).machine
-            assert machine.commit_timestamp(t.name) == ts
+            assert manager.object(name).machine.clock == ts
 
     def test_same_timestamp_at_all_objects(self):
         manager = bank(record=True)

@@ -62,13 +62,6 @@ class TestBasics:
         with pytest.raises(ProtocolError):
             manager.begin_readonly()
 
-    def test_requires_compacting_objects(self):
-        manager = TransactionManager(compacting=False)
-        manager.create_object("C", make_counter_adt())
-        reader = manager.begin_readonly()
-        with pytest.raises(ProtocolError):
-            manager.invoke(reader, "C", "Read")
-
     def test_abort_releases_pins(self):
         manager = counter_manager()
         manager.run_transaction(lambda ctx: ctx.invoke("C", "Inc", 1))

@@ -6,14 +6,18 @@ No sockets, no child processes: a :class:`ShardEngine` over a
 ``prepared``) and recovery reachable without forking anything.
 """
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.compaction import CompactingLockMachine
 from repro.recovery import MemoryCheckpointStore
 from repro.recovery.wal import GroupCommitWAL, MemoryWAL
-from repro.server import ShardEngine
+from repro.server import AsyncClient, ShardEngine, ShardProcessPool, WireError
 from repro.server.engine import EngineCrash, LocalShard, ShardSet
+from repro.server.procpool import ShardDown
 
 OPS = (
     "create begin invoke commit abort txn prepare decide apply_commit "
@@ -164,6 +168,51 @@ class TestErrorLadder:
         engine = engine_with()
         engine.execute({"op": "begin", "name": "t"})
         assert engine.execute({"op": "begin", "name": "t"})["error"] == "BAD_REQUEST"
+
+
+class TestLockingProtocolsOnly:
+    """The engine's ops (votes, checkpoints, recovery) are defined for lock
+    machines: a protocol of another engine is refused, never served on a
+    lock machine under its name (which would also switch the checker's
+    conflict-acceptance family off for an object that is taking locks)."""
+
+    def test_constructor_refuses(self):
+        with pytest.raises(ValueError, match="locking protocols only"):
+            ShardEngine(protocol="optimistic")
+
+    def test_create_op_refuses_and_the_name_stays_free(self):
+        engine = engine_with()
+        create = {"op": "create", "name": "A", "adt": "Account"}
+        refused = engine.execute({**create, "protocol": "optimistic"})
+        assert refused["error"] == "BAD_REQUEST"
+        assert "locking protocols only" in refused["message"]
+        assert engine.execute({"op": "catalog"}) == {"ok": []}
+        assert engine.execute({**create, "protocol": "commutativity"}) == {"ok": "A"}
+        assert type(engine.manager.object("A").machine) is CompactingLockMachine
+
+    def test_process_pool_reports_it_as_the_start_up_cause(self, tmp_path):
+        pool = ShardProcessPool(2, tmp_path / "data", protocol="optimistic")
+        try:
+            pool.start()
+            with pytest.raises(ShardDown, match="locking protocols only"):
+                pool.shards[0].single({"op": "stats"})
+        finally:
+            pool.stop()
+
+    @pytest.mark.parametrize("transport", ["local", "process"])
+    def test_create_over_the_wire_is_bad_request(self, transport, serve_over):
+        async def scenario():
+            server = await serve_over(transport)
+            client = await AsyncClient.connect(server.host, server.port)
+            with pytest.raises(WireError) as caught:
+                await client.create("A", "Account", protocol="optimistic")
+            # Refused, not half-registered: the same name is still free.
+            await client.create("A", "Account", protocol="hybrid")
+            await client.aclose()
+            await server.drain()
+            return caught.value.code
+
+        assert asyncio.run(scenario()) == "BAD_REQUEST"
 
 
 class TestTxnOpLeak:

@@ -130,6 +130,16 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'append'" in capsys.readouterr().err
 
+    def test_serve_takes_locking_protocols_only(self, capsys):
+        # A shard runs lock machines; serving one under another engine's
+        # name would mislabel it to the checker.
+        for name in ("hybrid", "commutativity", "rw-2pl", "serial"):
+            build_parser().parse_args(["serve", "--protocol", name])
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--protocol", "optimistic"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'optimistic'" in capsys.readouterr().err
+
 
 class TestReport:
     def test_report_to_stdout(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from repro.adts import FifoQueueSpec, deq, enq, make_account_adt, make_counter_adt
 from repro.core import History, HistoryBuilder, Invocation, op
 from repro.core.specs import enumerate_legal_with_states
-from repro.runtime import OptimisticTransactionManager, TransactionManager
+from repro.runtime import OptimisticTransactionManager
 from repro.sim import ClientParams, Metrics
 
 
@@ -58,16 +58,6 @@ class TestSpecsExtras:
 
 
 class TestManagerExtras:
-    def test_max_committed_timestamp_plain_machine(self):
-        manager = TransactionManager(compacting=False)
-        manager.create_object("A", make_account_adt())
-        managed = manager.object("A")
-        from repro.core import NEG_INFINITY
-
-        assert managed.max_committed_timestamp() == NEG_INFINITY
-        manager.run_transaction(lambda ctx: ctx.invoke("A", "Credit", 1))
-        assert managed.max_committed_timestamp() == 1
-
     def test_optimistic_counters(self):
         manager = OptimisticTransactionManager()
         manager.create_object("A", make_account_adt())
