@@ -46,12 +46,7 @@ CHURN_STATS = {
     "txn_per_second": positive,
 }
 
-SWEEP_ROW = {
-    "length": non_negative_int,
-    "cached": LATENCY_STATS,
-    "naive": LATENCY_STATS,
-    "speedup": positive,
-}
+SWEEP_ROW = {"length": non_negative_int, **LATENCY_STATS}
 
 #: The atomicity checker's embedded verdict (shared by every benchmark
 #: that certifies the run its numbers came from).
@@ -74,10 +69,8 @@ HOT_PATH_SCHEMA = {
     "adt": str,
     "sweep": [SWEEP_ROW],
     "commit_churn": {
-        "plain_cached": CHURN_STATS,
-        "plain_naive": CHURN_STATS,
-        "compacting_cached": CHURN_STATS,
-        "compacting_naive": CHURN_STATS,
+        "plain": CHURN_STATS,
+        "compacting": CHURN_STATS,
     },
     "relation_memo": {
         "universe_size": non_negative_int,

@@ -21,6 +21,7 @@ from repro import (
     is_hybrid_atomic,
 )
 from repro.adts import make_account_adt
+from repro.obs import HistorySink, TraceBus
 
 ACCOUNTS = ["alice", "bob", "carol"]
 
@@ -57,8 +58,11 @@ def post_interest(manager, percent):
 def main() -> None:
     rng = random.Random(2026)
     # Skewed timestamps exercise the interesting merge-by-timestamp paths.
+    # The global history is folded off the trace bus.
+    bus = TraceBus()
+    recorded = bus.subscribe(HistorySink())
     manager = TransactionManager(
-        record_history=True, generator=SkewedTimestampGenerator(seed=2026)
+        generator=SkewedTimestampGenerator(seed=2026), tracer=bus
     )
     for account in ACCOUNTS:
         manager.create_object(account, make_account_adt())
@@ -97,7 +101,7 @@ def main() -> None:
         print(f"  {account:>6}: {float(balance):10.2f}")
     print(f"  total : {float(total):10.2f}")
 
-    history = manager.history()
+    history = recorded.history()
     print(f"\nrecorded events: {len(history)}")
     print("hybrid atomic  :", is_hybrid_atomic(history, manager.specs()))
 

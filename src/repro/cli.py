@@ -243,20 +243,80 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    factory = _WORKLOADS.get(args.workload)
+def _resolve(workload: str, *protocols: str):
+    """``(workload factory, [protocol, ...])`` for the names given, or the
+    exit code once stderr has been told which name is unknown."""
+    factory = _WORKLOADS.get(workload)
     if factory is None:
         print(
-            f"unknown workload {args.workload!r}; "
+            f"unknown workload {workload!r}; "
             f"available: {', '.join(sorted(_WORKLOADS))}",
             file=sys.stderr,
         )
         return 2
     try:
-        protocols = [get_protocol(name) for name in args.protocol]
+        return factory, [get_protocol(name) for name in protocols]
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+
+
+def _observed_run(args, factory, protocol, sinks=(), check=False, **observers):
+    """Run the workload once under ``protocol``, observed on a fresh bus.
+
+    ``sinks`` are subscribed in order, then (``check``) an online
+    :class:`~repro.obs.AtomicityChecker` — one per run, because runs reuse
+    transaction names and a shared checker would see duplicate histories.
+    ``observers`` (``registry``, ``on_finish``) go to
+    :func:`run_experiment` as they are.  Returns ``(metrics, checker)``.
+
+    The engine restrictions that are real are decided here and nowhere
+    else: crash injection and a write-ahead log need lock machines, so a
+    run on the optimistic engine goes without them and says so.
+    """
+    from .obs import AtomicityChecker, TraceBus
+
+    tracer = TraceBus() if sinks or check else None
+    for sink in sinks:
+        tracer.subscribe(sink)
+    checker = tracer.subscribe(AtomicityChecker(emit_to=tracer)) if check else None
+    crash_rate, wal = args.crash_rate, None
+    if protocol.engine != "locking":
+        if crash_rate > 0 or args.wal_dir:
+            print(
+                "note: crash/WAL flags apply to locking engines only; "
+                "the optimistic engine runs without them",
+                file=sys.stderr,
+            )
+        crash_rate = 0.0
+    elif args.wal_dir:
+        import os
+
+        from .recovery import FileWAL
+
+        wal = FileWAL(os.path.join(args.wal_dir, protocol.name))
+    metrics = run_experiment(
+        factory(),
+        protocol,
+        duration=args.duration,
+        seed=args.seed,
+        params=ClientParams(wait_policy=args.wait_policy),
+        crash_rate=crash_rate,
+        crash_seed=args.crash_seed,
+        wal=wal,
+        tracer=tracer,
+        **observers,
+    )
+    return metrics, checker
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .obs import JSONLSink, MetricsRegistry
+
+    resolved = _resolve(args.workload, *args.protocol)
+    if isinstance(resolved, int):
+        return resolved
+    factory, protocols = resolved
 
     fields = [
         "committed",
@@ -272,58 +332,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     header = f"{'protocol':14s}" + "".join(f"{f:>20s}" for f in fields)
     print(header)
     print("-" * len(header))
-    if (args.crash_rate > 0 or args.wal_dir) and any(
-        p.engine == "optimistic" for p in protocols
-    ):
-        print(
-            "note: crash/WAL flags apply to locking engines only; "
-            "the optimistic engine runs without them",
-            file=sys.stderr,
-        )
-    observing = args.verbose or args.trace_file
-    jsonl_sink = None
-    if args.trace_file:
-        from .obs import JSONLSink
-
-        jsonl_sink = JSONLSink(args.trace_file)
+    jsonl_sink = JSONLSink(args.trace_file) if args.trace_file else None
     verbose_blocks = []
     check_lines = []
     all_certified = True
     for protocol in protocols:
-        wal = None
-        if args.wal_dir and protocol.engine != "optimistic":
-            import os
-
-            from .recovery import FileWAL
-
-            wal = FileWAL(os.path.join(args.wal_dir, protocol.name))
-        tracer = None
-        registry = None
-        if observing and protocol.engine != "optimistic":
-            from .obs import MetricsRegistry, TraceBus
-
-            tracer = TraceBus()
-            registry = MetricsRegistry()
-            if jsonl_sink is not None:
-                tracer.subscribe(jsonl_sink)
-        checker = None
-        if args.check:
-            # One fresh checker per protocol: each run reuses transaction
-            # names, so a shared checker would see duplicate histories.
-            from .obs import AtomicityChecker, TraceBus
-
-            if tracer is None:
-                tracer = TraceBus()
-            checker = tracer.subscribe(AtomicityChecker(emit_to=tracer))
-        metrics = run_experiment(
-            factory(),
+        registry = MetricsRegistry() if args.verbose else None
+        metrics, checker = _observed_run(
+            args,
+            factory,
             protocol,
-            duration=args.duration,
-            seed=args.seed,
-            crash_rate=0.0 if protocol.engine == "optimistic" else args.crash_rate,
-            crash_seed=args.crash_seed,
-            wal=wal,
-            tracer=tracer,
+            sinks=[jsonl_sink] if jsonl_sink is not None else [],
+            check=args.check,
             registry=registry,
         )
         row = metrics.as_row()
@@ -331,7 +351,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{protocol.name:14s}"
             + "".join(f"{row.get(f, 0):>20}" for f in fields)
         )
-        if args.verbose and registry is not None:
+        if registry is not None:
             lines = [f"[{protocol.name}]"]
             breakdown = registry.conflict_breakdown()
             if breakdown:
@@ -416,68 +436,29 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_run(args: argparse.Namespace):
-    """Shared workload/protocol resolution for ``trace`` and ``stats``.
-
-    Returns ``(factory, protocol)`` or an exit code on error.
-    """
-    factory = _WORKLOADS.get(args.workload)
-    if factory is None:
-        print(
-            f"unknown workload {args.workload!r}; "
-            f"available: {', '.join(sorted(_WORKLOADS))}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        protocol = get_protocol(args.protocol)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    if protocol.engine == "optimistic":
-        print(
-            "tracing instruments the locking engine; "
-            "pick a locking protocol (e.g. hybrid)",
-            file=sys.stderr,
-        )
-        return 2
-    return factory, protocol
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from .obs import (
         JSONLSink,
         RingBufferSink,
         SpanBuilder,
-        TraceBus,
         render_events,
         render_kind_summary,
         render_spans,
     )
 
-    resolved = _resolve_run(args)
+    resolved = _resolve(args.workload, args.protocol)
     if isinstance(resolved, int):
         return resolved
-    factory, protocol = resolved
+    factory, (protocol,) = resolved
 
-    tracer = TraceBus()
-    spans = tracer.subscribe(SpanBuilder())
-    ring = tracer.subscribe(RingBufferSink())
+    spans, ring = SpanBuilder(), RingBufferSink()
+    sinks = [spans, ring]
     jsonl_sink = None
     if args.format == "jsonl":
-        jsonl_sink = tracer.subscribe(
-            JSONLSink(args.output) if args.output else JSONLSink(sys.stdout)
-        )
-    run_experiment(
-        factory(),
-        protocol,
-        duration=args.duration,
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        params=ClientParams(wait_policy=args.wait_policy),
-        tracer=tracer,
-    )
-    if args.format == "jsonl":
+        jsonl_sink = JSONLSink(args.output or sys.stdout)
+        sinks.append(jsonl_sink)
+    _observed_run(args, factory, protocol, sinks=sinks)
+    if jsonl_sink is not None:
         jsonl_sink.close()
         if args.output:
             print(f"trace written to {args.output} ({jsonl_sink.written} events)")
@@ -538,7 +519,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .obs import (
         MetricsRegistry,
         SpanBuilder,
-        TraceBus,
         manager_lock_tables,
         render_histogram,
         render_lock_tables,
@@ -559,13 +539,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print("stats: --prometheus needs --connect", file=sys.stderr)
         return 2
 
-    resolved = _resolve_run(args)
+    resolved = _resolve(args.workload, args.protocol)
     if isinstance(resolved, int):
         return resolved
-    factory, protocol = resolved
+    factory, (protocol,) = resolved
 
-    tracer = TraceBus()
-    spans = tracer.subscribe(SpanBuilder())
+    spans = SpanBuilder()
     registry = MetricsRegistry()
     snapshots = {}
 
@@ -575,16 +554,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         snapshots["locks"] = manager_lock_tables(manager)
         snapshots["waits"] = waits_for_edges(waits)
 
-    run_experiment(
-        factory(),
-        protocol,
-        duration=args.duration,
-        seed=args.seed,
-        crash_rate=args.crash_rate,
-        params=ClientParams(wait_policy=args.wait_policy),
-        tracer=tracer,
-        registry=registry,
-        on_finish=capture,
+    _observed_run(
+        args, factory, protocol, sinks=[spans], registry=registry, on_finish=capture
     )
     if args.json:
         snapshot = registry.snapshot()
@@ -829,7 +800,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     import json
 
-    from .obs import AtomicityChecker, TraceBus, read_jsonl
+    from .obs import AtomicityChecker, read_jsonl
 
     if args.trace_file:
         if args.workload:
@@ -849,30 +820,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not args.workload:
             print("check: need a workload or --trace-file", file=sys.stderr)
             return 2
-        factory = _WORKLOADS.get(args.workload)
-        if factory is None:
-            print(
-                f"unknown workload {args.workload!r}; "
-                f"available: {', '.join(sorted(_WORKLOADS))}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            protocol = get_protocol(args.protocol)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        tracer = TraceBus()
-        checker = tracer.subscribe(AtomicityChecker(emit_to=tracer))
-        run_experiment(
-            factory(),
-            protocol,
-            duration=args.duration,
-            seed=args.seed,
-            crash_rate=0.0 if protocol.engine == "optimistic" else args.crash_rate,
-            params=ClientParams(wait_policy=args.wait_policy),
-            tracer=tracer,
-        )
+        resolved = _resolve(args.workload, args.protocol)
+        if isinstance(resolved, int):
+            return resolved
+        factory, (protocol,) = resolved
+        _, checker = _observed_run(args, factory, protocol, check=True)
     report = checker.report()
     if args.json:
         print(json.dumps(report, indent=2, default=repr))
@@ -967,6 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the online atomicity checker and print a verdict "
         "per protocol (exit 1 on any violation)",
     )
+    simulate.set_defaults(wait_policy="retry")  # no flag: it compares protocols
 
     recover = commands.add_parser(
         "recover", help="rebuild a manager from a write-ahead log directory"
@@ -984,31 +937,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     def add_run_options(
-        subparser: argparse.ArgumentParser, workload_optional: bool = False
+        subparser: argparse.ArgumentParser, omit_with: Optional[str] = None
     ) -> None:
-        if workload_optional:
+        """One observed run: what ``trace``, ``stats`` and ``check`` share
+        (``omit_with`` names the flag that replaces the workload)."""
+        if omit_with:
             subparser.add_argument(
                 "workload", nargs="?", default=None,
                 help="a workload name from `python -m repro list` "
-                "(omit with --connect)",
+                f"(omit with {omit_with})",
             )
         else:
             subparser.add_argument(
                 "workload", help="a workload name from `python -m repro list`"
             )
         subparser.add_argument(
-            "--protocol", default="hybrid", help="one locking protocol"
+            "--protocol", default="hybrid",
+            help="one protocol from `python -m repro list`",
         )
         subparser.add_argument("--duration", type=float, default=100.0)
         subparser.add_argument("--seed", type=int, default=0)
         subparser.add_argument(
             "--crash-rate", type=float, default=0.0,
-            help="Poisson rate of injected manager crashes",
+            help="Poisson rate of injected manager crashes (locking engines)",
         )
         subparser.add_argument(
             "--wait-policy", choices=["retry", "block"], default="retry",
             help="refused-lock handling (block enables the waits-for graph)",
         )
+        # What only ``simulate`` has flags for.
+        subparser.set_defaults(crash_seed=None, wal_dir=None)
 
     trace = commands.add_parser(
         "trace", help="run a workload and dump the structured event trace"
@@ -1033,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload and print histograms, gauges, and lock "
         "snapshots — or query a live server with --connect",
     )
-    add_run_options(stats, workload_optional=True)
+    add_run_options(stats, omit_with="--connect")
     stats.add_argument(
         "--json", action="store_true", help="dump the registry snapshot as JSON"
     )
@@ -1175,27 +1133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="certify a run hybrid atomic (live workload or recorded trace)",
     )
-    check.add_argument(
-        "workload",
-        nargs="?",
-        default=None,
-        help="a workload name to run live (omit with --trace-file)",
-    )
-    check.add_argument(
-        "--protocol",
-        default="hybrid",
-        help="any protocol, including optimistic",
-    )
-    check.add_argument("--duration", type=float, default=100.0)
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument(
-        "--crash-rate", type=float, default=0.0,
-        help="Poisson rate of injected manager crashes (locking engines)",
-    )
-    check.add_argument(
-        "--wait-policy", choices=["retry", "block"], default="retry",
-        help="refused-lock handling for the live run",
-    )
+    add_run_options(check, omit_with="--trace-file")
     check.add_argument(
         "--trace-file",
         default=None,

@@ -27,12 +27,11 @@ in the paper's Avalon/C++ Account implementation (``forget()``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .conflict import Relation
 from .errors import ProtocolError
 from .lock_machine import LockMachine
-from .operations import Operation, OperationSequence
 from .specs import SerialSpec, StateSet
 
 __all__ = ["CompactingLockMachine", "NEG_INFINITY"]
@@ -80,14 +79,8 @@ class CompactingLockMachine(LockMachine):
     ``tests/core/test_compaction.py``.
     """
 
-    def __init__(
-        self,
-        spec: SerialSpec,
-        conflict: Relation,
-        obj: str = "X",
-        view_caching: bool = True,
-    ):
-        super().__init__(spec, conflict, obj, view_caching=view_caching)
+    def __init__(self, spec: SerialSpec, conflict: Relation, obj: str = "X"):
+        super().__init__(spec, conflict, obj)
         #: ``s.clock``: latest observed commit timestamp.
         self.clock: Any = NEG_INFINITY
         #: ``s.bound``: per-transaction commit-timestamp lower bounds.
@@ -99,8 +92,6 @@ class CompactingLockMachine(LockMachine):
         self._version_timestamp: Any = NEG_INFINITY
         #: Number of operations folded into the version (for metrics).
         self._forgotten_operations = 0
-        #: Transactions forgotten so far (for metrics/tests).
-        self._forgotten_transactions: List[str] = []
         #: Read-only pins: snapshot timestamps that must stay addressable
         #: (horizon is held at or below every pin), keyed by reader token.
         self._pins: Dict[str, Any] = {}
@@ -133,11 +124,6 @@ class CompactingLockMachine(LockMachine):
         """How many operations have been folded into the version."""
         return self._forgotten_operations
 
-    @property
-    def forgotten_transactions(self) -> Tuple[str, ...]:
-        """Transactions whose intentions were folded into the version."""
-        return tuple(self._forgotten_transactions)
-
     def retained_intentions(self) -> int:
         """Total operations still held in intentions lists (a size metric;
         the uncompacted machine's figure grows without bound)."""
@@ -168,11 +154,6 @@ class CompactingLockMachine(LockMachine):
     # ------------------------------------------------------------------
     # Views on top of the version
     # ------------------------------------------------------------------
-
-    def committed_state(self) -> OperationSequence:
-        """Retained committed intentions (timestamp order), *excluding* the
-        operations already folded into the version."""
-        return super().committed_state()
 
     def _base_states(self) -> StateSet:
         """Views replay from the version: the folded common prefix.
@@ -367,7 +348,6 @@ class CompactingLockMachine(LockMachine):
                 del self._committed[transaction]
                 self._bounds.pop(transaction, None)
                 forgotten.append(transaction)
-                self._forgotten_transactions.append(transaction)
         if forgotten:
             tracer = self.tracer
             if tracer is not None:

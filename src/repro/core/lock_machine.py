@@ -60,24 +60,17 @@ class LockMachine:
         this, mirroring Theorem 17's necessity direction.
     obj:
         The object's name as it appears in events.
-    view_caching:
-        Maintain each transaction's view state-set incrementally (one
-        ``spec.step`` per appended operation) instead of replaying the
-        whole view on every response check.  The caches are pure
-        bookkeeping — ``L(LOCK)`` is unchanged, which the bisimulation
-        property suite (``tests/properties/test_incremental_equivalence``)
-        certifies by driving a cached and an uncached machine through
-        identical workloads.  ``False`` selects the naive replay path
-        (the reference implementation, and the benchmark baseline).
+
+    Each transaction's view state-set is maintained incrementally (one
+    ``spec.step`` per appended operation) instead of replaying the whole
+    view on every response check.  The caches are pure bookkeeping —
+    ``L(LOCK)`` is unchanged, which the bisimulation property suite
+    (``tests/properties/test_incremental_equivalence``) certifies by
+    driving this machine and a naive replay of Section 5.1 through
+    identical workloads.
     """
 
-    def __init__(
-        self,
-        spec: SerialSpec,
-        conflict: Relation,
-        obj: str = "X",
-        view_caching: bool = True,
-    ):
+    def __init__(self, spec: SerialSpec, conflict: Relation, obj: str = "X"):
         self.spec = spec
         self.conflict = conflict
         self.obj = obj
@@ -98,7 +91,6 @@ class LockMachine:
         # an *empty frozenset* is a valid cached value (a Theorem 17
         # relation can drive a view illegal), so staleness is always
         # tested with ``is None``, never truthiness.
-        self._view_caching = bool(view_caching)
         self._view_cache: Dict[str, Tuple[int, StateSet]] = {}
         self._committed_cache: Optional[StateSet] = None
         #: Optional :class:`repro.obs.TraceBus`; None keeps every
@@ -209,23 +201,18 @@ class LockMachine:
         cache = self._committed_cache
         if cache is None:
             cache = self.spec.run_from(self._base_states(), self.committed_state())
-            if self._view_caching:
-                self._committed_cache = cache
+            self._committed_cache = cache
         return cache
 
     def view_states(self, transaction: str) -> StateSet:
         """State-set reached by the transaction's view.
 
-        With ``view_caching`` (the default) the committed prefix's
-        state-set is cached and each transaction's view state-set is
-        advanced by one ``spec.step`` per appended operation — the shape
-        of the paper's appendix (Avalon/C++ Account), where per-
-        transaction state is maintained incrementally rather than
-        replayed.  Without it, the full view is replayed through the
-        specification on every call (the naive reference path).
+        The committed prefix's state-set is cached and each transaction's
+        view state-set is advanced by one ``spec.step`` per appended
+        operation — the shape of the paper's appendix (Avalon/C++
+        Account), where per-transaction state is maintained incrementally
+        rather than replayed.
         """
-        if not self._view_caching:
-            return self.spec.run_from(self._base_states(), self.view(transaction))
         own = self.intentions(transaction)
         entry = self._view_cache.get(transaction)
         if entry is not None:
@@ -251,7 +238,7 @@ class LockMachine:
         commit or replay); None forces a lazy recompute.
         """
         self._view_cache.clear()
-        self._committed_cache = committed_states if self._view_caching else None
+        self._committed_cache = committed_states
 
     # ------------------------------------------------------------------
     # Transitions
@@ -287,7 +274,7 @@ class LockMachine:
     def can_respond(self, transaction: str, result: Any) -> bool:
         """Evaluate the response event's precondition without acting."""
         try:
-            self._check_response(transaction, result)
+            self._check_response_states(transaction, result)
         except (ProtocolError, IllegalOperation, LockConflict):
             return False
         return True
@@ -304,11 +291,10 @@ class LockMachine:
         del self._pending[transaction]
         own = self.intentions(transaction) + (operation,)
         self._intentions[transaction] = own
-        if self._view_caching:
-            # ``stepped`` is the view state-set after appending the
-            # operation, computed against the current committed prefix by
-            # the legality check — reuse it instead of re-stepping.
-            self._view_cache[transaction] = (len(own), stepped)
+        # ``stepped`` is the view state-set after appending the operation,
+        # computed against the current committed prefix by the legality
+        # check — reuse it instead of re-stepping.
+        self._view_cache[transaction] = (len(own), stepped)
         self._accepted.append(ResponseEvent(transaction, self.obj, result))
         tracer = self.tracer
         if tracer is not None:
@@ -343,7 +329,7 @@ class LockMachine:
             if timestamp < stamp:
                 in_order = False
         advanced: Optional[StateSet] = None
-        if in_order and self._view_caching and self._committed_cache is not None:
+        if in_order and self._committed_cache is not None:
             # The new timestamp exceeds every retained committed one, so
             # the transaction's intentions *extend* the committed state —
             # advance the cached state-set instead of dropping it.  An
@@ -432,14 +418,6 @@ class LockMachine:
     # Recovery replay entry points (used by :mod:`repro.recovery`)
     # ------------------------------------------------------------------
 
-    def _committed_states(self) -> StateSet:
-        """State-set denoted by the committed state (recovery helper).
-
-        Delegates to the cached committed-prefix state-set, which starts
-        from :meth:`_base_states` (the compacting machine's version).
-        """
-        return self._committed_view_states()
-
     def replay_committed(
         self, transaction: str, timestamp: Any, intentions: Sequence[Operation]
     ) -> None:
@@ -460,7 +438,7 @@ class LockMachine:
                 raise ProtocolError(
                     f"timestamp {timestamp} already used by {other} (replay)"
                 )
-        replayed = self.spec.run_from(self._committed_states(), ops)
+        replayed = self.spec.run_from(self._committed_view_states(), ops)
         if not replayed:
             raise IllegalOperation(
                 f"replayed intentions of {transaction} are illegal after the"
@@ -482,7 +460,7 @@ class LockMachine:
         ops = tuple(intentions)
         if not self.is_active(transaction):
             raise ProtocolError(f"{transaction} already completed; cannot replay")
-        if not self.spec.run_from(self._committed_states(), ops):
+        if not self.spec.run_from(self._committed_view_states(), ops):
             raise IllegalOperation(
                 f"replayed intentions of {transaction} are illegal after the"
                 " committed state; the log or checkpoint is corrupt"
@@ -496,9 +474,6 @@ class LockMachine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _check_response(self, transaction: str, result: Any) -> Operation:
-        return self._check_response_states(transaction, result)[0]
 
     def _check_response_states(
         self, transaction: str, result: Any

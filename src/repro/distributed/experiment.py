@@ -27,10 +27,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
 from ..core.history import History
-from ..core.operations import Invocation
-from ..obs import RegistrySink, TraceBus
+from ..obs import HistorySink, RegistrySink, TraceBus
 from ..recovery import (
     CrashPlan,
     FileCheckpointStore,
@@ -45,29 +43,6 @@ from .network import Network
 from .site import Site
 
 __all__ = ["DistributedRun", "run_distributed_experiment"]
-
-
-class _HistoryRecorder:
-    """A trace sink rebuilding the paper's event history (Section 3) from
-    what the machines and managers of every site emit, in global order."""
-
-    def __init__(self) -> None:
-        self.events: List[Any] = []
-
-    def __call__(self, event: Any) -> None:
-        kind, data = event.kind, event.data
-        name = data.get("transaction")
-        if kind == "txn.invoke":
-            invocation = Invocation(data["operation"], tuple(data["args"]))
-            self.events.append(InvocationEvent(name, data["obj"], invocation))
-        elif kind == "txn.respond":
-            self.events.append(ResponseEvent(name, data["obj"], data["result"]))
-        elif kind == "txn.commit":
-            for obj in data["objects"]:
-                self.events.append(CommitEvent(name, obj, data["timestamp"]))
-        elif kind == "txn.abort":
-            for obj in data["objects"]:
-                self.events.append(AbortEvent(name, obj))
 
 
 @dataclass
@@ -141,7 +116,7 @@ def run_distributed_experiment(
     registry_sink = (
         tracer.subscribe(RegistrySink(registry)) if registry is not None else None
     )
-    recorder = tracer.subscribe(_HistoryRecorder()) if record else None
+    recorder = tracer.subscribe(HistorySink()) if record else None
     if tracer is not None:
         tracer.clock = lambda: simulator.now
     network = Network(simulator, seed=seed, mean_latency=mean_latency, tracer=tracer)

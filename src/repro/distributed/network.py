@@ -42,8 +42,7 @@ class Network:
         self.floor = floor
         #: Messages sent, by label.
         self.sent: Counter = Counter()
-        #: Optional :class:`repro.obs.TraceBus` emitting ``net.send`` /
-        #: ``net.deliver`` (None = no tracing, no wrapper allocation).
+        #: Optional :class:`repro.obs.TraceBus` emitting ``net.send``.
         self.tracer = tracer
 
     def latency(self) -> float:
@@ -56,12 +55,6 @@ class Network:
         tracer = self.tracer
         if tracer is not None:
             tracer.emit("net.send", label=label)
-            inner = deliver
-
-            def deliver() -> None:
-                tracer.emit("net.deliver", label=label)
-                inner()
-
         self.simulator.schedule(self.latency(), deliver)
 
     @property

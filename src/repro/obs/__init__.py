@@ -9,7 +9,8 @@ The subsystem has three pieces (see ``docs/observability.md``):
   per-transaction spans; :class:`RegistrySink` folds them into a
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
   histograms (a strict superset of ``repro.sim.metrics.Metrics``);
-* **sinks**: in-memory ring buffer, JSONL file writer, and table
+* **sinks**: in-memory ring buffer, JSONL file writer, the
+  :class:`HistorySink` fold back into a Section 3 history, and table
   renderers for the ``repro trace`` / ``repro stats`` CLI;
 * an **oracle**: :class:`AtomicityChecker` streams over the events (live
   or replayed from JSONL) and certifies the run hybrid atomic — or
@@ -50,6 +51,7 @@ from .registry import (
     render_prometheus,
 )
 from .sinks import (
+    HistorySink,
     JSONLSink,
     RingBufferSink,
     read_jsonl,
@@ -104,6 +106,7 @@ __all__ = [
     "WIRE_LATENCY_BUCKETS",
     "RingBufferSink",
     "JSONLSink",
+    "HistorySink",
     "read_jsonl",
     "render_events",
     "render_histogram",

@@ -37,7 +37,6 @@ kind                   emitted when / payload highlights
                        it has one)
 ``wal.replay``         recovery replayed a logged transaction
 ``net.send``           a message entered the simulated network
-``net.deliver``        a message reached its destination
 ``site.crash``         fail-stop injected (``hard`` distinguishes
                        volatile-loss crashes)
 ``site.recover``       checkpoint + WAL replay rebuilt a site or
@@ -46,8 +45,6 @@ kind                   emitted when / payload highlights
                        (``obj``, ``adt``, ``protocol``, ``relation``,
                        ``initial`` serial states) — the checker reads
                        its spec and conflict relation from this
-``validation.begin``   an optimistic commit entered certification
-                       (``transaction``, ``obj``, ``start``)
 ``validation.success`` certification passed (``path`` says whether the
                        fast path or a dependency replay decided it)
 ``validation.invalidated``  certification failed, naming the committed
@@ -58,8 +55,6 @@ kind                   emitted when / payload highlights
 ``quorum.deny``        a quorum could not be formed — too many
                        replicas down, or a quorum-intersection rule
                        violated at assignment validation
-``replica.read``       one replica served its log to a view
-``replica.write``      one replica absorbed committed intentions
 ``check.violation``    the atomicity checker refuted a property of
                        the run (``rule``, ``txn``, ``obj``,
                        ``witness_events``)
@@ -127,17 +122,13 @@ EVENT_KINDS = frozenset(
         "wal.append",
         "wal.replay",
         "net.send",
-        "net.deliver",
         "site.crash",
         "site.recover",
         "obj.create",
-        "validation.begin",
         "validation.success",
         "validation.invalidated",
         "quorum.assemble",
         "quorum.deny",
-        "replica.read",
-        "replica.write",
         "check.violation",
         "server.connect",
         "server.disconnect",
@@ -186,7 +177,6 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
     "wal.append": frozenset({"record", "transaction", "obj", "site"}),
     "wal.replay": frozenset({"record", "transaction", "timestamp"}),
     "net.send": frozenset({"label"}),
-    "net.deliver": frozenset({"label"}),
     "site.crash": frozenset({"site", "hard", "victims"}),
     "site.recover": frozenset(
         {
@@ -211,7 +201,6 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
             "recovered",
         }
     ),
-    "validation.begin": frozenset({"transaction", "obj", "start", "new_commits"}),
     "validation.success": frozenset({"transaction", "obj", "path"}),
     "validation.invalidated": frozenset(
         {"transaction", "obj", "invalidated_by", "operation"}
@@ -232,8 +221,6 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
             "depended",
         }
     ),
-    "replica.read": frozenset({"obj", "replica", "entries"}),
-    "replica.write": frozenset({"obj", "replica", "entries"}),
     "check.violation": frozenset(
         {"rule", "txn", "obj", "message", "witness_events"}
     ),

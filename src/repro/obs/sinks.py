@@ -1,11 +1,13 @@
 """Stock sinks and renderers for the trace bus.
 
-Three consumption styles:
+Four consumption styles:
 
 * :class:`RingBufferSink` — keep the last N events in memory (flight
   recorder; attach permanently, inspect on failure);
 * :class:`JSONLSink` — append one JSON object per event to a file; the
   log replays with :func:`read_jsonl`;
+* :class:`HistorySink` — fold the ``txn.*`` events back into the paper's
+  event history, for the Section 3 checkers;
 * the ``render_*`` helpers — human-readable tables for the CLI.
 """
 
@@ -16,6 +18,15 @@ from collections import Counter as _Counter
 from collections import deque
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
 
+from ..core.events import (
+    AbortEvent,
+    CommitEvent,
+    Event,
+    InvocationEvent,
+    ResponseEvent,
+)
+from ..core.history import History
+from ..core.operations import Invocation
 from .codec import decode_value, encode_event
 from .events import TraceEvent
 from .registry import Histogram
@@ -24,6 +35,7 @@ from .spans import Span
 __all__ = [
     "RingBufferSink",
     "JSONLSink",
+    "HistorySink",
     "read_jsonl",
     "render_events",
     "render_spans",
@@ -109,6 +121,39 @@ class JSONLSink:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+class HistorySink:
+    """Rebuild the paper's event history (Section 3) from what the
+    participants and managers on a bus emit, in global order.
+
+    This is the one events → :class:`~repro.core.history.History` fold:
+    a participant's ``txn.invoke`` / ``txn.respond`` become the
+    invocation and response events, and a manager's ``txn.commit`` /
+    ``txn.abort`` one completion event per object it names.
+    """
+
+    def __init__(self) -> None:
+        self.events: List[Event] = []
+
+    def __call__(self, event: TraceEvent) -> None:
+        kind, data = event.kind, event.data
+        name = data.get("transaction")
+        if kind == "txn.invoke":
+            invocation = Invocation(data["operation"], tuple(data["args"]))
+            self.events.append(InvocationEvent(name, data["obj"], invocation))
+        elif kind == "txn.respond":
+            self.events.append(ResponseEvent(name, data["obj"], data["result"]))
+        elif kind == "txn.commit":
+            for obj in data["objects"]:
+                self.events.append(CommitEvent(name, obj, data["timestamp"]))
+        elif kind == "txn.abort":
+            for obj in data["objects"]:
+                self.events.append(AbortEvent(name, obj))
+
+    def history(self) -> History:
+        """The history folded so far."""
+        return History(self.events, validate=False)
 
 
 def read_jsonl(path: str) -> List[TraceEvent]:

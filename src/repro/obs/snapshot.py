@@ -34,10 +34,15 @@ def lock_table_snapshot(machine: Any) -> Dict[str, List[str]]:
 
 
 def manager_lock_tables(manager: Any) -> Dict[str, Dict[str, List[str]]]:
-    """Object name → lock-table snapshot across a transaction manager."""
+    """Object name → lock-table snapshot across a transaction manager.
+
+    Only participants that run a LOCK machine have a table: an optimistic
+    object holds no locks.
+    """
     return {
         name: lock_table_snapshot(managed.machine)
         for name, managed in sorted(manager.objects.items())
+        if hasattr(managed, "machine")
     }
 
 

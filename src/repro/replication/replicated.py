@@ -172,30 +172,13 @@ class ReplicatedObject:
 
     def _read_quorum(self, size: int) -> Log:
         merged: Log = {}
-        tracer = self.tracer
         for replica in self._choose(size, "initial"):
-            entries = replica.entries()
-            if tracer is not None:
-                tracer.emit(
-                    "replica.read",
-                    obj=self.name,
-                    replica=replica.name,
-                    entries=len(entries),
-                )
-            merged.update(entries)
+            merged.update(replica.entries())
         return merged
 
     def _write_quorum(self, size: int, entries: Log) -> None:
-        tracer = self.tracer
         for replica in self._choose(size, "final"):
             replica.merge(entries)
-            if tracer is not None:
-                tracer.emit(
-                    "replica.write",
-                    obj=self.name,
-                    replica=replica.name,
-                    entries=len(entries),
-                )
 
     @staticmethod
     def _ordered(entries: Log) -> OperationSequence:

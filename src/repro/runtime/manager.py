@@ -24,8 +24,9 @@ larger conflict relation on the same machine),
 :class:`~repro.runtime.optimistic.OptimisticObject` and
 :class:`~repro.replication.ReplicatedObject`.
 
-The manager can also record the *global* history of accepted events so a
-test can feed it to the Section 3 checkers.
+The *global* history of accepted events, for the Section 3 checkers, is
+read off the trace bus: subscribe a :class:`repro.obs.HistorySink` to the
+manager's ``tracer``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from ..core.errors import (
     ValidationFailed,
     WouldBlock,
 )
-from ..core.events import AbortEvent, CommitEvent, InvocationEvent, ResponseEvent
-from ..core.history import History
 from ..core.operations import Invocation, Operation, OperationSequence
 from ..core.timestamps import MonotoneTimestampGenerator, TimestampGenerator
 from ..protocols.base import HYBRID, ProtocolSpec
@@ -123,10 +122,6 @@ class TransactionManager:
     ----------
     generator:
         Commit-timestamp generator; defaults to a monotone logical clock.
-    record_history:
-        When True, every accepted event is appended to a global log
-        retrievable via :meth:`history` — used by the verification tests.
-        Leave off for long simulations.
     wal:
         Optional :class:`~repro.recovery.wal.WriteAheadLog`.  When given,
         object creations, accepted operations, and completions (with
@@ -145,7 +140,6 @@ class TransactionManager:
     def __init__(
         self,
         generator: Optional[TimestampGenerator] = None,
-        record_history: bool = False,
         wal: Optional[Any] = None,
         tracer: Optional[Any] = None,
         site: Optional[str] = None,
@@ -157,8 +151,6 @@ class TransactionManager:
         #: locks held, awaiting the coordinator's verdict.
         self._prepared: Dict[str, Transaction] = {}
         self._names = itertools.count(1)
-        self._record = record_history
-        self._events: List[Any] = []
         self.wal = wal
         self.tracer = tracer
         #: Site label stamped on prepare/commit trace events when this
@@ -371,9 +363,6 @@ class TransactionManager:
             observed = managed.observed(name)
             if observed is not NEG_INFINITY:
                 self._generator.observe(name, observed)
-        if self._record:
-            self._events.append(InvocationEvent(name, obj, invocation))
-            self._events.append(ResponseEvent(name, obj, result))
         return result
 
     def _read_only_invoke(
@@ -501,8 +490,6 @@ class TransactionManager:
                 )
         for obj in touched:
             self._objects[obj].commit(name, timestamp)
-            if self._record:
-                self._events.append(CommitEvent(name, obj, timestamp))
         transaction.status = Status.COMMITTED
         transaction.timestamp = timestamp
         self._finish(transaction)
@@ -524,8 +511,6 @@ class TransactionManager:
                 self.tracer.emit("wal.append", record="abort", transaction=name)
         for obj in touched:
             self._objects[obj].abort(name)
-            if self._record:
-                self._events.append(AbortEvent(name, obj))
         transaction.status = Status.ABORTED
         self._finish(transaction)
         tracer = self.tracer
@@ -539,11 +524,6 @@ class TransactionManager:
         for managed in self._objects.values():
             if isinstance(managed, ManagedObject):
                 managed.machine.unpin(name)
-        if self._record:
-            for obj in touched:
-                self._events.append(
-                    CommitEvent(name, obj, timestamp) if commit else AbortEvent(name, obj)
-                )
         transaction.status = Status.COMMITTED if commit else Status.ABORTED
         self._finish(transaction)
         tracer = self.tracer
@@ -747,12 +727,6 @@ class TransactionManager:
     # ------------------------------------------------------------------
     # Verification support
     # ------------------------------------------------------------------
-
-    def history(self) -> History:
-        """The recorded global history (requires ``record_history=True``)."""
-        if not self._record:
-            raise ProtocolError("manager was created with record_history=False")
-        return History(self._events, validate=False)
 
     def specs(self) -> Dict[str, Any]:
         """Object-name → serial-spec map, as the atomicity checkers want."""

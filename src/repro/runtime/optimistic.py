@@ -132,13 +132,6 @@ class OptimisticObject:
         mine = self._intentions.get(transaction, [])
         start = self._start_index.get(transaction, len(self._committed))
         new_ops = self._committed[start:]
-        if tracer is not None:
-            tracer.emit(
-                "validation.begin",
-                transaction=transaction,
-                obj=self.name,
-                new_commits=len(new_ops),
-            )
         # Fast path: nothing of mine depends on anything new (Lemma 7).
         if not any(self.dependency.related(q, p) for q in mine for p in new_ops):
             self.fast_validations += 1

@@ -10,13 +10,16 @@ from repro.adts import (
     credit,
     debit_ok,
     debit_overdraft,
+    get_adt,
     post,
 )
 from repro.analysis import Ordering, compare_relations
 from repro.core import (
+    CompiledRelation,
     Invocation,
     LockConflict,
     LockMachine,
+    PredicateRelation,
     failure_to_commute,
     invalidated_by,
     is_dependency_relation,
@@ -72,6 +75,73 @@ class TestFigure45:
         assert not ACCOUNT_CONFLICT.related(
             debit_overdraft(2), debit_overdraft(3)
         )
+
+
+#: The appendix's ``lock_tab``: an operation's lock mode is its name and
+#: symbolic result, and three ``locks.define(a, b)`` lines say which modes
+#: conflict.
+APPENDIX_MODES = {
+    ("Credit", "Ok"): "CREDIT",
+    ("Post", "Ok"): "POST",
+    ("Debit", "Ok"): "DEBIT",
+    ("Debit", "Overdraft"): "OVERDRAFT",
+}
+APPENDIX_DEFINES = {
+    frozenset({"CREDIT", "OVERDRAFT"}),
+    frozenset({"POST", "OVERDRAFT"}),
+    frozenset({"DEBIT"}),
+}
+
+
+def mode_matrix(relation, universe):
+    """``relation`` over ``universe`` grouped by lock mode: the answers
+    seen in each (row mode, column mode) cell."""
+    cells = {}
+    for q in universe:
+        for p in universe:
+            cell = (APPENDIX_MODES[q.name, q.result], APPENDIX_MODES[p.name, p.result])
+            cells.setdefault(cell, set()).add(relation.related(q, p))
+    return cells
+
+
+def defines(cells):
+    """The ``locks.define`` lines a mode matrix amounts to."""
+    return {frozenset(cell) for cell, answers in cells.items() if answers == {True}}
+
+
+class TestAppendixLockTable:
+    """The class table the machines lock with *is* the appendix's mode
+    table: no second ``lock_tab`` exists to keep in step with it."""
+
+    def test_shipped_relation_renders_the_appendix_matrix(self, account_ops):
+        relation = get_adt("Account").conflict
+        assert isinstance(relation, CompiledRelation)
+        cells = mode_matrix(relation, account_ops)
+        modes = sorted(APPENDIX_MODES.values())
+        assert sorted(cells) == [(a, b) for a in modes for b in modes]
+        # A cell is one answer: conflicts are a function of the two modes.
+        assert all(len(answers) == 1 for answers in cells.values())
+        assert defines(cells) == APPENDIX_DEFINES
+
+    @pytest.mark.parametrize(
+        "flipped",
+        [
+            (a, b)
+            for a in sorted(APPENDIX_MODES.values())
+            for b in sorted(APPENDIX_MODES.values())
+            if a <= b
+        ],
+        ids="-".join,
+    )
+    def test_any_flipped_cell_is_caught(self, account_ops, flipped):
+        shipped = get_adt("Account").conflict
+
+        def mutant(q, p):
+            modes = {APPENDIX_MODES[q.name, q.result], APPENDIX_MODES[p.name, p.result]}
+            return shipped.related(q, p) != (modes == set(flipped))
+
+        cells = mode_matrix(PredicateRelation(mutant), account_ops)
+        assert defines(cells) != APPENDIX_DEFINES
 
 
 class TestFigure71:

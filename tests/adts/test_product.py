@@ -120,13 +120,16 @@ class TestFieldLevelLocking:
             machine.execute("Q", Invocation("cash.Credit", (1,)))
 
     def test_runtime_end_to_end(self):
+        from repro.obs import HistorySink, TraceBus
         from repro.runtime import TransactionManager
 
         product = make_product_adt(
             {"cash": make_account_adt(), "visits": make_counter_adt()},
             name="CustomerRecord",
         )
-        manager = TransactionManager(record_history=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = TransactionManager(tracer=bus)
         manager.create_object("cust", product)
         manager.run_transaction(
             lambda ctx: (
@@ -136,4 +139,4 @@ class TestFieldLevelLocking:
         )
         manager.run_transaction(lambda ctx: ctx.invoke("cust", "cash.Debit", 60))
         assert manager.object("cust").snapshot() == (40, 1)
-        assert is_hybrid_atomic(manager.history(), manager.specs())
+        assert is_hybrid_atomic(recorded.history(), manager.specs())

@@ -70,7 +70,8 @@ class TestBookkeeping:
         machine.execute("P", Invocation("Enq", (1,)))
         machine.commit("P", 4)
         # P is immediately forgettable: horizon reached its stamp.
-        assert machine.forgotten_transactions == ("P",)
+        assert machine.committed_transactions == {}
+        assert machine.version_timestamp == 4
 
     def test_horizon_capped_by_active_bound(self):
         _, _, machine = machines()
@@ -78,7 +79,7 @@ class TestBookkeeping:
         machine.execute("P", Invocation("Enq", (1,)))
         machine.commit("P", 4)
         # Z might still commit below 4: P must be retained.
-        assert machine.forgotten_transactions == ()
+        assert machine.committed_transactions == {"P": 4}
         assert machine.horizon() == NEG_INFINITY
 
 
@@ -89,10 +90,10 @@ class TestForgetting:
         machine.execute("Q", Invocation("Enq", (2,)))
         machine.commit("P", 2)
         # Q active with bound -inf: nothing forgettable yet.
-        assert machine.forgotten_transactions == ()
+        assert machine.committed_transactions == {"P": 2}
         machine.commit("Q", 1)
         # Now both go, Q (ts1) folded before P (ts2).
-        assert machine.forgotten_transactions == ("Q", "P")
+        assert machine.committed_transactions == {}
         assert machine.version_states == frozenset({(2, 1)})
 
     def test_retained_intentions_shrink(self):
@@ -114,7 +115,7 @@ class TestForgetting:
         _, _, machine = machines()
         machine.execute("P", Invocation("Enq", (7,)))
         machine.commit("P", 1)
-        assert machine.forgotten_transactions == ("P",)
+        assert machine.retained_intentions() == 0
         # Q's view starts from the version: Deq returns 7.
         assert machine.execute("Q", Invocation("Deq")) == 7
 
@@ -171,10 +172,10 @@ class TestOutOfOrderTimestamps:
         # P commits with the *higher* stamp first.
         machine.commit("P", 10)
         # P can't be forgotten: Q (bound -inf) may still commit below 10.
-        assert machine.forgotten_transactions == ()
+        assert machine.committed_transactions == {"P": 10}
         machine.commit("Q", 5)
         # Merge order must be Q then P: 0 * 1.5 + 10 = 10.
-        assert machine.forgotten_transactions == ("Q", "P")
+        assert machine.committed_transactions == {}
         assert machine.execute("R", Invocation("Debit", (10,))) == "Ok"
 
 
@@ -205,7 +206,7 @@ class TestQueueSpecialCase:
         machine.commit("D", 11)
         # ... so at D's completion nothing else is active and the horizon
         # jumps straight to D's timestamp: D is folded at once.
-        assert machine.forgotten_transactions[-1] == "D"
+        assert machine.version_timestamp == 11
         assert machine.retained_intentions() == 0
         # Everything folded: the machine is back to its fresh-state horizon.
         assert machine.horizon() == NEG_INFINITY

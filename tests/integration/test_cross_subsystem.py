@@ -23,6 +23,7 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import (
     OptimisticTransactionManager,
     TransactionManager,
@@ -38,7 +39,9 @@ class TestProductEverywhere:
         )
 
     def test_product_on_optimistic_engine(self):
-        manager = OptimisticTransactionManager(record_history=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = OptimisticTransactionManager(tracer=bus)
         manager.create_object("cust", self.make_record())
         manager.run_transaction(lambda ctx: ctx.invoke("cust", "cash.Credit", 50))
         t = manager.begin()
@@ -47,7 +50,7 @@ class TestProductEverywhere:
         manager.run_transaction(lambda ctx: ctx.invoke("cust", "visits.Inc", 1))
         manager.commit(t)  # fast path: cross-field independence
         assert manager.object("cust").snapshot() == (0, 1)
-        assert is_hybrid_atomic(manager.history(), manager.specs())
+        assert is_hybrid_atomic(recorded.history(), manager.specs())
 
     def test_product_behind_quorums(self):
         from repro.replication import (
@@ -126,8 +129,10 @@ class TestReadonlyAndCrash:
 class TestSkewedTimestampsAtScale:
     def test_long_skewed_run_bounded_and_correct(self):
         rng = random.Random(5)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
         manager = TransactionManager(
-            record_history=True, generator=SkewedTimestampGenerator(seed=5, gap=6)
+            tracer=bus, generator=SkewedTimestampGenerator(seed=5, gap=6)
         )
         manager.create_object("A", make_account_adt())
         for _ in range(60):
@@ -140,7 +145,7 @@ class TestSkewedTimestampsAtScale:
         machine = manager.object("A").machine
         # Out-of-order stamps delay the horizon but never unboundedly.
         assert machine.retained_intentions() < 20
-        h = manager.history()
+        h = recorded.history()
         assert timestamps_respect_precedes(h)
         # (Hybrid atomicity of >8-transaction histories is checked via the
         # timestamp-order serialization directly.)

@@ -18,6 +18,7 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.protocols import ALL_PROTOCOLS, COMMUTATIVITY, HYBRID
 from repro.runtime import TransactionManager
 
@@ -79,7 +80,9 @@ class TestRandomisedVerification:
 
     def run_one(self, protocol, generator, seed):
         rng = random.Random(seed)
-        manager = TransactionManager(record_history=True, generator=generator)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = TransactionManager(tracer=bus, generator=generator)
         manager.create_object("Q", make_queue_adt(), protocol=protocol)
         manager.create_object("S", make_semiqueue_adt(), protocol=protocol)
         manager.create_object("A", make_account_adt(), protocol=protocol)
@@ -108,20 +111,20 @@ class TestRandomisedVerification:
                 pass
         for txn in active.values():
             manager.commit(txn)
-        return manager
+        return manager, recorded
 
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: p.name)
     def test_monotone_timestamps(self, protocol):
-        manager = self.run_one(protocol, None, seed=11)
-        h = manager.history()
+        manager, recorded = self.run_one(protocol, None, seed=11)
+        h = recorded.history()
         assert timestamps_respect_precedes(h)
         assert is_hybrid_atomic(h, manager.specs())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_skewed_timestamps(self, seed):
-        manager = self.run_one(
+        manager, recorded = self.run_one(
             HYBRID, SkewedTimestampGenerator(seed=seed), seed=seed
         )
-        h = manager.history()
+        h = recorded.history()
         assert timestamps_respect_precedes(h)
         assert is_hybrid_atomic(h, manager.specs())

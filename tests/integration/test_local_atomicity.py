@@ -23,13 +23,16 @@ from repro.core import (
     is_serializable_in_order,
 )
 from repro.adts import FileSpec
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import TransactionManager
 
 
 class TestTheorem1Positive:
     def test_multi_object_skewed_run_is_atomic(self):
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
         manager = TransactionManager(
-            record_history=True, generator=SkewedTimestampGenerator(seed=9)
+            tracer=bus, generator=SkewedTimestampGenerator(seed=9)
         )
         manager.create_object("A", make_account_adt())
         manager.create_object("F", make_file_adt())
@@ -42,7 +45,7 @@ class TestTheorem1Positive:
                     ctx.invoke("Q", "Enq", i),
                 )
             )
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())
         assert is_atomic(h, manager.specs())
 

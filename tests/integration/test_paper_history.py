@@ -12,6 +12,7 @@ from repro.core import (
     is_online_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import TransactionManager
 
 
@@ -81,7 +82,9 @@ class TestRuntimeReproduction:
     def test_concurrent_producers_one_consumer(self):
         """The same story via the manager: enqueue order is decided by the
         commit timestamps, and later consumers observe it."""
-        manager = TransactionManager(record_history=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = TransactionManager(tracer=bus)
         manager.create_object("X", make_queue_adt())
         p = manager.begin("P")
         q = manager.begin("Q")
@@ -97,5 +100,5 @@ class TestRuntimeReproduction:
         assert manager.invoke(r, "X", "Deq") == 1
         assert manager.invoke(r, "X", "Deq") == 3
         manager.commit(r)
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())

@@ -126,7 +126,6 @@ class TestTraceEvent:
             "wal.append",
             "wal.replay",
             "net.send",
-            "net.deliver",
             "site.crash",
             "site.recover",
         }

@@ -11,6 +11,7 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.replication import (
     QuorumAssignment,
     QuorumSpec,
@@ -35,7 +36,9 @@ def account_assignment():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_replicated_runs_hybrid_atomic_under_failures(seed):
     rng = random.Random(seed)
-    manager = ReplicatedTransactionManager(record_history=True)
+    bus = TraceBus()
+    recorded = bus.subscribe(HistorySink())
+    manager = ReplicatedTransactionManager(tracer=bus)
     manager.create_object("A", make_account_adt(), account_assignment())
     active = []
     for step in range(40):
@@ -65,7 +68,7 @@ def test_replicated_runs_hybrid_atomic_under_failures(seed):
     manager.object("A").recover_all()
     for txn in active:
         manager.commit(txn)
-    h = manager.history()
+    h = recorded.history()
     assert timestamps_respect_precedes(h)
     assert is_hybrid_atomic(h, manager.specs())
 

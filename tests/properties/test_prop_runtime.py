@@ -18,6 +18,7 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.protocols import ALL_PROTOCOLS
 from repro.runtime import TransactionManager
 
@@ -37,7 +38,9 @@ OPS = [
 def run_random_workload(protocol, skewed, seed, steps=70):
     rng = random.Random(seed)
     generator = SkewedTimestampGenerator(seed=seed) if skewed else None
-    manager = TransactionManager(record_history=True, generator=generator)
+    bus = TraceBus()
+    recorded = bus.subscribe(HistorySink())
+    manager = TransactionManager(tracer=bus, generator=generator)
     manager.create_object("Q", make_queue_adt(), protocol=protocol)
     manager.create_object("S", make_semiqueue_adt(), protocol=protocol)
     manager.create_object("A", make_account_adt(), protocol=protocol)
@@ -67,7 +70,7 @@ def run_random_workload(protocol, skewed, seed, steps=70):
             manager.commit(txn)
         else:
             manager.abort(txn)
-    return manager
+    return manager, recorded
 
 
 @settings(max_examples=12, deadline=None)
@@ -76,8 +79,8 @@ def run_random_workload(protocol, skewed, seed, steps=70):
     st.sampled_from(ALL_PROTOCOLS),
 )
 def test_random_runs_hybrid_atomic_monotone(seed, protocol):
-    manager = run_random_workload(protocol, skewed=False, seed=seed)
-    h = manager.history()
+    manager, recorded = run_random_workload(protocol, skewed=False, seed=seed)
+    h = recorded.history()
     assert timestamps_respect_precedes(h)
     assert is_hybrid_atomic(h, manager.specs())
 
@@ -87,8 +90,8 @@ def test_random_runs_hybrid_atomic_monotone(seed, protocol):
 def test_random_runs_hybrid_atomic_skewed(seed):
     from repro.protocols import HYBRID
 
-    manager = run_random_workload(HYBRID, skewed=True, seed=seed)
-    h = manager.history()
+    manager, recorded = run_random_workload(HYBRID, skewed=True, seed=seed)
+    h = recorded.history()
     assert timestamps_respect_precedes(h)
     assert is_hybrid_atomic(h, manager.specs())
 
@@ -101,7 +104,9 @@ def test_optimistic_random_runs_hybrid_atomic(seed):
     from repro.runtime import OptimisticTransactionManager, ValidationFailed
 
     rng = random.Random(seed)
-    manager = OptimisticTransactionManager(record_history=True)
+    bus = TraceBus()
+    recorded = bus.subscribe(HistorySink())
+    manager = OptimisticTransactionManager(tracer=bus)
     manager.create_object("Q", make_queue_adt())
     manager.create_object("A", make_account_adt())
     active = []
@@ -131,6 +136,6 @@ def test_optimistic_random_runs_hybrid_atomic(seed):
             manager.commit(txn)
         except ValidationFailed:
             pass
-    h = manager.history()
+    h = recorded.history()
     assert timestamps_respect_precedes(h)
     assert is_hybrid_atomic(h, manager.specs())

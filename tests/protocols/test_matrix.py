@@ -19,6 +19,7 @@ from repro.core import (
     WouldBlock,
     is_hybrid_atomic,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.protocols import ALL_PROTOCOLS
 from repro.runtime import OptimisticTransactionManager, ValidationFailed
 
@@ -89,7 +90,9 @@ def test_every_type_under_every_locking_protocol(adt_name, protocol):
 @pytest.mark.parametrize("adt_name", sorted(INVOCATION_POOLS))
 def test_every_type_under_optimistic_engine(adt_name):
     adt = get_adt(adt_name)
-    manager = OptimisticTransactionManager(record_history=True)
+    bus = TraceBus()
+    recorded = bus.subscribe(HistorySink())
+    manager = OptimisticTransactionManager(tracer=bus)
     manager.create_object("X", adt)
     rng = random.Random(17)
     pool = INVOCATION_POOLS[adt_name]
@@ -116,7 +119,7 @@ def test_every_type_under_optimistic_engine(adt_name):
             manager.commit(txn)
         except ValidationFailed:
             pass
-    assert is_hybrid_atomic(manager.history(), manager.specs())
+    assert is_hybrid_atomic(recorded.history(), manager.specs())
 
 
 def test_matrix_covers_registry():

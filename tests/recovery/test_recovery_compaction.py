@@ -30,7 +30,7 @@ def assert_same_compaction(recovered, peer):
     assert recovered.version_states == peer.version_states
     assert recovered.version_timestamp == peer.version_timestamp
     assert recovered.committed_transactions == peer.committed_transactions
-    assert recovered.forgotten_transactions == peer.forgotten_transactions
+    assert recovered.forgotten_operations == peer.forgotten_operations
 
 
 class TestManagerRecoveryCompaction:
@@ -65,7 +65,7 @@ class TestManagerRecoveryCompaction:
             # Nothing active survives the crash, so the horizon reaches
             # the largest replayed commit timestamp and everything folds.
             assert obj.machine.retained_intentions() == 0
-            assert obj.machine.forgotten_transactions != ()
+            assert obj.machine.forgotten_operations > 0
 
 
 class TestSiteRecoveryCompaction:
@@ -104,7 +104,8 @@ class TestSiteRecoveryCompaction:
         recovered_machine = site.machines()["A"]
         assert_same_compaction(recovered_machine, peer.machines()["A"])
         # T1 folded into the version, T2's single operation retained.
-        assert recovered_machine.forgotten_transactions == ("T1",)
+        assert recovered_machine.commit_timestamp("T1") is None
+        assert recovered_machine.version_timestamp == 3
         assert recovered_machine.retained_intentions() == len(
             recovered_machine.intentions("T2")
         ) == 1

@@ -17,6 +17,7 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.replication import (
     QuorumAssignment,
     QuorumSpec,
@@ -45,8 +46,8 @@ def queue_assignment(replicas=3):
     )
 
 
-def bank(record=False):
-    manager = ReplicatedTransactionManager(record_history=record)
+def bank(tracer=None):
+    manager = ReplicatedTransactionManager(tracer=tracer)
     manager.create_object("A", make_account_adt(), account_assignment())
     return manager
 
@@ -190,7 +191,9 @@ class TestQueueReplication:
 class TestVerification:
     def test_random_replicated_run_hybrid_atomic(self):
         rng = random.Random(11)
-        manager = bank(record=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = bank(tracer=bus)
         manager.create_object(
             "Q", make_queue_adt(), queue_assignment(), universe=queue_universe()
         )
@@ -230,6 +233,6 @@ class TestVerification:
             obj.recover_all()
         for txn in active:
             manager.commit(txn)
-        h = manager.history()
+        h = recorded.history()
         assert timestamps_respect_precedes(h)
         assert is_hybrid_atomic(h, manager.specs())

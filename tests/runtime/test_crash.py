@@ -4,14 +4,21 @@ import pytest
 
 from repro.adts import make_account_adt, make_queue_adt
 from repro.core import TransactionAborted, is_hybrid_atomic
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import Status, TransactionManager
 
 
-def bank(record=False):
-    manager = TransactionManager(record_history=record)
+def bank(tracer=None):
+    manager = TransactionManager(tracer=tracer)
     manager.create_object("A", make_account_adt())
     manager.create_object("Q", make_queue_adt())
     return manager
+
+
+def recorded_bank():
+    """A bank and the sink folding its global history off the bus."""
+    bus = TraceBus()
+    return bank(tracer=bus), bus.subscribe(HistorySink())
 
 
 class TestCrash:
@@ -66,21 +73,21 @@ class TestCrash:
         assert manager.crash() == []
 
     def test_work_after_crash_continues(self):
-        manager = bank(record=True)
+        manager, recorded = recorded_bank()
         manager.run_transaction(lambda ctx: ctx.invoke("A", "Credit", 50))
         t = manager.begin()
         manager.invoke(t, "A", "Credit", 999)
         manager.crash()
         manager.run_transaction(lambda ctx: ctx.invoke("A", "Debit", 20))
         assert manager.object("A").snapshot() == 30
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())
 
     def test_repeated_crashes_random_workload(self):
         import random
 
         rng = random.Random(5)
-        manager = bank(record=True)
+        manager, recorded = recorded_bank()
         manager.run_transaction(lambda ctx: ctx.invoke("A", "Credit", 1000))
         active = []
         for step in range(50):
@@ -101,5 +108,5 @@ class TestCrash:
                 except (LockConflict, WouldBlock):
                     pass
         manager.crash()
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())

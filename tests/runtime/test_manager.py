@@ -12,15 +12,22 @@ from repro.core import (
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.protocols import COMMUTATIVITY, HYBRID
 from repro.runtime import Status, TransactionManager
 
 
-def bank(record=False, generator=None):
-    manager = TransactionManager(record_history=record, generator=generator)
+def bank(generator=None, tracer=None):
+    manager = TransactionManager(generator=generator, tracer=tracer)
     manager.create_object("checking", make_account_adt())
     manager.create_object("savings", make_account_adt())
     return manager
+
+
+def recorded_bank(generator=None):
+    """A bank and the sink folding its global history off the bus."""
+    bus = TraceBus()
+    return bank(generator, tracer=bus), bus.subscribe(HistorySink())
 
 
 class TestLifecycle:
@@ -91,14 +98,14 @@ class TestAtomicCommitment:
             assert manager.object(name).machine.clock == ts
 
     def test_same_timestamp_at_all_objects(self):
-        manager = bank(record=True)
+        manager, recorded = recorded_bank()
         t = manager.begin()
         manager.invoke(t, "checking", "Credit", 10)
         manager.invoke(t, "savings", "Credit", 20)
         manager.commit(t)
         stamps = {
             e.timestamp
-            for e in manager.history()
+            for e in recorded.history()
             if type(e).__name__ == "CommitEvent"
         }
         assert len(stamps) == 1
@@ -182,7 +189,7 @@ class TestRunTransaction:
 
 class TestVerification:
     def test_recorded_history_is_hybrid_atomic(self):
-        manager = bank(record=True)
+        manager, recorded = recorded_bank()
         for i in range(5):
             manager.run_transaction(
                 lambda ctx: (
@@ -193,22 +200,17 @@ class TestVerification:
         t = manager.begin()
         manager.invoke(t, "checking", "Debit", 25)
         manager.abort(t)
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())
         assert timestamps_respect_precedes(h)
 
-    def test_history_requires_recording(self):
-        manager = bank(record=False)
-        with pytest.raises(ProtocolError):
-            manager.history()
-
     def test_skewed_generator_still_hybrid_atomic(self):
-        manager = bank(record=True, generator=SkewedTimestampGenerator(seed=4))
+        manager, recorded = recorded_bank(SkewedTimestampGenerator(seed=4))
         for i in range(8):
             manager.run_transaction(
                 lambda ctx: ctx.invoke("checking", "Credit", 10)
             )
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())
         assert timestamps_respect_precedes(h)
 

@@ -13,17 +13,27 @@ from collections import Counter
 
 import pytest
 
-from repro.adts import make_account_adt, make_queue_adt, queue_universe
+from repro.adts import (
+    make_account_adt,
+    make_counter_adt,
+    make_queue_adt,
+    queue_universe,
+)
 from repro.core import (
+    CommitEvent,
+    Invocation,
+    InvocationEvent,
     LockConflict,
     ProtocolError,
+    ResponseEvent,
     SkewedTimestampGenerator,
     TransactionAborted,
     WouldBlock,
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
-from repro.obs import AtomicityChecker, TraceBus
+from repro.core.history import check_well_formed
+from repro.obs import AtomicityChecker, HistorySink, TraceBus
 from repro.protocols import HYBRID, OPTIMISTIC
 from repro.recovery import MemoryCheckpointStore, MemoryWAL
 from repro.replication import (
@@ -107,10 +117,6 @@ class TestLifecycleGuards:
         manager.begin("named")
         with pytest.raises(ValueError, match="already exists"):
             manager.begin("named")
-
-    def test_history_needs_record_history(self, kind):
-        with pytest.raises(ProtocolError):
-            build(kind).history()
 
     def test_registry_forgets_and_names_are_reusable(self, kind):
         manager = build(kind)
@@ -200,9 +206,9 @@ class TestRunTransaction:
         assert manager.object("A").snapshot() == 0
 
 
-def interleave(manager, seed, steps=60):
-    """A seeded interleaving of up to three live transactions over ``A``
-    and ``Q``; every transaction is completed before returning."""
+def interleave(manager, seed, steps=60, accounts=("A",), queues=("Q",)):
+    """A seeded interleaving of up to three live transactions over the
+    named objects; every transaction is completed before returning."""
     rng = random.Random(seed)
     active = []
 
@@ -222,14 +228,14 @@ def interleave(manager, seed, steps=60):
             if len(active) < 3:
                 active.append(manager.begin())
             txn = rng.choice(active)
-            obj, operation, args = rng.choice(
-                [
-                    ("A", "Credit", (rng.randint(1, 5),)),
-                    ("A", "Debit", (rng.randint(1, 5),)),
-                    ("Q", "Enq", (rng.randint(1, 4),)),
-                    ("Q", "Deq", ()),
-                ]
-            )
+            menu = [
+                (obj, operation, (rng.randint(1, 5),))
+                for obj in accounts
+                for operation in ("Credit", "Debit")
+            ]
+            for obj in queues:
+                menu += [(obj, "Enq", (rng.randint(1, 4),)), (obj, "Deq", ())]
+            obj, operation, args = rng.choice(menu)
             try:
                 manager.invoke(txn, obj, operation, *args)
             except (LockConflict, WouldBlock):
@@ -244,9 +250,11 @@ class TestVerification:
         bus = TraceBus()
         events = []
         bus.subscribe(events.append)
-        manager = build(kind, record_history=True, tracer=bus)
+        recorded = bus.subscribe(HistorySink())
+        manager = build(kind, tracer=bus)
         interleave(manager, seed)
-        history = manager.history()
+        history = recorded.history()
+        check_well_formed(history.events)
         assert timestamps_respect_precedes(history)
         assert is_hybrid_atomic(history, manager.specs())
         checker = AtomicityChecker().replay(events)
@@ -260,6 +268,57 @@ class TestVerification:
         assert begun and set(begun.values()) == {1}
         assert ended == begun
         assert manager._transactions == {}
+
+
+class TestHistorySink:
+    """The bus fold is the only global history (the manager keeps none)."""
+
+    def test_mixed_run_folds_to_what_the_lock_machine_accepted(self):
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        # One manager, one participant of each kind.
+        manager = ReplicatedTransactionManager(tracer=bus)
+        TransactionManager.create_object(manager, "L", make_account_adt())
+        TransactionManager.create_object(
+            manager, "O", make_account_adt(), protocol=OPTIMISTIC
+        )
+        manager.create_object("R", make_account_adt(), ACCOUNT_QUORUMS)
+        interleave(manager, 7, steps=80, accounts=("L", "O", "R"), queues=())
+        history = recorded.history()
+        check_well_formed(history.events)
+        assert set(history.objects()) == {"L", "O", "R"}
+        assert history.committed() and history.aborted()
+        assert timestamps_respect_precedes(history)
+        assert is_hybrid_atomic(history, manager.specs())
+        # Event for event what the one lock machine itself accepted.
+        assert history.restrict_objects(["L"]) == manager.object("L").machine.history()
+
+    def test_a_read_only_transaction_is_carried_as_the_manager_emitted_it(self):
+        bus = TraceBus()
+        events = []
+        bus.subscribe(events.append)
+        recorded = bus.subscribe(HistorySink())
+        manager = TransactionManager(tracer=bus)
+        manager.create_object("C", make_counter_adt())
+        manager.run_transaction(lambda ctx: ctx.invoke("C", "Inc", 5))
+        reader = manager.begin_readonly("reader")
+        manager.run_transaction(lambda ctx: ctx.invoke("C", "Inc", 100))
+        assert manager.invoke(reader, "C", "Read") == 5
+        stamp = manager.commit(reader)
+        emitted = [e for e in events if e.data.get("transaction") == "reader"]
+        assert [e.kind for e in emitted] == [
+            "txn.begin", "txn.invoke", "txn.respond", "txn.commit",
+        ]
+        assert all(e.data["read_only"] for e in emitted)
+        history = recorded.history()
+        assert list(history.restrict_transactions(["reader"])) == [
+            InvocationEvent("reader", "C", Invocation("Read")),
+            ResponseEvent("reader", "C", 5),
+            CommitEvent("reader", "C", stamp),
+        ]
+        # A lock-free read never reached the machine: only the fold has it.
+        assert "reader" not in manager.object("C").machine.history().transactions()
+        assert is_hybrid_atomic(history, manager.specs())
 
 
 class TestVetoes:
@@ -321,7 +380,8 @@ class TestMixedManager:
     def test_one_transaction_over_both_kinds_certifies(self):
         bus = TraceBus()
         checker = bus.subscribe(AtomicityChecker(emit_to=bus))
-        manager = self.mixed(record_history=True, tracer=bus)
+        recorded = bus.subscribe(HistorySink())
+        manager = self.mixed(tracer=bus)
         assert type(manager.object("L")).__name__ == "ManagedObject"
         assert type(manager.object("O")).__name__ == "OptimisticObject"
         manager.run_transaction(lambda ctx: ctx.invoke("L", "Credit", 10))
@@ -331,7 +391,7 @@ class TestMixedManager:
         timestamp = manager.commit(t)
         assert manager.object("L").machine.clock == timestamp
         assert (manager.object("L").snapshot(), manager.object("O").snapshot()) == (6, 4)
-        assert is_hybrid_atomic(manager.history(), manager.specs())
+        assert is_hybrid_atomic(recorded.history(), manager.specs())
         report = checker.report()
         assert report["verdict"] == "clean", checker.render_report()
         assert report["objects"]["L"]["conflict_checked"]

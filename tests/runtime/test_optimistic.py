@@ -4,17 +4,17 @@ import pytest
 
 from repro.adts import make_account_adt, make_file_adt, make_queue_adt
 from repro.core import (
-    ProtocolError,
     TransactionAborted,
     WouldBlock,
     is_hybrid_atomic,
     timestamps_respect_precedes,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import OptimisticTransactionManager, Status, ValidationFailed
 
 
-def bank(record=False):
-    manager = OptimisticTransactionManager(record_history=record)
+def bank():
+    manager = OptimisticTransactionManager()
     manager.create_object("A", make_account_adt())
     return manager
 
@@ -49,8 +49,6 @@ class TestExecution:
         manager.commit(t)
         with pytest.raises(TransactionAborted):
             manager.invoke(t, "A", "Credit", 1)
-        with pytest.raises(ProtocolError):
-            manager.history()
 
 
 class TestValidation:
@@ -132,7 +130,9 @@ class TestValidation:
 
 class TestVerification:
     def test_histories_hybrid_atomic(self):
-        manager = OptimisticTransactionManager(record_history=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = OptimisticTransactionManager(tracer=bus)
         manager.create_object("A", make_account_adt())
         manager.create_object("F", make_file_adt())
         import random
@@ -161,6 +161,6 @@ class TestVerification:
                 manager.commit(txn)
             except ValidationFailed:
                 pass
-        h = manager.history()
+        h = recorded.history()
         assert timestamps_respect_precedes(h)
         assert is_hybrid_atomic(h, manager.specs())

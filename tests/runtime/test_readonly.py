@@ -8,11 +8,12 @@ from repro.core import (
     SkewedTimestampGenerator,
     is_hybrid_atomic,
 )
+from repro.obs import HistorySink, TraceBus
 from repro.runtime import Status, TransactionManager
 
 
-def counter_manager(record=False):
-    manager = TransactionManager(record_history=record)
+def counter_manager():
+    manager = TransactionManager()
     manager.create_object("C", make_counter_adt())
     return manager
 
@@ -104,7 +105,9 @@ class TestPinning:
 
 class TestVerification:
     def test_history_with_readers_is_hybrid_atomic(self):
-        manager = TransactionManager(record_history=True)
+        bus = TraceBus()
+        recorded = bus.subscribe(HistorySink())
+        manager = TransactionManager(tracer=bus)
         manager.create_object("A", make_account_adt())
         manager.create_object("F", make_file_adt(initial=0))
         manager.run_transaction(lambda ctx: ctx.invoke("A", "Credit", 100))
@@ -114,7 +117,7 @@ class TestVerification:
         manager.run_transaction(lambda ctx: ctx.invoke("F", "Write", 7))
         assert manager.invoke(reader, "F", "Read") == 3  # snapshot predates
         manager.commit(reader)
-        h = manager.history()
+        h = recorded.history()
         assert is_hybrid_atomic(h, manager.specs())
 
     def test_object_created_after_reader_rejected(self):

@@ -217,9 +217,17 @@ class TestTrace:
         out = capsys.readouterr().out
         assert "txn.commit" in out and "span(s)" in out
 
-    def test_rejects_optimistic(self, capsys):
-        assert main(["trace", "account", "--protocol", "optimistic"]) == 2
-        assert "locking" in capsys.readouterr().err
+    def test_traces_the_optimistic_engine(self, capsys):
+        run = ["account", "--protocol", "optimistic", "--duration", "60"]
+        assert main(["trace", *run, "--format", "summary"]) == 0
+        out = capsys.readouterr().out
+        assert "validation.success" in out and " 0 malformed" in out
+        # An optimistic object holds no locks, so it has no lock table.
+        assert main(["stats", *run, "--crash-rate", "0.05"]) == 0
+        captured = capsys.readouterr()
+        assert "txn.committed" in captured.out
+        assert "(no active transactions hold locks)" in captured.out
+        assert "locking engines only" in captured.err
 
 
 class TestStats:
