@@ -146,21 +146,9 @@ def _key(operation: Operation) -> Any:
     return operation.args[0]
 
 
-def _binds_key(operation: Operation) -> bool:
-    """Does the operation (with its observed result) bind its key?"""
-    return (
-        operation.name in ("Bind", "Rebind") and operation.result == "Ok"
-    )
-
-
 def _unbinds_key(operation: Operation) -> bool:
     """Does the operation (with its observed result) unbind its key?"""
     return operation.name == "Unbind" and operation.result == "Ok"
-
-
-def _changes_key(operation: Operation) -> bool:
-    """Does the operation change its key's binding at all?"""
-    return _binds_key(operation) or _unbinds_key(operation)
 
 
 def _requires_absent(operation: Operation) -> bool:

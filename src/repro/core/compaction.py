@@ -27,7 +27,7 @@ in the paper's Avalon/C++ Account implementation (``forget()``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Tuple
 
 from .conflict import Relation
 from .errors import ProtocolError
@@ -77,6 +77,12 @@ class CompactingLockMachine(LockMachine):
     data plus the intentions of unforgotten transactions.  The equivalence
     is exercised by differential tests in
     ``tests/core/test_compaction.py``.
+
+    Every managed object, shard and recovered manager runs this machine,
+    so it records no accepted events — a log that grows with every
+    invocation is what Section 6 exists to prevent, and a served object's
+    history is the trace-bus fold (:class:`repro.obs.HistorySink`).
+    ``L(LOCK)`` is recorded by the plain :class:`LockMachine` alone.
     """
 
     def __init__(self, spec: SerialSpec, conflict: Relation, obj: str = "X"):
@@ -99,6 +105,13 @@ class CompactingLockMachine(LockMachine):
     # ------------------------------------------------------------------
     # Observers
     # ------------------------------------------------------------------
+
+    def history(self) -> NoReturn:
+        """Refused: this machine keeps no event log."""
+        raise ProtocolError(
+            f"the compacting machine of {self.obj!r} records no history:"
+            " subscribe an obs.HistorySink to its trace bus"
+        )
 
     def bound(self, transaction: str) -> Optional[Any]:
         """``s.bound(Q)``, or None when undefined."""
@@ -232,9 +245,12 @@ class CompactingLockMachine(LockMachine):
         """Install a checkpointed version into a pristine machine.
 
         Only a machine that has accepted no events may be restored; the
-        recovery driver replays the log suffix on top afterwards.
+        recovery driver replays the log suffix on top afterwards.  (A
+        transaction that is gone still shows: an abort stays in
+        ``aborted``, a folded commit moved the version timestamp.)
         """
-        if self._accepted or self._committed or self._intentions or self._pending:
+        live = self._committed or self._intentions or self._pending
+        if live or self._aborted or self._version_timestamp != NEG_INFINITY:
             raise ProtocolError("cannot restore a version into a used machine")
         version = frozenset(states)
         if not version:
@@ -261,6 +277,9 @@ class CompactingLockMachine(LockMachine):
     # ------------------------------------------------------------------
     # Section 6 postconditions
     # ------------------------------------------------------------------
+
+    def _record(self, event: Any, transaction: str, *fields: Any) -> None:
+        """Record nothing (see the class docstring)."""
 
     def _on_event_observed(self, transaction: str) -> None:
         # <i,X,Q> / <r,X,Q>: s.bound = s'.bound[Q -> s.clock]

@@ -167,17 +167,6 @@ class History:
                 order.append(event.transaction)
         return True
 
-    def op_events(self) -> "History":
-        """The subsequence of invocation and response events."""
-        return History(
-            (
-                e
-                for e in self._events
-                if isinstance(e, (InvocationEvent, ResponseEvent))
-            ),
-            validate=False,
-        )
-
     def op_seq(self) -> OperationSequence:
         """``OpSeq(H)``: pair invocations with responses, drop the rest.
 

@@ -34,7 +34,7 @@ The machine also records the accepted event sequence so its language
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .conflict import Relation
 from .errors import IllegalOperation, LockConflict, ProtocolError, WouldBlock
@@ -68,6 +68,11 @@ class LockMachine:
     (``tests/properties/test_incremental_equivalence``) certifies by
     driving this machine and a naive replay of Section 5.1 through
     identical workloads.
+
+    This class is the Section 5.1 *reference* and the one recorder of
+    ``L(LOCK)``: :meth:`history` is every event it accepted, so its state
+    grows with each for ever.  A managed object runs
+    :class:`CompactingLockMachine`, which for that reason records none.
     """
 
     def __init__(self, spec: SerialSpec, conflict: Relation, obj: str = "X"):
@@ -259,7 +264,7 @@ class LockMachine:
                 f"{transaction} cannot invoke after committing (well-formedness)"
             )
         self._pending[transaction] = invocation
-        self._accepted.append(InvocationEvent(transaction, self.obj, invocation))
+        self._record(InvocationEvent, transaction, invocation)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -271,14 +276,6 @@ class LockMachine:
             )
         self._on_event_observed(transaction)
 
-    def can_respond(self, transaction: str, result: Any) -> bool:
-        """Evaluate the response event's precondition without acting."""
-        try:
-            self._check_response_states(transaction, result)
-        except (ProtocolError, IllegalOperation, LockConflict):
-            return False
-        return True
-
     def respond(self, transaction: str, result: Any) -> Operation:
         """Accept ``<r, X, Q>`` after checking the four preconditions.
 
@@ -287,15 +284,26 @@ class LockMachine:
         On success the pending invocation is consumed and the operation is
         appended to the transaction's intentions list.
         """
-        operation, stepped = self._check_response_states(transaction, result)
+        invocation = self._pending.get(transaction)
+        if invocation is None:
+            raise ProtocolError(f"{transaction} has no pending invocation")
+        if not self.is_active(transaction):
+            raise ProtocolError(f"{transaction} has already completed")
+        operation = Operation(invocation, result)
+        stepped = self.spec.step(self.view_states(transaction), operation)
+        if not stepped:
+            raise IllegalOperation(
+                f"{operation} is not legal after the view of {transaction}"
+            )
+        self._check_conflicts(transaction, operation)
         del self._pending[transaction]
         own = self.intentions(transaction) + (operation,)
         self._intentions[transaction] = own
         # ``stepped`` is the view state-set after appending the operation,
         # computed against the current committed prefix by the legality
-        # check — reuse it instead of re-stepping.
+        # check — install it as the cached view instead of re-stepping.
         self._view_cache[transaction] = (len(own), stepped)
-        self._accepted.append(ResponseEvent(transaction, self.obj, result))
+        self._record(ResponseEvent, transaction, result)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
@@ -340,7 +348,7 @@ class LockMachine:
             )
         self._committed[transaction] = timestamp
         self._invalidate_views(advanced)
-        self._accepted.append(CommitEvent(transaction, self.obj, timestamp))
+        self._record(CommitEvent, transaction, timestamp)
         self._on_commit_observed(transaction, timestamp)
 
     def abort(self, transaction: str) -> None:
@@ -351,7 +359,7 @@ class LockMachine:
         # Aborted intentions were never part of any other view, so only
         # the aborting transaction's cached view dies.
         self._view_cache.pop(transaction, None)
-        self._accepted.append(AbortEvent(transaction, self.obj))
+        self._record(AbortEvent, transaction)
         self._on_abort_observed(transaction)
 
     # ------------------------------------------------------------------
@@ -475,30 +483,6 @@ class LockMachine:
     # Internals
     # ------------------------------------------------------------------
 
-    def _check_response_states(
-        self, transaction: str, result: Any
-    ) -> Tuple[Operation, StateSet]:
-        """Check the response preconditions; also return the stepped view.
-
-        The stepped state-set is the view after appending the operation —
-        :meth:`respond` installs it as the transaction's cached view so
-        the legality check's work is not repeated.
-        """
-        invocation = self._pending.get(transaction)
-        if invocation is None:
-            raise ProtocolError(f"{transaction} has no pending invocation")
-        if not self.is_active(transaction):
-            raise ProtocolError(f"{transaction} has already completed")
-        operation = Operation(invocation, result)
-        states = self.view_states(transaction)
-        stepped = self.spec.step(states, operation)
-        if not stepped:
-            raise IllegalOperation(
-                f"{operation} is not legal after the view of {transaction}"
-            )
-        self._check_conflicts(transaction, operation)
-        return operation, stepped
-
     def _check_conflicts(self, transaction: str, operation: Operation) -> None:
         """Fourth precondition: no conflicting lock held by another active
         transaction (completed transactions hold no locks)."""
@@ -528,6 +512,13 @@ class LockMachine:
                     )
 
     # Hooks for the compacting subclass (Section 6 bookkeeping).
+
+    def _record(
+        self, event: Callable[..., Event], transaction: str, *fields: Any
+    ) -> None:
+        """Record one accepted event — handed over as class and fields,
+        so a subclass that records nothing constructs none."""
+        self._accepted.append(event(transaction, self.obj, *fields))
 
     def _on_event_observed(self, transaction: str) -> None:
         """Called after accepting an invocation or response event."""

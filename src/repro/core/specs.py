@@ -108,10 +108,6 @@ class SerialSpec(ABC):
         """
         return bool(self.run(sequence))
 
-    def is_legal_extension(self, states: StateSet, operation: Operation) -> bool:
-        """Would appending ``operation`` keep a run from ``states`` legal?"""
-        return bool(self.step(states, operation))
-
     def results_for(self, states: StateSet, invocation: Invocation) -> List[Any]:
         """All results the spec permits for ``invocation`` from ``states``.
 

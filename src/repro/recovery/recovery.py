@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..adts.base import ADT, get_adt
+from ..core.canon import canonical_key
 from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.errors import ReproError
 from ..core.lock_machine import LockMachine
@@ -61,6 +62,9 @@ class RecoveryReport:
     #: Transactions restored to the 2PC prepared state.
     prepared_transactions: Tuple[str, ...] = ()
     recovered_objects: Tuple[str, ...] = ()
+    #: 2PC transaction -> its commit timestamp: every logged commit that
+    #: also has a ``prepare`` record (what a peer may still ask about).
+    decided: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds spent replaying.
     elapsed_seconds: float = 0.0
     from_checkpoint: bool = False
@@ -112,8 +116,8 @@ def verify_recovery(
         if recovered != states:
             raise RecoveryError(
                 f"committed state of {obj!r} diverged after recovery: "
-                f"expected {sorted(states, key=repr)!r}, "
-                f"got {sorted(recovered, key=repr)!r}"
+                f"expected {sorted(states, key=canonical_key)!r}, "
+                f"got {sorted(recovered, key=canonical_key)!r}"
             )
 
 
@@ -179,7 +183,7 @@ class _RerootedSpec(SerialSpec):
         self.name = base.name
 
     def initial_state(self):
-        return sorted(self._initial, key=repr)[0]
+        return min(self._initial, key=canonical_key)
 
     def initial_states(self) -> StateSet:
         return self._initial
@@ -254,6 +258,7 @@ def recover_machines(
         scanned_records=image.scanned,
         recovered_objects=tuple(sorted(machines)),
         from_checkpoint=checkpoint is not None and bool(checkpoint.objects),
+        decided={t: image.commits[t][0] for t in image.prepares if t in image.commits},
     )
 
     # Redo: committed intentions in commit-timestamp order, skipping what

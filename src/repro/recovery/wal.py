@@ -36,13 +36,12 @@ import json
 import os
 import pathlib
 import zlib
-from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from ..core.compaction import NEG_INFINITY
 from ..core.errors import ReproError
 from ..core.operations import Invocation, Operation
 from ..core.specs import StateSet
+from ..core.tagged import decode_tagged, encode_tagged
 
 __all__ = [
     "WalCorruption",
@@ -75,51 +74,24 @@ class WalCorruption(ReproError):
 # ----------------------------------------------------------------------
 
 
-def _sort_key(value: Any) -> str:
-    return repr(value)
-
-
-def encode_value(value: Any) -> Any:
-    """Encode a state / argument / timestamp value as JSON-safe data.
-
-    Tuples, lists, sets, frozensets, and the -∞ timestamp are tagged so
-    :func:`decode_value` restores the exact Python shape (state-set
-    equality must survive the round trip).
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple):
-        return {"__t__": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"__l__": [encode_value(v) for v in value]}
-    if isinstance(value, frozenset):
-        return {"__fs__": [encode_value(v) for v in sorted(value, key=_sort_key)]}
-    if isinstance(value, set):
-        return {"__s__": [encode_value(v) for v in sorted(value, key=_sort_key)]}
-    if isinstance(value, Fraction):
-        return {"__fr__": [value.numerator, value.denominator]}
-    if value is NEG_INFINITY or value == NEG_INFINITY:
-        return {"__neginf__": True}
+def _refuse_value(value: Any) -> Any:
     raise TypeError(f"cannot encode {value!r} ({type(value).__name__}) for the WAL")
 
 
+def _refuse_tag(data: Any) -> Any:
+    raise WalCorruption(f"unknown value tag in {data!r}")
+
+
+def encode_value(value: Any) -> Any:
+    """Encode a state / argument / timestamp value as JSON-safe data
+    (:mod:`repro.core.tagged`).  State-set equality must survive the round
+    trip, so a value the tags cannot restore exactly is a ``TypeError``."""
+    return encode_tagged(value, _refuse_value)
+
+
 def decode_value(data: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(data, dict):
-        if "__t__" in data:
-            return tuple(decode_value(v) for v in data["__t__"])
-        if "__l__" in data:
-            return [decode_value(v) for v in data["__l__"]]
-        if "__fs__" in data:
-            return frozenset(decode_value(v) for v in data["__fs__"])
-        if "__s__" in data:
-            return {decode_value(v) for v in data["__s__"]}
-        if "__fr__" in data:
-            return Fraction(data["__fr__"][0], data["__fr__"][1])
-        if "__neginf__" in data:
-            return NEG_INFINITY
-        raise WalCorruption(f"unknown value tag in {data!r}")
-    return data
+    """Inverse of :func:`encode_value`; an unknown tag is corruption."""
+    return decode_tagged(data, _refuse_tag)
 
 
 def encode_operation(operation: Operation) -> Dict[str, Any]:
@@ -140,8 +112,8 @@ def decode_operation(data: Mapping[str, Any]) -> Operation:
 
 
 def encode_states(states: StateSet) -> List[Any]:
-    """Encode a state-set deterministically (sorted by repr)."""
-    return [encode_value(s) for s in sorted(states, key=_sort_key)]
+    """Encode a state-set deterministically (the walker's set order)."""
+    return encode_value(frozenset(states))["__fs__"]
 
 
 def decode_states(data: Iterable[Any]) -> StateSet:

@@ -172,10 +172,10 @@ class ShardEngine:
     A non-empty ``wal`` is *recovered from* — on top of the checkpoint
     in ``store``, when it holds one: committed intentions redone,
     prepared transactions back with their locks, ``decided`` rebuilt
-    from the commit records — and a log written under another stride is
-    refused.  ``store`` is also where the ``checkpoint`` op saves to.
-    ``sink`` is the trace sink to flush with each batch and close at
-    :meth:`close`, when the engine owns one.
+    from the 2PC commit records recovery's one scan found — and a log
+    written under another stride is refused.  ``store`` is also where
+    the ``checkpoint`` op saves to.  ``sink`` is the trace sink to flush
+    with each batch and close at :meth:`close`, when the engine owns one.
     """
 
     def __init__(
@@ -211,16 +211,12 @@ class ShardEngine:
         if wal is not None and len(wal):
             # Imported where it is needed: a volatile engine (every
             # in-process server) never loads the recovery package.
-            from ..recovery import decode_value, recover_manager
+            from ..recovery import recover_manager
 
             self.manager, self.recovery = recover_manager(
                 wal, store=store, tracer=tracer, generator=self.generator, site=site
             )
-            for record in wal.records():
-                if record["kind"] == "commit":
-                    timestamp = decode_value(record["ts"])
-                    if isinstance(timestamp, int):
-                        self.decided[record["txn"]] = timestamp
+            self.decided.update(self.recovery.decided)
         else:
             self.manager = TransactionManager(
                 generator=self.generator, wal=wal, tracer=tracer, site=site

@@ -16,8 +16,10 @@ from repro.core import (
     CompactingLockMachine,
     Invocation,
     LockMachine,
+    ProtocolError,
     is_hybrid_atomic,
 )
+from tests.recording import RecordingCompactingLockMachine
 
 
 def machines():
@@ -147,10 +149,17 @@ class TestDifferential:
         return results
 
     def test_same_results_and_history(self):
-        spec, plain, compacting = machines()
+        spec, plain, _ = machines()
+        compacting = RecordingCompactingLockMachine(spec, QUEUE_CONFLICT_FIG42)
         assert self.run_script(plain) == self.run_script(compacting)
         assert plain.history().events == compacting.history().events
         assert is_hybrid_atomic(plain.history(), {"X": spec})
+
+    def test_production_machine_refuses_history_and_names_the_fold(self):
+        _, _, compacting = machines()
+        self.run_script(compacting)
+        with pytest.raises(ProtocolError, match="HistorySink"):
+            compacting.history()
 
     def test_compacting_retains_less(self):
         _, plain, compacting = machines()

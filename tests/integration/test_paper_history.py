@@ -3,7 +3,6 @@
 
 from repro.adts import FifoQueueSpec, QUEUE_CONFLICT_FIG42, make_queue_adt
 from repro.core import (
-    CompactingLockMachine,
     HistoryBuilder,
     Invocation,
     LockMachine,
@@ -14,6 +13,7 @@ from repro.core import (
 )
 from repro.obs import HistorySink, TraceBus
 from repro.runtime import TransactionManager
+from tests.recording import RecordingCompactingLockMachine
 
 
 SPEC = FifoQueueSpec()
@@ -70,7 +70,7 @@ class TestFormalMachine:
 
     def test_compacting_machine_identical(self):
         plain = LockMachine(SPEC, QUEUE_CONFLICT_FIG42)
-        compacting = CompactingLockMachine(SPEC, QUEUE_CONFLICT_FIG42)
+        compacting = RecordingCompactingLockMachine(SPEC, QUEUE_CONFLICT_FIG42)
         assert self.drive(plain) == self.drive(compacting)
         assert plain.history().events == compacting.history().events
         # And the compacting machine ends with only item 3 materialised.

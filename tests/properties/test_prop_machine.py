@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.adts import get_adt
 from repro.core import (
-    CompactingLockMachine,
     Invocation,
     LockConflict,
     LockMachine,
@@ -16,6 +15,7 @@ from repro.core import (
     is_hybrid_atomic,
     is_online_hybrid_atomic,
 )
+from tests.recording import RecordingCompactingLockMachine
 
 TRANSACTIONS = ["P", "Q", "R"]
 
@@ -103,7 +103,7 @@ def test_compaction_is_transparent(adt_name, commands):
     """Plain and compacting machines accept identical histories."""
     adt = get_adt(adt_name)
     plain = LockMachine(adt.spec, adt.conflict)
-    compacting = CompactingLockMachine(adt.spec, adt.conflict)
+    compacting = RecordingCompactingLockMachine(adt.spec, adt.conflict)
     drive(plain, adt_name, commands)
     drive(compacting, adt_name, commands)
     assert plain.history().events == compacting.history().events

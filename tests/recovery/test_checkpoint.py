@@ -66,6 +66,21 @@ class TestVersionTimestamp:
         with pytest.raises(ProtocolError):
             machine.restore_version(frozenset({0}))
 
+    def test_restore_rejects_a_machine_whose_only_transaction_is_gone(self):
+        # Nothing of the transaction is retained — no intentions, no
+        # commit timestamp, no bound — yet the machine is not pristine.
+        folded = account_machine()
+        commit_one(folded, "P", 5, 3)
+        folded.forget()
+        assert folded.committed_transactions == {} and folded.intentions("P") == ()
+        aborted = account_machine()
+        aborted.execute("P", Invocation("Credit", (1,)))
+        aborted.abort("P")
+        assert aborted.intentions("P") == ()
+        for machine in (folded, aborted):
+            with pytest.raises(ProtocolError, match="used machine"):
+                machine.restore_version(frozenset({0}))
+
     def test_restore_rejects_empty_version(self):
         with pytest.raises(ValueError):
             account_machine().restore_version(frozenset())

@@ -1,10 +1,15 @@
 """Write-ahead log: encoding round-trips, checksums, torn writes, backends."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from repro import obs
 from repro.core import Invocation, Operation
 from repro.core.compaction import NEG_INFINITY
 from repro.recovery import (
@@ -49,7 +54,11 @@ class TestValueCodec:
         ],
     )
     def test_roundtrip(self, value):
-        assert decode_value(encode_value(value)) == value
+        encoded = encode_value(value)
+        assert decode_value(encoded) == value
+        # The trace / wire codec walks the same tags with the same walker.
+        assert obs.encode_value(value) == encoded
+        assert obs.decode_value(encoded) == value
 
     def test_tuple_vs_list_distinguished(self):
         assert decode_value(encode_value((1, 2))) == (1, 2)
@@ -60,12 +69,19 @@ class TestValueCodec:
         assert decode_value(encode_value(NEG_INFINITY)) is NEG_INFINITY
 
     def test_unencodable_rejected(self):
-        with pytest.raises(TypeError):
-            encode_value(object())
+        # Strict at every depth — including what the trace codec tags
+        # leniently (a dict as ``__d__``, anything else as ``__r__``).
+        for value in (object(), {"k": 1}, (1, [object()]), frozenset({(1, b"x")})):
+            with pytest.raises(TypeError):
+                encode_value(value)
+        assert obs.decode_value(obs.encode_value((1, {"k": (2,)}))) == (1, {"k": (2,)})
 
     def test_unknown_tag_rejected(self):
-        with pytest.raises(WalCorruption):
-            decode_value({"__mystery__": 1})
+        for data in ({"__mystery__": 1}, {"__t__": [{"__d__": []}]}, {"__r__": "x"}):
+            with pytest.raises(WalCorruption):
+                decode_value(data)
+        # ...which the trace codec reads as a pre-codec payload.
+        assert obs.decode_value({"__mystery__": 1}) == {"__mystery__": 1}
 
     def test_operation_roundtrip(self):
         op = Operation(Invocation("Debit", (5,)), "Ok")
@@ -74,6 +90,43 @@ class TestValueCodec:
     def test_states_roundtrip(self):
         states = frozenset({Fraction(10), Fraction(3, 2)})
         assert decode_states(encode_states(states)) == states
+
+    def test_set_states_encode_to_the_same_bytes_under_any_hash_seed(self):
+        # A Set state is a frozenset of strings, so a state-*set* is a
+        # frozenset of frozensets: ordering it by ``repr`` followed hash
+        # iteration, and the log / checkpoint bytes changed with the seed.
+        script = (
+            "import json\n"
+            "from repro.adts.set import SetSpec, insert\n"
+            "from repro.recovery import encode_states\n"
+            "spec = SetSpec()\n"
+            "words = (('pear', 'fig'), ('kiwi', 'plum', 'lime'), ('date', 'fig'))\n"
+            "states = frozenset().union(*(\n"
+            "    spec.run([insert(item) for item in items]) for items in words\n"
+            "))\n"
+            "assert len(states) == 3\n"
+            "print(json.dumps(encode_states(states)))\n"
+        )
+        source = str(pathlib.Path(obs.__file__).parents[2])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outputs) == 1
+        assert decode_states(json.loads(outputs.pop())) == frozenset(
+            {
+                frozenset({"pear", "fig"}),
+                frozenset({"kiwi", "plum", "lime"}),
+                frozenset({"date", "fig"}),
+            }
+        )
 
     def test_encoding_is_json_safe(self):
         record = commit_record(

@@ -48,6 +48,7 @@ from repro.runtime import (
     TransactionManager,
     ValidationFailed,
 )
+from tests.recording import record_machine
 
 KINDS = ["hybrid", "optimistic", "replicated"]
 MANAGERS = {
@@ -278,7 +279,9 @@ class TestHistorySink:
         recorded = bus.subscribe(HistorySink())
         # One manager, one participant of each kind.
         manager = ReplicatedTransactionManager(tracer=bus)
-        TransactionManager.create_object(manager, "L", make_account_adt())
+        accepted = record_machine(
+            TransactionManager.create_object(manager, "L", make_account_adt())
+        )
         TransactionManager.create_object(
             manager, "O", make_account_adt(), protocol=OPTIMISTIC
         )
@@ -291,7 +294,7 @@ class TestHistorySink:
         assert timestamps_respect_precedes(history)
         assert is_hybrid_atomic(history, manager.specs())
         # Event for event what the one lock machine itself accepted.
-        assert history.restrict_objects(["L"]) == manager.object("L").machine.history()
+        assert history.restrict_objects(["L"]) == accepted.history()
 
     def test_a_read_only_transaction_is_carried_as_the_manager_emitted_it(self):
         bus = TraceBus()
@@ -299,7 +302,7 @@ class TestHistorySink:
         bus.subscribe(events.append)
         recorded = bus.subscribe(HistorySink())
         manager = TransactionManager(tracer=bus)
-        manager.create_object("C", make_counter_adt())
+        accepted = record_machine(manager.create_object("C", make_counter_adt()))
         manager.run_transaction(lambda ctx: ctx.invoke("C", "Inc", 5))
         reader = manager.begin_readonly("reader")
         manager.run_transaction(lambda ctx: ctx.invoke("C", "Inc", 100))
@@ -317,7 +320,7 @@ class TestHistorySink:
             CommitEvent("reader", "C", stamp),
         ]
         # A lock-free read never reached the machine: only the fold has it.
-        assert "reader" not in manager.object("C").machine.history().transactions()
+        assert "reader" not in accepted.history().transactions()
         assert is_hybrid_atomic(history, manager.specs())
 
 

@@ -349,6 +349,32 @@ class TestTwoPhaseCommit:
         }
         assert third.execute({"op": "stats"})["ok"]["incarnation"] == 3
 
+    def test_a_restart_remembers_two_phase_decisions_only(self):
+        """``decided`` is for peers resolving a prepared transaction;
+        a single-shard commit has none — live, and after any restart."""
+        wal = MemoryWAL()
+        engine = engine_with("b", shard=1, shards=2, wal=wal)
+        for index in range(100):
+            steps = [("b", "Credit", (1,))]
+            assert "ok" in engine.execute({"op": "txn", "name": f"s{index}", "steps": steps})
+        engine.execute({"op": "begin", "name": "X", "quiet": True})
+        invoke(engine, "X", "b", "Credit", 2)
+        vote = engine.execute({"op": "prepare", "txn": "X"})["ok"]
+        apply = {"op": "apply_commit", "txn": "X", "ts": vote + 3}
+        assert engine.execute(apply) == {"ok": vote + 3}
+        assert engine.decided == {"X": vote + 3}
+        recovered = ShardEngine(1, 2, wal=wal, incarnation=2)
+        assert recovered.decided == {"X": vote + 3}
+        assert recovered.execute({"op": "decision", "txn": "X"})["ok"] == {
+            "outcome": "commit",
+            "ts": vote + 3,
+        }
+        assert recovered.execute({"op": "decision", "txn": "s7"})["ok"] == {
+            "outcome": "unknown"
+        }
+        assert recovered.execute(apply) == {"ok": vote + 3}      # the retransmit
+        assert recovered.execute({"op": "snapshot", "obj": "b"})["ok"] == 102
+
     def test_stride_mismatch_is_refused(self):
         wal = MemoryWAL()
         engine_with("a", shard=0, shards=2, wal=wal)
@@ -516,3 +542,65 @@ class TestFailingSink:
         ]
         engine.execute({"op": "begin", "name": "t2"})
         assert seen[-1].kind == "txn.begin"
+
+
+class TestRetainedState:
+    """Section 6, served: what a shard keeps does not grow with the
+    transactions it has committed (ROADMAP item 5)."""
+
+    @staticmethod
+    def retained(engine):
+        """Entries in every list / dict / set the engine, its manager, its
+        timestamp generator and its machines hold."""
+        holders = [engine, engine.manager, engine.generator]
+        holders += [managed.machine for managed in engine.manager.objects.values()]
+        return sum(
+            len(value)
+            for holder in holders
+            for value in vars(holder).values()
+            if isinstance(value, (list, dict, set))
+        )
+
+    def test_committed_transactions_leave_nothing_behind(self, tmp_path, monkeypatch):
+        from repro.core import lock_machine
+        from repro.obs import (
+            WIRE_LATENCY_BUCKETS,
+            FlightRecorder,
+            MetricsRegistry,
+            RegistrySink,
+            TraceBus,
+        )
+
+        built = []
+        for name in ("InvocationEvent", "ResponseEvent", "CommitEvent", "AbortEvent"):
+            monkeypatch.setattr(
+                lock_machine, name, lambda *fields, _name=name: built.append(_name)
+            )
+        # The sinks `repro serve` attaches by default.
+        bus = TraceBus()
+        bus.subscribe(RegistrySink(MetricsRegistry(), WIRE_LATENCY_BUCKETS))
+        bus.subscribe(FlightRecorder(tmp_path, queue_high_water=64, emit_to=bus))
+        engine = ShardEngine(0, 1, wal=None, tracer=bus)
+        for name in ("a", "b"):
+            engine.execute({"op": "create", "name": name, "adt": "Account"})
+
+        def serve(first, last):
+            for index in range(first, last):
+                steps = [("a", "Credit", (1,)), ("b", "Credit", (1,))]
+                op = {"op": "txn", "name": f"t{index}", "steps": steps}
+                assert engine.execute(op)["ok"] == index + 1
+
+        serve(0, 1000)
+        after_1000 = self.retained(engine)
+        serve(1000, 3000)
+        assert self.retained(engine) == after_1000
+        assert engine.decided == {}
+        # The production machine built no core.events object on the way.
+        assert built == []
+        # Still open (item 5 b): an abort leaves its name in the
+        # machine's ``aborted`` set for ever — one entry each, nothing else.
+        for index in range(10):
+            engine.execute({"op": "begin", "name": f"x{index}"})
+            assert invoke(engine, f"x{index}", "a", "Credit", 1) == {"ok": "Ok"}
+            assert engine.execute({"op": "abort", "txn": f"x{index}"}) == {"ok": None}
+        assert self.retained(engine) == after_1000 + 10
