@@ -8,9 +8,13 @@ This benchmark puts wall-clock numbers on that and writes two
 machine-readable artifacts (validated by ``bench_schema.py``):
 
 * ``BENCH_hot_path.json`` — the intentions-list length sweep (ops/sec and
-  p50/p99 per-op latency), commit-churn throughput for the plain and
-  compacting machines, relation-memo enumeration rates, and a
-  checker-certified manager churn run.
+  p50/p99 per-op latency) on Account, whose state is one number; the
+  state-*size* sweep (an ``execute`` + ``commit`` on a FIFOQueue holding
+  0 / 100 / 1,000 items, and the ratio largest : empty — what is left is
+  the queue's own ``items + (value,)`` copy and hash, once per operation);
+  commit-churn throughput for the plain and compacting machines,
+  relation-memo enumeration rates, and a checker-certified manager churn
+  run.
 * ``BENCH_machine_micro.json`` — the machine × protocol commit-churn grid
   (the ``bench_machine_micro.py`` numbers, in a schema'd envelope), plus
   the conflict-relation micro-benchmark: ``related()`` call rates for the
@@ -38,7 +42,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.adts import ACCOUNT_CONFLICT, make_account_adt
+from repro.adts import ACCOUNT_CONFLICT, get_adt, make_account_adt
 from repro.core import CompactingLockMachine, Invocation, LockMachine, Operation
 from repro.core.conflict import PredicateRelation
 from repro.obs import AtomicityChecker, TraceBus
@@ -50,6 +54,9 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SWEEP_LENGTHS = (25, 50, 100, 200, 400)
 SMOKE_SWEEP_LENGTHS = (25, 50, 200)
+STATE_SIZES = (0, 100, 1000)
+STATE_SIZE_TRANSACTIONS = 400
+SMOKE_STATE_SIZE_TRANSACTIONS = 100
 CHURN_TRANSACTIONS = 150
 CERTIFIED_TRANSACTIONS = 100
 MEMO_ROUNDS = 200
@@ -106,6 +113,47 @@ def sweep_intentions_length(adt, lengths, repeats):
                 stats = candidate
         rows.append({"length": length, **stats})
     return rows
+
+
+def sweep_state_size(sizes, transactions):
+    """One-operation transactions on a queue that already holds ``items``.
+
+    Each timed sample is the served shape — ``execute`` an ``Enq``, then
+    ``commit`` (which folds it into the version) — on a compacting
+    machine; an untimed ``Deq`` transaction between samples keeps the
+    queue at its size.  The machine steps the operation once and adopts
+    the result at commit and at the fold, so the p50 should move with the
+    size only by the queue's own tuple copy and hash.
+    """
+    adt = get_adt("FIFOQueue")
+    enq, deq = Invocation("Enq", (7,)), Invocation("Deq")
+    rows = []
+    for items in sizes:
+        machine = CompactingLockMachine(adt.spec, adt.conflict)
+        if items:
+            machine.restore_version(frozenset({tuple(range(items))}))
+        latencies = []
+        for index in range(transactions):
+            before = time.perf_counter()
+            machine.execute(f"E{index}", enq)
+            machine.commit(f"E{index}", 2 * index + 1)
+            latencies.append(time.perf_counter() - before)
+            machine.execute(f"D{index}", deq)
+            machine.commit(f"D{index}", 2 * index + 2)
+        ranked = sorted(latencies)
+        rows.append(
+            {
+                "items": items,
+                "transactions": transactions,
+                "p50_latency_us": _percentile(ranked, 0.50) * 1e6,
+                "p99_latency_us": _percentile(ranked, 0.99) * 1e6,
+            }
+        )
+    return {
+        "adt": adt.name,
+        "rows": rows,
+        "largest_over_empty": rows[-1]["p50_latency_us"] / rows[0]["p50_latency_us"],
+    }
 
 
 def churn(machine, transactions=CHURN_TRANSACTIONS):
@@ -326,6 +374,7 @@ def run_benchmarks(smoke=False, output_dir=REPO_ROOT):
     repeats = 1 if smoke else 3
     memo_rounds = SMOKE_MEMO_ROUNDS if smoke else MEMO_ROUNDS
     relation_rounds = SMOKE_RELATION_ROUNDS if smoke else RELATION_ROUNDS
+    sized = SMOKE_STATE_SIZE_TRANSACTIONS if smoke else STATE_SIZE_TRANSACTIONS
 
     # Warm up bytecode caches before any timing.
     churn(LockMachine(adt.spec, adt.conflict), 30)
@@ -335,6 +384,7 @@ def run_benchmarks(smoke=False, output_dir=REPO_ROOT):
         "smoke": smoke,
         "adt": adt.name,
         "sweep": sweep_intentions_length(adt, lengths, repeats),
+        "state_size": sweep_state_size(STATE_SIZES, sized),
         "commit_churn": commit_churn(adt, repeats),
         "relation_memo": relation_memo(adt, memo_rounds),
         "certified_churn": certified_churn(adt),
@@ -368,6 +418,15 @@ def render_summary(hot_path, machine_micro=None):
             f" (p50 {row['p50_latency_us']:>6,.1f}us,"
             f" p99 {row['p99_latency_us']:>8,.1f}us)"
         )
+    sized = hot_path["state_size"]
+    lines.append(
+        f"state size ({sized['adt']} execute + commit, p50): "
+        + ", ".join(
+            f"{row['items']:,} items {row['p50_latency_us']:,.1f}us"
+            for row in sized["rows"]
+        )
+        + f" (largest : empty {sized['largest_over_empty']:.2f}x)"
+    )
     chn = hot_path["commit_churn"]
     lines.append(
         "commit churn: "
@@ -438,6 +497,7 @@ def test_hot_path_smoke(tmp_path, save_artifact):
     validate_artifact("BENCH_hot_path.json", hot_path)
     validate_artifact("BENCH_machine_micro.json", machine_micro)
     assert max(row["length"] for row in hot_path["sweep"]) >= 200
+    assert [row["items"] for row in hot_path["state_size"]["rows"]] == [0, 100, 1000]
     assert hot_path["certified_churn"]["certification"]["ok"]
     micro = machine_micro["relation_micro"]
     for where in ("inside", "outside"):

@@ -48,6 +48,36 @@ CHURN_STATS = {
 
 SWEEP_ROW = {"length": non_negative_int, **LATENCY_STATS}
 
+#: An operation may not cost the size of what the object holds: the p50
+#: of ``execute`` + ``commit`` on a 1,000-item queue over that on an empty
+#: one.  It was ~16-44x while ``results_for`` ranked a one-state view by
+#: its canonical string and the commit and the fold replayed; what is left
+#: (the queue's own tuple copy and hash) keeps it under 3x.
+STATE_SIZE_CEILING = 4.0
+
+
+def within_state_size_ceiling(value):
+    if positive(value) or value > STATE_SIZE_CEILING:
+        return (
+            f"expected a positive ratio at most {STATE_SIZE_CEILING}, got"
+            f" {value!r}: an operation's cost grows with the object's state"
+        )
+    return None
+
+
+STATE_SIZE = {
+    "adt": str,
+    "rows": [
+        {
+            "items": non_negative_int,
+            "transactions": non_negative_int,
+            "p50_latency_us": positive,
+            "p99_latency_us": positive,
+        }
+    ],
+    "largest_over_empty": within_state_size_ceiling,
+}
+
 #: The atomicity checker's embedded verdict (shared by every benchmark
 #: that certifies the run its numbers came from).
 CERTIFICATION = {
@@ -68,6 +98,7 @@ HOT_PATH_SCHEMA = {
     "smoke": bool,
     "adt": str,
     "sweep": [SWEEP_ROW],
+    "state_size": STATE_SIZE,
     "commit_churn": {
         "plain": CHURN_STATS,
         "compacting": CHURN_STATS,

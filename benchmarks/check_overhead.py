@@ -49,9 +49,20 @@ without needing the pre-instrumentation binary:
   (interleaved repeats, like the sampler's) is the backstop for costs
   that are not calls.
 
-The view cache is not budgeted here: what it buys is gated by counted
-``spec.step`` calls in tier-1
-(``tests/properties/test_incremental_equivalence.py::TestViewCacheCounts``).
+* **state-size budget** — an operation costs the same whatever the
+  object holds: the Python-level calls of one ``execute`` + ``commit``
+  under ``sys.setprofile`` on a compacting FIFOQueue machine holding
+  ``STATE_SIZE_ITEMS`` items must equal those on an empty one, *exactly*
+  (ranking a one-state view by its canonical string was one call per
+  queued item, on every invocation).
+
+What the view cache and the adopted commit / fold states buy in
+``spec.step`` / ``results_for`` calls and ``related`` probes is gated in
+tier-1: ``tests/properties/test_incremental_equivalence.py``,
+``TestViewCacheCounts`` (an in-order commit steps nothing; one
+``results_for`` + one ``step`` per ``execute``; 2 probes per held lock)
+and ``TestCostIndependentOfStateSize`` (the same counts on a 1,000-item
+queue as on an empty one, ``canonical_key`` never called).
 
 Run directly (``PYTHONPATH=src python benchmarks/check_overhead.py``) or
 via pytest.  Exits non-zero on violation.
@@ -61,7 +72,7 @@ import sys
 import tempfile
 import time
 
-from repro.adts import ACCOUNT_CONFLICT, make_account_adt
+from repro.adts import ACCOUNT_CONFLICT, get_adt, make_account_adt
 from repro.core import CompactingLockMachine, Invocation, LockMachine
 from repro.obs import (
     WIRE_LATENCY_BUCKETS,
@@ -108,6 +119,8 @@ SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~2.3x measured
 # (~3.1x before), so this only catches a sink that got much dearer.
 SERVED_TOLERANCE = 3.5
+# The queue the state-size budget fills before counting calls.
+STATE_SIZE_ITEMS = 1000
 SERVED_REPEATS = 7
 
 
@@ -263,6 +276,31 @@ def served_calls(transactions=SERVED_TRANSACTIONS):
     return counts["call"] / transactions, counts["c_call"] / transactions
 
 
+def state_size_calls(items):
+    """Python-level calls of one ``execute`` + ``commit`` on a compacting
+    FIFOQueue machine holding ``items`` items."""
+    adt = get_adt("FIFOQueue")
+    machine = CompactingLockMachine(adt.spec, adt.conflict)
+    if items:
+        machine.restore_version(frozenset({tuple(range(items))}))
+    enq = Invocation("Enq", (7,))
+    machine.execute("warm", enq)
+    machine.commit("warm", 1)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        machine.execute("T", enq)
+        machine.commit("T", 2)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def served_budget(repeats=SERVED_REPEATS):
     """Best no-op-sink vs best served-wiring time for the same events,
     interleaved repeats."""
@@ -348,6 +386,7 @@ def main():
     unprofiled_best, profiled_best = sampler_budget(disabled)
     served_counts = served_calls()
     bare_best, wired_best = served_budget()
+    empty_calls, sized_calls = state_size_calls(0), state_size_calls(STATE_SIZE_ITEMS)
     disabled_tps = TRANSACTIONS / disabled_best
     traced_tps = TRANSACTIONS / traced_best
     idle_tps = TRANSACTIONS / idle_best
@@ -375,6 +414,10 @@ def main():
         f"calls per 15-event transaction; wired {wired_best:.6f}s vs one no-op "
         f"sink {bare_best:.6f}s ({wired_best / bare_best:.2f}x, "
         f"{wired_best / SERVED_TRANSACTIONS * 1e6:.1f} us/txn)"
+    )
+    print(
+        f"state size: {empty_calls} Python calls at 0 items vs {sized_calls} "
+        f"Python calls at {STATE_SIZE_ITEMS:,} items per execute + commit"
     )
 
     failures = []
@@ -436,6 +479,13 @@ def main():
             f"the repro-serve wiring ({wired_best:.6f}s) exceeds "
             f"{SERVED_TOLERANCE:.1f}x one no-op sink ({bare_best:.6f}s) on "
             "the served event mix — the always-on sinks got dearer"
+        )
+
+    if sized_calls != empty_calls:
+        failures.append(
+            f"an execute + commit on a {STATE_SIZE_ITEMS:,}-item queue makes "
+            f"{sized_calls} Python calls against {empty_calls} on an empty "
+            "one — the machine is doing work per item the object holds"
         )
 
     if failures:

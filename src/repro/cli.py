@@ -381,12 +381,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import os
 
-    from .recovery import (
-        FileCheckpointStore,
-        FileWAL,
-        committed_state_set,
-        recover_manager,
-    )
+    from .recovery import FileCheckpointStore, FileWAL, recover_manager
 
     logdir = args.logdir
     if not os.path.isfile(os.path.join(logdir, "wal.jsonl")):
@@ -431,8 +426,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     print(f"{'object':20s}{'committed state':>30s}")
     print("-" * 50)
     for name in sorted(manager.objects):
-        states = committed_state_set(manager.object(name).machine)
-        print(f"{name:20s}{str(sorted(states, key=repr)[0]):>30s}")
+        print(f"{name:20s}{str(manager.object(name).snapshot()):>30s}")
     return 0
 
 

@@ -4,8 +4,9 @@ Several places need to order abstract states deterministically: the
 serial specification's ``results_for`` ("choose a result consistent with
 the view", Section 4.1) iterates a state-*set* and must pick results in
 an order that does not depend on hash seeds or container iteration
-order, and the observability codec sorts set elements when serialising
-trace payloads.  Keying these sorts on ``repr`` is not stable: the
+order (:func:`canonical_order`), every ``snapshot`` shows one state of a
+set (:func:`representative`), and the codecs sort set elements when
+serialising payloads.  Keying these sorts on ``repr`` is not stable: the
 ``repr`` of a ``frozenset`` (the Set/Directory ADT states) lists
 elements in hash-iteration order, which varies with ``PYTHONHASHSEED``
 and across Python versions — so "choose a result consistent with the
@@ -26,9 +27,9 @@ and none of the in-tree specifications hit the fallback.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Collection, List
 
-__all__ = ["canonical_key"]
+__all__ = ["canonical_key", "canonical_order", "representative"]
 
 
 def canonical_key(value: Any) -> str:
@@ -69,3 +70,19 @@ def canonical_key(value: Any) -> str:
         )
         return "d:{" + ",".join(f"{k}={v}" for k, v in pairs) + "}"
     return f"r:{value!r}"
+
+
+def canonical_order(values: Collection[Any]) -> List[Any]:
+    """``values`` in :func:`canonical_key` order.  One value has no order
+    to establish, so its key — a string as long as the state is large —
+    is never built: every in-tree view is such a singleton."""
+    if len(values) < 2:
+        return list(values)
+    return sorted(values, key=canonical_key)
+
+
+def representative(states: Collection[Any]) -> Any:
+    """The one state shown for a non-empty state-set: its only element,
+    else the canonically least — never ``repr`` order, which flips with
+    ``PYTHONHASHSEED`` for set-valued states."""
+    return canonical_order(states)[0]

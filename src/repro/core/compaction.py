@@ -149,20 +149,16 @@ class CompactingLockMachine(LockMachine):
         the largest commit timestamp of an unforgotten committed
         transaction; -∞ when there are no active or committed transactions.
         """
-        candidates: List[Any] = []
-        active_bounds = [
-            b
-            for t, b in self._bounds.items()
-            if t not in self._committed and t not in self._aborted
+        committed, aborted = self._committed, self._aborted
+        candidates: List[Any] = [
+            bound
+            for transaction, bound in self._bounds.items()
+            if transaction not in committed and transaction not in aborted
         ]
-        if active_bounds:
-            candidates.append(min(active_bounds))
         candidates.extend(self._pins.values())
-        if self._committed:
-            candidates.append(max(self._committed.values()))
-        if not candidates:
-            return NEG_INFINITY
-        return min(candidates)
+        if committed:
+            candidates.append(max(committed.values()))
+        return min(candidates, default=NEG_INFINITY)
 
     # ------------------------------------------------------------------
     # Views on top of the version
@@ -315,68 +311,64 @@ class CompactingLockMachine(LockMachine):
         of each forgotten transaction are discarded.  Returns the list of
         transactions forgotten by this call.
 
-        ``ready`` is computed from a horizon *snapshot*, then the inner
-        loop mutates ``_committed``/``_bounds`` before the horizon is
-        recomputed.  The snapshot is safe by a monotonicity invariant:
-        ``ready`` is ascending in commit timestamp and every candidate
-        entering the horizon's min (active bounds, pins, and the largest
-        *remaining* committed timestamp, which includes the element about
-        to be forgotten) stays at or above the snapshot horizon while the
-        loop runs, so each element still satisfies Lemma 19's
-        ``committed(Q) <= horizon`` against the *recomputed* horizon at
-        the moment it is forgotten.  The assertion below re-checks this
-        per transaction; ``tests/core/test_compaction.py`` drives the
-        same check through skewed-timestamp property workloads.
+        One pass, one horizon: while the loop runs every candidate of
+        the horizon's min stays put — active bounds and pins are not
+        touched, and the largest retained commit timestamp is above the
+        horizon or the last of ``ready`` (ascending), deleted last — so
+        the horizon evaluated up front is the current one at each fold
+        (the assertion is Lemma 19 against it) and nothing left behind,
+        all above it, becomes ready by the fold.
 
         Folding moves operations from the retained committed prefix into
         the version without changing the state-set the two jointly
         denote (``run_from`` distributes over concatenation), so the
-        incremental view caches stay valid across a fold — they are
-        already the rebased values.  The bisimulation suite pins this by
-        forcing folds under a live cached view.
+        view caches stay valid across a fold — they are already the
+        rebased values — and a pass that folds *every* retained commit
+        (the served case: nothing active is older) steps nothing: the
+        cached committed state-set is the new version.  A partial pass
+        (a pin or an older active bound holds some back) or a dropped
+        cache replays the intentions.  The bisimulation suite pins both.
         """
-        forgotten: List[str] = []
+        horizon = self.horizon()
+        committed = self._committed
+        ready = sorted(
+            (t for t in committed if committed[t] <= horizon), key=committed.__getitem__
+        )
+        if not ready:
+            return ready
+        adopted = self._committed_cache if len(ready) == len(committed) else None
         old_version_timestamp = self._version_timestamp
         collapsed = 0
-        while True:
-            horizon = self.horizon()
-            ready = sorted(
-                (t for t in self._committed if self._committed[t] <= horizon),
-                key=lambda t: self._committed[t],
+        for transaction in ready:
+            stamp = committed.pop(transaction)
+            assert stamp <= horizon, (
+                f"{transaction} committed at {stamp}, above the horizon"
+                f" {horizon}: folding it would break Lemma 19"
             )
-            if not ready:
-                break
-            for transaction in ready:
-                # Lemma 19 against the *current* horizon, not the
-                # snapshot (see docstring).
-                assert self._committed[transaction] <= self.horizon(), (
-                    f"horizon regressed below {transaction}'s commit "
-                    "timestamp mid-forget; the snapshot invariant is broken"
-                )
-                intentions = self._intentions.pop(transaction, ())
+            intentions = self._intentions.pop(transaction, ())
+            if adopted is None:
                 self._version = self.spec.run_from(self._version, intentions)
-                if not self._version:
-                    raise AssertionError(
-                        "compaction applied an illegal committed intentions list;"
-                        " this indicates a protocol bug"
-                    )
-                self._forgotten_operations += len(intentions)
-                collapsed += len(intentions)
-                if self._version_timestamp < self._committed[transaction]:
-                    self._version_timestamp = self._committed[transaction]
-                del self._committed[transaction]
-                self._bounds.pop(transaction, None)
-                forgotten.append(transaction)
-        if forgotten:
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "compaction.advance",
-                    obj=self.obj,
-                    old_horizon=old_version_timestamp,
-                    new_horizon=self._version_timestamp,
-                    collapsed=collapsed,
-                    forgotten=tuple(forgotten),
-                    retained=self.retained_intentions(),
-                )
-        return forgotten
+            collapsed += len(intentions)
+            if self._version_timestamp < stamp:
+                self._version_timestamp = stamp
+            self._bounds.pop(transaction, None)
+        if adopted is not None:
+            self._version = adopted
+        if not self._version:
+            raise AssertionError(
+                "compaction applied an illegal committed intentions list;"
+                " this indicates a protocol bug"
+            )
+        self._forgotten_operations += collapsed
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.emit(
+                "compaction.advance",
+                obj=self.obj,
+                old_horizon=old_version_timestamp,
+                new_horizon=self._version_timestamp,
+                collapsed=collapsed,
+                forgotten=tuple(ready),
+                retained=self.retained_intentions(),
+            )
+        return ready

@@ -195,7 +195,7 @@ class LockMachine:
         """
         return self.spec.initial_states()
 
-    def _committed_view_states(self) -> StateSet:
+    def committed_states(self) -> StateSet:
         """State-set denoted by the committed state, cached.
 
         The cache is advanced incrementally on in-timestamp-order commits
@@ -231,7 +231,7 @@ class LockMachine:
             # An intentions list never shrinks while its cache entry
             # lives (abort/commit/forget drop the entry), so this branch
             # is unreachable; rebuild defensively if it ever isn't.
-        states = self.spec.run_from(self._committed_view_states(), own)
+        states = self.spec.run_from(self.committed_states(), own)
         self._view_cache[transaction] = (len(own), states)
         return states
 
@@ -296,27 +296,34 @@ class LockMachine:
                 f"{operation} is not legal after the view of {transaction}"
             )
         self._check_conflicts(transaction, operation)
+        self._accept_response(transaction, operation, stepped)
+        return operation
+
+    def _accept_response(
+        self, transaction: str, operation: Operation, stepped: StateSet
+    ) -> None:
+        """The response passed its four preconditions: consume the pending
+        invocation, append the operation.  ``stepped``, the legality
+        check's result against the current prefix, is the new cached view."""
         del self._pending[transaction]
         own = self.intentions(transaction) + (operation,)
         self._intentions[transaction] = own
-        # ``stepped`` is the view state-set after appending the operation,
-        # computed against the current committed prefix by the legality
-        # check — install it as the cached view instead of re-stepping.
         self._view_cache[transaction] = (len(own), stepped)
-        self._record(ResponseEvent, transaction, result)
+        self._record(ResponseEvent, transaction, operation.result)
         tracer = self.tracer
         if tracer is not None:
             tracer.emit(
                 "txn.respond",
                 transaction=transaction,
                 obj=self.obj,
-                result=result,
+                result=operation.result,
             )
         self._on_event_observed(transaction)
-        return operation
 
     def commit(self, transaction: str, timestamp: Any) -> None:
-        """Accept ``<commit(t), X, Q>``; precondition True (input event)."""
+        """Accept ``<commit(t), X, Q>``; precondition True (input event).
+        In timestamp order it steps nothing: Q's cached view is adopted
+        as the committed state-set (sound for the reason given below)."""
         if transaction in self._aborted:
             raise ProtocolError(f"{transaction} already aborted (well-formedness)")
         if transaction in self._pending:
@@ -328,7 +335,7 @@ class LockMachine:
             raise ProtocolError(
                 f"{transaction} previously committed with timestamp {previous}"
             )
-        in_order = True
+        in_order = previous is None  # a re-delivered commit extends nothing
         for other, stamp in self._committed.items():
             if other != transaction and stamp == timestamp:
                 raise ProtocolError(
@@ -337,15 +344,21 @@ class LockMachine:
             if timestamp < stamp:
                 in_order = False
         advanced: Optional[StateSet] = None
-        if in_order and self._committed_cache is not None:
-            # The new timestamp exceeds every retained committed one, so
-            # the transaction's intentions *extend* the committed state —
-            # advance the cached state-set instead of dropping it.  An
-            # out-of-order (skewed) timestamp splices the intentions into
-            # the middle of the prefix; that falls back to a recompute.
-            advanced = self.spec.run_from(
-                self._committed_cache, self.intentions(transaction)
-            )
+        if in_order:
+            # The timestamp exceeds every retained committed one, so the
+            # new committed state is committed · intentions(Q) = View(Q),
+            # and a cached view is trusted exactly while the prefix it was
+            # stepped from stands (every change drops every entry): adopt
+            # it.  Without a current entry (a recovered transaction, another
+            # commit since Q's last operation) replay Q's intentions over
+            # the cached prefix.  A skewed timestamp splices into the
+            # middle of the prefix; that falls back to a lazy recompute.
+            own = self.intentions(transaction)
+            entry = self._view_cache.get(transaction)
+            if entry is not None and entry[0] == len(own):
+                advanced = entry[1]
+            elif self._committed_cache is not None:
+                advanced = self.spec.run_from(self._committed_cache, own)
         self._committed[transaction] = timestamp
         self._invalidate_views(advanced)
         self._record(CommitEvent, transaction, timestamp)
@@ -389,7 +402,9 @@ class LockMachine:
         When several results are legal and only some are lock-blocked, the
         first non-conflicting result is chosen — a scheduler that "retries
         immediately", permitted because a retried invocation "may return a
-        different result".
+        different result".  One pass: ``results_for`` once, the lock check
+        once per candidate, ``spec.step`` once for the chosen result, which
+        is accepted as :meth:`invoke` + :meth:`respond` would accept it.
         """
         if transaction in self._pending:
             raise ProtocolError(
@@ -411,13 +426,16 @@ class LockMachine:
             raise WouldBlock(f"{invocation} has no legal outcome in the view")
         conflict: Optional[LockConflict] = None
         for result in results:
+            operation = Operation(invocation, result)
             try:
-                self._check_conflicts(transaction, Operation(invocation, result))
+                self._check_conflicts(transaction, operation)
             except LockConflict as exc:
                 conflict = exc
                 continue
+            # ``result`` came from ``states``, so the step is non-empty.
+            stepped = self.spec.step(states, operation)
             self.invoke(transaction, invocation)
-            self.respond(transaction, result)
+            self._accept_response(transaction, operation, stepped)
             return result
         assert conflict is not None
         raise conflict
@@ -446,7 +464,7 @@ class LockMachine:
                 raise ProtocolError(
                     f"timestamp {timestamp} already used by {other} (replay)"
                 )
-        replayed = self.spec.run_from(self._committed_view_states(), ops)
+        replayed = self.spec.run_from(self.committed_states(), ops)
         if not replayed:
             raise IllegalOperation(
                 f"replayed intentions of {transaction} are illegal after the"
@@ -468,7 +486,7 @@ class LockMachine:
         ops = tuple(intentions)
         if not self.is_active(transaction):
             raise ProtocolError(f"{transaction} already completed; cannot replay")
-        if not self.spec.run_from(self._committed_view_states(), ops):
+        if not self.spec.run_from(self.committed_states(), ops):
             raise IllegalOperation(
                 f"replayed intentions of {transaction} are illegal after the"
                 " committed state; the log or checkpoint is corrupt"

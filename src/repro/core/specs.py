@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any, FrozenSet, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
-from .canon import canonical_key
+from .canon import canonical_order
 from .operations import Invocation, Operation, OperationSequence
 
 __all__ = ["SerialSpec", "StateSet", "enumerate_legal_sequences"]
@@ -114,14 +114,16 @@ class SerialSpec(ABC):
         Used by the locking protocol to "choose a result consistent with the
         view" (Section 4.1).  The returned list is duplicate-free and
         deterministically ordered for reproducibility: candidate states
-        are ranked by their canonical encoding
-        (:func:`repro.core.canon.canonical_key`), not ``repr`` — the
-        ``repr`` of set-valued states lists elements in hash-iteration
-        order, which varies with ``PYTHONHASHSEED`` and would let the
-        chosen result flip between runs.
+        are visited in :func:`repro.core.canon.canonical_order` — ranked
+        by canonical encoding, not ``repr`` (the ``repr`` of set-valued
+        states lists elements in hash-iteration order, which varies with
+        ``PYTHONHASHSEED`` and would let the chosen result flip between
+        runs).  A one-state set is visited as it is: there is nothing to
+        rank, so the call costs what ``outcomes`` costs and never the
+        size of the state (every in-tree view is such a singleton).
         """
         seen: List[Any] = []
-        for state in sorted(states, key=canonical_key):
+        for state in canonical_order(states):
             for result, _ in self.outcomes(state, invocation):
                 if result not in seen:
                     seen.append(result)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable
 
-from .canon import canonical_key
+from .canon import canonical_order
 from .compaction import NEG_INFINITY
 
 __all__ = ["encode_tagged", "decode_tagged"]
@@ -43,7 +43,7 @@ def encode_tagged(value: Any, other: Callable[[Any], Any]) -> Any:
         return {"__l__": [encode_tagged(item, other) for item in value]}
     if isinstance(value, (frozenset, set)):
         tag = "__fs__" if isinstance(value, frozenset) else "__s__"
-        ordered = sorted(value, key=canonical_key)
+        ordered = canonical_order(value)
         return {tag: [encode_tagged(item, other) for item in ordered]}
     if isinstance(value, type(NEG_INFINITY)):  # or an unpickled copy of it
         return {"__neginf__": True}

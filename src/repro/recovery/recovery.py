@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..adts.base import ADT, get_adt
-from ..core.canon import canonical_key
+from ..core.canon import canonical_order, representative
 from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.errors import ReproError
 from ..core.lock_machine import LockMachine
@@ -116,8 +116,8 @@ def verify_recovery(
         if recovered != states:
             raise RecoveryError(
                 f"committed state of {obj!r} diverged after recovery: "
-                f"expected {sorted(states, key=canonical_key)!r}, "
-                f"got {sorted(recovered, key=canonical_key)!r}"
+                f"expected {canonical_order(states)!r}, "
+                f"got {canonical_order(recovered)!r}"
             )
 
 
@@ -183,7 +183,7 @@ class _RerootedSpec(SerialSpec):
         self.name = base.name
 
     def initial_state(self):
-        return min(self._initial, key=canonical_key)
+        return representative(self._initial)
 
     def initial_states(self) -> StateSet:
         return self._initial

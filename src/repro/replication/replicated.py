@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adts.base import ADT
+from ..core.canon import representative
 from ..core.compaction import NEG_INFINITY
 from ..core.conflict import Relation
 from ..core.errors import LockConflict, ReproError, WouldBlock
@@ -307,8 +308,7 @@ class ReplicatedObject:
         merged: Log = {}
         for replica in self.live_replicas():
             merged.update(replica.entries())
-        states = self.spec.run(self._ordered(merged))
-        return sorted(states, key=repr)[0]
+        return representative(self.spec.run(self._ordered(merged)))
 
 
 class ReplicatedTransactionManager(TransactionManager):

@@ -35,6 +35,7 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ..adts.base import ADT
+from ..core.canon import representative
 from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.conflict import Relation
 from ..core.errors import (
@@ -105,14 +106,11 @@ class ManagedObject:
     def snapshot(self) -> Any:
         """A committed-state snapshot (one abstract state), for inspection.
 
-        Picks the representative state deterministically when the
+        The machine's cached committed state-set — nothing is replayed —
+        and its :func:`~repro.core.canon.representative` when the
         specification's non-determinism leaves several.
         """
-        machine = self.machine
-        states = machine.spec.run_from(
-            machine.version_states, machine.committed_state()
-        )
-        return sorted(states, key=repr)[0]
+        return representative(self.machine.committed_states())
 
 
 class TransactionManager:

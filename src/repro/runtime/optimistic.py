@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..adts.base import ADT
+from ..core.canon import representative
 from ..core.compaction import NEG_INFINITY
 from ..core.conflict import Relation
 from ..core.errors import ValidationFailed, WouldBlock
@@ -183,8 +184,7 @@ class OptimisticObject:
 
     def snapshot(self) -> Any:
         """A committed-state snapshot (deterministic representative)."""
-        states = self.spec.run(tuple(self._committed))
-        return sorted(states, key=repr)[0]
+        return representative(self.spec.run(tuple(self._committed)))
 
 
 class OptimisticTransactionManager(TransactionManager):

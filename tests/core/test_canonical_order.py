@@ -18,7 +18,7 @@ from pathlib import Path
 
 import repro
 from repro.core import Invocation
-from repro.core.canon import canonical_key
+from repro.core.canon import canonical_key, canonical_order, representative
 from repro.core.specs import SerialSpec
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -66,6 +66,26 @@ class TestCanonicalKey:
         assert canonical_key(a) == canonical_key(b)
 
 
+class TestCanonicalOrder:
+    def test_orders_by_canonical_key(self):
+        states = frozenset(frozenset(word) for word in WORDS)
+        assert canonical_order(states) == sorted(states, key=canonical_key)
+        assert representative(states) == min(states, key=canonical_key)
+
+    def test_a_singleton_is_never_keyed(self, monkeypatch):
+        """Nothing to rank: the element comes back without its key — a
+        string as long as the state — ever being built."""
+
+        def refuse(value):
+            raise AssertionError("canonical_key called for a one-state set")
+
+        monkeypatch.setattr("repro.core.canon.canonical_key", refuse)
+        state = tuple(range(1000))
+        assert canonical_order(frozenset({state})) == [state]
+        assert representative(frozenset({state})) is state
+        assert canonical_order(frozenset()) == []
+
+
 class PickSpec(SerialSpec):
     """Each state answers ``Pick`` with a distinct result, so the order
     of ``results_for`` exposes exactly how the states were ranked."""
@@ -110,6 +130,65 @@ print(PickSpec().results_for(states, Invocation("Pick")))
 print(encode_value(frozenset({words!r})))
 """.format(src=SRC_DIR, words=WORDS)
 
+#: A two-outcome specification driven through the shipped machine and
+#: manager: ``Fork`` answers "Ok" and moves to *either* of two set-valued
+#: successors, so every view after it holds several states — the case in
+#: which ``results_for`` still has an order to keep and ``snapshot`` a
+#: representative to choose.
+_FORK_SCRIPT = """
+import sys
+
+sys.path.insert(0, {src!r})
+
+import dataclasses
+
+from repro.adts import get_adt
+from repro.core import Invocation, Operation
+from repro.core.conflict import EnumeratedRelation
+from repro.core.specs import SerialSpec
+from repro.runtime import TransactionManager
+
+
+class ForkSpec(SerialSpec):
+    name = "Fork"
+
+    def initial_state(self):
+        return frozenset()
+
+    def outcomes(self, state, invocation):
+        if invocation.name == "Fork":
+            (left, right) = invocation.args
+            return [("Ok", state | {{left}}), ("Ok", state | {{right}})]
+        if invocation.name == "Pick":
+            return [("|".join(sorted(state)) or "-", state)]
+        return []
+
+
+spec = ForkSpec()
+states = spec.run([Operation(Invocation("Fork", pair), "Ok") for pair in {pairs!r}])
+print(len(states), spec.results_for(states, Invocation("Pick")))
+
+adt = dataclasses.replace(get_adt("Set"), name="Fork", spec=spec)
+manager = TransactionManager()
+obj = manager.create_object("f", adt, conflict=EnumeratedRelation())
+txn = manager.begin()
+for pair in {pairs!r}:
+    manager.invoke(txn, "f", "Fork", *pair)
+manager.commit(txn)
+print(sorted(obj.snapshot()), len(obj.machine.committed_states()))
+print(manager.invoke(manager.begin(), "f", "Pick"))
+""".format(src=SRC_DIR, pairs=[("ab", "xyz"), ("q", "repro"), ("lock", "horizon")])
+
+
+def _under_seed(script, seed):
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONHASHSEED=seed),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
 
 class TestResultsForDeterminism:
     def test_order_follows_canonical_key(self):
@@ -123,16 +202,16 @@ class TestResultsForDeterminism:
     def test_stable_across_hash_seeds(self):
         """The regression proper: identical result order (and identical
         encoded trace payloads) under different ``PYTHONHASHSEED``s."""
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            outputs.append(
-                subprocess.run(
-                    [sys.executable, "-c", _SEED_SCRIPT],
-                    env=env,
-                    capture_output=True,
-                    text=True,
-                    check=True,
-                ).stdout
-            )
+        outputs = [_under_seed(_SEED_SCRIPT, seed) for seed in ("1", "2")]
         assert outputs[0] == outputs[1]
+
+    def test_multi_state_views_keep_order_and_representative(self):
+        """Views that hold several states (a two-outcome operation) still
+        get a ranked ``results_for``, the same first result from the
+        machine, and the same ``snapshot`` under three hash seeds."""
+        outputs = {_under_seed(_FORK_SCRIPT, seed) for seed in ("1", "2", "3")}
+        assert len(outputs) == 1
+        order, shown, chosen = outputs.pop().splitlines()
+        assert order.startswith("8 ['ab|horizon|q', ")  # 2 x 2 x 2 states, ranked
+        assert shown == "['ab', 'horizon', 'q'] 8"  # the canonically least of 8
+        assert chosen == "ab|horizon|q"  # ... which also answers first

@@ -18,23 +18,45 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.adts import ACCOUNT_CONFLICT, AccountSpec, get_adt
+from repro.adts import ACCOUNT_CONFLICT, AccountSpec, FifoQueueSpec, get_adt
 from repro.core import (
     CompactingLockMachine,
     Invocation,
     LockConflict,
     LockMachine,
+    Operation,
+    Relation,
     WouldBlock,
+    canon,
 )
 from repro.core.timestamps import SkewedTimestampGenerator
 from repro.obs import TraceBus
 from tests.recording import RecordingCompactingLockMachine
 
 
+class _NeverStores(dict):
+    """A view cache that forgets every entry it is handed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class NaiveReplay:
     """Section 5.1 read literally: ``View(Q, s)`` — the committed state in
     timestamp order, then Q's own intentions — is replayed through the
-    specification from the base states on every response check."""
+    specification from the base states on every response check.
+
+    It keeps *no* cache: the per-transaction view cache drops every store
+    and the committed state-set is never remembered, so a commit has no
+    view to adopt and a fold no committed state-set to install — both take
+    their replay paths, which is what makes this machine a reference for
+    the shipped one's adoptions and not a second copy of them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._view_cache = _NeverStores()
+
+    _committed_cache = property(lambda self: None, lambda self, value: None)
 
     def view_states(self, transaction):
         return self.spec.run_from(self._base_states(), self.view(transaction))
@@ -180,16 +202,41 @@ def test_cached_machine_bisimulates_naive_replay(
     drive_both(cached, naive, adt_name, commands, seed)
 
 
-class CountingAccountSpec(AccountSpec):
-    """Account spec that counts ``step`` calls (``run_from`` included)."""
+class CountsSpecCalls:
+    """Counts ``step`` (``run_from`` included) and ``results_for`` calls."""
 
-    def __init__(self):
-        super().__init__(initial=0)
-        self.steps = 0
+    steps = 0
+    choices = 0
 
     def step(self, states, operation):
         self.steps += 1
         return super().step(states, operation)
+
+    def results_for(self, states, invocation):
+        self.choices += 1
+        return super().results_for(states, invocation)
+
+
+class CountingAccountSpec(CountsSpecCalls, AccountSpec):
+    def __init__(self):
+        super().__init__(initial=0)
+
+
+class CountingQueueSpec(CountsSpecCalls, FifoQueueSpec):
+    pass
+
+
+class CountingRelation(Relation):
+    """Counts ``related`` probes of the relation it wraps."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = base.name
+        self.probes = 0
+
+    def related(self, q, p):
+        self.probes += 1
+        return self.base.related(q, p)
 
 
 def test_cached_machine_does_linear_work_per_operation():
@@ -254,8 +301,9 @@ class TestForgetUnderLiveCachedView:
 
 
 class TestViewCacheCounts:
-    """What the caches buy, counted in ``spec.step`` calls — deterministic,
-    so a lost cache fails here and not as a wall-clock ratio on a shared
+    """What the caches buy, counted in ``spec.step`` / ``results_for``
+    calls and ``related`` probes — deterministic, so a lost cache or a
+    second pass fails here and not as a wall-clock ratio on a shared
     runner."""
 
     CREDIT = Invocation("Credit", (1,))
@@ -273,28 +321,47 @@ class TestViewCacheCounts:
     def test_one_step_per_execute_whatever_the_intentions_length(self, machine_class):
         machine = machine_class(CountingAccountSpec(), ACCOUNT_CONFLICT)
         assert self.run(machine, "T", 200) == [1] * 200
+        # ... and one "choose a result" each: the operation is looked at
+        # twice (results_for, then step), not four times.
+        assert machine.spec.choices == 200
 
-    def test_in_order_commit_steps_only_the_committers_operations(self):
+    @pytest.mark.parametrize("machine_class", [LockMachine, CompactingLockMachine])
+    def test_execute_probes_each_held_lock_once_in_each_direction(self, machine_class):
+        relation = CountingRelation(ACCOUNT_CONFLICT)
+        machine = machine_class(CountingAccountSpec(), relation)
+        for holders in range(1, 9):
+            assert machine.execute(f"H{holders}", self.CREDIT) == "Ok"
+            before = relation.probes
+            assert machine.execute("T", self.CREDIT) == "Ok"
+            # T's own operations are not probed; every holder's one
+            # operation is, as (held, new) and (new, held).
+            assert relation.probes - before == 2 * holders
+
+    def test_in_order_commit_adopts_view(self):
         machine = LockMachine(CountingAccountSpec(), ACCOUNT_CONFLICT)
         self.run(machine, "P", 50)
         machine.commit("P", 1)
         self.run(machine, "Q", 7)
         before = machine.spec.steps
         machine.commit("Q", 2)
-        # The 50 retained operations of P are not replayed ...
-        assert machine.spec.steps - before == 7
-        # ... and the next view starts from the advanced prefix.
+        # Neither P's 50 retained operations nor Q's own 7 are replayed:
+        # Q's view *is* the new committed state ...
+        assert machine.spec.steps == before
+        # ... and the next view starts from it.
         assert self.run(machine, "R", 3) == [1, 1, 1]
+        assert machine.view_states("R") == frozenset({Fraction(60)})
 
-    def test_compacting_commit_steps_its_operations_once_more_to_fold(self):
+    def test_compacting_fold_adopts_too(self):
         machine = CompactingLockMachine(CountingAccountSpec(), ACCOUNT_CONFLICT)
         self.run(machine, "P", 50)
         machine.commit("P", 1)
         self.run(machine, "Q", 7)
         before = machine.spec.steps
         machine.commit("Q", 2)
-        # Advance the committed prefix (7), fold Q into the version (7).
-        assert machine.spec.steps - before == 14
+        # Nothing to advance the prefix, nothing to fold Q into the version.
+        assert machine.spec.steps == before
+        assert machine.version_states == frozenset({Fraction(57)})
+        assert machine.retained_intentions() == 0
         assert self.run(machine, "R", 3) == [1, 1, 1]
 
     def test_out_of_order_commit_recomputes_the_prefix_exactly_once(self):
@@ -310,3 +377,125 @@ class TestViewCacheCounts:
         # nobody pays for them again.
         assert self.run(machine, "S", 3) == [35 + 1, 1, 1]
         assert self.run(machine, "W", 2) == [1, 1]
+
+
+class TestCostIndependentOfStateSize:
+    """An ``execute`` + ``commit`` on a queue holding 1,000 items makes the
+    calls it makes on an empty one — and none of them ranks the state."""
+
+    ENQ = Invocation("Enq", (7,))
+
+    def counted(self, machine_class, items, monkeypatch):
+        keyed = []
+        real = canon.canonical_key
+        monkeypatch.setattr(
+            canon, "canonical_key", lambda value: keyed.append(1) or real(value)
+        )
+        relation = CountingRelation(get_adt("FIFOQueue").conflict)
+        machine = machine_class(CountingQueueSpec(), relation)
+        for item in range(items):
+            machine.execute("fill", Invocation("Enq", (item,)))
+        machine.commit("fill", 1)
+        machine.execute("holder", self.ENQ)  # one lock to probe against
+        spec = machine.spec
+        before = (spec.steps, spec.choices, relation.probes, len(keyed))
+        assert machine.execute("T", self.ENQ) == "Ok"
+        machine.commit("T", 2)
+        assert machine.view_states("holder") == frozenset(
+            {tuple(range(items)) + (7, 7)}
+        )
+        after = (spec.steps, spec.choices, relation.probes, len(keyed))
+        return tuple(b - a for a, b in zip(before, after))
+
+    @pytest.mark.parametrize("machine_class", [LockMachine, CompactingLockMachine])
+    def test_spec_calls_probes_and_no_canonical_key(self, machine_class, monkeypatch):
+        empty = self.counted(machine_class, 0, monkeypatch)
+        full = self.counted(machine_class, 1000, monkeypatch)
+        # holder's view is rebuilt after the commit by the assertion
+        # inside ``counted``: one step, the same on both.
+        assert empty == full == (2, 1, 2, 0)
+
+
+class TestAdoptedStatesAgainstNaiveReplay:
+    """The cases the commit / fold shortcuts must *not* take, each driven
+    through the shipped machine and the cache-less :class:`NaiveReplay`
+    and compared state-set for state-set."""
+
+    CREDIT = Invocation("Credit", (1,))
+    POST = Invocation("Post", (50,))
+
+    def pair(self):
+        spec = AccountSpec(initial=10)
+        return (
+            RecordingCompactingLockMachine(spec, ACCOUNT_CONFLICT),
+            NaiveCompactingLockMachine(spec, ACCOUNT_CONFLICT),
+        )
+
+    def both(self, machines, step):
+        for machine in machines:
+            step(machine)
+        assert_bisimilar(*machines)
+        cached, naive = machines
+        assert cached.committed_states() == naive.committed_states()
+
+    def test_view_invalidated_by_another_commit_since_the_last_operation(self):
+        machines = self.pair()
+        self.both(machines, lambda m: m.execute("Q", self.CREDIT))
+        self.both(machines, lambda m: m.execute("P", self.POST))
+        # P commits first: Q's cached view (10 + 1) no longer follows the
+        # committed prefix (15), so Q's commit must replay, not adopt.
+        self.both(machines, lambda m: m.commit("P", 1))
+        self.both(machines, lambda m: m.commit("Q", 2))
+        assert machines[0].version_states == frozenset({Fraction(16)})
+
+    def test_recovered_transaction_has_no_view_to_adopt(self):
+        machines = self.pair()
+        operations = (Operation(self.CREDIT, "Ok"), Operation(self.CREDIT, "Ok"))
+        self.both(machines, lambda m: m.replay_active("Q", operations))
+        self.both(machines, lambda m: m.commit("Q", 3))
+        assert machines[0].version_states == frozenset({Fraction(12)})
+
+    def test_skewed_timestamp_splices_into_the_prefix(self):
+        machines = self.pair()
+        self.both(machines, lambda m: m.execute("W", self.CREDIT))  # holds folds
+        self.both(machines, lambda m: m.execute("P", self.POST))
+        self.both(machines, lambda m: m.execute("Q", self.CREDIT))
+        self.both(machines, lambda m: m.commit("P", 20))
+        # Q's timestamp is below P's: interest is then posted on Q's
+        # credit too, which no view Q ever held says.
+        self.both(machines, lambda m: m.commit("Q", 10))
+        self.both(machines, lambda m: m.abort("W"))
+        assert machines[0].version_states == frozenset({Fraction(33, 2)})
+
+    def test_partial_fold_held_back_by_a_pin_and_by_an_older_bound(self):
+        machines = self.pair()
+        self.both(machines, lambda m: m.execute("P", self.CREDIT))
+        self.both(machines, lambda m: m.commit("P", 1))
+        self.both(machines, lambda m: m.pin("reader", 2))
+        self.both(machines, lambda m: m.execute("Q", self.POST))
+        self.both(machines, lambda m: m.commit("Q", 2))
+        self.both(machines, lambda m: m.execute("R", self.CREDIT))
+        self.both(machines, lambda m: m.execute("old", self.CREDIT))  # bound 2
+        self.both(machines, lambda m: m.commit("R", 3))  # retained: above the pin
+        assert machines[0].version_timestamp == 2
+        self.both(machines, lambda m: m.execute("S", self.CREDIT))
+        self.both(machines, lambda m: m.commit("S", 4))
+        self.both(machines, lambda m: m.unpin("reader"))  # still held by ``old``
+        assert machines[0].committed_transactions == {"R": 3, "S": 4}
+        self.both(machines, lambda m: m.execute("old", self.CREDIT))  # bound 4
+        self.both(machines, lambda m: m.execute("U", self.CREDIT))
+        self.both(machines, lambda m: m.commit("U", 5))  # folds R and S, not U
+        assert machines[0].committed_transactions == {"U": 5}
+        self.both(machines, lambda m: m.commit("old", 6))
+        assert machines[0].version_states == frozenset({Fraction(43, 2)})
+        assert machines[0].history() == machines[1].history()
+
+    def test_redelivered_commit_does_not_extend_the_prefix_twice(self):
+        cached = LockMachine(AccountSpec(initial=10), ACCOUNT_CONFLICT)
+        naive = NaiveLockMachine(AccountSpec(initial=10), ACCOUNT_CONFLICT)
+        machines = (cached, naive)
+        self.both(machines, lambda m: m.execute("P", self.CREDIT))
+        self.both(machines, lambda m: m.commit("P", 1))
+        self.both(machines, lambda m: m.commit("P", 1))
+        self.both(machines, lambda m: m.execute("Q", self.CREDIT))
+        assert cached.view_states("Q") == frozenset({Fraction(12)})
