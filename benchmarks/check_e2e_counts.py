@@ -3,10 +3,11 @@
 Reads a result set written by ``benchmarks/e2e/run.py --all --out F`` and
 checks, on its traced records, the counts that say *how* requests were
 served — frames per ``recv``, time spent queued, frames and requests per
-transaction, fsyncs per transaction under group commit, what a SIGKILL
-and restart lost or left locked, whether 2PC and the conflict path were
-exercised, certification.  They repeat on a shared runner where
-throughput does not, so CI's ``e2e-smoke`` job gates on them::
+transaction, fsyncs and WAL records per transaction under group commit,
+what a SIGKILL and restart lost or left locked, whether 2PC and the
+conflict path were exercised, certification.  They repeat on a shared
+runner where throughput does not, so CI's ``e2e-smoke`` job gates on
+them::
 
     python3 benchmarks/e2e/run.py --all --smoke --out smoke.json
     python3 benchmarks/check_e2e_counts.py smoke.json
@@ -51,12 +52,16 @@ def check(records):
         )
     # Group commit: one fsync per pipe batch, so one per transaction
     # submitted alone and a sixteenth each for sixteen submitted together.
+    # The log holds one redo record per transaction (its commit; prepare +
+    # commit on both shards of a cross-shard one, so ~1.3-1.5 at the plan's
+    # 10 % cross share) and none per operation (that would read 5.4).
     # The SIGKILL and restart lost no acknowledged commit and left no
     # prepared transaction holding its locks.  What was certified went
     # through cross-shard 2PC and, contended, through lock refusals.
     for workload, name, holds, wanted in (
         ("wal-pool", "server.procpool.fsyncs_per_txn_depth1", lambda v: v == 1, "1"),
         ("wal-pool", "server.procpool.fsyncs_per_txn_depth16", lambda v: v < 1, "< 1"),
+        ("wal-pool", "recovery.wal.records_per_txn", lambda v: 1 <= v < 2, "in [1, 2)"),
         ("wal-pool", "recovery.recovery.acked_lost", lambda v: v == 0, "0"),
         ("wal-pool", "recovery.recovery.unresolved_locks", lambda v: v == 0, "0"),
         ("wal-pool", "server.procpool.cross_share", lambda v: v > 0, "> 0"),

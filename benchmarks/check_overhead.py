@@ -113,7 +113,10 @@ COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
 # events through the ``repro serve`` wiring: (Python-level, C-level).
 # Exact — re-derive with ``served_calls()`` when a sink changes on purpose.
 # (Before the admission event was merged and the sinks became one call
-# each, the same transaction was 18 events and 169 + 156 calls.)
+# each, the same transaction was 18 events and 169 + 156 calls.)  The
+# engine counted has no WAL: a logged shard's ``wal.append`` events (one
+# per transaction) are not among the 15, so what the log writes cannot
+# move this.
 SERVED_CALLS = (93, 112)
 SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~2.3x measured

@@ -185,7 +185,6 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
             "replayed_records",
             "replayed_operations",
             "prepared",
-            "discarded",
             "from_checkpoint",
         }
     ),

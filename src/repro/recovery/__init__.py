@@ -50,10 +50,8 @@ from .wal import (
     encode_operation,
     encode_states,
     encode_value,
-    invoke_record,
     meta_record,
     prepare_record,
-    respond_record,
 )
 
 __all__ = [
@@ -65,8 +63,6 @@ __all__ = [
     "WalCorruption",
     "meta_record",
     "create_record",
-    "invoke_record",
-    "respond_record",
     "prepare_record",
     "commit_record",
     "abort_record",

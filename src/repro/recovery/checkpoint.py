@@ -22,7 +22,7 @@ import json
 import os
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.specs import StateSet
@@ -189,18 +189,17 @@ def take_checkpoint(
 def truncate_wal(
     wal: WriteAheadLog,
     machines: Mapping[str, CompactingLockMachine],
-    extra_live: Iterable[str] = (),
 ) -> int:
     """Drop log records the machines prove redundant; returns the count.
 
     A record must be kept when its transaction is still *live* — retained
-    committed (not yet folded into a version) or active (uncommitted
-    intentions, e.g. 2PC-prepared) at any machine — or when it describes
-    the log itself (``meta``) or an object (``create``).  Everything else
-    (folded commits, aborted transactions, operations of completed
+    committed (not yet folded into a version) or active (2PC-prepared:
+    the ``prepare`` record holds its intentions) at any machine — or when
+    it describes the log itself (``meta``) or an object (``create``).
+    Everything else (folded commits, their prepare records, aborted
     transactions) is recoverable from the checkpointed versions alone.
     """
-    live: Set[str] = set(extra_live)
+    live: Set[str] = set()
     for machine in machines.values():
         live.update(machine.committed_transactions)
         live.update(machine.active_transactions())

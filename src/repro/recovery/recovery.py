@@ -3,7 +3,7 @@
 Recovery is presumed-abort and intentions-based, mirroring the paper's
 resilient-objects framing (and the Avalon/C++ appendix): committed
 intentions lists are the redo log, uncommitted intentions are volatile
-and discarded, and 2PC-prepared transactions — whose intentions were
+and never logged, and 2PC-prepared transactions — whose intentions were
 force-written by :func:`repro.recovery.wal.prepare_record` — come back
 *active*, still holding their locks, awaiting the coordinator's verdict.
 
@@ -57,8 +57,6 @@ class RecoveryReport:
     replayed_records: int = 0
     #: Individual operations reinstalled into intentions lists.
     replayed_operations: int = 0
-    #: Transactions discarded by presumed abort (volatile intentions lost).
-    discarded_transactions: Tuple[str, ...] = ()
     #: Transactions restored to the 2PC prepared state.
     prepared_transactions: Tuple[str, ...] = ()
     recovered_objects: Tuple[str, ...] = ()
@@ -78,7 +76,6 @@ class RecoveryReport:
             + f": replayed {self.replayed_records} record(s) / "
             f"{self.replayed_operations} operation(s), "
             f"{len(self.prepared_transactions)} prepared, "
-            f"{len(self.discarded_transactions)} presumed aborted, "
             f"{self.elapsed_seconds * 1000:.2f} ms"
         )
 
@@ -135,35 +132,31 @@ class _LogImage:
     commits: Dict[str, Tuple[Any, Dict[str, list]]] = field(default_factory=dict)
     prepares: Dict[str, Tuple[Any, Dict[str, list]]] = field(default_factory=dict)
     aborted: Set[str] = field(default_factory=set)
-    seen: Set[str] = field(default_factory=set)
-    scanned: int = 0
 
 
 def _scan(records: List[Dict[str, Any]]) -> _LogImage:
     image = _LogImage()
     for record in records:
-        image.scanned += 1
         kind = record["kind"]
         if kind == "meta":
             image.meta = record
         elif kind == "create":
             image.creates.append(record)
-        elif kind in ("invoke", "respond", "prepare", "commit", "abort"):
-            transaction = record["txn"]
-            image.seen.add(transaction)
-            if kind == "commit":
-                image.commits[transaction] = (
-                    decode_value(record["ts"]),
-                    record["intentions"],
-                )
-            elif kind == "prepare":
-                image.prepares[transaction] = (
-                    decode_value(record["clock"]),
-                    record["intentions"],
-                )
-            elif kind == "abort":
-                image.aborted.add(transaction)
-        else:
+        elif kind == "commit":
+            image.commits[record["txn"]] = (
+                decode_value(record["ts"]),
+                record["intentions"],
+            )
+        elif kind == "prepare":
+            image.prepares[record["txn"]] = (
+                decode_value(record["clock"]),
+                record["intentions"],
+            )
+        elif kind == "abort":
+            image.aborted.add(record["txn"])
+        elif kind not in ("invoke", "respond"):
+            # Those two are stepped over: nothing writes them, but a log is
+            # outside input and older ones carry a pair per operation.
             raise RecoveryError(f"unknown record kind {kind!r} in the log")
     return image
 
@@ -255,7 +248,7 @@ def recover_machines(
             )
 
     report = RecoveryReport(
-        scanned_records=image.scanned,
+        scanned_records=len(records),
         recovered_objects=tuple(sorted(machines)),
         from_checkpoint=checkpoint is not None and bool(checkpoint.objects),
         decided={t: image.commits[t][0] for t in image.prepares if t in image.commits},
@@ -310,16 +303,6 @@ def recover_machines(
             tracer.emit("wal.replay", transaction=transaction, record="prepare")
     report.prepared_transactions = tuple(prepared)
 
-    # Presumed abort: everything else that ran but never committed.
-    report.discarded_transactions = tuple(
-        sorted(
-            image.seen
-            - set(image.commits)
-            - set(prepared)
-            - image.aborted
-        )
-    )
-
     # Compact once replay completes.  ``replay_committed``/``replay_active``
     # deliberately never fold mid-replay: the horizon is only correct after
     # every prepared transaction's bound is installed (folding earlier
@@ -369,6 +352,11 @@ def recover_manager(
     ``manager.prepared_transactions()``) still holding their locks, so a
     coordinator can deliver the pending verdict with
     ``commit_prepared``/``abort``.
+
+    No name that appears in the log is reissued: a fresh ``begin()`` is
+    numbered above every ``T<n>`` in a ``prepare`` / ``commit`` / ``abort``
+    record.  (A transaction the crash caught before any of those left
+    nothing on stable storage, so its name may come round again.)
 
     ``clock`` is an optional zero-argument callable used only to time the
     rebuild for the report (a CLI passes ``time.perf_counter``).  Left
@@ -442,12 +430,9 @@ def recover_manager(
         advance(timestamp)
     for bound, _ in image.prepares.values():
         advance(bound)
-    max_serial = 0
-    for transaction in image.seen:
-        match = _TXN_NAME.match(transaction)
-        if match:
-            max_serial = max(max_serial, int(match.group(1)))
-    manager._names = itertools.count(max_serial + 1)
+    logged = (*image.commits, *image.prepares, *image.aborted)
+    serials = [int(m.group(1)) for m in map(_TXN_NAME.match, logged) if m]
+    manager._names = itertools.count(max(serials, default=0) + 1)
 
     # Prepared-but-undecided transactions come back as live handles with
     # their touched sets, awaiting the coordinator's verdict.
@@ -469,7 +454,6 @@ def recover_manager(
             replayed_records=report.replayed_records,
             replayed_operations=report.replayed_operations,
             prepared=list(report.prepared_transactions),
-            discarded=list(report.discarded_transactions),
             from_checkpoint=report.from_checkpoint,
         )
     return manager, report

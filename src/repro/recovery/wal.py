@@ -3,10 +3,11 @@
 The paper's LOCK machine already maintains the two artifacts a recovery
 manager needs: per-transaction *intentions lists* (Section 5 — a redo log
 by construction) and commit timestamps that totally order them.  This
-module makes them durable: every invocation, response, commit, abort, and
-2PC prepare is appended to a log as a checksummed JSON line, and commit /
-prepare records carry the transaction's full intentions lists so a crash
-can be replayed from the log alone (the checkpoint in
+module makes them durable: a transaction's intentions lists are appended
+once, whole, as a checksummed JSON line when it commits or 2PC-prepares,
+an ``abort`` record marks one that touched something and lost, and nothing
+is written per operation — the log holds exactly what recovery reads, so a
+crash is replayed from it alone (the checkpoint in
 :mod:`repro.recovery.checkpoint` merely shortens the replay).
 
 Records are plain dicts with a ``kind`` field; the helpers below build
@@ -57,8 +58,6 @@ __all__ = [
     "decode_states",
     "meta_record",
     "create_record",
-    "invoke_record",
-    "respond_record",
     "prepare_record",
     "commit_record",
     "abort_record",
@@ -174,23 +173,14 @@ def create_record(
 
 
 def invoke_record(transaction: str, obj: str, invocation: Invocation) -> Dict[str, Any]:
-    """``<inv, X, Q>`` accepted."""
+    """``<inv, X, Q>`` accepted.  Written by nothing; stays while
+    ``benchmarks/e2e/layers.py`` times :meth:`FileWAL.append` with it."""
     return {
         "kind": "invoke",
         "txn": transaction,
         "obj": obj,
         "op": invocation.name,
         "args": encode_value(tuple(invocation.args)),
-    }
-
-
-def respond_record(transaction: str, obj: str, result: Any) -> Dict[str, Any]:
-    """``<res, X, Q>`` accepted."""
-    return {
-        "kind": "respond",
-        "txn": transaction,
-        "obj": obj,
-        "result": encode_value(result),
     }
 
 
@@ -346,6 +336,8 @@ class FileWAL(WriteAheadLog):
         self.directory.mkdir(parents=True, exist_ok=True)
         self.path = self.directory / self.FILENAME
         self._count: Optional[int] = None
+        #: Bytes of verified prefix the first append cuts the file back to.
+        self._prefix_bytes: Optional[int] = None
         self._handle = None
         self.appends = 0
         self.syncs = 0
@@ -357,7 +349,16 @@ class FileWAL(WriteAheadLog):
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = len(self._lines())
+            # records() drops a torn final line, so it is not counted either:
+            # sequence numbers continue from the last good record.
+            lines = self._lines()
+            try:
+                if lines:
+                    _decode_line(lines[-1], len(lines) - 1)
+            except WalCorruption:
+                lines.pop()
+            self._count = len(lines)
+            self._prefix_bytes = sum(len(line.encode("utf-8")) + 1 for line in lines)
         return self._count
 
     def _append_handle(self):
@@ -377,9 +378,19 @@ class FileWAL(WriteAheadLog):
             self._handle = None
 
     def _write_lines(self, lines: List[str]) -> None:
-        if self._count is None:
-            self._count = len(self._lines())
+        count = len(self)
         handle = self._append_handle()
+        if self._prefix_bytes is not None:
+            # First append since opening: cut a torn tail off, or this record
+            # is fused onto the fragment and the *next* reopen refuses the log.
+            size = os.fstat(handle.fileno()).st_size
+            if size > self._prefix_bytes:
+                handle.truncate(self._prefix_bytes)
+                os.fsync(handle.fileno())
+                self.syncs += 1
+            elif size < self._prefix_bytes:
+                handle.write("\n")  # the tear took only the terminator
+            self._prefix_bytes = None
         # One write call keeps crash semantics simple: the kernel sees a
         # single sequential append, so a tear truncates to a prefix and
         # at most the final line of the batch is partial.
@@ -388,7 +399,7 @@ class FileWAL(WriteAheadLog):
         os.fsync(handle.fileno())
         self.appends += len(lines)
         self.syncs += 1
-        self._count += len(lines)
+        self._count = count + len(lines)
 
     def _replace_lines(self, lines: List[str]) -> None:
         self.close()
@@ -400,6 +411,7 @@ class FileWAL(WriteAheadLog):
         os.replace(temp, self.path)
         self.syncs += 1
         self._count = len(lines)
+        self._prefix_bytes = None
 
 
 class GroupCommitWAL(WriteAheadLog):

@@ -215,8 +215,8 @@ class ReplicatedObject:
             mine.append(operation)
             tracer = self.tracer
             if tracer is not None:
-                # Like the LOCK machine, record invoke+respond only on
-                # acceptance: a refused attempt leaves the object unchanged.
+                # Like the LOCK machine, record the invocation and response
+                # only on acceptance: a refusal leaves the object unchanged.
                 tracer.emit(
                     "txn.invoke",
                     transaction=transaction,

@@ -122,8 +122,8 @@ class TransactionManager:
         Commit-timestamp generator; defaults to a monotone logical clock.
     wal:
         Optional :class:`~repro.recovery.wal.WriteAheadLog`.  When given,
-        object creations, accepted operations, and completions (with
-        committed intentions) are logged durably, and the manager can be
+        object creations and completions (a commit or 2PC prepare carries
+        the whole intentions list) are logged durably, and the manager can be
         rebuilt after a crash with
         :func:`repro.recovery.recover_manager`.
     tracer:
@@ -345,15 +345,6 @@ class TransactionManager:
             result = managed.execute(name, invocation)
             transaction.touched.add(obj)
             transaction.operations += 1
-            if self.wal is not None:
-                from ..recovery.wal import invoke_record, respond_record
-
-                self.wal.append(invoke_record(name, obj, invocation))
-                self.wal.append(respond_record(name, obj, result))
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        "wal.append", record="invoke+respond", transaction=name
-                    )
             # Section 3.3 / Section 6: after a response at X the
             # transaction's eventual commit timestamp must exceed every
             # timestamp it may have seen committed at X — feed that into

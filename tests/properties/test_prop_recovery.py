@@ -17,6 +17,9 @@ from repro.recovery import (
 )
 from repro.runtime import TransactionManager
 
+#: The record kinds ``recovery._scan`` acts on.
+ACTED_ON = {"meta", "create", "prepare", "commit", "abort"}
+
 OPS = [
     ("Q", "Enq", lambda rng: (rng.randint(1, 4),)),
     ("Q", "Deq", lambda rng: ()),
@@ -69,6 +72,9 @@ class TestRecoveryEquivalence:
     @given(st.integers(0, 10_000), st.integers(10, 60))
     def test_compacting_recovery_matches_committed_prefix(self, seed, steps):
         manager, _ = run_random_workload(seed, steps)
+        # What the manager writes is what recovery reads: no record kind
+        # that ``_scan`` merely steps over.
+        assert {r["kind"] for r in manager.wal.records()} <= ACTED_ON
         expected = committed_state_sets(machines_of(manager))
         recovered, report = recover_manager(manager.wal)
         verify_recovery(expected, machines_of(recovered))

@@ -11,8 +11,8 @@ from repro.recovery import (
     MemoryCheckpointStore,
     MemoryWAL,
     commit_record,
-    invoke_record,
     meta_record,
+    prepare_record,
     recover_machines,
     take_checkpoint,
     truncate_wal,
@@ -152,7 +152,6 @@ class TestTruncation:
         machine = CompactingLockMachine(adt.spec, adt.conflict, obj="A")
         for i, txn in enumerate(["T1", "T2", "T3"], start=1):
             machine.execute(txn, Invocation("Credit", (i,)))
-            wal.append(invoke_record(txn, "A", Invocation("Credit", (i,))))
             wal.append(
                 commit_record(txn, i, {"A": machine.intentions(txn)})
             )
@@ -171,9 +170,8 @@ class TestTruncation:
     def test_live_transactions_are_kept(self):
         wal, machine = self.build_log()
         machine.execute("T4", Invocation("Credit", (50,)))  # active
-        wal.append(invoke_record("T4", "A", Invocation("Credit", (50,))))
         machine.execute("T5", Invocation("Credit", (2,)))  # bound = 3
-        wal.append(invoke_record("T5", "A", Invocation("Credit", (2,))))
+        wal.append(prepare_record("T5", 3, {"A": machine.intentions("T5")}))
         machine.commit("T4", 9)  # above T5's bound: stays retained
         wal.append(commit_record("T4", 9, {"A": machine.intentions("T4")}))
         machine.forget()
@@ -183,13 +181,6 @@ class TestTruncation:
         # the folded T1..T3 are dropped.
         assert "T4" in txns and "T5" in txns
         assert txns & {"T1", "T2", "T3"} == set()
-
-    def test_extra_live_protects_prepared(self):
-        wal, machine = self.build_log()
-        machine.forget()
-        truncate_wal(wal, {"A": machine}, extra_live={"T2"})
-        txns = {r.get("txn") for r in wal.records()}
-        assert "T2" in txns and "T1" not in txns
 
     def test_truncated_log_plus_checkpoint_still_recovers(self):
         wal, machine = self.build_log()

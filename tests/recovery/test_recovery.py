@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adts import make_account_adt, make_queue_adt
+from repro.core import LockConflict
 from repro.distributed import Site
 from repro.recovery import (
     FileCheckpointStore,
@@ -52,11 +53,20 @@ class TestManagerRecovery:
     def test_uncommitted_intentions_presumed_aborted(self):
         manager = manager_with_wal()
         txn = manager.begin()
-        manager.invoke(txn, "A", "Credit", 500)  # never commits
+        # A failed debit holds a lock that excludes credits; never commits.
+        assert manager.invoke(txn, "A", "Debit", 500) == "Overdraft"
+        with pytest.raises(LockConflict):
+            manager.invoke(manager.begin(), "A", "Credit", 1)
         expected = committed_state_sets(machines_of(manager))
         recovered, report = recover_manager(manager.wal)
-        assert txn.name in report.discarded_transactions
         verify_recovery(expected, machines_of(recovered))
+        # What presumed abort means: no handle, no intentions, no lock.
+        assert recovered.transaction(txn.name) is None
+        assert report.prepared_transactions == ()
+        for machine in machines_of(recovered).values():
+            assert machine.active_transactions() == []
+            assert machine.intentions(txn.name) == ()
+        assert recovered.invoke(recovered.begin(), "A", "Credit", 1) == "Ok"
 
     def test_recovered_manager_keeps_working(self):
         manager = manager_with_wal()
@@ -106,6 +116,69 @@ class TestManagerRecovery:
         verify_recovery(
             committed_state_sets(machines_of(manager)), machines_of(recovered)
         )
+
+    #: A log exactly as the tree before the one-record-per-transaction
+    #: change wrote it: an ``invoke`` and a ``respond`` line per operation.
+    #: T1 commits, T2 aborts, T3 commits through 2PC, T4 is in flight.
+    PARENT_FORMAT_LOG = """\
+{"crc": 1223089897, "rec": {"kind": "meta", "name": "manager", "role": "manager"}, "seq": 0}
+{"crc": 716563659, "rec": {"adt": "Account", "initial": [{"__fr__": [0, 1]}], "kind": "create", "obj": "A", "protocol": "hybrid"}, "seq": 1}
+{"crc": 3420159367, "rec": {"args": {"__t__": [5]}, "kind": "invoke", "obj": "A", "op": "Credit", "txn": "T1"}, "seq": 2}
+{"crc": 3012626447, "rec": {"kind": "respond", "obj": "A", "result": "Ok", "txn": "T1"}, "seq": 3}
+{"crc": 3951139634, "rec": {"args": {"__t__": [2]}, "kind": "invoke", "obj": "A", "op": "Debit", "txn": "T1"}, "seq": 4}
+{"crc": 3012626447, "rec": {"kind": "respond", "obj": "A", "result": "Ok", "txn": "T1"}, "seq": 5}
+{"crc": 712302505, "rec": {"intentions": {"A": [{"args": {"__t__": [5]}, "op": "Credit", "result": "Ok"}, {"args": {"__t__": [2]}, "op": "Debit", "result": "Ok"}]}, "kind": "commit", "ts": 1, "txn": "T1"}, "seq": 6}
+{"crc": 1100156830, "rec": {"args": {"__t__": [1]}, "kind": "invoke", "obj": "A", "op": "Credit", "txn": "T2"}, "seq": 7}
+{"crc": 2983704150, "rec": {"kind": "respond", "obj": "A", "result": "Ok", "txn": "T2"}, "seq": 8}
+{"crc": 3637681816, "rec": {"kind": "abort", "txn": "T2"}, "seq": 9}
+{"crc": 3931904761, "rec": {"args": {"__t__": [4]}, "kind": "invoke", "obj": "A", "op": "Credit", "txn": "T3"}, "seq": 10}
+{"crc": 2954222689, "rec": {"kind": "respond", "obj": "A", "result": "Ok", "txn": "T3"}, "seq": 11}
+{"crc": 3802878758, "rec": {"clock": 0, "intentions": {"A": [{"args": {"__t__": [4]}, "op": "Credit", "result": "Ok"}]}, "kind": "prepare", "txn": "T3"}, "seq": 12}
+{"crc": 4281610723, "rec": {"intentions": {"A": [{"args": {"__t__": [4]}, "op": "Credit", "result": "Ok"}]}, "kind": "commit", "ts": 7, "txn": "T3"}, "seq": 13}
+{"crc": 2389896685, "rec": {"args": {"__t__": [9]}, "kind": "invoke", "obj": "A", "op": "Credit", "txn": "T4"}, "seq": 14}
+{"crc": 3042626276, "rec": {"kind": "respond", "obj": "A", "result": "Ok", "txn": "T4"}, "seq": 15}
+"""
+
+    def test_a_log_with_per_operation_records_recovers_like_its_twin(self, tmp_path):
+        # Nothing writes ``invoke`` / ``respond`` records any more, but a
+        # log is input from outside the program: one that has them opens,
+        # and they change nothing about what is recovered.
+        (tmp_path / FileWAL.FILENAME).write_text(self.PARENT_FORMAT_LOG)
+        old = FileWAL(tmp_path)
+        assert len(old.records()) == 16
+        twin = MemoryWAL()
+        for record in old.records():
+            if record["kind"] not in ("invoke", "respond"):
+                twin.append(record)
+        assert len(twin) == 6
+        recovered_old, report_old = recover_manager(old)
+        recovered_twin, report_twin = recover_manager(twin)
+        states = committed_state_sets(machines_of(recovered_old))
+        assert states == {"A": frozenset({7})}
+        assert states == committed_state_sets(machines_of(recovered_twin))
+        assert report_old.decided == report_twin.decided == {"T3": 7}
+        assert report_old.prepared_transactions == report_twin.prepared_transactions == ()
+        assert report_old.replayed_records == report_twin.replayed_records == 2
+        # T4's operations were never part of a completion record: lost.
+        assert machines_of(recovered_old)["A"].active_transactions() == []
+
+    def test_no_name_in_the_log_is_reissued(self):
+        manager = manager_with_wal()
+        self.run_some(manager)                      # T1..T3 commit, T4 aborts
+        prepared = manager.begin()                  # T5: prepare record
+        manager.invoke(prepared, "A", "Credit", 1)
+        manager.prepare(prepared)
+        in_flight = manager.begin()                 # T6: nothing on the log
+        manager.invoke(in_flight, "Q", "Enq", 9)
+        records = manager.wal.records()
+        assert {r["kind"] for r in records} == {
+            "meta", "create", "prepare", "commit", "abort",
+        }
+        logged = {r["txn"] for r in records if "txn" in r}
+        assert logged == {"T1", "T2", "T3", "T4", "T5"}
+        recovered, _ = recover_manager(manager.wal)
+        fresh = recovered.begin().name
+        assert int(fresh[1:]) > max(int(name[1:]) for name in logged)
 
     def test_file_backed_end_to_end(self, tmp_path):
         wal = FileWAL(tmp_path)
@@ -181,14 +254,19 @@ class TestSiteRecovery:
 
     def test_unprepared_transaction_lost_and_tombstoned(self):
         site = durable_site()
-        invoke(site, "T1", "Credit", 5)
+        # A failed debit (Overdraft) holds a lock that excludes credits.
+        assert invoke(site, "T1", "Debit", 500) == {"ok": "Overdraft"}
+        assert invoke(site, "T2", "Credit", 5)["error"] == "CONFLICT"
         site.crash_hard()
-        report = site.recover()
-        assert report.discarded_transactions == ("T1",)
-        # Its volatile intentions are gone: the vote must be no, and the
-        # lock it held must be free for others.
+        site.recover()
+        # Its volatile intentions are gone: nothing is active, the vote
+        # must be no, and the lock it held is free for a conflicting
+        # operation.
+        assert site.machines()["A"].active_transactions() == []
+        assert site.machines()["A"].intentions("T1") == ()
+        assert site.prepared_transactions() == []
         assert site.single({"op": "prepare", "txn": "T1"})["error"] == "NO_VOTE"
-        assert invoke(site, "T2", "Debit", 5) == {"ok": "Ok"}
+        assert invoke(site, "T3", "Credit", 5) == {"ok": "Ok"}
 
     def test_prepared_transaction_survives_and_commits(self):
         site = durable_site()

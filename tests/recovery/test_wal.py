@@ -25,10 +25,8 @@ from repro.recovery import (
     encode_operation,
     encode_states,
     encode_value,
-    invoke_record,
     meta_record,
     prepare_record,
-    respond_record,
 )
 
 
@@ -142,8 +140,6 @@ class TestRecords:
         ops = {"A": [Operation(Invocation("Credit", (1,)), "Ok")]}
         assert meta_record("site", "S0")["kind"] == "meta"
         assert create_record("A", "Account", "hybrid", frozenset({0}))["kind"] == "create"
-        assert invoke_record("T1", "A", Invocation("Credit", (1,)))["kind"] == "invoke"
-        assert respond_record("T1", "A", "Ok")["kind"] == "respond"
         assert prepare_record("T1", 4, ops)["kind"] == "prepare"
         assert commit_record("T1", (5, "T1"), ops)["kind"] == "commit"
         assert abort_record("T1")["kind"] == "abort"
@@ -151,7 +147,7 @@ class TestRecords:
 
 def fill(wal, n=5):
     for i in range(n):
-        wal.append(invoke_record(f"T{i}", "A", Invocation("Credit", (i,))))
+        wal.append(abort_record(f"T{i}"))
 
 
 class TestMemoryWAL:
@@ -212,6 +208,43 @@ class TestFileWAL:
         text = wal.path.read_text()
         wal.path.write_text(text[: len(text) - 20])
         assert len(FileWAL(tmp_path).records()) == 2
+
+    @pytest.mark.parametrize("cut", [20, 1])
+    def test_append_after_a_torn_tail_continues_from_the_good_prefix(
+        self, tmp_path, cut
+    ):
+        # cut=20 tears the last record mid-line; cut=1 takes only its
+        # terminator (the record itself is whole and must be kept).
+        wal = FileWAL(tmp_path)
+        fill(wal, 3)
+        wal.close()
+        size = wal.path.stat().st_size
+        os.truncate(wal.path, size - cut)
+        reopened = FileWAL(tmp_path)
+        good = len(reopened.records())
+        assert good == len(reopened) == (2 if cut == 20 else 3)
+        assert reopened.append(abort_record("N0")) == good      # next seq
+        assert reopened.append(abort_record("N1")) == good + 1
+        # One fsync to cut the fragment off, one per append.
+        assert reopened.syncs == (3 if cut == 20 else 2)
+        reopened.close()
+        # The second restart reads prefix + new records, in sequence (it
+        # raised WalCorruption when the append landed after the fragment).
+        names = [record["txn"] for record in FileWAL(tmp_path).records()]
+        assert names == [f"T{i}" for i in range(good)] + ["N0", "N1"]
+
+    def test_mid_file_corruption_is_never_trimmed(self, tmp_path):
+        wal = FileWAL(tmp_path)
+        fill(wal, 3)
+        wal.close()
+        lines = wal.path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:-20] + "\n"
+        wal.path.write_text("".join(lines))
+        reopened = FileWAL(tmp_path)
+        reopened.append(abort_record("N0"))
+        assert reopened.path.read_text().startswith("".join(lines))
+        with pytest.raises(WalCorruption):
+            FileWAL(tmp_path).records()
 
     def test_rewrite_is_atomic_replacement(self, tmp_path):
         wal = FileWAL(tmp_path)

@@ -7,6 +7,7 @@ No sockets, no child processes: a :class:`ShardEngine` over a
 """
 
 import asyncio
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -101,8 +102,8 @@ class TestSingleShardOps:
         assert stats["shard"] == 0 and stats["shards"] == 1
         assert stats["incarnation"] == 1
         assert stats["objects"] == 1 and stats["prepared"] == []
-        assert stats["wal_records"] >= 4          # meta, create, invoke.., commit
-        assert stats["batches"] >= 1
+        assert stats["wal_records"] == 3          # meta, create, commit
+        assert stats["batches"] == 1
         # Without a log every counter still answers.
         bare = ShardEngine().execute({"op": "stats"})["ok"]
         assert bare["wal_records"] == 0 and bare["batches"] is None
@@ -604,3 +605,86 @@ class TestRetainedState:
             assert invoke(engine, f"x{index}", "a", "Credit", 1) == {"ok": "Ok"}
             assert engine.execute({"op": "abort", "txn": f"x{index}"}) == {"ok": None}
         assert self.retained(engine) == after_1000 + 10
+
+
+class TestOneRedoRecordPerTransaction:
+    """§5.1 keeps one thing on stable storage — the intentions list,
+    written when the transaction completes: the log holds a record per
+    *transaction*, never per operation (counted, not timed)."""
+
+    @staticmethod
+    def kinds(engine):
+        return [record["kind"] for record in engine.manager.wal.records()]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_k_operations_commit_as_one_record(self, k):
+        engine = engine_with("a")
+        engine.execute({"op": "begin", "name": "t"})
+        for _ in range(k):
+            assert invoke(engine, "t", "a", "Credit", 1) == {"ok": "Ok"}
+        assert self.kinds(engine) == ["meta", "create"]     # nothing yet
+        assert "ok" in engine.execute({"op": "commit", "txn": "t"})
+        assert self.kinds(engine) == ["meta", "create", "commit"]
+        assert len(engine.manager.wal.records()[-1]["intentions"]["a"]) == k
+
+    def test_two_phase_commit_is_prepare_plus_commit_on_each_shard(self):
+        primary, participant = TestTwoPhaseCommit.pair()
+        votes = [
+            shard.execute({"op": "prepare", "txn": "X"})["ok"]
+            for shard in (primary, participant)
+        ]
+        decided = primary.execute({"op": "decide", "txn": "X", "votes": votes})["ok"]
+        participant.execute({"op": "apply_commit", "txn": "X", "ts": decided})
+        for shard in (primary, participant):
+            assert self.kinds(shard) == ["meta", "create", "prepare", "commit"]
+
+    def test_abort_of_a_touched_transaction_is_one_record(self):
+        engine = engine_with("a")
+        engine.execute({"op": "begin", "name": "t"})
+        for _ in range(3):
+            invoke(engine, "t", "a", "Credit", 1)
+        assert engine.execute({"op": "abort", "txn": "t"}) == {"ok": None}
+        # One that touched nothing leaves nothing.
+        engine.execute({"op": "begin", "name": "u"})
+        engine.execute({"op": "abort", "txn": "u"})
+        assert self.kinds(engine) == ["meta", "create", "abort"]
+
+    def test_plain_file_wal_pays_one_fsync_per_commit(self, tmp_path):
+        from repro.recovery import FileWAL
+
+        wal = FileWAL(tmp_path)
+        engine = engine_with("a", wal=wal)
+        for index in range(3):
+            syncs, appends = wal.syncs, wal.appends
+            steps = [("a", "Credit", (1,))] * 4
+            assert "ok" in engine.execute({"op": "txn", "name": f"t{index}", "steps": steps})
+            assert (wal.syncs, wal.appends) == (syncs + 1, appends + 1)
+
+
+def test_a_torn_final_write_survives_the_restart_after_next(tmp_path):
+    """Two crash / restart rounds over one directory, the second crash
+    tearing the last line: the shard that reopens over the tear must cut
+    it off before appending, or the restart *after* it finds its first
+    record fused onto the fragment and refuses the log for good."""
+    from repro.recovery import FileWAL
+
+    def life(incarnation):
+        return ShardEngine(0, 1, wal=FileWAL(tmp_path), incarnation=incarnation)
+
+    def credit(engine, name):
+        return engine.execute({"op": "txn", "name": name, "steps": [("a", "Credit", (1,))]})
+
+    first = life(1)
+    first.execute({"op": "create", "name": "a", "adt": "Account"})
+    assert "ok" in credit(first, "t0")
+    second = life(2)                                # crash 1: clean
+    assert "ok" in credit(second, "t1")
+    path = tmp_path / FileWAL.FILENAME
+    os.truncate(path, path.stat().st_size - 20)     # crash 2: t1's write torn
+    third = life(3)
+    assert third.execute({"op": "snapshot", "obj": "a"})["ok"] == 1
+    assert "ok" in credit(third, "t2")
+    fourth = life(4)
+    assert fourth.execute({"op": "snapshot", "obj": "a"})["ok"] == 2
+    kinds = [record["kind"] for record in FileWAL(tmp_path).records()]
+    assert kinds == ["meta", "create", "commit", "commit"]

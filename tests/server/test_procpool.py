@@ -103,10 +103,10 @@ class TestPoolDirect:
         replies = pool.shards[0].call(ops)
         assert all("ok" in reply for reply in replies)
         after = pool.shards[0].single({"op": "stats"})["ok"]
-        # 8 transactions × 3 records (begin-less: 2 per op + commit) in
-        # ONE durable batch: exactly one more fsync, many more appends.
+        # 8 transactions × 1 record (the commit carries the intentions)
+        # in ONE durable batch: exactly one more fsync, eight more appends.
         assert after["wal_syncs"] == before["wal_syncs"] + 1
-        assert after["wal_appends"] > before["wal_appends"] + 8
+        assert after["wal_appends"] == before["wal_appends"] + 8
 
     def test_prepared_transaction_survives_crash_and_resolves_commit(self, pool):
         a, b = two_shard_names(pool)

@@ -2,8 +2,9 @@
 
 The committed baseline sets are the fixtures: set-A and set-B were taken
 before local shards lost their queue (PR 17), and set-B before a full
-restart resolved its prepared transactions (PR 14) — so the gate must
-flag exactly those and nothing else.
+restart resolved its prepared transactions (PR 14), and both while the
+WAL still journalled every invocation and response (PR 24) — so the gate
+must flag exactly those and nothing else.
 """
 
 import copy
@@ -28,6 +29,8 @@ PRE_PR17 = [
     "mem-uniform: server.server.queue_us_p50",
     "mem-contended: server.server.queue_us_p50",
 ]
+#: One redo record per transaction since PR 24; the sets logged 5.4.
+PRE_PR24 = "wal-pool: recovery.wal.records_per_txn"
 
 
 def baseline(name):
@@ -40,7 +43,9 @@ def flagged(problems):
 
 
 def test_set_a_fails_only_what_pr17_changed():
-    assert flagged(check_e2e_counts.check(baseline("set-A.json"))) == PRE_PR17
+    problems = check_e2e_counts.check(baseline("set-A.json"))
+    assert flagged(problems) == PRE_PR17 + [PRE_PR24]
+    assert problems[-1].endswith("expected in [1, 2)")
 
 
 def test_set_b_also_shows_the_restart_hole():
@@ -48,7 +53,8 @@ def test_set_b_also_shows_the_restart_hole():
     # the bug PR 14 closed, in a record this repository really produced.
     problems = check_e2e_counts.check(baseline("set-B.json"))
     assert flagged(problems) == PRE_PR17 + [
-        "wal-pool: recovery.recovery.unresolved_locks"
+        PRE_PR24,
+        "wal-pool: recovery.recovery.unresolved_locks",
     ]
     assert problems[-1].endswith("= 1, expected 0")
 
@@ -69,9 +75,9 @@ def test_a_doctored_record_trips_its_gate_once(workload, metric, value):
     for run in runs:
         if run["workload"] == workload and run["trace"]:
             run["metrics"][metric]["value"] = value
-    assert flagged(check_e2e_counts.check(runs)) == PRE_PR17 + [
-        f"{workload}: {metric}"
-    ]
+    assert sorted(flagged(check_e2e_counts.check(runs))) == sorted(
+        PRE_PR17 + [PRE_PR24, f"{workload}: {metric}"]
+    )
 
 
 def test_main_exit_status(tmp_path, capsys):
@@ -79,12 +85,13 @@ def test_main_exit_status(tmp_path, capsys):
     assert main([]) == 2
     assert main([str(BENCHMARKS / "e2e" / "baseline" / "set-B.json")]) == 1
     assert "unresolved_locks = 1, expected 0" in capsys.readouterr().err
-    # Set-A as PR 17 would have left it passes every gate.
+    # Set-A as PRs 17 and 24 would have left it passes every gate.
     runs = baseline("set-A.json")
     for run in runs:
         if run["trace"]:
             run["metrics"]["server.server.queue_us_p50"]["value"] = 0.0
             run["metrics"]["loadgen.frames_per_recv"]["value"] = 8.0
+            run["metrics"]["recovery.wal.records_per_txn"]["value"] *= 0.25  # 5.4 -> 1.35
     clean = tmp_path / "clean.json"
     clean.write_text(json.dumps({"runs": runs}))
     assert main([str(clean)]) == 0
