@@ -5,7 +5,8 @@ checks, on its traced records, the counts that say *how* requests were
 served — frames per ``recv``, time spent queued, frames and requests per
 transaction, fsyncs and WAL records per transaction under group commit,
 what a SIGKILL and restart lost or left locked, whether 2PC and the
-conflict path were exercised, certification.  They repeat on a shared
+conflict path were exercised, certification, transactions that failed
+(a hard error, or retries exhausted).  They repeat on a shared
 runner where throughput does not, so CI's ``e2e-smoke`` job gates on
 them::
 
@@ -70,6 +71,8 @@ def check(records):
         expect(workload, name, holds, wanted)
     for workload in sorted(traced):
         expect(workload, "obs.certified", lambda v: v == 1, "1")
+        # No transaction the generator ran ended in a hard error.
+        expect(workload, "loadgen.failed_share", lambda v: v == 0, "0")
     return problems
 
 

@@ -116,7 +116,9 @@ COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
 # each, the same transaction was 18 events and 169 + 156 calls.)  The
 # engine counted has no WAL: a logged shard's ``wal.append`` events (one
 # per transaction) are not among the 15, so what the log writes cannot
-# move this.
+# move this; nor can how a process shard's worker waits for its pipe or
+# where a cross-shard commit's 2PC rounds travel — the count is taken on
+# a local shard, which has neither a worker nor a queue.
 SERVED_CALLS = (93, 112)
 SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~2.3x measured

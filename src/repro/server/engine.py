@@ -19,7 +19,8 @@ code ladder; :meth:`ShardEngine.execute_batch` is the group-commit
 contract (run every op, flush log and trace sink **once**, then reply).
 
 A *transport* exposes an engine as ``call(ops)`` / ``single(op)`` plus
-``alive``, ``blocking`` and ``stop()``; one whose ``call`` can raise
+``alive``, ``blocking`` and ``stop()``; a blocking one also has an
+awaitable ``acall(ops)``, and one whose ``call`` can raise
 :class:`ShardDown` also has ``spawn()``, which brings the shard back
 over the same log.  There are three: :class:`LocalShard` calls the
 engine directly and adds nothing;
@@ -27,9 +28,9 @@ engine directly and adds nothing;
 process; :class:`~repro.distributed.site.Site` adds a simulated host
 with a kill switch.  :func:`two_phase_commit` is the one decision
 procedure — written as rounds of ``(shard, op)`` so that
-:class:`ShardSet` can run it with blocking calls and
-:class:`~repro.distributed.client.DistributedClient` with simulated
-messages.
+:class:`ShardSet` can run it with blocking calls, the server with
+queued ones, and :class:`~repro.distributed.client.DistributedClient`
+with simulated messages.
 
 The module is pure (no sockets, clocks, pipes or files: a log, store or
 trace sink is handed in already open), so it stays under REP104/REP106.
@@ -59,6 +60,7 @@ __all__ = [
     "ShardEngine",
     "ShardSet",
     "ShardedTimestampGenerator",
+    "abort_round",
     "shard_for",
     "two_phase_commit",
 ]
@@ -490,16 +492,11 @@ class ShardSet:
         try:
             ops = next(rounds)
             while True:
-                ops = rounds.send([self._deliver(index, op) for index, op in ops])
+                ops = rounds.send([self.deliver(index, op) for index, op in ops])
         except StopIteration as done:
             return done.value
 
-    def abort_cross_shard(self, name: str, participants: Sequence[int]) -> None:
-        """Deliver an abort everywhere it ran; dead shards presume it."""
-        for index in sorted(set(participants)):
-            self._deliver(index, {"op": "abort", "txn": name})
-
-    def _deliver(self, index: int, op: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    def deliver(self, index: int, op: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """One op to one shard.  A dead shard leaves a question unanswered
         (None) and presumes an abort, but a commit decision is
         retransmitted until acked — through the death, by respawning the
@@ -578,5 +575,10 @@ def two_phase_commit(
             apply = {"op": "apply_commit", "txn": name, "ts": timestamp}
             yield [(index, apply) for index in voted if index != primary]
             return {"ok": timestamp}
-    yield [(index, {"op": "abort", "txn": name}) for index in voted]
+    yield abort_round(name, voted)
     return outcome
+
+
+def abort_round(name: str, participants: Sequence[int]) -> List[Tuple[int, Any]]:
+    """The round that aborts ``name`` wherever it ran."""
+    return [(i, {"op": "abort", "txn": name}) for i in sorted(set(participants))]

@@ -28,6 +28,7 @@ commit if any shard logged the decision, presumed abort otherwise.
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import os
 import pathlib
@@ -100,7 +101,7 @@ def _shard_main(conn, spec: Dict[str, Any]) -> None:
 class ShardProcess:
     """Parent-side handle for one shard worker process."""
 
-    #: ``call`` waits on a pipe: an event loop must run it off-loop.
+    #: ``call`` waits on a pipe: an event loop awaits ``acall`` instead.
     blocking = True
 
     def __init__(
@@ -124,7 +125,10 @@ class ShardProcess:
         self._process = None
         self._conn = None
         self._fatal: Optional[str] = None
-        self._lock = threading.Lock()
+        #: Serialises the pipe; re-entrant for the loop's thread (see acall).
+        self._lock = threading.RLock()
+        #: The reply :meth:`acall` awaits while one is in flight.
+        self._waiter: Optional[asyncio.Future] = None
         #: Trace files written by past and present incarnations, oldest
         #: first — the merge feed for certification.
         self.trace_paths: List[pathlib.Path] = []
@@ -184,24 +188,66 @@ class ShardProcess:
         startup failed fatally (e.g. a stride mismatch on recovery).
         """
         with self._lock:
-            if self._conn is None:
-                raise ShardDown(f"{self.name} is not running")
-            if not self.alive:
-                self._check_fatal()
-                raise ShardDown(f"{self.name} is not running")
-            try:
-                self._conn.send(("batch", list(ops)))
-                reply = self._conn.recv()
-            except (EOFError, OSError):
-                # Reap the corpse before raising: until the child is
-                # joined, ``is_alive()`` can still report True, and a
-                # subsequent ``respawn`` would mistake the zombie for a
-                # healthy worker and skip the restart.
-                if self._process is not None:
-                    self._process.join(timeout=5.0)
-                self._check_fatal()
-                raise ShardDown(f"{self.name} died mid-request") from None
-            self._check_fatal(reply)
+            self._settle()  # a caller on the loop's thread: the worker's reply first
+            self._send(ops)
+            return self._receive()
+
+    async def acall(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+        """:meth:`call`'s two halves with the wait on the running loop,
+        which watches the pipe (the shard's worker is the one caller).
+        The lock is held on the loop's thread until the reply is in: a
+        call from another thread waits its turn, one from the loop's own
+        thread re-enters and takes the reply off the pipe first."""
+        held = False
+        try:
+            while not self._lock.acquire(blocking=False):
+                await asyncio.sleep(0.001)  # a lifecycle call has the pipe
+            held = True
+            self._send(ops)
+            loop = asyncio.get_running_loop()
+            self._waiter = loop.create_future()
+            loop.add_reader(self._conn.fileno(), self._settle)
+            return await self._waiter
+        finally:
+            if held:
+                self._settle()  # no reply left in flight, whatever happened
+                self._lock.release()
+
+    def _settle(self) -> None:
+        """Receive the reply :meth:`acall` awaits, if one is in flight."""
+        waiter, self._waiter = self._waiter, None
+        if waiter is None:
+            return
+        waiter.get_loop().remove_reader(self._conn.fileno())
+        try:
+            waiter.set_result(self._receive())
+        except ShardDown as exc:
+            waiter.set_exception(exc)
+
+    def _send(self, ops: Sequence[Dict[str, Any]]) -> None:
+        if self._conn is None:
+            raise ShardDown(f"{self.name} is not running")
+        if not self.alive:
+            self._check_fatal()
+            raise ShardDown(f"{self.name} is not running")
+        try:
+            self._conn.send(("batch", list(ops)))
+        except OSError:
+            pass  # the child is gone: the receive half reaps it and says so
+
+    def _receive(self) -> List[Dict[str, Any]]:
+        try:
+            reply = self._conn.recv()
+        except (EOFError, OSError):
+            # Reap the corpse before raising: until the child is joined,
+            # ``is_alive()`` can still report True, and a subsequent
+            # ``respawn`` would mistake the zombie for a healthy worker
+            # and skip the restart.
+            if self._process is not None:
+                self._process.join(timeout=5.0)
+            self._check_fatal()
+            raise ShardDown(f"{self.name} died mid-request") from None
+        self._check_fatal(reply)
         return reply[1]
 
     def single(self, op: Dict[str, Any]) -> Dict[str, Any]:
@@ -247,7 +293,6 @@ class ShardProcessPool(ShardSet):
     ):
         if workers < 1:
             raise ValueError("need at least one shard worker")
-        self._respawn_lock = threading.Lock()
         if trace_dir is not None:
             trace_dir = pathlib.Path(trace_dir)
             trace_dir.mkdir(parents=True, exist_ok=True)
@@ -270,12 +315,6 @@ class ShardProcessPool(ShardSet):
             shard.spawn()
         if down:
             super().start()
-
-    def respawn(self, index: int) -> List[str]:
-        """:meth:`ShardSet.respawn`, once per death: workers and 2PC
-        coordinators race to it from executor threads."""
-        with self._respawn_lock:
-            return super().respawn(index)
 
     def status(self) -> Dict[str, Any]:
         """The supervisor's view, with no pipe round-trips (introspection

@@ -51,15 +51,16 @@ recorded participants.  All the server asks of the transport is whether
 * a **local shard** (``workers=N``, the default) is an engine in this
   process, with no log.  Its call returns when the manager has, so the
   connection handler makes it directly, as the request arrives: no
-  queue, no worker task, replies in request order (the 2PC rounds run
-  the same way: nothing on the loop can interleave).  A simulated
+  queue, no worker task, replies in request order (so are 2PC rounds:
+  nothing on the loop can interleave).  A simulated
   :class:`~repro.distributed.Site` is served the same way.
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
-  it has a queue and a worker coroutine: the worker drains the queue
-  into one *batch* and makes the call in the loop's executor — one pipe
-  round-trip, one group-commit fsync for the lot — then answers with
-  one write per connection.
+  it has a queue and a worker coroutine, its pipe's one user: the
+  worker drains the queue into one *batch*, sends it and awaits the
+  reply on the loop — one round-trip, one group-commit fsync for the lot
+  — then answers with one write per connection.  A multi-shard commit
+  gets a 2PC task whose rounds ride the participants' next batches.
 
 A shard that dies under a call (a killed process, a crashed site) is
 respawned, recovering from its WAL; the requests and handles it stranded
@@ -82,9 +83,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .engine import LocalShard, ShardDown, ShardEngine, ShardSet, shard_for
+from .engine import abort_round, two_phase_commit
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -96,7 +98,7 @@ from .protocol import (
     parse_request,
     response_frame,
 )
-from .session import Session, SessionError
+from .session import Session, SessionError, TxnRecord
 
 __all__ = ["ReproServer"]
 
@@ -241,6 +243,8 @@ class ReproServer:
         #: shards the connection handlers call directly).
         self._queues: List[asyncio.Queue] = []
         self._worker_tasks: List[asyncio.Task] = []
+        #: Multi-shard completions handed to their own 2PC task.
+        self._completions: Set[asyncio.Task] = set()
         self._connections: List[_Connection] = []
         self._session_ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -326,17 +330,15 @@ class ReproServer:
             and loop.time() < deadline
         ):
             await asyncio.sleep(0.02)
-        # Force-abort whatever is still open, directly (the queues only
-        # exist for batching and backpressure).
+        # Force-abort whatever is still open and not already in 2PC.
         forced = 0
-        for connection in self._connections:
-            session = connection.session
-            for handle in list(session.transactions):
-                record = session.transactions[handle]
-                forced += await self._force_abort(handle, record)
-                session.close_transaction(handle)
-        # No further queue admissions; answer what was already accepted.
+        for connection in list(self._connections):
+            forced += await self._abort_session(connection.session)
+        # No further queue admissions; let the 2PCs in flight decide on
+        # the running workers, and answer what was already accepted.
         self._stopping = True
+        while self._completions:
+            await asyncio.wait(list(self._completions))
         for queue in self._queues:
             queue.put_nowait(None)
         for task in self._worker_tasks:
@@ -430,6 +432,7 @@ class ReproServer:
             pass
         finally:
             aborted = await self._abort_session(session)
+            self.stats["transactions_aborted"] += aborted
             self._close_connection(connection)
             if connection in self._connections:
                 self._connections.remove(connection)
@@ -443,28 +446,22 @@ class ReproServer:
                 )
 
     async def _abort_session(self, session: Session) -> int:
-        """Abort every transaction a vanished connection left behind."""
+        """Abort and close the handles a session leaves open, except one
+        in 2PC (that decides it); returns how many had run anywhere."""
         aborted = 0
         for handle in list(session.transactions):
-            record = session.transactions[handle]
-            count = await self._force_abort(handle, record)
-            self.stats["transactions_aborted"] += count
-            aborted += count
+            record = session.transactions.get(handle)
+            if record is None or record.completing:
+                continue
+            if record.bound:
+                await self._round(abort_round(handle, record.participants))
+                aborted += 1
             session.close_transaction(handle)
         return aborted
 
-    async def _force_abort(self, handle: str, record: Any) -> int:
-        """Abort ``handle`` wherever it ran; returns 1 when it had run."""
-        if not record.bound:
-            return 0
-        await self._off_loop(
-            self.pool.abort_cross_shard, handle, list(record.participants)
-        )
-        return 1
-
     async def _off_loop(self, function: Callable, *args: Any) -> Any:
-        """Call into the shard set without stalling the loop: through the
-        executor when its calls block, directly when they do not."""
+        """A lifecycle call (respawn, stop) that must not stall the loop:
+        through the executor when the shards block, else directly."""
         if self.pool.blocking:
             return await asyncio.get_event_loop().run_in_executor(
                 None, function, *args
@@ -500,7 +497,12 @@ class ReproServer:
                     # The admission timestamp anchors the queued phase
                     # the worker measures.
                     admitted = tracer.clock() if timed else None
-                    queues[routed[1]].put_nowait((connection, *routed, admitted))
+                    request, index = routed
+                    record = session.transactions.get(request.params.get("transaction"))
+                    if request.action in ("commit", "abort") and record.cross_shard:
+                        self._hand_over(connection, request, record, index, admitted)
+                    else:
+                        queues[index].put_nowait((connection, request, index, admitted))
                 else:
                     await self._execute(session, *routed, out, answered)
         except FrameError as exc:
@@ -738,6 +740,8 @@ class ReproServer:
             raise WireError(
                 "UNKNOWN_TXN", f"no open transaction {handle!r} on this session"
             ) from None
+        if record.completing:
+            raise WireError("UNKNOWN_TXN", f"transaction {handle!r} is completing")
         if action == "invoke":
             obj = params.get("obj")
             if not isinstance(obj, str):
@@ -758,15 +762,14 @@ class ReproServer:
     async def _worker(self, index: int) -> None:
         """Serve one blocking shard's queue: plan ops, call the shard, answer.
 
-        The shard is called through the executor, so the worker first
-        drains its queue into one *batch*: one round-trip, one
-        group-commit fsync for the lot — under load the queue is never
-        empty, so the cost amortises across every queued request.  The
-        batch's replies leave with one write per connection.
-        """
+        The worker drains its queue into one *batch* and awaits the
+        shard's ``acall`` on the loop: one round-trip, one group-commit
+        fsync for the lot — under load the queue is never empty, so the
+        cost amortises across every queued request.  The batch's replies
+        leave with one write per connection; 2PC ops (:meth:`_post`) get
+        theirs through their futures."""
         queue = self._queues[index]
         shard = self.pool.shards[index]
-        loop = asyncio.get_event_loop()
         tracer = self.tracer
         stopping = False
         while not stopping:
@@ -787,8 +790,13 @@ class ReproServer:
             started = tracer.clock() if timed else 0.0
             plans = []
             ops: List[Dict[str, Any]] = []
-            for connection, request, _shard, _admitted in batch:
-                plan = self._plan(connection.session, request, index)
+            for connection, request, _shard, admitted in batch:
+                if connection is None:
+                    plan = [request]  # a 2PC op
+                else:
+                    plan = self._plan(connection.session, request, index)
+                    if type(plan) is TxnRecord:
+                        self._hand_over(connection, request, plan, index, admitted)
                 plans.append(plan)
                 if type(plan) is list:
                     ops.extend(plan)
@@ -797,41 +805,37 @@ class ReproServer:
             replies: Any = ()
             if ops:
                 try:
-                    replies = await loop.run_in_executor(None, shard.call, ops)
+                    replies = await shard.acall(ops)
                 except ShardDown:
                     replies = None
                     for (connection, request, *_), plan in zip(batch, plans):
-                        if type(plan) is list:
+                        if connection is not None and type(plan) is list:
                             outbox.setdefault(connection, []).append(
                                 self._shard_down_frame(request, index)
                             )
                     await self._shard_down(index, outbox)
             executed = tracer.clock() if timed else 0.0
-            offset = 0
+            span, offset = executed - started, 0
             for item, plan in zip(batch, plans):
                 connection, request, worker, admitted = item
-                session = connection.session
-                begun, done = started, executed
                 if type(plan) is list:
-                    if replies is None:
-                        continue  # answered SHARD_DOWN above
                     offset += len(plan)
-                    frame = self._finish(session, request, index, replies[offset - 1])
+                    reply = None if replies is None else replies[offset - 1]
+                    if connection is None:
+                        admitted.set_result(reply)  # None: its shard died
+                        continue
+                    if reply is None:
+                        continue  # answered SHARD_DOWN above
+                    frame = self._finish(connection.session, request, index, reply)
                 elif type(plan) is bytes:
                     frame = plan
                 else:
-                    # A multi-shard completion: 2PC, after the batch —
-                    # and after the replies already made have left, so
-                    # none of them waits on it.
-                    await self._flush(outbox, answered)
-                    begun = tracer.clock() if timed else 0.0
-                    frame = await self._complete_cross(session, request, plan)
-                    done = tracer.clock() if timed else 0.0
+                    continue  # its 2PC task answers it
                 outbox.setdefault(connection, []).append(frame)
                 if timed:
-                    queued = max(0.0, begun - admitted) if admitted is not None else 0.0
+                    queued = 0.0 if admitted is None else max(0.0, started - admitted)
                     answered.append(
-                        (session, request, worker, queued, max(0.0, done - begun), done)
+                        (connection.session, request, worker, queued, span, executed)
                     )
             await self._flush(outbox, answered)
 
@@ -945,19 +949,45 @@ class ReproServer:
         session.record_ack(request.id, result)
         return response_frame(request.id, result)
 
+    def _hand_over(self, connection, request, record, index, admitted) -> None:
+        """Give a multi-shard completion on blocking shards to a task of
+        its own, which owns the handle until it decides, then answers."""
+        record.completing = True
+
+        async def complete() -> None:
+            tracer = self.tracer
+            timed = tracer is not None and tracer.active
+            begun = tracer.clock() if timed else 0.0
+            frame = await self._complete_cross(connection.session, request, record)
+            answered: List[Tuple[Any, ...]] = []
+            if timed:
+                done = tracer.clock()
+                queued = max(0.0, begun - admitted) if admitted is not None else 0.0
+                answered.append(
+                    (connection.session, request, index, queued, done - begun, done)
+                )
+            await self._flush({connection: [frame]}, answered)
+
+        task = asyncio.ensure_future(complete())
+        self._completions.add(task)
+        task.add_done_callback(self._completions.discard)
+
     async def _complete_cross(
-        self, session: Session, request: Request, record: Any
+        self, session: Session, request: Request, record: TxnRecord
     ) -> bytes:
-        """Complete a multi-shard transaction off-loop: presumed-abort 2PC
-        for a commit, an abort on every participant otherwise."""
+        """Complete a multi-shard transaction: presumed-abort 2PC for a
+        commit, an abort on every participant otherwise (see _round)."""
         handle = request.params["transaction"]
-        participants = list(record.participants)
         if request.action == "abort":
-            await self._off_loop(self.pool.abort_cross_shard, handle, participants)
+            await self._round(abort_round(handle, record.participants))
             return self._completed(session, request)
-        reply = await self._off_loop(
-            self.pool.commit_cross_shard, handle, participants, record.primary
-        )
+        rounds = two_phase_commit(handle, record.participants, record.primary)
+        try:
+            ops = next(rounds)
+            while True:
+                ops = rounds.send(await self._round(ops))
+        except StopIteration as done:
+            reply = done.value
         if "error" in reply:
             # The 2PC already aborted the transaction on every
             # participant; the handle is finished, not leaked.
@@ -965,6 +995,30 @@ class ReproServer:
             self.stats["transactions_aborted"] += 1
             return self._error(request.id, reply)
         return self._completed(session, request, reply["ok"])
+
+    async def _round(self, ops: List[Tuple[int, Any]]) -> List[Any]:
+        """One 2PC round's replies, in order: direct calls with no
+        suspension on non-blocking shards; on blocking ones every op is
+        posted at once, to ride its shard's next batch.  None answers an
+        op its shard died under; a commit verdict is then posted again,
+        for after the worker's respawn, until it is acked."""
+        if not self._queues:
+            return [self.pool.deliver(index, op) for index, op in ops]
+
+        async def deliver(index: int, op: Dict[str, Any]) -> Any:
+            while True:
+                reply = await self._post(index, op)
+                if reply is not None or op["op"] != "apply_commit":
+                    return reply
+
+        return list(await asyncio.gather(*(deliver(i, op) for i, op in ops)))
+
+    def _post(self, index: int, op: Dict[str, Any]) -> asyncio.Future:
+        """Queue a 2PC op for its shard's next batch, the future to get its
+        reply — never BUSY, no event, no request counted."""
+        future = asyncio.get_event_loop().create_future()
+        self._queues[index].put_nowait((None, op, index, future))
+        return future
 
     def _shard_down_frame(self, request: Request, index: int) -> bytes:
         """The typed answer for a request its shard died under."""
@@ -985,25 +1039,27 @@ class ReproServer:
         surviving participants and closed (never leaked — the dead
         shard's own active transactions died with its volatile state;
         prepared ones are resurrected from the WAL and resolved by the
-        respawn).  Then the typed ``SHARD_DOWN`` answers waiting in
-        ``outbox`` leave (:meth:`_shard_down_frame` — never stranded): a
-        client that reacts to one finds its handle gone, not half
-        cleaned, and does not wait for the respawn, which replays a log.
-        Last the shard is respawned, recovered, and put back in
-        rotation.  Returns the number of handles cleaned up.
+        respawn) — except one in 2PC, whose coordinator hears of the death.
+        On blocking shards the aborts are posted, not awaited: two dying
+        shards must not wait on each other.  Then the typed ``SHARD_DOWN``
+        answers waiting in ``outbox`` leave (:meth:`_shard_down_frame` —
+        never stranded): a client that reacts to one finds its handle
+        gone, not half cleaned, and does not wait for the respawn, which
+        replays a log.  Last the shard is respawned, recovered, and put
+        back in rotation.  Returns the number of handles cleaned up.
         """
         cleaned = 0
         for connection in self._connections:
             session = connection.session
-            for handle in list(session.transactions):
-                record = session.transactions[handle]
-                if index not in record.participants:
+            for handle, record in list(session.transactions.items()):
+                if index not in record.participants or record.completing:
                     continue
-                survivors = [p for p in record.participants if p != index]
-                if survivors:
-                    await self._off_loop(
-                        self.pool.abort_cross_shard, handle, survivors
-                    )
+                survivors = abort_round(handle, set(record.participants) - {index})
+                if self._queues:
+                    for survivor, op in survivors:
+                        self._post(survivor, op)
+                else:
+                    await self._round(survivors)
                 session.close_transaction(handle)
                 self.stats["transactions_aborted"] += 1
                 cleaned += 1

@@ -46,14 +46,16 @@ class TxnRecord:
     2PC decider); ``participants`` lists every shard it has touched, in
     touch order, primary first.  An unbound record (``primary is None``)
     belongs to a transaction that has not invoked anything yet — its
-    completion is decided inline.
+    completion is decided inline.  A ``completing`` handle belongs to the
+    2PC it was handed to until that decides: no sweep aborts it.
     """
 
-    __slots__ = ("primary", "participants")
+    __slots__ = ("primary", "participants", "completing")
 
     def __init__(self) -> None:
         self.primary: Optional[int] = None
         self.participants: List[int] = []
+        self.completing = False
 
     @property
     def bound(self) -> bool:

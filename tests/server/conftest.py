@@ -1,6 +1,8 @@
 """One served two-shard deployment per transport, for tests that run one
 body over all of them."""
 
+import asyncio
+
 import pytest
 
 from repro.distributed import Site
@@ -36,3 +38,28 @@ def serve_over(tmp_path):
         return server
 
     return start
+
+
+@pytest.fixture
+def hold():
+    """``entered, release = hold(shard, kind=None)``: the worker of process
+    shard ``shard`` holds its next batch — the next one carrying an op of
+    ``kind``, when given — before sending it, until ``release.set()``;
+    ``entered`` is set once it holds.  Gates the worker's pipe call
+    (``ShardProcess.acall``), once."""
+
+    def gate(shard, kind=None):
+        acall = shard.acall
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        async def held(ops):
+            if kind is None or any(op["op"] == kind for op in ops):
+                shard.acall = acall
+                entered.set()
+                await release.wait()
+            return await acall(ops)
+
+        shard.acall = held
+        return entered, release
+
+    return gate

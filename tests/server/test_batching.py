@@ -9,7 +9,6 @@ batch, and the batch answers each connection with one write.
 
 import asyncio
 import itertools
-import threading
 
 import pytest
 
@@ -99,7 +98,9 @@ class TestLocalShards:
 
 
 class TestProcessShards:
-    def test_a_worker_batch_answers_each_connection_with_one_write(self, tmp_path):
+    def test_a_worker_batch_answers_each_connection_with_one_write(
+        self, tmp_path, hold
+    ):
         async def scenario():
             pool = ShardProcessPool(1, tmp_path / "data")
             server = ReproServer(pool=pool, drain_grace=0.5)
@@ -114,21 +115,11 @@ class TestProcessShards:
             }
             # Hold the shard's first call, so what arrives meanwhile queues
             # up and the worker's next batch is everything below.
-            entered, release = threading.Event(), threading.Event()
-            shard, call = pool.shards[0], pool.shards[0].call
-
-            def gated(ops):
-                entered.set()
-                release.wait(30)
-                return call(ops)
-
-            shard.call = gated
+            entered, release = hold(pool.shards[0])
             pending = [
                 asyncio.ensure_future(first.invoke(handles[first][0], "A", "Credit", 1))
             ]
-            while not entered.is_set():
-                await asyncio.sleep(0.005)
-            shard.call = call
+            await entered.wait()
             for client in (first, second, first, second):
                 pending.append(
                     asyncio.ensure_future(
@@ -150,6 +141,72 @@ class TestProcessShards:
         # Batch one held a single request of the first connection; batch
         # two spans both connections with two replies each.
         assert len(to_first) == 2 and len(to_second) == 1
+
+    def test_a_2pc_round_rides_the_queued_requests_batch(self, tmp_path, hold):
+        """A cross-shard commit's ``prepare`` joins the batch of what is
+        queued on its shard — one pipe round-trip, one fsync for both —
+        and, being no client request, is never refused BUSY, emits no
+        admission event and counts no request."""
+        k = 4
+        events = []
+
+        async def scenario():
+            bus = TraceBus()
+            bus.subscribe(events.append)
+            pool = ShardProcessPool(2, tmp_path / "data")
+            server = ReproServer(pool=pool, tracer=bus, queue_limit=k, drain_grace=0.5)
+            await server.start()
+            a, b = (
+                next(f"Q{i}" for i in itertools.count() if pool.shard_of(f"Q{i}") == s)
+                for s in (0, 1)
+            )
+            server.create_object(a, "Account")
+            server.create_object(b, "Account")
+            client = await AsyncClient.connect(server.host, server.port)
+            cross = await client.begin()
+            await client.invoke(cross, b, "Credit", 1)  # primary: shard 1
+            await client.invoke(cross, a, "Credit", 1)
+            singles = [await client.begin() for _ in range(k)]
+            for handle in singles:
+                await client.invoke(handle, a, "Credit", 1)
+            trigger = await client.begin()
+            before = pool.stats()[0]
+            entered, release = hold(pool.shards[0])
+            held = asyncio.ensure_future(client.invoke(trigger, a, "Credit", 1))
+            await entered.wait()
+            # Shard 0's queue fills to its limit with k commits; the
+            # cross-shard commit is admitted on shard 1's queue and its
+            # prepare for shard 0 goes past the limit.
+            commits = [asyncio.ensure_future(client.commit(h)) for h in singles]
+            while server._queues[0].qsize() < k:
+                await asyncio.sleep(0.005)
+            crossed = asyncio.ensure_future(client.commit(cross))
+            while server._queues[0].qsize() < k + 1:
+                await asyncio.sleep(0.005)
+            release.set()
+            await asyncio.gather(held, crossed, *commits)
+            after = pool.stats()[0]
+            stats = dict(server.stats)
+            await client.aclose()
+            await server.drain()
+            return before, after, stats, cross
+
+        before, after, stats, cross = asyncio.run(asyncio.wait_for(scenario(), 60))
+        grew = {key: after[key] - before[key] for key in ("batches", "wal_syncs")}
+        # Shard 0 wrote two durable batches: [k commits + prepare] and
+        # the apply_commit (the held invoke logs nothing).  Delivered on
+        # its own, the prepare was a third batch and a third fsync.
+        assert grew == {"batches": 2, "wal_syncs": 2}
+        assert after["batched_records"] - before["batched_records"] == k + 2
+        assert stats["busy"] == 0 and not [e for e in events if e.kind == "server.busy"]
+        # 2 + 1 + k invokes and k + 1 commits, each answered once.
+        kinds = [(e.kind, e.data) for e in events]
+        requests = [d for kind, d in kinds if kind == "server.request"]
+        routed = [d for d in requests if d["shard"] is not None]
+        responds = [d for kind, d in kinds if kind == "server.respond"]
+        assert stats["requests"] == len(routed) == len(responds) == 2 * k + 4
+        answers = [d["action"] for d in responds if d["transaction"] == cross]
+        assert answers == ["invoke", "invoke", "commit"]
 
 
 @pytest.mark.parametrize("transport", ["local", "process", "site"])

@@ -17,7 +17,7 @@ from repro.core.compaction import CompactingLockMachine
 from repro.recovery import MemoryCheckpointStore
 from repro.recovery.wal import GroupCommitWAL, MemoryWAL
 from repro.server import AsyncClient, ShardEngine, ShardProcessPool, WireError
-from repro.server.engine import EngineCrash, LocalShard, ShardSet
+from repro.server.engine import EngineCrash, LocalShard, ShardSet, abort_round
 from repro.server.procpool import ShardDown
 
 OPS = (
@@ -431,7 +431,8 @@ class TestBatchAndShardSet:
         assert [row["committed"] for row in shards.stats()] == [1, 1]
         # An abort everywhere is harmless after the fact, and a prepare
         # nobody can vote on aborts the rest.
-        shards.abort_cross_shard("X", [0, 1])
+        for index, op in abort_round("X", [0, 1]):
+            assert shards.deliver(index, op) == {"ok": None}
         shards.shards[0].single({"op": "begin", "name": "Y"})
         refused = shards.commit_cross_shard("Y", [0, 1], primary=0)
         assert refused["error"] == "NO_VOTE"

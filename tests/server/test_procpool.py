@@ -7,7 +7,11 @@ mode) must leak no session state and strand no queued request.
 """
 
 import asyncio
+import itertools
+import os
 import pathlib
+import signal
+import threading
 
 import pytest
 
@@ -371,6 +375,227 @@ class TestPoolServer:
             assert all(not shard.alive for shard in pool.shards)
             # The WAL directories survive for the next incarnation.
             assert (tmp_path / "data" / "shard0" / "wal.jsonl").exists()
+
+        run(scenario())
+
+
+class TestTwoPhaseCommitOnTheLoop:
+    """A process shard's pipe is awaited on the loop, and a cross-shard
+    commit's rounds ride the shards' queues in a task of their own: it
+    owns its handle until it decides, and stalls no worker."""
+
+    async def _started(self, tmp_path, **kwargs):
+        bus = TraceBus()
+        sink = bus.subscribe(JSONLSink(str(tmp_path / "parent.jsonl")))
+        pool = ShardProcessPool(2, tmp_path / "data", trace_dir=tmp_path / "traces")
+        server = ReproServer(
+            pool=pool, tracer=bus, drain_grace=0.5, flush_on_drain=[sink], **kwargs
+        )
+        await server.start()
+        a, b = two_shard_names(pool)
+        server.create_object(a, "Account")
+        server.create_object(b, "Account")
+        client = await AsyncClient.connect(server.host, server.port)
+        return pool, server, client, a, b
+
+    @staticmethod
+    async def _transfer(client, a, b):
+        """A transaction crediting 5 on shard 0 (its primary) and 7 on 1."""
+        txn = await client.begin()
+        await client.invoke(txn, a, "Credit", 5)
+        await client.invoke(txn, b, "Credit", 7)
+        return txn
+
+    @staticmethod
+    def _certified(tmp_path, pool):
+        events = read_jsonl(str(tmp_path / "parent.jsonl"))
+        for shard in pool.shards:
+            for path in shard.trace_paths:
+                events.extend(read_jsonl(str(path)))
+        events.sort(key=lambda event: event.ts)
+        return AtomicityChecker().replay(events).report()["verdict"] == "clean"
+
+    @staticmethod
+    def _balances(tmp_path, a, b):
+        """Both accounts as a restart over the same logs finds them."""
+        reopened = ShardProcessPool(2, tmp_path / "data")
+        reopened.start()
+        try:
+            return [
+                reopened.shards[home].single({"op": "snapshot", "obj": name})["ok"]
+                for home, name in ((0, a), (1, b))
+            ]
+        finally:
+            reopened.stop()
+
+    def test_a_client_hanging_up_mid_commit_cannot_split_it(self, tmp_path, hold):
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            txn = await self._transfer(client, a, b)
+            entered, release = hold(pool.shards[1], "apply_commit")
+            commit = asyncio.ensure_future(client.commit(txn))
+            await entered.wait()  # shard 0 decided commit; shard 1 is prepared
+            await client.aclose()  # the handler's sweep must leave it alone
+            with pytest.raises(ConnectionError):
+                await commit
+            while server._connections:
+                await asyncio.sleep(0.01)  # the handler has finished
+            release.set()
+            while not server.stats["transactions_committed"]:
+                await asyncio.sleep(0.01)  # the 2PC's own reply closes it
+            assert server.stats["transactions_aborted"] == 0
+            await server.drain()
+            return pool
+
+        pool = run(scenario())
+        assert self._certified(tmp_path, pool)
+        a, b = two_shard_names(pool)
+        assert self._balances(tmp_path, a, b) == [5, 7]
+
+    def test_a_drain_past_its_grace_cannot_split_a_commit_in_flight(
+        self, tmp_path, hold
+    ):
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            txn = await self._transfer(client, a, b)
+            entered, release = hold(pool.shards[1], "apply_commit")
+            commit = asyncio.ensure_future(client.commit(txn))
+            await entered.wait()
+            server.drain_grace = 0.0
+            drain = asyncio.ensure_future(server.drain())
+            while not server._stopping:
+                await asyncio.sleep(0.01)  # force-aborting is over
+            release.set()
+            timestamp, _ = await commit  # the 2PC's own answer
+            report = await drain
+            await client.aclose()
+            return pool, timestamp, report
+
+        pool, timestamp, report = run(scenario())
+        assert isinstance(timestamp, int) and report["aborted"] == 0
+        assert self._certified(tmp_path, pool)
+        a, b = two_shard_names(pool)
+        assert self._balances(tmp_path, a, b) == [5, 7]
+
+    def test_a_2pc_in_flight_does_not_block_its_primary(self, tmp_path, hold):
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            txn = await self._transfer(client, a, b)
+            entered, release = hold(pool.shards[1], "apply_commit")
+            commit = asyncio.ensure_future(client.commit(txn))
+            await entered.wait()
+            # Shard 0 is the 2PC's primary; its worker still serves.
+            other = await client.begin()
+            await asyncio.wait_for(client.invoke(other, a, "Credit", 1), 10)
+            single, _ = await asyncio.wait_for(client.commit(other), 10)
+            assert not commit.done()
+            release.set()
+            decided, _ = await commit
+            await client.aclose()
+            await server.drain()
+            return pool, single, decided
+
+        pool, single, decided = run(scenario())
+        assert single > decided  # the decision was applied before it
+        assert self._certified(tmp_path, pool)
+
+    def test_two_shards_dying_together_do_not_wait_on_each_other(self, tmp_path):
+        """No worker awaits another shard's queue: each dead shard's
+        sweep posts its survivors' aborts and goes on to its respawn."""
+
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            first = await self._transfer(client, a, b)
+            second = await self._transfer(client, a, b)
+            pool.shards[0].kill()
+            pool.shards[1].kill()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(
+                    client.invoke(first, a, "Credit", 1),
+                    client.invoke(second, b, "Credit", 1),
+                    return_exceptions=True,
+                ),
+                30,
+            )
+            # The first death's sweep may close the other handle before
+            # the second shard's worker plans it.
+            codes = [error.code for error in outcomes]
+            assert codes[0] == "SHARD_DOWN"
+            assert codes[1] in ("SHARD_DOWN", "UNKNOWN_TXN")
+            assert [c.session.active for c in server._connections] == [0]
+            txn = await self._transfer(client, a, b)
+            timestamp, _ = await asyncio.wait_for(client.commit(txn), 30)
+            assert [shard.incarnation for shard in pool.shards] == [2, 2]
+            await client.aclose()
+            await server.drain()
+            return pool, timestamp
+
+        pool, timestamp = run(scenario())
+        assert isinstance(timestamp, int)
+        assert self._certified(tmp_path, pool)
+
+    def test_a_respawn_waits_for_the_peers_batch_in_flight(self, tmp_path):
+        """A lifecycle call on another thread takes the peer's pipe only
+        between the peer worker's batches."""
+
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            # X: prepared on both shards, decided on shard 1 only.
+            votes = []
+            for home, name in ((0, a), (1, b)):
+                pool.shards[home].call(
+                    [
+                        {"op": "begin", "name": "X", "quiet": home == 0},
+                        {"op": "invoke", "txn": "X", "obj": name,
+                         "operation": "Credit", "args": (3,)},
+                    ]
+                )
+                vote = pool.shards[home].single({"op": "prepare", "txn": "X"})
+                votes.append(vote["ok"])
+            pool.shards[1].single({"op": "decide", "txn": "X", "votes": votes})
+            pool.shards[0].kill()
+            # Shard 1's worker sends a batch its stopped child cannot answer.
+            peer = pool.shards[1]
+            os.kill(peer._process.pid, signal.SIGSTOP)
+            txn = await client.begin()
+            invoked = asyncio.ensure_future(client.invoke(txn, b, "Credit", 1))
+            while peer._waiter is None:
+                await asyncio.sleep(0.005)
+            loop = asyncio.get_running_loop()
+            respawned = loop.run_in_executor(None, pool.respawn, 0)
+            await asyncio.sleep(0.3)
+            assert not respawned.done()  # it waits for the peer's pipe
+            os.kill(peer._process.pid, signal.SIGCONT)
+            assert await asyncio.wait_for(respawned, 30) == ["X"]
+            assert await invoked == "Ok"
+            assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == 3
+            await client.aclose()
+            await server.drain()
+
+        run(scenario())
+
+    def test_a_blocking_call_on_the_loop_thread_mid_batch(self, tmp_path):
+        """``create_object`` from the loop's own thread while the worker
+        awaits its batch: it re-enters the pipe's lock, takes the worker's
+        reply off the pipe, then makes its own call — no self-deadlock."""
+
+        async def scenario():
+            pool, server, client, a, _b = await self._started(tmp_path)
+            shard = pool.shards[0]
+            os.kill(shard._process.pid, signal.SIGSTOP)
+            txn = await client.begin()
+            invoked = asyncio.ensure_future(client.invoke(txn, a, "Credit", 1))
+            while shard._waiter is None:
+                await asyncio.sleep(0.005)
+            threading.Timer(0.2, os.kill, (shard._process.pid, signal.SIGCONT)).start()
+            name = next(
+                f"R{i}" for i in itertools.count() if pool.shard_of(f"R{i}") == 0
+            )
+            assert server.create_object(name, "Account") == 0
+            assert await invoked == "Ok"
+            await client.commit(txn)
+            await client.aclose()
+            await server.drain()
 
         run(scenario())
 

@@ -21,7 +21,7 @@ from repro.server import (
     ShardProcessPool,
     WireError,
 )
-from repro.server.engine import LocalShard, ShardSet
+from repro.server.engine import LocalShard, ShardSet, abort_round
 
 TRANSPORTS = ["local", "process", "site"]
 
@@ -125,7 +125,8 @@ class TestDecisionProcedure:
         # fact is harmless.
         retransmit = {"op": "apply_commit", "txn": "X", "ts": 1}
         assert shards.shards[0].single(retransmit) == {"ok": 1}
-        shards.abort_cross_shard("X", [0, 1])
+        for index, op in abort_round("X", [0, 1]):
+            assert shards.deliver(index, op) == {"ok": None}
         assert balances(shards) == [4, 4]
         # Neither shard mints below the decision afterwards.
         later = shards.shards[0].single(

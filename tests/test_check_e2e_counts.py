@@ -68,6 +68,8 @@ def test_set_b_also_shows_the_restart_hole():
         ("wal-pool", "recovery.recovery.unresolved_locks", 2.0),
         ("wal-pool", "server.procpool.cross_share", 0.0),
         ("mem-contended", "core.lock_machine.conflict_share", 0.0),
+        ("wal-pool", "loadgen.failed_share", 0.01),
+        ("solo-latency", "loadgen.failed_share", 0.5),
     ],
 )
 def test_a_doctored_record_trips_its_gate_once(workload, metric, value):
