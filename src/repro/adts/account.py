@@ -157,7 +157,7 @@ def _account_mc(q: Operation, p: Operation) -> bool:
 
 #: Figure 7-1: failure-to-commute conflicts for Account — a strict
 #: superset of the hybrid conflicts.
-ACCOUNT_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+ACCOUNT_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _account_mc, name="Account conflicts (commutativity, Fig 7-1)"
 )
 

@@ -122,7 +122,7 @@ BOUNDED_QUEUE_CONFLICT = symmetric_closure(
 )
 
 #: Failure-to-commute coincides with the MC-shaped relation.
-BOUNDED_QUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+BOUNDED_QUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(
     lambda q, p: _mc(q, p) or _mc(p, q),
     name="BoundedQueue conflicts (commutativity)",
 )

@@ -135,7 +135,7 @@ def _counter_mc(q: Operation, p: Operation) -> bool:
 
 #: Failure-to-commute conflicts — for Counter these coincide with the
 #: symmetric closure of the dependency relation (no Post-like operation).
-COUNTER_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+COUNTER_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _counter_mc, name="Counter conflicts (commutativity)"
 )
 

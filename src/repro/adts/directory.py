@@ -225,7 +225,7 @@ def _directory_mc(q: Operation, p: Operation) -> bool:
 
 
 #: Failure-to-commute conflicts for Directory: adds writer/writer pairs.
-DIRECTORY_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+DIRECTORY_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _directory_mc, name="Directory conflicts (commutativity)"
 )
 

@@ -101,7 +101,7 @@ def _fails_to_commute(q: Operation, p: Operation) -> bool:
 
 #: Failure-to-commute conflicts for File (the commutativity baseline);
 #: strictly more restrictive than Figure 4-1 on write/write pairs.
-FILE_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+FILE_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _fails_to_commute, name="File conflicts (commutativity)"
 )
 

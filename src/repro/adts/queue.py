@@ -124,7 +124,7 @@ QUEUE_CONFLICT_FIG43 = symmetric_closure(
 
 #: Failure-to-commute conflicts — identical to Figure 4-3's closure
 #: (Section 7.1 notes the coincidence), already symmetric.
-QUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+QUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(
     lambda q, p: _fig43(q, p) or _fig43(p, q),
     name="Queue conflicts (commutativity)",
 )

@@ -104,7 +104,7 @@ SEMIQUEUE_CONFLICT = symmetric_closure(
 )
 
 #: Failure-to-commute coincides with the dependency relation here.
-SEMIQUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+SEMIQUEUE_COMMUTATIVITY_CONFLICT = PredicateRelation(
     lambda q, p: _semiqueue_dep(q, p) or _semiqueue_dep(p, q),
     name="SemiQueue conflicts (commutativity)",
 )

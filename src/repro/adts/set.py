@@ -113,7 +113,7 @@ def _set_mc(q: Operation, p: Operation) -> bool:
 
 
 #: Failure-to-commute conflicts for Set: adds Insert(v) <-> Remove(v).
-SET_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+SET_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _set_mc, name="Set conflicts (commutativity)"
 )
 

@@ -94,7 +94,7 @@ def _stack_mc(q: Operation, p: Operation) -> bool:
 
 
 #: Failure-to-commute conflicts: pushes of distinct items conflict.
-STACK_COMMUTATIVITY_CONFLICT = PredicateRelation(  # repro: symmetric (REP107 verifies this against the derived failure-to-commute relation)
+STACK_COMMUTATIVITY_CONFLICT = PredicateRelation(
     _stack_mc, name="Stack conflicts (commutativity)"
 )
 

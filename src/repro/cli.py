@@ -627,10 +627,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.no_flight:
         flight = tracer.subscribe(
             FlightRecorder(
-                args.flight_dir,
-                queue_high_water=args.queue_limit,
-                emit_to=tracer,
-                profiler=profiler,
+                args.flight_dir, queue_high_water=args.queue_limit, emit_to=tracer
             )
         )
     pool = None
@@ -646,6 +643,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             trace_dir=data_dir / "traces" if args.trace_file else None,
             protocol=args.protocol,
         )
+        pool.start()  # its shards take the --object creates below
     server = ReproServer(
         host=args.host,
         port=args.port,
@@ -662,9 +660,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool=pool,
     )
     async def run() -> int:
-        # Objects are created after start(): in pool mode the shard
-        # worker processes only exist once the server has spawned them.
-        host, port = await server.start()
+        # Objects are created before start(): from then on a process
+        # shard's pipe belongs to the server's worker for it.
         for spec in args.object or []:
             name, _, adt = spec.partition(":")
             try:
@@ -673,6 +670,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"serve: cannot create {spec!r}: {exc}", file=sys.stderr)
                 await server.drain()
                 return 2
+        host, port = await server.start()
         server.install_signal_handlers([signal.SIGTERM, signal.SIGINT])
         tier = (
             f"{args.processes} shard process(es), group commit"

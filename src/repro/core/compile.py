@@ -284,10 +284,9 @@ def verify_commutativity_table(
     ``q``) and agree *exactly* with the derived relation: a missing pair
     is unsound for a commutativity-locking protocol, an extra pair is a
     mis-transcription — either is an error, reported with a disagreeing
-    pair from each side.  This check supersedes the hand audits that
-    previously justified the ``# repro: symmetric`` annotations in
-    ``adts/``.  The derived relation must in turn be a dependency relation
-    (Theorem 28), or locking with it would not be safe either.
+    pair from each side.  The derived relation must in turn be a
+    dependency relation (Theorem 28), or locking with it would not be
+    safe either.
     """
     issues: List[TableIssue] = []
     asymmetry = _symmetry_issue(label, relation, universe)

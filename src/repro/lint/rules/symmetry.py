@@ -7,17 +7,11 @@ guarantee genuinely fails otherwise.  The runtime audit
 when someone runs it — a transcription slip in a declared relation
 should not survive to that point.
 
-Statically provable discipline:
-
-* an :class:`EnumeratedRelation` built from a *literal* collection of
-  pairs must contain ``(b, a)`` for every ``(a, b)`` as written;
-* a module-level conflict declaration (a name ending in ``_CONFLICT``)
-  in ``adts/`` must be symmetric **by construction** — produced by
-  ``symmetric_closure(...)``, a symmetric enumerated literal, or an
-  expression of already-checked conflicts — or carry an explicit
-  ``# repro: symmetric`` marker asserting the predicate is symmetric
-  and covered by the runtime audit (the analogue of ``@GuardedBy``:
-  an auditable annotation where static proof is undecidable).
+The statically provable discipline: an :class:`EnumeratedRelation`
+built from a *literal* collection of pairs must contain ``(b, a)`` for
+every ``(a, b)`` as written.  A declared ``*_CONFLICT`` table in
+``adts/`` needs no rule here: REP107 re-derives each one a module hands
+the machines (its ``COMPILED_TABLES``), symmetry included.
 """
 
 from __future__ import annotations
@@ -28,13 +22,6 @@ from typing import Iterable, Optional, Set
 from ..engine import FileContext, Finding, Project, Rule, register
 
 __all__ = ["RelationSymmetry"]
-
-#: Call names that yield symmetric relations by construction.
-_SYMMETRIC_BUILDERS = {"symmetric_closure"}
-
-#: Relation-algebra combinators that preserve symmetry when every
-#: argument is symmetric.
-_SYMMETRY_PRESERVING = {"union", "restrict"}
 
 
 def _call_name(node: ast.Call) -> Optional[str]:
@@ -73,13 +60,6 @@ class RelationSymmetry(Rule):
     )
 
     def check(self, context: FileContext, project: Project) -> Iterable[Finding]:
-        yield from self._check_enumerated_literals(context)
-        if "/adts/" in context.path.replace("\\", "/"):
-            yield from self._check_conflict_declarations(context)
-
-    # -- literal EnumeratedRelation pair sets --------------------------
-
-    def _check_enumerated_literals(self, context: FileContext):
         for node in ast.walk(context.tree):
             if not (
                 isinstance(node, ast.Call)
@@ -104,51 +84,3 @@ class RelationSymmetry(Rule):
                         "the mirrored pair",
                     )
                     break  # one finding per literal is enough
-
-    # -- module-level *_CONFLICT declarations in adts/ -----------------
-
-    def _check_conflict_declarations(self, context: FileContext):
-        for node in context.tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            names = [
-                t.id
-                for t in node.targets
-                if isinstance(t, ast.Name) and t.id.endswith("_CONFLICT")
-            ]
-            if not names:
-                continue
-            if self._symmetric_by_construction(node.value):
-                continue
-            if context.has_marker("symmetric", node.lineno):
-                continue
-            yield self.finding(
-                context,
-                node,
-                f"{names[0]} is not symmetric by construction: build it "
-                "with symmetric_closure(...) or annotate the declaration "
-                "with `# repro: symmetric` once the runtime audit covers it",
-            )
-
-    def _symmetric_by_construction(self, value: ast.expr) -> bool:
-        if isinstance(value, ast.Call):
-            name = _call_name(value)
-            if name in _SYMMETRIC_BUILDERS:
-                return True
-            if name in _SYMMETRY_PRESERVING:
-                return all(
-                    self._symmetric_by_construction(arg) for arg in value.args
-                )
-            if name == "EnumeratedRelation" and value.args:
-                pairs = _literal_pairs(value.args[0])
-                if pairs is not None:
-                    return all(
-                        f"{p.split('|', 1)[1]}|{p.split('|', 1)[0]}" in pairs
-                        for p in pairs
-                    )
-            return False
-        if isinstance(value, ast.Name):
-            # Aliasing an existing *_CONFLICT keeps whatever that name
-            # already proved; anything else is unproven.
-            return value.id.endswith("_CONFLICT")
-        return False

@@ -17,8 +17,8 @@ concurrency (warning — silence with ``# repro: nonminimal`` on the
 table's ``COMPILED_TABLES`` entry once the extra conflict is
 deliberate); a declared dependency relation that is not the derived
 invalidated-by relation, or an alternative that fails Definition 3, is
-an error.  This check supersedes the hand audits that previously
-justified the ``# repro: symmetric`` annotations.
+an error.  A declared table's symmetry is checked here too (REP102
+reads enumerated literals only).
 
 The rule evaluates source from the file under lint — never the
 installed module — so mutated copies of the tree (the lint mutation

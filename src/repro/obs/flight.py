@@ -24,9 +24,6 @@ reason                 fires when
                        ``queue_high_water`` depth
 ``drain``              graceful shutdown completed (``server.drain``)
                        — the terminal snapshot of the run
-``p99-breach``         the recorder's own latency histogram crossed
-                       ``latency_threshold`` at p99 (needs at least
-                       ``min_latency_samples`` completed transactions)
 =====================  =============================================
 
 Dump files are named deterministically — ``flight-<NNN>-<reason>.jsonl``
@@ -49,7 +46,6 @@ from typing import Any, Dict, List, Optional
 
 from .codec import encode_event
 from .events import TraceEvent
-from .registry import DEFAULT_LATENCY_BUCKETS, Histogram
 from .sinks import RingBufferSink
 
 __all__ = ["FlightRecorder"]
@@ -77,12 +73,6 @@ class FlightRecorder:
     queue_high_water:
         When set, a ``server.request`` admitted at ``queue_depth >=``
         this value triggers a ``queue-high-water`` dump.
-    latency_threshold:
-        When set, completed-transaction latency (``txn.begin`` →
-        terminal event, bus clock units) feeds an internal histogram;
-        a p99 above this value triggers a ``p99-breach`` dump.
-    min_latency_samples:
-        Completed transactions required before the p99 trigger arms.
     cooldown_events:
         Events that must arrive between consecutive dumps.
     emit_to:
@@ -90,12 +80,6 @@ class FlightRecorder:
         (a ``flight.dump`` event).  The recorder ignores incoming
         ``flight.dump`` events, so subscribing it to the same bus it
         announces on cannot recurse.
-    profiler:
-        Optional :class:`~repro.obs.prof.SamplingProfiler`.  A
-        ``p99-breach`` dump then also snapshots the sampler's
-        collapsed stacks to ``flight-<NNN>-p99-breach.folded`` — the
-        flamegraph of *what the process was doing* when the tail blew
-        out, next to the event history of *what happened*.
     """
 
     def __init__(
@@ -103,37 +87,25 @@ class FlightRecorder:
         directory: str,
         capacity: int = 2048,
         queue_high_water: Optional[int] = None,
-        latency_threshold: Optional[float] = None,
-        min_latency_samples: int = 50,
         cooldown_events: int = 256,
         emit_to: Optional[Any] = None,
-        profiler: Optional[Any] = None,
     ):
         self.directory = directory
         self.ring = RingBufferSink(capacity)
         self.queue_high_water = queue_high_water
-        self.latency_threshold = latency_threshold
-        self.min_latency_samples = min_latency_samples
         self.cooldown_events = cooldown_events
         self._emit_to = emit_to
-        self.profiler = profiler
         #: Paths of every dump written, in order.
         self.dumps: List[str] = []
-        #: Paths of every ``.folded`` profile snapshot, in order.
-        self.profile_snapshots: List[str] = []
         self.last_reason: Optional[str] = None
         self._seq = 0
         #: ``ring.seen`` at the last dump (the cooldown counts from it).
         self._dumped_at: Optional[int] = None
-        self._latency = Histogram("flight.latency", DEFAULT_LATENCY_BUCKETS)
-        self._begin_ts: Dict[str, float] = {}
         #: The kinds that can fire a trigger as configured; for any other
         #: event ``__call__`` is the ring append and nothing else.
         self._watched = set(_TRIGGER_KINDS)
         if queue_high_water is not None:
             self._watched.add("server.request")
-        if latency_threshold is not None:
-            self._watched |= {"txn.begin", "txn.commit", "txn.abort"}
 
     # -- bus sink ------------------------------------------------------
 
@@ -159,25 +131,9 @@ class FlightRecorder:
         reason = _TRIGGER_KINDS.get(kind)
         if reason is not None:
             return reason
-        if kind == "server.request":
-            depth = event.data.get("queue_depth") or 0
-            return "queue-high-water" if depth >= self.queue_high_water else None
-        # txn.begin / txn.commit / txn.abort: the latency trigger.
-        transaction = event.data.get("transaction")
-        if transaction is None:
-            return None
-        if kind == "txn.begin":
-            self._begin_ts[transaction] = event.ts
-            return None
-        begin = self._begin_ts.pop(transaction, None)
-        if begin is not None:
-            self._latency.observe(max(0.0, event.ts - begin))
-            if (
-                self._latency.total >= self.min_latency_samples
-                and self._latency.quantile(0.99) > self.latency_threshold
-            ):
-                return "p99-breach"
-        return None
+        # server.request: the queue trigger.
+        depth = event.data.get("queue_depth") or 0
+        return "queue-high-water" if depth >= self.queue_high_water else None
 
     # -- dumping -------------------------------------------------------
 
@@ -209,13 +165,6 @@ class FlightRecorder:
         self.dumps.append(path)
         self.last_reason = reason
         self._dumped_at = self.ring.seen
-        if reason == "p99-breach" and self.profiler is not None:
-            folded_path = os.path.join(
-                self.directory, f"flight-{self._seq:03d}-{safe_reason}.folded"
-            )
-            with open(folded_path, "w", encoding="utf-8") as handle:
-                handle.write(self.profiler.folded())
-            self.profile_snapshots.append(folded_path)
         emit_to = self._emit_to
         if emit_to is not None:
             emit_to.emit(
@@ -239,5 +188,4 @@ class FlightRecorder:
             "retained": len(self.ring),
             "seen": self.ring.seen,
             "dropped_events": self.ring.dropped,
-            "profile_snapshots": len(self.profile_snapshots),
         }

@@ -22,15 +22,16 @@ A *transport* exposes an engine as ``call(ops)`` / ``single(op)`` plus
 ``alive``, ``blocking`` and ``stop()``; a blocking one also has an
 awaitable ``acall(ops)``, and one whose ``call`` can raise
 :class:`ShardDown` also has ``spawn()``, which brings the shard back
-over the same log.  There are three: :class:`LocalShard` calls the
-engine directly and adds nothing;
-:class:`~repro.server.procpool.ShardProcess` adds a pipe and a child
-process; :class:`~repro.distributed.site.Site` adds a simulated host
-with a kill switch.  :func:`two_phase_commit` is the one decision
-procedure — written as rounds of ``(shard, op)`` so that
-:class:`ShardSet` can run it with blocking calls, the server with
-queued ones, and :class:`~repro.distributed.client.DistributedClient`
-with simulated messages.
+over the same log (or raises :class:`ShardDown`: it stays down).  There
+are three: :class:`LocalShard` calls the engine directly and adds
+nothing; :class:`~repro.server.procpool.ShardProcess` adds a pipe and a
+child process; :class:`~repro.distributed.site.Site` adds a simulated
+host with a kill switch.  :func:`two_phase_commit` is the one decision
+procedure and :func:`resolve_prepared` the one recovery rule — both
+written as rounds of ``(shard, op)`` so that :class:`ShardSet` can run
+them with blocking calls, the server with queued ones, and
+:class:`~repro.distributed.client.DistributedClient` (2PC) with
+simulated messages.
 
 The module is pure (no sockets, clocks, pipes or files: a log, store or
 trace sink is handed in already open), so it stays under REP104/REP106.
@@ -61,9 +62,14 @@ __all__ = [
     "ShardSet",
     "ShardedTimestampGenerator",
     "abort_round",
+    "resolve_prepared",
     "shard_for",
     "two_phase_commit",
 ]
+
+#: A round procedure: yields rounds of ``(shard, op)``, is sent their
+#: replies (None where the shard could not answer), returns its outcome.
+Rounds = Generator[List[Tuple[int, Dict[str, Any]]], List[Any], Any]
 
 
 def shard_for(obj: str, workers: int) -> int:
@@ -415,38 +421,12 @@ class ShardSet:
         shard's prepared transactions get their verdict.  (A shard that
         failed to start keeps its cause for its first caller.)"""
         for index in range(self.workers):
-            try:
-                self.resolve_prepared(index)
-            except ShardDown:
-                continue
+            self.drive(resolve_prepared(index, self.workers))
 
     def stop(self) -> None:
         """Flush and release every shard."""
         for shard in self.shards:
             shard.stop()
-
-    def resolve_prepared(self, index: int) -> List[str]:
-        """Deliver the pending verdict for a recovered shard's prepared set:
-        commit if any live peer logged the decision, presumed abort
-        otherwise.  Returns the transaction names resolved."""
-        shard = self.shards[index]
-        prepared = shard.single({"op": "prepared"})["ok"]
-        for name in prepared:
-            timestamp = None
-            for other in self.shards:
-                if other is shard or not other.alive:
-                    continue
-                verdict = other.single({"op": "decision", "txn": name})["ok"]
-                if verdict["outcome"] == "commit":
-                    timestamp = verdict["ts"]
-                    break
-            if timestamp is not None:
-                shard.single({"op": "apply_commit", "txn": name, "ts": timestamp})
-            else:
-                # No shard logged a commit: the coordinator never decided
-                # (or decided abort) — presumed abort.
-                shard.single({"op": "abort", "txn": name})
-        return list(prepared)
 
     # -- routing -------------------------------------------------------
 
@@ -481,14 +461,17 @@ class ShardSet:
                 out.append({"shard": index, "down": True})
         return out
 
-    # -- cross-shard 2PC: the decision procedure, driven by blocking calls --
+    # -- the round procedures, driven by blocking calls ------------------
 
     def commit_cross_shard(
         self, name: str, participants: Sequence[int], primary: int
     ) -> Dict[str, Any]:
         """Run :func:`two_phase_commit` for ``name``; returns ``{"ok": ts}``
         or an error reply shaped like the engine's."""
-        rounds = two_phase_commit(name, participants, primary)
+        return self.drive(two_phase_commit(name, participants, primary))
+
+    def drive(self, rounds: Rounds) -> Any:
+        """Run a round procedure to its outcome, each op :meth:`deliver`-ed."""
         try:
             ops = next(rounds)
             while True:
@@ -501,38 +484,45 @@ class ShardSet:
         (None) and presumes an abort, but a commit decision is
         retransmitted until acked — through the death, by respawning the
         shard: recovery resurrects the prepared transaction (its vote and
-        intentions are on the stable log), :meth:`resolve_prepared` may
+        intentions are on the stable log), :func:`resolve_prepared` may
         already find the primary's commit record, and the retried apply
-        is then an idempotent ack."""
+        is then an idempotent ack.  A shard that cannot come back is not
+        retried: the decision reaches it by resolution at its next start."""
         while True:
             try:
                 return self.shards[index].single(op)
             except ShardDown:
-                if op["op"] != "apply_commit":
+                if op["op"] != "apply_commit" or not self.revive(index):
                     return None
-                self.respawn(index)
+                self.drive(resolve_prepared(index, self.workers))
 
     def respawn(self, index: int) -> List[str]:
-        """Bring a dead shard back and resolve its prepared transactions.
+        """Bring a dead shard back and resolve its prepared transactions;
+        returns their names (none when the shard did not come back)."""
+        if not self.revive(index):
+            return []
+        return self.drive(resolve_prepared(index, self.workers))
 
-        Emits ``site.crash`` (hard) for the lost incarnation, ``spawn``s a
-        fresh one (which replays its WAL — committed intentions redone,
-        prepared transactions back with their locks), then queries the
-        other shards for each prepared transaction's decision.  Returns
-        the prepared transaction names that were resolved.
-        """
+    def revive(self, index: int) -> bool:
+        """Spawn a fresh incarnation of dead shard ``index`` — it replays
+        its WAL: committed intentions redone, prepared transactions back
+        with their locks, for :func:`resolve_prepared` to settle — after a
+        ``site.crash`` (hard) for the lost one.  False when nothing was
+        spawned: the shard is alive (another caller brought it back), or
+        its last incarnation could not start, and it stays down."""
         shard = self.shards[index]
         if shard.alive:
-            return []  # another caller already brought it back
+            return False
         if self.tracer is not None:
             self.tracer.emit("site.crash", site=f"shard{index}", hard=True)
-        shard.spawn()
-        return self.resolve_prepared(index)
+        try:
+            shard.spawn()
+        except ShardDown:
+            return False
+        return True
 
 
-def two_phase_commit(
-    name: str, participants: Sequence[int], primary: int
-) -> Generator[List[Tuple[int, Dict[str, Any]]], List[Any], Dict[str, Any]]:
+def two_phase_commit(name: str, participants: Sequence[int], primary: int) -> Rounds:
     """Presumed-abort 2PC for ``name``, as rounds of ``(shard, op)``.
 
     The one decision rule, free of any transport: each ``yield`` hands
@@ -550,7 +540,7 @@ def two_phase_commit(
     ``apply_commit`` and ``abort`` are *verdicts*: their replies are not
     read.  A commit must be retransmitted until the participant acks it;
     an abort may be dropped by a driver that resolves prepared
-    transactions when it respawns a shard (:meth:`ShardSet.respawn`) and
+    transactions when it respawns a shard (:func:`resolve_prepared`) and
     must be retransmitted by one that does not.
     """
     participants = sorted(set(participants))
@@ -577,6 +567,30 @@ def two_phase_commit(
             return {"ok": timestamp}
     yield abort_round(name, voted)
     return outcome
+
+
+def resolve_prepared(index: int, shards: int) -> Rounds:
+    """The recovery rule for shard ``index`` of ``shards``, as rounds.
+
+    A recovered shard's prepared transactions get the verdict their
+    coordinator left: each is committed at the logged timestamp if any
+    peer answers its ``decision`` query with a commit, and presumed
+    aborted otherwise (no answer, from a down peer, is no commit record).
+    The first round asks the shard for its prepared set — a shard that
+    cannot answer has nothing resolved; then, per transaction, one round
+    of queries to the peers and one verdict.  Returns the names resolved.
+    """
+    (reply,) = yield [(index, {"op": "prepared"})]
+    prepared = [] if reply is None else reply["ok"]
+    peers = [peer for peer in range(shards) if peer != index]
+    for name in prepared:
+        answers = yield [(peer, {"op": "decision", "txn": name}) for peer in peers]
+        verdict: Dict[str, Any] = {"op": "abort", "txn": name}
+        for answer in answers:
+            if answer is not None and answer["ok"]["outcome"] == "commit":
+                verdict = {"op": "apply_commit", "txn": name, "ts": answer["ok"]["ts"]}
+        yield [(index, verdict)]
+    return list(prepared)
 
 
 def abort_round(name: str, participants: Sequence[int]) -> List[Tuple[int, Any]]:

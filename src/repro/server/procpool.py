@@ -19,11 +19,18 @@ Ops and replies are the engine's; the child is recv →
 ``engine.execute_batch`` → send, so a batch shares one fsync
 (fsyncs/txn ≈ 1/depth) and every acknowledged commit is durable.
 
+A pipe has one user at a time and no lock: before a server starts, and
+after it drains, whoever calls ``call``; while it serves, the shard's
+worker coroutine, which awaits ``acall`` on the event loop (a blocking
+``call`` meanwhile refuses rather than interleave on the pipe).
+
 :class:`ShardProcessPool` is a :class:`~repro.server.engine.ShardSet`
 whose shards can die: it spawns them, and a respawned child rebuilds
 itself from its WAL (which refuses a resized stride), resurrecting
 prepared transactions with their locks for the set to resolve —
-commit if any shard logged the decision, presumed abort otherwise.
+commit if any shard logged the decision, presumed abort otherwise.  A
+child that cannot start stays down: its cause answers every later call
+and ``spawn``, and it is not forked again.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ import multiprocessing
 import os
 import pathlib
 import signal
-import threading
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import JSONLSink, TraceBus
@@ -125,9 +131,7 @@ class ShardProcess:
         self._process = None
         self._conn = None
         self._fatal: Optional[str] = None
-        #: Serialises the pipe; re-entrant for the loop's thread (see acall).
-        self._lock = threading.RLock()
-        #: The reply :meth:`acall` awaits while one is in flight.
+        #: Set while an :meth:`acall` awaits its reply.
         self._waiter: Optional[asyncio.Future] = None
         #: Trace files written by past and present incarnations, oldest
         #: first — the merge feed for certification.
@@ -142,7 +146,11 @@ class ShardProcess:
         return self._process is not None and self._process.is_alive()
 
     def spawn(self) -> None:
-        """Start (or restart) the worker; a restart recovers from the WAL."""
+        """Start (or restart) the worker; a restart recovers from the WAL.
+        Raises :class:`ShardDown` instead once an incarnation could not
+        start: the cause (a corrupt log, a stride mismatch) is still there."""
+        if self._conn is not None:
+            self._check_fatal()
         self.incarnation += 1
         trace_path = None
         if self.trace_dir is not None:
@@ -160,7 +168,7 @@ class ShardProcess:
         child_conn.close()
         self._process = process
         self._conn = parent_conn
-        self._fatal = None
+        self._fatal = None  # a stopped pool's restart tries again
 
     def _check_fatal(self, reply: Any = None) -> None:
         """Raise the child's fatal startup announcement, if it made one.
@@ -181,48 +189,36 @@ class ShardProcess:
             raise ShardDown(f"{self.name} failed to start: {self._fatal}")
 
     def call(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Send one batch and wait for its replies (thread-safe).
+        """Send one batch and wait for its replies.
 
         Raises :class:`ShardDown` when the worker is dead or dies
         mid-request, and :class:`ShardDown` with the child's message when
         startup failed fatally (e.g. a stride mismatch on recovery).
+        Refused while an :meth:`acall` is in flight: the pipe has one user.
         """
-        with self._lock:
-            self._settle()  # a caller on the loop's thread: the worker's reply first
-            self._send(ops)
-            return self._receive()
+        if self._waiter is not None:
+            raise RuntimeError(
+                f"{self.name}'s pipe is awaited by its worker: a blocking call"
+                " must not interleave with it"
+            )
+        self._send(ops)
+        return self._receive()
 
     async def acall(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """:meth:`call`'s two halves with the wait on the running loop,
-        which watches the pipe (the shard's worker is the one caller).
-        The lock is held on the loop's thread until the reply is in: a
-        call from another thread waits its turn, one from the loop's own
-        thread re-enters and takes the reply off the pipe first."""
-        held = False
+        """:meth:`call` with the wait on the running loop: send, await the
+        loop's reader on the pipe, receive.  The shard's worker coroutine
+        is the one caller while a server runs."""
+        self._send(ops)
+        loop = asyncio.get_running_loop()
+        fd = self._conn.fileno()
+        self._waiter = loop.create_future()
+        loop.add_reader(fd, self._waiter.set_result, None)
         try:
-            while not self._lock.acquire(blocking=False):
-                await asyncio.sleep(0.001)  # a lifecycle call has the pipe
-            held = True
-            self._send(ops)
-            loop = asyncio.get_running_loop()
-            self._waiter = loop.create_future()
-            loop.add_reader(self._conn.fileno(), self._settle)
-            return await self._waiter
+            await self._waiter
         finally:
-            if held:
-                self._settle()  # no reply left in flight, whatever happened
-                self._lock.release()
-
-    def _settle(self) -> None:
-        """Receive the reply :meth:`acall` awaits, if one is in flight."""
-        waiter, self._waiter = self._waiter, None
-        if waiter is None:
-            return
-        waiter.get_loop().remove_reader(self._conn.fileno())
-        try:
-            waiter.set_result(self._receive())
-        except ShardDown as exc:
-            waiter.set_exception(exc)
+            loop.remove_reader(fd)
+            self._waiter = None
+        return self._receive()
 
     def _send(self, ops: Sequence[Dict[str, Any]]) -> None:
         if self._conn is None:
@@ -256,17 +252,16 @@ class ShardProcess:
 
     def stop(self) -> None:
         """Flush and join the worker (no-op when already dead)."""
-        with self._lock:
-            if self._conn is None:
-                return
-            if self.alive:
-                try:
-                    self._conn.send(("stop",))
-                    self._conn.recv()
-                except (EOFError, OSError):
-                    pass
-            self._conn.close()
-            self._conn = None
+        if self._conn is None:
+            return
+        if self.alive:
+            try:
+                self._conn.send(("stop",))
+                self._conn.recv()
+            except (EOFError, OSError):
+                pass
+        self._conn.close()
+        self._conn = None
         if self._process is not None:
             self._process.join(timeout=5.0)
             self._process = None

@@ -56,16 +56,19 @@ recorded participants.  All the server asks of the transport is whether
   :class:`~repro.distributed.Site` is served the same way.
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
-  it has a queue and a worker coroutine, its pipe's one user: the
-  worker drains the queue into one *batch*, sends it and awaits the
-  reply on the loop — one round-trip, one group-commit fsync for the lot
-  — then answers with one write per connection.  A multi-shard commit
-  gets a 2PC task whose rounds ride the participants' next batches.
+  it has a queue and a worker coroutine, its pipe's one owner from
+  :meth:`ReproServer.start` to the drain: the worker drains the queue
+  into one *batch*, sends it and awaits the reply on the loop — one
+  round-trip, one group-commit fsync for the lot — then answers with one
+  write per connection.  Nothing else touches the pipe: a multi-shard
+  commit gets a task whose 2PC rounds ride the participants' next
+  batches, and so does a respawned shard's prepared-set resolution.
 
 A shard that dies under a call (a killed process, a crashed site) is
 respawned, recovering from its WAL; the requests and handles it stranded
 are answered ``SHARD_DOWN`` and cleaned up on every participant, never
-leaked.
+leaked.  One whose new incarnation cannot start stays down, answering
+``SHARD_DOWN``.
 
 Graceful drain
 --------------
@@ -83,12 +86,11 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .engine import LocalShard, ShardDown, ShardEngine, ShardSet, shard_for
-from .engine import abort_round, two_phase_commit
+from .engine import LocalShard, Rounds, ShardDown, ShardEngine, ShardSet, shard_for
+from .engine import abort_round, resolve_prepared, two_phase_commit
 from .protocol import (
-    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
     FrameError,
@@ -196,11 +198,9 @@ class ReproServer:
         workers: int = 1,
         queue_limit: int = 64,
         protocol: str = "hybrid",
-        max_frame_bytes: int = MAX_FRAME_BYTES,
         tracer: Any = None,
         drain_grace: float = 5.0,
         flush_on_drain: Sequence[Any] = (),
-        ack_capacity: int = 256,
         registry: Any = None,
         flight: Any = None,
         profiler: Any = None,
@@ -227,11 +227,9 @@ class ReproServer:
         self.pool = pool
         self.workers = pool.workers
         self.queue_limit = queue_limit
-        self.max_frame_bytes = max_frame_bytes
         self.tracer = tracer
         self.drain_grace = drain_grace
         self._flush_on_drain = list(flush_on_drain)
-        self._ack_capacity = ack_capacity
         self.registry = registry
         self.flight = flight
         self.profiler = profiler
@@ -243,8 +241,9 @@ class ReproServer:
         #: shards the connection handlers call directly).
         self._queues: List[asyncio.Queue] = []
         self._worker_tasks: List[asyncio.Task] = []
-        #: Multi-shard completions handed to their own 2PC task.
-        self._completions: Set[asyncio.Task] = set()
+        #: Round procedures driven in tasks of their own (multi-shard
+        #: completions, respawn resolutions); drain waits for them.
+        self._tasks: Set[asyncio.Task] = set()
         self._connections: List[_Connection] = []
         self._session_ids = itertools.count(1)
         self._server: Optional[asyncio.AbstractServer] = None
@@ -269,7 +268,18 @@ class ReproServer:
     def create_object(
         self, name: str, adt_name: str, protocol: Optional[str] = None
     ) -> int:
-        """Create ``name`` on its owning shard; returns the worker index."""
+        """Create ``name`` on its owning shard; returns the worker index.
+
+        A blocking shard's pipe belongs to its worker once the server has
+        started: create those objects before :meth:`start` (with a
+        process pool started first), or over the wire.
+        """
+        if self._queues:
+            raise RuntimeError(
+                f"cannot create {name!r} with a blocking call: the started"
+                " server's workers own the shard pipes; send the wire"
+                " `create` action instead"
+            )
         if name in self._catalog:
             raise ValueError(f"object {name!r} already exists")
         worker = self.pool.create_object(name, adt_name, protocol)
@@ -334,19 +344,20 @@ class ReproServer:
         forced = 0
         for connection in list(self._connections):
             forced += await self._abort_session(connection.session)
-        # No further queue admissions; let the 2PCs in flight decide on
-        # the running workers, and answer what was already accepted.
+        # No further queue admissions or respawns; let the 2PCs and
+        # resolutions in flight finish on the running workers, and answer
+        # what was already accepted.
         self._stopping = True
-        while self._completions:
-            await asyncio.wait(list(self._completions))
+        while self._tasks:
+            await asyncio.wait(list(self._tasks))
         for queue in self._queues:
             queue.put_nowait(None)
         for task in self._worker_tasks:
             await task
-        # Flush every shard's log and trace sink (and join its process,
-        # if it has one) — after this the per-shard trace files are
-        # complete and mergeable.
-        await self._off_loop(self.pool.stop)
+        # With the workers gone, flush every shard's log and trace sink
+        # (and join its process, if it has one) — after this the
+        # per-shard trace files are complete and mergeable.
+        self.pool.stop()
         report = {
             "sessions": len(self._connections),
             "finished": max(0, active_at_start - forced),
@@ -412,11 +423,8 @@ class ReproServer:
     async def _handle_connection(self, reader, writer) -> None:
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        session = Session(
-            next(self._session_ids), peer=peer, ack_capacity=self._ack_capacity
-        )
+        session = Session(next(self._session_ids), peer=peer)
         connection = _Connection(session, reader, writer)
-        connection.decoder.max_frame_bytes = self.max_frame_bytes
         self._connections.append(connection)
         self.stats["connections"] += 1
         tracer = self.tracer
@@ -458,15 +466,6 @@ class ReproServer:
                 aborted += 1
             session.close_transaction(handle)
         return aborted
-
-    async def _off_loop(self, function: Callable, *args: Any) -> Any:
-        """A lifecycle call (respawn, stop) that must not stall the loop:
-        through the executor when the shards block, else directly."""
-        if self.pool.blocking:
-            return await asyncio.get_event_loop().run_in_executor(
-                None, function, *args
-            )
-        return function(*args)
 
     # ------------------------------------------------------------------
     # Serving one read (runs in the connection handler)
@@ -762,12 +761,13 @@ class ReproServer:
     async def _worker(self, index: int) -> None:
         """Serve one blocking shard's queue: plan ops, call the shard, answer.
 
-        The worker drains its queue into one *batch* and awaits the
-        shard's ``acall`` on the loop: one round-trip, one group-commit
-        fsync for the lot — under load the queue is never empty, so the
-        cost amortises across every queued request.  The batch's replies
-        leave with one write per connection; 2PC ops (:meth:`_post`) get
-        theirs through their futures."""
+        The worker is its shard pipe's one owner: it drains its queue into
+        one *batch* and awaits the shard's ``acall`` on the loop — one
+        round-trip, one group-commit fsync for the lot; under load the
+        queue is never empty, so the cost amortises across every queued
+        request.  The batch's replies leave with one write per connection;
+        round ops (:meth:`_post`: 2PC, resolution) get theirs through their
+        futures, after a death's :meth:`_shard_down` has run."""
         queue = self._queues[index]
         shard = self.pool.shards[index]
         tracer = self.tracer
@@ -968,9 +968,13 @@ class ReproServer:
                 )
             await self._flush({connection: [frame]}, answered)
 
-        task = asyncio.ensure_future(complete())
-        self._completions.add(task)
-        task.add_done_callback(self._completions.discard)
+        self._track(complete())
+
+    def _track(self, work: Awaitable[Any]) -> None:
+        """Run ``work`` in a task of its own, which drain waits for."""
+        task = asyncio.ensure_future(work)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     async def _complete_cross(
         self, session: Session, request: Request, record: TxnRecord
@@ -981,13 +985,9 @@ class ReproServer:
         if request.action == "abort":
             await self._round(abort_round(handle, record.participants))
             return self._completed(session, request)
-        rounds = two_phase_commit(handle, record.participants, record.primary)
-        try:
-            ops = next(rounds)
-            while True:
-                ops = rounds.send(await self._round(ops))
-        except StopIteration as done:
-            reply = done.value
+        reply = await self._drive(
+            two_phase_commit(handle, record.participants, record.primary)
+        )
         if "error" in reply:
             # The 2PC already aborted the transaction on every
             # participant; the handle is finished, not leaked.
@@ -996,26 +996,40 @@ class ReproServer:
             return self._error(request.id, reply)
         return self._completed(session, request, reply["ok"])
 
+    async def _drive(self, rounds: Rounds) -> Any:
+        """Run a round procedure (2PC, resolution) to its outcome, each
+        round through :meth:`_round` — the server's one driver."""
+        try:
+            ops = next(rounds)
+            while True:
+                ops = rounds.send(await self._round(ops))
+        except StopIteration as done:
+            return done.value
+
     async def _round(self, ops: List[Tuple[int, Any]]) -> List[Any]:
-        """One 2PC round's replies, in order: direct calls with no
-        suspension on non-blocking shards; on blocking ones every op is
-        posted at once, to ride its shard's next batch.  None answers an
-        op its shard died under; a commit verdict is then posted again,
-        for after the worker's respawn, until it is acked."""
+        """One round's replies, in order: direct calls with no suspension
+        on non-blocking shards; on blocking ones every op is posted at
+        once, to ride its shard's next batch.  None answers an op its
+        shard died under; a commit verdict is then posted again, for the
+        respawned worker, until it is acked — or until the shard stays
+        down, for the next start's resolution to apply."""
         if not self._queues:
             return [self.pool.deliver(index, op) for index, op in ops]
+        shards = self.pool.shards
 
         async def deliver(index: int, op: Dict[str, Any]) -> Any:
             while True:
                 reply = await self._post(index, op)
                 if reply is not None or op["op"] != "apply_commit":
                     return reply
+                if not shards[index].alive:
+                    return None
 
         return list(await asyncio.gather(*(deliver(i, op) for i, op in ops)))
 
     def _post(self, index: int, op: Dict[str, Any]) -> asyncio.Future:
-        """Queue a 2PC op for its shard's next batch, the future to get its
-        reply — never BUSY, no event, no request counted."""
+        """Queue a round op for its shard's next batch, the future to get
+        its reply — never BUSY, no event, no request counted."""
         future = asyncio.get_event_loop().create_future()
         self._queues[index].put_nowait((None, op, index, future))
         return future
@@ -1038,15 +1052,20 @@ class ReproServer:
         Every handle that touched the dead shard is aborted on its
         surviving participants and closed (never leaked — the dead
         shard's own active transactions died with its volatile state;
-        prepared ones are resurrected from the WAL and resolved by the
+        prepared ones are resurrected from the WAL and resolved after the
         respawn) — except one in 2PC, whose coordinator hears of the death.
         On blocking shards the aborts are posted, not awaited: two dying
         shards must not wait on each other.  Then the typed ``SHARD_DOWN``
         answers waiting in ``outbox`` leave (:meth:`_shard_down_frame` —
         never stranded): a client that reacts to one finds its handle
-        gone, not half cleaned, and does not wait for the respawn, which
-        replays a log.  Last the shard is respawned, recovered, and put
-        back in rotation.  Returns the number of handles cleaned up.
+        gone, not half cleaned.  Last a new incarnation is spawned (it
+        replays its log) — unless the server is draining, or the last
+        one could not start: that shard stays down and every request for
+        it answers ``SHARD_DOWN``.  A non-blocking set resolves the new
+        incarnation's prepared set right here; on blocking shards a task
+        drives :func:`~repro.server.engine.resolve_prepared` through the
+        queues, and no caller waits for it.  Returns the number of
+        handles cleaned up.
         """
         cleaned = 0
         for connection in self._connections:
@@ -1064,5 +1083,10 @@ class ReproServer:
                 self.stats["transactions_aborted"] += 1
                 cleaned += 1
         await self._flush(outbox, [])
-        await self._off_loop(self.pool.respawn, index)
+        if not self._stopping and self.pool.revive(index):
+            resolution = self._drive(resolve_prepared(index, self.workers))
+            if self._queues:
+                self._track(resolution)
+            else:
+                await resolution
         return cleaned

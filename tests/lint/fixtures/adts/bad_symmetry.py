@@ -1,4 +1,4 @@
-"""REP102 fixture: relations that are not symmetric by construction.
+"""REP102 fixture: an enumerated literal that is asymmetric as written.
 
 Parsed by the lint tests, never imported or executed.
 """
@@ -13,6 +13,6 @@ def _predicate(p, q):
     return p.name == "Enq"
 
 
-# A conflict relation with no symmetry evidence: neither built with
-# symmetric_closure(...) nor annotated ``# repro: symmetric``.
+# A declared predicate table is not REP102's: REP107 re-derives the
+# tables a module hands the machines, symmetry included.
 FIXTURE_CONFLICT = PredicateRelation(_predicate, name="fixture")

@@ -104,6 +104,21 @@ def test_rep107_quotes_the_history_a_deleted_pair_admits(tree_copy):
     ), messages
 
 
+def test_rep107_refutes_an_asymmetric_predicate_table(tree_copy):
+    # REP102 reads enumerated literals only; a declared predicate table
+    # that lost one direction is REP107's to refute.
+    victim = tree_copy / "adts" / "counter.py"
+    source = victim.read_text(encoding="utf-8")
+    entry = "return _counter_dep(q, p) or _counter_dep(p, q)"
+    assert source.count(entry) == 1
+    victim.write_text(
+        source.replace(entry, "return _counter_dep(q, p)"), encoding="utf-8"
+    )
+    result = Runner(select=["REP107"]).run([str(tree_copy)])
+    messages = [f.message for f in result.findings if "counter.py" in f.path]
+    assert any("not symmetric" in m for m in messages), messages
+
+
 def test_fully_mutated_tree_exits_nonzero(tree_copy, capsys):
     for relpath, payload in MUTATIONS.values():
         with open(tree_copy / relpath, "a", encoding="utf-8") as handle:

@@ -31,8 +31,8 @@ class TestSeededViolations:
         assert rule_ids(result) == ["REP102"]
         messages = "\n".join(f.message for f in result.findings)
         assert "Enq" in messages                # the unmirrored pair
-        assert "FIXTURE_CONFLICT" in messages   # unproven conflict relation
-        assert len(result.findings) == 2
+        assert "FIXTURE_CONFLICT" not in messages  # REP107's to check
+        assert len(result.findings) == 1
 
     def test_rep103_state_encapsulation(self):
         result = lint("bad_encapsulation.py")

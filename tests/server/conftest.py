@@ -13,13 +13,14 @@ from repro.server.engine import ShardSet
 
 @pytest.fixture
 def serve_over(tmp_path):
-    """``await serve_over(transport, **kwargs)``: a started
+    """``await serve_over(transport, objects=(), **kwargs)``: a started
     :class:`ReproServer` over two shards behind ``transport`` — ``"local"``
     engines, ``"process"`` children or simulated ``"site"`` hosts (each
-    with a log, so a killed one can be respawned).  A traced server's
-    process shards trace too (``shard.trace_paths``)."""
+    with a log, so a killed one can be respawned) — holding an Account
+    for each name in ``objects``, created before the server starts.  A
+    traced server's process shards trace too (``shard.trace_paths``)."""
 
-    async def start(transport, **kwargs):
+    async def start(transport, objects=(), **kwargs):
         kwargs.setdefault("drain_grace", 0.5)
         if transport == "local":
             kwargs["workers"] = 2
@@ -34,6 +35,10 @@ def serve_over(tmp_path):
                 [Site(index, 2, wal=MemoryWAL()) for index in range(2)]
             )
         server = ReproServer(**kwargs)
+        if objects:
+            server.pool.start()  # process shards: up, to take the creates
+        for name in objects:
+            server.create_object(name, "Account")
         await server.start()
         return server
 
@@ -46,7 +51,7 @@ def hold():
     shard ``shard`` holds its next batch — the next one carrying an op of
     ``kind``, when given — before sending it, until ``release.set()``;
     ``entered`` is set once it holds.  Gates the worker's pipe call
-    (``ShardProcess.acall``), once."""
+    (``ShardProcess.acall``, the pipe's one user while serving), once."""
 
     def gate(shard, kind=None):
         acall = shard.acall

@@ -103,10 +103,11 @@ class TestProcessShards:
     ):
         async def scenario():
             pool = ShardProcessPool(1, tmp_path / "data")
+            pool.start()
             server = ReproServer(pool=pool, drain_grace=0.5)
+            server.create_object("A", "Account")
             await server.start()
             assert len(server._queues) == len(server._worker_tasks) == 1
-            server.create_object("A", "Account")
             first = await AsyncClient.connect(server.host, server.port)
             second = await AsyncClient.connect(server.host, server.port)
             handles = {
@@ -154,14 +155,15 @@ class TestProcessShards:
             bus = TraceBus()
             bus.subscribe(events.append)
             pool = ShardProcessPool(2, tmp_path / "data")
+            pool.start()
             server = ReproServer(pool=pool, tracer=bus, queue_limit=k, drain_grace=0.5)
-            await server.start()
             a, b = (
                 next(f"Q{i}" for i in itertools.count() if pool.shard_of(f"Q{i}") == s)
                 for s in (0, 1)
             )
             server.create_object(a, "Account")
             server.create_object(b, "Account")
+            await server.start()
             client = await AsyncClient.connect(server.host, server.port)
             cross = await client.begin()
             await client.invoke(cross, b, "Credit", 1)  # primary: shard 1
@@ -220,8 +222,7 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
     async def scenario():
         bus = TraceBus(clock=lambda: next(ticks))
         bus.subscribe(events.append)
-        server = await serve_over(transport, tracer=bus)
-        server.create_object("A", "Account")
+        server = await serve_over(transport, objects=["A"], tracer=bus)
         reader, writer = await asyncio.open_connection(server.host, server.port)
         writer.write(b"".join(request_frame(rid, "begin") for rid in (1, 2, 3)))
         await read_replies(reader, 3)

@@ -7,11 +7,10 @@ mode) must leak no session state and strand no queued request.
 """
 
 import asyncio
+import concurrent.futures
 import itertools
 import os
-import pathlib
 import signal
-import threading
 
 import pytest
 
@@ -28,6 +27,15 @@ from repro.server import (
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+def corrupt_first_line(wal):
+    """Overwrite the first line of log file ``wal`` with garbage, so that
+    recovery refuses it (a corrupt line before the last is not a torn
+    write); returns the line, to put back."""
+    first, *rest = wal.read_text(encoding="utf-8").splitlines(keepends=True)
+    wal.write_text("garbage\n" + "".join(rest), encoding="utf-8")
+    return first
 
 
 def two_shard_names(pool):
@@ -319,6 +327,37 @@ class TestPoolServer:
 
         run(scenario())
 
+    def test_a_shard_that_cannot_restart_stays_down_and_answers(self, tmp_path):
+        """A respawn whose child cannot start (its log's first line is
+        garbage, so recovery refuses it) leaves the shard down: every
+        request for it answers ``SHARD_DOWN``, it is not forked again per
+        batch, the other shard serves, and the drain finishes."""
+
+        async def scenario():
+            pool, server, client = await self._started(tmp_path)
+            a, b = two_shard_names(pool)
+            await client.create(a, "Account")
+            await client.create(b, "Account")
+            txn = await client.begin()
+            await client.invoke(txn, b, "Credit", 1)
+            await client.commit(txn)
+            pool.shards[1].kill()
+            corrupt_first_line(tmp_path / "data" / "shard1" / "wal.jsonl")
+            for _ in range(3):
+                txn = await client.begin()
+                with pytest.raises(WireError) as caught:
+                    await asyncio.wait_for(client.invoke(txn, b, "Credit", 1), 30)
+                assert caught.value.code == "SHARD_DOWN"
+            assert pool.shards[1].incarnation == 2  # one fatal child, no more
+            txn = await client.begin()
+            await client.invoke(txn, a, "Credit", 1)
+            timestamp, _ = await client.commit(txn)
+            assert isinstance(timestamp, int)
+            await client.aclose()
+            await asyncio.wait_for(server.drain(), 30)
+
+        run(scenario())
+
     def test_merged_trace_certifies_clean_through_worker_death(self, tmp_path):
         parent_trace = tmp_path / "parent.jsonl"
 
@@ -388,13 +427,14 @@ class TestTwoPhaseCommitOnTheLoop:
         bus = TraceBus()
         sink = bus.subscribe(JSONLSink(str(tmp_path / "parent.jsonl")))
         pool = ShardProcessPool(2, tmp_path / "data", trace_dir=tmp_path / "traces")
+        pool.start()
         server = ReproServer(
             pool=pool, tracer=bus, drain_grace=0.5, flush_on_drain=[sink], **kwargs
         )
-        await server.start()
         a, b = two_shard_names(pool)
         server.create_object(a, "Account")
         server.create_object(b, "Account")
+        await server.start()
         client = await AsyncClient.connect(server.host, server.port)
         return pool, server, client, a, b
 
@@ -499,6 +539,36 @@ class TestTwoPhaseCommitOnTheLoop:
         assert single > decided  # the decision was applied before it
         assert self._certified(tmp_path, pool)
 
+    def test_a_commit_verdict_for_a_shard_that_stays_down_is_not_resent(
+        self, tmp_path, hold
+    ):
+        """The primary decided; the participant dies before applying and
+        its new child cannot start.  The commit is answered, the verdict
+        is not posted in a loop, the drain finishes — and the decision
+        reaches the participant at its next start."""
+        wal = tmp_path / "data" / "shard1" / "wal.jsonl"
+
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            txn = await self._transfer(client, a, b)
+            entered, release = hold(pool.shards[1], "apply_commit")
+            commit = asyncio.ensure_future(client.commit(txn))
+            await entered.wait()
+            pool.shards[1].kill()
+            first = corrupt_first_line(wal)
+            release.set()
+            timestamp, _ = await asyncio.wait_for(commit, 30)
+            assert pool.shards[1].incarnation == 2
+            await client.aclose()
+            await asyncio.wait_for(server.drain(), 30)
+            return pool, timestamp, first
+
+        pool, timestamp, first = run(scenario())
+        assert isinstance(timestamp, int)
+        wal.write_text(first + wal.read_text(encoding="utf-8").split("\n", 1)[1])
+        a, b = two_shard_names(pool)
+        assert self._balances(tmp_path, a, b) == [5, 7]
+
     def test_two_shards_dying_together_do_not_wait_on_each_other(self, tmp_path):
         """No worker awaits another shard's queue: each dead shard's
         sweep posts its survivors' aborts and goes on to its respawn."""
@@ -534,13 +604,20 @@ class TestTwoPhaseCommitOnTheLoop:
         assert isinstance(timestamp, int)
         assert self._certified(tmp_path, pool)
 
-    def test_a_respawn_waits_for_the_peers_batch_in_flight(self, tmp_path):
-        """A lifecycle call on another thread takes the peer's pipe only
-        between the peer worker's batches."""
+    def test_a_respawns_resolution_rides_the_peers_batch(self, tmp_path, hold):
+        """A respawned shard's prepared set is resolved by a task whose
+        queries ride the peers' worker batches: no executor job, no
+        blocking call on a pipe, and nobody waits for it."""
+
+        class NoExecutor(concurrent.futures.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise AssertionError("an executor job on the served path")
 
         async def scenario():
+            asyncio.get_running_loop().set_default_executor(NoExecutor())
             pool, server, client, a, b = await self._started(tmp_path)
-            # X: prepared on both shards, decided on shard 1 only.
+            # X: prepared on both shards, decided on shard 1 only (the
+            # server is quiet: these blocking calls have the pipes).
             votes = []
             for home, name in ((0, a), (1, b)):
                 pool.shards[home].call(
@@ -554,50 +631,70 @@ class TestTwoPhaseCommitOnTheLoop:
                 votes.append(vote["ok"])
             pool.shards[1].single({"op": "decide", "txn": "X", "votes": votes})
             pool.shards[0].kill()
-            # Shard 1's worker sends a batch its stopped child cannot answer.
-            peer = pool.shards[1]
-            os.kill(peer._process.pid, signal.SIGSTOP)
+            entered, release = hold(pool.shards[1], "decision")
             txn = await client.begin()
-            invoked = asyncio.ensure_future(client.invoke(txn, b, "Credit", 1))
-            while peer._waiter is None:
-                await asyncio.sleep(0.005)
-            loop = asyncio.get_running_loop()
-            respawned = loop.run_in_executor(None, pool.respawn, 0)
-            await asyncio.sleep(0.3)
-            assert not respawned.done()  # it waits for the peer's pipe
-            os.kill(peer._process.pid, signal.SIGCONT)
-            assert await asyncio.wait_for(respawned, 30) == ["X"]
-            assert await invoked == "Ok"
+            with pytest.raises(WireError) as caught:
+                await asyncio.wait_for(client.invoke(txn, a, "Credit", 1), 30)
+            assert caught.value.code == "SHARD_DOWN"
+            await asyncio.wait_for(entered.wait(), 30)  # in shard 1's batch
+            assert server._tasks  # the resolution waits for it
+            release.set()
+            while server._tasks:
+                await asyncio.sleep(0.01)
+            assert pool.shards[0].single({"op": "prepared"})["ok"] == []
             assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == 3
             await client.aclose()
             await server.drain()
 
         run(scenario())
 
-    def test_a_blocking_call_on_the_loop_thread_mid_batch(self, tmp_path):
-        """``create_object`` from the loop's own thread while the worker
-        awaits its batch: it re-enters the pipe's lock, takes the worker's
-        reply off the pipe, then makes its own call — no self-deadlock."""
+    def test_a_blocking_call_mid_batch_refuses(self, tmp_path):
+        """While the worker awaits its batch, a blocking ``call`` on the
+        same pipe raises instead of interleaving with it."""
 
         async def scenario():
             pool, server, client, a, _b = await self._started(tmp_path)
             shard = pool.shards[0]
             os.kill(shard._process.pid, signal.SIGSTOP)
-            txn = await client.begin()
-            invoked = asyncio.ensure_future(client.invoke(txn, a, "Credit", 1))
-            while shard._waiter is None:
-                await asyncio.sleep(0.005)
-            threading.Timer(0.2, os.kill, (shard._process.pid, signal.SIGCONT)).start()
-            name = next(
-                f"R{i}" for i in itertools.count() if pool.shard_of(f"R{i}") == 0
-            )
-            assert server.create_object(name, "Account") == 0
+            try:
+                txn = await client.begin()
+                invoked = asyncio.ensure_future(client.invoke(txn, a, "Credit", 1))
+                while shard._waiter is None:
+                    await asyncio.sleep(0.005)
+                with pytest.raises(RuntimeError, match="interleave"):
+                    shard.single({"op": "stats"})
+            finally:
+                os.kill(shard._process.pid, signal.SIGCONT)
             assert await invoked == "Ok"
             await client.commit(txn)
             await client.aclose()
             await server.drain()
 
         run(scenario())
+
+    def test_create_object_after_start_names_the_wire_create(self, tmp_path):
+        async def scenario():
+            pool, server, client, a, b = await self._started(tmp_path)
+            name = next(
+                f"R{i}" for i in itertools.count() if pool.shard_of(f"R{i}") == 0
+            )
+            with pytest.raises(RuntimeError, match="`create`"):
+                server.create_object(name, "Account")
+            txn = await self._transfer(client, a, b)
+            # Over the wire, in the middle of traffic on the same shard.
+            _, home = await asyncio.gather(
+                client.invoke(txn, a, "Credit", 1), client.create(name, "Account")
+            )
+            assert home == 0
+            await client.invoke(txn, name, "Credit", 2)
+            timestamp, _ = await client.commit(txn)
+            assert isinstance(timestamp, int)
+            await client.aclose()
+            await server.drain()
+            return pool
+
+        pool = run(scenario())
+        assert self._certified(tmp_path, pool)
 
 
 class TestCrossShardRefusalHygiene:

@@ -207,7 +207,7 @@ class TestTypedErrors:
 
     def test_oversized_frame_gets_typed_error_then_close(self):
         async def scenario():
-            server = await start_server(max_frame_bytes=128)
+            server = await start_server()
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )
@@ -289,8 +289,9 @@ class TestBackpressure:
             bus.subscribe(RegistrySink(registry))
             # queue_limit=0: every routed request is beyond high water,
             # with or without a queue behind the limit.
-            server = await serve_over(transport, queue_limit=0, tracer=bus)
-            server.create_object("A", "Account")
+            server = await serve_over(
+                transport, objects=["A"], queue_limit=0, tracer=bus
+            )
             client = await AsyncClient.connect(server.host, server.port)
             handle = await client.begin()              # inline: unaffected
             with pytest.raises(WireError) as excinfo:

@@ -256,10 +256,10 @@ class TestEventsPerTransaction:
         async def scenario():
             bus = TraceBus()
             bus.subscribe(events.append)
-            server = await serve_over(transport, tracer=bus)
             first, second = co_located(2)
-            server.create_object(first, "Account")
-            server.create_object(second, "Account")
+            server = await serve_over(
+                transport, objects=[first, second], tracer=bus
+            )
             client = await AsyncClient.connect(server.host, server.port)
             handle = await client.begin()
             await client.invoke(handle, first, "Credit", 5)

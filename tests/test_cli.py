@@ -606,9 +606,17 @@ class TestProfile:
 
 class TestServe:
     """``repro serve`` as its own process: boot, serve, drain on SIGTERM,
-    and leave a trace, a profile and a flight dump the other verbs read."""
+    and leave a trace, a profile and a flight dump the other verbs read —
+    over local shards and over shard processes."""
 
-    def test_serves_drains_and_leaves_its_artifacts(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "shards",
+        [
+            pytest.param(["--workers", "2"], id="workers"),
+            pytest.param(["--processes", "2", "--data-dir", "shards"], id="processes"),
+        ],
+    )
+    def test_serves_drains_and_leaves_its_artifacts(self, shards, tmp_path, capsys):
         import os
         import signal
         import subprocess
@@ -623,7 +631,7 @@ class TestServe:
         source = os.path.dirname(os.path.dirname(repro.__file__))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--workers", "2", "--object", "a:Account",
+             *shards, "--object", "a:Account",
              "--trace-file", str(trace), "--profile-dir", str(profile),
              "--flight-dir", str(flight)],
             stdout=subprocess.PIPE, text=True, cwd=tmp_path,
@@ -634,6 +642,7 @@ class TestServe:
             assert banner.startswith("serving on 127.0.0.1:"), banner
             port = int(banner.split()[2].rpartition(":")[2])
             with SyncClient("127.0.0.1", port) as client:
+                assert client.ping()["objects"] == ["a"]
                 for amount in range(1, 31):
                     handle = client.begin()
                     client.invoke(handle, "a", "Credit", amount)
@@ -652,6 +661,17 @@ class TestServe:
         assert server.returncode == 0
         assert "drained: " in drained and " 30 committed" in drained
 
+        if "--processes" in shards:
+            # The kernel's events are in the children's trace files.
+            from repro.obs import JSONLSink, read_jsonl
+
+            events = read_jsonl(str(trace))
+            for path in (tmp_path / "shards" / "traces").glob("*.jsonl"):
+                events.extend(read_jsonl(str(path)))
+            trace = tmp_path / "merged.jsonl"
+            with JSONLSink(str(trace)) as sink:
+                for event in sorted(events, key=lambda event: event.ts):
+                    sink(event)
         assert main(["check", "--trace-file", str(trace)]) == 0
         assert main(["analyze", str(trace)]) == 0
         out = capsys.readouterr().out
