@@ -69,11 +69,10 @@ Commands
     conflict pairs, flight-recorder status — refreshed on an interval.
 ``analyze <trace.jsonl>``
     Fold a recorded server trace (or a flight-recorder dump) into a
-    postmortem report: per-phase latency breakdown, critical-path phase
-    budget with what-if estimates, contention table (blocked time per
-    conflict pair), shard imbalance, queue-depth timeline, slowest
-    transactions with their span waterfalls (``--json`` for the raw
-    report).
+    postmortem report over its spans: critical-path phase budget with
+    what-if estimates, contention table (blocked time per conflict
+    pair), shard imbalance, queue-depth timeline, slowest transactions
+    with their phase budgets (``--json`` for the raw report).
 ``check [workload | --trace-file FILE]``
     Certify a run hybrid atomic with the streaming oracle
     (:class:`repro.obs.AtomicityChecker`): either run a workload live
@@ -1118,7 +1117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--slowest", type=int, default=5, metavar="N",
-        help="how many slowest transactions to show waterfalls for",
+        help="how many slowest transactions to show phase budgets for",
     )
 
     check = commands.add_parser(

@@ -1,14 +1,16 @@
 """Observability: structured tracing, spans, and a metrics registry.
 
-The subsystem has three pieces (see ``docs/observability.md``):
+The subsystem has five pieces (see ``docs/observability.md``):
 
 * a zero-dependency **event bus** (:class:`TraceBus`) that instrumented
   components publish typed, timestamped :class:`TraceEvent` records to —
   disabled by default, one ``is None`` check on the hot path;
 * **aggregators**: :class:`SpanBuilder` rolls events up into
-  per-transaction spans; :class:`RegistrySink` folds them into a
-  :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
-  histograms (a strict superset of ``repro.sim.metrics.Metrics``);
+  per-transaction spans — the one answer to where a transaction's time
+  went (``spans.PHASES``) and who blocked it (``Span.blocked_by``);
+  :class:`RegistrySink` folds them into a :class:`MetricsRegistry` of
+  counters, gauges, and fixed-bucket histograms (a strict superset of
+  ``repro.sim.metrics.Metrics``);
 * **sinks**: in-memory ring buffer, JSONL file writer, the
   :class:`HistorySink` fold back into a Section 3 history, and table
   renderers for the ``repro trace`` / ``repro stats`` CLI;
@@ -18,7 +20,8 @@ The subsystem has three pieces (see ``docs/observability.md``):
 * **operations**: :class:`FlightRecorder` keeps an always-on ring of
   recent events and dumps a replayable JSONL snapshot when an anomaly
   trigger fires; :func:`analyze_trace` / :func:`render_postmortem` turn
-  any replayed trace into a postmortem report (``repro analyze``);
+  any replayed trace into a postmortem report (``repro analyze``) whose
+  critical path and contention table both fold spans;
   :func:`render_prometheus` exposes a registry in Prometheus text
   format.
 """

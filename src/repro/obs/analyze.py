@@ -26,48 +26,9 @@ from .prof import (
     render_contention,
     render_critical_path,
 )
-from .spans import Span, SpanBuilder
+from .spans import SpanBuilder
 
 __all__ = ["analyze_trace", "render_postmortem"]
-
-#: Wire + machine phases, in end-to-end order, for breakdowns.
-_PHASE_ORDER = ("client", "queue", "execute", "respond")
-_MACHINE_ORDER = ("queued", "blocked", "executing")
-
-
-def _median(values: Sequence[float]) -> Optional[float]:
-    return statistics.median(values) if values else None
-
-
-def _phase_stats(spans: Sequence[Span]) -> Dict[str, Any]:
-    """Median per-phase latencies over the given spans."""
-    wire: Dict[str, List[float]] = {phase: [] for phase in _PHASE_ORDER}
-    machine: Dict[str, List[float]] = {key: [] for key in _MACHINE_ORDER}
-    for span in spans:
-        for phase, value in span.phases.items():
-            wire.setdefault(phase, []).append(value)
-        machine["queued"].append(span.queued)
-        machine["blocked"].append(span.blocked)
-        machine["executing"].append(span.executing)
-    return {
-        "wire": {
-            phase: _median(values) for phase, values in wire.items() if values
-        },
-        "machine": {
-            key: _median(values) for key, values in machine.items() if values
-        },
-    }
-
-
-def _waterfall(span: Span) -> Dict[str, float]:
-    """One span's end-to-end breakdown, phases in wall order."""
-    row: Dict[str, float] = {}
-    for phase in _PHASE_ORDER:
-        if phase in span.phases:
-            row[phase] = span.phases[phase]
-    for key in _MACHINE_ORDER:
-        row[f"machine.{key}"] = getattr(span, key)
-    return row
 
 
 def _queue_timeline(
@@ -110,8 +71,6 @@ def analyze_trace(
     events = list(events)
     builder = SpanBuilder()
     kind_counts: _Counter = _Counter()
-    conflict_pairs: _Counter = _Counter()
-    pair_relations: Dict[str, str] = {}
     shard_requests: _Counter = _Counter()
     violations: List[Dict[str, Any]] = []
     flight_dumps: List[Dict[str, Any]] = []
@@ -119,15 +78,7 @@ def analyze_trace(
     for event in events:
         kind_counts[event.kind] += 1
         builder(event)
-        if event.kind == "lock.conflict":
-            pair = (
-                f"{event.data.get('operation')}/{event.data.get('held')}"
-            )
-            conflict_pairs[pair] += 1
-            relation = event.data.get("relation")
-            if relation is not None:
-                pair_relations[pair] = relation
-        elif event.kind == "server.respond":
+        if event.kind == "server.respond":
             shard = event.data.get("shard")
             if shard is not None:
                 shard_requests[f"shard{shard}"] += 1
@@ -163,20 +114,8 @@ def analyze_trace(
             "committed": len(committed),
             "aborted": len(aborted),
             "open": len(builder.open),
-            "median_latency": _median(latencies),
+            "median_latency": statistics.median(latencies) if latencies else None,
             "max_latency": max(latencies) if latencies else None,
-        },
-        "phases": _phase_stats(committed or completed),
-        "conflicts": {
-            "total": sum(conflict_pairs.values()),
-            "pairs": [
-                {
-                    "pair": pair,
-                    "count": count,
-                    "relation": pair_relations.get(pair),
-                }
-                for pair, count in conflict_pairs.most_common(10)
-            ],
         },
         "shards": {
             "requests": dict(shard_requests),
@@ -190,14 +129,14 @@ def analyze_trace(
                 "trace": span.trace,
                 "outcome": span.outcome,
                 "latency": span.latency,
-                "waterfall": _waterfall(span),
+                "budget": span.budget(),
             }
             for span in slowest_spans
         ],
         "violations": violations,
         "flight_dumps": flight_dumps,
         "critical_path": critical_path(committed or completed),
-        "contention": contention_profile(events),
+        "contention": contention_profile([*completed, *builder.open.values()]),
     }
 
 
@@ -224,22 +163,6 @@ def render_postmortem(report: Dict[str, Any]) -> str:
         f"busy rejections: {report['busy_rejections']}"
     )
 
-    phases = report["phases"]
-    if phases.get("wire"):
-        parts = [
-            f"{phase} {_fmt(phases['wire'][phase])}"
-            for phase in _PHASE_ORDER
-            if phase in phases["wire"]
-        ]
-        lines.append("wire phases (median): " + "  ".join(parts))
-    if phases.get("machine"):
-        parts = [
-            f"{key} {_fmt(phases['machine'][key])}"
-            for key in _MACHINE_ORDER
-            if key in phases["machine"]
-        ]
-        lines.append("machine phases (median): " + "  ".join(parts))
-
     critical = report.get("critical_path")
     if critical and critical.get("spans"):
         lines.append("")
@@ -249,12 +172,6 @@ def render_postmortem(report: Dict[str, Any]) -> str:
     if contention is not None:
         lines.append("")
         lines.append(render_contention(contention))
-
-    conflicts = report["conflicts"]
-    lines.append(f"\nconflicts: {conflicts['total']}")
-    for row in conflicts["pairs"]:
-        relation = f"  [{row['relation']}]" if row.get("relation") else ""
-        lines.append(f"  {row['count']:>6d}  {row['pair']}{relation}")
 
     shards = report["shards"]
     if shards["requests"]:
@@ -287,12 +204,10 @@ def render_postmortem(report: Dict[str, Any]) -> str:
                 f"  {row['transaction']}  {row['outcome'] or 'open'} "
                 f"{_fmt(row['latency'])}{trace}"
             )
-            waterfall = row["waterfall"]
-            if waterfall:
-                parts = [
-                    f"{phase}={_fmt(value)}"
-                    for phase, value in waterfall.items()
-                ]
+            parts = [
+                f"{phase}={_fmt(value)}" for phase, value in row["budget"].items() if value
+            ]
+            if parts:
                 lines.append("    " + "  ".join(parts))
 
     for violation in report["violations"]:

@@ -45,7 +45,6 @@ fresh checker per run, as ``simulate --check`` does.
 
 from __future__ import annotations
 
-import ast
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -56,29 +55,10 @@ from .witness import Violation, minimize_witness
 __all__ = ["AtomicityChecker"]
 
 
-def _ts_key(ts: Any) -> Any:
-    """Normalise a commit timestamp into a comparable key.
-
-    Scalar clocks (sim manager, replicated manager) become ``(ts, "")``
-    so they order against distributed ``(number, name)`` tuples of the
-    same run; strings from pre-codec traces are parsed back when they
-    look like a tuple ``repr``.
-    """
-    if ts is None:
-        return None
-    if isinstance(ts, tuple):
-        return ts
-    if isinstance(ts, str):
-        try:
-            parsed = ast.literal_eval(ts)
-        except (ValueError, SyntaxError):
-            return (ts,)
-        return _ts_key(parsed) if not isinstance(parsed, str) else (parsed,)
-    return (ts, "")
-
-
 def _lt(a: Any, b: Any) -> bool:
-    """``a < b`` over timestamp keys; ``None`` is -∞; incomparable → False."""
+    """``a < b`` over commit timestamps as the trace carries them (ints,
+    or ``NEG_INFINITY`` for an empty horizon); ``None`` is -∞; values a
+    trace file made incomparable → False."""
     if a is None:
         return b is not None
     if b is None:
@@ -97,7 +77,6 @@ class _TxnState:
     start_key: Any = None
     status: str = "active"  # active | committed | aborted
     commit_ts: Any = None
-    commit_key: Any = None
     #: Highest per-object watermark observed at a respond (§3.3 bound).
     bound_key: Any = None
     bound_obj: Optional[str] = None
@@ -130,7 +109,7 @@ class _ObjectState:
         self.note: Optional[str] = "no obj.create observed"
         #: Committed entries sorted by timestamp key.
         self.entry_keys: List[Any] = []
-        self.entries: List[Tuple[Any, Any, str, Tuple[Any, ...]]] = []
+        self.entries: List[Tuple[Any, str, Tuple[Any, ...]]] = []
         #: Serial states after replaying ``entries`` in key order.
         self.states = None
         self.watermark_key: Any = None
@@ -417,7 +396,7 @@ class AtomicityChecker:
         txn.began = True
         txn.read_only = bool(data.get("read_only"))
         if txn.read_only and data.get("timestamp") is not None:
-            txn.start_key = _ts_key(data["timestamp"])
+            txn.start_key = data["timestamp"]
 
     def _on_invoke(self, data: Dict[str, Any]) -> None:
         name = data.get("transaction")
@@ -582,13 +561,12 @@ class AtomicityChecker:
             return
         txn = self._txn(name)
         ts = data.get("timestamp")
-        key = _ts_key(ts)
         objects = data.get("objects")
         read_only = bool(data.get("read_only")) or txn.read_only
         if txn.status == "committed":
             # Per-site delivery fan-out after a coordinator decision:
             # tolerated, but only at the decided timestamp.
-            if key != txn.commit_key:
+            if ts != txn.commit_ts:
                 self._violation(
                     "commit-timestamp",
                     f"{name!r} re-committed with timestamp {ts!r} after "
@@ -617,7 +595,7 @@ class AtomicityChecker:
                 transaction=name,
             )
             txn.pending.clear()
-        if key is None:
+        if ts is None:
             if any(txn.ops.values()):
                 self._violation(
                     "commit-timestamp",
@@ -626,7 +604,7 @@ class AtomicityChecker:
                 )
             txn.status = "committed"
             return
-        owner = self._ts_index.get(key)
+        owner = self._ts_index.get(ts)
         if owner is not None and owner != name:
             self._violation(
                 "commit-timestamp",
@@ -635,9 +613,9 @@ class AtomicityChecker:
                 transaction=name,
             )
         else:
-            self._ts_index[key] = name
+            self._ts_index[ts] = name
         if read_only:
-            if txn.start_key is not None and key != txn.start_key:
+            if txn.start_key is not None and ts != txn.start_key:
                 self._violation(
                     "commit-timestamp",
                     f"read-only {name!r} committed at {ts!r} instead of "
@@ -645,11 +623,11 @@ class AtomicityChecker:
                     "validate at start)",
                     transaction=name,
                 )
-        elif txn.bound_key is not None and not _lt(txn.bound_key, key):
+        elif txn.bound_key is not None and not _lt(txn.bound_key, ts):
             self._violation(
                 "commit-timestamp",
                 f"{name!r} committed at {ts!r}, but it had already "
-                f"observed a commit at timestamp-key {txn.bound_key!r} "
+                f"observed a commit at timestamp {txn.bound_key!r} "
                 f"at {txn.bound_obj!r} — §3.3 requires the later "
                 "timestamp to dominate",
                 obj=txn.bound_obj,
@@ -657,9 +635,8 @@ class AtomicityChecker:
             )
         txn.status = "committed"
         txn.commit_ts = ts
-        txn.commit_key = key
         replayed_key = self._replayed.get(name)
-        if replayed_key is not None and replayed_key != key:
+        if replayed_key is not None and replayed_key != ts:
             self._violation(
                 "recovery",
                 f"{name!r} committed at {ts!r} but recovery had replayed "
@@ -668,7 +645,7 @@ class AtomicityChecker:
             )
         for obj, ops in txn.ops.items():
             if ops:
-                self._insert_entry(self._object(obj), key, ts, name, tuple(ops))
+                self._insert_entry(self._object(obj), ts, name, tuple(ops))
         if objects is not None:
             # A commit that names its objects *is* the delivery (sim and
             # replicated managers, per-site distributed deliveries).  A
@@ -679,14 +656,14 @@ class AtomicityChecker:
 
     def _deliver(self, obj: str, txn: _TxnState) -> None:
         state = self._object(obj)
-        if txn.commit_key is not None and _lt(
-            state.watermark_key, txn.commit_key
+        if txn.commit_ts is not None and _lt(
+            state.watermark_key, txn.commit_ts
         ):
-            state.watermark_key = txn.commit_key
+            state.watermark_key = txn.commit_ts
         state.held.pop(txn.name, None)
 
     def _insert_entry(
-        self, state: _ObjectState, key: Any, ts: Any, name: str, ops: Tuple
+        self, state: _ObjectState, ts: Any, name: str, ops: Tuple
     ) -> None:
         """Splice a committed entry into the object's timestamp order and
         re-check serial legality (family 2's core)."""
@@ -697,7 +674,7 @@ class AtomicityChecker:
             return
         keys = state.entry_keys
         position = len(keys)
-        while position > 0 and _lt(key, keys[position - 1]):
+        while position > 0 and _lt(ts, keys[position - 1]):
             position -= 1
         spec = state.spec
         if position == len(keys):
@@ -713,17 +690,17 @@ class AtomicityChecker:
                     transaction=name,
                 )
                 return
-            keys.append(key)
-            state.entries.append((key, ts, name, ops))
+            keys.append(ts)
+            state.entries.append((ts, name, ops))
             state.states = next_states
             return
         # A commit landed *inside* the established order (a read-only
         # transaction validating at its start timestamp): replay the
         # whole sequence from the recorded initial states.
         candidate = list(state.entries)
-        candidate.insert(position, (key, ts, name, ops))
+        candidate.insert(position, (ts, name, ops))
         states = state.initial
-        for entry_key, entry_ts, entry_name, entry_ops in candidate:
+        for _, entry_name, entry_ops in candidate:
             next_states = spec.run_from(states, entry_ops)
             if not next_states:
                 self._violation(
@@ -775,8 +752,8 @@ class AtomicityChecker:
         obj = data.get("obj")
         if obj is None:
             return
-        old_key = _ts_key(data.get("old_horizon"))
-        new_key = _ts_key(data.get("new_horizon"))
+        old_key = data.get("old_horizon")
+        new_key = data.get("new_horizon")
         if _lt(new_key, old_key):
             self._violation(
                 "compaction",
@@ -802,7 +779,7 @@ class AtomicityChecker:
                 )
                 continue
             commit_key = (
-                txn.commit_key if txn is not None and txn.commit_key is not None
+                txn.commit_ts if txn is not None and txn.commit_ts is not None
                 else self._replayed.get(name)
             )
             if commit_key is not None and _lt(new_key, commit_key):
@@ -819,15 +796,15 @@ class AtomicityChecker:
         if data.get("record") != "commit":
             return
         name = data.get("transaction")
-        key = _ts_key(data.get("timestamp"))
+        key = data.get("timestamp")
         if name is None or key is None:
             return
         txn = self._txns.get(name)
         if (
             txn is not None
             and txn.status == "committed"
-            and txn.commit_key is not None
-            and txn.commit_key != key
+            and txn.commit_ts is not None
+            and txn.commit_ts != key
         ):
             self._violation(
                 "recovery",

@@ -75,9 +75,9 @@ kind                   emitted when / payload highlights
 ``server.busy``        a request was refused with BUSY instead — the
                        bounded work queue was past its high-water mark
 ``server.respond``     a shard-executed request was answered; carries
-                       the trace id and the per-phase latency split:
-                       ``queued`` in the shard queue (0 on a
-                       non-blocking shard), ``executing`` against the
+                       the trace id and its phases of ``spans.PHASES``:
+                       ``queue`` in the shard queue (0 on a
+                       non-blocking shard), ``execute`` against the
                        manager, ``respond`` until the reply is written
                        — with its batch-mates', in one write: a worker's
                        batch on a blocking shard, the rest of the read
@@ -238,8 +238,8 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
             "trace",
             "transaction",
             "shard",
-            "queued",
-            "executing",
+            "queue",
+            "execute",
             "respond",
         }
     ),

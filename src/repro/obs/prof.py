@@ -4,7 +4,7 @@ PR 5 showed the conflict-relation lookup is the hot path and PR 7's
 spans say what happened per transaction — this module answers the two
 questions neither does: *where does the process spend its wall-clock
 time* and *which phase (or conflict pair) gates the latency tail*.
-Three independent pieces, all zero-dependency:
+Three pieces, all zero-dependency:
 
 **Sampling profiler** — :class:`SamplingProfiler` runs a background
 thread that snapshots every Python thread's stack via
@@ -15,26 +15,23 @@ same sample multiset are byte-identical.  Output is the collapsed-stack
 ``.folded`` format FlameGraph's ``flamegraph.pl`` consumes directly,
 plus a tagged-codec JSON dump for machine consumers.
 
-**Critical-path analyzer** — :func:`critical_path` folds
-:class:`~repro.obs.spans.Span` objects into a per-transaction *gating
-phase* (the largest of ``client``/``queue``/``execute``/``respond``
-wire phases and the machine's ``lock-wait`` time), aggregate p50/p99
-budgets per phase, and coz-lite what-if estimates: "if ``execute`` were
-free, p99 would drop to X", computed by re-ranking each span's total
-with that phase subtracted.  The what-if numbers are *upper bounds* on
-the win (phases overlap-free per span by construction, but removing a
-phase in real life shifts queueing), which is exactly the caveat Coz
-makes for virtual speedups.
+**Critical-path analyzer** — :func:`critical_path` folds each
+:class:`~repro.obs.spans.Span`'s :meth:`~repro.obs.spans.Span.budget`
+into a per-transaction *gating phase* (the largest of
+:data:`~repro.obs.spans.PHASES`), aggregate p50/p99 budgets per phase,
+and coz-lite what-if estimates: "if ``execute`` were free, p99 would
+drop to X", computed by re-ranking each span's total with that phase
+subtracted.  The what-if numbers are *upper bounds* on the win (phases
+overlap-free per span by construction, but removing a phase in real
+life shifts queueing), which is exactly the caveat Coz makes for
+virtual speedups.
 
-**Contention profiler** — :func:`contention_profile` attributes blocked
-time to ``(object, operation-pair, relation)`` triples from the
-``lock.conflict`` / ``lock.block`` / ``lock.wait`` event stream, using
-the same interval-ending-in-a-blocked-event convention as the span
-builder's ``blocked`` tally.  The ranking it produces — which conflict
-pairs cost the most wall-clock wait — is the target list ROADMAP item
-4's conflict-relation compiler needs (per Malta & Martinez, the win
-from finer relations is bounded; measure where the remaining time goes
-before compiling anything).
+**Contention profiler** — :func:`contention_profile` sums the spans'
+``blocked_by`` charges per ``(object, operation-pair, relation)``, so
+its total is the spans' ``lock-wait`` exactly.  The ranking — which
+conflict pairs cost the most wall-clock wait — lists the pairs a finer
+relation would have to split to buy latency back (per Malta &
+Martinez, that win is bounded; this says where it could come from).
 
 Everything here works offline: ``repro profile`` renders the sampler's
 dumps, and ``repro analyze`` computes the critical-path and contention
@@ -62,8 +59,7 @@ from typing import (
 )
 
 from .codec import decode_value, encode_value
-from .events import TraceEvent
-from .spans import Span
+from .spans import PHASES, Span
 
 __all__ = [
     "PROFILE_SCHEMA_VERSION",
@@ -79,17 +75,6 @@ __all__ = [
 ]
 
 PROFILE_SCHEMA_VERSION = 1
-
-#: End-to-end phases the critical-path analyzer attributes, in wall
-#: order.  The four wire phases come from ``Span.phases``; ``lock-wait``
-#: is the machine's ``blocked`` tally (time paid to concurrency
-#: control), kept separate because it is the one phase a finer conflict
-#: relation can shrink.
-CRITICAL_PHASES = ("client", "queue", "execute", "respond", "lock-wait")
-
-#: Blocked-interval event kinds, mirrored from the span builder.
-_BLOCKED_KINDS = frozenset({"lock.conflict", "lock.block", "lock.wait"})
-_TERMINAL_KINDS = frozenset({"txn.commit", "txn.abort"})
 
 
 # ----------------------------------------------------------------------
@@ -339,30 +324,15 @@ def _percentile(ranked: Sequence[float], fraction: float) -> float:
     return ranked[index]
 
 
-def _span_budget(span: Span) -> Dict[str, float]:
-    """One span's per-phase budget (seconds), wire phases + lock-wait."""
-    budget = {
-        phase: float(span.phases.get(phase, 0.0))
-        for phase in ("client", "queue", "execute", "respond")
-    }
-    budget["lock-wait"] = float(span.blocked)
-    return budget
-
-
 def gating_phase(span: Span) -> Optional[str]:
     """The phase that dominates one span's budget (None: no budget).
 
-    Ties break toward the earliest phase in :data:`CRITICAL_PHASES`, so
-    the answer is deterministic for equal budgets.
+    Ties break toward the earliest phase in :data:`PHASES`, so the
+    answer is deterministic for equal budgets.
     """
-    budget = _span_budget(span)
-    best: Optional[str] = None
-    best_value = 0.0
-    for phase in CRITICAL_PHASES:
-        value = budget[phase]
-        if value > best_value:
-            best, best_value = phase, value
-    return best
+    budget = span.budget()
+    phase = max(PHASES, key=budget.__getitem__)
+    return phase if budget[phase] > 0.0 else None
 
 
 def critical_path(spans: Iterable[Span], scale: float = 1.0) -> Dict[str, Any]:
@@ -374,19 +344,12 @@ def critical_path(spans: Iterable[Span], scale: float = 1.0) -> Dict[str, Any]:
     an upper bound on the p99 win from making that phase free.
     """
     spans = list(spans)
-    budgets = [_span_budget(span) for span in spans]
+    budgets = [span.budget() for span in spans]
     totals = [sum(budget.values()) for budget in budgets]
-    gating: _Counter = _Counter()
-    attributed = 0
-    for span, total in zip(spans, totals):
-        if total <= 0.0:
-            continue
-        phase = gating_phase(span)
-        if phase is not None:
-            gating[phase] += 1
-            attributed += 1
+    gating = _Counter(filter(None, map(gating_phase, spans)))
+    attributed = sum(gating.values())
     phase_budget: Dict[str, Dict[str, float]] = {}
-    for phase in CRITICAL_PHASES:
+    for phase in PHASES:
         values = sorted(budget[phase] for budget in budgets)
         phase_budget[phase] = {
             "p50": _percentile(values, 0.50) * scale,
@@ -396,7 +359,7 @@ def critical_path(spans: Iterable[Span], scale: float = 1.0) -> Dict[str, Any]:
     ranked_totals = sorted(totals)
     p99_total = _percentile(ranked_totals, 0.99)
     what_if: Dict[str, Dict[str, float]] = {}
-    for phase in CRITICAL_PHASES:
+    for phase in PHASES:
         without = sorted(
             total - budget[phase] for total, budget in zip(totals, budgets)
         )
@@ -410,7 +373,7 @@ def critical_path(spans: Iterable[Span], scale: float = 1.0) -> Dict[str, Any]:
         "attributed": attributed,
         "attributed_fraction": (attributed / len(spans)) if spans else 0.0,
         "gating": {
-            phase: gating[phase] for phase in CRITICAL_PHASES if gating[phase]
+            phase: gating[phase] for phase in PHASES if gating[phase]
         },
         "phase_budget": phase_budget,
         "total": {
@@ -422,78 +385,28 @@ def critical_path(spans: Iterable[Span], scale: float = 1.0) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Contention attribution over lock events
+# Contention attribution over spans
 # ----------------------------------------------------------------------
 
 
-def contention_profile(
-    events: Iterable[TraceEvent], top: int = 10
-) -> Dict[str, Any]:
-    """Attribute blocked time to ``(object, op-pair, relation)`` triples.
+def contention_profile(spans: Iterable[Span], top: int = 10) -> Dict[str, Any]:
+    """Sum the spans' blocked time per ``(object, op-pair, relation)``.
 
-    Uses the span builder's convention: the interval between a
-    transaction's previous event and a ``lock.conflict`` /
-    ``lock.block`` / ``lock.wait`` is time that transaction paid to
-    concurrency control, attributed to the conflict the event names.
-    ``lock.wait`` events carry no pair, so they inherit the
-    transaction's most recent conflict attribution.  The ranking (wait
-    time first) is the compiler target list: the pairs a finer relation
-    would need to split to buy back the most latency.
+    Each span charged every blocked interval to the refusal that ended
+    it (:attr:`~repro.obs.spans.Span.blocked_by`), so the total here is
+    the spans' ``lock-wait`` and nothing else.  Rows rank by blocked
+    time, then refusals.
     """
-    last_ts: Dict[str, float] = {}
-    last_key: Dict[str, Tuple[str, str, str]] = {}
-    rows: Dict[Tuple[str, str, str], Dict[str, float]] = {}
-    total_events = 0
-    total_blocked = 0.0
-
-    def charge(key: Tuple[str, str, str], interval: float) -> None:
-        row = rows.setdefault(key, {"events": 0, "blocked_time": 0.0})
-        row["events"] += 1
-        row["blocked_time"] += interval
-
-    for event in events:
-        transaction = event.data.get("transaction")
-        if transaction is None:
-            continue
-        kind = event.kind
-        if kind in _BLOCKED_KINDS:
-            anchor = last_ts.get(transaction, event.ts)
-            interval = max(0.0, event.ts - anchor)
-            if kind == "lock.conflict":
-                pair = (
-                    f"{event.data.get('operation')}/{event.data.get('held')}"
-                )
-                key = (
-                    str(event.data.get("obj")),
-                    pair,
-                    str(event.data.get("relation")),
-                )
-            elif kind == "lock.block":
-                key = (
-                    str(event.data.get("obj")),
-                    f"{event.data.get('operation')}/(no legal outcome)",
-                    "blocked",
-                )
-            else:  # lock.wait: inherit the last named conflict, if any
-                key = last_key.get(
-                    transaction, ("?", "(wait)/(unknown holder)", "wait")
-                )
-            charge(key, interval)
-            last_key[transaction] = key
-            total_events += 1
-            total_blocked += interval
-        elif kind in _TERMINAL_KINDS:
-            last_ts.pop(transaction, None)
-            last_key.pop(transaction, None)
-            continue
-        last_ts[transaction] = event.ts
-
-    ranked = sorted(
-        rows.items(),
-        key=lambda item: (-item[1]["blocked_time"], -item[1]["events"], item[0]),
-    )
+    rows: Dict[Tuple[str, str, str], List[Any]] = {}
+    for span in spans:
+        for key, (events, blocked) in span.blocked_by.items():
+            row = rows.setdefault(key, [0, 0.0])
+            row[0] += events
+            row[1] += blocked
+    total_blocked = sum(row[1] for row in rows.values())
+    ranked = sorted(rows.items(), key=lambda item: (-item[1][1], -item[1][0], item[0]))
     return {
-        "events": total_events,
+        "events": sum(row[0] for row in rows.values()),
         "blocked_time": total_blocked,
         "pairs": len(rows),
         "rows": [
@@ -501,13 +414,11 @@ def contention_profile(
                 "object": key[0],
                 "pair": key[1],
                 "relation": key[2],
-                "events": int(row["events"]),
-                "blocked_time": row["blocked_time"],
-                "share": (
-                    row["blocked_time"] / total_blocked if total_blocked else 0.0
-                ),
+                "events": events,
+                "blocked_time": blocked,
+                "share": blocked / total_blocked if total_blocked else 0.0,
             }
-            for key, row in ranked[:top]
+            for key, (events, blocked) in ranked[:top]
         ],
     }
 
@@ -614,7 +525,7 @@ def render_critical_path(
             + "  ".join(f"{phase} x{count}" for phase, count in ranked)
         )
     budget = report.get("phase_budget") or {}
-    for phase in CRITICAL_PHASES:
+    for phase in PHASES:
         row = budget.get(phase)
         if not row or (row["p50"] == 0.0 and row["p99"] == 0.0):
             continue

@@ -20,6 +20,7 @@ import re
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .events import TraceEvent
+from .spans import PHASES
 
 __all__ = [
     "Counter",
@@ -347,7 +348,10 @@ class RegistrySink:
     Derived counters live under event-shaped names (``txn.committed``,
     ``lock.conflicts``, ``lock.conflict[pair]``, ``net.messages`` …) so
     they never collide with the ``Metrics`` fields imported by
-    :meth:`MetricsRegistry.absorb_metrics`.  It sees every event of a
+    :meth:`MetricsRegistry.absorb_metrics`; a served request's phases
+    of :data:`~repro.obs.spans.PHASES` are histograms named
+    ``server.<phase>``.  Blocked time is not counted here: it is the
+    span builder's answer (``repro analyze``).  It sees every event of a
     served run, so an event costs one dict dispatch and its handler, and
     handlers write an instrument's ``.value`` directly.
     """
@@ -363,29 +367,23 @@ class RegistrySink:
         self._counters = _Bound(counter)
         self._gauges = _Bound(gauge)
         self._histograms = _Bound(lambda name: registry.histogram(name, buckets))
+        self._phases = _Bound(lambda p: registry.histogram(f"server.{p}", buckets))
         # Labelled instruments, bound per label (an action, a shard index).
         self._request_actions = _Bound(lambda a: counter(f"server.request[{a}]"))
         self._shard_depths = _Bound(lambda i: gauge(f"server.queue_depth[shard{i}]"))
         self._shard_responses = _Bound(lambda i: counter(f"server.responses[shard{i}]"))
         self._begin_ts: Dict[str, float] = {}
-        #: Last ``txn.*`` / ``lock.*`` timestamp per live transaction — the
-        #: anchor for attributing blocked time to conflict pairs (same
-        #: interval convention as the span builder's ``blocked`` tally).
-        #: Each of those kinds' handlers moves it.
-        self._last_ts: Dict[str, float] = {}
         self._connections = 0
         count = self._count
         #: kind -> handler; a kind without one is ignored.
         self._handlers: Dict[str, Callable[[TraceEvent], None]] = {
             "txn.begin": self._txn_begin,
-            "txn.invoke": self._advance,
-            "txn.respond": self._advance,
             "txn.commit": self._terminal("txn.committed", "txn.latency"),
             "txn.abort": self._terminal("txn.aborted", "txn.abort_latency"),
             "lock.conflict": self._lock_conflict,
-            "lock.block": self._refusal("lock.blocks"),
-            "lock.wait": self._refusal("lock.waits"),
-            "lock.deadlock": self._lock_deadlock,
+            "lock.block": count("lock.blocks"),
+            "lock.wait": count("lock.waits"),
+            "lock.deadlock": count("lock.deadlocks"),
             "compaction.advance": self._compaction_advance,
             "wal.append": count("wal.appends"),
             "wal.replay": count("wal.replays"),
@@ -420,62 +418,27 @@ class RegistrySink:
 
         return handler
 
-    def _advance(self, event: TraceEvent) -> None:
-        transaction = event.data.get("transaction")
-        if transaction is not None:
-            self._last_ts[transaction] = event.ts
-
     def _txn_begin(self, event: TraceEvent) -> None:
-        transaction = event.data["transaction"]
         self._counters["txn.begun"].value += 1
-        self._begin_ts[transaction] = self._last_ts[transaction] = event.ts
+        self._begin_ts[event.data["transaction"]] = event.ts
 
     def _terminal(self, outcome: str, latency: str) -> Callable[[TraceEvent], None]:
         """A handler for a transaction's last event: count it under
         ``outcome`` and observe its ``latency`` when its begin was seen."""
 
         def handler(event: TraceEvent) -> None:
-            transaction = event.data["transaction"]
-            self._last_ts.pop(transaction, None)
-            begun = self._begin_ts.pop(transaction, None)
+            begun = self._begin_ts.pop(event.data["transaction"], None)
             if begun is not None:
                 self._counters[outcome].value += 1
                 self._histograms[latency].observe(event.ts - begun)
 
         return handler
 
-    def _blocked_time(self, event: TraceEvent, pair: Optional[str] = None) -> None:
-        """Charge the interval since the transaction's previous event to
-        the refusal that ended it (and to the conflict ``pair``)."""
-        transaction = event.data.get("transaction")
-        if transaction is not None:
-            ts = event.ts
-            interval = max(0.0, ts - self._last_ts.get(transaction, ts))
-            self._last_ts[transaction] = ts
-            self._counters["lock.blocked_time"].value += interval
-            if pair is not None:
-                self._counters[f"lock.blocked_time[{pair}]"].value += interval
-
-    def _refusal(self, name: str) -> Callable[[TraceEvent], None]:
-        """A handler that counts a refusal under ``name`` and charges it
-        its blocked time."""
-
-        def handler(event: TraceEvent) -> None:
-            self._blocked_time(event)
-            self._counters[name].value += 1
-
-        return handler
-
     def _lock_conflict(self, event: TraceEvent) -> None:
         data = event.data
         pair = f"{data.get('operation')} × {data.get('held')}"
-        self._blocked_time(event, pair)
         self._counters["lock.conflicts"].value += 1
         self._counters[f"lock.conflict[{pair}]"].value += 1
-
-    def _lock_deadlock(self, event: TraceEvent) -> None:
-        self._advance(event)
-        self._counters["lock.deadlocks"].value += 1
 
     def _compaction_advance(self, event: TraceEvent) -> None:
         counters = self._counters
@@ -505,7 +468,7 @@ class RegistrySink:
         self._counters["server.decoded"].value += 1
         sent = data.get("sent")
         if sent is not None:
-            self._histograms["server.client_wire"].observe(max(0.0, event.ts - sent))
+            self._phases["client"].observe(max(0.0, event.ts - sent))
         shard = data.get("shard")
         if shard is not None:
             depth = data.get("queue_depth")
@@ -526,16 +489,11 @@ class RegistrySink:
 
     def _server_respond(self, event: TraceEvent) -> None:
         data = event.data
-        histograms = self._histograms
+        phases = self._phases
         self._counters["server.responses"].value += 1
-        for key, name in (
-            ("queued", "server.queued"),
-            ("executing", "server.executing"),
-            ("respond", "server.respond_write"),
-        ):
-            value = data.get(key)
-            if value is not None:
-                histograms[name].observe(value)
+        for phase in PHASES:
+            if phase in data:
+                phases[phase].observe(data[phase])
         shard = data.get("shard")
         if shard is not None:
             self._shard_responses[shard].value += 1

@@ -2,16 +2,31 @@
 
 A *span* is the transaction-level rollup of the event stream: when the
 transaction began, how it ended, which objects it touched, and where its
-latency went.  The latency breakdown follows the classic queued /
-blocked / executing split:
+latency went.  This module is the one place both of "where did the time
+go?" and "who blocked it?" are decided; the critical path, the
+contention table and ``repro analyze`` only fold spans.
 
-* **executing** — intervals that end in an accepted ``txn.invoke`` /
-  ``txn.respond`` (the machine did work);
-* **blocked** — intervals that end in a ``lock.conflict``,
-  ``lock.block``, ``lock.wait`` or ``lock.deadlock`` (the transaction
-  paid for concurrency control);
-* **queued** — everything else (scheduling delay, think time inside the
-  transaction, commit processing).
+**Phases.**  :data:`PHASES` names a served transaction's time, in wall
+order: ``client`` (send → admission, from a request's ``sent`` stamp),
+``queue`` / ``execute`` / ``respond`` (the ``server.respond`` payload
+keys of the same names), and ``lock-wait`` (the blocked tally below).
+:meth:`Span.budget` reads them; a new phase is one entry here plus one
+key at its emit site.
+
+**Intervals.**  While a span is open, each event naming its transaction
+— wire events included — ends the interval since the previous one:
+
+* **executing** if it is an accepted ``txn.invoke`` / ``txn.respond``
+  (the machine did work);
+* **blocked** if its kind is in :data:`BLOCKED_KINDS` (the transaction
+  paid for concurrency control); the interval is also charged to the
+  refusal's ``(object, operation pair, relation)`` in
+  :attr:`Span.blocked_by`;
+* **queued** otherwise (scheduling delay, think time inside the
+  transaction, a client round trip, commit processing).
+
+On a served trace a refusal's blocked interval therefore starts at its
+own request's admission, not one client round trip earlier.
 
 :class:`SpanBuilder` is a bus sink: subscribe it to a
 :class:`~repro.obs.bus.TraceBus` and read ``builder.spans`` afterwards.
@@ -24,30 +39,38 @@ reopening the span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .events import TraceEvent
 
 __all__ = [
+    "BLOCKED_KINDS",
+    "PHASES",
     "Span",
     "SpanBuilder",
     "WIRE_SPAN_KINDS",
     "SPAN_IRRELEVANT_KINDS",
 ]
 
+#: A transaction's time, in wall order (see the module docstring).
+PHASES = ("client", "queue", "execute", "respond", "lock-wait")
+
 #: Event kinds that end a "blocked" interval.
-_BLOCKED_KINDS = frozenset(
+BLOCKED_KINDS = frozenset(
     {"lock.conflict", "lock.block", "lock.wait", "lock.deadlock"}
 )
 #: Event kinds that end an "executing" interval.
 _EXECUTING_KINDS = frozenset({"txn.invoke", "txn.respond"})
 #: Event kinds that complete a span.
 _TERMINAL_KINDS = frozenset({"txn.commit", "txn.abort"})
+#: What a refusal that names no pair (a wait, a deadlock) is charged to
+#: when its transaction has not been refused on a named pair before.
+_UNNAMED_BLOCKER = ("?", "(wait)/(unknown holder)", "wait")
 
 #: Serving-tier kinds the span builder *consumes*: they carry the
-#: client's trace context and the per-request phase split, and are
-#: folded into the owning transaction's wire phases (never into the
-#: kinds list — they are wire bookkeeping, not history events).
+#: client's trace context and the per-request phase split, and end an
+#: open span's interval like any other event (never entering the kinds
+#: list — they are wire bookkeeping, not history events).
 WIRE_SPAN_KINDS = frozenset({"server.request", "server.busy", "server.respond"})
 
 #: Kinds the span builder deliberately ignores: connection-scoped or
@@ -63,6 +86,22 @@ SPAN_IRRELEVANT_KINDS = frozenset(
         "flight.dump",
     }
 )
+
+
+def _blocker(
+    event: TraceEvent, previous: Optional[Tuple[str, str, str]]
+) -> Tuple[str, str, str]:
+    """The ``(object, operation pair, relation)`` a refusal is charged
+    to: the pair it names, else (a wait, a deadlock) the transaction's
+    previous one."""
+    data = event.data
+    if event.kind == "lock.conflict":
+        pair = f"{data.get('operation')}/{data.get('held')}"
+        return str(data.get("obj")), pair, str(data.get("relation"))
+    if event.kind == "lock.block":
+        pair = f"{data.get('operation')}/(no legal outcome)"
+        return str(data.get("obj")), pair, "blocked"
+    return previous or _UNNAMED_BLOCKER
 
 
 @dataclass
@@ -86,6 +125,9 @@ class Span:
     queued: float = 0.0
     blocked: float = 0.0
     executing: float = 0.0
+    #: ``blocked`` by refusal: ``(object, operation pair, relation)`` ->
+    #: ``[refusals, blocked time]``.
+    blocked_by: Dict[Tuple[str, str, str], List[Any]] = field(default_factory=dict)
     #: Events observed after the span completed (distributed fan-out).
     extra_events: int = 0
     #: The raw event kinds, in arrival order (for well-formedness checks).
@@ -93,9 +135,8 @@ class Span:
     #: The originating client's trace id, when the transaction was
     #: served over the wire (``server.request``/``server.respond``).
     trace: Optional[str] = None
-    #: End-to-end wire phases, accumulated across the transaction's
-    #: requests: ``client`` (send→admit), ``queue`` (shard queue),
-    #: ``execute`` (machine work), ``respond`` (reply write).
+    #: Served phases of :data:`PHASES`, accumulated across the
+    #: transaction's requests (``lock-wait`` is :attr:`blocked`).
     phases: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -105,12 +146,11 @@ class Span:
             return None
         return self.end_ts - self.begin_ts
 
-    @property
-    def wire_latency(self) -> Optional[float]:
-        """Total measured wire time (sum of phases), when served."""
-        if not self.phases:
-            return None
-        return sum(self.phases.values())
+    def budget(self) -> Dict[str, float]:
+        """Time per phase of :data:`PHASES` (0.0 for a phase not paid)."""
+        budget = {phase: self.phases.get(phase, 0.0) for phase in PHASES}
+        budget["lock-wait"] = self.blocked
+        return budget
 
     def violations(self) -> List[str]:
         """Well-formedness defects (empty list == well formed).
@@ -165,6 +205,8 @@ class SpanBuilder:
         self._done: Dict[str, Span] = {}
         #: Last event timestamp per open transaction (interval anchor).
         self._last_ts: Dict[str, float] = {}
+        #: What each open transaction's last refusal was charged to.
+        self._blockers: Dict[str, Tuple[str, str, str]] = {}
         #: Wire context seen before the machine's ``txn.begin`` — the
         #: serving tier admits a request (and stamps its trace) before
         #: the manager opens the transaction, so the first
@@ -176,55 +218,59 @@ class SpanBuilder:
         #: Pre-begin spans dropped because the stash was full.
         self.pending_evicted = 0
 
-    def _fold_wire(self, event: TraceEvent) -> None:
-        """Fold a ``server.request``/``server.busy``/``server.respond``
-        into its span.
+    def _interval(self, span: Span, event: TraceEvent) -> float:
+        """The time since the open ``span``'s previous event (its begin,
+        or none before the first); ``event`` becomes the new anchor."""
+        transaction = span.transaction
+        anchor = self._last_ts.get(
+            transaction, span.begin_ts if span.begin_ts is not None else event.ts
+        )
+        self._last_ts[transaction] = event.ts
+        return max(0.0, event.ts - anchor)
+
+    def _fold_wire(self, event: TraceEvent, transaction: str) -> None:
+        """Fold a ``server.request``/``server.busy``/``server.respond``.
 
         Wire events bracket the machine's own event window: the first
         request arrives before ``txn.begin``, the commit's respond after
-        ``txn.commit``.  They therefore fold into whichever span exists
-        — open, already completed, or a pre-begin stash — rather than
-        participating in the queued/blocked/executing interval split.
+        ``txn.commit``.  Their trace context and phases therefore fold
+        into whichever span exists — open, already completed, or a
+        pre-begin stash; only an open span's interval split sees them.
         """
-        transaction = event.data.get("transaction")
-        if transaction is None:
-            return
-        span = self.open.get(transaction) or self._done.get(transaction)
-        if span is None:
-            span = self._pending.get(transaction)
+        span = self.open.get(transaction)
+        if span is not None:
+            span.queued += self._interval(span, event)
+        else:
+            span = self._done.get(transaction) or self._pending.get(transaction)
             if span is None:
-                span = Span(transaction=transaction)
                 while len(self._pending) >= self.pending_limit:
                     self._pending.pop(next(iter(self._pending)))
                     self.pending_evicted += 1
-                self._pending[transaction] = span
-        trace = event.data.get("trace")
+                span = self._pending[transaction] = Span(transaction=transaction)
+        data = event.data
+        trace = data.get("trace")
         if trace is not None:
             span.trace = trace
+        phases = span.phases
         if event.kind != "server.respond":  # admitted, or refused BUSY
-            sent = event.data.get("sent")
+            sent = data.get("sent")
             if sent is not None:
-                span.phases["client"] = span.phases.get("client", 0.0) + max(
-                    0.0, event.ts - sent
-                )
+                phases["client"] = phases.get("client", 0.0) + max(0.0, event.ts - sent)
         else:
-            for payload_key, phase in (
-                ("queued", "queue"),
-                ("executing", "execute"),
-                ("respond", "respond"),
-            ):
-                value = event.data.get(payload_key)
+            for phase in PHASES:
+                value = data.get(phase)
                 if value is not None:
-                    span.phases[phase] = span.phases.get(phase, 0.0) + value
+                    phases[phase] = phases.get(phase, 0.0) + value
 
     def __call__(self, event: TraceEvent) -> None:
-        if event.kind in WIRE_SPAN_KINDS:
-            self._fold_wire(event)
-            return
-        if event.kind in SPAN_IRRELEVANT_KINDS:
+        kind = event.kind
+        if kind in SPAN_IRRELEVANT_KINDS:
             return
         transaction = event.data.get("transaction")
-        if transaction is None or event.kind.startswith(("wal.", "net.")):
+        if transaction is None or kind.startswith(("wal.", "net.")):
+            return
+        if kind in WIRE_SPAN_KINDS:
+            self._fold_wire(event, transaction)
             return
         done = self._done.get(transaction)
         if done is not None:
@@ -236,43 +282,43 @@ class SpanBuilder:
             if span is None:
                 span = Span(transaction=transaction)
             self.open[transaction] = span
-        if event.kind == "txn.begin":
-            span.begin_ts = event.ts
+        if kind == "txn.begin":
+            span.begin_ts = self._last_ts[transaction] = event.ts
             span.read_only = bool(event.data.get("read_only"))
         else:
-            anchor = self._last_ts.get(
-                transaction, span.begin_ts if span.begin_ts is not None else event.ts
-            )
-            interval = max(0.0, event.ts - anchor)
-            if event.kind in _EXECUTING_KINDS:
+            interval = self._interval(span, event)
+            if kind in _EXECUTING_KINDS:
                 span.executing += interval
-            elif event.kind in _BLOCKED_KINDS:
+            elif kind in BLOCKED_KINDS:
                 span.blocked += interval
+                key = _blocker(event, self._blockers.get(transaction))
+                self._blockers[transaction] = key
+                charged = span.blocked_by.setdefault(key, [0, 0.0])
+                charged[0] += 1
+                charged[1] += interval
             else:
                 span.queued += interval
-        self._last_ts[transaction] = event.ts
-        span.kinds.append(event.kind)
-        if event.kind == "txn.invoke":
+        span.kinds.append(kind)
+        if kind == "txn.invoke":
             span.invokes += 1
             obj = event.data.get("obj")
             if obj is not None:
                 span.objects.add(obj)
-        elif event.kind == "txn.respond":
+        elif kind == "txn.respond":
             span.responds += 1
-        elif event.kind == "lock.conflict":
+        elif kind == "lock.conflict":
             span.conflicts += 1
-        elif event.kind in ("lock.block", "lock.wait"):
+        elif kind in ("lock.block", "lock.wait"):
             span.blocks += 1
-        elif event.kind in _TERMINAL_KINDS:
+        elif kind in _TERMINAL_KINDS:
             span.end_ts = event.ts
-            span.outcome = (
-                "committed" if event.kind == "txn.commit" else "aborted"
-            )
+            span.outcome = "committed" if kind == "txn.commit" else "aborted"
             span.timestamp = event.data.get("timestamp")
             self.spans.append(span)
             self._done[transaction] = span
             del self.open[transaction]
             self._last_ts.pop(transaction, None)
+            self._blockers.pop(transaction, None)
 
     def committed(self) -> List[Span]:
         """Completed spans that ended in a commit."""

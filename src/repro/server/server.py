@@ -493,7 +493,7 @@ class ReproServer:
                 if type(routed) is bytes:
                     out.append(routed)
                 elif queues:
-                    # The admission timestamp anchors the queued phase
+                    # The admission timestamp anchors the queue phase
                     # the worker measures.
                     admitted = tracer.clock() if timed else None
                     request, index = routed
@@ -673,8 +673,8 @@ class ReproServer:
                     trace=request.trace_id,
                     transaction=request.params.get("transaction"),
                     shard=worker,
-                    queued=queued,
-                    executing=executing,
+                    queue=queued,
+                    execute=executing,
                     respond=max(0.0, responded - done),
                 )
             answered.clear()

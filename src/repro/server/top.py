@@ -3,9 +3,11 @@
 Polls a running server's ``stats`` endpoint on an interval and prints a
 compact refresh — uptime, queue depths, commit/abort/BUSY *rates*
 (deltas between consecutive snapshots, not lifetime totals), latency
-quantiles rebuilt from the snapshot's histogram buckets
-(:meth:`~repro.obs.registry.Histogram.from_snapshot`), the hottest
-conflict pairs, and the flight recorder's status.  No terminal control
+quantiles per served phase rebuilt from the snapshot's histogram
+buckets (:meth:`~repro.obs.registry.Histogram.from_snapshot`), the
+hottest conflict pairs by count, and the flight recorder's status.
+Where a transaction's time went and who blocked it is ``repro
+analyze``'s answer, over spans.  No terminal control
 beyond a separator line, so the output works under ``watch``, a pipe,
 or a dumb CI log just as well as a tty.
 
@@ -20,17 +22,10 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..obs.registry import Histogram
+from ..obs.spans import PHASES
 from .client import SyncClient
 
 __all__ = ["render_top", "run_top"]
-
-#: Snapshot histogram names worth a quantile row, in display order.
-_LATENCY_ROWS = (
-    ("server.client_wire", "client->server"),
-    ("server.queued", "shard queue"),
-    ("server.executing", "execute"),
-    ("server.respond_write", "respond"),
-)
 
 
 def _rate(
@@ -93,7 +88,8 @@ def render_top(
     )
     histograms = (snapshot.get("metrics") or {}).get("histograms") or {}
     phase_p99: List[tuple] = []
-    for name, label in _LATENCY_ROWS:
+    for phase in PHASES:  # lock-wait has no histogram: `repro analyze`
+        name = f"server.{phase}"
         payload = histograms.get(name)
         if not payload:
             continue
@@ -101,39 +97,21 @@ def render_top(
         if not histogram.total:
             continue
         lines.append(
-            f"latency {label:>14s}: "
+            f"latency {phase:>7s}: "
             f"p50 {_quantile(histogram, 0.5)}  "
             f"p99 {_quantile(histogram, 0.99)}  "
             f"n={histogram.total}"
         )
-        phase_p99.append((histogram.quantile(0.99), label))
+        phase_p99.append((histogram.quantile(0.99), phase))
     if phase_p99:
         # The live critical-path hint: the phase whose p99 dominates is
         # where the tail goes (offline attribution: `repro analyze`).
-        p99, label = max(phase_p99)
+        p99, phase = max(phase_p99)
         lines.append(
-            f"critical path: {label} gates the tail "
+            f"critical path: {phase} gates the tail "
             f"(p99 {'>max' if p99 == float('inf') else f'{p99 * 1e3:.2f}ms'})"
         )
     counters = (snapshot.get("metrics") or {}).get("counters") or {}
-    prev_counters = (
-        ((previous or {}).get("metrics") or {}).get("counters") or {}
-    )
-    blocked = sorted(
-        (
-            (value - prev_counters.get(name, 0.0), name)
-            for name, value in counters.items()
-            if name.startswith("lock.blocked_time[")
-            and value - prev_counters.get(name, 0.0) > 0
-        ),
-        reverse=True,
-    )[:3] if previous is not None else []  # deltas need two snapshots too
-    if blocked:
-        rendered = "  ".join(
-            f"{name[len('lock.blocked_time['):-1]}={delta * 1e3:.2f}ms"
-            for delta, name in blocked
-        )
-        lines.append(f"contention (blocked time this tick): {rendered}")
     pairs = sorted(
         (
             (value, name)

@@ -40,8 +40,8 @@ def served_transaction(bus, clock, name, trace, shard=0, slow=0.0):
         trace=trace,
         transaction=name,
         shard=shard,
-        queued=0.003,
-        executing=0.004 + slow,
+        queue=0.003,
+        execute=0.004 + slow,
         respond=0.0005,
     )
 
@@ -80,20 +80,26 @@ class TestAnalyzeTrace:
         assert txn["open"] == 1
         assert txn["max_latency"] >= 0.5
 
-    def test_wire_and_machine_phase_medians(self):
+    def test_phases_are_the_critical_paths(self):
+        # One phase report: the critical path's budget over the spans.
         report = analyze_trace(scripted_trace())
-        wire = report["phases"]["wire"]
-        assert wire["queue"] == 0.003
-        assert wire["respond"] == 0.0005
-        assert wire["client"] > 0
-        machine = report["phases"]["machine"]
-        assert machine["executing"] > 0
+        assert "phases" not in report
+        budget = report["critical_path"]["phase_budget"]
+        assert budget["queue"]["p50"] == 0.003
+        assert budget["respond"]["p50"] == 0.0005
+        assert budget["client"]["p50"] > 0
+        assert budget["lock-wait"]["total"] == 0.0
 
     def test_conflict_pairs_carry_relation(self):
+        # The contention table is the one conflict-pair report; the
+        # refused s1.t4 is still open and is counted.
         report = analyze_trace(scripted_trace())
-        assert report["conflicts"]["total"] == 1
-        (pair,) = report["conflicts"]["pairs"]
-        assert pair == {"pair": "Enq/Deq", "count": 1, "relation": "forward"}
+        assert "conflicts" not in report
+        contention = report["contention"]
+        assert contention["events"] == 1
+        (row,) = contention["rows"]
+        assert (row["object"], row["pair"], row["relation"]) == ("A", "Enq/Deq", "forward")
+        assert row["events"] == 1
 
     def test_shard_imbalance(self):
         report = analyze_trace(scripted_trace())
@@ -115,8 +121,8 @@ class TestAnalyzeTrace:
         assert worst["transaction"] == "s1.t3"
         assert worst["trace"] == "c1-3"
         assert worst["outcome"] == "committed"
-        assert worst["waterfall"]["queue"] == 0.003
-        assert "machine.executing" in worst["waterfall"]
+        assert worst["budget"]["queue"] == 0.003
+        assert list(worst["budget"]) == ["client", "queue", "execute", "respond", "lock-wait"]
 
     def test_violations_are_surfaced(self):
         events = scripted_trace()
@@ -143,8 +149,10 @@ class TestRenderPostmortem:
     def test_sections_present(self):
         text = render_postmortem(analyze_trace(scripted_trace()))
         assert "== postmortem ==" in text
-        assert "wire phases (median):" in text
-        assert "machine phases (median):" in text
+        assert "critical path:" in text
+        assert "contention: 1 blocked event(s)" in text
+        assert "wire phases (median):" not in text
+        assert "machine phases (median):" not in text
         assert "Enq/Deq" in text
         assert "shard requests" in text
         assert "queue depth timeline" in text

@@ -138,6 +138,29 @@ class TestCleanRuns:
             if crash_rate:
                 assert checker.kind_counts["site.recover"] > 0
 
+    def test_file_timestamps_compare_as_they_are(self, tmp_path):
+        # A distributed run read back from JSONL: commit timestamps are
+        # ints issued on several sites' strides, and compaction horizons
+        # start at -inf — the checker orders both without normalising.
+        from repro.core.compaction import NEG_INFINITY
+        from repro.distributed import run_distributed_experiment
+
+        path = str(tmp_path / "distributed.jsonl")
+        bus = TraceBus()
+        with JSONLSink(path) as sink:
+            bus.subscribe(sink)
+            run_distributed_experiment(
+                site_count=2, clients=3, duration=120.0, seed=5, durable=True, tracer=bus
+            )
+        events = read_jsonl(path)
+        stamps = {e.data["timestamp"] for e in events if e.kind == "txn.commit"}
+        assert stamps and all(type(stamp) is int for stamp in stamps)
+        assert NEG_INFINITY in {
+            e.data["old_horizon"] for e in events if e.kind == "compaction.advance"
+        }
+        checker = replayed(events)
+        assert checker.ok, checker.render_report()
+
     def test_jsonl_round_trip_replay(self, tmp_path):
         path = tmp_path / "run.jsonl"
         bus = TraceBus()

@@ -28,7 +28,8 @@ from repro.obs import (
     write_profile,
 )
 from repro.obs.prof import gating_phase
-from repro.obs.spans import Span
+from repro.obs.spans import PHASES, Span
+from repro.sim import AccountWorkload, ClientParams, run_experiment
 
 
 class FakeCode:
@@ -232,6 +233,14 @@ class TestCriticalPath:
         assert report["total"] == {"p50": 0.0, "p99": 0.0}
 
 
+def fold(events):
+    """Every span the events make, completed and still open."""
+    builder = SpanBuilder()
+    for event in events:
+        builder(event)
+    return [*builder.spans, *builder.open.values()]
+
+
 def canned_contention_bus():
     """A scripted conflict trace: T1 pays 2s to one pair, T2 pays 1s."""
     ticks = iter([0.0, 1.0, 3.0, 4.0, 10.0, 11.0, 12.0, 13.0, 14.0])
@@ -262,7 +271,7 @@ def canned_contention_bus():
 
 class TestContentionProfile:
     def test_attribution_keys_and_intervals(self):
-        report = contention_profile(canned_contention_bus())
+        report = contention_profile(fold(canned_contention_bus()))
         assert report["events"] == 4
         # T1: 3s conflict + 1s inherited wait; T2: 10s block; T3: 1s
         # orphan wait.
@@ -280,36 +289,39 @@ class TestContentionProfile:
         assert orphan["blocked_time"] == pytest.approx(1.0)
 
     def test_rows_rank_by_blocked_time(self):
-        report = contention_profile(canned_contention_bus())
+        report = contention_profile(fold(canned_contention_bus()))
         times = [row["blocked_time"] for row in report["rows"]]
         assert times == sorted(times, reverse=True)
         shares = [row["share"] for row in report["rows"]]
         assert sum(shares) == pytest.approx(1.0)
 
     def test_terminal_clears_the_anchor(self):
-        # A conflict right after a commit must not be charged the whole
-        # inter-transaction gap: the anchor resets at the terminal.
-        ticks = iter([0.0, 100.0, 101.0, 102.0])
+        # A refusal naming a transaction after its terminal (a late
+        # per-site delivery) must not be charged the gap since: the span
+        # is closed, and only the later T2 pays, from its own begin.
+        ticks = iter([0.0, 100.0, 101.0, 102.0, 103.0])
         bus = TraceBus(clock=lambda: next(ticks))
         events = []
         bus.subscribe(events.append)
         bus.emit("txn.begin", transaction="T1")
         bus.emit("txn.commit", transaction="T1", timestamp=1)
-        bus.emit("txn.begin", transaction="T1")
+        bus.emit("lock.wait", transaction="T1", holder="T0")
+        bus.emit("txn.begin", transaction="T2")
         bus.emit(
             "lock.conflict",
-            transaction="T1",
+            transaction="T2",
             obj="Q",
             operation="Enq(1)",
-            holder="T2",
+            holder="T0",
             held="Deq()",
             relation="queue conflicts",
         )
-        report = contention_profile(events)
+        report = contention_profile(fold(events))
         assert report["blocked_time"] == pytest.approx(1.0)
+        assert report["events"] == 1
 
     def test_top_trims_rows_but_not_totals(self):
-        report = contention_profile(canned_contention_bus(), top=1)
+        report = contention_profile(fold(canned_contention_bus()), top=1)
         assert len(report["rows"]) == 1
         assert report["pairs"] == 3
         assert report["blocked_time"] == pytest.approx(15.0)
@@ -323,6 +335,75 @@ class TestContentionProfile:
             "rows": [],
         }
         assert "no lock conflicts" in render_contention(report)
+
+
+def served_refusal():
+    """A served transaction on a scripted clock: its first operation
+    answered at t=10, then a 2 s client pause, then its second request
+    admitted at t=12 and refused 1 ms later."""
+    ticks = iter([9.0, 9.0, 9.5, 9.5, 10.0, 12.0, 12.001, 12.5, 13.0])
+    bus = TraceBus(clock=lambda: next(ticks))
+    events = []
+    bus.subscribe(events.append)
+    request = dict(session="s1", action="invoke", trace="c1-1", shard=0, queue_depth=0)
+    bus.emit("server.request", transaction="T1", sent=8.9, **request)
+    bus.emit("txn.begin", transaction="T1")
+    bus.emit("txn.invoke", transaction="T1", obj="A", operation="Debit", args=(1,))
+    bus.emit("txn.respond", transaction="T1", obj="A", result="Ok")
+    respond = dict(session="s1", action="invoke", trace="c1-1", shard=0)
+    bus.emit("server.respond", transaction="T1", queue=0.0, execute=0.5, respond=0.5, **respond)
+    bus.emit("server.request", transaction="T1", sent=11.9, **request)
+    bus.emit(
+        "lock.conflict",
+        transaction="T1",
+        obj="A",
+        operation="Debit(5)",
+        holder="T0",
+        held="Debit(1)",
+        relation="account",
+    )
+    bus.emit("server.respond", transaction="T1", queue=0.0, execute=0.001, respond=0.499, **respond)
+    bus.emit("txn.abort", transaction="T1")
+    return events
+
+
+class TestOneBlockedTimeRule:
+    """The span budget and the contention table are one computation."""
+
+    def test_a_served_refusal_is_blocked_from_its_own_admission(self):
+        spans = fold(served_refusal())
+        (span,) = spans
+        assert span.budget()["lock-wait"] == pytest.approx(0.001)
+        report = contention_profile(spans)
+        assert report["blocked_time"] == pytest.approx(0.001)
+        (row,) = report["rows"]
+        assert row["pair"] == "Debit(5)/Debit(1)" and row["events"] == 1
+        # The client's 2 s pause is queued time, not lock-wait: wire
+        # events end intervals too (respond write, pause, reply, abort).
+        assert span.queued == pytest.approx(0.5 + 2.0 + 0.499 + 0.5)
+        assert span.queued + span.blocked + span.executing == pytest.approx(span.latency)
+        assert span.well_formed
+
+    def test_blocked_waits_keep_the_simulated_total(self):
+        # Under --wait-policy block a refused transaction waits for its
+        # holder: the total this seed gave before the rule moved into
+        # the spans, to the last digit the float carries.
+        bus = TraceBus()
+        events = []
+        bus.subscribe(events.append)
+        run_experiment(
+            AccountWorkload(),
+            duration=60.0,
+            seed=3,
+            params=ClientParams(wait_policy="block"),
+            tracer=bus,
+        )
+        spans = fold(events)
+        report = contention_profile(spans)
+        assert report["blocked_time"] == pytest.approx(69.15328234407934, abs=1e-9)
+        assert sum(span.blocked for span in spans) == pytest.approx(
+            report["blocked_time"], abs=1e-9
+        )
 
 
 class TestDumpLoadRender:
@@ -405,11 +486,47 @@ class TestBenchReplayAgreement:
             action="commit",
             trace="c1",
             transaction="T1",
-            queued=0.25,
-            executing=0.05,
+            queue=0.25,
+            execute=0.05,
             respond=0.01,
         )
         report = critical_path(builder.committed())
         assert report["attributed"] == 1
         assert report["gating"] == {"client": 1}
         assert report["phase_budget"]["queue"]["total"] == pytest.approx(0.25)
+
+    def test_the_four_phase_medians_the_served_benchmark_reads(self):
+        # The frozen benchmark reads exactly these four p50s, in µs, off
+        # critical_path(SpanBuilder(trace).committed(), scale=1e6): the
+        # server.respond payload keys are the phase names it relies on.
+        builder = SpanBuilder()
+        for event in served_refusal():
+            builder(event)
+        ticks = iter([20.0, 20.0, 20.25, 20.25, 20.5, 21.0])
+        bus = TraceBus(clock=lambda: next(ticks))
+        bus.subscribe(builder)
+        request = dict(session="s2", action="invoke", trace="c2-1", shard=0, queue_depth=0)
+        bus.emit("server.request", transaction="T2", sent=19.0, **request)
+        bus.emit("txn.begin", transaction="T2")
+        bus.emit("txn.invoke", transaction="T2", obj="A", operation="Credit", args=(1,))
+        bus.emit("txn.respond", transaction="T2", obj="A", result="Ok")
+        bus.emit("txn.commit", transaction="T2", timestamp=1)
+        bus.emit(
+            "server.respond",
+            session="s2",
+            action="commit",
+            trace="c2-1",
+            transaction="T2",
+            shard=0,
+            queue=0.0002,
+            execute=0.0003,
+            respond=0.0001,
+        )
+        budget = critical_path(builder.committed(), scale=1e6)["phase_budget"]
+        medians = {
+            key: budget[key]["p50"] for key in ("queue", "execute", "respond", "lock-wait")
+        }
+        assert medians == pytest.approx(
+            {"queue": 200.0, "execute": 300.0, "respond": 100.0, "lock-wait": 0.0}
+        )
+        assert list(budget) == list(PHASES)

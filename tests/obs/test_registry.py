@@ -241,7 +241,7 @@ def _refused(*args, **kwargs):
 def _answered(ts, session, action, transaction, shard, *phases, trace=None):
     payload = dict(session=session, action=action, trace=trace)
     payload.update(transaction=transaction, shard=shard)
-    payload.update(zip(("queued", "executing", "respond"), phases))
+    payload.update(zip(("queue", "execute", "respond"), phases))
     return ts, "server.respond", payload
 
 
@@ -267,8 +267,7 @@ def _advance(ts, obj, transaction, horizon, collapsed):
 #: transaction on shard 0; on shard 1 a transaction refused by a
 #: ``lock.conflict`` and aborted, whose retry is refused on a different
 #: operation pair and by a ``lock.block`` before it commits; a BUSY; a
-#: routing refusal; connect / disconnect.  The transactions' events
-#: interleave, so blocked time is charged per transaction, not per stream.
+#: routing refusal; connect / disconnect.
 SERVED_STREAM = [
     (0.0, "server.connect", {"session": "s1", "peer": "10.0.0.1:1"}),
     (0.0, "server.connect", {"session": "s2", "peer": "10.0.0.2:2"}),
@@ -320,17 +319,14 @@ def _histogram(counts, total, sum, mean):
     }
 
 
-#: ``snapshot()`` of the stream above, written from the fold as it stood
-#: before its one-dispatch rewrite: every instrument name and value
+#: ``snapshot()`` of the stream above: every instrument name and value
 #: ``repro top``, ``stats --connect`` and ``render_prometheus`` show.
+#: No blocked time: that is the span builder's (``test_prof.py``).
 SERVED_SNAPSHOT = {
     "counters": {
         "compaction.advances": 2,
         "compaction.collapsed_ops": 3,
         "flight.dumps": 1,
-        "lock.blocked_time": 7.0,
-        "lock.blocked_time[[Debit(2), 'Ok'] × [Post(1), 'Ok']]": 3.0,
-        "lock.blocked_time[[Debit(3), 'Ok'] × [Credit(5), 'Ok']]": 2.5,
         "lock.blocks": 1,
         "lock.conflict[[Debit(2), 'Ok'] × [Post(1), 'Ok']]": 1,
         "lock.conflict[[Debit(3), 'Ok'] × [Credit(5), 'Ok']]": 1,
@@ -357,12 +353,12 @@ SERVED_SNAPSHOT = {
         "server.queue_depth[shard1]": 2,
     },
     "histograms": {
-        "server.client_wire": _histogram(
+        "server.client": _histogram(
             [6, 0, 0, 0, 0, 0, 0, 0, 0, 0], 6, 4.0, 0.6666666666666666
         ),
-        "server.executing": _histogram([2, 0, 1, 0, 1, 0, 0, 0, 0, 0], 4, 24.5, 6.125),
-        "server.queued": _histogram([3, 1, 0, 0, 0, 0, 0, 0, 0, 0], 4, 3.0, 0.75),
-        "server.respond_write": _histogram(
+        "server.execute": _histogram([2, 0, 1, 0, 1, 0, 0, 0, 0, 0], 4, 24.5, 6.125),
+        "server.queue": _histogram([3, 1, 0, 0, 0, 0, 0, 0, 0, 0], 4, 3.0, 0.75),
+        "server.respond": _histogram(
             [4, 0, 0, 0, 0, 0, 0, 0, 0, 0], 4, 1.75, 0.4375
         ),
         "txn.abort_latency": _histogram([0, 0, 1, 0, 0, 0, 0, 0, 0, 0], 1, 3.5, 3.5),

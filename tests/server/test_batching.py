@@ -213,7 +213,7 @@ class TestProcessShards:
 
 @pytest.mark.parametrize("transport", ["local", "process", "site"])
 def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over):
-    """``queued`` + ``executing`` + ``respond`` run from admission to the
+    """``queue`` + ``execute`` + ``respond`` run from admission to the
     clock read after the batch's write — on a clock that ticks once per
     read, exactly."""
     ticks = itertools.count()
@@ -249,12 +249,12 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
     responded = responds[0].ts - 1
     assert responded == written_at + 1
     for request, respond in zip(requests, responds):
-        phases = [respond.data[key] for key in ("queued", "executing", "respond")]
+        phases = [respond.data[key] for key in ("queue", "execute", "respond")]
         # Admission is the first clock read after the request's event.
         assert sum(phases) == responded - (request.ts + 1)
         assert all(phase >= 0 for phase in phases)
         if transport == "process":
-            assert respond.data["queued"] > 0      # waited for the worker
+            assert respond.data["queue"] > 0      # waited for the worker
         else:
-            assert respond.data["queued"] == 0     # nothing queues
+            assert respond.data["queue"] == 0     # nothing queues
             assert request.data["queue_depth"] == 0

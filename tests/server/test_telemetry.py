@@ -29,6 +29,7 @@ from repro.obs import (
     SpanBuilder,
     TraceBus,
     analyze_trace,
+    contention_profile,
     read_jsonl,
     render_prometheus,
 )
@@ -83,7 +84,7 @@ class TestWireTracePropagation:
         # Every wire phase is present and the split is sane.
         assert set(span.phases) == {"client", "queue", "execute", "respond"}
         assert all(value >= 0.0 for value in span.phases.values())
-        assert span.wire_latency == pytest.approx(sum(span.phases.values()))
+        assert span.budget() == {**span.phases, "lock-wait": 0.0}
         assert span.well_formed
 
     def test_all_transactions_on_a_connection_share_the_client_prefix(
@@ -154,7 +155,7 @@ class TestIntrospectionOps:
         # The registry snapshot survived the codec round trip.
         metrics = stats["metrics"]
         assert metrics["counters"]["server.decoded"] >= 3
-        assert metrics["histograms"]["server.client_wire"]["total"] >= 3
+        assert metrics["histograms"]["server.client"]["total"] >= 3
         assert stats["flight"]["dumps"] == 0
 
     def test_snapshot_renders_prometheus_and_top(self, tmp_path):
@@ -179,13 +180,53 @@ class TestIntrospectionOps:
         rebuilt = MetricsRegistry.from_snapshot(snapshot["metrics"])
         text = render_prometheus(rebuilt)
         assert "# TYPE repro_txn_committed_total counter" in text
-        assert "repro_server_client_wire_bucket" in text
+        assert "repro_server_client_bucket" in text
         assert 'le="+Inf"' in text
         frame = render_top(snapshot)
         assert "repro top — ok" in frame
-        assert "latency client->server:" in frame
+        assert "latency  client:" in frame
         second = render_top(snapshot, previous=snapshot, elapsed=1.0)
         assert "commits 0.0/s" in second
+
+
+class TestServedBlockedTime:
+    def test_one_answer_for_refusals_after_client_pauses(self, tmp_path):
+        # A holder keeps a Debit on A; another transaction pauses 2 ms
+        # before each of 50 Debits, each refused CONFLICT.  Nothing on a
+        # served lock waits, so the pauses are not lock-wait: the span
+        # budget and the contention table must agree, and both stay far
+        # below the 100 ms the client spent pausing.
+        bus, registry, flight = telemetry_stack(tmp_path)
+        spans = bus.subscribe(SpanBuilder())
+        refusals = []
+
+        async def scenario():
+            server = await start_server(tracer=bus, registry=registry, flight=flight)
+            server.create_object("A", "Account")
+            client = await AsyncClient.connect(server.host, server.port)
+            holder = await client.begin()
+            await client.invoke(holder, "A", "Credit", 100)
+            await client.invoke(holder, "A", "Debit", 1)
+            refused = await client.begin()
+            for _ in range(50):
+                await asyncio.sleep(0.002)
+                with pytest.raises(WireError) as error:
+                    await client.invoke(refused, "A", "Debit", 1)
+                refusals.append(error.value.code)
+            await client.abort(refused)
+            await client.abort(holder)
+            await client.aclose()
+            await server.drain()
+
+        run(scenario())
+        assert refusals == ["CONFLICT"] * 50
+        every = [*spans.spans, *spans.open.values()]
+        lock_wait = sum(span.budget()["lock-wait"] for span in every)
+        report = contention_profile(every)
+        assert report["events"] == 50
+        assert lock_wait == pytest.approx(report["blocked_time"], abs=1e-9)
+        assert lock_wait < 0.050
+        assert "lock.blocked_time" not in registry.counters
 
 
 class TestFlightIntegration:

@@ -2,11 +2,42 @@
 
 No sockets, no clocks — :func:`~repro.server.top.render_top` is a pure
 function of (snapshot, previous, elapsed), which is the whole point of
-splitting it from the polling loop.  The live loop is exercised end to
-end in ``test_telemetry.py``.
+splitting it from the polling loop.  The fixture's ``metrics`` are what
+:class:`~repro.obs.RegistrySink` folds out of real events, so a renamed
+instrument fails here instead of quietly rendering nothing.  The live
+loop is exercised end to end in ``test_telemetry.py``.
 """
 
+from repro.obs import WIRE_LATENCY_BUCKETS, MetricsRegistry, RegistrySink, TraceBus
 from repro.server import render_top
+
+
+def folded_metrics():
+    """The registry snapshot 16 served requests leave: client legs of
+    0.5 ms (x10), 5 ms (x5) and 50 ms, each request answered, and 9
+    ``Enq`` × ``Deq`` and 4 ``Credit`` × ``Debit`` refusals."""
+    registry = MetricsRegistry()
+    now = [0.0]
+    bus = TraceBus(clock=lambda: now[0])
+    bus.subscribe(RegistrySink(registry, WIRE_LATENCY_BUCKETS))
+    for index, leg in enumerate([0.0005] * 10 + [0.005] * 5 + [0.05]):
+        now[0] += 1.0
+        name = f"s1.t{index}"
+        bus.emit(
+            "server.request", session="s1", action="invoke", trace=None,
+            sent=now[0] - leg, transaction=name, shard=0, queue_depth=0,
+        )
+        bus.emit(
+            "server.respond", session="s1", action="invoke", trace=None,
+            transaction=name, shard=0, queue=0.0, execute=0.0004, respond=0.0001,
+        )
+    for operation, held, count in (("Enq", "Deq", 9), ("Credit", "Debit", 4)):
+        for _ in range(count):
+            bus.emit(
+                "lock.conflict", transaction="s1.t0", obj="A", operation=operation,
+                holder="s2.t0", held=held, relation="hybrid",
+            )
+    return registry.snapshot()
 
 
 def snapshot(**overrides):
@@ -26,23 +57,7 @@ def snapshot(**overrides):
             "busy": 1,
             "errors": 0,
         },
-        "metrics": {
-            "counters": {
-                "lock.conflict[Enq/Deq]": 9.0,
-                "lock.conflict[Credit/Debit]": 4.0,
-                "txn.committed": 40.0,
-            },
-            "gauges": {},
-            "histograms": {
-                "server.client_wire": {
-                    "boundaries": [0.001, 0.01, 0.1],
-                    "counts": [10, 5, 1],
-                    "total": 16,
-                    "sum": 0.05,
-                    "mean": 0.05 / 16,
-                },
-            },
-        },
+        "metrics": folded_metrics(),
         "flight": {
             "dumps": 1,
             "last_reason": "busy",
@@ -87,18 +102,20 @@ class TestRenderTop:
 
     def test_latency_quantiles_come_from_histogram_buckets(self):
         frame = render_top(snapshot())
-        assert "latency client->server:" in frame
-        assert "n=16" in frame
+        line = next(
+            row for row in frame.splitlines() if row.startswith("latency  client:")
+        )
+        assert "n=16" in line
         # 16 samples, 10 in the first bucket: p50 interpolates inside
-        # (0, 0.001] so the row must render sub-millisecond.
-        assert "p50 0." in frame
+        # (0, 0.0005] so the row must render sub-millisecond.
+        assert "p50 0." in line
 
     def test_hottest_conflicts_are_sorted_and_trimmed(self):
         frame = render_top(snapshot())
         line = next(
             l for l in frame.splitlines() if l.startswith("hottest conflicts")
         )
-        assert line.index("Enq/Deq=9") < line.index("Credit/Debit=4")
+        assert line.index("Enq × Deq=9") < line.index("Credit × Debit=4")
 
     def test_flight_status_line(self):
         frame = render_top(snapshot())
@@ -118,26 +135,21 @@ class TestRenderTop:
         assert "repro top — draining" in frame
 
     def test_critical_path_names_the_dominant_phase(self):
-        # Only one phase histogram is populated, so it must be the one
-        # named as gating the tail.
+        # The 50 ms client leg is the largest p99 of the four phases.
         frame = render_top(snapshot())
-        assert "critical path: client->server gates the tail" in frame
+        assert "critical path: client gates the tail" in frame
 
-    def test_contention_deltas_need_two_snapshots(self):
-        counters = {
-            "lock.blocked_time": 0.25,
-            "lock.blocked_time[Debit × Debit]": 0.2,
-            "lock.blocked_time[Enq × Deq]": 0.05,
-        }
-        current = snapshot()
-        current["metrics"]["counters"].update(counters)
-        assert "contention" not in render_top(current)
+    def test_latency_rows_are_the_span_phases(self):
+        # One row per served phase, in PHASES order; lock-wait has no
+        # live row and there is no contention row: a refusal's blocked
+        # time is `repro analyze`'s answer, over spans.
         previous = snapshot()
-        previous["metrics"]["counters"]["lock.blocked_time[Debit × Debit]"] = 0.1
-        frame = render_top(current, previous=previous, elapsed=1.0)
-        line = next(
-            l for l in frame.splitlines() if l.startswith("contention")
-        )
-        # Delta for Debit × Debit is 100ms; Enq × Deq's 50ms is all new.
-        assert "Debit × Debit=100.00ms" in line
-        assert line.index("Debit × Debit") < line.index("Enq × Deq")
+        frame = render_top(snapshot(), previous=previous, elapsed=1.0)
+        rows = [
+            row.partition(":")[0].split()[-1]
+            for row in frame.splitlines()
+            if row.startswith("latency")
+        ]
+        assert rows == ["client", "queue", "execute", "respond"]
+        assert "contention" not in frame
+        assert "lock-wait" not in frame

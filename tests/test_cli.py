@@ -675,9 +675,10 @@ class TestServe:
         assert main(["check", "--trace-file", str(trace)]) == 0
         assert main(["analyze", str(trace)]) == 0
         out = capsys.readouterr().out
-        for section in ("== postmortem ==", "wire phases (median):",
-                        "critical path:", "no checker violations in trace"):
+        for section in ("== postmortem ==", "critical path:", "contention:",
+                        "no checker violations in trace"):
             assert section in out
+        assert "wire phases (median):" not in out
         assert main(["profile", str(profile)]) == 0
         assert "hottest frames" in capsys.readouterr().out
         assert [path.name for path in flight.glob("*drain*")]
