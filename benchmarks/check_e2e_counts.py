@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-#: Local shards: requests execute in the connection handler.
+#: Local shards: requests execute in the connection's data_received.
 IN_THREAD = ("solo-latency", "mem-uniform", "mem-contended")
 #: No conflicts, so no retries: begin + 2 invokes + commit, exactly.
 UNIFORM = ("solo-latency", "mem-uniform", "wal-pool")

@@ -300,7 +300,7 @@ class AsyncClient:
         if request_id is None:
             request_id = self.next_id()
         future: "asyncio.Future[Response]" = (
-            asyncio.get_event_loop().create_future()
+            asyncio.get_running_loop().create_future()
         )
         self._futures[request_id] = future
         self._writer.write(

@@ -12,18 +12,24 @@ outside the commutativity kernel).
 Concurrency model
 -----------------
 
-Everything here runs on one event loop, one handler task per
-connection.  A handler serves one ``read`` at a time: it decodes every
-frame the read completed, answers them in arrival order, and hands the
-socket **one** ``write`` for the lot — one decode → execute → encode
-pass per readable batch.  A request for a non-blocking shard executes
-right there, in the handler; one for a blocking shard goes onto that
-shard's bounded queue, which is the **backpressure** mechanism: a
-request is admitted only while the queue is below its high-water mark,
-and past it the server answers ``BUSY`` immediately (``server.busy``
-trace event) instead of buffering unboundedly.  Clients treat BUSY like
-a lock conflict: back off and retry.  (A non-blocking shard holds
-nothing beyond the read being served, so TCP is its backpressure.)
+Everything here runs on one event loop, one :class:`asyncio.Protocol`
+per connection and no task for it.  Each ``read`` is served inside the
+protocol's ``data_received`` callback: it decodes every frame the read
+completed, answers them in arrival order, and hands the transport
+**one** ``write`` for the lot — one decode → execute → encode pass per
+readable batch, with no task wake-up between the socket and the pass.
+A request for a non-blocking shard executes right there; one for a
+blocking shard goes onto that shard's bounded queue, which is the
+**backpressure** mechanism: a request is admitted only while the queue
+is below its high-water mark, and past it the server answers ``BUSY``
+immediately (``server.busy`` trace event) instead of buffering
+unboundedly.  Clients treat BUSY like a lock conflict: back off and
+retry.  (A non-blocking shard holds nothing beyond the read being
+served, so TCP is its backpressure.)  Writes never wait: a connection
+whose peer stops reading has its replies buffered and *its* reading
+paused once they pass the transport's high-water mark
+(``pause_writing``), so it stalls no shard worker and no other
+connection, and it is read again when the peer catches up.
 
 Sharding
 --------
@@ -50,9 +56,10 @@ recorded participants.  All the server asks of the transport is whether
 
 * a **local shard** (``workers=N``, the default) is an engine in this
   process, with no log.  Its call returns when the manager has, so the
-  connection handler makes it directly, as the request arrives: no
-  queue, no worker task, replies in request order (so are 2PC rounds:
-  nothing on the loop can interleave).  A simulated
+  connection makes it directly, in ``data_received``, as the request
+  arrives: no queue, no worker task, replies in request order (2PC and
+  abort rounds too, through the set's own blocking driver: nothing on
+  the loop can interleave).  A simulated
   :class:`~repro.distributed.Site` is served the same way.
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
@@ -76,8 +83,9 @@ Graceful drain
 ``drain()`` (wired to SIGTERM by ``repro serve``) stops accepting
 connections, lets in-flight transactions finish for a grace period,
 force-aborts stragglers, answers every admitted request, emits
-``server.drain``, hangs up on the remaining connections (each handler
-emits its ``server.disconnect``) and only then flushes the trace sinks —
+``server.drain``, hangs up on the remaining connections (each emits its
+``server.disconnect``; one whose peer stopped reading is aborted after a
+second) and only then flushes the trace sinks —
 an accepted request is never dropped, and the trace file ends with a
 complete, certifiable run.
 """
@@ -109,32 +117,36 @@ __all__ = ["ReproServer"]
 BATCH_LIMIT = 64
 
 
-class _Connection:
-    """One accepted socket: its session, decoder, and write lock."""
+class _Connection(asyncio.Protocol):
+    """One accepted socket, whatever the shards: its session and decoder,
+    and the server's callbacks for its bytes, its full write buffer and
+    its hang-up."""
 
-    def __init__(self, session: Session, reader, writer):
-        #: The handler task serving this connection (its creator).
-        self.handler = asyncio.current_task()
-        self.session = session
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, server: ReproServer):
+        self.server = server
+        self.session: Session
+        self.transport: asyncio.Transport
         self.decoder = FrameDecoder()
-        self._write_lock = asyncio.Lock()
-        self.open = True
+        #: Done once :meth:`connection_lost` has run (drain waits on it).
+        self.lost = asyncio.get_running_loop().create_future()
 
-    async def send(self, frames: bytes) -> None:
-        """One write for ``frames`` (any number of them, concatenated);
-        tolerate a peer that vanished mid-response.  The lock is for
-        process shards, where the handler and several workers answer one
-        connection: ``drain()`` allows a single waiter."""
-        if not self.open:
-            return
-        try:
-            async with self._write_lock:
-                self.writer.write(frames)
-                await self.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            self.open = False
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connected(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.server._serve(self, data)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.lost.set_result(None)  # its waiters resume after the cleanup
+        self.server._disconnected(self)
+
+    def pause_writing(self) -> None:
+        # The peer stopped reading: stop reading it, until it catches up.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
 
 
 class ReproServer:
@@ -238,7 +250,7 @@ class ReproServer:
         #: object name -> owning worker index.
         self._catalog: Dict[str, int] = {}
         #: One queue and one worker task per *blocking* shard (none for
-        #: shards the connection handlers call directly).
+        #: shards the connections call directly).
         self._queues: List[asyncio.Queue] = []
         self._worker_tasks: List[asyncio.Task] = []
         #: Round procedures driven in tasks of their own (multi-shard
@@ -301,12 +313,13 @@ class ReproServer:
                 asyncio.ensure_future(self._worker(index))
                 for index in range(self.workers)
             ]
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         if self.profiler is not None:
             self.profiler.start()
-        self._started_at = asyncio.get_event_loop().time()
+        self._started_at = loop.time()
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
@@ -317,7 +330,7 @@ class ReproServer:
 
     def install_signal_handlers(self, signals: Sequence[int]) -> None:
         """Trigger a graceful drain on each of ``signals`` (e.g. SIGTERM)."""
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         for signum in signals:
             loop.add_signal_handler(
                 signum, lambda: asyncio.ensure_future(self.drain())
@@ -330,9 +343,8 @@ class ReproServer:
             return self._drain_report
         self.draining = True
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        loop = asyncio.get_event_loop()
+            self._server.close()  # stops accepting now
+        loop = asyncio.get_running_loop()
         active_at_start = sum(c.session.active for c in self._connections)
         deadline = loop.time() + self.drain_grace
         while (
@@ -341,9 +353,7 @@ class ReproServer:
         ):
             await asyncio.sleep(0.02)
         # Force-abort whatever is still open and not already in 2PC.
-        forced = 0
-        for connection in list(self._connections):
-            forced += await self._abort_session(connection.session)
+        forced = sum(self._abort_session(c.session) for c in self._connections)
         # No further queue admissions or respawns; let the 2PCs and
         # resolutions in flight finish on the running workers, and answer
         # what was already accepted.
@@ -379,15 +389,20 @@ class ReproServer:
                 from ..obs.prof import write_profile
 
                 write_profile(self.profile_dir, profiler=self.profiler)
-        # Hang up on whoever is still connected and let each handler
-        # finish — it emits the session's ``server.disconnect`` — before
-        # the sinks close.  (The timeout is for a peer that stopped
-        # reading: its handler waits on a socket that never drains.)
-        handlers = [connection.handler for connection in self._connections]
+        # Hang up on whoever is still connected; each connection_lost
+        # emits the session's ``server.disconnect`` before the sinks
+        # close.  A close waits for the replies to be flushed, so a peer
+        # that stopped reading is cut off after a second.
+        lost = [connection.lost for connection in self._connections]
         for connection in list(self._connections):
-            self._close_connection(connection)
-        if handlers:
-            await asyncio.wait(handlers, timeout=1.0)
+            connection.transport.close()
+        if lost:
+            await asyncio.wait(lost, timeout=1.0)
+            for connection in list(self._connections):
+                connection.transport.abort()  # still there: its peer stopped reading
+            await asyncio.wait(lost)
+        if self._server is not None:
+            await self._server.wait_closed()
         for sink in self._flush_on_drain:
             closer = getattr(sink, "close", None) or getattr(sink, "flush", None)
             if closer is not None:
@@ -412,66 +427,55 @@ class ReproServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _close_connection(self, connection: _Connection) -> None:
-        if connection.open:
-            connection.open = False
-            try:
-                connection.writer.close()
-            except (ConnectionError, RuntimeError, OSError):
-                pass
-
-    async def _handle_connection(self, reader, writer) -> None:
-        peername = writer.get_extra_info("peername")
+    def _connected(self, connection: _Connection) -> None:
+        peername = connection.transport.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        session = Session(next(self._session_ids), peer=peer)
-        connection = _Connection(session, reader, writer)
+        session = connection.session = Session(next(self._session_ids), peer=peer)
         self._connections.append(connection)
         self.stats["connections"] += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit("server.connect", session=session.name, peer=peer)
-        try:
-            while connection.open:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                await self._serve(connection, data)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            aborted = await self._abort_session(session)
-            self.stats["transactions_aborted"] += aborted
-            self._close_connection(connection)
-            if connection in self._connections:
-                self._connections.remove(connection)
-            session.closed = True
-            if tracer is not None:
-                tracer.emit(
-                    "server.disconnect",
-                    session=session.name,
-                    requests=session.requests,
-                    aborted=aborted,
-                )
+        if self.tracer is not None:
+            self.tracer.emit("server.connect", session=session.name, peer=peer)
 
-    async def _abort_session(self, session: Session) -> int:
+    def _disconnected(self, connection: _Connection) -> None:
+        session = connection.session
+        aborted = self._abort_session(session)
+        self.stats["transactions_aborted"] += aborted
+        self._connections.remove(connection)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "server.disconnect",
+                session=session.name,
+                requests=session.requests,
+                aborted=aborted,
+            )
+
+    def _abort_session(self, session: Session) -> int:
         """Abort and close the handles a session leaves open, except one
         in 2PC (that decides it); returns how many had run anywhere."""
         aborted = 0
-        for handle in list(session.transactions):
-            record = session.transactions.get(handle)
-            if record is None or record.completing:
+        for handle, record in list(session.transactions.items()):
+            if record.completing:
                 continue
             if record.bound:
-                await self._round(abort_round(handle, record.participants))
+                self._abort(abort_round(handle, record.participants))
                 aborted += 1
             session.close_transaction(handle)
         return aborted
 
+    def _abort(self, ops: List[Tuple[int, Any]]) -> None:
+        """Deliver a round of abort verdicts, whose replies nobody reads:
+        direct calls on non-blocking shards; on blocking ones each rides
+        its shard's next batch (a drain stops a worker only after what
+        its queue holds)."""
+        deliver = self._post if self._queues else self.pool.deliver
+        for index, op in ops:
+            deliver(index, op)
+
     # ------------------------------------------------------------------
-    # Serving one read (runs in the connection handler)
+    # Serving one read (runs in data_received)
     # ------------------------------------------------------------------
 
-    async def _serve(self, connection: _Connection, data: bytes) -> None:
+    def _serve(self, connection: _Connection, data: bytes) -> None:
         """Answer everything one read completed, with one write.
 
         Each frame is admitted in arrival order.  What admission answers
@@ -503,7 +507,7 @@ class ReproServer:
                     else:
                         queues[index].put_nowait((connection, request, index, admitted))
                 else:
-                    await self._execute(session, *routed, out, answered)
+                    self._execute(session, *routed, out, answered)
         except FrameError as exc:
             # Typed error, then disconnect: the stream offset is
             # unrecoverable after a framing violation — but the frames
@@ -511,9 +515,9 @@ class ReproServer:
             self.stats["errors"] += 1
             out.append(error_frame(None, exc.code, exc.message))
             poisoned = True
-        await self._flush({connection: out}, answered)
+        self._flush({connection: out}, answered)
         if poisoned:
-            self._close_connection(connection)
+            connection.transport.close()  # after the replies are flushed
 
     def _admit(self, session: Session, body: Dict[str, Any]) -> Any:
         """Admit one decoded frame: the reply frame when it can be
@@ -615,7 +619,7 @@ class ReproServer:
             return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
         return worker
 
-    async def _execute(
+    def _execute(
         self,
         session: Session,
         request: Request,
@@ -636,19 +640,19 @@ class ReproServer:
                 replies = self.pool.shards[index].call(plan)
             except ShardDown:
                 out.append(self._shard_down_frame(request, index))
-                await self._shard_down(index, {})  # `out` leaves with the read
+                self._shard_down(index, {})  # `out` leaves with the read
                 return
             frame = self._finish(session, request, index, replies[-1])
         elif type(plan) is bytes:
             frame = plan
         else:
-            frame = await self._complete_cross(session, request, plan)
+            frame = self.pool.drive(self._complete_cross(session, request, plan))
         out.append(frame)
         if timed:
             done = tracer.clock()
             answered.append((session, request, index, 0.0, done - begun, done))
 
-    async def _flush(
+    def _flush(
         self,
         outbox: Dict[_Connection, List[bytes]],
         answered: List[Tuple[Any, ...]],
@@ -657,10 +661,12 @@ class ReproServer:
         emit ``server.respond`` for the shard-executed ones among them.
         ``respond`` is stamped after the write, so it includes a reply's
         wait for its batch-mates and the three phases sum to the
-        request's residence in the server.  Empties both arguments."""
+        request's residence in the server.  A write never waits (the
+        transport buffers what the socket will not take); one for a
+        connection already closing is dropped.  Empties both arguments."""
         for connection, frames in outbox.items():
-            if frames:
-                await connection.send(b"".join(frames))
+            if frames and not connection.transport.is_closing():
+                connection.transport.write(b"".join(frames))
         outbox.clear()
         if answered:
             tracer = self.tracer
@@ -682,7 +688,7 @@ class ReproServer:
     def _introspect(self, action: str) -> Dict[str, Any]:
         """The ``stats`` / ``health`` result body (inline, read-only)."""
         uptime = (
-            asyncio.get_event_loop().time() - self._started_at
+            asyncio.get_running_loop().time() - self._started_at
             if self._started_at is not None
             else None
         )
@@ -813,7 +819,7 @@ class ReproServer:
                             outbox.setdefault(connection, []).append(
                                 self._shard_down_frame(request, index)
                             )
-                    await self._shard_down(index, outbox)
+                    self._shard_down(index, outbox)
             executed = tracer.clock() if timed else 0.0
             span, offset = executed - started, 0
             for item, plan in zip(batch, plans):
@@ -837,7 +843,7 @@ class ReproServer:
                     answered.append(
                         (connection.session, request, worker, queued, span, executed)
                     )
-            await self._flush(outbox, answered)
+            self._flush(outbox, answered)
 
     def _plan(self, session: Session, request: Request, index: int) -> Any:
         """Translate one admitted request into ops for shard ``index``.
@@ -958,7 +964,9 @@ class ReproServer:
             tracer = self.tracer
             timed = tracer is not None and tracer.active
             begun = tracer.clock() if timed else 0.0
-            frame = await self._complete_cross(connection.session, request, record)
+            frame = await self._drive(
+                self._complete_cross(connection.session, request, record)
+            )
             answered: List[Tuple[Any, ...]] = []
             if timed:
                 done = tracer.clock()
@@ -966,7 +974,7 @@ class ReproServer:
                 answered.append(
                     (connection.session, request, index, queued, done - begun, done)
                 )
-            await self._flush({connection: [frame]}, answered)
+            self._flush({connection: [frame]}, answered)
 
         self._track(complete())
 
@@ -976,18 +984,19 @@ class ReproServer:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
-    async def _complete_cross(
+    def _complete_cross(
         self, session: Session, request: Request, record: TxnRecord
-    ) -> bytes:
-        """Complete a multi-shard transaction: presumed-abort 2PC for a
-        commit, an abort on every participant otherwise (see _round)."""
-        handle = request.params["transaction"]
+    ) -> Rounds:
+        """Complete a multi-shard transaction — presumed-abort 2PC for a
+        commit, an abort on every participant otherwise — as a round
+        procedure whose outcome is the response frame: driven by the
+        shard set on non-blocking shards, by :meth:`_drive` on blocking
+        ones."""
+        handle, participants = request.params["transaction"], record.participants
         if request.action == "abort":
-            await self._round(abort_round(handle, record.participants))
+            yield abort_round(handle, participants)
             return self._completed(session, request)
-        reply = await self._drive(
-            two_phase_commit(handle, record.participants, record.primary)
-        )
+        reply = yield from two_phase_commit(handle, participants, record.primary)
         if "error" in reply:
             # The 2PC already aborted the transaction on every
             # participant; the handle is finished, not leaked.
@@ -997,8 +1006,8 @@ class ReproServer:
         return self._completed(session, request, reply["ok"])
 
     async def _drive(self, rounds: Rounds) -> Any:
-        """Run a round procedure (2PC, resolution) to its outcome, each
-        round through :meth:`_round` — the server's one driver."""
+        """Run a round procedure (2PC, resolution) over blocking shards to
+        its outcome, each round through :meth:`_round`."""
         try:
             ops = next(rounds)
             while True:
@@ -1007,14 +1016,11 @@ class ReproServer:
             return done.value
 
     async def _round(self, ops: List[Tuple[int, Any]]) -> List[Any]:
-        """One round's replies, in order: direct calls with no suspension
-        on non-blocking shards; on blocking ones every op is posted at
-        once, to ride its shard's next batch.  None answers an op its
-        shard died under; a commit verdict is then posted again, for the
-        respawned worker, until it is acked — or until the shard stays
-        down, for the next start's resolution to apply."""
-        if not self._queues:
-            return [self.pool.deliver(index, op) for index, op in ops]
+        """One round's replies, in order: every op is posted at once, to
+        ride its shard's next batch.  None answers an op its shard died
+        under; a commit verdict is then posted again, for the respawned
+        worker, until it is acked — or until the shard stays down, for
+        the next start's resolution to apply."""
         shards = self.pool.shards
 
         async def deliver(index: int, op: Dict[str, Any]) -> Any:
@@ -1030,7 +1036,7 @@ class ReproServer:
     def _post(self, index: int, op: Dict[str, Any]) -> asyncio.Future:
         """Queue a round op for its shard's next batch, the future to get
         its reply — never BUSY, no event, no request counted."""
-        future = asyncio.get_event_loop().create_future()
+        future = asyncio.get_running_loop().create_future()
         self._queues[index].put_nowait((None, op, index, future))
         return future
 
@@ -1044,9 +1050,7 @@ class ReproServer:
             " presumed aborted",
         )
 
-    async def _shard_down(
-        self, index: int, outbox: Dict[_Connection, List[bytes]]
-    ) -> int:
+    def _shard_down(self, index: int, outbox: Dict[_Connection, List[bytes]]) -> None:
         """A shard died under a call: clean up, answer, respawn.
 
         Every handle that touched the dead shard is aborted on its
@@ -1064,29 +1068,20 @@ class ReproServer:
         it answers ``SHARD_DOWN``.  A non-blocking set resolves the new
         incarnation's prepared set right here; on blocking shards a task
         drives :func:`~repro.server.engine.resolve_prepared` through the
-        queues, and no caller waits for it.  Returns the number of
-        handles cleaned up.
+        queues, and no caller waits for it.
         """
-        cleaned = 0
         for connection in self._connections:
             session = connection.session
             for handle, record in list(session.transactions.items()):
                 if index not in record.participants or record.completing:
                     continue
-                survivors = abort_round(handle, set(record.participants) - {index})
-                if self._queues:
-                    for survivor, op in survivors:
-                        self._post(survivor, op)
-                else:
-                    await self._round(survivors)
+                self._abort(abort_round(handle, set(record.participants) - {index}))
                 session.close_transaction(handle)
                 self.stats["transactions_aborted"] += 1
-                cleaned += 1
-        await self._flush(outbox, [])
+        self._flush(outbox, [])
         if not self._stopping and self.pool.revive(index):
-            resolution = self._drive(resolve_prepared(index, self.workers))
+            resolution = resolve_prepared(index, self.workers)
             if self._queues:
-                self._track(resolution)
+                self._track(self._drive(resolution))
             else:
-                await resolution
-        return cleaned
+                self.pool.drive(resolution)

@@ -102,7 +102,6 @@ class Session:
         "_next_txn",
         "_acks",
         "_ack_capacity",
-        "closed",
     )
 
     def __init__(self, session_id: int, peer: str = "?", ack_capacity: int = 256):
@@ -120,7 +119,6 @@ class Session:
         self._next_txn = 0
         self._acks: "OrderedDict[int, Dict[str, Any]]" = OrderedDict()
         self._ack_capacity = ack_capacity
-        self.closed = False
 
     # -- transaction handles -------------------------------------------
 

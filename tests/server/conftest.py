@@ -1,7 +1,9 @@
-"""One served two-shard deployment per transport, for tests that run one
-body over all of them."""
+"""Served deployments for the server tests: two shards per transport, for
+tests that run one body over all of them, and a server on a thread of its
+own for blocking clients."""
 
 import asyncio
+import threading
 
 import pytest
 
@@ -43,6 +45,36 @@ def serve_over(tmp_path):
         return server
 
     return start
+
+
+@pytest.fixture
+def threaded_server():
+    """A live server over two local shards on its own event-loop thread
+    (SyncClient's shape), drained afterwards."""
+    box = {}
+    ready = threading.Event()
+
+    def runner():
+        async def main():
+            server = ReproServer(workers=2, drain_grace=1.0)
+            await server.start()
+            box["server"] = server
+            box["loop"] = asyncio.get_running_loop()
+            ready.set()
+            await server.serve_forever()
+
+        asyncio.run(main())
+
+    thread = threading.Thread(target=runner, daemon=True)
+    thread.start()
+    assert ready.wait(timeout=5)
+    try:
+        yield box["server"]
+    finally:
+        asyncio.run_coroutine_threadsafe(
+            box["server"].drain(), box["loop"]
+        ).result(timeout=5)
+        thread.join(timeout=5)
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """One pass and one write per readable batch, pinned by counts.
 
-Wall-clock on a shared box does not repeat; socket writes, queues and
-worker tasks per request do.  A non-blocking shard executes in the
-connection handler (no queue, no worker, replies in request order, one
-write per read); a blocking shard keeps its queue and its worker's
-batch, and the batch answers each connection with one write.
+Wall-clock on a shared box does not repeat; socket writes, loop polls,
+queues and worker tasks per request do.  A non-blocking shard executes
+in the connection's ``data_received`` (no queue, no worker, replies in
+request order, one write per read, one poll per request); a blocking
+shard keeps its queue and its worker's batch, and the batch answers each
+connection with one write.
 """
 
 import asyncio
@@ -13,7 +14,7 @@ import itertools
 import pytest
 
 from repro.obs import TraceBus
-from repro.server import AsyncClient, ReproServer, ShardProcessPool
+from repro.server import AsyncClient, ReproServer, ShardProcessPool, SyncClient
 from repro.server.protocol import FrameDecoder, request_frame
 
 
@@ -21,7 +22,7 @@ def count_writes(connection, on_write=None):
     """Count (and optionally observe) the socket writes of one server-side
     connection from here on; returns the list the writes are appended to."""
     writes = []
-    write = connection.writer.write
+    write = connection.transport.write
 
     def counting(data):
         writes.append(data)
@@ -29,7 +30,7 @@ def count_writes(connection, on_write=None):
             on_write()
         write(data)
 
-    connection.writer.write = counting
+    connection.transport.write = counting
     return writes
 
 
@@ -95,6 +96,31 @@ class TestLocalShards:
         # `repro top` still gets one depth per shard.
         assert stats["queues"] == [0, 0]
         assert stats["server"]["requests"] == 2
+
+    def test_one_loop_poll_per_served_request(self, threaded_server):
+        """A read is served inside the loop's callback for it, with no
+        task to wake: one ``selector.select`` per request with one in
+        flight."""
+        requests = 200
+        loop = threaded_server._server.get_loop()
+        selector = loop._selector
+        polls = []
+
+        def counting(timeout=None):
+            polls.append(timeout)
+            return type(selector).select(selector, timeout)
+
+        with SyncClient(threaded_server.host, threaded_server.port) as client:
+            client.create("A", "Account")
+            handle = client.begin()
+            selector.select = counting
+            try:
+                for _ in range(requests):
+                    client.invoke(handle, "A", "Credit", 1)
+            finally:
+                del selector.select
+            client.commit(handle)
+        assert len(polls) <= requests + 2
 
 
 class TestProcessShards:

@@ -5,41 +5,10 @@ covered is gone; the served benchmark is ``benchmarks/e2e``.)
 """
 
 import asyncio
-import threading
 
 import pytest
 
 from repro.server import AsyncClient, ReproServer, SyncClient, WireError
-
-
-@pytest.fixture
-def threaded_server():
-    """A live server on its own event-loop thread (SyncClient's shape)."""
-    box = {}
-    ready = threading.Event()
-    stop = None
-
-    def runner():
-        async def main():
-            server = ReproServer(workers=2, drain_grace=1.0)
-            await server.start()
-            box["server"] = server
-            box["loop"] = asyncio.get_event_loop()
-            ready.set()
-            await server.serve_forever()
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=5)
-    try:
-        yield box["server"]
-    finally:
-        asyncio.run_coroutine_threadsafe(
-            box["server"].drain(), box["loop"]
-        ).result(timeout=5)
-        thread.join(timeout=5)
 
 
 class TestSyncClient:

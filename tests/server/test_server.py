@@ -6,6 +6,7 @@ to it over real sockets.  No pytest-asyncio: tests drive their own
 """
 
 import asyncio
+import socket
 import struct
 
 import pytest
@@ -18,6 +19,7 @@ from repro.server import (
     Session,
     SessionError,
     ShardedTimestampGenerator,
+    ShardProcessPool,
     WireError,
     shard_for,
 )
@@ -34,6 +36,37 @@ async def start_server(**kwargs):
     server = ReproServer(**kwargs)
     await server.start()
     return server
+
+
+#: Socket and write-buffer size that lets a peer which does not read
+#: back the server up within a few kilobytes.
+SMALL_BUFFER = 4096
+
+
+async def stop_reading(server, requests):
+    """Connect a raw peer that sends ``requests`` and reads nothing.
+
+    The peer's receive buffer, and the server side's socket send buffer
+    and transport high-water mark, are shrunk so that its replies back
+    up within a few kilobytes.  Returns once they have: the peer's
+    socket, the server's connection for it, and the task sending."""
+    loop = asyncio.get_running_loop()
+    peer = socket.socket()
+    peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SMALL_BUFFER)
+    peer.setblocking(False)
+    await loop.sock_connect(peer, (server.host, server.port))
+    while not server._connections:
+        await asyncio.sleep(0.005)
+    (connection,) = server._connections
+    transport = connection.transport
+    transport.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, SMALL_BUFFER
+    )
+    transport.set_write_buffer_limits(high=SMALL_BUFFER)
+    sending = asyncio.ensure_future(loop.sock_sendall(peer, requests))
+    while transport.get_write_buffer_size() <= SMALL_BUFFER:
+        await asyncio.sleep(0.005)
+    return peer, connection, sending
 
 
 class TestSessionUnit:
@@ -304,6 +337,55 @@ class TestBackpressure:
 
         run(scenario())
 
+    def test_a_peer_that_stops_reading_stalls_no_one_else(self, tmp_path):
+        """Regression: a process shard's worker awaited each connection's
+        socket drain, so one peer that stopped reading parked the shard's
+        only worker and every other connection waited behind it.  Now
+        that peer's replies buffer and its reading pauses; the shard
+        serves the others meanwhile, and the peer gets every reply once
+        it reads."""
+        invokes = 2000
+
+        async def scenario():
+            pool = ShardProcessPool(1, tmp_path / "data")
+            pool.start()
+            server = ReproServer(pool=pool, queue_limit=invokes + 1, drain_grace=0.5)
+            server.create_object("A", "Account")
+            server.create_object("B", "Account")
+            await server.start()
+            credit = {"obj": "A", "operation": "Credit", "args": (1,)}
+            peer, connection, sending = await stop_reading(
+                server,
+                request_frame(1, "begin")
+                + b"".join(
+                    request_frame(rid, "invoke", {"transaction": "s1.t1", **credit})
+                    for rid in range(2, invokes + 2)
+                ),
+            )
+            try:
+                client = await AsyncClient.connect(server.host, server.port)
+                handle = await client.begin()
+                await asyncio.wait_for(client.invoke(handle, "B", "Credit", 1), 3)
+                timestamp, _ = await asyncio.wait_for(client.commit(handle), 3)
+                paused = not connection.transport.is_reading()
+                assert not connection.transport.is_closing()  # paused, not dropped
+                loop = asyncio.get_running_loop()
+                decoder, replies = FrameDecoder(), []
+                while len(replies) < invokes + 1:
+                    replies += decoder.feed(await loop.sock_recv(peer, 65536))
+                await sending
+            finally:
+                peer.close()
+            await client.aclose()
+            await server.drain()
+            return timestamp, paused, replies
+
+        timestamp, paused, replies = run(asyncio.wait_for(scenario(), 60))
+        assert isinstance(timestamp, int)
+        assert paused
+        assert sorted(reply["id"] for reply in replies) == list(range(1, invokes + 2))
+        assert all(reply["ok"] for reply in replies)
+
 
 class TestIdempotentAcks:
     def test_commit_ack_replays_for_same_request_id(self):
@@ -512,6 +594,39 @@ class TestGracefulDrain:
             await client.aclose()
 
         run(scenario())
+
+    def test_a_peer_that_stopped_reading_is_hung_up_on(self, tmp_path):
+        """A close waits for the replies to flush, which a peer that
+        stopped reading never lets happen: after a second the drain cuts
+        it off, so its ``server.disconnect`` is in the trace before the
+        sinks close — every ``server.connect`` has its disconnect."""
+        trace = tmp_path / "drain.jsonl"
+
+        async def scenario():
+            bus = TraceBus()
+            sink = bus.subscribe(JSONLSink(str(trace)))
+            server = await start_server(
+                tracer=bus, drain_grace=0.05, flush_on_drain=[sink]
+            )
+            peer, _, sending = await stop_reading(
+                server, b"".join(request_frame(rid, "ping") for rid in range(2000))
+            )
+            client = await AsyncClient.connect(server.host, server.port)
+            await client.ping()
+            await asyncio.wait_for(server.drain(), 5)
+            sending.cancel()
+            await asyncio.gather(sending, return_exceptions=True)
+            peer.close()
+            await client.aclose()
+
+        run(scenario())
+        events = read_jsonl(str(trace))
+        sessions = {
+            kind: sorted(e.data["session"] for e in events if e.kind == kind)
+            for kind in ("server.connect", "server.disconnect")
+        }
+        assert sessions["server.connect"] == sessions["server.disconnect"]
+        assert len(sessions["server.connect"]) == 2
 
 
 class TestManyConnections:
