@@ -21,8 +21,9 @@ Commands
     ``--wal-dir`` attaches an on-disk write-ahead log per protocol so the
     run survives a real process kill.
 ``recover <logdir>``
-    Rebuild a transaction manager from a ``--wal-dir`` directory
-    (checkpoint + WAL replay) and print the recovered object states.
+    Rebuild a transaction manager from a log directory (``--wal-dir``, or
+    ``serve --data-dir``'s ``shard<i>``; checkpoint record + WAL replay)
+    and print the recovered object states.
 ``trace <workload>``
     Run one workload under one protocol with the trace bus attached and
     dump the event stream: ``--format jsonl`` (machine-readable, every
@@ -380,7 +381,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     import os
 
-    from .recovery import FileCheckpointStore, FileWAL, recover_manager
+    from .recovery import FileWAL, recover_manager
 
     logdir = args.logdir
     if not os.path.isfile(os.path.join(logdir, "wal.jsonl")):
@@ -389,9 +390,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     from .recovery import RecoveryError, WalCorruption
 
     wal = FileWAL(logdir)
-    store = FileCheckpointStore(logdir)
-    if store.load() is None:
-        store = None
     tracer = None
     jsonl_sink = None
     ring = None
@@ -404,10 +402,18 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         if args.verbose:
             ring = tracer.subscribe(RingBufferSink())
     try:
+        # A shard's log pins its stride in the meta record; recovery
+        # refuses any other generator, so offer the one it names.
+        meta = next(iter(wal.records()), {})
+        generator = None
+        if meta.get("shards") is not None:
+            from .server.engine import ShardedTimestampGenerator
+
+            generator = ShardedTimestampGenerator(meta["shard"], meta["shards"])
         # The CLI is the one place wall-clock timing belongs: simulated
         # paths leave ``clock`` unset so reports stay deterministic.
         manager, report = recover_manager(
-            wal, store=store, tracer=tracer, clock=time.perf_counter
+            wal, tracer=tracer, clock=time.perf_counter, generator=generator
         )
     except (WalCorruption, RecoveryError) as exc:
         print(f"recovery failed: {exc}", file=sys.stderr)
@@ -915,7 +921,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover = commands.add_parser(
         "recover", help="rebuild a manager from a write-ahead log directory"
     )
-    recover.add_argument("logdir", help="directory holding wal.jsonl (and checkpoint)")
+    recover.add_argument("logdir", help="directory holding wal.jsonl")
     recover.add_argument(
         "--verbose",
         action="store_true",

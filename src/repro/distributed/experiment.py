@@ -12,7 +12,8 @@ the trace bus every site shares.
 Two fault models are available.  ``crash_every`` (legacy) soft-crashes a
 rotating site periodically: volatile transactions abort, committed state
 survives in place.  ``crash_rate`` drives the full durability path: each
-site gets a write-ahead log (and optional periodic horizon checkpoints),
+site gets a write-ahead log (and optional periodic horizon checkpoints
+written into it),
 a seeded :class:`~repro.recovery.faults.CrashPlan` fail-stops sites with
 total volatile loss, and every victim is rebuilt ``crash_downtime`` later
 by checkpoint + WAL replay, with the recovered committed state verified
@@ -29,13 +30,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.history import History
 from ..obs import HistorySink, RegistrySink, TraceBus
-from ..recovery import (
-    CrashPlan,
-    FileCheckpointStore,
-    FileWAL,
-    MemoryCheckpointStore,
-    MemoryWAL,
-)
+from ..recovery import CrashPlan, FileWAL, MemoryWAL
 from ..sim.des import Simulator
 from ..sim.metrics import Metrics
 from .client import DistributedClient, DistributedStep
@@ -124,13 +119,12 @@ def run_distributed_experiment(
 
     hosts: List[Site] = []
     for s in range(site_count):
-        wal = store = None
+        wal = None
         if wal_dir is not None:
-            site_dir = os.path.join(wal_dir, f"shard{s}")
-            wal, store = FileWAL(site_dir), FileCheckpointStore(site_dir)
+            wal = FileWAL(os.path.join(wal_dir, f"shard{s}"))
         elif durable:
-            wal, store = MemoryWAL(), MemoryCheckpointStore()
-        site = Site(s, site_count, wal=wal, store=store, tracer=tracer)
+            wal = MemoryWAL()
+        site = Site(s, site_count, wal=wal, tracer=tracer)
         hosts.append(site)
         # Open every account, then fund them in one local transaction
         # (the engine creates registry types at their initial state).

@@ -16,9 +16,9 @@ processes.  What the host adds is the ability to fail:
   committed state survive, and the site stays up; a later ``prepare`` for
   a victim answers ``NO_VOTE``, which is presumed abort;
 * :meth:`crash_hard` loses every volatile structure by dropping the
-  engine; only the write-ahead log and checkpoint store survive, and
-  :meth:`recover` boots a fresh engine over them: committed intentions
-  replayed on top of the checkpointed versions, 2PC-prepared
+  engine; only the write-ahead log survives, and :meth:`recover` boots a
+  fresh engine over it: committed intentions replayed on top of the
+  versions in its checkpoint record, 2PC-prepared
   transactions back with their locks, everything else presumed aborted.
 """
 
@@ -43,7 +43,6 @@ class Site:
         index: int = 0,
         sites: int = 1,
         wal: Optional[Any] = None,
-        store: Optional[Any] = None,
         tracer: Optional[Any] = None,
     ):
         self.index = index
@@ -52,7 +51,6 @@ class Site:
         self.name = f"shard{index}"
         #: Stable storage: what survives :meth:`crash_hard`.
         self.wal = wal
-        self.store = store
         self.tracer = tracer
         self.incarnation = 0
         self.engine: Optional[ShardEngine] = self._boot()
@@ -63,7 +61,6 @@ class Site:
             self.index,
             self.sites,
             wal=self.wal,
-            store=self.store,
             tracer=self.tracer,
             incarnation=self.incarnation,
         )
@@ -101,13 +98,13 @@ class Site:
 
     def crash_hard(self) -> None:
         """Full fail-stop: the engine, and with it every volatile structure,
-        is gone; only the log and the checkpoint store survive."""
+        is gone; only the log survives."""
         self.engine = None
         if self.tracer is not None:
             self.tracer.emit("site.crash", site=self.name, hard=True)
 
     def recover(self) -> Any:
-        """Boot a fresh engine over the same log and checkpoint store.
+        """Boot a fresh engine over the same log.
 
         Returns the :class:`~repro.recovery.RecoveryReport` (its
         ``elapsed_seconds`` stays 0.0: no wall clock is read, so
@@ -126,7 +123,8 @@ class Site:
     spawn = recover
 
     def checkpoint(self) -> Dict[str, Any]:
-        """Snapshot every local version into the store and truncate the log."""
+        """Fold every local version into a checkpoint record that replaces
+        the log's redundant records."""
         return self.single({"op": "checkpoint"})
 
     # -- read-only views (fault plans, experiments, tests) -------------

@@ -6,9 +6,10 @@ hence a checkpoint) may absorb.  This package makes that operational:
 
 * :mod:`~repro.recovery.wal` — append-only, checksummed intentions log
   (in-memory and on-disk backends, plus the group-commit wrapper that
-  batches appends under one fsync);
-* :mod:`~repro.recovery.checkpoint` — version snapshots keyed by the
-  horizon timestamp, plus log truncation;
+  batches appends under one fsync) — the one stable store;
+* :mod:`~repro.recovery.checkpoint` — a fold, then one rewrite of the log
+  around a ``checkpoint`` record of the versions, keyed by the horizon
+  timestamp;
 * :mod:`~repro.recovery.recovery` — the checkpoint + replay driver
   (one routine: every deployment recovers a manager), with the
   recovered-state invariant check;
@@ -16,15 +17,7 @@ hence a checkpoint) may absorb.  This package makes that operational:
   distributed simulations.
 """
 
-from .checkpoint import (
-    Checkpoint,
-    CheckpointStore,
-    FileCheckpointStore,
-    MemoryCheckpointStore,
-    ObjectCheckpoint,
-    take_checkpoint,
-    truncate_wal,
-)
+from .checkpoint import write_checkpoint
 from .faults import CrashEvent, CrashPlan
 from .recovery import (
     RecoveryError,
@@ -42,6 +35,7 @@ from .wal import (
     WalCorruption,
     WriteAheadLog,
     abort_record,
+    checkpoint_record,
     commit_record,
     create_record,
     decode_operation,
@@ -66,6 +60,7 @@ __all__ = [
     "prepare_record",
     "commit_record",
     "abort_record",
+    "checkpoint_record",
     "encode_value",
     "decode_value",
     "encode_operation",
@@ -73,13 +68,7 @@ __all__ = [
     "encode_states",
     "decode_states",
     # checkpoint
-    "Checkpoint",
-    "ObjectCheckpoint",
-    "CheckpointStore",
-    "MemoryCheckpointStore",
-    "FileCheckpointStore",
-    "take_checkpoint",
-    "truncate_wal",
+    "write_checkpoint",
     # recovery
     "RecoveryError",
     "RecoveryReport",

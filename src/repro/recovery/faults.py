@@ -3,7 +3,7 @@
 A :class:`CrashPlan` is a deterministic schedule of fail-stop events —
 each kills one site with total volatile loss (:meth:`Site.crash_hard`)
 and brings it back ``downtime`` later (:meth:`Site.recover`: a fresh
-engine over the site's own checkpoint store and WAL).  Plans
+engine over the site's own WAL).  Plans
 are generated from a seed (Poisson arrivals across the cluster) so whole
 fault-injected runs are reproducible bit for bit, and
 :meth:`CrashPlan.install` wires the schedule into a

@@ -1,4 +1,4 @@
-"""Crash recovery: rebuild machines from checkpoint + log replay.
+"""Crash recovery: rebuild machines from the log (checkpoint + replay).
 
 Recovery is presumed-abort and intentions-based, mirroring the paper's
 resilient-objects framing (and the Avalon/C++ appendix): committed
@@ -8,11 +8,11 @@ force-written by :func:`repro.recovery.wal.prepare_record` — come back
 *active*, still holding their locks, awaiting the coordinator's verdict.
 
 The driver replays commit records in commit-timestamp order on top of the
-checkpointed versions, skipping records each object's checkpoint fence
-proves redundant, then re-derives lock state by replaying prepared
-transactions' intentions.  :func:`verify_recovery` checks the recovery
-invariant: the rebuilt committed state-set of every object equals the
-pre-crash one.
+versions in the log's ``checkpoint`` record, skipping records each
+object's fence proves redundant, then re-derives lock state by replaying
+prepared transactions' intentions.  :func:`verify_recovery` checks the
+recovery invariant: the rebuilt committed state-set of every object
+equals the pre-crash one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from ..core.compaction import NEG_INFINITY, CompactingLockMachine
 from ..core.errors import ReproError
 from ..core.lock_machine import LockMachine
 from ..core.specs import SerialSpec, StateSet
-from .checkpoint import Checkpoint, CheckpointStore
 from .wal import WriteAheadLog, decode_operation, decode_states, decode_value
 
 __all__ = [
@@ -43,7 +42,7 @@ __all__ = [
 
 
 class RecoveryError(ReproError):
-    """The log/checkpoint could not be replayed into a consistent state."""
+    """The log could not be replayed into a consistent state."""
 
 
 @dataclass
@@ -51,7 +50,7 @@ class RecoveryReport:
     """What one recovery pass did (and how long it took)."""
 
     name: str = ""
-    #: Log records scanned (after any checkpoint truncation).
+    #: Log records scanned (the checkpoint record among them).
     scanned_records: int = 0
     #: Commit/prepare records re-applied to machines.
     replayed_records: int = 0
@@ -61,7 +60,8 @@ class RecoveryReport:
     prepared_transactions: Tuple[str, ...] = ()
     recovered_objects: Tuple[str, ...] = ()
     #: 2PC transaction -> its commit timestamp: every logged commit that
-    #: also has a ``prepare`` record (what a peer may still ask about).
+    #: also has a ``prepare`` record, and the checkpoint's (what a peer
+    #: may still ask about).
     decided: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds spent replaying.
     elapsed_seconds: float = 0.0
@@ -132,6 +132,10 @@ class _LogImage:
     commits: Dict[str, Tuple[Any, Dict[str, list]]] = field(default_factory=dict)
     prepares: Dict[str, Tuple[Any, Dict[str, list]]] = field(default_factory=dict)
     aborted: Set[str] = field(default_factory=set)
+    #: The ``checkpoint`` record ({} when the log was never checkpointed).
+    checkpoint: Dict[str, Any] = field(default_factory=dict)
+    #: 2PC transaction -> commit timestamp (``RecoveryReport.decided``).
+    decided: Dict[str, Any] = field(default_factory=dict)
 
 
 def _scan(records: List[Dict[str, Any]]) -> _LogImage:
@@ -154,10 +158,17 @@ def _scan(records: List[Dict[str, Any]]) -> _LogImage:
             )
         elif kind == "abort":
             image.aborted.add(record["txn"])
+        elif kind == "checkpoint":
+            image.checkpoint = record
+            for txn, ts in record["decided"].items():
+                image.decided[txn] = decode_value(ts)
         elif kind not in ("invoke", "respond"):
             # Those two are stepped over: nothing writes them, but a log is
             # outside input and older ones carry a pair per operation.
             raise RecoveryError(f"unknown record kind {kind!r} in the log")
+    for txn in image.prepares:
+        if txn in image.commits:
+            image.decided[txn] = image.commits[txn][0]
     return image
 
 
@@ -187,7 +198,7 @@ class _RerootedSpec(SerialSpec):
 
 def _build_machine(
     record: Mapping[str, Any],
-    checkpoint: Optional[Checkpoint],
+    restored: Optional[Mapping[str, Any]],
     catalog: Optional[Mapping[str, ADT]],
 ) -> Tuple[CompactingLockMachine, ADT]:
     import dataclasses
@@ -204,23 +215,23 @@ def _build_machine(
         adt = dataclasses.replace(adt, spec=_RerootedSpec(adt.spec, initial))
     conflict = get_protocol(record["protocol"]).conflict_for(adt)
     machine = CompactingLockMachine(adt.spec, conflict, obj=obj)
-    restored = checkpoint.objects.get(obj) if checkpoint else None
     if restored is not None:
         machine.restore_version(
-            restored.version, restored.clock, restored.version_timestamp
+            decode_states(restored["version"]),
+            decode_value(restored["clock"]),
+            decode_value(restored["fence"]),
         )
     return machine, adt
 
 
 def recover_machines(
     records: List[Dict[str, Any]],
-    checkpoint: Optional[Checkpoint] = None,
     catalog: Optional[Mapping[str, ADT]] = None,
     tracer: Optional[Any] = None,
 ) -> Tuple[
     Dict[str, CompactingLockMachine], Dict[str, ADT], _LogImage, RecoveryReport
 ]:
-    """Rebuild machines from decoded log records plus an optional checkpoint.
+    """Rebuild machines from decoded log records, checkpoint record included.
 
     Returns ``(machines, adts, log image, report)``; the report's timing
     and name fields are filled in by the caller.  ``tracer`` (a
@@ -228,12 +239,13 @@ def recover_machines(
     replayed transaction.
     """
     image = _scan(records)
+    versions = image.checkpoint.get("objects", {})
     machines: Dict[str, CompactingLockMachine] = {}
     adts: Dict[str, ADT] = {}
     for record in image.creates:
         if record["obj"] in machines:
             raise RecoveryError(f"duplicate create record for {record['obj']!r}")
-        machine, adt = _build_machine(record, checkpoint, catalog)
+        machine, adt = _build_machine(record, versions.get(record["obj"]), catalog)
         machines[record["obj"]] = machine
         adts[record["obj"]] = adt
         if tracer is not None:
@@ -250,12 +262,13 @@ def recover_machines(
     report = RecoveryReport(
         scanned_records=len(records),
         recovered_objects=tuple(sorted(machines)),
-        from_checkpoint=checkpoint is not None and bool(checkpoint.objects),
-        decided={t: image.commits[t][0] for t in image.prepares if t in image.commits},
+        from_checkpoint=bool(versions),
+        decided=dict(image.decided),
     )
 
     # Redo: committed intentions in commit-timestamp order, skipping what
-    # each object's checkpoint fence already contains.
+    # each object's checkpoint fence (its restored version timestamp —
+    # replay never folds, so it holds until the pass below) contains.
     for transaction in sorted(image.commits, key=lambda t: image.commits[t][0]):
         timestamp, intentions = image.commits[transaction]
         applied = False
@@ -265,8 +278,7 @@ def recover_machines(
                 raise RecoveryError(
                     f"commit record for unknown object {obj!r}"
                 )
-            fence = checkpoint.fence(obj) if checkpoint else NEG_INFINITY
-            if not (fence < timestamp):
+            if not (machine.version_timestamp < timestamp):
                 continue  # folded into the checkpointed version
             ops = [decode_operation(data) for data in encoded_ops]
             machine.replay_committed(transaction, timestamp, ops)
@@ -325,7 +337,6 @@ _TXN_NAME = re.compile(r"^T(\d+)")
 
 def recover_manager(
     wal: WriteAheadLog,
-    store: Optional[CheckpointStore] = None,
     catalog: Optional[Mapping[str, ADT]] = None,
     tracer: Optional[Any] = None,
     clock: Optional[Callable[[], float]] = None,
@@ -333,7 +344,7 @@ def recover_manager(
     site: Optional[str] = None,
 ):
     """Rebuild a :class:`~repro.runtime.manager.TransactionManager` from a
-    persisted log (plus checkpoint, if a store holds one).
+    persisted log, on top of its checkpoint record when it has one.
 
     Returns ``(manager, report)``.  The recovered manager's timestamp
     generator is advanced past every replayed commit timestamp, so new
@@ -358,6 +369,10 @@ def recover_manager(
     record.  (A transaction the crash caught before any of those left
     nothing on stable storage, so its name may come round again.)
 
+    A log directory that still holds a ``checkpoint.*`` file is refused:
+    an older tree kept its checkpoints there, beside a ``wal.jsonl``
+    truncated of the commits folded into them.
+
     ``clock`` is an optional zero-argument callable used only to time the
     rebuild for the report (a CLI passes ``time.perf_counter``).  Left
     unset — as every simulated path leaves it — ``elapsed_seconds`` stays
@@ -368,10 +383,17 @@ def recover_manager(
     from ..runtime.transaction import Transaction
 
     started = clock() if clock is not None else 0.0
-    checkpoint = store.load() if store is not None else None
+    directory = getattr(getattr(wal, "base", wal), "directory", None)
+    strays = sorted(directory.glob("checkpoint.*")) if directory else []
+    if strays:
+        raise RecoveryError(
+            f"{strays[0]} was written by an older tree beside a log truncated of"
+            " the commits folded into it; replaying the log without it would"
+            " lose them"
+        )
     records = wal.records()
     machines, adts, image, report = recover_machines(
-        records, checkpoint=checkpoint, catalog=catalog, tracer=tracer
+        records, catalog=catalog, tracer=tracer
     )
     logged_shards = image.meta.get("shards")
     offered = (
@@ -408,8 +430,8 @@ def recover_manager(
 
     # Advance the generator past every recovered timestamp and the name
     # counter past every recovered transaction (names must stay unique).
-    # The checkpoint's floor and version timestamps stand in for the
-    # commit records truncation dropped; prepare votes count too — the
+    # The checkpoint's floor and the version timestamps stand in for the
+    # commit records the checkpoint dropped; prepare votes count too — the
     # decided timestamp of an in-flight 2PC transaction will exceed its
     # vote, and the local stream must already sit above everything this
     # shard promised.  (Stride generators advance via observe_decision:
@@ -422,10 +444,9 @@ def recover_manager(
         elif timestamp is not NEG_INFINITY:
             manager._generator.observe("recovery", timestamp)
 
-    if checkpoint is not None:
-        advance(checkpoint.site_clock)
-        for restored in checkpoint.objects.values():
-            advance(restored.version_timestamp)
+    advance(image.checkpoint.get("floor", 0))
+    for machine in machines.values():
+        advance(machine.version_timestamp)
     for timestamp, _ in image.commits.values():
         advance(timestamp)
     for bound, _ in image.prepares.values():

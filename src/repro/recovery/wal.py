@@ -7,8 +7,9 @@ module makes them durable: a transaction's intentions lists are appended
 once, whole, as a checksummed JSON line when it commits or 2PC-prepares,
 an ``abort`` record marks one that touched something and lost, and nothing
 is written per operation — the log holds exactly what recovery reads, so a
-crash is replayed from it alone (the checkpoint in
-:mod:`repro.recovery.checkpoint` merely shortens the replay).
+crash is replayed from it alone.  A ``checkpoint`` record is one more kind
+(:mod:`repro.recovery.checkpoint` writes it when it rewrites the log): the
+folded versions standing in for the commit records it dropped.
 
 Records are plain dicts with a ``kind`` field; the helpers below build
 them.  Two backends share one encoding: :class:`MemoryWAL` (a list of
@@ -37,7 +38,7 @@ import json
 import os
 import pathlib
 import zlib
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..core.operations import Invocation, Operation
@@ -61,6 +62,7 @@ __all__ = [
     "prepare_record",
     "commit_record",
     "abort_record",
+    "checkpoint_record",
 ]
 
 
@@ -215,6 +217,34 @@ def abort_record(transaction: str) -> Dict[str, Any]:
     return {"kind": "abort", "txn": transaction}
 
 
+def checkpoint_record(
+    versions: Mapping[str, Tuple[Any, Any, StateSet]],
+    floor: int,
+    decided: Mapping[str, Any],
+) -> Dict[str, Any]:
+    """The horizon checkpoint standing in for the records a rewrite drops.
+
+    ``versions`` maps each object to ``(fence, clock, version)``
+    (:meth:`~repro.core.compaction.CompactingLockMachine.export_version`:
+    commits at or below the fence are inside the version); ``floor``
+    bounds every timestamp issued here; ``decided`` (2PC transaction ->
+    commit timestamp) keeps the decisions a peer may still ask about.
+    """
+    return {
+        "kind": "checkpoint",
+        "floor": floor,
+        "objects": {
+            obj: {
+                "fence": encode_value(fence),
+                "clock": encode_value(clock),
+                "version": encode_states(version),
+            }
+            for obj, (fence, clock, version) in sorted(versions.items())
+        },
+        "decided": {txn: encode_value(ts) for txn, ts in sorted(decided.items())},
+    }
+
+
 # ----------------------------------------------------------------------
 # Log backends
 # ----------------------------------------------------------------------
@@ -296,7 +326,7 @@ class WriteAheadLog:
         return out
 
     def rewrite(self, records: Sequence[Mapping[str, Any]]) -> None:
-        """Replace the whole log (checkpoint truncation)."""
+        """Replace the whole log (a checkpoint)."""
         self._replace_lines(
             [_encode_line(seq, record) for seq, record in enumerate(records)]
         )

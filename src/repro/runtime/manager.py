@@ -630,29 +630,21 @@ class TransactionManager:
             observe_decision(timestamp)
         return timestamp
 
-    def checkpoint(self, store: Any) -> Any:
-        """Snapshot every object's collapsed version into ``store`` and
-        truncate the WAL prefix the horizon proves redundant.
+    def checkpoint(self) -> Dict[str, Any]:
+        """Fold every object's committed prefix into its version and
+        rewrite the WAL around one ``checkpoint`` record of the versions,
+        dropping the records the horizon proves redundant.
 
         Requires a WAL and lock machines throughout (the version is the
-        checkpointable state); returns the
-        :class:`~repro.recovery.checkpoint.Checkpoint`.  The checkpoint
-        carries the timestamp floor — every timestamp issued or applied
-        here was delivered to some object, so the largest object clock
-        bounds them all — because truncation drops the commit records
-        recovery would otherwise re-derive it from.
+        checkpointable state); returns the record
+        (:func:`~repro.recovery.checkpoint.write_checkpoint`).
         """
         if self.wal is None:
             raise ProtocolError("checkpointing requires a write-ahead log")
         machines = self._lock_machines("a checkpoint")
-        from ..recovery.checkpoint import take_checkpoint, truncate_wal
+        from ..recovery.checkpoint import write_checkpoint
 
-        clocks = [machine.clock for machine in machines.values()]
-        floor = max((clock for clock in clocks if isinstance(clock, int)), default=0)
-        checkpoint = take_checkpoint(machines, site_clock=floor)
-        store.save(checkpoint)
-        truncate_wal(self.wal, machines)
-        return checkpoint
+        return write_checkpoint(self.wal, machines)
 
     def crash(self) -> List[str]:
         """Simulate a site crash; returns the aborted transaction names.

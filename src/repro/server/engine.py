@@ -4,14 +4,14 @@ The paper's model (Sections 1 and 3.3) is shared-nothing: each site owns
 its objects, mints commit timestamps locally, and learns cross-site
 decisions from the commit protocol's messages.  :class:`ShardEngine` is
 one such site — a :class:`~repro.runtime.TransactionManager` on one
-:class:`ShardedTimestampGenerator` stride, an optional write-ahead log
-and checkpoint store — driven by ops: dicts with an ``"op"`` key, each
+:class:`ShardedTimestampGenerator` stride and an optional write-ahead
+log — driven by ops: dicts with an ``"op"`` key, each
 answered ``{"ok": ...}`` or ``{"error": CODE, "message": text}``::
 
     create begin invoke commit abort txn          single-shard work
     prepare decide apply_commit                   presumed-abort 2PC
     snapshot stats catalog prepared decision      queries
-    checkpoint                                    log truncation
+    checkpoint                                    fold + rewrite the log
     crash                                         fault injection
 
 :meth:`ShardEngine.execute` holds the package's only exception → error
@@ -33,8 +33,8 @@ them with blocking calls, the server with queued ones, and
 :class:`~repro.distributed.client.DistributedClient` (2PC) with
 simulated messages.
 
-The module is pure (no sockets, clocks, pipes or files: a log, store or
-trace sink is handed in already open), so it stays under REP104/REP106.
+The module is pure (no sockets, clocks, pipes or files: a log or trace
+sink is handed in already open), so it stays under REP104/REP106.
 """
 
 from __future__ import annotations
@@ -177,13 +177,13 @@ _BY_NAME = frozenset({"invoke", "commit", "abort", "prepare", "decide", "apply_c
 class ShardEngine:
     """One shard: a manager, its stride, an optional WAL, logged decisions.
 
-    A non-empty ``wal`` is *recovered from* — on top of the checkpoint
-    in ``store``, when it holds one: committed intentions redone,
-    prepared transactions back with their locks, ``decided`` rebuilt
-    from the 2PC commit records recovery's one scan found — and a log
-    written under another stride is refused.  ``store`` is also where
-    the ``checkpoint`` op saves to.  ``sink`` is the trace sink to flush
-    with each batch and close at :meth:`close`, when the engine owns one.
+    A non-empty ``wal`` is *recovered from* — on top of its checkpoint
+    record, when it has one: committed intentions redone, prepared
+    transactions back with their locks, ``decided`` rebuilt from the 2PC
+    commit records and the checkpoint recovery's one scan found — and a
+    log written under another stride is refused.  The ``checkpoint`` op
+    rewrites it.  ``sink`` is the trace sink to flush with each batch and
+    close at :meth:`close`, when the engine owns one.
     """
 
     def __init__(
@@ -195,13 +195,11 @@ class ShardEngine:
         tracer: Any = None,
         sink: Any = None,
         incarnation: int = 1,
-        store: Any = None,
     ):
         self.shard = shard
         self.shards = shards
         self.incarnation = incarnation
         self.wal = wal
-        self.store = store
         self.sink = sink
         self._protocol = _locking_protocol(protocol)
         self._flush_wal = getattr(wal, "flush", None)
@@ -222,7 +220,7 @@ class ShardEngine:
             from ..recovery import recover_manager
 
             self.manager, self.recovery = recover_manager(
-                wal, store=store, tracer=tracer, generator=self.generator, site=site
+                wal, tracer=tracer, generator=self.generator, site=site
             )
             self.decided.update(self.recovery.decided)
         else:
@@ -330,9 +328,7 @@ class ShardEngine:
             if kind == "stats":
                 return {"ok": self.stats()}
             if kind == "checkpoint":
-                if self.store is None:
-                    raise ProtocolError("this shard has no checkpoint store")
-                return {"ok": len(manager.checkpoint(self.store).objects)}
+                return {"ok": len(manager.checkpoint()["objects"])}
             if kind == "crash":
                 raise EngineCrash()
             return {"error": "BAD_REQUEST", "message": f"unknown op {kind!r}"}

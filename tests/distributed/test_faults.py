@@ -53,14 +53,14 @@ def _run_with_plan(plan, duration=100.0):
     import random
 
     from repro.distributed import DistributedClient, DistributedRun, Network, Site
-    from repro.recovery import MemoryCheckpointStore, MemoryWAL
+    from repro.recovery import MemoryWAL
     from repro.sim import Metrics
 
     simulator = Simulator()
     network = Network(simulator, seed=0)
     sites = []
     for s in range(2):
-        site = Site(s, 2, wal=MemoryWAL(), store=MemoryCheckpointStore())
+        site = Site(s, 2, wal=MemoryWAL())
         site.single({"op": "create", "name": f"acct{s}", "adt": "Account"})
         sites.append(site)
 

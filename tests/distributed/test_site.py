@@ -71,7 +71,7 @@ class TestHandlers:
         site = account_site()
         assert site.alive and not site.blocking and site.name == "shard0"
         assert site.objects() == ["A"] and site.adt("A").name == "Account"
-        assert site.checkpoint()["error"] == "BAD_REQUEST"   # no log, no store
+        assert site.checkpoint()["error"] == "BAD_REQUEST"   # no log
         site.stop()
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.adts import make_account_adt, make_queue_adt, make_set_adt
 from repro.core import LockConflict, WouldBlock
 from repro.recovery import (
-    MemoryCheckpointStore,
     MemoryWAL,
     committed_state_sets,
     recover_manager,
@@ -18,7 +17,7 @@ from repro.recovery import (
 from repro.runtime import TransactionManager
 
 #: The record kinds ``recovery._scan`` acts on.
-ACTED_ON = {"meta", "create", "prepare", "commit", "abort"}
+ACTED_ON = {"meta", "create", "prepare", "commit", "abort", "checkpoint"}
 
 OPS = [
     ("Q", "Enq", lambda rng: (rng.randint(1, 4),)),
@@ -31,18 +30,17 @@ OPS = [
 
 
 def run_random_workload(seed, steps, checkpoint_at=None):
-    """Drive a random logged workload; returns (manager, store)."""
+    """Drive a random logged workload; returns its manager."""
     rng = random.Random(f"recovery-prop/{seed}")
     manager = TransactionManager(wal=MemoryWAL())
     manager.create_object("Q", make_queue_adt())
     manager.create_object("A", make_account_adt(initial=30))
     manager.create_object("Z", make_set_adt())
-    store = MemoryCheckpointStore()
     active = []
     counter = 0
     for step in range(steps):
         if checkpoint_at is not None and step == checkpoint_at:
-            manager.checkpoint(store)
+            manager.checkpoint()
         roll = rng.random()
         if roll < 0.15 and active:
             manager.abort(active.pop(rng.randrange(len(active))))
@@ -60,7 +58,7 @@ def run_random_workload(seed, steps, checkpoint_at=None):
                 pass
     # The remaining `active` transactions simply never decided — exactly
     # the state a crash interrupts.  Recovery must presume them aborted.
-    return manager, store
+    return manager
 
 
 def machines_of(manager):
@@ -71,7 +69,7 @@ class TestRecoveryEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000), st.integers(10, 60))
     def test_compacting_recovery_matches_committed_prefix(self, seed, steps):
-        manager, _ = run_random_workload(seed, steps)
+        manager = run_random_workload(seed, steps)
         # What the manager writes is what recovery reads: no record kind
         # that ``_scan`` merely steps over.
         assert {r["kind"] for r in manager.wal.records()} <= ACTED_ON
@@ -83,19 +81,18 @@ class TestRecoveryEquivalence:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000), st.integers(20, 60))
     def test_checkpoint_plus_truncated_log_matches(self, seed, steps):
-        manager, store = run_random_workload(
-            seed, steps, checkpoint_at=steps // 2
-        )
+        manager = run_random_workload(seed, steps, checkpoint_at=steps // 2)
+        kinds = [r["kind"] for r in manager.wal.records()]
+        assert set(kinds) <= ACTED_ON and kinds.count("checkpoint") == 1
         expected = committed_state_sets(machines_of(manager))
-        recovered, report = recover_manager(manager.wal, store=store)
+        recovered, report = recover_manager(manager.wal)
         verify_recovery(expected, machines_of(recovered))
-        if store.load() is not None:
-            assert report.from_checkpoint
+        assert report.from_checkpoint
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
     def test_recovered_manager_continues_equivalently(self, seed):
-        manager, _ = run_random_workload(seed, steps=30)
+        manager = run_random_workload(seed, steps=30)
         recovered, _ = recover_manager(manager.wal)
         txn = recovered.begin()
         recovered.invoke(txn, "A", "Credit", 2)

@@ -6,9 +6,7 @@ from repro.adts import make_account_adt, make_queue_adt
 from repro.core import LockConflict
 from repro.distributed import Site
 from repro.recovery import (
-    FileCheckpointStore,
     FileWAL,
-    MemoryCheckpointStore,
     MemoryWAL,
     RecoveryError,
     committed_state_sets,
@@ -91,12 +89,10 @@ class TestManagerRecovery:
     def test_checkpoint_shortens_replay(self):
         manager = manager_with_wal()
         self.run_some(manager, commits=4)
-        store = MemoryCheckpointStore()
-        manager.checkpoint(store)
-        log_after_checkpoint = len(manager.wal)
+        manager.checkpoint()
         self.run_some(manager, commits=2)
         expected = committed_state_sets(machines_of(manager))
-        recovered, report = recover_manager(manager.wal, store=store)
+        recovered, report = recover_manager(manager.wal)
         verify_recovery(expected, machines_of(recovered))
         assert report.from_checkpoint
         assert report.scanned_records < 40  # prefix was truncated
@@ -184,14 +180,11 @@ class TestManagerRecovery:
         wal = FileWAL(tmp_path)
         manager = manager_with_wal(wal=wal)
         self.run_some(manager)
-        store = FileCheckpointStore(tmp_path)
-        manager.checkpoint(store)
+        manager.checkpoint()
         self.run_some(manager, commits=1)
         expected = committed_state_sets(machines_of(manager))
         # Recover from a cold re-open of the same directory.
-        recovered, report = recover_manager(
-            FileWAL(tmp_path), store=FileCheckpointStore(tmp_path)
-        )
+        recovered, report = recover_manager(FileWAL(tmp_path))
         verify_recovery(expected, machines_of(recovered))
         assert report.from_checkpoint
 
@@ -207,8 +200,8 @@ class TestManagerRecovery:
             verify_recovery(expected, machines_of(recovered))
 
 
-def durable_site(store=None):
-    site = Site(wal=MemoryWAL(), store=store)
+def durable_site():
+    site = Site(wal=MemoryWAL())
     site.single({"op": "create", "name": "A", "adt": "Account"})
     site.single({"op": "txn", "name": "open", "steps": [("A", "Credit", (100,))]})
     return site
@@ -312,7 +305,7 @@ class TestSiteRecovery:
         assert site.snapshot("A") == 111 and site.incarnation == 3
 
     def test_checkpoint_then_recover(self):
-        site = durable_site(store=MemoryCheckpointStore())
+        site = durable_site()
         invoke(site, "T1", "Credit", 5)
         commit_2pc(site, "T1", 2)
         assert site.checkpoint() == {"ok": 1}

@@ -35,7 +35,7 @@ from repro.core import (
 from repro.core.history import check_well_formed
 from repro.obs import AtomicityChecker, HistorySink, TraceBus
 from repro.protocols import HYBRID, OPTIMISTIC
-from repro.recovery import MemoryCheckpointStore, MemoryWAL
+from repro.recovery import MemoryWAL
 from repro.replication import (
     QuorumAssignment,
     QuorumSpec,
@@ -435,7 +435,7 @@ class TestRefusedCombinations:
         assert manager._transactions == {}
         manager.wal = MemoryWAL()                       # attached after the fact
         with pytest.raises(ProtocolError, match="lock machine"):
-            manager.checkpoint(MemoryCheckpointStore())
+            manager.checkpoint()
 
 
 @pytest.mark.parametrize(

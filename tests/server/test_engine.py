@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compaction import CompactingLockMachine
-from repro.recovery import MemoryCheckpointStore
 from repro.recovery.wal import GroupCommitWAL, MemoryWAL
 from repro.server import AsyncClient, ShardEngine, ShardProcessPool, WireError
 from repro.server.engine import EngineCrash, LocalShard, ShardSet, abort_round
@@ -109,8 +108,8 @@ class TestSingleShardOps:
         assert bare["wal_records"] == 0 and bare["batches"] is None
 
     def test_checkpoint_truncates_and_the_next_life_starts_above_it(self):
-        wal, store = MemoryWAL(), MemoryCheckpointStore()
-        engine = ShardEngine(1, 2, wal=wal, store=store)
+        wal = MemoryWAL()
+        engine = ShardEngine(1, 2, wal=wal)
         for name in ("a", "b"):
             engine.execute({"op": "create", "name": name, "adt": "Account"})
         for i in range(3):
@@ -118,7 +117,7 @@ class TestSingleShardOps:
         before = len(wal)
         assert engine.execute({"op": "checkpoint"}) == {"ok": 2}
         assert len(wal) < before
-        recovered = ShardEngine(1, 2, wal=wal, store=store, incarnation=2)
+        recovered = ShardEngine(1, 2, wal=wal, incarnation=2)
         assert recovered.recovery.from_checkpoint
         assert recovered.execute({"op": "snapshot", "obj": "a"})["ok"] == 3
         # The folded commits are gone from the log, not from the floor.
@@ -126,11 +125,10 @@ class TestSingleShardOps:
             {"op": "txn", "name": "L", "steps": [("b", "Credit", (1,))]}
         )
         assert later["ok"] == 7
-        # Without a store (or a log) the op is refused, typed.
-        assert engine_with("a").execute({"op": "checkpoint"})["error"] == "BAD_REQUEST"
-        assert ShardEngine(store=store).execute({"op": "checkpoint"})["error"] == (
-            "BAD_REQUEST"
-        )
+        # Without a log the op is refused, typed.
+        refused = ShardEngine().execute({"op": "checkpoint"})
+        assert refused["error"] == "BAD_REQUEST"
+        assert "write-ahead log" in refused["message"]
 
     def test_unknown_op_and_crash(self):
         engine = engine_with()

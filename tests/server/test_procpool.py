@@ -120,6 +120,38 @@ class TestPoolDirect:
         assert after["wal_syncs"] == before["wal_syncs"] + 1
         assert after["wal_appends"] == before["wal_appends"] + 8
 
+    def test_a_shard_checkpoints_and_restarts_from_it(self, pool):
+        a, _ = two_shard_names(pool)
+        pool.create_object(a, "Account")
+        shard = pool.shards[0]
+        for i in range(4):
+            shard.single({"op": "txn", "name": f"T{i}", "steps": [(a, "Credit", (i,))]})
+        assert shard.single({"op": "checkpoint"}) == {"ok": 1}
+        # The log is meta, one create and the checkpoint: nothing else.
+        assert shard.single({"op": "stats"})["ok"]["wal_records"] == 3
+        before = shard.single({"op": "snapshot", "obj": a})
+        shard.kill()
+        pool.respawn(0)
+        assert shard.single({"op": "snapshot", "obj": a}) == before == {"ok": 6}
+        later = shard.single({"op": "txn", "name": "L", "steps": [(a, "Credit", (1,))]})
+        assert later["ok"] == 10        # above the four folded commits, 2 to 8
+        (recovered,) = [
+            event
+            for event in read_jsonl(str(shard.trace_paths[-1]))
+            if event.kind == "site.recover"
+        ]
+        assert recovered.data["from_checkpoint"] is True
+        assert recovered.data["replayed_records"] == 0
+        events = [
+            event
+            for each in pool.shards
+            for path in each.trace_paths
+            for event in read_jsonl(str(path))
+        ]
+        events.sort(key=lambda event: event.ts)
+        report = AtomicityChecker().replay(events).report()
+        assert report["verdict"] == "clean", report["violations"]
+
     def test_prepared_transaction_survives_crash_and_resolves_commit(self, pool):
         a, b = two_shard_names(pool)
         pool.create_object(a, "FIFOQueue")

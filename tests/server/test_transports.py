@@ -180,6 +180,27 @@ class TestCrashes:
         assert shards.shards[1].single(replay) == {"ok": 2}     # idempotent
         assert balances(shards) == [4, 4]
 
+    def test_a_checkpointed_primary_still_answers_for_its_decision(self, shards):
+        # The primary decides; the participant dies before it applies the
+        # decision; the primary checkpoints — folding the commit and
+        # dropping its records — crashes and restarts; only then does the
+        # participant come back and ask what was decided.  It used to be
+        # told nothing, presume abort, and split the commit.
+        prepare = {"op": "prepare", "txn": "X"}
+        votes = [shards.shards[index].single(prepare)["ok"] for index in (0, 1)]
+        decided = shards.shards[0].single({"op": "decide", "txn": "X", "votes": votes})
+        kill(shards.shards[1])
+        assert shards.shards[0].single({"op": "checkpoint"}) == {"ok": 1}
+        kill(shards.shards[0])
+        assert shards.respawn(0) == []
+        assert shards.shards[0].single({"op": "stats"})["ok"]["wal_records"] == 3
+        assert shards.respawn(1) == ["X"]
+        assert prepared(shards) == [[], []] and balances(shards) == [4, 4]
+        for shard in shards.shards:
+            assert shard.single({"op": "decision", "txn": "X"}) == {
+                "ok": {"outcome": "commit", "ts": decided["ok"]}
+            }
+
 
 @pytest.mark.parametrize("transport", ["process", "site"])
 def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_over):

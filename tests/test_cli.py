@@ -356,6 +356,33 @@ class TestRecoverObservability:
         assert kinds[-1] == "site.recover"
 
 
+class TestRecover:
+    def test_recovers_each_log_a_process_pool_wrote(self, tmp_path, capsys):
+        # Each shard's log pins its stride; recover offers that stride
+        # instead of refusing the log (it used to exit 1 on every one).
+        from repro.server import ShardProcessPool
+
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
+        try:
+            names = {}
+            for index in range(100):
+                names.setdefault(pool.shard_of(f"Q{index}"), f"Q{index}")
+            for home, name in names.items():
+                pool.create_object(name, "Account")
+                steps = [(name, "Credit", (home + 5,))]
+                pool.shards[home].single({"op": "txn", "name": f"T{home}", "steps": steps})
+            pool.shards[0].single({"op": "checkpoint"})   # read back below
+        finally:
+            pool.stop()
+        capsys.readouterr()
+        for home, name in sorted(names.items()):
+            assert main(["recover", str(tmp_path / "data" / f"shard{home}")]) == 0
+            out = capsys.readouterr().out
+            assert ("+ checkpoint" in out) == (home == 0)
+            assert [name, str(home + 5)] in [line.split() for line in out.splitlines()]
+
+
 class TestCheck:
     def test_live_certification(self, capsys):
         assert main(["check", "account", "--duration", "60"]) == 0
