@@ -49,6 +49,13 @@ without needing the pre-instrumentation binary:
   (interleaved repeats, like the sampler's) is the backstop for costs
   that are not calls.
 
+* **wire-codec budget** — the same exact count for the codec every served
+  request crosses twice: one served uniform transaction's 4 request
+  frames through ``FrameDecoder.feed_iter`` + ``parse_request`` and its 4
+  replies through ``response_frame`` must make ``WIRE_CALLS`` Python- and
+  C-level calls, so a helper call that creeps back into
+  ``repro.server.protocol`` fails here first.
+
 * **state-size budget** — an operation costs the same whatever the
   object holds: the Python-level calls of one ``execute`` + ``commit``
   under ``sys.setprofile`` on a compacting FIFOQueue machine holding
@@ -84,6 +91,12 @@ from repro.obs import (
     TraceBus,
 )
 from repro.runtime import TransactionManager
+from repro.server.protocol import (
+    FrameDecoder,
+    parse_request,
+    request_frame,
+    response_frame,
+)
 
 TRANSACTIONS = 150
 REPEATS = 7
@@ -123,6 +136,14 @@ COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
 # a handler per ``txn.invoke`` / ``txn.respond`` and a ``dict.get`` per
 # phase of each ``server.respond``.)
 SERVED_CALLS = (89, 98)
+# Calls in repro.server.protocol for one served uniform transaction: its
+# 4 request frames decoded and parsed, its 4 replies encoded, as
+# (Python-level, C-level).  Exact, like SERVED_CALLS: re-derive with
+# ``wire_calls()`` when the codec changes on purpose.  (117 + 154 while
+# each frame built its own JSONEncoder, was copied and ``json.loads``-ed,
+# filled a frozen dataclass field by field and sent every scalar through
+# the tagged codec.)
+WIRE_CALLS = (51, 90)
 SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~2.3x measured
 # (~3.1x before), so this only catches a sink that got much dearer.
@@ -284,6 +305,56 @@ def served_calls(transactions=SERVED_TRANSACTIONS):
     return counts["call"] / transactions, counts["c_call"] / transactions
 
 
+def wire_transaction(number):
+    """One served uniform transaction on the wire, as the benchmark's
+    untraced generator sends it: its 4 request frames and the 4 replies'
+    results (begin / 2 x Credit / commit)."""
+    handle = f"s1.t{number}"
+    requests = [("begin", {})]
+    replies = [{"transaction": handle}]
+    for obj, amount in (("acct-001", 5), ("acct-002", 7)):
+        params = dict(transaction=handle, obj=obj, operation="Credit", args=(amount,))
+        requests.append(("invoke", params))
+        replies.append({"transaction": handle, "obj": obj, "result": "Ok"})
+    requests.append(("commit", {"transaction": handle}))
+    replies.append({"transaction": handle, "timestamp": number, "committed": True})
+    frames = [
+        request_frame(4 * number + n, *request) for n, request in enumerate(requests)
+    ]
+    return frames, replies
+
+
+def wire_calls(transactions=SERVED_TRANSACTIONS):
+    """(Python-level, C-level) calls per served transaction in the wire
+    codec, server side, counted by ``sys.setprofile``: each request frame
+    fed as its own read, then each reply encoded."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts and arg is not sys.setprofile:
+            counts[event] += 1
+
+    decoder = FrameDecoder()
+
+    def serve(frames, replies):
+        for frame in frames:
+            for body in decoder.feed_iter(frame):
+                request = parse_request(body)
+        for result in replies:
+            response_frame(request.id, result)
+
+    mix = [wire_transaction(number) for number in range(transactions + 3)]
+    for frames, replies in mix[:3]:  # warm
+        serve(frames, replies)
+    sys.setprofile(profile)
+    try:
+        for frames, replies in mix[3:]:
+            serve(frames, replies)
+    finally:
+        sys.setprofile(None)
+    return counts["call"] / transactions, counts["c_call"] / transactions
+
+
 def state_size_calls(items):
     """Python-level calls of one ``execute`` + ``commit`` on a compacting
     FIFOQueue machine holding ``items`` items."""
@@ -393,6 +464,7 @@ def main():
     }
     unprofiled_best, profiled_best = sampler_budget(disabled)
     served_counts = served_calls()
+    wire_counts = wire_calls()
     bare_best, wired_best = served_budget()
     empty_calls, sized_calls = state_size_calls(0), state_size_calls(STATE_SIZE_ITEMS)
     disabled_tps = TRANSACTIONS / disabled_best
@@ -422,6 +494,10 @@ def main():
         f"calls per 15-event transaction; wired {wired_best:.6f}s vs one no-op "
         f"sink {bare_best:.6f}s ({wired_best / bare_best:.2f}x, "
         f"{wired_best / SERVED_TRANSACTIONS * 1e6:.1f} us/txn)"
+    )
+    print(
+        f"wire codec: {wire_counts[0]:g} Python + {wire_counts[1]:g} C calls per "
+        "served transaction (4 frames decoded and parsed, 4 replies encoded)"
     )
     print(
         f"state size: {empty_calls} Python calls at 0 items vs {sized_calls} "
@@ -487,6 +563,14 @@ def main():
             f"the repro-serve wiring ({wired_best:.6f}s) exceeds "
             f"{SERVED_TOLERANCE:.1f}x one no-op sink ({bare_best:.6f}s) on "
             "the served event mix — the always-on sinks got dearer"
+        )
+
+    if wire_counts != WIRE_CALLS:
+        failures.append(
+            f"a served transaction's frames cost {wire_counts[0]:g} Python + "
+            f"{wire_counts[1]:g} C calls in the wire codec, not the budgeted "
+            f"{WIRE_CALLS[0]} + {WIRE_CALLS[1]} — repro.server.protocol's "
+            "per-frame path changed (update WIRE_CALLS if on purpose)"
         )
 
     if sized_calls != empty_calls:

@@ -250,10 +250,14 @@ def checkpoint_record(
 # ----------------------------------------------------------------------
 
 
+#: The canonical JSON the checksum covers, and ``rec`` as the line shows it.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_SHOWN = json.JSONEncoder(sort_keys=True).encode
+
+
 def _encode_line(seq: int, record: Mapping[str, Any]) -> str:
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps({"seq": seq, "crc": crc, "rec": json.loads(body)}, sort_keys=True)
+    crc = zlib.crc32(_CANONICAL(record).encode("utf-8"))
+    return '{"crc": %d, "rec": %s, "seq": %d}' % (crc, _SHOWN(record), seq)
 
 
 def _decode_line(text: str, expected_seq: int) -> Dict[str, Any]:

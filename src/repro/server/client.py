@@ -123,7 +123,7 @@ class SyncClient:
             data = self._sock.recv(65536)
             if not data:
                 raise ConnectionError("server closed the connection")
-            for body in self._decoder.feed(data):
+            for body in self._decoder.feed_iter(data):
                 response = parse_response(body)
                 self._pending[response.id] = response
 
@@ -262,7 +262,7 @@ class AsyncClient:
                 data = await self._reader.read(65536)
                 if not data:
                     break
-                for body in self._decoder.feed(data):
+                for body in self._decoder.feed_iter(data):
                     response = parse_response(body)
                     future = self._futures.pop(response.id, None)
                     if future is not None and not future.done():

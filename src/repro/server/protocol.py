@@ -11,10 +11,12 @@ Every body is a JSON object carrying ``"v"`` (the protocol version,
 checked per message so a single connection can never silently mix
 versions) and ``"id"`` (the client-chosen request id, echoed verbatim in
 the response — the key to idempotent commit-ack retry).  Payload values
-— operation argument tuples, :class:`fractions.Fraction` balances,
-horizon sentinels, state-set frozensets — are encoded with the tagged
-codec from :mod:`repro.obs.codec`, so whatever round-trips through a
-trace file round-trips over the wire byte-for-byte too.
+JSON has no type for — operation argument tuples, fractions, horizon
+sentinels, state-set frozensets — go through the tagged codec from
+:mod:`repro.obs.codec`, so whatever round-trips through a trace file
+round-trips over the wire byte-for-byte too; a ``str`` / ``int`` /
+``float`` / ``bool`` / ``None`` value skips it both ways (the codec
+returns those unchanged).
 
 Requests name an ``action`` (``ping``, ``create``, ``begin``,
 ``invoke``, ``commit``, ``abort``, and the introspection ops ``stats``
@@ -33,18 +35,23 @@ crashing the event loop), and a client can dispatch on the code alone.
 
 :class:`FrameDecoder` is an incremental push parser: feed it whatever
 ``recv`` returned — half a header, three frames and a torn fourth — and
-it yields each completed message exactly once.  Frame-level violations
-(oversized frame, malformed JSON, non-object body) raise
-:class:`FrameError` with the error code the server should answer with
-before closing the connection.
+it yields each completed message exactly once.  Each body costs one
+pass of the C scanner under :func:`json.loads`, straight off the
+buffered bytes; only a body that pass refuses (surrounding whitespace,
+or an error) goes through ``json.loads`` itself, so leniency and error
+texts are its.  Frame-level violations (oversized frame, malformed or
+too deeply nested JSON, non-object body) raise :class:`FrameError` with
+the error code the server should answer with before closing the
+connection.  Encoding is one pass of one module-level compact
+``JSONEncoder``.  :class:`Request` and :class:`Response` are slotted
+classes, their fields set once at parse.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..core.errors import ReproError
 from ..obs.codec import decode_value, encode_value
@@ -132,37 +139,36 @@ class FrameError(WireError):
     """A frame-level violation: answer with the code, then disconnect."""
 
 
-@dataclass(frozen=True)
 class Request:
-    """One decoded client request."""
+    """One decoded client request.  ``trace`` is the optional client
+    trace context ``{"id": str, "sent": float}``; its ``trace_id`` and
+    ``sent`` are read out once, here, not per event emitted for it."""
 
-    id: int
-    action: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    #: Optional client trace context: ``{"id": str, "sent": float}``.
-    trace: Optional[Mapping[str, Any]] = None
+    __slots__ = ("id", "action", "params", "trace", "trace_id", "sent")
 
-    @property
-    def trace_id(self) -> Optional[str]:
-        """The client-minted trace id, when the request carried one."""
-        return self.trace.get("id") if self.trace else None
-
-    @property
-    def sent(self) -> Optional[float]:
-        """The client's send timestamp, when the request carried one."""
-        value = self.trace.get("sent") if self.trace else None
-        return value if isinstance(value, (int, float)) else None
+    def __init__(self, id: int, action: str, params: Optional[Mapping[str, Any]] = None,
+                 trace: Optional[Mapping[str, Any]] = None):
+        self.id = id
+        self.action = action
+        self.params = {} if params is None else params
+        self.trace = trace
+        self.trace_id: Optional[str] = trace.get("id") if trace else None
+        sent = trace.get("sent") if trace else None
+        self.sent: Optional[float] = sent if isinstance(sent, (int, float)) else None
 
 
-@dataclass(frozen=True)
 class Response:
     """One decoded server response."""
 
-    id: Any
-    ok: bool
-    result: Mapping[str, Any] = field(default_factory=dict)
-    error_code: Optional[str] = None
-    error_message: str = ""
+    __slots__ = ("id", "ok", "result", "error_code", "error_message")
+
+    def __init__(self, id: Any, ok: bool, result: Optional[Mapping[str, Any]] = None,
+                 error_code: Optional[str] = None, error_message: str = ""):
+        self.id = id
+        self.ok = ok
+        self.result = {} if result is None else result
+        self.error_code = error_code
+        self.error_message = error_message
 
     def raise_for_error(self) -> "Response":
         """Raise :class:`WireError` when this is an error response."""
@@ -171,20 +177,37 @@ class Response:
         return self
 
 
+#: The types JSON carries as they are: the tagged codec returns values of
+#: these types unchanged, so they skip it both ways.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _tagged(values: Mapping[str, Any], codec: Callable[[Any], Any]) -> Dict[str, Any]:
+    """A copy of ``values`` with ``codec`` applied to every non-scalar."""
+    out = {}
+    for key, value in values.items():
+        out[key] = value if type(value) in _SCALARS else codec(value)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
 
+#: The one compact encoder: the bytes ``json.dumps(body, separators=(",",
+#: ":"))`` produces, without building an encoder per frame.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_frame(body: Mapping[str, Any]) -> bytes:
     """Frame one JSON-ready body: length prefix + UTF-8 JSON."""
-    payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
+    payload = _encode(body).encode()
+    size = len(payload)
+    if size > MAX_FRAME_BYTES:
         raise FrameError(
-            "FRAME_TOO_LARGE",
-            f"frame body is {len(payload)} bytes (max {MAX_FRAME_BYTES})",
+            "FRAME_TOO_LARGE", f"frame body is {size} bytes (max {MAX_FRAME_BYTES})"
         )
-    return HEADER.pack(len(payload)) + payload
+    return HEADER.pack(size) + payload
 
 
 def request_frame(
@@ -193,7 +216,7 @@ def request_frame(
     params: Optional[Mapping[str, Any]] = None,
     trace: Optional[Mapping[str, Any]] = None,
 ) -> bytes:
-    """Encode one request; params go through the tagged codec.
+    """Encode one request; non-scalar params go through the tagged codec.
 
     ``trace`` is the optional client trace context (plain JSON — its
     ``id`` is a string, ``sent`` a float — so no codec pass needed).
@@ -202,9 +225,7 @@ def request_frame(
         "v": PROTOCOL_VERSION,
         "id": request_id,
         "action": action,
-        "params": {
-            key: encode_value(value) for key, value in (params or {}).items()
-        },
+        "params": _tagged(params, encode_value) if params else {},
     }
     if trace is not None:
         body["trace"] = dict(trace)
@@ -214,15 +235,14 @@ def request_frame(
 def response_frame(
     request_id: Any, result: Optional[Mapping[str, Any]] = None
 ) -> bytes:
-    """Encode one success response; result goes through the tagged codec."""
+    """Encode one success response; non-scalar results go through the
+    tagged codec."""
     return encode_frame(
         {
             "v": PROTOCOL_VERSION,
             "id": request_id,
             "ok": True,
-            "result": {
-                key: encode_value(value) for key, value in (result or {}).items()
-            },
+            "result": _tagged(result, encode_value) if result else {},
         }
     )
 
@@ -246,13 +266,11 @@ def error_frame(request_id: Any, code: str, message: str = "") -> bytes:
 # ----------------------------------------------------------------------
 
 
-def _require_version(body: Mapping[str, Any]) -> None:
-    version = body.get("v")
-    if version != PROTOCOL_VERSION:
-        raise WireError(
-            "BAD_VERSION",
-            f"protocol version {version!r} (this peer speaks {PROTOCOL_VERSION})",
-        )
+def _bad_version(body: Mapping[str, Any]) -> WireError:
+    return WireError(
+        "BAD_VERSION",
+        f"protocol version {body.get('v')!r} (this peer speaks {PROTOCOL_VERSION})",
+    )
 
 
 def parse_request(body: Mapping[str, Any]) -> Request:
@@ -262,7 +280,8 @@ def parse_request(body: Mapping[str, Any]) -> Request:
     malformed message — the caller answers with the typed error and, for
     ``BAD_REQUEST``, keeps the connection alive.
     """
-    _require_version(body)
+    if body.get("v") != PROTOCOL_VERSION:
+        raise _bad_version(body)
     request_id = body.get("id")
     if not isinstance(request_id, int) or isinstance(request_id, bool):
         raise WireError("BAD_REQUEST", f"request id must be an integer, got {request_id!r}")
@@ -276,39 +295,34 @@ def parse_request(body: Mapping[str, Any]) -> Request:
     if not isinstance(params, dict):
         raise WireError("BAD_REQUEST", "params must be an object")
     try:
-        decoded = {key: decode_value(value) for key, value in params.items()}
-    except (TypeError, ValueError, KeyError) as exc:
-        raise WireError(
-            "BAD_REQUEST", f"undecodable tagged payload: {exc}"
-        ) from exc
+        decoded = _tagged(params, decode_value)
+    except (TypeError, ValueError, KeyError, ArithmeticError, RecursionError) as exc:
+        raise WireError("BAD_REQUEST", f"undecodable tagged payload: {exc}") from exc
     trace = body.get("trace")
     if trace is not None and not isinstance(trace, dict):
         raise WireError("BAD_REQUEST", "trace context must be an object")
-    return Request(id=request_id, action=action, params=decoded, trace=trace)
+    return Request(request_id, action, decoded, trace)
 
 
 def parse_response(body: Mapping[str, Any]) -> Response:
     """Validate and decode one response body (client side)."""
-    _require_version(body)
+    if body.get("v") != PROTOCOL_VERSION:
+        raise _bad_version(body)
     request_id = body.get("id")
     if body.get("ok"):
         result = body.get("result", {})
         if not isinstance(result, dict):
             raise WireError("BAD_REQUEST", "result must be an object")
-        return Response(
-            id=request_id,
-            ok=True,
-            result={key: decode_value(value) for key, value in result.items()},
-        )
+        return Response(request_id, True, _tagged(result, decode_value))
     error = body.get("error")
     if not isinstance(error, dict) or "code" not in error:
         raise WireError("BAD_REQUEST", f"malformed error response: {body!r}")
-    return Response(
-        id=request_id,
-        ok=False,
-        error_code=str(error.get("code")),
-        error_message=str(error.get("message", "")),
-    )
+    code, message = str(error.get("code")), str(error.get("message", ""))
+    return Response(request_id, False, error_code=code, error_message=message)
+
+
+#: The C scanner under ``json.loads``, without its whitespace regex passes.
+_scan = json.JSONDecoder().scan_once
 
 
 class FrameDecoder:
@@ -336,33 +350,45 @@ class FrameDecoder:
         return list(self.feed_iter(data))
 
     def feed_iter(self, data: bytes) -> Iterator[Dict[str, Any]]:
+        """Absorb ``data``; yield each message it completed, then any violation."""
         if self._poisoned:
             raise FrameError("BAD_FRAME", "decoder already poisoned")
-        self._buffer.extend(data)
-        while True:
-            message = self._next()
-            if message is None:
-                return
-            yield message
+        buffer = self._buffer
+        buffer += data
+        size, start = len(buffer), 0
+        try:
+            while size - start >= HEADER.size:
+                (length,) = HEADER.unpack_from(buffer, start)
+                if length > self.max_frame_bytes:
+                    self._poisoned = True
+                    raise FrameError(
+                        "FRAME_TOO_LARGE",
+                        f"declared frame of {length} bytes"
+                        f" (max {self.max_frame_bytes})",
+                    )
+                end = start + HEADER.size + length
+                if end > size:
+                    return
+                payload = buffer[end - length : end]
+                start = end
+                try:
+                    text = payload.decode()
+                    body, stop = _scan(text, 0)
+                    if stop != len(text) or type(body) is not dict:
+                        raise ValueError
+                except (StopIteration, ValueError, RecursionError):
+                    body = self._refused(payload)
+                self.decoded += 1
+                yield body
+        finally:
+            del buffer[:start]
 
-    def _next(self) -> Optional[Dict[str, Any]]:
-        header = HEADER.size
-        if len(self._buffer) < header:
-            return None
-        (length,) = HEADER.unpack_from(self._buffer)
-        if length > self.max_frame_bytes:
-            self._poisoned = True
-            raise FrameError(
-                "FRAME_TOO_LARGE",
-                f"declared frame of {length} bytes (max {self.max_frame_bytes})",
-            )
-        if len(self._buffer) < header + length:
-            return None
-        payload = bytes(self._buffer[header : header + length])
-        del self._buffer[: header + length]
+    def _refused(self, payload: bytes) -> Dict[str, Any]:
+        """A body the scan refused, through ``json.loads``: what it accepts
+        (surrounding whitespace) is a message, what it raises ``BAD_FRAME``."""
         try:
             body = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             self._poisoned = True
             raise FrameError("BAD_FRAME", f"undecodable frame body: {exc}") from exc
         if not isinstance(body, dict):
@@ -370,7 +396,6 @@ class FrameDecoder:
             raise FrameError(
                 "BAD_FRAME", f"frame body must be an object, got {type(body).__name__}"
             )
-        self.decoded += 1
         return body
 
     @property

@@ -7,12 +7,14 @@ non-JSON bodies, wrong versions) with a *typed* error, never an
 unhandled exception.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.obs.codec import encode_value
 from repro.server.protocol import (
     ACTIONS,
     HEADER,
@@ -256,3 +258,125 @@ def test_fraction_survives_the_wire_exactly():
     assert decoded["amount"] == Fraction(355, 113)
     assert isinstance(decoded["amount"], Fraction)
     assert decoded["batch"] == (Fraction(1, 3), "x")
+
+
+# -- the codec against the formula it replaced -------------------------
+
+
+def reference_frame(body):
+    """How a frame was encoded before the encoder was cached."""
+    payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+    return HEADER.pack(len(payload)) + payload
+
+
+#: Everything a body may carry: the tagged shapes, plus floats (with the
+#: non-finite ones), lists and non-ASCII text.
+wire_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(),
+        st.text(alphabet=st.characters(), max_size=12),
+        st.fractions(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.lists(children, max_size=3).map(tuple),
+        st.frozensets(st.integers() | st.text(max_size=4), max_size=4),
+    ),
+    max_leaves=10,
+)
+wire_bodies = st.dictionaries(st.text(max_size=10), wire_values, max_size=5)
+
+
+@given(
+    request_id=st.integers(min_value=0, max_value=2**31),
+    action=st.sampled_from(sorted(ACTIONS)),
+    params=st.none() | wire_bodies,
+    trace=st.none()
+    | st.fixed_dictionaries({"id": st.text(max_size=8), "sent": st.floats()}),
+    result=st.none() | wire_bodies,
+)
+@settings(max_examples=150, deadline=None)
+def test_frames_are_byte_identical_to_the_reference(
+    request_id, action, params, trace, result
+):
+    body = {
+        "v": PROTOCOL_VERSION,
+        "id": request_id,
+        "action": action,
+        "params": {key: encode_value(value) for key, value in (params or {}).items()},
+    }
+    if trace is not None:
+        body["trace"] = dict(trace)
+    assert request_frame(request_id, action, params, trace) == reference_frame(body)
+    assert encode_frame(body) == reference_frame(body)
+    reply = {
+        "v": PROTOCOL_VERSION,
+        "id": request_id,
+        "ok": True,
+        "result": {key: encode_value(value) for key, value in (result or {}).items()},
+    }
+    assert response_frame(request_id, result) == reference_frame(reply)
+
+
+def reference_decode(payload):
+    """What a body decoded to before the scan: ``json.loads`` of its UTF-8,
+    or None where the decoder must refuse it."""
+    try:
+        body = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return None
+    return body if isinstance(body, dict) else None
+
+
+json_texts = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+).map(json.dumps)
+whitespace = st.text(alphabet=" \t\n\r", max_size=3)
+payloads = st.one_of(
+    st.binary(max_size=40),
+    st.tuples(
+        whitespace,
+        json_texts,
+        whitespace | st.sampled_from(["x", "}", "{}", " 1", "\x00"]),
+    ).map(lambda parts: "".join(parts).encode("utf-8")),
+    st.tuples(json_texts, st.binary(max_size=4)).map(
+        lambda parts: parts[0].encode("utf-8") + parts[1]
+    ),
+)
+
+
+@given(payload=payloads)
+@example(payload=b'{"a": 1}')
+@example(payload=b'  {"a": [1, 2.5, "\xc3\xa9"]}\n')
+@example(payload=b'{"a": 1} x')
+@example(payload=b"\xef\xbb\xbf{}")
+@example(payload=b"[" * 100_000)
+@example(payload=b'{"n": ' + b"9" * 5000 + b"}")
+@settings(max_examples=300, deadline=None)
+def test_decoder_accepts_and_refuses_what_json_loads_does(payload):
+    frame = HEADER.pack(len(payload)) + payload
+    expected = reference_decode(payload)
+    if expected is None:
+        with pytest.raises(FrameError) as excinfo:
+            FrameDecoder().feed(frame)
+        assert excinfo.value.code == "BAD_FRAME"
+    else:
+        assert FrameDecoder().feed(frame) == [expected]
+
+
+def test_frames_before_a_refused_body_are_still_yielded():
+    bad = b"{} x"
+    decoder = FrameDecoder()
+    pings = request_frame(1, "ping") + request_frame(2, "ping")
+    stream = decoder.feed_iter(pings + HEADER.pack(len(bad)) + bad)
+    assert [next(stream)["id"], next(stream)["id"]] == [1, 2]
+    with pytest.raises(FrameError):
+        next(stream)
+    assert decoder.pending_bytes == 0

@@ -293,6 +293,52 @@ class TestTypedErrors:
         assert ping["id"] == 1 and ping["ok"] is True
         assert error["id"] is None and error["error"]["code"] == code
 
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            (b'{"v":1,"id":2,"action":"ping","params":{"x":{"__fr__":[1,0]}}}',
+             "BAD_REQUEST"),
+            (b"[" * 200_000, "BAD_FRAME"),
+            (b'{"v":1,"id":2,"action":"ping","params":{"n":' + b"9" * 5000 + b"}}",
+             "BAD_FRAME"),
+            (b'{"v":1,"id":2,"action":"ping","params":{"x":'
+             + b'{"__d__":[["k",' * 300 + b"1" + b"]]}" * 300 + b"}}",
+             "BAD_REQUEST"),
+        ],
+        ids=[
+            "zero-denominator",
+            "nested-200k-deep",
+            "5000-digit-integer",
+            "tagged-dict-300-deep",
+        ],
+    )
+    def test_malformed_frames_get_typed_answers(self, body, code):
+        # Regression: each of these raised out of data_received (a
+        # ZeroDivisionError from the tagged codec, a RecursionError from
+        # the JSON scanner, a plain ValueError from the int-digits limit,
+        # a RecursionError from the tagged codec on a body the scanner
+        # took), so asyncio dropped the connection and the ping's reply.
+        async def scenario():
+            server = await start_server()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            writer.write(request_frame(1, "ping") + struct.pack(">I", len(body)) + body)
+            await writer.drain()
+            decoder, replies = FrameDecoder(), []
+            while len(replies) < 2:
+                data = await asyncio.wait_for(reader.read(65536), 10)
+                if not data:
+                    break
+                replies.extend(decoder.feed(data))
+            writer.close()
+            await server.drain()
+            return replies
+
+        ping, error = run(scenario())
+        assert ping["id"] == 1 and ping["ok"] is True
+        assert error["ok"] is False and error["error"]["code"] == code
+
     def test_bad_version_is_refused(self):
         async def scenario():
             server = await start_server()
