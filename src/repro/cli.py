@@ -295,18 +295,22 @@ def _observed_run(args, factory, protocol, sinks=(), check=False, **observers):
         from .recovery import FileWAL
 
         wal = FileWAL(os.path.join(args.wal_dir, protocol.name))
-    metrics = run_experiment(
-        factory(),
-        protocol,
-        duration=args.duration,
-        seed=args.seed,
-        params=ClientParams(wait_policy=args.wait_policy),
-        crash_rate=crash_rate,
-        crash_seed=args.crash_seed,
-        wal=wal,
-        tracer=tracer,
-        **observers,
-    )
+    try:
+        metrics = run_experiment(
+            factory(),
+            protocol,
+            duration=args.duration,
+            seed=args.seed,
+            params=ClientParams(wait_policy=args.wait_policy),
+            crash_rate=crash_rate,
+            crash_seed=args.crash_seed,
+            wal=wal,
+            tracer=tracer,
+            **observers,
+        )
+    except ValueError as exc:  # e.g. a --wal-dir that already holds a log
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return metrics, checker
 
 

@@ -1,15 +1,12 @@
 """Multi-site transactions: simulated network, 2PC, piggybacked clocks."""
 
-from .client import DistributedClient, DistributedStep
+from ..sim.site import Site
 from .experiment import DistributedRun, run_distributed_experiment
 from .network import Network
-from .site import Site
 
 __all__ = [
     "Network",
     "Site",
-    "DistributedClient",
-    "DistributedStep",
     "DistributedRun",
     "run_distributed_experiment",
 ]

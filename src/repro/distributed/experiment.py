@@ -1,22 +1,22 @@
 """Distributed experiments: a multi-site bank over the simulated network.
 
 :func:`run_distributed_experiment` spreads accounts across ``site_count``
-sites (each a :class:`~repro.distributed.site.Site`: one shard engine on
-its own timestamp stride), spawns clients whose transactions touch up to
-``max_spread`` distinct sites (cross-site transfers coordinated by 2PC),
-optionally injects site crashes, runs the event loop, and returns the
-metrics plus the network traffic breakdown — and, when recording, the
-globally interleaved event history for the Section 3 checkers, read off
-the trace bus every site shares.
+sites (each a :class:`~repro.sim.site.Site`: one shard engine on its own
+timestamp stride), runs one :class:`~repro.sim.client.Client` per slot
+over the simulated network — transactions touch up to ``max_spread``
+sites, cross-site ones committed by 2PC — optionally injects site
+crashes, and returns the metrics plus the network traffic breakdown —
+and, when recording, the globally interleaved event history for the
+Section 3 checkers, read off the trace bus every site shares.
 
-Two fault models are available.  ``crash_every`` (legacy) soft-crashes a
-rotating site periodically: volatile transactions abort, committed state
-survives in place.  ``crash_rate`` drives the full durability path: each
-site gets a write-ahead log (and optional periodic horizon checkpoints
-written into it),
-a seeded :class:`~repro.recovery.faults.CrashPlan` fail-stops sites with
-total volatile loss, and every victim is rebuilt ``crash_downtime`` later
-by checkpoint + WAL replay, with the recovered committed state verified
+Two fault models are available.  ``crash_every`` (X-D's crash row)
+soft-crashes a rotating site periodically: unprepared transactions
+abort, committed state survives in place.  ``crash_rate`` drives the
+full durability path: each site gets a write-ahead log (and optional
+periodic horizon checkpoints written into it), a seeded
+:class:`~repro.recovery.faults.CrashPlan` fail-stops sites with total
+volatile loss, and every victim is rebuilt ``crash_downtime`` later by
+checkpoint + WAL replay, with the recovered committed state verified
 against the pre-crash snapshot.
 """
 
@@ -31,13 +31,17 @@ from typing import Any, Dict, List, Optional
 from ..core.history import History
 from ..obs import HistorySink, RegistrySink, TraceBus
 from ..recovery import CrashPlan, FileWAL, MemoryWAL
+from ..sim.client import Client, ClientParams, SiteStep
 from ..sim.des import Simulator
 from ..sim.metrics import Metrics
-from .client import DistributedClient, DistributedStep
+from ..sim.site import Site
 from .network import Network
-from .site import Site
 
 __all__ = ["DistributedRun", "run_distributed_experiment"]
+
+#: The clients' knobs: the network is the only clock, so operations and
+#: commits cost nothing on top of their messages.
+_PARAMS = ClientParams(op_time=0, commit_time=0, max_step_retries=10)
 
 
 @dataclass
@@ -135,10 +139,10 @@ def run_distributed_experiment(
         site.single({"op": "txn", "name": f"open{s}", "steps": deposits})
     sites = {site.name: site for site in hosts}
 
-    def script(client_index: int, rng: random.Random) -> List[DistributedStep]:
+    def script(client_index: int, rng: random.Random) -> List[SiteStep]:
         spread = rng.randint(1, min(max_spread, site_count))
         chosen_sites = rng.sample(range(site_count), spread)
-        steps: List[DistributedStep] = []
+        steps: List[SiteStep] = []
         for _ in range(ops_per_transaction):
             site_index = rng.choice(chosen_sites)
             obj = f"acct{site_index}_{rng.randrange(accounts_per_site)}"
@@ -153,15 +157,8 @@ def run_distributed_experiment(
 
     metrics = Metrics()
     for index in range(clients):
-        DistributedClient(
-            index,
-            simulator,
-            network,
-            hosts,
-            script,
-            metrics,
-            random.Random(f"{seed}/client{index}"),
-        ).start()
+        rng = random.Random(f"{seed}/client{index}")
+        Client(index, simulator, hosts, script, _PARAMS, metrics, rng, network).start()
 
     def every(period: float, action) -> None:
         def tick() -> None:

@@ -355,7 +355,8 @@ def recover_manager(
     ``shard``/``shards``), the supplied generator must declare the *same*
     stride — reopening a shard's log under a different modulus or residue
     would mint timestamps colliding with other shards' already-committed
-    ones, so the mismatch raises :class:`RecoveryError` instead.
+    ones, so the mismatch raises :class:`RecoveryError` instead (a log
+    written as shard 0 of 1 also reopens under the monotone clock).
 
     2PC-prepared transactions are resurrected as live
     :class:`~repro.runtime.transaction.Transaction` handles (reachable via
@@ -402,7 +403,10 @@ def recover_manager(
     )
     if logged_shards is not None:
         logged_shard = image.meta.get("shard")
-        if offered != (logged_shard, logged_shards):
+        # A one-shard stride mints what the monotone clock does: either
+        # generator reopens its log.
+        monotone = logged_shards == 1 and offered[1] is None
+        if offered != (logged_shard, logged_shards) and not monotone:
             raise RecoveryError(
                 f"stride mismatch: log {image.meta.get('name')!r} was written"
                 f" as shard {logged_shard} of {logged_shards}, but recovery"

@@ -263,7 +263,7 @@ def _encode_line(seq: int, record: Mapping[str, Any]) -> str:
 def _decode_line(text: str, expected_seq: int) -> Dict[str, Any]:
     try:
         envelope = json.loads(text)
-        body = json.dumps(envelope["rec"], sort_keys=True, separators=(",", ":"))
+        body = _CANONICAL(envelope["rec"])
         crc = envelope["crc"]
         seq = envelope["seq"]
     except (ValueError, KeyError, TypeError) as exc:

@@ -247,7 +247,12 @@ class TransactionManager:
         return participant
 
     def _require_monotone(self, what: str, why: str) -> None:
-        if not isinstance(self._generator, MonotoneTimestampGenerator):
+        # A one-shard stride issues max(last, bound) + 1: the monotone clock.
+        generator = self._generator
+        if not (
+            isinstance(generator, MonotoneTimestampGenerator)
+            or getattr(generator, "shards", None) == 1
+        ):
             raise ProtocolError(
                 f"{what} require a monotone timestamp generator: {why}"
             )
@@ -646,6 +651,15 @@ class TransactionManager:
 
         return write_checkpoint(self.wal, machines)
 
+    def unprepared(self) -> List[Transaction]:
+        """The active transactions outside 2PC's prepared state: what a
+        crash loses."""
+        return [
+            transaction
+            for transaction in self._transactions.values()
+            if transaction.is_active and transaction.name not in self._prepared
+        ]
+
     def crash(self) -> List[str]:
         """Simulate a site crash; returns the aborted transaction names.
 
@@ -657,11 +671,7 @@ class TransactionManager:
         handles — and leaves committed effects untouched.  Read-only
         transactions lose their pins like everyone else.
         """
-        victims = [
-            transaction
-            for transaction in self._transactions.values()
-            if transaction.is_active and transaction.name not in self._prepared
-        ]
+        victims = self.unprepared()
         for transaction in victims:
             self.abort(transaction)
         return [transaction.name for transaction in victims]

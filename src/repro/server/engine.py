@@ -25,13 +25,16 @@ awaitable ``acall(ops)``, and one whose ``call`` can raise
 over the same log (or raises :class:`ShardDown`: it stays down).  There
 are three: :class:`LocalShard` calls the engine directly and adds
 nothing; :class:`~repro.server.procpool.ShardProcess` adds a pipe and a
-child process; :class:`~repro.distributed.site.Site` adds a simulated
-host with a kill switch.  :func:`two_phase_commit` is the one decision
-procedure and :func:`resolve_prepared` the one recovery rule — both
-written as rounds of ``(shard, op)`` so that :class:`ShardSet` can run
-them with blocking calls, the server with queued ones, and
-:class:`~repro.distributed.client.DistributedClient` (2PC) with
-simulated messages.
+child process; :class:`~repro.sim.site.Site` adds a simulated host with
+a kill switch.  :func:`two_phase_commit` is the one decision procedure
+and :func:`resolve_prepared` the one recovery rule — both written as
+rounds of ``(shard, op)`` so that :class:`ShardSet` can run them with
+blocking calls, the server with queued ones, and the simulator's one
+client, :class:`~repro.sim.client.Client` (2PC), with simulated
+messages.  That client speaks these same ops to every simulated site,
+one or many, and a ``CONFLICT`` reply names the lock's ``holder`` for
+its block wait policy (the wire's error frame carries only the code and
+the message).
 
 The module is pure (no sockets, clocks, pipes or files: a log or trace
 sink is handed in already open), so it stays under REP104/REP106.
@@ -333,7 +336,7 @@ class ShardEngine:
                 raise EngineCrash()
             return {"error": "BAD_REQUEST", "message": f"unknown op {kind!r}"}
         except LockConflict as exc:
-            return {"error": "CONFLICT", "message": str(exc)}
+            return {"error": "CONFLICT", "message": str(exc), "holder": exc.holder}
         except WouldBlock as exc:
             return {"error": "WOULD_BLOCK", "message": str(exc)}
         except TransactionAborted as exc:

@@ -2,7 +2,8 @@
 
 from .des import Simulator
 from .waiting import DeadlockDetected, WaitRegistry
-from .experiment import ClientParams, compare_protocols, run_experiment
+from .client import Client, ClientParams
+from .experiment import compare_protocols, run_experiment
 from .metrics import Metrics
 from .workload import (
     AccountWorkload,
@@ -21,6 +22,7 @@ __all__ = [
     "WaitRegistry",
     "DeadlockDetected",
     "Metrics",
+    "Client",
     "ClientParams",
     "run_experiment",
     "compare_protocols",

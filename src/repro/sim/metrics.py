@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict
 
 __all__ = ["Metrics"]
@@ -87,17 +87,3 @@ class Metrics:
                 }
             )
         return row
-
-    def merge(self, other: "Metrics") -> "Metrics":
-        """Sum counters from ``other`` into this run (durations add too).
-
-        Iterates ``dataclasses.fields`` so a counter added to the class
-        later can never be silently dropped from merged results.
-        """
-        for field in fields(self):
-            setattr(
-                self,
-                field.name,
-                getattr(self, field.name) + getattr(other, field.name),
-            )
-        return self

@@ -72,7 +72,32 @@ class Workload:
 
 
 @dataclass
-class QueueWorkload(Workload):
+class _ProducerConsumer(Workload):
+    """Producers add unique items to one shared object; consumers take."""
+
+    producers: int = 4
+    consumers: int = 1
+    ops_per_transaction: int = 4
+    _next_item: int = field(default=0, repr=False)
+    #: (object name, producer operation, consumer operation).
+    roles = ("Q", "Enq", "Deq")
+
+    def client_count(self) -> int:
+        return self.producers + self.consumers
+
+    def script(self, client: int, rng: random.Random) -> List[Step]:
+        obj, put, take = self.roles
+        if client < self.producers:
+            steps: List[Step] = []
+            for _ in range(self.ops_per_transaction):
+                self._next_item += 1
+                steps.append((obj, put, (self._next_item,)))
+            return steps
+        return [(obj, take, ()) for _ in range(self.ops_per_transaction)]
+
+
+@dataclass
+class QueueWorkload(_ProducerConsumer):
     """Producers enqueue unique items; consumers drain them.
 
     The paper's motivating scenario: enqueues do not commute, yet under
@@ -80,56 +105,25 @@ class QueueWorkload(Workload):
     commit timestamps order their items.
     """
 
-    producers: int = 4
-    consumers: int = 1
-    ops_per_transaction: int = 4
     #: Which minimal dependency relation drives the hybrid protocol:
     #: "fig42" (concurrent enqueues) or "fig43" (commutativity-shaped) —
     #: the ablation knob for the paper's incomparability discussion.
     dependency: str = "fig42"
     name: str = "queue"
-    _next_item: int = field(default=0, repr=False)
 
     def objects(self) -> List[Tuple[str, ADT]]:
         return [("Q", make_queue_adt(self.dependency))]
 
-    def client_count(self) -> int:
-        return self.producers + self.consumers
-
-    def script(self, client: int, rng: random.Random) -> List[Step]:
-        if client < self.producers:
-            steps: List[Step] = []
-            for _ in range(self.ops_per_transaction):
-                self._next_item += 1
-                steps.append(("Q", "Enq", (self._next_item,)))
-            return steps
-        return [("Q", "Deq", ()) for _ in range(self.ops_per_transaction)]
-
 
 @dataclass
-class SemiQueueWorkload(Workload):
+class SemiQueueWorkload(_ProducerConsumer):
     """Producers insert unique items; consumers remove some item."""
 
-    producers: int = 4
-    consumers: int = 1
-    ops_per_transaction: int = 4
     name: str = "semiqueue"
-    _next_item: int = field(default=0, repr=False)
+    roles = ("S", "Ins", "Rem")
 
     def objects(self) -> List[Tuple[str, ADT]]:
         return [("S", make_semiqueue_adt())]
-
-    def client_count(self) -> int:
-        return self.producers + self.consumers
-
-    def script(self, client: int, rng: random.Random) -> List[Step]:
-        if client < self.producers:
-            steps: List[Step] = []
-            for _ in range(self.ops_per_transaction):
-                self._next_item += 1
-                steps.append(("S", "Ins", (self._next_item,)))
-            return steps
-        return [("S", "Rem", ()) for _ in range(self.ops_per_transaction)]
 
 
 @dataclass
@@ -285,27 +279,12 @@ class DirectoryWorkload(Workload):
 
 
 @dataclass
-class StackWorkload(Workload):
+class StackWorkload(_ProducerConsumer):
     """Producers push unique items; consumers pop (LIFO twin of the
     queue workload; hybrid admits concurrent pushes)."""
 
-    producers: int = 4
-    consumers: int = 1
-    ops_per_transaction: int = 4
     name: str = "stack"
-    _next_item: int = field(default=0, repr=False)
+    roles = ("S", "Push", "Pop")
 
     def objects(self) -> List[Tuple[str, ADT]]:
         return [("S", make_stack_adt())]
-
-    def client_count(self) -> int:
-        return self.producers + self.consumers
-
-    def script(self, client: int, rng: random.Random) -> List[Step]:
-        if client < self.producers:
-            steps: List[Step] = []
-            for _ in range(self.ops_per_transaction):
-                self._next_item += 1
-                steps.append(("S", "Push", (self._next_item,)))
-            return steps
-        return [("S", "Pop", ()) for _ in range(self.ops_per_transaction)]

@@ -2,8 +2,8 @@
 
 import random
 
-from repro.distributed import DistributedClient, Network, Site
-from repro.sim import Metrics, Simulator
+from repro.distributed import Network, Site
+from repro.sim import Client, ClientParams, Metrics, Simulator
 
 
 def rig(script, max_step_retries=3, site_count=2):
@@ -16,15 +16,15 @@ def rig(script, max_step_retries=3, site_count=2):
         site.single({"op": "create", "name": f"A{index}", "adt": "Account"})
         sites.append(site)
     metrics = Metrics()
-    client = DistributedClient(
+    client = Client(
         0,
         simulator,
-        network,
         sites,
         lambda _index, _rng: list(script),
+        ClientParams(op_time=0, commit_time=0, max_step_retries=max_step_retries),
         metrics,
         random.Random(0),
-        max_step_retries=max_step_retries,
+        network=network,
     )
     return simulator, network, sites, metrics, client
 

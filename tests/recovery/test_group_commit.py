@@ -183,6 +183,16 @@ class TestStridePersistence:
         with pytest.raises(RecoveryError, match="strid"):
             recover_manager(wal, generator=ShardedTimestampGenerator(*bad))
 
+    def test_a_one_shard_log_reopens_under_the_monotone_clock(self, tmp_path):
+        # Shard 0 of 1 mints what the monotone clock does (a simulated
+        # single site writes such logs); a wider stride is still refused.
+        wal = FileWAL(tmp_path)
+        file_manager(wal, shard=0, shards=1)
+        recovered, _ = recover_manager(wal)
+        assert sorted(recovered.objects) == ["A"]
+        with pytest.raises(RecoveryError, match="strid"):
+            recover_manager(wal, generator=ShardedTimestampGenerator(0, 2))
+
     def test_unsharded_log_refuses_sharded_generator(self, tmp_path):
         wal = FileWAL(tmp_path)
         manager = TransactionManager(wal=wal)

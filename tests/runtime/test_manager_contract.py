@@ -427,6 +427,23 @@ class TestRefusedCombinations:
         with pytest.raises(ProtocolError, match="monotone"):
             manager.create_object("O", make_account_adt(), protocol=OPTIMISTIC)
 
+    def test_a_one_shard_stride_is_monotone_and_a_wider_one_is_not(self):
+        from repro.server.engine import ShardedTimestampGenerator
+
+        # Shard 0 of 1 issues max(last, bound) + 1, as the monotone clock
+        # does: a simulated single site hosts optimistic objects on it.
+        single = TransactionManager(generator=ShardedTimestampGenerator(0, 1))
+        single.create_object("L", make_account_adt())
+        single.commit(single.begin_readonly())
+        single.create_object("O", make_account_adt(), protocol=OPTIMISTIC)
+        # Two shards interleave their strides: still refused, both ways.
+        strided = TransactionManager(generator=ShardedTimestampGenerator(0, 2))
+        strided.create_object("L", make_account_adt())
+        with pytest.raises(ProtocolError, match="monotone"):
+            strided.create_object("O", make_account_adt(), protocol=OPTIMISTIC)
+        with pytest.raises(ProtocolError, match="monotone"):
+            strided.begin_readonly()
+
     @pytest.mark.parametrize("kind", ["optimistic", "replicated"])
     def test_readonly_and_checkpoint_need_lock_machines(self, kind):
         manager = build(kind)

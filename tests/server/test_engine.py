@@ -214,6 +214,52 @@ class TestLockingProtocolsOnly:
         assert asyncio.run(scenario()) == "BAD_REQUEST"
 
 
+class TestConflictNamesItsHolder:
+    """A ``CONFLICT`` reply names the lock's holder (what a blocking
+    client waits on); the wire's error frame stays code + message."""
+
+    def test_reply_carries_the_holder(self):
+        engine = engine_with("a")
+        engine.execute({"op": "txn", "name": "seed", "steps": [("a", "Credit", (3,))]})
+        engine.execute({"op": "begin", "name": "t1"})
+        engine.execute({"op": "begin", "name": "t2"})
+        assert invoke(engine, "t1", "a", "Debit", 1) == {"ok": "Ok"}
+        reply = invoke(engine, "t2", "a", "Debit", 1)
+        assert reply["error"] == "CONFLICT"
+        assert reply["holder"] == "t1"
+
+    def test_the_wire_error_frame_keys_are_unchanged(self):
+        from repro.server import ReproServer
+        from repro.server.protocol import FrameDecoder
+
+        async def scenario():
+            server = ReproServer(workers=1, drain_grace=0.5)
+            await server.start()
+            server.create_object("A", "Account")
+            holder = await AsyncClient.connect(server.host, server.port)
+            seed = await holder.begin()
+            await holder.invoke(seed, "A", "Credit", 3)
+            await holder.commit(seed)
+            await holder.invoke(await holder.begin(), "A", "Debit", 1)
+            refused = await AsyncClient.connect(server.host, server.port)
+            handle = await refused.begin()
+            frames = []
+            connection = server._connections[-1]
+            write = connection.transport.write
+            connection.transport.write = lambda data: (frames.append(data), write(data))
+            with pytest.raises(WireError) as caught:
+                await refused.invoke(handle, "A", "Debit", 1)
+            for client in (holder, refused):
+                await client.aclose()
+            await server.drain()
+            return caught.value.code, FrameDecoder().feed(b"".join(frames))
+
+        code, (frame,) = asyncio.run(scenario())
+        assert code == "CONFLICT"
+        assert set(frame) == {"v", "id", "ok", "error"}
+        assert set(frame["error"]) == {"code", "message"}
+
+
 class TestTxnOpLeak:
     """Satellite regression: a failed step must not strand the transaction."""
 

@@ -230,3 +230,14 @@ class TestWorkloadProtocolMatrix:
             metrics = run_experiment(factory(), OPTIMISTIC, duration=80, seed=1)
             assert metrics.committed > 0
             assert metrics.conflicts == 0  # no locks in the optimistic engine
+
+
+class TestWriteAheadLog:
+    def test_a_log_that_is_not_empty_is_refused(self, tmp_path):
+        from repro.recovery import FileWAL
+
+        run_experiment(AccountWorkload(), duration=20, seed=1, wal=FileWAL(tmp_path))
+        with pytest.raises(ValueError, match="wal.jsonl"):
+            run_experiment(
+                AccountWorkload(), duration=20, seed=1, wal=FileWAL(tmp_path)
+            )

@@ -1,48 +1,6 @@
-"""Metrics: derived rates and the field-complete merge."""
-
-import dataclasses
-
-import pytest
+"""Metrics: derived rates."""
 
 from repro.sim.metrics import Metrics
-
-
-def fully_populated(scale: int) -> Metrics:
-    """A Metrics instance with every field set to a distinct value."""
-    metrics = Metrics()
-    for index, field in enumerate(dataclasses.fields(Metrics), start=1):
-        value = scale * index
-        setattr(
-            metrics,
-            field.name,
-            float(value) if field.type == "float" else value,
-        )
-    return metrics
-
-
-class TestMerge:
-    def test_merge_sums_every_field(self):
-        # Regression: merge() once enumerated fields by hand, so a newly
-        # added counter could silently vanish from merged results.  Check
-        # every declared field survives, not a hand-kept list.
-        left = fully_populated(1)
-        right = fully_populated(100)
-        merged = left.merge(right)
-        assert merged is left
-        for index, field in enumerate(dataclasses.fields(Metrics), start=1):
-            assert getattr(merged, field.name) == pytest.approx(101 * index), (
-                f"field {field.name!r} was dropped by merge()"
-            )
-
-    def test_merge_accumulates_across_runs(self):
-        total = Metrics()
-        total.merge(Metrics(duration=10.0, committed=5, conflicts=2))
-        total.merge(Metrics(duration=10.0, committed=7, deadlocks=1))
-        assert total.duration == 20.0
-        assert total.committed == 12
-        assert total.conflicts == 2
-        assert total.deadlocks == 1
-        assert total.throughput == pytest.approx(12 / 20)
 
 
 class TestDerivedRates:

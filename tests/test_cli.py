@@ -355,6 +355,17 @@ class TestRecoverObservability:
         assert "wal.replay" in kinds
         assert kinds[-1] == "site.recover"
 
+    def test_a_used_wal_dir_is_refused(self, tmp_path, capsys):
+        logdir = self.seed_wal(tmp_path)
+        before = (logdir / "wal.jsonl").read_text()
+        capsys.readouterr()
+        argv = ["simulate", "account", "--protocol", "hybrid", "--duration", "40"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--wal-dir", str(logdir.parent)])
+        assert exited.value.code == 2
+        assert "wal.jsonl is not empty" in capsys.readouterr().err
+        assert (logdir / "wal.jsonl").read_text() == before
+
 
 class TestRecover:
     def test_recovers_each_log_a_process_pool_wrote(self, tmp_path, capsys):
