@@ -44,7 +44,9 @@ without needing the pre-instrumentation binary:
   under ``sys.setprofile``, and the Python-level and C-level calls at and
   below ``emit`` must equal ``SERVED_CALLS`` *exactly*: the counts repeat,
   so a helper call or a membership test that creeps back into a sink
-  fails here before it is a percent on ``cpu_ms_per_txn_ref``.  A loose
+  fails here before it is a percent on ``cpu_ms_per_txn_ref``.  The 7
+  ``server.*`` events a process-shard parent carries for one transaction
+  are gated the same way, against ``SERVED_PARENT_CALLS``.  A loose
   wall-clock ratio against the same mix on a bus with one no-op sink
   (interleaved repeats, like the sampler's) is the backstop for costs
   that are not calls.
@@ -134,8 +136,15 @@ COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
 # a local shard, which has neither a worker nor a queue.  (93 + 112 while
 # ``RegistrySink`` kept a second per-transaction clock for blocked time:
 # a handler per ``txn.invoke`` / ``txn.respond`` and a ``dict.get`` per
-# phase of each ``server.respond``.)
-SERVED_CALLS = (89, 98)
+# phase of each ``server.respond``.)  (89 + 98 while every sink heard every
+# event: the registry's dispatch and the flight recorder's ring append
+# were Python calls per event, and each event ran ``TraceEvent.__init__``;
+# the bus now routes each kind to the callables that fold it.)
+SERVED_CALLS = (31, 98)
+# The same count for what a process-shard parent's bus carries for one
+# wal-pool transaction: its 7 ``server.*`` events (the kernel's events are
+# on the shard child's own bus).  Exact, like SERVED_CALLS.
+SERVED_PARENT_CALLS = (18, 62)
 # Calls in repro.server.protocol for one served uniform transaction: its
 # 4 request frames decoded and parsed, its 4 replies encoded, as
 # (Python-level, C-level).  Exact, like SERVED_CALLS: re-derive with
@@ -145,8 +154,9 @@ SERVED_CALLS = (89, 98)
 # the tagged codec.)
 WIRE_CALLS = (51, 90)
 SERVED_TRANSACTIONS = 50
-# The default wiring against one no-op sink, same events: ~2.3x measured
-# (~3.1x before), so this only catches a sink that got much dearer.
+# The default wiring against one no-op sink, same events: ~1.6x measured
+# (~2.3x before routing, ~3.1x before that), so this only catches a sink
+# that got much dearer.
 SERVED_TOLERANCE = 3.5
 # The queue the state-size budget fills before counting calls.
 STATE_SIZE_ITEMS = 1000
@@ -262,6 +272,23 @@ def served_transaction(name):
     ]
 
 
+def served_parent_transaction(name):
+    """The events a process-shard parent emits for the same transaction:
+    its ``server.*`` events, each routed request queued for the shard's
+    worker (depth 1 with it) — the mix ``tests/server/test_telemetry.py``
+    pins by count on the process transport."""
+    events = []
+    for kind, data in served_transaction(name):
+        if kind == "server.request" and data["shard"] is not None:
+            data.update(queue_depth=1)
+        elif kind == "server.respond":
+            data.update(queue=2e-05, execute=4e-04)
+        elif not kind.startswith("server."):
+            continue
+        events.append((kind, data))
+    return events
+
+
 def served_bus(directory):
     """A bus wired the way ``repro serve`` wires its own."""
     bus = TraceBus()
@@ -281,9 +308,10 @@ def served_mix(bus, transactions, prefix):
     return time.perf_counter() - started
 
 
-def served_calls(transactions=SERVED_TRANSACTIONS):
+def served_calls(transactions=SERVED_TRANSACTIONS, transaction=served_transaction):
     """(Python-level, C-level) calls per served transaction at and below
-    ``emit`` on the served wiring, counted by ``sys.setprofile``."""
+    ``emit`` on the served wiring, counted by ``sys.setprofile``;
+    ``transaction`` names the events of one."""
     counts = {"call": 0, "c_call": 0}
 
     def profile(frame, event, arg):
@@ -292,8 +320,10 @@ def served_calls(transactions=SERVED_TRANSACTIONS):
 
     with tempfile.TemporaryDirectory() as directory:
         bus = served_bus(directory)
-        served_mix(bus, 3, "warm")  # bind the instruments
-        mix = [served_transaction(f"s1.t{n}") for n in range(transactions)]
+        for number in range(3):  # bind the instruments and the routes
+            for kind, data in transaction(f"warm.t{number}"):
+                bus.emit(kind, **data)
+        mix = [transaction(f"s1.t{n}") for n in range(transactions)]
         emit = bus.emit
         sys.setprofile(profile)
         try:
@@ -464,6 +494,7 @@ def main():
     }
     unprofiled_best, profiled_best = sampler_budget(disabled)
     served_counts = served_calls()
+    parent_counts = served_calls(transaction=served_parent_transaction)
     wire_counts = wire_calls()
     bare_best, wired_best = served_budget()
     empty_calls, sized_calls = state_size_calls(0), state_size_calls(STATE_SIZE_ITEMS)
@@ -494,6 +525,10 @@ def main():
         f"calls per 15-event transaction; wired {wired_best:.6f}s vs one no-op "
         f"sink {bare_best:.6f}s ({wired_best / bare_best:.2f}x, "
         f"{wired_best / SERVED_TRANSACTIONS * 1e6:.1f} us/txn)"
+    )
+    print(
+        f"served telemetry, process-shard parent: {parent_counts[0]:g} Python + "
+        f"{parent_counts[1]:g} C calls per 7-event transaction"
     )
     print(
         f"wire codec: {wire_counts[0]:g} Python + {wire_counts[1]:g} C calls per "
@@ -557,6 +592,14 @@ def main():
             f"{served_counts[1]:g} C calls on the repro-serve wiring, not the "
             f"budgeted {SERVED_CALLS[0]} + {SERVED_CALLS[1]} — a sink's "
             "per-event path changed (update SERVED_CALLS if on purpose)"
+        )
+    if parent_counts != SERVED_PARENT_CALLS:
+        failures.append(
+            f"a process-shard parent's events cost {parent_counts[0]:g} Python "
+            f"+ {parent_counts[1]:g} C calls on the repro-serve wiring, not the "
+            f"budgeted {SERVED_PARENT_CALLS[0]} + {SERVED_PARENT_CALLS[1]} — a "
+            "sink's server.* path changed (update SERVED_PARENT_CALLS if on "
+            "purpose)"
         )
     if wired_best > bare_best * SERVED_TOLERANCE:
         failures.append(

@@ -254,6 +254,7 @@ class CompactingLockMachine(LockMachine):
         self._version = version
         self.clock = clock
         self._version_timestamp = version_timestamp
+        self._replay_floor = (None, version_timestamp)
         self._invalidate_views(None)
 
     def replay_committed(

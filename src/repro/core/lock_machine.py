@@ -98,6 +98,10 @@ class LockMachine:
         # tested with ``is None``, never truthiness.
         self._view_cache: Dict[str, Tuple[int, StateSet]] = {}
         self._committed_cache: Optional[StateSet] = None
+        #: ``(transaction, timestamp)`` of the last replayed commit — or
+        #: ``(None, fence)`` of a restored version — which every further
+        #: replayed timestamp must exceed; None before any replay.
+        self._replay_floor: Optional[Tuple[Optional[str], Any]] = None
         #: Optional :class:`repro.obs.TraceBus`; None keeps every
         #: instrumentation site a single attribute-load-and-compare.
         self.tracer: Optional[Any] = None
@@ -454,16 +458,24 @@ class LockMachine:
         retained commit timestamp and the replayed operations extend the
         committed state — legality is exactly hybrid atomicity of the
         pre-crash history, and is re-checked here as a corruption guard.
-        No events are recorded: the events happened before the crash.
+        So is the order: a timestamp at or below the last replayed one
+        (or the restored version's fence) is refused, with one comparison
+        however long the log.  No events are recorded: the events
+        happened before the crash.
         """
         ops = tuple(intentions)
         if transaction in self._committed or transaction in self._aborted:
             raise ProtocolError(f"{transaction} already completed; cannot replay")
-        for other, stamp in self._committed.items():
-            if stamp == timestamp:
+        floor = self._replay_floor
+        if floor is not None and not floor[1] < timestamp:
+            other, stamp = floor
+            if other is not None and stamp == timestamp:
                 raise ProtocolError(
                     f"timestamp {timestamp} already used by {other} (replay)"
                 )
+            raise ProtocolError(
+                f"timestamp {timestamp} is not above {stamp} (replay out of order)"
+            )
         replayed = self.spec.run_from(self.committed_states(), ops)
         if not replayed:
             raise IllegalOperation(
@@ -472,6 +484,7 @@ class LockMachine:
             )
         self._intentions[transaction] = ops
         self._committed[transaction] = timestamp
+        self._replay_floor = (transaction, timestamp)
         # Replay applies commits in timestamp order (see docstring), so
         # the legality check's result *is* the new committed state-set.
         self._invalidate_views(replayed)

@@ -190,7 +190,6 @@ class Project:
         if package_root is None:
             package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         self.package_root = package_root
-        self._event_kinds: Optional[FrozenSet[str]] = None
         self._event_payloads: Optional[Dict[str, FrozenSet[str]]] = None
         self._checker_consumes: Optional[Dict[str, FrozenSet[str]]] = None
 
@@ -203,18 +202,8 @@ class Project:
 
     @property
     def event_kinds(self) -> FrozenSet[str]:
-        """``EVENT_KINDS`` read statically from ``obs/events.py``."""
-        if self._event_kinds is None:
-            kinds: Set[str] = set()
-            node = _module_assignment(self._events_tree(), "EVENT_KINDS")
-            if node is not None:
-                for constant in ast.walk(node):
-                    if isinstance(constant, ast.Constant) and isinstance(
-                        constant.value, str
-                    ):
-                        kinds.add(constant.value)
-            self._event_kinds = frozenset(kinds)
-        return self._event_kinds
+        """``EVENT_KINDS``: the keys of ``EVENT_PAYLOADS``."""
+        return frozenset(self.event_payloads)
 
     @property
     def event_payloads(self) -> Dict[str, FrozenSet[str]]:

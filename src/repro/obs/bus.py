@@ -1,83 +1,121 @@
 """The trace event bus: emit-if-anyone-listens, near-zero when idle.
 
-Instrumented components hold an optional ``tracer`` attribute that is
-``None`` by default.  Every instrumentation site is guarded::
+Every instrumentation site guards an optional ``tracer`` (``None`` by
+default): the disabled path is one attribute load and an identity check,
+and a bus with no subscribers returns before building the event.
 
-    tracer = self.tracer
-    if tracer is not None:
-        tracer.emit("lock.conflict", ...)
+The sink protocol: a sink is a callable taking a
+:class:`~repro.obs.events.TraceEvent`, and hears every event.  A sink may
+also declare ``route(kind)``: the callables that fold an event of that
+kind, called in order; an empty result means it never hears the kind.
+The bus asks once per kind, and forgets the answers on every
+``subscribe`` / ``unsubscribe``.  See :mod:`repro.obs.sinks`.
 
-so the disabled path costs one attribute load and an identity check —
-no event object is built, no dict allocated, no clock read.  The
-overhead guard in ``benchmarks/check_overhead.py`` keeps it that way.
-
-When a bus *is* attached but has no subscribers, :meth:`TraceBus.emit`
-still returns before constructing the event.  Sinks are plain callables
-taking a :class:`~repro.obs.events.TraceEvent`; see
-:mod:`repro.obs.sinks` for the stock ones.
-
-A sink that raises (a trace file on a full disk) must not reach the
-emit site — it sits between the two objects of one atomic commit — so
-``emit`` detaches it and records why in :attr:`TraceBus.failures`.
+A sink that raises (a trace file on a full disk) must not reach the emit
+site — it sits between the two objects of one atomic commit — so it is
+detached, none of its remaining callables run for that event, and
+:attr:`TraceBus.failures` records why.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .events import TraceEvent
 
 __all__ = ["TraceBus"]
 
+_new_event = object.__new__
+
 
 class TraceBus:
-    """Fan-out of trace events to subscribed sinks.
+    """Fan-out of trace events to subscribed sinks.  ``clock`` gives the
+    event timestamp (:func:`time.monotonic` by default; the simulation
+    harness rebinds it to the discrete-event clock)."""
 
-    Parameters
-    ----------
-    clock:
-        Zero-argument callable giving the event timestamp.  Defaults to
-        :func:`time.monotonic`; the simulation harness rebinds it to the
-        discrete-event clock so traces carry simulated time.
-    """
-
-    __slots__ = ("_sinks", "clock", "emitted", "failures")
+    __slots__ = ("_sinks", "_routes", "active", "clock", "emitted", "failures")
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._sinks: List[Callable[[TraceEvent], None]] = []
+        #: kind -> ``(folds, owners)``: its callables, and each one's sink.
+        self._routes: Dict[str, Tuple[Tuple[Callable, ...], Tuple[Any, ...]]] = {}
+        #: True when at least one sink is subscribed.
+        self.active = False
         self.clock: Callable[[], float] = clock or time.monotonic
         #: Total events emitted to at least one sink (cheap sanity stat).
         self.emitted: int = 0
         #: ``(sink, exception)`` for every sink detached because it raised.
         self.failures: List[Tuple[Callable[[TraceEvent], None], Exception]] = []
 
-    @property
-    def active(self) -> bool:
-        """True when at least one sink is subscribed."""
-        return bool(self._sinks)
-
     def subscribe(self, sink: Callable[[TraceEvent], None]):
         """Attach a sink; returns it (for chaining)."""
         self._sinks.append(sink)
+        self._routes, self.active = {}, True
         return sink
 
     def unsubscribe(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Detach a sink (no-op if absent).  A new list, so an ``emit``
-        in progress finishes over the one it started with."""
+        """Detach a sink (no-op if absent).  A new list and route table,
+        so an ``emit`` in progress finishes over its route."""
         self._sinks = [kept for kept in self._sinks if kept != sink]
+        self._routes, self.active = {}, bool(self._sinks)
+
+    def _detach(self, sink: Any, exc: Exception) -> None:
+        self.unsubscribe(sink)
+        self.failures.append((sink, exc))
+
+    def _route(self, kind: str) -> Tuple[Tuple[Callable, ...], Tuple[Any, ...]]:
+        """Build and keep the route of ``kind``."""
+        folds: List[Callable] = []
+        owners: List[Any] = []
+        for sink in self._sinks:
+            router = getattr(sink, "route", None)
+            try:
+                routed = (sink,) if router is None else router(kind)
+            except Exception as exc:  # as if its fold had raised
+                self._detach(sink, exc)
+                continue
+            for fold in routed:
+                # Each entry its own object: the one that raises is found
+                # by identity (see _recover).
+                folds.append(partial(fold) if any(fold is f for f in folds) else fold)
+                owners.append(sink)
+        route = self._routes[kind] = (tuple(folds), tuple(owners))
+        return route
 
     def emit(self, kind: str, **data: Any) -> None:
-        """Publish one event to every sink (no-op without subscribers).
-        Never raises an ``Exception`` into the instrumented caller."""
-        sinks = self._sinks
-        if not sinks:
+        """Publish one event to the sinks that fold its kind; never raises
+        an ``Exception`` into the instrumented caller."""
+        if not self.active:
             return
-        event = TraceEvent(self.clock(), kind, data)
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        event = _new_event(TraceEvent)  # no ``__init__`` frame per event
+        event.ts = self.clock()
+        event.kind = kind
+        event.data = data
         self.emitted += 1
-        for sink in sinks:
+        try:
+            for fold in route[0]:
+                fold(event)
+        except Exception as exc:
+            self._recover(route, fold, event, exc)
+
+    def _recover(self, route: Tuple, failed: Any, event: Any, exc: Exception) -> None:
+        """``failed`` raised ``exc``: detach its sink, and run the rest of
+        the route but the folds of every sink detached."""
+        folds, owners = route
+        position = next(i for i, fold in enumerate(folds) if fold is failed)
+        detached = [owners[position]]
+        self._detach(owners[position], exc)
+        for position in range(position + 1, len(folds)):
+            owner = owners[position]
+            if any(owner is sink for sink in detached):
+                continue
             try:
-                sink(event)
-            except Exception as exc:
-                self.unsubscribe(sink)
-                self.failures.append((sink, exc))
+                folds[position](event)
+            except Exception as error:
+                detached.append(owner)
+                self._detach(owner, error)

@@ -50,7 +50,7 @@ kind                   emitted when / payload highlights
 ``validation.invalidated``  certification failed, naming the committed
                        transaction whose operation invalidated the
                        view (``invalidated_by``, ``operation``)
-``quorum.assemble``    a replica quorum was chosen (``obj``, ``kind``
+``quorum.assemble``    a replica quorum was chosen (``obj``, ``quorum``
                        initial/final, ``replicas``, ``size``)
 ``quorum.deny``        a quorum could not be formed — too many
                        replicas down, or a quorum-intersection rule
@@ -92,7 +92,7 @@ kind                   emitted when / payload highlights
 
 Events are deliberately plain: a slotted dataclass of ``(ts, kind,
 data)`` where ``data`` is a small dict (not frozen: one is built on every
-emit, and a frozen ``__init__`` costs twice a plain one).  Everything
+emit, which sets the three slots without calling ``__init__``).  Everything
 downstream — spans, metric registries, JSONL files — is a fold over the
 event stream.
 """
@@ -103,42 +103,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping
 
 __all__ = ["TraceEvent", "EVENT_KINDS", "EVENT_PAYLOADS"]
-
-#: The closed set of event kinds the instrumentation emits.  Sinks must
-#: tolerate unknown kinds (forward compatibility), but the CLI and the
-#: docs enumerate exactly these.
-EVENT_KINDS = frozenset(
-    {
-        "txn.begin",
-        "txn.invoke",
-        "txn.respond",
-        "txn.commit",
-        "txn.abort",
-        "lock.conflict",
-        "lock.block",
-        "lock.wait",
-        "lock.deadlock",
-        "compaction.advance",
-        "wal.append",
-        "wal.replay",
-        "net.send",
-        "site.crash",
-        "site.recover",
-        "obj.create",
-        "validation.success",
-        "validation.invalidated",
-        "quorum.assemble",
-        "quorum.deny",
-        "check.violation",
-        "server.connect",
-        "server.disconnect",
-        "server.request",
-        "server.busy",
-        "server.respond",
-        "server.drain",
-        "flight.dump",
-    }
-)
 
 #: The declared payload vocabulary per kind — the contract between the
 #: emit sites and the consumers (the checker's handlers, the span
@@ -205,7 +169,7 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
         {"transaction", "obj", "invalidated_by", "operation"}
     ),
     "quorum.assemble": frozenset(
-        {"obj", "kind", "quorum", "members", "live", "size", "replicas"}
+        {"obj", "quorum", "members", "live", "size", "replicas"}
     ),
     "quorum.deny": frozenset(
         {
@@ -248,6 +212,12 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
         {"reason", "events", "dropped", "seen", "path"}
     ),
 }
+
+
+#: The closed set of event kinds the instrumentation emits: the kinds
+#: with a payload.  Sinks must tolerate unknown kinds (forward
+#: compatibility), but the CLI and the docs enumerate exactly these.
+EVENT_KINDS: FrozenSet[str] = frozenset(EVENT_PAYLOADS)
 
 
 @dataclass(slots=True)

@@ -10,39 +10,27 @@ file that :func:`~repro.obs.sinks.read_jsonl` replays — through the
 :class:`~repro.obs.checker.AtomicityChecker`, the span builder, or
 ``repro analyze``.
 
-Triggers (each names the ``reason`` tag in the dump file):
+Triggers, each naming the ``reason`` tag of its dump: a refuted run
+(``check.violation``: ``violation``), a refused waits-for cycle
+(``lock.deadlock``: ``deadlock``), shed load (``server.busy``: ``busy``),
+a finished graceful shutdown (``server.drain``: ``drain``, the run's
+terminal snapshot), and a ``server.request`` admitted at or above
+``queue_high_water`` depth (``queue-high-water``).
 
-=====================  =============================================
-reason                 fires when
-=====================  =============================================
-``violation``          the atomicity checker refuted the run
-                       (``check.violation`` observed)
-``deadlock``           a waits-for cycle was refused
-                       (``lock.deadlock``)
-``busy``               the server shed load (``server.busy``)
-``queue-high-water``   a ``server.request`` was admitted at or above
-                       ``queue_high_water`` depth
-``drain``              graceful shutdown completed (``server.drain``)
-                       — the terminal snapshot of the run
-=====================  =============================================
-
-Dump files are named deterministically — ``flight-<NNN>-<reason>.jsonl``
-with a per-recorder sequence number, no wall clock — and begin with a
-synthetic ``flight.dump`` event recording the trigger, the retained
-window size, and how far the ring's window was exceeded (``dropped``),
-so a replayed dump is honest about its own truncation.
-
-A ``cooldown_events`` budget separates consecutive dumps: once a dump
-fires, the recorder stays quiet until that many new events arrive, so a
-sustained anomaly (every request BUSY) yields a bounded number of
-snapshots rather than one per event.
+Dump files are named ``flight-<NNN>-<reason>.jsonl`` (a per-recorder
+sequence number, no wall clock) and begin with a synthetic
+``flight.dump`` event: the trigger, the window retained and how far it
+was exceeded (``dropped``), so a replayed dump is honest about its own
+truncation.  After a dump the recorder stays quiet for
+``cooldown_events`` events, so a sustained anomaly (every request BUSY)
+yields a bounded number of snapshots.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from .codec import encode_event
 from .events import TraceEvent
@@ -64,22 +52,13 @@ _TRIGGER_KINDS = {
 class FlightRecorder:
     """Bounded ring of recent events with anomaly-triggered dumps.
 
-    Parameters
-    ----------
-    directory:
-        Where dump files go (created on first dump).
-    capacity:
-        Ring size in events; older events are evicted (and counted).
-    queue_high_water:
-        When set, a ``server.request`` admitted at ``queue_depth >=``
-        this value triggers a ``queue-high-water`` dump.
-    cooldown_events:
-        Events that must arrive between consecutive dumps.
-    emit_to:
-        Optional :class:`~repro.obs.bus.TraceBus` to announce dumps on
-        (a ``flight.dump`` event).  The recorder ignores incoming
-        ``flight.dump`` events, so subscribing it to the same bus it
-        announces on cannot recurse.
+    Dumps go to ``directory`` (created on first dump); the ring holds
+    ``capacity`` events, evicting (and counting) older ones; without a
+    ``queue_high_water`` there is no queue trigger; ``cooldown_events``
+    must arrive between consecutive dumps.  ``emit_to`` is an optional
+    :class:`~repro.obs.bus.TraceBus` that announces each dump as a
+    ``flight.dump`` event, which the recorder itself never hears, so it
+    can announce on the bus it is subscribed to.
     """
 
     def __init__(
@@ -101,50 +80,48 @@ class FlightRecorder:
         self._seq = 0
         #: ``ring.seen`` at the last dump (the cooldown counts from it).
         self._dumped_at: Optional[int] = None
-        #: The kinds that can fire a trigger as configured; for any other
-        #: event ``__call__`` is the ring append and nothing else.
+        #: The kinds that can fire a trigger as configured; any other
+        #: kind routes to the ring alone.
         self._watched = set(_TRIGGER_KINDS)
         if queue_high_water is not None:
             self._watched.add("server.request")
 
     # -- bus sink ------------------------------------------------------
 
+    def route(self, kind: str) -> Tuple[Any, ...]:
+        """The ring's folds, then the trigger for a watched kind; nothing
+        for ``flight.dump``, our own announcement echoed back."""
+        if kind == "flight.dump":
+            return ()
+        if kind in self._watched:
+            return (*self.ring.route(kind), self._watch)
+        return self.ring.route(kind)
+
     def __call__(self, event: TraceEvent) -> None:
         kind = event.kind
-        if kind == "flight.dump":
-            # Our own announcement echoed back through a shared bus.
-            return
-        # RingBufferSink.__call__, inline: this runs for every event.
-        ring = self.ring
-        events = ring._events
-        if len(events) == events.maxlen:
-            ring.dropped += 1
-        events.append(event)
-        ring.seen += 1
-        if kind in self._watched:
-            reason = self._trigger(kind, event)
-            if reason is not None:
-                self.dump(reason, ts=event.ts)
+        if kind != "flight.dump":
+            self.ring(event)
+            if kind in self._watched:
+                self._watch(event)
 
-    def _trigger(self, kind: str, event: TraceEvent) -> Optional[str]:
-        """The dump reason this watched event fires, if any."""
-        reason = _TRIGGER_KINDS.get(kind)
-        if reason is not None:
-            return reason
-        # server.request: the queue trigger.
-        depth = event.data.get("queue_depth") or 0
-        return "queue-high-water" if depth >= self.queue_high_water else None
+    def _watch(self, event: TraceEvent) -> None:
+        """Dump when this watched event fires its trigger."""
+        reason = _TRIGGER_KINDS.get(event.kind)
+        if reason is None:  # server.request: the queue trigger
+            depth = event.data.get("queue_depth") or 0
+            if depth < self.queue_high_water:
+                return
+            reason = "queue-high-water"
+        self.dump(reason, ts=event.ts)
 
     # -- dumping -------------------------------------------------------
 
     def dump(self, reason: str, ts: float = 0.0) -> Optional[str]:
-        """Snapshot the ring to a JSONL file; returns the path.
-
-        Honors the cooldown (returns ``None`` when still cooling
-        down).  Callable directly for operator-initiated snapshots.
-        """
+        """Snapshot the ring to a JSONL file and return its path (None while
+        cooling down); also called directly for operator snapshots."""
+        seen, dropped = self.ring.seen, self.ring.dropped
         since = self._dumped_at
-        if since is not None and self.ring.seen - since < self.cooldown_events:
+        if since is not None and seen - since < self.cooldown_events:
             return None
         events = self.ring.events()
         safe_reason = _REASON_SAFE.sub("-", reason) or "manual"
@@ -155,8 +132,8 @@ class FlightRecorder:
         header = {
             "reason": reason,
             "events": len(events),
-            "dropped": self.ring.dropped,
-            "seen": self.ring.seen,
+            "dropped": dropped,
+            "seen": seen,
             "path": name,
         }
         with open(path, "w", encoding="utf-8") as handle:
@@ -164,15 +141,15 @@ class FlightRecorder:
                 handle.write(encode_event(event) + "\n")
         self.dumps.append(path)
         self.last_reason = reason
-        self._dumped_at = self.ring.seen
+        self._dumped_at = seen
         emit_to = self._emit_to
         if emit_to is not None:
             emit_to.emit(
                 "flight.dump",
                 reason=reason,
                 events=len(events),
-                dropped=self.ring.dropped,
-                seen=self.ring.seen,
+                dropped=dropped,
+                seen=seen,
                 path=path,
             )
         return path

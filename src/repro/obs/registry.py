@@ -1,25 +1,21 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
-The registry subsumes the flat :class:`repro.sim.metrics.Metrics`
-dataclass: :meth:`MetricsRegistry.absorb_metrics` imports every field of
-a ``Metrics`` row as a counter (so nothing the old API reported is
-lost), while the event-driven :class:`RegistrySink` adds the breakdowns
-the dataclass cannot express — conflicts *per operation pair*, latency
-*distributions*, horizon/retained-intentions gauges.
-
-Histograms use fixed bucket boundaries chosen at creation (cumulative
-rendering, Prometheus-style ``le`` semantics), so merged or compared
+:meth:`MetricsRegistry.absorb_metrics` imports every field of a
+:class:`repro.sim.metrics.Metrics` row as a counter; the event-driven
+:class:`RegistrySink` adds what the row cannot express — conflicts *per
+operation pair*, latency *distributions*.  Histograms keep the bucket
+boundaries chosen at creation (Prometheus ``le`` semantics), so compared
 runs always share bucket edges.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left
 import json
 import re
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .events import TraceEvent
+from .events import EVENT_PAYLOADS, TraceEvent
 from .spans import PHASES
 
 __all__ = [
@@ -38,11 +34,9 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
 )
 
-#: Latency bucket upper bounds in *real seconds*, for the serving tier —
-#: there the bus clock is ``time.monotonic``, so sub-millisecond through
-#: multi-second resolution is what `repro top` quantiles need.  Feeding
-#: wall-clock latencies through :data:`DEFAULT_LATENCY_BUCKETS` would
-#: collapse every request into the first (1-time-unit) bucket.
+#: Latency bucket upper bounds in *real seconds*, for the serving tier
+#: (its bus clock is ``time.monotonic``): the default buckets would put
+#: every request in the first one.
 WIRE_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
     0.1, 0.2, 0.5, 1.0, 2.0, 5.0,
@@ -100,7 +94,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.counts[bisect.bisect_left(self.boundaries, value)] += 1
+        self.counts[bisect_left(self.boundaries, value)] += 1
         self.total += 1
         self.sum += value
 
@@ -110,19 +104,11 @@ class Histogram:
         return self.sum / self.total if self.total else 0.0
 
     def quantile(self, q: float) -> float:
-        """Quantile estimate, linearly interpolated within its bucket.
-
-        The q-th observation's bucket is found from the cumulative
-        counts; the estimate interpolates between the bucket's lower and
-        upper edges by the rank's position inside it (the first finite
-        bucket's lower edge is 0.0).  An observation landing in the
-        implicit overflow bucket has no upper edge, so a quantile that
-        falls there reports ``float("inf")`` explicitly rather than
-        silently saturating at the last boundary — callers that render
-        it (``repro top``, the postmortem report) print ``inf`` and can
-        say "beyond the histogram's range" instead of a fictitious
-        value.
-        """
+        """Quantile estimate, linearly interpolated within its bucket
+        (the first bucket's lower edge is 0.0).  A quantile in the
+        overflow bucket is ``float("inf")``, not the last boundary: its
+        renderers (``repro top``, the postmortem) then say "beyond the
+        histogram's range" instead of printing a fictitious value."""
         if not 0 <= q <= 1:
             raise ValueError("quantile must be in [0, 1]")
         if not self.total:
@@ -208,12 +194,8 @@ class MetricsRegistry:
 
     @classmethod
     def from_snapshot(cls, snapshot: Mapping[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from a :meth:`snapshot` dict.
-
-        ``repro stats --connect`` uses this to render a *remote*
-        server's metrics (tables, Prometheus text) with the same code
-        paths as a local registry.
-        """
+        """Rebuild a registry from a :meth:`snapshot` dict (``repro stats
+        --connect`` renders a remote server's metrics through it)."""
         registry = cls()
         for name, value in (snapshot.get("counters") or {}).items():
             registry.counter(name).inc(value)
@@ -268,14 +250,9 @@ _PROM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _prom_name(name: str) -> Tuple[str, str]:
-    """Split a registry name into a Prometheus metric name and label.
-
-    Bracketed breakdowns (``lock.conflict[Deq × Enq]``,
-    ``server.request[invoke]``) become a label on the base metric so
-    every pair/action series shares one metric family.  Returns
-    ``(metric_name, label_pairs)`` where label_pairs is ``""`` or
-    ``'{key="..."}'``.
-    """
+    """``(metric name, label)`` of a registry name: a bracketed breakdown
+    (``lock.conflict[Deq × Enq]``) becomes the label ``'{key="..."}'`` of
+    its base metric's family; an unbracketed name has label ``""``."""
     base, bracket, rest = name.partition("[")
     label = ""
     if bracket:
@@ -287,13 +264,10 @@ def _prom_name(name: str) -> Tuple[str, str]:
 
 
 def render_prometheus(registry: "MetricsRegistry") -> str:
-    """The registry in Prometheus text exposition format (v0.0.4).
-
-    Counters render with a ``_total`` suffix, numeric gauges as-is
-    (non-numeric gauges — lock-table tuples and the like — are skipped;
-    exposition only speaks floats), histograms as the classic cumulative
-    ``_bucket{le=...}`` series with ``_sum`` and ``_count``.
-    """
+    """The registry in Prometheus text exposition format (v0.0.4):
+    counters with a ``_total`` suffix, numeric gauges (exposition only
+    speaks floats), histograms as cumulative ``_bucket{le=...}`` series
+    with ``_sum`` and ``_count``."""
     lines: List[str] = []
     typed: set = set()
 
@@ -327,11 +301,13 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The phases a ``server.respond`` can carry.
+_RESPOND_PHASES = tuple(p for p in PHASES if p in EVENT_PAYLOADS["server.respond"])
+
+
 class _Bound(dict):
-    """key -> instrument, fetched from the registry on first use: a
-    lookup is then one dict subscript, and the registry still lists only
-    the instruments some event touched.  The key is the instrument's
-    name, or the label ``fetch`` formats into one."""
+    """key (a name, or a label ``fetch`` formats into one) -> instrument,
+    fetched on first use: the registry lists only what events touched."""
 
     def __init__(self, fetch: Callable[[Any], Any]):
         super().__init__()
@@ -345,15 +321,13 @@ class _Bound(dict):
 class RegistrySink:
     """Bus sink that folds trace events into a :class:`MetricsRegistry`.
 
-    Derived counters live under event-shaped names (``txn.committed``,
-    ``lock.conflicts``, ``lock.conflict[pair]``, ``net.messages`` …) so
-    they never collide with the ``Metrics`` fields imported by
-    :meth:`MetricsRegistry.absorb_metrics`; a served request's phases
-    of :data:`~repro.obs.spans.PHASES` are histograms named
-    ``server.<phase>``.  Blocked time is not counted here: it is the
-    span builder's answer (``repro analyze``).  It sees every event of a
-    served run, so an event costs one dict dispatch and its handler, and
-    handlers write an instrument's ``.value`` directly.
+    Counters have event-shaped names (``txn.committed``,
+    ``lock.conflict[pair]`` …), apart from the ``Metrics`` fields; a
+    served request's :data:`~repro.obs.spans.PHASES` are histograms named
+    ``server.<phase>``.  Blocked time is the span builder's answer.
+    Routed (:meth:`route`), a kind costs its handler's one call, a kind
+    without one (``txn.invoke``, ``txn.respond``) nothing; handlers write
+    an instrument's ``.value`` directly.
     """
 
     def __init__(
@@ -395,14 +369,19 @@ class RegistrySink:
             "quorum.assemble": count("quorum.assembled"),
             "quorum.deny": count("quorum.denied"),
             "check.violation": count("check.violations"),
-            "server.connect": self._server_connect,
-            "server.disconnect": self._server_disconnect,
+            "server.connect": self._connection("server.connections_opened", 1),
+            "server.disconnect": self._connection("server.connections_closed", -1),
             "server.request": self._server_request,
-            "server.busy": self._server_busy,
+            "server.busy": self._server_request,
             "server.respond": self._server_respond,
             "server.drain": count("server.drains"),
             "flight.dump": count("flight.dumps"),
         }
+
+    def route(self, kind: str) -> Tuple[Callable[[TraceEvent], None], ...]:
+        """The handler of ``kind``; none (never routed) for the rest."""
+        handler = self._handlers.get(kind)
+        return () if handler is None else (handler,)
 
     def __call__(self, event: TraceEvent) -> None:
         handler = self._handlers.get(event.kind)
@@ -451,21 +430,22 @@ class RegistrySink:
         if label:
             self._counters[f"net.send[{label}]"].value += 1
 
-    def _server_connect(self, event: TraceEvent) -> None:
-        self._counters["server.connections_opened"].value += 1
-        self._connections += 1
-        self._gauges["server.connections"].value = self._connections
+    def _connection(self, counted: str, delta: int) -> Callable[[TraceEvent], None]:
+        """A handler for a connection opening (+1) or closing (-1)."""
 
-    def _server_disconnect(self, event: TraceEvent) -> None:
-        self._counters["server.connections_closed"].value += 1
-        self._connections -= 1
-        self._gauges["server.connections"].value = self._connections
+        def handler(event: TraceEvent) -> None:
+            self._counters[counted].value += 1
+            self._connections += delta
+            self._gauges["server.connections"].value = self._connections
 
-    def _decoded(self, event: TraceEvent) -> Any:
-        """Count one parsed request, its client→server leg and the queue
-        it was bound for; returns the shard (None: answered inline)."""
+        return handler
+
+    def _server_request(self, event: TraceEvent) -> None:
+        """One parsed request: its client→server leg, the queue it was
+        bound for (none: answered inline), its action or BUSY refusal."""
         data = event.data
-        self._counters["server.decoded"].value += 1
+        counters = self._counters
+        counters["server.decoded"].value += 1
         sent = data.get("sent")
         if sent is not None:
             self._phases["client"].observe(max(0.0, event.ts - sent))
@@ -474,26 +454,25 @@ class RegistrySink:
             depth = data.get("queue_depth")
             self._gauges["server.queue_depth"].value = depth
             self._shard_depths[shard].value = depth
-        return shard
-
-    def _server_request(self, event: TraceEvent) -> None:
-        if self._decoded(event) is not None:
-            self._counters["server.requests"].value += 1
-            action = event.data.get("action")
+        if event.kind == "server.busy":
+            counters["server.busy"].value += 1
+        elif shard is not None:
+            counters["server.requests"].value += 1
+            action = data.get("action")
             if action:
                 self._request_actions[action].value += 1
-
-    def _server_busy(self, event: TraceEvent) -> None:
-        self._decoded(event)
-        self._counters["server.busy"].value += 1
 
     def _server_respond(self, event: TraceEvent) -> None:
         data = event.data
         phases = self._phases
         self._counters["server.responses"].value += 1
-        for phase in PHASES:
+        for phase in _RESPOND_PHASES:  # Histogram.observe, inline
             if phase in data:
-                phases[phase].observe(data[phase])
+                histogram = phases[phase]
+                value = data[phase]
+                histogram.counts[bisect_left(histogram.boundaries, value)] += 1
+                histogram.total += 1
+                histogram.sum += value
         shard = data.get("shard")
         if shard is not None:
             self._shard_responses[shard].value += 1

@@ -1,22 +1,18 @@
-"""Stock sinks and renderers for the trace bus.
-
-Four consumption styles:
-
-* :class:`RingBufferSink` — keep the last N events in memory (flight
-  recorder; attach permanently, inspect on failure);
-* :class:`JSONLSink` — append one JSON object per event to a file; the
-  log replays with :func:`read_jsonl`;
-* :class:`HistorySink` — fold the ``txn.*`` events back into the paper's
-  event history, for the Section 3 checkers;
-* the ``render_*`` helpers — human-readable tables for the CLI.
+"""Stock sinks and renderers for the trace bus: :class:`RingBufferSink`
+keeps the last N events, :class:`JSONLSink` writes one JSON line per
+event (:func:`read_jsonl` replays them), :class:`HistorySink` folds the
+``txn.*`` events back into the paper's Section 3 history, and the
+``render_*`` helpers draw tables for the CLI.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from collections import Counter as _Counter
 from collections import deque
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.events import (
     AbortEvent,
@@ -48,24 +44,40 @@ __all__ = [
 class RingBufferSink:
     """Keep the most recent ``capacity`` events (all of them when None).
 
-    The ring is honest about its window: ``dropped`` counts every event
-    the bounded deque evicted, so a consumer (the flight recorder, a
-    postmortem report) can state "the window was exceeded by N events"
-    instead of silently presenting a truncated history as complete.
+    ``dropped`` counts the events the bounded deque evicted, so a
+    consumer can say "the window was exceeded by N events".  Routed (see
+    :mod:`repro.obs.bus`), an event costs two C calls: the deque's
+    ``append`` and a tick of the ``seen`` count.
     """
 
     def __init__(self, capacity: Optional[int] = None):
         self._events: deque = deque(maxlen=capacity)
-        #: Count of every event seen, including ones the ring dropped.
-        self.seen = 0
-        #: Events evicted oldest-first because the ring was full.
-        self.dropped = 0
+        self._ticks = itertools.count()
+        #: ``seen`` reads, each of which also took a value from ``_ticks``.
+        self._reads = 0
+        #: Events removed by :meth:`clear` (they were not dropped).
+        self._cleared = 0
+        self._folds = (self._events.append, functools.partial(next, self._ticks))
+
+    def route(self, kind: str) -> Tuple[Any, ...]:
+        """Every kind: append, then tick."""
+        return self._folds
 
     def __call__(self, event: TraceEvent) -> None:
-        if len(self._events) == self._events.maxlen:  # None when unbounded
-            self.dropped += 1
         self._events.append(event)
-        self.seen += 1
+        next(self._ticks)
+
+    @property
+    def seen(self) -> int:
+        """Count of every event seen, including ones the ring dropped."""
+        seen = next(self._ticks) - self._reads
+        self._reads += 1
+        return seen
+
+    @property
+    def dropped(self) -> int:
+        """Events evicted oldest-first because the ring was full."""
+        return self.seen - len(self._events) - self._cleared
 
     def events(self) -> List[TraceEvent]:
         """The retained events, oldest first."""
@@ -76,17 +88,14 @@ class RingBufferSink:
 
     def clear(self) -> None:
         """Drop the retained events (``seen``/``dropped`` keep counting)."""
+        self._cleared += len(self._events)
         self._events.clear()
 
 
 class JSONLSink:
-    """Write each event as one JSON line to a path or open file.
-
-    Payload values go through :func:`repro.obs.codec.encode_value`, so
-    tuples, state-set frozensets, fractions, and the ``-∞`` horizon
-    sentinel survive the file round trip; :func:`read_jsonl` restores
-    the original Python values.
-    """
+    """Write each event as one JSON line to a path or open file.  Payload
+    values go through the tagged codec (:mod:`repro.obs.codec`), so
+    :func:`read_jsonl` restores tuples, frozensets, fractions and ``-∞``."""
 
     def __init__(self, target: Union[str, IO[str]]):
         if isinstance(target, str):
@@ -124,14 +133,11 @@ class JSONLSink:
 
 
 class HistorySink:
-    """Rebuild the paper's event history (Section 3) from what the
-    participants and managers on a bus emit, in global order.
-
-    This is the one events → :class:`~repro.core.history.History` fold:
-    a participant's ``txn.invoke`` / ``txn.respond`` become the
-    invocation and response events, and a manager's ``txn.commit`` /
-    ``txn.abort`` one completion event per object it names.
-    """
+    """The one events → :class:`~repro.core.history.History` fold (the
+    paper's Section 3 history, in bus order): a participant's
+    ``txn.invoke`` / ``txn.respond`` become invocation and response
+    events, a manager's ``txn.commit`` / ``txn.abort`` one completion
+    event per object it names."""
 
     def __init__(self) -> None:
         self.events: List[Event] = []

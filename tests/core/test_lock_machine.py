@@ -20,6 +20,7 @@ from repro.core import (
     Invocation,
     LockConflict,
     LockMachine,
+    Operation,
     ProtocolError,
     WouldBlock,
     is_hybrid_atomic,
@@ -278,3 +279,81 @@ class TestTheorem17:
         machine.execute("Q", Invocation("Write", (2,)))
         with pytest.raises(LockConflict):
             machine.execute("R", Invocation("Read"))
+
+
+class Stamp:
+    """A commit timestamp that counts the comparisons made with it."""
+
+    compared = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def _compare(self, other, test):
+        Stamp.compared += 1
+        return test(self.value, other.value)
+
+    def __lt__(self, other):
+        return self._compare(other, lambda a, b: a < b)
+
+    def __le__(self, other):
+        return self._compare(other, lambda a, b: a <= b)
+
+    def __gt__(self, other):
+        return self._compare(other, lambda a, b: a > b)
+
+    def __ge__(self, other):
+        return self._compare(other, lambda a, b: a >= b)
+
+    def __eq__(self, other):
+        return isinstance(other, Stamp) and self._compare(other, lambda a, b: a == b)
+
+    def __hash__(self):
+        return hash(self.value)
+
+    def __repr__(self):
+        return f"Stamp({self.value})"
+
+
+class TestReplayIsLinear:
+    """Recovery replays commits in timestamp order; the guard against a
+    duplicate or out-of-order stamp is one comparison with the last one,
+    not a scan of every retained commit."""
+
+    CREDIT = Operation(Invocation("Credit", (1,)), "Ok")
+
+    def replay(self, machine, stamps):
+        for number, stamp in enumerate(stamps):
+            machine.replay_committed(f"T{number}", stamp, [self.CREDIT])
+
+    @pytest.mark.parametrize("commits", [10, 1000])
+    def test_one_timestamp_comparison_per_replayed_commit(self, commits):
+        machine = LockMachine(AccountSpec(), ACCOUNT_CONFLICT, obj="A")
+        stamps = [Stamp(number) for number in range(commits)]
+        Stamp.compared = 0
+        self.replay(machine, stamps)
+        # The first replay has no floor to clear; every later one, one.
+        assert Stamp.compared == commits - 1
+        assert machine.committed_states() == frozenset({commits})
+
+    def test_a_duplicate_stamp_is_refused(self):
+        machine = LockMachine(AccountSpec(), ACCOUNT_CONFLICT, obj="A")
+        self.replay(machine, [1, 5])
+        with pytest.raises(ProtocolError, match="already used by T1"):
+            machine.replay_committed("T9", 5, [self.CREDIT])
+        assert machine.commit_timestamp("T9") is None
+
+    def test_an_out_of_order_stamp_is_refused(self):
+        machine = LockMachine(AccountSpec(), ACCOUNT_CONFLICT, obj="A")
+        self.replay(machine, [1, 5])
+        with pytest.raises(ProtocolError, match="out of order"):
+            machine.replay_committed("T9", 3, [self.CREDIT])
+        assert machine.committed_states() == frozenset({2})
+
+    def test_the_restored_fence_is_the_first_floor(self):
+        machine = CompactingLockMachine(AccountSpec(), ACCOUNT_CONFLICT, obj="A")
+        machine.restore_version(frozenset({7}), 4, 4)
+        with pytest.raises(ProtocolError, match="out of order"):
+            machine.replay_committed("T1", 4, [self.CREDIT])
+        machine.replay_committed("T1", 5, [self.CREDIT])
+        assert machine.committed_states() == frozenset({8})
