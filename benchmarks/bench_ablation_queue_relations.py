@@ -30,7 +30,7 @@ def run(producers, consumers, dependency):
         HYBRID,
         duration=DURATION,
         seed=SEED,
-    )
+    ).metrics
 
 
 def test_ablation_queue_relation_choice(benchmark, save_artifact):

@@ -33,10 +33,10 @@ def test_directory_key_skew(benchmark, save_artifact):
     for skew in (0.0, 1.0, 2.0, 3.0):
         hybrid = run_experiment(
             DirectoryWorkload(skew=skew), HYBRID, duration=DURATION, seed=SEED
-        )
+        ).metrics
         rw = run_experiment(
             DirectoryWorkload(skew=skew), TWO_PHASE_RW, duration=DURATION, seed=SEED
-        )
+        ).metrics
         series[skew] = (hybrid, rw)
         lines.append(f"\nzipf skew = {skew:.1f}")
         lines.append(

@@ -18,7 +18,8 @@ participant failures into clean aborts.
 """
 
 from repro.core import is_hybrid_atomic, timestamps_respect_precedes
-from repro.distributed import run_distributed_experiment
+from repro.recovery import CrashPlan
+from repro.sim import BankWorkload, run_experiment
 
 DURATION = 200.0
 SEED = 7
@@ -26,8 +27,8 @@ SEED = 7
 
 def test_distributed_bank(benchmark, save_artifact):
     benchmark(
-        lambda: run_distributed_experiment(
-            site_count=3, clients=4, duration=DURATION, seed=SEED
+        lambda: run_experiment(
+            BankWorkload(sites=3, clients=4), duration=DURATION, seed=SEED
         )
     )
 
@@ -37,10 +38,8 @@ def test_distributed_bank(benchmark, save_artifact):
     ]
     series = {}
     for spread in (1, 2, 4):
-        run = run_distributed_experiment(
-            site_count=4,
-            max_spread=spread,
-            clients=5,
+        run = run_experiment(
+            BankWorkload(sites=4, max_spread=spread, clients=5),
             duration=DURATION,
             seed=SEED,
             record=True,
@@ -60,13 +59,13 @@ def test_distributed_bank(benchmark, save_artifact):
     assert series[1][0] < series[4][0]
     assert series[1][1] < series[4][1]
 
-    crash = run_distributed_experiment(
-        site_count=3,
-        clients=4,
+    names = ["shard0", "shard1", "shard2"]
+    crash = run_experiment(
+        BankWorkload(sites=3, clients=4),
         duration=DURATION,
         seed=SEED,
+        crashes=CrashPlan.soft(SEED, names, DURATION, every=20),
         record=True,
-        crash_every=20,
     )
     ch = crash.history()
     assert crash.metrics.aborted > 0

@@ -39,10 +39,12 @@ def test_optimistic_vs_locking(benchmark, save_artifact):
         workload = lambda: QueueWorkload(
             producers=3, consumers=consumers, ops_per_transaction=3
         )
-        locking = run_experiment(workload(), HYBRID, duration=DURATION, seed=SEED)
+        locking = run_experiment(
+            workload(), HYBRID, duration=DURATION, seed=SEED
+        ).metrics
         optimistic = run_experiment(
             workload(), OPTIMISTIC, duration=DURATION, seed=SEED
-        )
+        ).metrics
         lines.append(f"\nconsumers = {consumers}")
         lines.append(
             metrics_table(

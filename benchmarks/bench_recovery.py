@@ -9,7 +9,7 @@ checkpoint (when enabled) plus write-ahead-log replay.
 
 Reproduction checks: every crashed site recovers within the run and its
 recovered committed state-set matches the pre-crash snapshot (asserted
-inside the event loop by ``CrashPlan.install(verify=True)``); the global
+inside the event loop by ``CrashPlan.install``); the global
 history recorded across crashes stays hybrid atomic and keeps satisfying
 the §3.3 timestamp constraint.  Expected shape: replayed records drop
 sharply once periodic horizon checkpoints truncate the logs, and
@@ -19,7 +19,8 @@ throughput degrades gracefully as the crash rate rises.
 from conftest import certification_data
 
 from repro.core import is_hybrid_atomic, timestamps_respect_precedes
-from repro.distributed import run_distributed_experiment
+from repro.recovery import CrashPlan, MemoryWAL
+from repro.sim import BankWorkload, run_experiment
 
 DURATION = 300.0
 SEED = 7
@@ -27,13 +28,13 @@ CRASH_SEED = 3
 
 
 def crashy_run(rate, checkpoint_every=0.0, record=False, tracer=None):
-    return run_distributed_experiment(
-        site_count=3,
-        clients=5,
+    names = ["shard0", "shard1", "shard2"]
+    return run_experiment(
+        BankWorkload(sites=3, clients=5),
         duration=DURATION,
         seed=SEED,
-        crash_rate=rate,
-        crash_seed=CRASH_SEED,
+        crashes=CrashPlan.seeded(CRASH_SEED, names, DURATION, rate=rate),
+        wals=[MemoryWAL() for _ in names],
         checkpoint_every=checkpoint_every,
         record=record,
         tracer=tracer,

@@ -49,7 +49,7 @@ def run_observed(workload, protocol, **kwargs):
     from repro.sim import run_experiment
 
     registry = MetricsRegistry()
-    metrics = run_experiment(workload, protocol, registry=registry, **kwargs)
+    metrics = run_experiment(workload, protocol, registry=registry, **kwargs).metrics
     return metrics, registry
 
 
@@ -65,7 +65,7 @@ def certified_run(workload, protocol, **kwargs):
 
     bus = TraceBus()
     checker = bus.subscribe(AtomicityChecker(emit_to=bus))
-    metrics = run_experiment(workload, protocol, tracer=bus, **kwargs)
+    metrics = run_experiment(workload, protocol, tracer=bus, **kwargs).metrics
     report = checker.report()
     assert report["ok"], checker.render_report()
     return metrics, report

@@ -14,19 +14,21 @@ Run:  python examples/distributed_bank.py
 """
 
 from repro.core import is_hybrid_atomic, timestamps_respect_precedes
-from repro.distributed import run_distributed_experiment
+from repro.recovery import CrashPlan
+from repro.sim import BankWorkload, run_experiment
+
+SITES = 3
+DURATION = 300
 
 
 def main() -> None:
-    run = run_distributed_experiment(
-        site_count=3,
-        accounts_per_site=2,
-        clients=6,
-        max_spread=3,
-        duration=300,
+    names = [f"shard{index}" for index in range(SITES)]
+    run = run_experiment(
+        BankWorkload(sites=SITES, accounts_per_site=2, clients=6, max_spread=3),
+        duration=DURATION,
         seed=42,
+        crashes=CrashPlan.soft(42, names, DURATION, every=25.0),
         record=True,
-        crash_every=25.0,
     )
 
     m = run.metrics

@@ -261,26 +261,27 @@ def _resolve(workload: str, *protocols: str):
         return 2
 
 
-def _observed_run(args, factory, protocol, sinks=(), check=False, **observers):
+def _observed_run(args, factory, protocol, sinks=(), check=False, registry=None):
     """Run the workload once under ``protocol``, observed on a fresh bus.
 
     ``sinks`` are subscribed in order, then (``check``) an online
     :class:`~repro.obs.AtomicityChecker` — one per run, because runs reuse
     transaction names and a shared checker would see duplicate histories.
-    ``observers`` (``registry``, ``on_finish``) go to
-    :func:`run_experiment` as they are.  Returns ``(metrics, checker)``.
+    ``registry`` goes to :func:`run_experiment` as it is.  Returns
+    ``(run, checker)``.
 
     The engine restrictions that are real are decided here and nowhere
     else: crash injection and a write-ahead log need lock machines, so a
     run on the optimistic engine goes without them and says so.
     """
     from .obs import AtomicityChecker, TraceBus
+    from .recovery import CrashPlan
 
     tracer = TraceBus() if sinks or check else None
     for sink in sinks:
         tracer.subscribe(sink)
     checker = tracer.subscribe(AtomicityChecker(emit_to=tracer)) if check else None
-    crash_rate, wal = args.crash_rate, None
+    crash_rate, wals = args.crash_rate, ()
     if protocol.engine != "locking":
         if crash_rate > 0 or args.wal_dir:
             print(
@@ -294,24 +295,26 @@ def _observed_run(args, factory, protocol, sinks=(), check=False, **observers):
 
         from .recovery import FileWAL
 
-        wal = FileWAL(os.path.join(args.wal_dir, protocol.name))
+        wals = [FileWAL(os.path.join(args.wal_dir, protocol.name))]
+    crash_seed = args.seed if args.crash_seed is None else args.crash_seed
     try:
-        metrics = run_experiment(
+        run = run_experiment(
             factory(),
             protocol,
             duration=args.duration,
             seed=args.seed,
             params=ClientParams(wait_policy=args.wait_policy),
-            crash_rate=crash_rate,
-            crash_seed=args.crash_seed,
-            wal=wal,
+            crashes=CrashPlan.soft(
+                crash_seed, ["shard0"], args.duration, rate=crash_rate
+            ),
+            wals=wals,
             tracer=tracer,
-            **observers,
+            registry=registry,
         )
     except ValueError as exc:  # e.g. a --wal-dir that already holds a log
         print(f"{args.command}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    return metrics, checker
+    return run, checker
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -342,7 +345,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     all_certified = True
     for protocol in protocols:
         registry = MetricsRegistry() if args.verbose else None
-        metrics, checker = _observed_run(
+        run, checker = _observed_run(
             args,
             factory,
             protocol,
@@ -350,7 +353,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             check=args.check,
             registry=registry,
         )
-        row = metrics.as_row()
+        row = run.metrics.as_row()
         print(
             f"{protocol.name:14s}"
             + "".join(f"{row.get(f, 0):>20}" for f in fields)
@@ -549,21 +552,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     spans = SpanBuilder()
     registry = MetricsRegistry()
-    snapshots = {}
-
-    def capture(manager, waits) -> None:
-        # Runs at the duration cutoff, while in-flight transactions still
-        # hold their locks — the interesting moment to snapshot.
-        snapshots["locks"] = manager_lock_tables(manager)
-        snapshots["waits"] = waits_for_edges(waits)
-
-    _observed_run(
-        args, factory, protocol, sinks=[spans], registry=registry, on_finish=capture
-    )
+    run, _ = _observed_run(args, factory, protocol, sinks=[spans], registry=registry)
+    # The run stops at the duration cutoff, where in-flight transactions
+    # still hold their locks — the interesting moment to snapshot.
+    (site,) = run.sites.values()
+    locks = manager_lock_tables(site.engine.manager)
+    waits = waits_for_edges(run.waits)
     if args.json:
         snapshot = registry.snapshot()
-        snapshot["lock_tables"] = snapshots.get("locks", {})
-        snapshot["waits_for"] = snapshots.get("waits", {})
+        snapshot["lock_tables"] = locks
+        snapshot["waits_for"] = waits
         import json
 
         print(json.dumps(snapshot, indent=2, default=repr))
@@ -597,10 +595,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"  {name:52s} {gauge.value!r:>8}")
         print()
     print("lock tables at the duration cutoff:")
-    print(render_lock_tables(snapshots.get("locks", {})))
+    print(render_lock_tables(locks))
     print()
     print("waits-for graph (waiter -> holder):")
-    print(render_waits_for(snapshots.get("waits", {})))
+    print(render_waits_for(waits))
     if args.spans:
         print()
         print(render_spans(spans.spans, limit=args.spans))

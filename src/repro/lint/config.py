@@ -72,7 +72,6 @@ RULE_SCOPES: Dict[str, RuleScope] = {
     "REP104": RuleScope(
         include=(
             "/core/",
-            "/distributed/",
             "/recovery/",
             "/sim/",
             "/replication/",
@@ -86,7 +85,6 @@ RULE_SCOPES: Dict[str, RuleScope] = {
     "REP106": RuleScope(
         include=(
             "/core/",
-            "/distributed/",
             "/sim/",
             "/replication/",
             "/server/",

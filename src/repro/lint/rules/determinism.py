@@ -9,8 +9,8 @@ stops being true — the checker can no longer replay what the simulator
 did.
 
 Inside the scoped subsystems (see ``RULE_SCOPES`` in
-:mod:`repro.lint.config`: ``core/``, ``distributed/``, ``recovery/``,
-``sim/``, ``replication/``, and the serving tier's pure modules — its
+:mod:`repro.lint.config`: ``core/``, ``recovery/``, ``sim/``,
+``replication/``, and the serving tier's pure modules — its
 real-I/O socket / process modules are allowlisted by engine
 configuration there) this rule forbids:
 

@@ -60,7 +60,7 @@ recorded participants.  All the server asks of the transport is whether
   arrives: no queue, no worker task, replies in request order (2PC and
   abort rounds too, through the set's own blocking driver: nothing on
   the loop can interleave).  A simulated
-  :class:`~repro.distributed.Site` is served the same way.
+  :class:`~repro.sim.site.Site` is served the same way.
 * a **process shard** (``pool=``, a
   :class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so
   it has a queue and a worker coroutine, its pipe's one owner from

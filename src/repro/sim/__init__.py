@@ -1,12 +1,16 @@
-"""Discrete-event simulation of concurrent transaction workloads."""
+"""Discrete-event simulation of concurrent transaction workloads, on one
+site or many."""
 
 from .des import Simulator
 from .waiting import DeadlockDetected, WaitRegistry
 from .client import Client, ClientParams
-from .experiment import compare_protocols, run_experiment
+from .experiment import Run, compare_protocols, run_experiment
 from .metrics import Metrics
+from .network import Network
+from .site import Site
 from .workload import (
     AccountWorkload,
+    BankWorkload,
     DirectoryWorkload,
     FileWorkload,
     QueueWorkload,
@@ -24,6 +28,9 @@ __all__ = [
     "Metrics",
     "Client",
     "ClientParams",
+    "Network",
+    "Site",
+    "Run",
     "run_experiment",
     "compare_protocols",
     "Workload",
@@ -35,4 +42,5 @@ __all__ = [
     "SetWorkload",
     "DirectoryWorkload",
     "StackWorkload",
+    "BankWorkload",
 ]

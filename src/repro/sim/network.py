@@ -18,7 +18,7 @@ import random
 from collections import Counter
 from typing import Callable
 
-from ..sim.des import Simulator
+from .des import Simulator
 
 __all__ = ["Network"]
 

@@ -21,8 +21,9 @@ processes.  What the host adds is the ability to fail:
   versions in its checkpoint record, 2PC-prepared
   transactions back with their locks, everything else presumed aborted.
 
-Both return their victims (the unprepared transactions lost) and name
-them to every :attr:`Site.watchers` callable, e.g. the simulated clients.
+Both emit ``site.crash``, return their victims (the unprepared
+transactions lost) and name them to every :attr:`Site.watchers`
+callable, e.g. the simulated clients.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Site:
         """Soft fail-stop: abort every unprepared transaction; returns them
         (a site that is already down has nothing volatile left to lose)."""
         victims = self.engine.manager.crash() if self.engine is not None else []
-        return self._lost(victims)
+        return self._lost(victims, hard=False)
 
     def crash_hard(self) -> List[str]:
         """Full fail-stop: the engine, and with it every volatile structure,
@@ -109,11 +110,11 @@ class Site:
         transactions lost with it."""
         engine, self.engine = self.engine, None
         victims = [txn.name for txn in engine.manager.unprepared()] if engine else []
-        if self.tracer is not None:
-            self.tracer.emit("site.crash", site=self.name, hard=True)
-        return self._lost(victims)
+        return self._lost(victims, hard=True)
 
-    def _lost(self, victims: List[str]) -> List[str]:
+    def _lost(self, victims: List[str], hard: bool) -> List[str]:
+        if self.tracer is not None:
+            self.tracer.emit("site.crash", site=self.name, hard=hard, victims=victims)
         for watcher in self.watchers:
             watcher(victims)
         return victims

@@ -19,6 +19,8 @@ The built-in workloads mirror the scenarios the paper argues about:
 * :class:`FileWorkload` — read/write mix exhibiting the Thomas-write-rule
   generalisation (concurrent blind writes).
 * :class:`SetWorkload` — membership/insert/remove mix on a Set.
+* :class:`BankWorkload` — accounts spread over several sites; a
+  transaction touches up to ``max_spread`` of them (experiment X-D).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Sequence, Tuple
 
 from ..adts.account import make_account_adt
-from ..adts.base import ADT
+from ..adts.base import ADT, get_adt
 from ..adts.directory import make_directory_adt
 from ..adts.file import make_file_adt
 from ..adts.queue import make_queue_adt
@@ -46,6 +48,7 @@ __all__ = [
     "SetWorkload",
     "DirectoryWorkload",
     "StackWorkload",
+    "BankWorkload",
 ]
 
 #: One transaction step: (object name, operation name, argument tuple).
@@ -57,6 +60,8 @@ class Workload:
 
     #: Short name used in benchmark tables.
     name: str = "workload"
+    #: How many sites host the objects (more than one: over a network).
+    sites: int = 1
 
     def objects(self) -> List[Tuple[str, ADT]]:
         """The (name, ADT) pairs the workload operates on."""
@@ -69,6 +74,19 @@ class Workload:
     def script(self, client: int, rng: random.Random) -> List[Step]:
         """The steps of the next transaction for ``client``."""
         raise NotImplementedError
+
+    def home(self, obj: str) -> int:
+        """The index of the site that hosts ``obj``."""
+        return 0
+
+    def opening(self, site: int) -> List[Step]:
+        """The steps of a transaction run at ``site`` before any client
+        starts (none: the objects start at their initial states)."""
+        return []
+
+    def rng(self, seed: int, client: int) -> random.Random:
+        """The stream ``client`` draws its scripts and pauses from."""
+        return random.Random(f"{seed}/{client}")
 
 
 @dataclass
@@ -288,3 +306,59 @@ class StackWorkload(_ProducerConsumer):
 
     def objects(self) -> List[Tuple[str, ADT]]:
         return [("S", make_stack_adt())]
+
+
+@dataclass
+class BankWorkload(Workload):
+    """A bank spread over ``sites``: ``accounts_per_site`` accounts each,
+    funded with ``initial_balance`` by one opening transaction per site.
+
+    A transaction draws up to ``max_spread`` sites and runs a
+    Credit/Debit/Post mix on their accounts; one touching several sites
+    commits by 2PC, its timestamp floors riding the votes (§3.3).
+    """
+
+    sites: int = 3
+    accounts_per_site: int = 2
+    clients: int = 6
+    ops_per_transaction: int = 3
+    max_spread: int = 2
+    initial_balance: int = 1000
+    name = "bank"
+
+    def objects(self) -> List[Tuple[str, ADT]]:
+        return [
+            (f"acct{s}_{a}", get_adt("Account"))
+            for s in range(self.sites)
+            for a in range(self.accounts_per_site)
+        ]
+
+    def home(self, obj: str) -> int:
+        return int(obj[len("acct"):obj.index("_")])
+
+    def opening(self, site: int) -> List[Step]:
+        return [
+            (f"acct{site}_{a}", "Credit", (self.initial_balance,))
+            for a in range(self.accounts_per_site)
+        ]
+
+    def client_count(self) -> int:
+        return self.clients
+
+    def rng(self, seed: int, client: int) -> random.Random:
+        return random.Random(f"{seed}/client{client}")
+
+    def script(self, client: int, rng: random.Random) -> List[Step]:
+        spread = rng.randint(1, min(self.max_spread, self.sites))
+        chosen = rng.sample(range(self.sites), spread)
+        steps: List[Step] = []
+        for _ in range(self.ops_per_transaction):
+            obj = f"acct{rng.choice(chosen)}_{rng.randrange(self.accounts_per_site)}"
+            roll = rng.random()
+            if roll < 0.5:
+                steps.append((obj, "Credit", (rng.randint(1, 20),)))
+            elif roll < 0.9:
+                steps.append((obj, "Debit", (rng.randint(1, 20),)))
+            else:
+                steps.append((obj, "Post", (5,)))
+        return steps

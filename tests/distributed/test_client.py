@@ -2,7 +2,7 @@
 
 import random
 
-from repro.distributed import Network, Site
+from repro.sim import Network, Site
 from repro.sim import Client, ClientParams, Metrics, Simulator
 
 

@@ -1,9 +1,21 @@
 """Fault injection: seeded crash plans and fault-injected distributed runs."""
 
+import pytest
+
 from repro.core import is_hybrid_atomic, timestamps_respect_precedes
-from repro.distributed import run_distributed_experiment
-from repro.recovery import CrashPlan
-from repro.sim import Simulator
+from repro.obs import AtomicityChecker, MetricsRegistry, TraceBus
+from repro.recovery import CrashPlan, FileWAL, MemoryWAL, RecoveryError
+from repro.recovery.faults import CrashEvent
+from repro.sim import (
+    AccountWorkload,
+    BankWorkload,
+    Metrics,
+    Simulator,
+    Site,
+    run_experiment,
+)
+
+SITES = ["shard0", "shard1", "shard2"]
 
 
 class TestCrashPlan:
@@ -34,8 +46,6 @@ class TestCrashPlan:
 
     def test_install_skips_dead_sites(self):
         # Two crashes aimed at the same (already dead) site: one recovery.
-        from repro.recovery.faults import CrashEvent
-
         plan = CrashPlan(
             [
                 CrashEvent(time=10.0, site="shard0", downtime=50.0),
@@ -46,50 +56,57 @@ class TestCrashPlan:
         assert run.metrics.crashes == 1
         assert run.metrics.recoveries == 1
 
+    def test_prepared_set_divergence_is_a_recovery_error(self, monkeypatch):
+        # A check that ``python -O`` cannot strip: the recovered prepared
+        # set differs from the pre-crash one.
+        answers = iter([[], ["ghost"]])
+        monkeypatch.setattr(Site, "prepared_transactions", lambda site: next(answers))
+        simulator = Simulator()
+        site = Site(0, 1, wal=MemoryWAL())
+        site.single({"op": "create", "name": "A", "adt": "Account"})
+        plan = CrashPlan([CrashEvent(time=1.0, site=site.name, downtime=1.0)])
+        plan.install(simulator, {site.name: site}, Metrics())
+        with pytest.raises(RecoveryError, match="prepared set diverged"):
+            simulator.run_until(5.0)
+
+    def test_soft_plan_reproduces_both_streams(self):
+        # The single-site Poisson stream and the rotation over the sites.
+        import random
+
+        rng = random.Random("crash/4")
+        times, now = [], 0.0
+        while now <= 100.0:
+            now += rng.expovariate(0.05)
+            times.append(now)
+        poisson = CrashPlan.soft(4, ["shard0"], 100.0, rate=0.05)
+        assert [event.time for event in poisson] == times[:-1]
+        rotation = CrashPlan.soft(4, SITES, 100.0, every=20.0)
+        assert [(e.time, e.site) for e in rotation] == [
+            (20.0, "shard0"), (40.0, "shard1"), (60.0, "shard2"),
+            (80.0, "shard0"), (100.0, "shard1"),
+        ]
+        assert not any(event.hard for event in [*poisson, *rotation])
+
 
 def _run_with_plan(plan, duration=100.0):
-    """Drive a durable distributed run under an explicit plan
-    (``run_distributed_experiment`` only takes a rate)."""
-    import random
-
-    from repro.distributed import DistributedRun, Network, Site
-    from repro.recovery import MemoryWAL
-    from repro.sim import Client, ClientParams, Metrics
-
-    simulator = Simulator()
-    network = Network(simulator, seed=0)
-    sites = []
-    for s in range(2):
-        site = Site(s, 2, wal=MemoryWAL())
-        site.single({"op": "create", "name": f"acct{s}", "adt": "Account"})
-        sites.append(site)
-
-    def script(index, rng):
-        home = rng.randrange(2)
-        return [(home, f"acct{home}", "Credit", (rng.randint(1, 5),))]
-
-    metrics = Metrics()
-    for index in range(3):
-        Client(
-            index, simulator, sites, script,
-            ClientParams(op_time=0, commit_time=0, max_step_retries=10), metrics,
-            random.Random(f"plan/{index}"), network=network,
-        ).start()
-    by_name = {site.name: site for site in sites}
-    plan.install(simulator, by_name, metrics=metrics)
-    simulator.run_until(duration)
-    metrics.duration = duration
-    return DistributedRun(metrics=metrics, network=network, sites=by_name)
+    """Drive a durable two-site run under an explicit plan."""
+    return run_experiment(
+        BankWorkload(sites=2, clients=3),
+        duration=duration,
+        crashes=plan,
+        wals=[MemoryWAL(), MemoryWAL()],
+    )
 
 
 class TestFaultInjectedRuns:
     def test_crashed_run_recovers_and_stays_hybrid_atomic(self):
-        run = run_distributed_experiment(
+        run = run_experiment(
+            BankWorkload(),
             duration=200.0,
             seed=1,
             record=True,
-            crash_rate=0.02,
-            crash_seed=7,
+            crashes=CrashPlan.seeded(7, SITES, 200.0, rate=0.02),
+            wals=[MemoryWAL() for _ in SITES],
         )
         metrics = run.metrics
         assert metrics.crashes > 0
@@ -101,12 +118,13 @@ class TestFaultInjectedRuns:
         assert timestamps_respect_precedes(history)
 
     def test_checkpointing_run_recovers_too(self):
-        run = run_distributed_experiment(
+        run = run_experiment(
+            BankWorkload(),
             duration=200.0,
             seed=1,
             record=True,
-            crash_rate=0.02,
-            crash_seed=7,
+            crashes=CrashPlan.seeded(7, SITES, 200.0, rate=0.02),
+            wals=[MemoryWAL() for _ in SITES],
             checkpoint_every=50.0,
         )
         assert run.metrics.recoveries == run.metrics.crashes > 0
@@ -114,11 +132,18 @@ class TestFaultInjectedRuns:
         assert is_hybrid_atomic(run.history(), run.specs())
 
     def test_crash_runs_are_deterministic(self):
-        kwargs = dict(
-            duration=150.0, seed=4, crash_rate=0.03, crash_seed=2, record=True
-        )
-        a = run_distributed_experiment(**kwargs)
-        b = run_distributed_experiment(**kwargs)
+        def run():
+            return run_experiment(
+                BankWorkload(),
+                duration=150.0,
+                seed=4,
+                crashes=CrashPlan.seeded(2, SITES, 150.0, rate=0.03),
+                wals=[MemoryWAL() for _ in SITES],
+                record=True,
+            )
+
+        a = run()
+        b = run()
         # Every metric, recovery_time included: simulated recovery takes
         # no wall-clock timings, so the full row is reproducible — and so
         # is the recorded history, event for event.
@@ -127,18 +152,61 @@ class TestFaultInjectedRuns:
         assert a.events == b.events and len(a.events) > 100
 
     def test_durable_run_without_crashes_matches_volatile(self):
-        volatile = run_distributed_experiment(duration=150.0, seed=3)
-        durable = run_distributed_experiment(duration=150.0, seed=3, durable=True)
+        volatile = run_experiment(BankWorkload(), duration=150.0, seed=3)
+        durable = run_experiment(
+            BankWorkload(), duration=150.0, seed=3, wals=[MemoryWAL() for _ in SITES]
+        )
         assert volatile.metrics.committed == durable.metrics.committed
         assert volatile.total_balance() == durable.total_balance()
 
     def test_file_backed_crash_run(self, tmp_path):
-        run = run_distributed_experiment(
+        run = run_experiment(
+            BankWorkload(),
             duration=150.0,
             seed=2,
-            crash_rate=0.02,
-            crash_seed=5,
-            wal_dir=str(tmp_path),
+            crashes=CrashPlan.seeded(5, SITES, 150.0, rate=0.02),
+            wals=[FileWAL(tmp_path / name) for name in SITES],
         )
         assert run.metrics.recoveries == run.metrics.crashes > 0
         assert (tmp_path / "shard0" / "wal.jsonl").exists()
+
+
+class TestOneDriver:
+    def test_rotating_soft_crashes_are_counted_and_traced(self):
+        bus = TraceBus()
+        events = []
+        bus.subscribe(events.append)
+        registry = MetricsRegistry()
+        run = run_experiment(
+            BankWorkload(sites=3, clients=4),
+            duration=200,
+            seed=7,
+            crashes=CrashPlan.soft(7, SITES, 200, every=20),
+            tracer=bus,
+            registry=registry,
+        )
+        crashes = [event for event in events if event.kind == "site.crash"]
+        assert run.metrics.crashes == len(crashes) == 10
+        assert not any(event.data["hard"] for event in crashes)
+        assert registry.counter("site.crashes").value == run.metrics.crashes
+        assert (run.metrics.committed, run.metrics.aborted) == (51, 11)
+
+    def test_hard_crashes_on_one_site_recover_and_certify(self):
+        bus = TraceBus()
+        checker = bus.subscribe(AtomicityChecker(emit_to=bus))
+        run = run_experiment(
+            AccountWorkload(),
+            duration=200.0,
+            seed=2,
+            crashes=CrashPlan.seeded(2, ["shard0"], 200.0, rate=0.03),
+            wals=[MemoryWAL()],
+            record=True,
+            tracer=bus,
+        )
+        metrics = run.metrics
+        assert metrics.recoveries == metrics.crashes > 0
+        assert len(run.recovery_reports) == metrics.recoveries
+        assert checker.ok, checker.render_report()
+        history = run.history()
+        assert is_hybrid_atomic(history, run.specs())
+        assert timestamps_respect_precedes(history)

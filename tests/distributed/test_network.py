@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed import Network
+from repro.sim import Network
 from repro.sim import Simulator
 
 
@@ -62,9 +62,9 @@ class TestNetwork:
         assert network.sent["C0->S1"] == 20
 
     def test_distributed_run_traffic_breakdown(self):
-        from repro.distributed import run_distributed_experiment
+        from repro.sim import BankWorkload, run_experiment
 
-        run = run_distributed_experiment(duration=100.0, seed=5)
+        run = run_experiment(BankWorkload(), duration=100.0, seed=5)
         sent = run.network.sent
         # Every protocol phase shows up in the per-kind breakdown.
         for kind in ("invoke", "invoke-reply", "prepare", "vote", "commit"):

@@ -9,7 +9,7 @@ it comes back from its own log.
 
 import pytest
 
-from repro.distributed import Site
+from repro.sim import Site
 from repro.recovery import MemoryWAL
 from repro.server import ShardDown
 

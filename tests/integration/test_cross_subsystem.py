@@ -90,7 +90,7 @@ class TestProductEverywhere:
 
 class TestExtensionTypesAtSites:
     def test_stack_and_bounded_queue_at_a_site(self):
-        from repro.distributed import Site
+        from repro.sim import Site
 
         site = Site()
         site.single({"op": "create", "name": "stack", "adt": "Stack"})

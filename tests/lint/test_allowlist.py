@@ -94,6 +94,6 @@ class TestAllowlistShape:
             for path in (
                 "src/repro/core/machine.py",
                 "src/repro/sim/engine.py",
-                "src/repro/distributed/site.py",
+                "src/repro/sim/network.py",
             ):
                 assert in_scope(rule, path), f"{rule} must cover {path}"

@@ -48,7 +48,7 @@ MUTATIONS = {
         "        pass\n",
     ),
     "REP106": (
-        os.path.join("distributed", "network.py"),
+        os.path.join("sim", "network.py"),
         "\n\ndef _mutant():\n"
         "    import time\n"
         "    time.sleep(1)\n",

@@ -81,7 +81,7 @@ class TestScopeAndSuppression:
         assert result.suppressed == 1
 
     def test_path_scoped_rules_ignore_unscoped_copies(self, tmp_path):
-        # The same determinism sins outside core/distributed/recovery/sim
+        # The same determinism sins outside core/recovery/sim
         # are not in REP104's scope (analysis and CLI code may read clocks).
         source = open(
             os.path.join(FIXTURES, "core", "bad_determinism.py"),

@@ -20,7 +20,8 @@ from repro.adts import make_account_adt
 from repro.obs import AtomicityChecker, JSONLSink, TraceBus, read_jsonl
 from repro.protocols import ALL_PROTOCOLS, HYBRID, get_protocol
 from repro.runtime import TransactionManager
-from repro.sim import AccountWorkload, QueueWorkload, run_experiment
+from repro.recovery import CrashPlan, MemoryWAL
+from repro.sim import AccountWorkload, BankWorkload, QueueWorkload, run_experiment
 
 
 def certify(workload, protocol, **kwargs):
@@ -72,7 +73,10 @@ class TestCleanRuns:
 
     def test_crashy_manager_run(self):
         checker = certify(
-            AccountWorkload(), HYBRID, duration=120.0, crash_rate=0.05
+            AccountWorkload(),
+            HYBRID,
+            duration=120.0,
+            crashes=CrashPlan.soft(11, ["shard0"], 120.0, rate=0.05),
         )
         assert checker.ok, checker.render_report()
         assert checker.kind_counts["site.crash"] > 0
@@ -119,19 +123,17 @@ class TestCleanRuns:
         assert checker.kind_counts["quorum.assemble"] > 0
 
     def test_distributed_clean_and_crashy(self):
-        from repro.distributed import run_distributed_experiment
-
         for crash_rate in (0.0, 0.03):
             bus = TraceBus()
             checker = bus.subscribe(AtomicityChecker(emit_to=bus))
-            run_distributed_experiment(
-                site_count=2,
-                clients=3,
+            run_experiment(
+                BankWorkload(sites=2, clients=3),
                 duration=120.0,
                 seed=5,
-                crash_rate=crash_rate,
-                crash_seed=3,
-                durable=True,
+                crashes=CrashPlan.seeded(
+                    3, ["shard0", "shard1"], 120.0, rate=crash_rate
+                ),
+                wals=[MemoryWAL(), MemoryWAL()],
                 tracer=bus,
             )
             assert checker.ok, checker.render_report()
@@ -143,14 +145,17 @@ class TestCleanRuns:
         # ints issued on several sites' strides, and compaction horizons
         # start at -inf — the checker orders both without normalising.
         from repro.core.compaction import NEG_INFINITY
-        from repro.distributed import run_distributed_experiment
 
         path = str(tmp_path / "distributed.jsonl")
         bus = TraceBus()
         with JSONLSink(path) as sink:
             bus.subscribe(sink)
-            run_distributed_experiment(
-                site_count=2, clients=3, duration=120.0, seed=5, durable=True, tracer=bus
+            run_experiment(
+                BankWorkload(sites=2, clients=3),
+                duration=120.0,
+                seed=5,
+                wals=[MemoryWAL(), MemoryWAL()],
+                tracer=bus,
             )
         events = read_jsonl(path)
         stamps = {e.data["timestamp"] for e in events if e.kind == "txn.commit"}

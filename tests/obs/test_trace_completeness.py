@@ -18,16 +18,22 @@ from repro.obs import (
 )
 from repro.obs.events import EVENT_KINDS
 from repro.obs.spans import SPAN_IRRELEVANT_KINDS, WIRE_SPAN_KINDS
-from repro.recovery import MemoryWAL, recover_manager
+from repro.recovery import CrashPlan, MemoryWAL, recover_manager
 from repro.runtime.manager import TransactionManager
-from repro.sim import AccountWorkload, ClientParams, QueueWorkload, run_experiment
+from repro.sim import (
+    AccountWorkload,
+    BankWorkload,
+    ClientParams,
+    QueueWorkload,
+    run_experiment,
+)
 
 
 def traced_run(workload, **kwargs):
     bus = TraceBus()
     builder = bus.subscribe(SpanBuilder())
     registry = MetricsRegistry()
-    metrics = run_experiment(workload, tracer=bus, registry=registry, **kwargs)
+    metrics = run_experiment(workload, tracer=bus, registry=registry, **kwargs).metrics
     return metrics, builder, registry
 
 
@@ -73,8 +79,8 @@ class TestSimulationCompleteness:
             AccountWorkload(),
             duration=200.0,
             seed=4,
-            crash_rate=0.05,
-            wal=MemoryWAL(),
+            crashes=CrashPlan.soft(4, ["shard0"], 200.0, rate=0.05),
+            wals=[MemoryWAL()],
         )
         assert metrics.crashes > 0
         assert registry.counter("site.crashes").value == metrics.crashes
@@ -160,8 +166,8 @@ class TestRecoveryPath:
     def test_recovery_emits_replay_and_recover_events(self):
         wal = MemoryWAL()
         metrics = run_experiment(
-            AccountWorkload(), duration=80.0, seed=6, wal=wal
-        )
+            AccountWorkload(), duration=80.0, seed=6, wals=[wal]
+        ).metrics
         assert metrics.committed > 0
         bus = TraceBus()
         ring = bus.subscribe(RingBufferSink())
@@ -180,14 +186,11 @@ class TestRecoveryPath:
 
 class TestDistributedPath:
     def test_distributed_run_spans_and_network_events(self):
-        from repro.distributed import run_distributed_experiment
-
         bus = TraceBus()
         builder = bus.subscribe(SpanBuilder())
         registry = MetricsRegistry()
-        run = run_distributed_experiment(
-            site_count=2,
-            clients=4,
+        run = run_experiment(
+            BankWorkload(sites=2, clients=4),
             duration=150.0,
             seed=7,
             tracer=bus,

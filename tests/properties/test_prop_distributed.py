@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core import is_hybrid_atomic, timestamps_respect_precedes
-from repro.distributed import run_distributed_experiment
+from repro.recovery import CrashPlan
+from repro.sim import BankWorkload, run_experiment
 
 
 @settings(max_examples=8, deadline=None)
@@ -13,10 +14,10 @@ from repro.distributed import run_distributed_experiment
     st.integers(min_value=1, max_value=3),
 )
 def test_distributed_runs_hybrid_atomic(seed, site_count, max_spread):
-    run = run_distributed_experiment(
-        site_count=site_count,
-        max_spread=min(max_spread, site_count),
-        clients=3,
+    run = run_experiment(
+        BankWorkload(
+            sites=site_count, max_spread=min(max_spread, site_count), clients=3
+        ),
         duration=100,
         seed=seed,
         record=True,
@@ -33,14 +34,12 @@ def test_distributed_runs_hybrid_atomic(seed, site_count, max_spread):
 def test_distributed_crashes_never_split_commitment(seed):
     from repro.core.events import AbortEvent, CommitEvent
 
-    run = run_distributed_experiment(
-        site_count=3,
-        max_spread=3,
-        clients=4,
+    run = run_experiment(
+        BankWorkload(sites=3, max_spread=3, clients=4),
         duration=120,
         seed=seed,
         record=True,
-        crash_every=17,
+        crashes=CrashPlan.soft(seed, ["shard0", "shard1", "shard2"], 120, every=17),
     )
     h = run.history()
     assert is_hybrid_atomic(h, run.specs())

@@ -4,7 +4,7 @@ import pytest
 
 from repro.adts import make_account_adt, make_queue_adt
 from repro.core import LockConflict
-from repro.distributed import Site
+from repro.sim import Site
 from repro.recovery import (
     FileWAL,
     MemoryWAL,

@@ -13,7 +13,7 @@ same workload.
 """
 
 from repro.adts import make_account_adt, make_queue_adt
-from repro.distributed import Site
+from repro.sim import Site
 from repro.recovery import MemoryWAL, recover_manager
 from repro.runtime import TransactionManager
 

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from repro.distributed import Site
+from repro.sim import Site
 from repro.recovery import MemoryWAL
 from repro.server import ReproServer, ShardProcessPool
 from repro.server.engine import ShardSet

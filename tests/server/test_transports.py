@@ -12,7 +12,7 @@ import asyncio
 
 import pytest
 
-from repro.distributed import Site
+from repro.sim import Site
 from repro.recovery import MemoryWAL
 from repro.server import (
     AsyncClient,

@@ -69,24 +69,26 @@ class TestWorkloads:
 
 class TestRunExperiment:
     def test_deterministic(self):
-        a = run_experiment(QueueWorkload(), HYBRID, duration=120, seed=9)
-        b = run_experiment(QueueWorkload(), HYBRID, duration=120, seed=9)
+        a = run_experiment(QueueWorkload(), HYBRID, duration=120, seed=9).metrics
+        b = run_experiment(QueueWorkload(), HYBRID, duration=120, seed=9).metrics
         assert a.as_row() == b.as_row()
 
     def test_seed_changes_outcome(self):
-        a = run_experiment(AccountWorkload(), HYBRID, duration=120, seed=1)
-        b = run_experiment(AccountWorkload(), HYBRID, duration=120, seed=2)
+        a = run_experiment(AccountWorkload(), HYBRID, duration=120, seed=1).metrics
+        b = run_experiment(AccountWorkload(), HYBRID, duration=120, seed=2).metrics
         assert a.as_row() != b.as_row()
 
     def test_progress_made(self):
-        m = run_experiment(QueueWorkload(), HYBRID, duration=200, seed=0)
+        m = run_experiment(QueueWorkload(), HYBRID, duration=200, seed=0).metrics
         assert m.committed > 10
         assert m.operations > m.committed
 
     def test_custom_params(self):
         params = ClientParams(op_time=0.1, commit_time=0.1, think_time=0.1)
-        fast = run_experiment(QueueWorkload(), HYBRID, duration=100, seed=0, params=params)
-        slow = run_experiment(QueueWorkload(), HYBRID, duration=100, seed=0)
+        fast = run_experiment(
+            QueueWorkload(), HYBRID, duration=100, seed=0, params=params
+        ).metrics
+        slow = run_experiment(QueueWorkload(), HYBRID, duration=100, seed=0).metrics
         assert fast.committed > slow.committed
 
 
@@ -170,7 +172,7 @@ class TestNewWorkloads:
     def test_stack_experiment_runs(self):
         from repro.sim import StackWorkload
 
-        metrics = run_experiment(StackWorkload(), HYBRID, duration=120, seed=2)
+        metrics = run_experiment(StackWorkload(), HYBRID, duration=120, seed=2).metrics
         assert metrics.committed > 5
 
 
@@ -190,7 +192,7 @@ class TestWorkloadProtocolMatrix:
     )
     @pytest.mark.parametrize("protocol", ALL_PROTOCOLS, ids=lambda p: p.name)
     def test_pairing_progresses(self, factory, protocol):
-        metrics = run_experiment(factory(), protocol, duration=80, seed=1)
+        metrics = run_experiment(factory(), protocol, duration=80, seed=1).metrics
         assert metrics.committed > 0
 
     def test_directory_and_stack_under_all_protocols(self):
@@ -200,7 +202,7 @@ class TestWorkloadProtocolMatrix:
             assert (
                 run_experiment(
                     DirectoryWorkload(clients=3), protocol, duration=80, seed=1
-                ).committed
+                ).metrics.committed
                 > 0
             )
             assert (
@@ -209,7 +211,7 @@ class TestWorkloadProtocolMatrix:
                     protocol,
                     duration=80,
                     seed=1,
-                ).committed
+                ).metrics.committed
                 > 0
             )
 
@@ -227,7 +229,7 @@ class TestWorkloadProtocolMatrix:
             lambda: StackWorkload(producers=2, consumers=1),
         ]
         for factory in factories:
-            metrics = run_experiment(factory(), OPTIMISTIC, duration=80, seed=1)
+            metrics = run_experiment(factory(), OPTIMISTIC, duration=80, seed=1).metrics
             assert metrics.committed > 0
             assert metrics.conflicts == 0  # no locks in the optimistic engine
 
@@ -236,8 +238,8 @@ class TestWriteAheadLog:
     def test_a_log_that_is_not_empty_is_refused(self, tmp_path):
         from repro.recovery import FileWAL
 
-        run_experiment(AccountWorkload(), duration=20, seed=1, wal=FileWAL(tmp_path))
+        run_experiment(AccountWorkload(), duration=20, seed=1, wals=[FileWAL(tmp_path)])
         with pytest.raises(ValueError, match="wal.jsonl"):
             run_experiment(
-                AccountWorkload(), duration=20, seed=1, wal=FileWAL(tmp_path)
+                AccountWorkload(), duration=20, seed=1, wals=[FileWAL(tmp_path)]
             )

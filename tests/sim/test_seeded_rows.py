@@ -9,9 +9,15 @@ pinned whole; crash-injected rows pin only what a crash cannot recount
 
 import pytest
 
-from repro.distributed import run_distributed_experiment
 from repro.protocols import COMMUTATIVITY, HYBRID, OPTIMISTIC
-from repro.sim import AccountWorkload, ClientParams, QueueWorkload, run_experiment
+from repro.recovery import CrashPlan, MemoryWAL
+from repro.sim import (
+    AccountWorkload,
+    BankWorkload,
+    ClientParams,
+    QueueWorkload,
+    run_experiment,
+)
 
 
 def row(committed, aborted, conflicts, blocks, throughput, mean_latency,
@@ -41,7 +47,7 @@ class TestSingleSiteRows:
     )
     def test_queue_eight_producers(self, protocol, expected):
         workload = QueueWorkload(producers=8, consumers=1, ops_per_transaction=4)
-        metrics = run_experiment(workload, protocol, duration=300, seed=7)
+        metrics = run_experiment(workload, protocol, duration=300, seed=7).metrics
         assert metrics.as_row() == expected
 
     @pytest.mark.parametrize(
@@ -62,13 +68,13 @@ class TestSingleSiteRows:
             duration=300,
             seed=2,
             params=ClientParams(wait_policy="block"),
-        )
+        ).metrics
         assert metrics.as_row() == expected
 
     def test_queue_optimistic(self):
         metrics = run_experiment(
             QueueWorkload(producers=3, consumers=3), OPTIMISTIC, duration=400, seed=4
-        )
+        ).metrics
         assert metrics.as_row() == row(
             263, 120, 0, 26, 0.6575, 4.671, 0.0, 0.3133, validation_failures=118
         )
@@ -76,8 +82,8 @@ class TestSingleSiteRows:
 
 class TestDistributedRows:
     def test_four_sites_spread_two(self):
-        run = run_distributed_experiment(
-            site_count=4, max_spread=2, clients=5, duration=200, seed=7
+        run = run_experiment(
+            BankWorkload(sites=4, max_spread=2, clients=5), duration=200, seed=7
         )
         assert run.metrics.as_row() == row(
             69, 0, 62, 0, 0.345, 13.452, 0.2263, 0.0
@@ -95,13 +101,13 @@ class TestDistributedRows:
         }
 
     def test_crash_rate_with_checkpoints(self):
-        run = run_distributed_experiment(
-            site_count=3,
-            clients=5,
+        names = ["shard0", "shard1", "shard2"]
+        run = run_experiment(
+            BankWorkload(sites=3, clients=5),
             duration=300,
             seed=7,
-            crash_rate=0.02,
-            crash_seed=3,
+            crashes=CrashPlan.seeded(3, names, 300, rate=0.02),
+            wals=[MemoryWAL() for _ in names],
             checkpoint_every=25,
         )
         assert (run.metrics.committed, run.metrics.crashes) == (81, 6)

@@ -93,7 +93,7 @@ class TestBlockPolicy:
             duration=300,
             seed=2,
             params=params,
-        )
+        ).metrics
         assert metrics.committed > 0
         assert metrics.deadlocks > 0  # real cycles occur on this workload
 
@@ -104,11 +104,11 @@ class TestBlockPolicy:
         retry = run_experiment(
             workload(), COMMUTATIVITY, duration=300, seed=2,
             params=ClientParams(wait_policy="retry"),
-        )
+        ).metrics
         block = run_experiment(
             workload(), COMMUTATIVITY, duration=300, seed=2,
             params=ClientParams(wait_policy="block"),
-        )
+        ).metrics
         assert block.throughput > retry.throughput
         assert block.conflicts < retry.conflicts
 
@@ -119,11 +119,11 @@ class TestBlockPolicy:
             duration=200,
             seed=5,
             params=ClientParams(wait_policy="retry"),
-        )
+        ).metrics
         assert metrics.deadlocks == 0
 
     def test_block_deterministic(self):
         params = ClientParams(wait_policy="block")
         a = run_experiment(QueueWorkload(), HYBRID, duration=150, seed=8, params=params)
         b = run_experiment(QueueWorkload(), HYBRID, duration=150, seed=8, params=params)
-        assert a.as_row() == b.as_row()
+        assert a.metrics.as_row() == b.metrics.as_row()

@@ -102,15 +102,14 @@ class TestReportExtras:
         assert "Account |" not in text
 
     def test_distributed_run_total_balance(self):
-        from repro.distributed import run_distributed_experiment
+        from repro.sim import BankWorkload, run_experiment
 
-        run = run_distributed_experiment(
-            site_count=2,
-            accounts_per_site=1,
-            clients=2,
+        run = run_experiment(
+            BankWorkload(
+                sites=2, accounts_per_site=1, clients=2, initial_balance=100
+            ),
             duration=60,
             seed=3,
-            initial_balance=100,
         )
         # Money moves but the committed total only changes through Posts
         # and net credits/debits; at minimum the helper returns a number.

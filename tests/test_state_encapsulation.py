@@ -13,7 +13,7 @@ import pytest
 from repro.adts import make_account_adt
 from repro.core import Invocation
 from repro.core.compaction import CompactingLockMachine
-from repro.distributed import Site
+from repro.sim import Site
 from repro.obs.snapshot import lock_table_snapshot, waits_for_edges
 from repro.recovery import MemoryWAL, recover_manager
 from repro.runtime import TransactionManager
