@@ -5,7 +5,8 @@ checks, on its traced records, the counts that say *how* requests were
 served — frames per ``recv``, time spent queued, frames and requests per
 transaction, fsyncs and WAL records per transaction under group commit,
 what a SIGKILL and restart lost or left locked, whether 2PC and the
-conflict path were exercised, certification, transactions that failed
+conflict path were exercised, how often a contended attempt aborted,
+certification, transactions that failed
 (a hard error, or retries exhausted).  They repeat on a shared
 runner where throughput does not, so CI's ``e2e-smoke`` job gates on
 them::
@@ -58,8 +59,18 @@ def check(records):
     # 10 % cross share) and none per operation (that would read 5.4).
     # The SIGKILL and restart lost no acknowledged commit and left no
     # prepared transaction holding its locks.  What was certified went
-    # through cross-shard 2PC and, contended, through lock refusals.
+    # through cross-shard 2PC and, contended, through lock refusals —
+    # most of which wait for their holder instead of aborting, so few
+    # attempts abort and a commit costs little over its 12-frame floor
+    # (begin + 4 invokes + commit, each a request and a reply).
     for workload, name, holds, wanted in (
+        ("mem-contended", "loadgen.abort_share", lambda v: v <= 0.05, "<= 0.05"),
+        (
+            "mem-contended",
+            "server.protocol.frames_per_txn",
+            lambda v: v <= 12.5,
+            "<= 12.5",
+        ),
         ("wal-pool", "server.procpool.fsyncs_per_txn_depth1", lambda v: v == 1, "1"),
         ("wal-pool", "server.procpool.fsyncs_per_txn_depth16", lambda v: v < 1, "< 1"),
         ("wal-pool", "recovery.wal.records_per_txn", lambda v: 1 <= v < 2, "in [1, 2)"),

@@ -26,8 +26,9 @@ kind                   emitted when / payload highlights
                        and the *relation that refused it*
 ``lock.block``         a partial operation had no legal outcome in
                        the view (``WouldBlock``)
-``lock.wait``          a transaction blocks on a holder (block
-                       wait-policy)
+``lock.wait``          a transaction's wait for a holder ended —
+                       woken, withdrawn or timed out (the simulator's
+                       block policy, the server's parked invocations)
 ``lock.deadlock``      a waits-for cycle was refused (victim aborts)
 ``compaction.advance`` ``forget()`` folded intentions into the
                        version: old/new horizon, collapsed-prefix

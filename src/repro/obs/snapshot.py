@@ -4,7 +4,7 @@ The LOCK machine holds no explicit lock table — "locks are implicit in
 the intentions lists" (Section 5.1) — so the lock-table snapshot *is*
 the map from active transactions to the operations whose locks they
 hold.  The waits-for snapshot reads the simulator's
-:class:`~repro.sim.waiting.WaitRegistry` edges (block wait-policy only;
+:class:`~repro.runtime.waiting.WaitRegistry` edges (block wait-policy only;
 the retry policy never records a wait).
 """
 

@@ -112,7 +112,7 @@ ERROR_CODES = frozenset(
         "BAD_REQUEST",      # missing/unknown action or malformed params
         "UNKNOWN_OBJECT",   # no managed object by that name
         "UNKNOWN_TXN",      # no such transaction handle in this session
-        "CONFLICT",         # lock refused (retry after abort)
+        "CONFLICT",         # lock refused, not waited out: abort and retry
         "WOULD_BLOCK",      # no legal outcome yet (retry)
         "ABORTED",          # transaction no longer active
         "BUSY",             # work queue past its high-water mark

@@ -71,6 +71,22 @@ recorded participants.  All the server asks of the transport is whether
   commit gets a task whose 2PC rounds ride the participants' next
   batches, and so does a respawned shard's prepared-set resolution.
 
+Waiting for a lock holder
+-------------------------
+
+A shard that refuses an ``invoke`` with ``CONFLICT`` names the holder;
+if that is an open handle here and is not itself waiting (wait depth 1:
+every waits-for edge ends at a transaction that waits for nothing, so no
+cycle can form), the request *parks* — a
+:class:`~repro.runtime.waiting.WaitRegistry` edge — instead of being
+answered.  Every close of a handle goes through :meth:`ReproServer._close`,
+which wakes its waiters: on a non-blocking shard a woken request
+re-executes as the pass that woke it flushes, on a blocking one it
+rejoins its shard's queue.  It gets exactly one reply: its re-executed
+one (it may park again), ``CONFLICT`` after :data:`WAIT_BOUND`, or —
+its own handle closed under it — ``SHUTTING_DOWN`` / ``SHARD_DOWN`` /
+``CONFLICT``, or nothing for a lost connection.
+
 A shard that dies under a call (a killed process, a crashed site) is
 respawned, recovering from its WAL; the requests and handles it stranded
 are answered ``SHARD_DOWN`` and cleaned up on every participant, never
@@ -96,6 +112,7 @@ import asyncio
 import itertools
 from typing import Any, Awaitable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..runtime.waiting import WaitRegistry
 from .engine import LocalShard, Rounds, ShardDown, ShardEngine, ShardSet, shard_for
 from .engine import abort_round, resolve_prepared, two_phase_commit
 from .protocol import (
@@ -115,6 +132,38 @@ __all__ = ["ReproServer"]
 #: Most requests one blocking shard call carries: bounds a batch's
 #: latency, not its durability (the engine's log bounds its own staging).
 BATCH_LIMIT = 64
+
+#: Longest a refused invocation waits for its lock holder, in seconds,
+#: before it is answered ``CONFLICT`` after all.
+WAIT_BOUND = 0.5
+
+#: What a parked invocation is answered when its own handle is closed
+#: under it (a lost connection's is answered nothing).
+_CLOSED_UNDER = {
+    "CONFLICT": "its transaction completed while it waited",
+    "SHUTTING_DOWN": "server is draining",
+}
+
+
+class _Parked:
+    """An invocation refused ``CONFLICT``, waiting for its lock holder.
+
+    It is live while it is the server's ``_parked`` entry for its handle;
+    whoever takes it out of there answers it, exactly once: its re-run
+    after the wake, the wait bound's timer, or the close of its handle.
+    """
+
+    __slots__ = ("connection", "request", "index", "refusal", "timer", "woke")
+
+    def __init__(self, connection, request, index, refusal):
+        self.connection = connection
+        self.request = request
+        self.index = index
+        #: The engine's CONFLICT reply, answered if the wait runs out.
+        self.refusal = refusal
+        self.timer: Any = None
+        #: When the holder's close woke it (a blocking shard's queue phase).
+        self.woke: Optional[float] = None
 
 
 class _Connection(asyncio.Protocol):
@@ -257,7 +306,16 @@ class ReproServer:
         #: completions, respawn resolutions); drain waits for them.
         self._tasks: Set[asyncio.Task] = set()
         self._connections: List[_Connection] = []
+        #: session name -> session, to find the handle a CONFLICT names.
+        self._sessions: Dict[str, Session] = {}
         self._session_ids = itertools.count(1)
+        #: Refused invocations waiting for their lock holders: waiter
+        #: handle -> its parked request, until it is answered.
+        self.waits = WaitRegistry(tracer)
+        self._parked: Dict[str, _Parked] = {}
+        #: Parked requests woken on non-blocking shards, re-executed when
+        #: the pass that woke them flushes.
+        self._woken: List[_Parked] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self.draining = False
         self._stopping = False
@@ -352,8 +410,12 @@ class ReproServer:
             and loop.time() < deadline
         ):
             await asyncio.sleep(0.02)
-        # Force-abort whatever is still open and not already in 2PC.
-        forced = sum(self._abort_session(c.session) for c in self._connections)
+        # Force-abort whatever is still open and not already in 2PC; a
+        # parked request is answered SHUTTING_DOWN.
+        forced = sum(
+            self._abort_session(c.session, "SHUTTING_DOWN") for c in self._connections
+        )
+        self._flush({}, [])
         # No further queue admissions or respawns; let the 2PCs and
         # resolutions in flight finish on the running workers, and answer
         # what was already accepted.
@@ -432,6 +494,7 @@ class ReproServer:
         peer = f"{peername[0]}:{peername[1]}" if peername else "?"
         session = connection.session = Session(next(self._session_ids), peer=peer)
         self._connections.append(connection)
+        self._sessions[session.name] = session
         self.stats["connections"] += 1
         if self.tracer is not None:
             self.tracer.emit("server.connect", session=session.name, peer=peer)
@@ -441,6 +504,8 @@ class ReproServer:
         aborted = self._abort_session(session)
         self.stats["transactions_aborted"] += aborted
         self._connections.remove(connection)
+        del self._sessions[session.name]
+        self._flush({}, [])  # what its aborts woke
         if self.tracer is not None:
             self.tracer.emit(
                 "server.disconnect",
@@ -449,9 +514,10 @@ class ReproServer:
                 aborted=aborted,
             )
 
-    def _abort_session(self, session: Session) -> int:
+    def _abort_session(self, session: Session, code: Optional[str] = None) -> int:
         """Abort and close the handles a session leaves open, except one
-        in 2PC (that decides it); returns how many had run anywhere."""
+        in 2PC (that decides it); returns how many had run anywhere.  A
+        parked request of theirs is answered ``code`` (None: nothing)."""
         aborted = 0
         for handle, record in list(session.transactions.items()):
             if record.completing:
@@ -459,8 +525,27 @@ class ReproServer:
             if record.bound:
                 self._abort(abort_round(handle, record.participants))
                 aborted += 1
-            session.close_transaction(handle)
+            self._close(session, handle, code)
         return aborted
+
+    def _close(self, session: Session, handle: str, code: Optional[str]) -> None:
+        """Close a handle — every close goes through here.  Its parked
+        request, if it has one, is answered ``code`` (None: nothing, the
+        connection is gone); the requests parked on it are woken.  Costs
+        the uncontended path one test, of an empty dict."""
+        session.close_transaction(handle)
+        if self._parked:
+            parked = self._parked.pop(handle, None)
+            if parked is not None:
+                parked.timer.cancel()
+                self.waits.cancel(handle)
+                if code == "SHARD_DOWN":
+                    self._reply(parked, self._shard_down_frame(parked.request, parked.index))
+                elif code is not None:
+                    self._reply(
+                        parked, error_frame(parked.request.id, code, _CLOSED_UNDER[code])
+                    )
+            self.waits.release(handle)
 
     def _abort(self, ops: List[Tuple[int, Any]]) -> None:
         """Deliver a round of abort verdicts, whose replies nobody reads:
@@ -482,13 +567,16 @@ class ReproServer:
         itself joins the read's replies; a request routed to a blocking
         shard goes onto that shard's queue, for its worker's next batch;
         one routed to a non-blocking shard executes right here, so its
-        reply joins the others in request order.
+        reply joins the others in request order — unless it parks.  The
+        requests the pass wakes re-execute as it flushes, and their
+        replies leave with it, on their own connections.
         """
         session = connection.session
         queues = self._queues
         tracer = self.tracer
         timed = tracer is not None and tracer.active
         out: List[bytes] = []
+        outbox = {connection: out}
         answered: List[Tuple[Any, ...]] = []
         poisoned = False
         try:
@@ -507,7 +595,7 @@ class ReproServer:
                     else:
                         queues[index].put_nowait((connection, request, index, admitted))
                 else:
-                    self._execute(session, *routed, out, answered)
+                    self._execute(connection, *routed, out, answered)
         except FrameError as exc:
             # Typed error, then disconnect: the stream offset is
             # unrecoverable after a framing violation — but the frames
@@ -515,7 +603,7 @@ class ReproServer:
             self.stats["errors"] += 1
             out.append(error_frame(None, exc.code, exc.message))
             poisoned = True
-        self._flush({connection: out}, answered)
+        self._flush(outbox, answered)
         if poisoned:
             connection.transport.close()  # after the replies are flushed
 
@@ -621,16 +709,18 @@ class ReproServer:
 
     def _execute(
         self,
-        session: Session,
+        connection: _Connection,
         request: Request,
         index: int,
         out: List[bytes],
         answered: List[Tuple[Any, ...]],
     ) -> None:
         """Run one routed request on non-blocking shard ``index`` and
-        append its reply to ``out``: plan, call, finish.  Nothing here
-        suspends (a non-blocking shard set is called directly even for
-        2PC and respawn), so requests execute in arrival order."""
+        append its reply to ``out``: plan, call, finish (or park: no
+        reply yet).  Nothing here suspends (a non-blocking shard set is
+        called directly even for 2PC and respawn), so requests execute in
+        arrival order."""
+        session = connection.session
         tracer = self.tracer
         timed = tracer is not None and tracer.active
         begun = tracer.clock() if timed else 0.0
@@ -642,7 +732,9 @@ class ReproServer:
                 out.append(self._shard_down_frame(request, index))
                 self._shard_down(index, {})  # `out` leaves with the read
                 return
-            frame = self._finish(session, request, index, replies[-1])
+            frame = self._finish(connection, request, index, replies[-1])
+            if frame is None:
+                return  # parked
         elif type(plan) is bytes:
             frame = plan
         else:
@@ -653,6 +745,23 @@ class ReproServer:
             answered.append((session, request, index, 0.0, done - begun, done))
 
     def _flush(
+        self,
+        outbox: Dict[_Connection, List[bytes]],
+        answered: List[Tuple[Any, ...]],
+    ) -> None:
+        """Re-execute the requests woken on non-blocking shards, each
+        reply joining its connection's list in ``outbox``, then
+        :meth:`_write` the lot."""
+        woken = self._woken
+        while woken:
+            parked = woken.pop(0)
+            if self._unpark(parked):  # else answered when its handle closed
+                connection = parked.connection
+                out = outbox.setdefault(connection, [])
+                self._execute(connection, parked.request, parked.index, out, answered)
+        self._write(outbox, answered)
+
+    def _write(
         self,
         outbox: Dict[_Connection, List[bytes]],
         answered: List[Tuple[Any, ...]],
@@ -703,7 +812,7 @@ class ReproServer:
         if action == "health":
             return health
         result: Dict[str, Any] = dict(health)
-        result["server"] = dict(self.stats)
+        result["server"] = dict(self.stats, parked=len(self._parked))
         result["queue_limit"] = self.queue_limit
         # One depth per shard; a non-blocking shard has no queue: 0.
         result["queues"] = [queue.qsize() for queue in self._queues] or (
@@ -794,11 +903,13 @@ class ReproServer:
                 batch.append(extra)
             timed = tracer is not None and tracer.active
             started = tracer.clock() if timed else 0.0
-            plans = []
+            plans: List[Any] = []
             ops: List[Dict[str, Any]] = []
             for connection, request, _shard, admitted in batch:
                 if connection is None:
                     plan = [request]  # a 2PC op
+                elif type(admitted) is _Parked and not self._unpark(admitted):
+                    plan = None  # woken, then answered when its handle closed
                 else:
                     plan = self._plan(connection.session, request, index)
                     if type(plan) is TxnRecord:
@@ -832,11 +943,15 @@ class ReproServer:
                         continue
                     if reply is None:
                         continue  # answered SHARD_DOWN above
-                    frame = self._finish(connection.session, request, index, reply)
+                    frame = self._finish(connection, request, index, reply)
+                    if frame is None:
+                        continue  # parked
+                    if type(admitted) is _Parked:
+                        admitted = admitted.woke  # its queue phase began there
                 elif type(plan) is bytes:
                     frame = plan
                 else:
-                    continue  # its 2PC task answers it
+                    continue  # its 2PC task answers it, or it was answered
                 outbox.setdefault(connection, []).append(frame)
                 if timed:
                     queued = 0.0 if admitted is None else max(0.0, started - admitted)
@@ -909,11 +1024,18 @@ class ReproServer:
         return [{"op": action, "txn": handle}]  # commit / abort
 
     def _finish(
-        self, session: Session, request: Request, index: int, reply: Dict[str, Any]
-    ) -> bytes:
-        """The response frame for the engine's reply to a planned request."""
+        self,
+        connection: _Connection,
+        request: Request,
+        index: int,
+        reply: Dict[str, Any],
+    ) -> Optional[bytes]:
+        """The response frame for the engine's reply to a planned request
+        — None when a refused invocation parks instead."""
         rid = request.id
         if "error" in reply:
+            if reply["error"] == "CONFLICT" and self._park(connection, request, index, reply):
+                return None
             return self._error(rid, reply)
         action = request.action
         params = request.params
@@ -931,7 +1053,7 @@ class ReproServer:
                 "result": reply["ok"],
             }
             return response_frame(rid, result)
-        return self._completed(session, request, reply["ok"])
+        return self._completed(connection.session, request, reply["ok"])
 
     def _error(self, rid: int, reply: Dict[str, Any]) -> bytes:
         """The frame for an engine error reply."""
@@ -951,9 +1073,81 @@ class ReproServer:
         else:
             result = {"transaction": handle, "aborted": True}
             self.stats["transactions_aborted"] += 1
-        session.close_transaction(handle)
+        self._close(session, handle, "CONFLICT")
         session.record_ack(request.id, result)
         return response_frame(request.id, result)
+
+    # ------------------------------------------------------------------
+    # Parking a refused invocation on its lock holder
+    # ------------------------------------------------------------------
+
+    def _park(
+        self, connection: _Connection, request: Request, index: int, reply: Dict[str, Any]
+    ) -> bool:
+        """Park an invocation refused ``CONFLICT`` until its holder's
+        handle closes; False (answer the refusal now) unless the holder
+        is an open handle on this server that is not itself waiting —
+        wait depth 1: every waits-for edge ends at a transaction that
+        waits for nothing, so no cycle can form — and the requester has
+        nothing parked already."""
+        holder = reply.get("holder")
+        handle = request.params["transaction"]
+        if holder is None or handle in self._parked:
+            return False
+        waits = self.waits
+        if waits.waiting_for(holder) is not None:
+            return False
+        # A handle is "<session name>.t<n>" (Session.mint_handle).
+        session = self._sessions.get(holder.partition(".")[0])
+        if session is None or holder not in session.transactions:
+            return False
+        parked = _Parked(connection, request, index, reply)
+        waits.wait(handle, holder, lambda: self._wake(parked))
+        parked.timer = asyncio.get_running_loop().call_later(
+            WAIT_BOUND, self._expire, parked
+        )
+        self._parked[handle] = parked
+        return True
+
+    def _wake(self, parked: _Parked) -> None:
+        """Its holder closed: re-execute the parked request — when the
+        pass flushes on a non-blocking shard; on a blocking one, from its
+        shard's queue, which it rejoins with no BUSY check (it was
+        admitted once)."""
+        parked.timer.cancel()
+        queues = self._queues
+        if queues:
+            tracer = self.tracer
+            if tracer is not None and tracer.active:
+                parked.woke = tracer.clock()
+            item = (parked.connection, parked.request, parked.index, parked)
+            queues[parked.index].put_nowait(item)
+        else:
+            self._woken.append(parked)
+
+    def _unpark(self, parked: _Parked) -> bool:
+        """Take a parked request out of ``_parked``, to answer it; False
+        when it is no longer there (it was answered already)."""
+        handle = parked.request.params["transaction"]
+        if self._parked.get(handle) is not parked:
+            return False
+        del self._parked[handle]
+        return True
+
+    def _expire(self, parked: _Parked) -> None:
+        """The wait bound ran out: withdraw the wait, answer the refusal."""
+        if self._unpark(parked):
+            self.waits.cancel(parked.request.params["transaction"])
+            self._reply(parked, self._error(parked.request.id, parked.refusal))
+
+    def _reply(self, parked: _Parked, frame: bytes) -> None:
+        """Answer a parked request now, on its own connection."""
+        answered: List[Tuple[Any, ...]] = []
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            session = parked.connection.session
+            answered.append((session, parked.request, parked.index, 0.0, 0.0, tracer.clock()))
+        self._write({parked.connection: [frame]}, answered)
 
     def _hand_over(self, connection, request, record, index, admitted) -> None:
         """Give a multi-shard completion on blocking shards to a task of
@@ -1000,7 +1194,7 @@ class ReproServer:
         if "error" in reply:
             # The 2PC already aborted the transaction on every
             # participant; the handle is finished, not leaked.
-            session.close_transaction(handle)
+            self._close(session, handle, "CONFLICT")
             self.stats["transactions_aborted"] += 1
             return self._error(request.id, reply)
         return self._completed(session, request, reply["ok"])
@@ -1076,7 +1270,7 @@ class ReproServer:
                 if index not in record.participants or record.completing:
                     continue
                 self._abort(abort_round(handle, set(record.participants) - {index}))
-                session.close_transaction(handle)
+                self._close(session, handle, "SHARD_DOWN")
                 self.stats["transactions_aborted"] += 1
         self._flush(outbox, [])
         if not self._stopping and self.pool.revive(index):

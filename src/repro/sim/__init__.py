@@ -1,8 +1,8 @@
 """Discrete-event simulation of concurrent transaction workloads, on one
 site or many."""
 
+from ..runtime.waiting import DeadlockDetected, WaitRegistry
 from .des import Simulator
-from .waiting import DeadlockDetected, WaitRegistry
 from .client import Client, ClientParams
 from .experiment import Run, compare_protocols, run_experiment
 from .metrics import Metrics

@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
+from ..runtime.waiting import DeadlockDetected, WaitRegistry
 from ..server.engine import ShardDown, two_phase_commit
 from .des import Simulator
 from .metrics import Metrics
-from .waiting import DeadlockDetected, WaitRegistry
 
 __all__ = ["Client", "ClientParams", "SiteStep"]
 

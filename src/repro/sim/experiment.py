@@ -21,12 +21,12 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..core.history import History
 from ..obs import HistorySink, RegistrySink, TraceBus
 from ..protocols.base import HYBRID, ProtocolSpec
+from ..runtime.waiting import WaitRegistry
 from .client import Client, ClientParams
 from .des import Simulator
 from .metrics import Metrics
 from .network import Network
 from .site import Site
-from .waiting import WaitRegistry
 from .workload import Workload
 
 __all__ = ["ClientParams", "Run", "run_experiment", "compare_protocols"]
@@ -184,6 +184,11 @@ def run_experiment(
         tracer.unsubscribe(registry_sink)
     if recorder is not None:
         tracer.unsubscribe(recorder)
+    for site in hosts:
+        if not site.alive and site.wal is not None:
+            # A hard crash outlasting the run: read the site back from its
+            # log, so the run's views see every object.
+            site.recover()
     return Run(
         metrics=metrics,
         sites=sites,

@@ -191,6 +191,22 @@ class TestOneDriver:
         assert registry.counter("site.crashes").value == run.metrics.crashes
         assert (run.metrics.committed, run.metrics.aborted) == (51, 11)
 
+    def test_a_site_still_down_at_the_cutoff_is_read_back_from_its_log(self):
+        # The crash's downtime outlasts the run: the views still see every
+        # account, the down site's from what its log holds.
+        run = run_experiment(
+            BankWorkload(sites=2),
+            duration=100.0,
+            seed=1,
+            crashes=CrashPlan([CrashEvent(50.0, "shard1", 100.0)]),
+            wals=[MemoryWAL(), MemoryWAL()],
+        )
+        assert (run.metrics.crashes, run.metrics.recoveries) == (1, 0)
+        assert all(site.alive for site in run.sites.values())
+        assert sorted(run.specs()) == ["acct0_0", "acct0_1", "acct1_0", "acct1_1"]
+        assert run.sites["shard1"].snapshot("acct1_0") >= 0
+        assert run.total_balance() > 0
+
     def test_hard_crashes_on_one_site_recover_and_certify(self):
         bus = TraceBus()
         checker = bus.subscribe(AtomicityChecker(emit_to=bus))

@@ -387,7 +387,9 @@ class TestOneBlockedTimeRule:
     def test_blocked_waits_keep_the_simulated_total(self):
         # Under --wait-policy block a refused transaction waits for its
         # holder: the total this seed gives, to the last digit the float
-        # carries (a span begins at its transaction's first touch).
+        # carries (a span begins at its transaction's first touch, and a
+        # wait's lock.wait is emitted when it ends, so the wait itself is
+        # blocked time, not the re-executed invocation's).
         bus = TraceBus()
         events = []
         bus.subscribe(events.append)
@@ -400,7 +402,7 @@ class TestOneBlockedTimeRule:
         )
         spans = fold(events)
         report = contention_profile(spans)
-        assert report["blocked_time"] == pytest.approx(54.72264959894795, abs=1e-9)
+        assert report["blocked_time"] == pytest.approx(97.57036180133234, abs=1e-9)
         assert sum(span.blocked for span in spans) == pytest.approx(
             report["blocked_time"], abs=1e-9
         )

@@ -22,7 +22,7 @@ from repro.obs import (
     waits_for_edges,
 )
 from repro.runtime.manager import TransactionManager
-from repro.sim.waiting import WaitRegistry
+from repro.runtime.waiting import WaitRegistry
 
 
 def emit_sample(bus):

@@ -191,41 +191,46 @@ class TestIntrospectionOps:
 
 class TestServedBlockedTime:
     def test_one_answer_for_refusals_after_client_pauses(self, tmp_path):
-        # A holder keeps a Debit on A; another transaction pauses 2 ms
-        # before each of 50 Debits, each refused CONFLICT.  Nothing on a
-        # served lock waits, so the pauses are not lock-wait: the span
-        # budget and the contention table must agree, and both stay far
-        # below the 100 ms the client spent pausing.
+        # A holder keeps a Debit on A; another transaction's Debit is
+        # refused and parks until the holder commits, after its client
+        # paused 50 times 2 ms.  The wait is lock-wait: the span budget
+        # and the contention table agree on it, and both cover the
+        # 100 ms the holder's client spent pausing.
         bus, registry, flight = telemetry_stack(tmp_path)
         spans = bus.subscribe(SpanBuilder())
-        refusals = []
+        answers = []
 
         async def scenario():
             server = await start_server(tracer=bus, registry=registry, flight=flight)
             server.create_object("A", "Account")
             client = await AsyncClient.connect(server.host, server.port)
+            other = await AsyncClient.connect(server.host, server.port)
             holder = await client.begin()
             await client.invoke(holder, "A", "Credit", 100)
             await client.invoke(holder, "A", "Debit", 1)
-            refused = await client.begin()
+            refused = await other.begin()
+            debit = asyncio.ensure_future(other.invoke(refused, "A", "Debit", 1))
+            while (await client.stats())["server"]["parked"] == 0:
+                await asyncio.sleep(0.001)
             for _ in range(50):
                 await asyncio.sleep(0.002)
-                with pytest.raises(WireError) as error:
-                    await client.invoke(refused, "A", "Debit", 1)
-                refusals.append(error.value.code)
-            await client.abort(refused)
-            await client.abort(holder)
+            await client.commit(holder)
+            answers.append(await debit)
+            await other.commit(refused)
+            answers.append((await client.stats())["server"]["parked"])
             await client.aclose()
+            await other.aclose()
             await server.drain()
 
         run(scenario())
-        assert refusals == ["CONFLICT"] * 50
+        assert answers == ["Ok", 0]
         every = [*spans.spans, *spans.open.values()]
         lock_wait = sum(span.budget()["lock-wait"] for span in every)
         report = contention_profile(every)
-        assert report["events"] == 50
+        assert report["events"] == 2  # the refusal, then the wait
         assert lock_wait == pytest.approx(report["blocked_time"], abs=1e-9)
-        assert lock_wait < 0.050
+        assert lock_wait >= 0.100
+        assert registry.counters["lock.waits"].value == 1
         assert "lock.blocked_time" not in registry.counters
 
 

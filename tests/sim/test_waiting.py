@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import TraceBus
 from repro.protocols import COMMUTATIVITY, HYBRID
 from repro.sim import (
     AccountWorkload,
@@ -78,6 +79,25 @@ class TestWaitRegistry:
 
     def test_release_unknown_holder_is_noop(self):
         assert WaitRegistry().release("Z") == 0
+
+    def test_a_wait_is_traced_when_it_ends(self):
+        # lock.wait closes the span interval that *is* the wait: it is
+        # emitted at release or cancel, never when the wait begins.
+        bus = TraceBus()
+        events = []
+        bus.subscribe(events.append)
+        registry = WaitRegistry(tracer=bus)
+        registry.wait("A", "C", lambda: events.append("woke A"))
+        registry.wait("B", "C", lambda: None)
+        assert events == []
+        registry.cancel("B")
+        assert registry.release("C") == 1
+        assert [e if type(e) is str else (e.kind, e.data) for e in events] == [
+            ("lock.wait", {"transaction": "B", "holder": "C"}),
+            ("lock.wait", {"transaction": "A", "holder": "C"}),
+            "woke A",
+        ]
+        assert registry.edges() == {}
 
 
 class TestBlockPolicy:

@@ -4,7 +4,8 @@ The committed baseline sets are the fixtures: set-A and set-B were taken
 before local shards lost their queue (PR 17), and set-B before a full
 restart resolved its prepared transactions (PR 14), and both while the
 WAL still journalled every invocation and response (PR 24) — so the gate
-must flag exactly those and nothing else.
+must flag exactly those and nothing else.  Both also predate a refused
+invocation waiting for its holder: every contended refusal aborted.
 """
 
 import copy
@@ -31,6 +32,12 @@ PRE_PR17 = [
 ]
 #: One redo record per transaction since PR 24; the sets logged 5.4.
 PRE_PR24 = "wal-pool: recovery.wal.records_per_txn"
+#: Both sets predate a refused invocation waiting for its holder: every
+#: contended refusal aborted (0.21 of attempts, 14.3 frames/txn).
+PRE_PARKING = [
+    "mem-contended: loadgen.abort_share",
+    "mem-contended: server.protocol.frames_per_txn",
+]
 
 
 def baseline(name):
@@ -44,7 +51,7 @@ def flagged(problems):
 
 def test_set_a_fails_only_what_pr17_changed():
     problems = check_e2e_counts.check(baseline("set-A.json"))
-    assert flagged(problems) == PRE_PR17 + [PRE_PR24]
+    assert flagged(problems) == PRE_PR17 + PRE_PARKING + [PRE_PR24]
     assert problems[-1].endswith("expected in [1, 2)")
 
 
@@ -52,7 +59,7 @@ def test_set_b_also_shows_the_restart_hole():
     # One prepared transaction still held its locks after the restart:
     # the bug PR 14 closed, in a record this repository really produced.
     problems = check_e2e_counts.check(baseline("set-B.json"))
-    assert flagged(problems) == PRE_PR17 + [
+    assert flagged(problems) == PRE_PR17 + PRE_PARKING + [
         PRE_PR24,
         "wal-pool: recovery.recovery.unresolved_locks",
     ]
@@ -78,7 +85,7 @@ def test_a_doctored_record_trips_its_gate_once(workload, metric, value):
         if run["workload"] == workload and run["trace"]:
             run["metrics"][metric]["value"] = value
     assert sorted(flagged(check_e2e_counts.check(runs))) == sorted(
-        PRE_PR17 + [PRE_PR24, f"{workload}: {metric}"]
+        PRE_PR17 + PRE_PARKING + [PRE_PR24, f"{workload}: {metric}"]
     )
 
 
@@ -94,6 +101,11 @@ def test_main_exit_status(tmp_path, capsys):
             run["metrics"]["server.server.queue_us_p50"]["value"] = 0.0
             run["metrics"]["loadgen.frames_per_recv"]["value"] = 8.0
             run["metrics"]["recovery.wal.records_per_txn"]["value"] *= 0.25  # 5.4 -> 1.35
+            # ... and as refusals that wait leave the contended row.
+            run["metrics"]["loadgen.abort_share"]["value"] = 0.01
+            run["metrics"]["server.protocol.frames_per_txn"]["value"] = min(
+                8.0, run["metrics"]["server.protocol.frames_per_txn"]["value"]
+            )
     clean = tmp_path / "clean.json"
     clean.write_text(json.dumps({"runs": runs}))
     assert main([str(clean)]) == 0

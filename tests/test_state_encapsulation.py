@@ -17,7 +17,7 @@ from repro.sim import Site
 from repro.obs.snapshot import lock_table_snapshot, waits_for_edges
 from repro.recovery import MemoryWAL, recover_manager
 from repro.runtime import TransactionManager
-from repro.sim.waiting import WaitRegistry
+from repro.runtime.waiting import WaitRegistry
 
 
 def account_machine():
