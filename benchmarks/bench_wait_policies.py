@@ -6,9 +6,10 @@ account under commutativity conflicts (the most lock-hungry typed table),
 and confirms hybrid's dominance is robust to the scheduling choice.
 
 Expected shape: blocking wastes no backoff time, so it commits more and
-refuses fewer locks, at the cost of real deadlocks (detected and resolved
-by aborting the requester); hybrid beats commutativity under either
-policy.
+refuses fewer locks; a refused transaction whose holder is itself
+waiting is abandoned rather than parked (the one wait rule the server
+applies too), which is where blocking's aborts come from.  Hybrid beats
+commutativity under either policy.
 """
 
 from conftest import breakdown_data, metrics_table, run_observed
@@ -46,9 +47,6 @@ def test_wait_policies(benchmark, save_artifact):
         rows["commutativity/block"].throughput
         > rows["commutativity/retry"].throughput
     )
-    # ... and exhibits genuine deadlocks, resolved by aborts.
-    assert rows["commutativity/block"].deadlocks > 0
-    assert rows["commutativity/retry"].deadlocks == 0
     # Hybrid's win is robust to the scheduling policy.
     for policy in ("retry", "block"):
         assert (
@@ -59,9 +57,6 @@ def test_wait_policies(benchmark, save_artifact):
     # The block policy's refusals surface as waits, not polling retries.
     block_registry = observed["commutativity/block"][1]
     assert block_registry.counter("lock.waits").value > 0
-    assert block_registry.counter("lock.deadlocks").value == (
-        rows["commutativity/block"].deadlocks
-    )
 
     save_artifact(
         "wait_policies",
@@ -72,7 +67,7 @@ def test_wait_policies(benchmark, save_artifact):
             fields=(
                 "committed",
                 "conflicts",
-                "deadlocks",
+                "aborted",
                 "throughput",
                 "mean_latency",
                 "abort_rate",

@@ -20,13 +20,6 @@ without needing the pre-instrumentation binary:
   within a (deliberately loose) multiple of the unobserved manager.  The
   oracle re-sorts and re-verifies committed prefixes, so it is allowed to
   be much slower — this bound only catches accidental quadratic blowups.
-* **sampler budget** — commit churn with a :class:`SamplingProfiler`
-  running must stay within ``SAMPLER_TOLERANCE`` of the unprofiled run.
-  The sampler only holds the GIL for the ``sys._current_frames()``
-  snapshot ~87 times a second, so the profiled path should be nearly
-  free; this guard is what makes "low-overhead" a tested claim instead
-  of a docstring adjective.  Plain and profiled repeats interleave so
-  machine drift (thermal, noisy neighbours) hits both variants equally.
 * **class-table budget** — the tabulated conflict relation the machines
   lock with must not cost anything over the hand-written predicate it is
   tabulated from: commit churn against a pack of live lock-holders (so
@@ -48,8 +41,8 @@ without needing the pre-instrumentation binary:
   ``server.*`` events a process-shard parent carries for one transaction
   are gated the same way, against ``SERVED_PARENT_CALLS``.  A loose
   wall-clock ratio against the same mix on a bus with one no-op sink
-  (interleaved repeats, like the sampler's) is the backstop for costs
-  that are not calls.
+  (plain and wired repeats interleave, so machine drift hits both
+  equally) is the backstop for costs that are not calls.
 
 * **wire-codec budget** — the same exact count for the codec every served
   request crosses twice: one served uniform transaction's 4 request
@@ -89,7 +82,6 @@ from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     RegistrySink,
-    SamplingProfiler,
     TraceBus,
 )
 from repro.runtime import TransactionManager
@@ -111,12 +103,6 @@ RELATIVE_TOLERANCE = 1.10
 # "not pathological": within 15x of the bare manager and above 100 txn/s.
 CHECKER_TOLERANCE = 15.0
 CHECKER_FLOOR_TXN_PER_SECOND = 100.0
-# ISSUE 8's acceptance bound: the sampling profiler may cost at most 5%.
-# Longer churn than the tracer guards so a few samples actually land at
-# the default 87Hz and the ratio is measured, not vacuous.
-SAMPLER_TOLERANCE = 1.05
-SAMPLER_TRANSACTIONS = 600
-SAMPLER_REPEATS = 7
 # The class table's measured margin over the bare predicate under
 # holder-heavy churn is ~1.5x; the guard only requires "not slower",
 # with headroom for timer noise.
@@ -208,24 +194,6 @@ def best_of_holders(build, amount, repeats=REPEATS):
         churn_with_holders(machine, amount)
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def sampler_budget(build, repeats=SAMPLER_REPEATS):
-    """Best plain vs best profiled churn time, interleaved repeats."""
-    plain_best = float("inf")
-    profiled_best = float("inf")
-    profiler = SamplingProfiler()
-    for _ in range(repeats):
-        machine = build()
-        started = time.perf_counter()
-        churn(machine, SAMPLER_TRANSACTIONS)
-        plain_best = min(plain_best, time.perf_counter() - started)
-        machine = build()
-        with profiler:
-            started = time.perf_counter()
-            churn(machine, SAMPLER_TRANSACTIONS)
-            profiled_best = min(profiled_best, time.perf_counter() - started)
-    return plain_best, profiled_best
 
 
 def served_transaction(name):
@@ -492,7 +460,6 @@ def main():
         )
         for where, amount in COMPILED_AMOUNTS.items()
     }
-    unprofiled_best, profiled_best = sampler_budget(disabled)
     served_counts = served_calls()
     parent_counts = served_calls(transaction=served_parent_transaction)
     wire_counts = wire_calls()
@@ -515,10 +482,6 @@ def main():
             f"class table {compiled_best:.6f}s vs predicate "
             f"{predicate_best:.6f}s ({predicate_best / compiled_best:.2f}x)"
         )
-    print(
-        f"sampler: plain {unprofiled_best:.6f}s vs profiled "
-        f"{profiled_best:.6f}s ({profiled_best / unprofiled_best:.3f}x)"
-    )
 
     print(
         f"served telemetry: {served_counts[0]:g} Python + {served_counts[1]:g} C "
@@ -577,14 +540,6 @@ def main():
                 f"{COMPILED_TOLERANCE:.2f}x the hand-written predicate "
                 f"({predicate_best:.6f}s) — the table has stopped paying"
             )
-
-    if profiled_best > unprofiled_best * SAMPLER_TOLERANCE:
-        failures.append(
-            f"profiled churn ({profiled_best:.6f}s) exceeds "
-            f"{SAMPLER_TOLERANCE:.2f}x the unprofiled run "
-            f"({unprofiled_best:.6f}s) — the sampler is no longer "
-            "low-overhead"
-        )
 
     if served_counts != SERVED_CALLS:
         failures.append(

@@ -54,16 +54,7 @@ Commands
     N`` shards the objects across *N* WAL-backed worker processes
     (shared-nothing, group commit, cross-shard 2PC, supervised respawn)
     instead of in-process shards; ``--data-dir`` roots the per-shard
-    WALs so a restarted server recovers its state.  ``--profile-dir``
-    runs the sampling profiler for the whole serve window and drops
-    ``profile.folded`` / ``profile.json`` there on drain.
-``profile <dump>``
-    Render a profile artifact offline: a ``profile.json`` dump, a
-    ``.folded`` collapsed-stack file, or a ``serve --profile-dir``
-    directory.  Shows the hottest frames and stacks from the sampler
-    (the critical-path budget and the contention table come from
-    ``analyze``).  ``--top N`` bounds the tables, ``--json`` dumps the
-    raw report.
+    WALs so a restarted server recovers its state.
 ``top``
     Curses-free live view over a running server's ``stats`` op:
     queue depths, commit/abort/BUSY rates, latency quantiles, hottest
@@ -106,9 +97,6 @@ Examples::
     python -m repro top --connect 127.0.0.1:7400 --iterations 3
     python -m repro analyze /tmp/serve.jsonl
     python -m repro serve --processes 4 --data-dir /tmp/shards
-    python -m repro serve --workers 2 --profile-dir /tmp/prof
-    python -m repro profile /tmp/prof
-    python -m repro profile /tmp/prof/profile.folded --top 5
 """
 
 from __future__ import annotations
@@ -572,8 +560,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print()
     for name in ("txn.begun", "txn.committed", "txn.aborted",
                  "lock.conflicts", "lock.blocks", "lock.waits",
-                 "lock.deadlocks", "compaction.advances",
-                 "compaction.collapsed_ops", "wal.appends"):
+                 "compaction.advances", "compaction.collapsed_ops",
+                 "wal.appends"):
         counter = registry.counters.get(name)
         if counter is not None:
             print(f"  {name:28s} {counter.value:>10g}")
@@ -615,7 +603,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         JSONLSink,
         MetricsRegistry,
         RegistrySink,
-        SamplingProfiler,
         TraceBus,
     )
     from .server import ReproServer
@@ -629,7 +616,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     sinks = []
     if args.trace_file:
         sinks.append(tracer.subscribe(JSONLSink(args.trace_file)))
-    profiler = SamplingProfiler() if args.profile_dir else None
     flight = None
     if not args.no_flight:
         flight = tracer.subscribe(
@@ -662,8 +648,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush_on_drain=sinks,
         registry=registry,
         flight=flight,
-        profiler=profiler,
-        profile_dir=args.profile_dir,
         pool=pool,
     )
     async def run() -> int:
@@ -710,11 +694,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if args.trace_file:
         print(f"trace written to {args.trace_file}")
-    if profiler is not None:
-        print(
-            f"profile ({profiler.samples} sample(s) @ {profiler.hz:g}Hz) "
-            f"written to {args.profile_dir}"
-        )
     if flight is not None and flight.dumps:
         print(
             f"flight recorder left {len(flight.dumps)} dump(s) "
@@ -764,30 +743,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(render_postmortem(report))
     return 0 if not report["violations"] else 1
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .obs import read_profile, render_profile
-
-    if not os.path.exists(args.path):
-        print(f"no such profile: {args.path}", file=sys.stderr)
-        return 2
-    if args.top <= 0:
-        print("profile: --top must be positive", file=sys.stderr)
-        return 2
-    try:
-        report = read_profile(args.path)
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
-        print(f"profile: cannot load {args.path}: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(report, indent=2, default=repr))
-        return 0
-    sys.stdout.write(render_profile(report, top=args.top))
-    return 0
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1058,11 +1013,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the always-on flight recorder",
     )
     serve.add_argument(
-        "--profile-dir", default=None,
-        help="run the sampling wall-clock profiler and dump "
-        "profile.folded / profile.json here on drain",
-    )
-    serve.add_argument(
         "--processes", type=int, default=0, metavar="N",
         help="shard across N WAL-backed worker processes instead of "
         "in-process shards (shared-nothing; survives restarts)",
@@ -1075,23 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--durability", choices=["group"], default="group",
         help="accepted for command-line compatibility only: shard "
         "processes always log under group commit (one fsync per batch)",
-    )
-
-    profile = commands.add_parser(
-        "profile",
-        help="render a profile dump: the sampler's hottest frames and stacks",
-    )
-    profile.add_argument(
-        "path",
-        help="a profile.json dump, a .folded collapsed-stack file, or a "
-        "--profile-dir directory",
-    )
-    profile.add_argument(
-        "--top", type=int, default=15, metavar="N",
-        help="rows per table (default 15)",
-    )
-    profile.add_argument(
-        "--json", action="store_true", help="print the raw report as JSON"
     )
 
     top = commands.add_parser(
@@ -1161,7 +1094,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "serve": _cmd_serve,
         "top": _cmd_top,
         "analyze": _cmd_analyze,
-        "profile": _cmd_profile,
     }[args.command]
     return handler(args)
 

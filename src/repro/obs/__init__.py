@@ -26,23 +26,19 @@ The subsystem has five pieces (see ``docs/observability.md``):
   format.
 """
 
-from .analyze import analyze_trace, render_postmortem
+from .analyze import (
+    analyze_trace,
+    contention_profile,
+    critical_path,
+    render_contention,
+    render_critical_path,
+    render_postmortem,
+)
 from .bus import TraceBus
 from .checker import AtomicityChecker
 from .codec import decode_value, encode_value
 from .events import EVENT_KINDS, TraceEvent
 from .flight import FlightRecorder
-from .prof import (
-    SamplingProfiler,
-    StackAggregator,
-    contention_profile,
-    critical_path,
-    read_profile,
-    render_contention,
-    render_critical_path,
-    render_profile,
-    write_profile,
-)
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
     WIRE_LATENCY_BUCKETS,
@@ -76,13 +72,8 @@ from .witness import Violation, minimize_witness
 
 __all__ = [
     "FlightRecorder",
-    "SamplingProfiler",
-    "StackAggregator",
     "critical_path",
     "contention_profile",
-    "write_profile",
-    "read_profile",
-    "render_profile",
     "render_critical_path",
     "render_contention",
     "analyze_trace",

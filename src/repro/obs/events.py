@@ -29,7 +29,6 @@ kind                   emitted when / payload highlights
 ``lock.wait``          a transaction's wait for a holder ended —
                        woken, withdrawn or timed out (the simulator's
                        block policy, the server's parked invocations)
-``lock.deadlock``      a waits-for cycle was refused (victim aborts)
 ``compaction.advance`` ``forget()`` folded intentions into the
                        version: old/new horizon, collapsed-prefix
                        length, forgotten transactions
@@ -128,7 +127,6 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
     ),
     "lock.block": frozenset({"transaction", "obj", "operation"}),
     "lock.wait": frozenset({"transaction", "holder"}),
-    "lock.deadlock": frozenset({"transaction", "holder", "cycle"}),
     "compaction.advance": frozenset(
         {
             "obj",

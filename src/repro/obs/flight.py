@@ -11,8 +11,7 @@ file that :func:`~repro.obs.sinks.read_jsonl` replays — through the
 ``repro analyze``.
 
 Triggers, each naming the ``reason`` tag of its dump: a refuted run
-(``check.violation``: ``violation``), a refused waits-for cycle
-(``lock.deadlock``: ``deadlock``), shed load (``server.busy``: ``busy``),
+(``check.violation``: ``violation``), shed load (``server.busy``: ``busy``),
 a finished graceful shutdown (``server.drain``: ``drain``, the run's
 terminal snapshot), and a ``server.request`` admitted at or above
 ``queue_high_water`` depth (``queue-high-water``).
@@ -43,7 +42,6 @@ _REASON_SAFE = re.compile(r"[^a-zA-Z0-9_-]+")
 #: Event kinds that unconditionally trigger a dump, mapped to reasons.
 _TRIGGER_KINDS = {
     "check.violation": "violation",
-    "lock.deadlock": "deadlock",
     "server.busy": "busy",
     "server.drain": "drain",
 }

@@ -357,7 +357,6 @@ class RegistrySink:
             "lock.conflict": self._lock_conflict,
             "lock.block": count("lock.blocks"),
             "lock.wait": count("lock.waits"),
-            "lock.deadlock": count("lock.deadlocks"),
             "compaction.advance": self._compaction_advance,
             "wal.append": count("wal.appends"),
             "wal.replay": count("wal.replays"),

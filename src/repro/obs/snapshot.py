@@ -3,9 +3,10 @@
 The LOCK machine holds no explicit lock table — "locks are implicit in
 the intentions lists" (Section 5.1) — so the lock-table snapshot *is*
 the map from active transactions to the operations whose locks they
-hold.  The waits-for snapshot reads the simulator's
-:class:`~repro.runtime.waiting.WaitRegistry` edges (block wait-policy only;
-the retry policy never records a wait).
+hold.  The waits-for snapshot reads a
+:class:`~repro.runtime.waiting.WaitRegistry`'s edges (the simulator's
+block wait-policy or the server's parked invocations; the retry policy
+never records a wait).
 """
 
 from __future__ import annotations

@@ -56,15 +56,13 @@ __all__ = [
 PHASES = ("client", "queue", "execute", "respond", "lock-wait")
 
 #: Event kinds that end a "blocked" interval.
-BLOCKED_KINDS = frozenset(
-    {"lock.conflict", "lock.block", "lock.wait", "lock.deadlock"}
-)
+BLOCKED_KINDS = frozenset({"lock.conflict", "lock.block", "lock.wait"})
 #: Event kinds that end an "executing" interval.
 _EXECUTING_KINDS = frozenset({"txn.invoke", "txn.respond"})
 #: Event kinds that complete a span.
 _TERMINAL_KINDS = frozenset({"txn.commit", "txn.abort"})
-#: What a refusal that names no pair (a wait, a deadlock) is charged to
-#: when its transaction has not been refused on a named pair before.
+#: What a refusal that names no pair (a wait) is charged to when its
+#: transaction has not been refused on a named pair before.
 _UNNAMED_BLOCKER = ("?", "(wait)/(unknown holder)", "wait")
 
 #: Serving-tier kinds the span builder *consumes*: they carry the
@@ -92,8 +90,8 @@ def _blocker(
     event: TraceEvent, previous: Optional[Tuple[str, str, str]]
 ) -> Tuple[str, str, str]:
     """The ``(object, operation pair, relation)`` a refusal is charged
-    to: the pair it names, else (a wait, a deadlock) the transaction's
-    previous one."""
+    to: the pair it names, else (a wait) the transaction's previous
+    one."""
     data = event.data
     if event.kind == "lock.conflict":
         pair = f"{data.get('operation')}/{data.get('held')}"

@@ -1,18 +1,19 @@
-"""Blocked-transaction bookkeeping: waits-for graph, deadlock detection.
+"""Blocked-transaction bookkeeping: the waits-for graph and its one rule.
 
 The locking protocol itself only says a refused lock request "is later
 retried"; *how* the requester waits is a scheduling policy.  Two users
-share this one registry:
+share this one registry, and its one rule:
 
 * the simulator, under its ``block`` wait policy (its default, ``retry``,
   polls again after a backoff and never waits): a refused transaction
-  sleeps until the lock-holding transaction completes, the classic DBMS
-  discipline.  Blocking introduces deadlock, so :meth:`WaitRegistry.wait`
-  refuses (with :class:`DeadlockDetected`) any wait that would close a
-  cycle — the standard detect-and-abort-the-requester scheme;
+  sleeps until the lock-holding transaction completes;
 * the serving tier, which parks a refused invocation on its holder and
-  re-executes it when the holder's handle closes.  It waits only on a
-  holder that is not itself waiting, so no cycle can form there.
+  re-executes it when the holder's handle closes.
+
+The rule (:meth:`WaitRegistry.wait`): a transaction waits only on a
+holder that is not itself waiting.  A declined wait is answered as an
+unwaited refusal — the server answers ``CONFLICT``, the simulated client
+abandons its transaction, as a served client does with that answer.
 
 The registry is engine-agnostic: it maps transaction names to wakeup
 callbacks and edges, and its users drive it.  A wait's ``lock.wait``
@@ -25,22 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..core.errors import ReproError
-
-__all__ = ["DeadlockDetected", "WaitRegistry"]
-
-
-class DeadlockDetected(ReproError):
-    """Blocking on this holder would create a waits-for cycle."""
-
-    def __init__(self, waiter: str, holder: str, cycle: List[str]):
-        super().__init__(
-            f"{waiter} waiting for {holder} closes the cycle "
-            + " -> ".join(cycle + [cycle[0]])
-        )
-        self.waiter = waiter
-        self.holder = holder
-        self.cycle = cycle
+__all__ = ["WaitRegistry"]
 
 
 class WaitRegistry:
@@ -71,41 +57,27 @@ class WaitRegistry:
         """How many transactions are currently blocked."""
         return len(self._waiting_for)
 
-    def _would_deadlock(self, waiter: str, holder: str) -> Optional[List[str]]:
-        """Walk holder's wait chain; a path back to ``waiter`` is a cycle."""
-        path = [waiter]
-        current: Optional[str] = holder
-        while current is not None:
-            path.append(current)
-            if current == waiter:
-                return path[:-1]
-            current = self._waiting_for.get(current)
-        return None
-
-    def wait(self, waiter: str, holder: str, wake: Callable[[], None]) -> None:
+    def wait(self, waiter: str, holder: str, wake: Callable[[], None]) -> bool:
         """Block ``waiter`` on ``holder``; ``wake`` runs at release.
 
-        Raises :class:`DeadlockDetected` — without recording the edge —
-        when the wait would close a cycle; the caller should abort and
-        restart the waiter (deadlock resolution by victimising the
-        requester).
+        Returns False, recording nothing, when ``holder`` is itself
+        waiting: the caller answers the refusal unwaited.
         """
         if waiter == holder:
             raise ValueError("a transaction cannot wait for itself")
         if waiter in self._waiting_for:
             raise ValueError(f"{waiter} is already waiting")
-        cycle = self._would_deadlock(waiter, holder)
-        if cycle is not None:
-            if self.tracer is not None:
-                self.tracer.emit(
-                    "lock.deadlock",
-                    transaction=waiter,
-                    holder=holder,
-                    cycle=list(cycle),
-                )
-            raise DeadlockDetected(waiter, holder, cycle)
+        # Every edge admitted ends at a transaction that is not waiting,
+        # so the graph stays acyclic, and no wait needs a timer to end:
+        # a simulated holder always commits, aborts or is abandoned
+        # after its retry budget.  Only a served client can go idle
+        # holding a lock, which is why the server bounds a wait by
+        # ``WAIT_BOUND``.
+        if holder in self._waiting_for:
+            return False
         self._waiting_for[waiter] = holder
         self._waiters.setdefault(holder, []).append((waiter, wake))
+        return True
 
     def _ended(self, waiter: str, holder: str) -> None:
         """``waiter``'s wait on ``holder`` is over: the ``lock.wait``."""

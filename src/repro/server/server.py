@@ -75,9 +75,9 @@ Waiting for a lock holder
 -------------------------
 
 A shard that refuses an ``invoke`` with ``CONFLICT`` names the holder;
-if that is an open handle here and is not itself waiting (wait depth 1:
-every waits-for edge ends at a transaction that waits for nothing, so no
-cycle can form), the request *parks* — a
+if that is an open handle here and is not itself waiting (the
+registry's one rule: no edge ends at a waiter, so the waits-for graph
+stays acyclic), the request *parks* — a
 :class:`~repro.runtime.waiting.WaitRegistry` edge — instead of being
 answered.  Every close of a handle goes through :meth:`ReproServer._close`,
 which wakes its waiters: on a non-blocking shard a woken request
@@ -239,13 +239,6 @@ class ReproServer:
         reports its status, and :meth:`drain` asks it for a final
         ``drain`` snapshot via its own trigger (it hears the
         ``server.drain`` event through the bus).
-    profiler:
-        Optional :class:`~repro.obs.SamplingProfiler`; :meth:`start`
-        starts it, :meth:`drain` stops it, and the ``stats`` op
-        reports its status.  Pair with ``profile_dir`` to dump
-        ``profile.folded`` / ``profile.json`` after the drain.
-    profile_dir:
-        Where the drain-time profile dump goes (requires ``profiler``).
     pool:
         A :class:`~repro.server.engine.ShardSet` to serve from instead —
         a :class:`~repro.server.procpool.ShardProcessPool`, say
@@ -264,8 +257,6 @@ class ReproServer:
         flush_on_drain: Sequence[Any] = (),
         registry: Any = None,
         flight: Any = None,
-        profiler: Any = None,
-        profile_dir: Optional[str] = None,
         pool: Any = None,
     ):
         if pool:
@@ -293,8 +284,6 @@ class ReproServer:
         self._flush_on_drain = list(flush_on_drain)
         self.registry = registry
         self.flight = flight
-        self.profiler = profiler
-        self.profile_dir = profile_dir
         self._started_at: Optional[float] = None
         #: object name -> owning worker index.
         self._catalog: Dict[str, int] = {}
@@ -375,8 +364,6 @@ class ReproServer:
         self._server = await loop.create_server(
             lambda: _Connection(self), self.host, self.port
         )
-        if self.profiler is not None:
-            self.profiler.start()
         self._started_at = loop.time()
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -443,14 +430,6 @@ class ReproServer:
                 finished=report["finished"],
                 aborted=report["aborted"],
             )
-        if self.profiler is not None:
-            self.profiler.stop()
-            if self.profile_dir is not None:
-                # Local import: the server takes its obs collaborators
-                # as injected Any's; only the dump helper needs a name.
-                from ..obs.prof import write_profile
-
-                write_profile(self.profile_dir, profiler=self.profiler)
         # Hang up on whoever is still connected; each connection_lost
         # emits the session's ``server.disconnect`` before the sinks
         # close.  A close waits for the replies to be flushed, so a peer
@@ -826,8 +805,6 @@ class ReproServer:
             result["metrics"] = self.registry.snapshot()
         if self.flight is not None:
             result["flight"] = self.flight.status()
-        if self.profiler is not None:
-            result["profiler"] = self.profiler.status()
         return result
 
     def _route(self, session: Session, request: Request) -> Optional[int]:
@@ -1086,23 +1063,21 @@ class ReproServer:
     ) -> bool:
         """Park an invocation refused ``CONFLICT`` until its holder's
         handle closes; False (answer the refusal now) unless the holder
-        is an open handle on this server that is not itself waiting —
-        wait depth 1: every waits-for edge ends at a transaction that
-        waits for nothing, so no cycle can form — and the requester has
-        nothing parked already."""
+        is an open handle on this server, the requester has nothing
+        parked already, and :meth:`~repro.runtime.waiting.WaitRegistry.wait`
+        admits the edge (the holder is not itself waiting, so no cycle
+        can form)."""
         holder = reply.get("holder")
         handle = request.params["transaction"]
         if holder is None or handle in self._parked:
-            return False
-        waits = self.waits
-        if waits.waiting_for(holder) is not None:
             return False
         # A handle is "<session name>.t<n>" (Session.mint_handle).
         session = self._sessions.get(holder.partition(".")[0])
         if session is None or holder not in session.transactions:
             return False
         parked = _Parked(connection, request, index, reply)
-        waits.wait(handle, holder, lambda: self._wake(parked))
+        if not self.waits.wait(handle, holder, lambda: self._wake(parked)):
+            return False
         parked.timer = asyncio.get_running_loop().call_later(
             WAIT_BOUND, self._expire, parked
         )

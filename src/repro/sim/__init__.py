@@ -1,7 +1,7 @@
 """Discrete-event simulation of concurrent transaction workloads, on one
 site or many."""
 
-from ..runtime.waiting import DeadlockDetected, WaitRegistry
+from ..runtime.waiting import WaitRegistry
 from .des import Simulator
 from .client import Client, ClientParams
 from .experiment import Run, compare_protocols, run_experiment
@@ -24,7 +24,6 @@ from .workload import (
 __all__ = [
     "Simulator",
     "WaitRegistry",
-    "DeadlockDetected",
     "Metrics",
     "Client",
     "ClientParams",

@@ -7,9 +7,11 @@ client's would be.  The first touch of a site piggybacks ``begin`` on the
 refused lock or a would-block partial operation retries after
 ``backoff`` (or, under the ``block`` policy, waits for the holder the
 ``CONFLICT`` names), and the transaction is abandoned after
-``max_step_retries`` refusals of one step or on a deadlock.  One site
-ends with a plain ``commit`` (``ABORTED``: a failed optimistic
-validation), several with :func:`~repro.server.engine.two_phase_commit`.
+``max_step_retries`` refusals of one step or when the registry declines
+its wait, as a served client abandons a ``CONFLICT`` it was not parked
+on.  One site ends with a plain ``commit`` (``ABORTED``: a failed
+optimistic validation), several with
+:func:`~repro.server.engine.two_phase_commit`.
 The next script starts after ``think_time`` (+ ``commit_time``).
 
 Without a ``network`` an op is a direct call and the :class:`ClientParams`
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
-from ..runtime.waiting import DeadlockDetected, WaitRegistry
+from ..runtime.waiting import WaitRegistry
 from ..server.engine import ShardDown, two_phase_commit
 from .des import Simulator
 from .metrics import Metrics
@@ -55,9 +57,10 @@ class ClientParams:
     """Timing and scheduling knobs shared by every client in a run.
 
     ``wait_policy`` selects how a refused lock is handled: ``"retry"``
-    polls again after ``backoff`` (deadlock-free); ``"block"`` sleeps
-    until the holding transaction completes, with waits-for deadlock
-    detection aborting the requester on a cycle.  A mean of 0 draws nothing.
+    polls again after ``backoff``; ``"block"`` sleeps until the holding
+    transaction completes, unless that holder is itself waiting, when the
+    requester is abandoned (:meth:`~repro.runtime.waiting.WaitRegistry.wait`).
+    A mean of 0 draws nothing.
     """
 
     op_time: float = 1.0
@@ -201,11 +204,9 @@ class Client:
         if code == "CONFLICT":
             self.metrics.conflicts += 1
             if self.waits is not None and reply["holder"]:
-                try:  # block policy: sleep until the holder completes
-                    wake = lambda: self._next_step(0)
-                    self.waits.wait(self.transaction, reply["holder"], wake=wake)
-                except DeadlockDetected:
-                    self.metrics.deadlocks += 1
+                # block policy: sleep until the holder completes
+                wake = lambda: self._next_step(0)
+                if not self.waits.wait(self.transaction, reply["holder"], wake=wake):
                     self._abandon()
                 return
         elif code == "WOULD_BLOCK":

@@ -30,8 +30,6 @@ class Metrics:
     retained_intentions: int = 0
     #: Commit-time certification failures (optimistic engine only).
     validation_failures: int = 0
-    #: Waits-for cycles resolved by aborting the requester (block policy).
-    deadlocks: int = 0
     #: Fail-stop crashes injected into the run (fault-injection metric).
     crashes: int = 0
     #: Successful checkpoint + WAL-replay recoveries.
@@ -75,7 +73,6 @@ class Metrics:
             "conflict_rate": round(self.conflict_rate, 4),
             "abort_rate": round(self.abort_rate, 4),
             "validation_failures": self.validation_failures,
-            "deadlocks": self.deadlocks,
         }
         if self.crashes or self.recoveries:
             row.update(

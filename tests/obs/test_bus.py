@@ -121,7 +121,6 @@ class TestTraceEvent:
             "lock.conflict",
             "lock.block",
             "lock.wait",
-            "lock.deadlock",
             "compaction.advance",
             "wal.append",
             "wal.replay",

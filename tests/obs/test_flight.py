@@ -46,7 +46,6 @@ class TestRingAndTriggers:
         [
             ("server.busy", {"session": "s1", "queue_depth": 9}, "busy"),
             ("server.drain", {"sessions": 0, "aborted": 0}, "drain"),
-            ("lock.deadlock", {"transaction": "t1", "obj": "A"}, "deadlock"),
             (
                 "check.violation",
                 {"rule": "serial", "txn": "t1", "obj": "A"},

@@ -1,177 +1,22 @@
-"""The profiler triad: sampler, critical path, contention attribution.
+"""The two span folds of ``repro analyze``: critical path and contention.
 
-The sampler is tested two ways: lifecycle against the real thread (it
-must start, sample, stop, and leave no thread behind) and aggregation
-against synthetic frame objects, which makes the folded output exact —
-determinism is the whole point of the :class:`StackAggregator` fold, so
-the assertions here are byte-level, not fuzzy.  The critical-path and
-contention analyzers are pure functions over hand-built spans and event
-lists, so their math is asserted exactly too.
+Both are pure functions over hand-built spans and event lists, so their
+math is asserted exactly.
 """
-
-import threading
-import time
 
 import pytest
 
 from repro.obs import (
-    SamplingProfiler,
     SpanBuilder,
-    StackAggregator,
     TraceBus,
     contention_profile,
     critical_path,
-    read_profile,
     render_contention,
     render_critical_path,
-    render_profile,
-    write_profile,
 )
-from repro.obs.prof import gating_phase
+from repro.obs.analyze import gating_phase
 from repro.obs.spans import PHASES, Span
 from repro.sim import AccountWorkload, ClientParams, run_experiment
-
-
-class FakeCode:
-    def __init__(self, name):
-        self.co_name = name
-
-
-class FakeFrame:
-    """Just enough of a frame for ``StackAggregator.add_frame``."""
-
-    def __init__(self, module, name, back=None):
-        self.f_code = FakeCode(name)
-        self.f_globals = {"__name__": module}
-        self.f_back = back
-
-
-def chain(*labels):
-    """Build a leaf frame for ``mod.fn`` labels, root first."""
-    frame = None
-    for label in labels:
-        module, _, name = label.rpartition(".")
-        frame = FakeFrame(module, name, back=frame)
-    return frame
-
-
-class TestStackAggregator:
-    def test_identical_stacks_merge(self):
-        agg = StackAggregator()
-        agg.add(("root", "leaf"))
-        agg.add(("root", "leaf"), count=2)
-        agg.add(("root", "other"))
-        assert agg.samples == 4
-        assert agg.folded_lines() == ["root;leaf 3", "root;other 1"]
-        assert agg.folded() == "root;leaf 3\nroot;other 1\n"
-
-    def test_output_order_is_deterministic_not_insertion(self):
-        first, second = StackAggregator(), StackAggregator()
-        first.add(("b",))
-        first.add(("a",))
-        second.add(("a",))
-        second.add(("b",))
-        assert first.folded() == second.folded()
-
-    def test_deep_stacks_keep_the_leaf_end(self):
-        agg = StackAggregator(max_depth=3)
-        agg.add(("r", "f1", "f2", "f3", "hot"))
-        assert agg.truncated == 1
-        (line,) = agg.folded_lines()
-        assert line == "<truncated>;f2;f3;hot 1"
-
-    def test_add_frame_walks_leaf_to_root(self):
-        agg = StackAggregator()
-        agg.add_frame(chain("m.outer", "m.inner"), root_label="thread:T")
-        assert agg.folded_lines() == ["thread:T;m.outer;m.inner 1"]
-
-    def test_frame_totals_self_vs_total(self):
-        agg = StackAggregator()
-        agg.add(("a", "b"), count=3)
-        agg.add(("a",), count=2)
-        totals = agg.frame_totals()
-        assert totals["a"] == {"self": 2, "total": 5}
-        assert totals["b"] == {"self": 3, "total": 3}
-
-    def test_recursive_stack_counts_total_once(self):
-        agg = StackAggregator()
-        agg.add(("f", "f", "f"))
-        assert agg.frame_totals()["f"] == {"self": 1, "total": 1}
-
-
-class TestSamplingProfiler:
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(hz=0)
-
-    def test_lifecycle_leaves_no_thread_behind(self):
-        profiler = SamplingProfiler(hz=500.0)
-        assert not profiler.running
-        profiler.start()
-        profiler.start()  # idempotent while running
-        assert profiler.running
-        assert any(
-            t.name == "repro-prof-sampler" for t in threading.enumerate()
-        )
-        deadline = time.monotonic() + 5.0
-        while profiler.samples == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        profiler.stop()
-        profiler.stop()  # idempotent when stopped
-        assert not profiler.running
-        assert not any(
-            t.name == "repro-prof-sampler" for t in threading.enumerate()
-        )
-        assert profiler.samples > 0
-        assert profiler.duration > 0.0
-
-    def test_context_manager_stops_on_exit(self):
-        with SamplingProfiler(hz=500.0) as profiler:
-            assert profiler.running
-        assert not profiler.running
-
-    def test_synthetic_sampling_is_deterministic(self):
-        profiler = SamplingProfiler(
-            frames=lambda: {},  # never called: frames passed explicitly
-        )
-        frames = {
-            7: chain("app.main", "app.work"),
-            3: chain("app.main", "app.idle"),
-        }
-        recorded = profiler.sample_once(frames=frames)
-        profiler.sample_once(frames=frames)
-        assert recorded == 2
-        assert profiler.rounds == 2
-        assert profiler.samples == 4
-        # Unknown idents label the thread by number; order is by ident.
-        assert profiler.folded() == (
-            "thread:3;app.main;app.idle 2\nthread:7;app.main;app.work 2\n"
-        )
-
-    def test_sampler_excludes_its_own_thread(self):
-        profiler = SamplingProfiler(hz=500.0)
-        profiler.start()
-        try:
-            deadline = time.monotonic() + 5.0
-            while profiler.samples == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-        finally:
-            profiler.stop()
-        assert profiler.samples > 0
-        for stack, _count in profiler.aggregator.stacks():
-            assert not stack.startswith("thread:repro-prof-sampler")
-
-    def test_status_is_json_friendly(self):
-        profiler = SamplingProfiler(hz=50.0)
-        status = profiler.status()
-        assert status == {
-            "running": False,
-            "hz": 50.0,
-            "rounds": 0,
-            "samples": 0,
-            "truncated": 0,
-            "duration_seconds": 0.0,
-        }
 
 
 def span(client=0.0, queue=0.0, execute=0.0, respond=0.0, blocked=0.0):
@@ -231,6 +76,11 @@ class TestCriticalPath:
         assert report["spans"] == 0
         assert report["attributed_fraction"] == 0.0
         assert report["total"] == {"p50": 0.0, "p99": 0.0}
+
+    def test_render_scales_to_ms(self):
+        report = critical_path([span(queue=0.002)])  # seconds
+        rendered = render_critical_path(report, scale_to_ms=1e3)
+        assert "queue: p50 2.000ms" in rendered
 
 
 def fold(events):
@@ -402,61 +252,10 @@ class TestOneBlockedTimeRule:
         )
         spans = fold(events)
         report = contention_profile(spans)
-        assert report["blocked_time"] == pytest.approx(97.57036180133234, abs=1e-9)
+        assert report["blocked_time"] == pytest.approx(110.01723826981006, abs=1e-9)
         assert sum(span.blocked for span in spans) == pytest.approx(
             report["blocked_time"], abs=1e-9
         )
-
-
-class TestDumpLoadRender:
-    def make_profiler(self):
-        profiler = SamplingProfiler(frames=lambda: {})
-        profiler.sample_once(frames={5: chain("app.main", "app.work")})
-        return profiler
-
-    def test_json_round_trip_through_the_codec(self, tmp_path):
-        paths = write_profile(str(tmp_path), profiler=self.make_profiler())
-        assert [p.rsplit("/", 1)[1] for p in paths] == [
-            "profile.folded",
-            "profile.json",
-        ]
-        report = read_profile(str(tmp_path / "profile.json"))
-        assert sorted(report) == ["sampler", "schema_version"]
-        assert report["sampler"]["samples"] == 1
-        assert report["sampler"]["stacks"] == [
-            ["thread:5;app.main;app.work", 1]
-        ]
-
-    def test_folded_round_trip(self, tmp_path):
-        profiler = self.make_profiler()
-        write_profile(str(tmp_path), profiler=profiler)
-        report = read_profile(str(tmp_path / "profile.folded"))
-        assert report["sampler"]["samples"] == 1
-        assert report["sampler"]["stacks"] == [
-            ["thread:5;app.main;app.work", 1]
-        ]
-
-    def test_directory_prefers_json(self, tmp_path):
-        write_profile(str(tmp_path), profiler=self.make_profiler())
-        report = read_profile(str(tmp_path))
-        assert "schema_version" in report
-        assert report["sampler"]["hz"] == pytest.approx(87.0)
-
-    def test_empty_directory_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_profile(str(tmp_path))
-
-    def test_render_profile_names_the_hot_frame(self, tmp_path):
-        write_profile(str(tmp_path), profiler=self.make_profiler())
-        rendered = render_profile(read_profile(str(tmp_path)))
-        assert "== profile ==" in rendered
-        assert "hottest frames" in rendered
-        assert "app.work" in rendered
-
-    def test_render_critical_path_scales_to_ms(self):
-        report = critical_path([span(queue=0.002)])  # seconds
-        rendered = render_critical_path(report, scale_to_ms=1e3)
-        assert "queue: p50 2.000ms" in rendered
 
 
 class TestBenchReplayAgreement:

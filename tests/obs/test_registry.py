@@ -88,7 +88,7 @@ class TestMetricsRegistry:
 
     def test_absorb_metrics_imports_every_field(self):
         registry = MetricsRegistry()
-        metrics = Metrics(committed=7, conflicts=3, deadlocks=2)
+        metrics = Metrics(committed=7, conflicts=3, aborted=2)
         registry.absorb_metrics(metrics)
         for field in dataclasses.fields(metrics):
             assert registry.counter(field.name).value == getattr(

@@ -49,7 +49,7 @@ class TestSpanBuilder:
     def test_aborted_span(self):
         bus, builder = make_bus([0.0, 1.0, 2.0])
         bus.emit("txn.begin", transaction="T1")
-        bus.emit("lock.deadlock", transaction="T1", holder="T2")
+        bus.emit("lock.wait", transaction="T1", holder="T2")
         bus.emit("txn.abort", transaction="T1")
         (span,) = builder.spans
         assert span.outcome == "aborted"

@@ -595,56 +595,9 @@ class TestAnalyze:
         assert "holds no events" in capsys.readouterr().err
 
 
-class TestProfile:
-    def make_dump(self, tmp_path):
-        from repro.obs import SamplingProfiler, write_profile
-
-        profiler = SamplingProfiler(frames=lambda: {})
-
-        class FakeCode:
-            co_name = "work"
-
-        class FakeFrame:
-            f_code = FakeCode()
-            f_globals = {"__name__": "app"}
-            f_back = None
-
-        profiler.sample_once(frames={9: FakeFrame()})
-        write_profile(str(tmp_path), profiler=profiler)
-        return tmp_path
-
-    def test_renders_a_dump_directory(self, tmp_path, capsys):
-        dump = self.make_dump(tmp_path)
-        assert main(["profile", str(dump)]) == 0
-        out = capsys.readouterr().out
-        assert "== profile ==" in out
-        assert "app.work" in out
-
-    def test_json_output(self, tmp_path, capsys):
-        import json
-
-        dump = self.make_dump(tmp_path)
-        assert main(["profile", str(dump), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["sampler"]["samples"] == 1
-
-    def test_missing_path_exits_2(self, capsys):
-        assert main(["profile", "/no/such/profile"]) == 2
-        assert "no such profile" in capsys.readouterr().err
-
-    def test_nonpositive_top_exits_2(self, tmp_path, capsys):
-        dump = self.make_dump(tmp_path)
-        assert main(["profile", str(dump), "--top", "0"]) == 2
-        assert "must be positive" in capsys.readouterr().err
-
-    def test_profileless_directory_exits_2(self, tmp_path, capsys):
-        assert main(["profile", str(tmp_path)]) == 2
-        assert "cannot load" in capsys.readouterr().err
-
-
 class TestServe:
     """``repro serve`` as its own process: boot, serve, drain on SIGTERM,
-    and leave a trace, a profile and a flight dump the other verbs read —
+    and leave a trace and a flight dump the other verbs read —
     over local shards and over shard processes."""
 
     @pytest.mark.parametrize(
@@ -663,15 +616,12 @@ class TestServe:
         import repro
         from repro.server import SyncClient
 
-        trace, profile, flight = (
-            tmp_path / "trace.jsonl", tmp_path / "prof", tmp_path / "flight"
-        )
+        trace, flight = tmp_path / "trace.jsonl", tmp_path / "flight"
         source = os.path.dirname(os.path.dirname(repro.__file__))
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              *shards, "--object", "a:Account",
-             "--trace-file", str(trace), "--profile-dir", str(profile),
-             "--flight-dir", str(flight)],
+             "--trace-file", str(trace), "--flight-dir", str(flight)],
             stdout=subprocess.PIPE, text=True, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": source},
         )
@@ -686,11 +636,6 @@ class TestServe:
                     client.invoke(handle, "a", "Credit", amount)
                     client.invoke(handle, "a", "Debit", 1)
                     client.commit(handle)
-                # The sampler ticks at 87 Hz: poll until it has seen the
-                # server once, so the dump below has a frame to show.
-                assert any(
-                    client.stats()["profiler"]["samples"] for _ in range(5000)
-                )
             server.send_signal(signal.SIGTERM)
             drained, _ = server.communicate(timeout=20)
         finally:
@@ -717,6 +662,4 @@ class TestServe:
                         "no checker violations in trace"):
             assert section in out
         assert "wire phases (median):" not in out
-        assert main(["profile", str(profile)]) == 0
-        assert "hottest frames" in capsys.readouterr().out
         assert [path.name for path in flight.glob("*drain*")]
