@@ -670,7 +670,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"serving on {host}:{port} "
-            f"({tier}, queue limit {server.queue_limit}); "
+            f"({tier}, queue limit {server.core.queue_limit}); "
             "SIGTERM/SIGINT drains gracefully",
             flush=True,
         )

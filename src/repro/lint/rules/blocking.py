@@ -8,18 +8,23 @@ throughput numbers silently become nonsense, and the seeded run is no
 longer a function of its seed.  Real I/O (sockets, subprocesses,
 ``input()``) in those paths is the same bug with a bigger constant.
 
+The same goes for the event loop itself: an ``import asyncio`` (or
+``from asyncio import ...``) in scope is flagged, so the serving tier's
+sans-IO modules — framing, sessions, the engine and the serving core —
+stay functions of bytes, replies and a passed-in clock.
+
 Scope: configured in :mod:`repro.lint.config` (``RULE_SCOPES``) — the
 layers that run inside an event loop, simulated or real.  The
 ``recovery/`` WAL is deliberately *outside* the scope (durability
 requires real file I/O), and the serving tier's socket modules are
-explicitly allowlisted there: real wire I/O is their purpose, while the
-tier's pure framing/session modules stay fully checked.
+explicitly allowlisted there: real wire I/O and the loop are their
+purpose, while the tier's pure modules stay fully checked.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 from ..config import in_scope
 from ..engine import FileContext, Finding, Project, Rule, register
@@ -57,6 +62,16 @@ def _dotted_base(node: ast.expr) -> Optional[str]:
     return None
 
 
+def _imported(node: ast.AST) -> List[str]:
+    """The top-level packages an import statement loads (none for a
+    relative import or any other node)."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module.split(".")[0]]
+    return []
+
+
 @register
 class BlockingCalls(Rule):
     id = "REP106"
@@ -70,6 +85,13 @@ class BlockingCalls(Rule):
         if not in_scope(self.id, context.path):
             return
         for node in ast.walk(context.tree):
+            if "asyncio" in _imported(node):
+                yield self.finding(
+                    context,
+                    node,
+                    "asyncio imported in a sans-IO module; the event loop "
+                    "belongs to the allowlisted edge modules (pass `now` in)",
+                )
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute):

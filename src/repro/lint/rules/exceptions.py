@@ -42,11 +42,9 @@ _SWALLOW_SENSITIVE = {
     "LockConflict",
     "WouldBlock",
     "IllegalOperation",
-    "DeadlockError",
     "RecoveryError",
     "WalCorruption",
     "ValidationFailed",
-    "QuorumError",
 }
 
 

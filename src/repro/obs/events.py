@@ -67,16 +67,17 @@ kind                   emitted when / payload highlights
                        ``action``, ``transaction``, the client's trace
                        context (``trace`` id, ``sent`` timestamp — the
                        client→server leg of the span) and where it went:
-                       ``shard`` and that shard's ``queue_depth`` with
-                       this request (0 on a non-blocking shard, which has
-                       no queue), or ``shard=None`` when admission
+                       ``shard`` and that shard's ``queue_depth``, the
+                       work waiting in its FIFO ahead of this request (0
+                       on a non-blocking shard, called within the read),
+                       or ``shard=None`` when admission
                        answered it (``begin``, ``ping``, ``stats``, a
                        cached ack, a routing refusal)
 ``server.busy``        a request was refused with BUSY instead — the
                        bounded work queue was past its high-water mark
 ``server.respond``     a shard-executed request was answered; carries
                        the trace id and its phases of ``spans.PHASES``:
-                       ``queue`` in the shard queue (0 on a
+                       ``queue`` in the shard's FIFO (0 on a
                        non-blocking shard), ``execute`` against the
                        manager, ``respond`` until the reply is written
                        — with its batch-mates', in one write: a worker's

@@ -53,6 +53,10 @@ class WaitRegistry:
         """The transaction ``waiter`` is blocked on, if any."""
         return self._waiting_for.get(waiter)
 
+    def waited_on(self, holder: str) -> bool:
+        """Is any transaction blocked on ``holder``?"""
+        return holder in self._waiters
+
     def waiter_count(self) -> int:
         """How many transactions are currently blocked."""
         return len(self._waiting_for)

@@ -11,9 +11,11 @@ and synchronous; this package is where the outside world attaches:
   optional WAL; the op vocabulary and the only exception → error-code
   ladder), its in-process transport, and the shard set with the
   presumed-abort 2PC coordinator;
-* :mod:`~repro.server.server` — the asyncio front end: sessions,
-  bounded work queues with BUSY backpressure, request → op planning,
-  and graceful drain, over whichever transport the shards sit behind;
+* :mod:`~repro.server.core` — the sans-IO serving core: sessions, BUSY
+  admission, one pending FIFO per shard, request → op planning, parking
+  and the round driver, for whichever transport the shards sit behind;
+* :mod:`~repro.server.server` — its asyncio shell: sockets, the
+  process shards' workers, the wait-bound timer and graceful drain;
 * :mod:`~repro.server.procpool` — the process transport: one WAL-backed
   engine per OS process under group commit, supervised respawn with
   recovery;
@@ -46,7 +48,7 @@ from .protocol import (
     response_frame,
 )
 from .server import ReproServer
-from .session import Session, SessionError, TxnRecord
+from .session import Session, TxnRecord
 from .top import render_top, run_top
 
 __all__ = [
@@ -66,7 +68,6 @@ __all__ = [
     "parse_request",
     "parse_response",
     "Session",
-    "SessionError",
     "TxnRecord",
     "ReproServer",
     "ShardedTimestampGenerator",

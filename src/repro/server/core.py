@@ -1,0 +1,900 @@
+"""The serving core: one request pipeline, whatever the shards sit behind.
+
+The wire tier's controller, written once as rules over bytes, replies
+and a clock: it imports no event loop and reads no clock (``now`` is
+passed in; the tracer's clock is the bus's own).  The asyncio shell,
+:class:`~repro.server.server.ReproServer`, feeds it what each read
+completed, writes what it queues on each :class:`Channel`, and calls the
+shards when it *kicks* one.
+
+Each decoded frame is admitted in arrival order (:meth:`ServerCore.feed`):
+answered on the spot when no shard is needed (``begin``, ``ping``,
+``stats``, a cached ack, a refusal), else routed to one shard and
+appended to that shard's pending FIFO — one per shard, for every
+transport; ``BUSY`` refuses an admission once it holds ``queue_limit``.
+Objects are sharded by a stable CRC32 of their name; a transaction is
+pinned to the shard of the first object it touches (its *primary*), its
+:class:`~repro.server.session.TxnRecord` lists every shard it touched,
+and shard *i* of *W* mints only timestamps ≡ *i* (mod *W*), so a merged
+trace still certifies.  Whatever the transport, a shard call is
+:meth:`ServerCore.take` (plan a batch of the FIFO into ops), the call,
+and :meth:`ServerCore.settle` (replies to frames; a refused invocation
+parks; a dead shard answers ``SHARD_DOWN``, is cleaned up everywhere and
+respawned from its WAL).
+
+One driver runs every round procedure — a multi-shard completion
+(presumed-abort 2PC, or an abort everywhere) and a respawned shard's
+prepared-set resolution: a round's ops join their shards' FIFOs carrying
+a continuation instead of a request, and its last settled reply sends
+the round's replies into the procedure.  An ``apply_commit`` its shard
+died under is pushed again for the respawned incarnation until acked.
+
+An ``invoke`` refused ``CONFLICT`` *parks* on the holder the reply names
+when that is an open handle here that is not itself waiting (the
+:class:`~repro.runtime.waiting.WaitRegistry` rule).  Closing the holder
+wakes it to the *front* of its shard's FIFO (behind only the abort
+verdicts and waiters pushed there before it), and a batch ends at a
+completion that has waiters, so a woken request re-executes before any
+request admitted after its holder closed.  It gets exactly one reply:
+its re-executed one (it may park again), ``CONFLICT`` once ``now``
+passes its deadline (:meth:`ServerCore.expire`), or — its own handle
+closed under it — ``SHUTTING_DOWN`` / ``SHARD_DOWN`` / ``CONFLICT``, or
+nothing for a lost connection.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+
+from ..runtime.waiting import WaitRegistry
+from .engine import Rounds, abort_round, resolve_prepared, shard_for, two_phase_commit
+from .protocol import (
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    FrameError,
+    Request,
+    WireError,
+    error_frame,
+    parse_request,
+    response_frame,
+)
+from .session import Session, TxnRecord
+
+__all__ = ["BATCH_LIMIT", "WAIT_BOUND", "Channel", "ServerCore"]
+
+#: Most requests one shard call carries: bounds a batch's latency, not
+#: its durability (the engine's log bounds its own staging).
+BATCH_LIMIT = 64
+
+#: Longest a refused invocation waits for its lock holder, in seconds of
+#: the shell's clock, before it is answered ``CONFLICT`` after all.
+WAIT_BOUND = 0.5
+
+#: What a parked invocation is answered when its own handle is closed
+#: under it (a lost connection's is answered nothing).
+_CLOSED_UNDER = {
+    "CONFLICT": "its transaction completed while it waited",
+    "SHUTTING_DOWN": "server is draining",
+}
+
+
+class Channel:
+    """One client connection as the core sees it: its session (set by
+    :meth:`ServerCore.connect`), its frame decoder, and the reply frames
+    waiting to be written, in order."""
+
+    def __init__(self) -> None:
+        self.session: Session
+        self.decoder = FrameDecoder()
+        self.out: List[bytes] = []
+
+
+class _Parked:
+    """An invocation refused ``CONFLICT``, waiting for its lock holder.
+
+    It is live while it is the core's ``parked`` entry for its handle;
+    whoever takes it out of there answers it, exactly once: its re-run
+    after the wake, the deadline, or the close of its handle.
+    """
+
+    __slots__ = ("channel", "request", "index", "refusal", "deadline", "woke")
+
+    def __init__(self, channel, request, index, refusal, deadline):
+        self.channel = channel
+        self.request = request
+        self.index = index
+        #: The engine's CONFLICT reply, answered if the wait runs out.
+        self.refusal = refusal
+        #: When the wait runs out (None once woken: it re-executes).
+        self.deadline: Optional[float] = deadline
+        #: The tracer's clock at the wake (the start of its queue phase).
+        self.woke: Optional[float] = None
+
+
+class _Round:
+    """A round procedure in flight: its current round's replies, and the
+    ``(channel, request, shard, admitted, started)`` its outcome answers
+    (None for a resolution, whose outcome nobody reads)."""
+
+    __slots__ = ("rounds", "replies", "missing", "answers")
+
+    def __init__(self, rounds: Rounds, answers: Any = None):
+        self.rounds = rounds
+        self.replies: List[Any] = []
+        self.missing = 0
+        self.answers = answers
+
+
+class ServerCore:
+    """Sessions, admission, the shards' FIFOs, parking and the round
+    driver over a :class:`~repro.server.engine.ShardSet`.  ``kick(index)``
+    asks the shell for ``take → call → settle`` on shard ``index``;
+    replies wait on the channels in ``dirty`` for the shell's write."""
+
+    def __init__(
+        self,
+        pool: Any,
+        kick: Callable[[int], None],
+        queue_limit: int = 64,
+        tracer: Any = None,
+        registry: Any = None,
+        flight: Any = None,
+    ):
+        self.pool = pool
+        self.workers = pool.workers
+        self.queue_limit = queue_limit
+        self.tracer = tracer
+        self.registry = registry
+        self.flight = flight
+        self.kick = kick
+        #: object name -> owning shard index.
+        self.catalog: Dict[str, int] = {}
+        #: One FIFO of work per shard: ``(channel, request, admitted)``
+        #: for a client request (``admitted`` a :class:`_Parked` once it
+        #: was woken), ``(None, op, continuation)`` for a round op.
+        self.pending: List[Deque[Tuple[Any, Any, Any]]] = [
+            deque() for _ in range(self.workers)
+        ]
+        #: How many items at the head of each FIFO were pushed in front.
+        self._front = [0] * self.workers
+        #: Per shard, the batch :meth:`take` handed out and :meth:`settle`
+        #: has not settled yet.
+        self._batches: List[Any] = [None] * self.workers
+        #: Work was pushed since the last dispatch.
+        self._pushed = False
+        #: The admission stamp of a request whose kick is running.
+        self._admitted: Optional[float] = None
+        #: session name -> its connection (a CONFLICT names a handle, and
+        #: a handle is "<session name>.t<n>": Session.mint_handle).
+        self.channels: Dict[str, Channel] = {}
+        self._session_ids = itertools.count(1)
+        self.waits = WaitRegistry(tracer)
+        #: waiter handle -> its parked request, until it is answered.
+        self.parked: Dict[str, _Parked] = {}
+        #: Round procedures in flight (2PCs, resolutions).
+        self.rounds = 0
+        self.dirty: List[Channel] = []
+        self.answered: List[Tuple[Any, ...]] = []
+        #: The shell's clock at the entry point being applied.
+        self.now = 0.0
+        self.started_at: Optional[float] = None
+        self.draining = False
+        #: No shard admissions or respawns any more (late in a drain).
+        self.stopping = False
+        #: Coarse server-side tallies (the registry, when attached via a
+        #: RegistrySink, derives the same numbers from the events).
+        self.stats = {
+            "connections": 0,
+            "requests": 0,
+            "busy": 0,
+            "errors": 0,
+            "transactions_committed": 0,
+            "transactions_aborted": 0,
+        }
+
+    # -- entry points --------------------------------------------------
+
+    def connect(self, channel: Channel, peer: str = "?") -> None:
+        """Open a session for a new connection."""
+        session = channel.session = Session(next(self._session_ids), peer=peer)
+        self.channels[session.name] = channel
+        self.stats["connections"] += 1
+        if self.tracer is not None:
+            self.tracer.emit("server.connect", session=session.name, peer=peer)
+
+    def disconnect(self, channel: Channel, now: float) -> None:
+        """The connection is gone: abort what its session left open."""
+        self.now = now
+        session = channel.session
+        aborted = self._abort_session(session)
+        self.stats["transactions_aborted"] += aborted
+        del self.channels[session.name]
+        self._dispatch()  # what its aborts woke
+        if self.tracer is not None:
+            self.tracer.emit(
+                "server.disconnect",
+                session=session.name,
+                requests=session.requests,
+                aborted=aborted,
+            )
+
+    def abort_sessions(self, code: str, now: float) -> int:
+        """Abort every open handle not in 2PC (a drain's stragglers); a
+        parked request of theirs is answered ``code``.  Returns how many
+        had run anywhere."""
+        self.now = now
+        channels = self.channels.values()
+        forced = sum(self._abort_session(c.session, code) for c in channels)
+        self._dispatch()
+        return forced
+
+    def feed(self, channel: Channel, data: bytes, now: float) -> bool:
+        """Admit every frame one read completed, in arrival order; True
+        when the stream hit a framing violation (answered, and then the
+        connection must be closed: its offset is unrecoverable)."""
+        self.now = now
+        session = channel.session
+        tracer = self.tracer
+        timed = tracer is not None and tracer.active
+        pending = self.pending
+        try:
+            for body in channel.decoder.feed_iter(data):
+                routed = self._admit(session, body)
+                if type(routed) is bytes:
+                    self._send(channel, routed)
+                else:
+                    request, index = routed
+                    # The admission timestamp anchors the queue phase.
+                    admitted = tracer.clock() if timed else None
+                    pending[index].append((channel, request, admitted))
+                    self._admitted = admitted
+                    self.kick(index)
+                    self._admitted = None
+        except FrameError as exc:
+            # The frames this read completed before it keep their answers.
+            self.stats["errors"] += 1
+            self._send(channel, error_frame(None, exc.code, exc.message))
+            return True
+        return False
+
+    def take(self, index: int) -> List[Dict[str, Any]]:
+        """Plan the next batch of shard ``index``'s FIFO; returns its ops
+        (possibly none: every request taken was answerable without the
+        shard).  :meth:`settle` must be given their replies."""
+        fifo, tracer, started = self.pending[index], self.tracer, self._admitted
+        if started is None:
+            started = tracer.clock() if tracer is not None and tracer.active else 0.0
+        else:
+            self._admitted = None  # taken as it was admitted: no queue phase
+        driven, batch, ops, taken = self.rounds, [], None, 0
+        while fifo and taken < BATCH_LIMIT:
+            taken += 1
+            item = fifo.popleft()
+            channel, request, tag = item
+            if channel is None:
+                plan: Any = [request]  # a round op
+            elif type(tag) is _Parked and not self._unpark(tag):
+                plan = None  # woken, then answered when its handle closed
+            else:
+                plan = self._plan(channel.session, request, index)
+                if type(plan) is TxnRecord:
+                    # A multi-shard completion: the round driver owns the
+                    # handle until it decides, then answers.
+                    rounds = self._cross(channel.session, request, plan)
+                    self._start(_Round(rounds, (channel, request, index, tag, started)))
+                    plan = None
+            batch.append((item, plan))
+            if type(plan) is list:
+                ops = ops + plan if ops else plan
+                if (
+                    self.parked
+                    and channel is not None
+                    and request.action in ("commit", "abort")
+                    and self.waits.waited_on(request.params["transaction"])
+                ):
+                    break  # what follows waits for the waiters it wakes
+        front = self._front
+        if front[index]:
+            front[index] = max(0, front[index] - taken)
+        self._batches[index] = (batch, started)
+        if self.rounds > driven:
+            self._dispatch()  # the other shards a 2PC's first round went to
+        return ops or []
+
+    def settle(self, index: int, replies: Optional[List[Any]], now: float) -> None:
+        """Answer the batch :meth:`take` handed out, given its replies in
+        order — None when the shard died under the call."""
+        self.now = now
+        batch, started = self._batches[index]
+        self._batches[index] = None
+        tracer = self.tracer
+        timed = tracer is not None and tracer.active
+        executed = tracer.clock() if timed else 0.0
+        if replies is None:
+            self._shard_down(index)
+        offset, dirty, answered, span = 0, self.dirty, self.answered, executed - started
+        for item, plan in batch:
+            channel, request, tag = item
+            if type(plan) is list:
+                offset += len(plan)
+                reply = None if replies is None else replies[offset - 1]
+                if channel is None:
+                    if tag is not None:
+                        self._answer_round(index, item, reply)
+                    continue
+                if reply is None:
+                    self._send(channel, self._shard_down_frame(request, index))
+                    continue
+                frame = self._finish(channel, request, index, reply)
+                if frame is None:
+                    continue  # parked
+            elif type(plan) is bytes:
+                frame = plan
+            else:
+                continue  # its driver answers it, or it was answered
+            out = channel.out  # _send, inlined on the hot path
+            if not out:
+                dirty.append(channel)
+            out.append(frame)
+            if timed:
+                if type(tag) is _Parked:
+                    tag = tag.woke  # its queue phase began there
+                queued = 0.0 if tag is None else started - tag
+                entry = (channel.session, request, index, queued, span, executed)
+                answered.append(entry)
+        if self._pushed or self.pending[index]:
+            self._dispatch()
+
+    def expire(self, now: float) -> None:
+        """Answer ``CONFLICT`` to every parked request whose deadline
+        ``now`` has reached, withdrawing its wait."""
+        self.now = now
+        for handle, parked in list(self.parked.items()):
+            if parked.deadline is None:
+                continue  # woken: it re-executes
+            if parked.deadline > now:
+                break  # deadlines rise in parking order
+            del self.parked[handle]
+            self.waits.cancel(handle)
+            self._reply(parked, self._error(parked.request.id, parked.refusal))
+
+    def drained(self, active_at_start: int, forced: int) -> Dict[str, int]:
+        """A drain's report, announced as ``server.drain``."""
+        sessions, finished = len(self.channels), max(0, active_at_start - forced)
+        if self.tracer is not None:
+            self.tracer.emit(
+                "server.drain", sessions=sessions, finished=finished, aborted=forced
+            )
+        return {"sessions": sessions, "finished": finished, "aborted": forced}
+
+    def deadline(self) -> Optional[float]:
+        """The earliest deadline of a parked request (None: none waits)."""
+        for parked in self.parked.values():
+            if parked.deadline is not None:
+                return parked.deadline
+        return None
+
+    def responded(self) -> None:
+        """Emit ``server.respond`` for the replies answered since the last
+        call, stamped now — after the shell's write, so a reply's
+        ``respond`` phase includes its wait for its batch-mates and the
+        three phases sum to the request's residence in the server."""
+        tracer = self.tracer
+        responded = tracer.clock()
+        for session, request, worker, queued, executing, done in self.answered:
+            tracer.emit(
+                "server.respond",
+                session=session.name,
+                action=request.action,
+                trace=request.trace_id,
+                transaction=request.params.get("transaction"),
+                shard=worker,
+                queue=queued,
+                execute=executing,
+                respond=max(0.0, responded - done),
+            )
+        self.answered.clear()
+
+    def _timed(self, channel, request, index, admitted, started, done) -> None:
+        """Note a reply's phases, for its ``server.respond`` event."""
+        queued = 0.0 if admitted is None else max(0.0, started - admitted)
+        self.answered.append(
+            (channel.session, request, index, queued, done - started, done)
+        )
+
+    # -- queues and replies --------------------------------------------
+
+    def _send(self, channel: Channel, frame: bytes) -> None:
+        out = channel.out
+        if not out:
+            self.dirty.append(channel)
+        out.append(frame)
+
+    def _push(self, index: int, item: Tuple[Any, Any, Any], front=False) -> None:
+        """Queue work for a shard: at the back, or ``front`` — ahead of
+        everything but what was pushed in front before it."""
+        self._pushed = True
+        if front:
+            self.pending[index].insert(self._front[index], item)
+            self._front[index] += 1
+        else:
+            self.pending[index].append(item)
+
+    def _dispatch(self) -> None:
+        """Kick every shard with work — but one whose batch is out: its
+        :meth:`settle` ends here again."""
+        self._pushed = False
+        pending, batches = self.pending, self._batches
+        for index in range(self.workers):
+            if pending[index] and batches[index] is None:
+                self.kick(index)
+
+    # -- admission -----------------------------------------------------
+
+    def _admit(self, session: Session, body: Dict[str, Any]) -> Any:
+        """Admit one decoded frame: the reply frame when it can be
+        answered here (pure bookkeeping or a refusal, no shard involved),
+        else the routed ``(request, shard index)``.  Every parsed request
+        leaves one event — ``server.request`` with the shard it went to
+        (None when answered here) and the FIFO length it found, or
+        ``server.busy`` — carrying the client's trace context: its
+        ``sent`` stamp against the event's own ``ts`` is the
+        client→server leg of the end-to-end span."""
+        try:
+            request = parse_request(body)
+        except WireError as exc:
+            self.stats["errors"] += 1
+            return error_frame(body.get("id"), exc.code, exc.message)
+        session.requests += 1
+        tracer = self.tracer
+        worker, depth = None, 0
+        routed = self._answer(session, request)
+        if type(routed) is int:
+            worker = routed
+            depth = len(self.pending[worker])
+            if depth >= self.queue_limit:
+                self.stats["busy"] += 1
+                if tracer is not None:
+                    tracer.emit(
+                        "server.busy",
+                        session=session.name,
+                        action=request.action,
+                        trace=request.trace_id,
+                        sent=request.sent,
+                        transaction=request.params.get("transaction"),
+                        shard=worker,
+                        queue_depth=depth,
+                    )
+                return error_frame(
+                    request.id,
+                    "BUSY",
+                    f"worker {worker} queue at high-water mark "
+                    f"({self.queue_limit}); retry",
+                )
+            self.stats["requests"] += 1
+            routed = request, worker
+        if tracer is not None:
+            tracer.emit(
+                "server.request",
+                session=session.name,
+                action=request.action,
+                trace=request.trace_id,
+                sent=request.sent,
+                transaction=request.params.get("transaction"),
+                shard=worker,
+                queue_depth=depth,
+            )
+        return routed
+
+    def _answer(self, session: Session, request: Request) -> Any:
+        """The reply frame for a request no shard is needed for, else the
+        index of the shard it routes to."""
+        action = request.action
+        if action in ("stats", "health"):
+            # Introspection never waits behind shard work — it must stay
+            # responsive exactly when the queues are saturated.
+            return response_frame(request.id, self._introspect(action))
+        if action == "ping":
+            return response_frame(
+                request.id,
+                {
+                    "protocol_version": PROTOCOL_VERSION,
+                    "workers": self.workers,
+                    "draining": self.draining,
+                    "objects": sorted(self.catalog),
+                },
+            )
+        if action in ("commit", "abort"):
+            cached = session.cached_ack(request.id)
+            if cached is not None:
+                return response_frame(request.id, cached)
+        if action == "begin":
+            if self.draining:
+                return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
+            handle = session.mint_handle()
+            session.open_transaction(handle)
+            return response_frame(request.id, {"transaction": handle})
+        # Everything else routes to a shard.
+        try:
+            worker = self._route(session, request)
+        except WireError as exc:
+            self.stats["errors"] += 1
+            return error_frame(request.id, exc.code, exc.message)
+        if worker is None:
+            # A completion for a transaction that never touched an
+            # object: decide it here, no shard involved.
+            return self._completed(session, request)
+        if self.stopping:
+            return error_frame(request.id, "SHUTTING_DOWN", "server is draining")
+        return worker
+
+    def _introspect(self, action: str) -> Dict[str, Any]:
+        """The ``stats`` / ``health`` result body (inline, read-only)."""
+        started = self.started_at
+        health = {
+            "status": "draining" if self.draining else "ok",
+            "draining": self.draining,
+            "workers": self.workers,
+            "connections": len(self.channels),
+            "objects": len(self.catalog),
+            "uptime": None if started is None else self.now - started,
+        }
+        if action == "health":
+            return health
+        result: Dict[str, Any] = dict(health)
+        result["server"] = dict(self.stats, parked=len(self.parked))
+        result["queue_limit"] = self.queue_limit
+        result["queues"] = [len(fifo) for fifo in self.pending]
+        status = getattr(self.pool, "status", None)
+        if status is not None:
+            result["pool"] = status()  # processes to supervise
+        if self.tracer is not None:
+            result["sink_failures"] = len(self.tracer.failures)
+        if self.registry is not None:
+            result["metrics"] = self.registry.snapshot()
+        if self.flight is not None:
+            result["flight"] = self.flight.status()
+        return result
+
+    def _route(self, session: Session, request: Request) -> Optional[int]:
+        """The shard for one request (None: decide inline).
+
+        Raises :class:`WireError` for unknown objects/handles — refused
+        before consuming queue budget.
+        """
+        action = request.action
+        params = request.params
+        if action == "create":
+            if self.draining:
+                raise WireError("SHUTTING_DOWN", "server is draining")
+            name = params.get("name")
+            if not isinstance(name, str) or not name:
+                raise WireError("BAD_REQUEST", "create needs a non-empty name")
+            return shard_for(name, self.workers)
+        handle = params.get("transaction")
+        if not isinstance(handle, str):
+            raise WireError("BAD_REQUEST", f"{action} needs a transaction handle")
+        record = session.transactions.get(handle)
+        if record is None:
+            raise WireError(
+                "UNKNOWN_TXN", f"no open transaction {handle!r} on this session"
+            )
+        if record.completing:
+            raise WireError("UNKNOWN_TXN", f"transaction {handle!r} is completing")
+        if action == "invoke":
+            obj = params.get("obj")
+            if not isinstance(obj, str):
+                raise WireError("BAD_REQUEST", "invoke needs an obj name")
+            if not isinstance(params.get("operation"), str):
+                raise WireError("BAD_REQUEST", "invoke needs an operation name")
+            owner = self.catalog.get(obj)
+            if owner is None:
+                raise WireError("UNKNOWN_OBJECT", f"no managed object {obj!r}")
+            return owner
+        # commit / abort run on the primary (the 2PC decider).
+        return record.primary
+
+    # -- plan and finish -----------------------------------------------
+
+    def _plan(self, session: Session, request: Request, index: int) -> Any:
+        """Translate one admitted request into ops for shard ``index``.
+
+        Returns the list of ops (:meth:`_finish` turns the reply to the
+        last one into the response); or the response frame itself, for a
+        request answerable without the shard; or the
+        :class:`~repro.server.session.TxnRecord` of a multi-shard
+        completion, for the round driver.
+        """
+        action = request.action
+        params = request.params
+        rid = request.id
+        if action == "create":
+            name = params.get("name")
+            if name in self.catalog:
+                return error_frame(
+                    rid, "BAD_REQUEST", f"object {name!r} already exists"
+                )
+            return [
+                {
+                    "op": "create",
+                    "name": name,
+                    "adt": params.get("adt", "Counter"),
+                    "protocol": params.get("protocol"),
+                }
+            ]
+        handle = params.get("transaction")
+        record = session.transactions.get(handle)
+        if record is None:
+            # Completed (or aborted by a disconnect race) since
+            # admission — for completions, the ack cache answers.
+            cached = session.cached_ack(rid)
+            if cached is not None:
+                return response_frame(rid, cached)
+            return error_frame(rid, "UNKNOWN_TXN", f"no open transaction {handle!r}")
+        if action == "invoke":
+            args = params.get("args", ())
+            if not isinstance(args, (tuple, list)):
+                return error_frame(rid, "BAD_REQUEST", "args must be a sequence")
+            ops = [
+                {
+                    "op": "invoke",
+                    "txn": handle,
+                    "obj": params["obj"],
+                    "operation": params["operation"],
+                    "args": args,
+                }
+            ]
+            if index not in record.participants:
+                record.touch(index)
+                # First touch of this shard begins the transaction here
+                # — quietly on a non-primary participant: the one loud
+                # txn.begin came from the primary, and the checker
+                # rejects duplicates.
+                ops.insert(
+                    0,
+                    {"op": "begin", "name": handle, "quiet": record.primary != index},
+                )
+            return ops
+        if record.cross_shard:
+            return record
+        return [{"op": action, "txn": handle}]  # commit / abort
+
+    def _finish(
+        self, channel: Channel, request: Request, index: int, reply: Dict[str, Any]
+    ) -> Optional[bytes]:
+        """The response frame for the engine's reply to a planned request
+        — None when a refused invocation parks instead."""
+        rid = request.id
+        if "error" in reply:
+            if reply["error"] == "CONFLICT" and self._park(channel, request, index, reply):
+                return None
+            return self._error(rid, reply)
+        action = request.action
+        params = request.params
+        if action == "create":
+            name = params["name"]
+            self.catalog[name] = index
+            return response_frame(
+                rid,
+                {"obj": name, "adt": params.get("adt", "Counter"), "worker": index},
+            )
+        if action == "invoke":
+            result = {
+                "transaction": params["transaction"],
+                "obj": params["obj"],
+                "result": reply["ok"],
+            }
+            return response_frame(rid, result)
+        return self._completed(channel.session, request, reply["ok"])
+
+    def _error(self, rid: int, reply: Dict[str, Any]) -> bytes:
+        """The frame for an engine error reply."""
+        if reply["error"] == "INTERNAL":
+            self.stats["errors"] += 1
+        return error_frame(rid, reply["error"], reply["message"])
+
+    def _completed(
+        self, session: Session, request: Request, timestamp: Any = None
+    ) -> bytes:
+        """Record a commit/abort decision: close the handle, remember the
+        ack for retransmits, count it; returns the response frame."""
+        handle = request.params["transaction"]
+        if request.action == "commit":
+            result = {"transaction": handle, "timestamp": timestamp, "committed": True}
+            self.stats["transactions_committed"] += 1
+        else:
+            result = {"transaction": handle, "aborted": True}
+            self.stats["transactions_aborted"] += 1
+        self._close(session, handle, "CONFLICT")
+        session.record_ack(request.id, result)
+        return response_frame(request.id, result)
+
+    def _shard_down_frame(self, request: Request, index: int) -> bytes:
+        """The typed answer for a request its shard died under."""
+        self.stats["errors"] += 1
+        return error_frame(
+            request.id,
+            "SHARD_DOWN",
+            f"shard {index} worker died; its active transactions are"
+            " presumed aborted",
+        )
+
+    # -- closing handles -----------------------------------------------
+
+    def _abort_session(self, session: Session, code: Optional[str] = None) -> int:
+        """Abort and close the handles a session leaves open, except one
+        in 2PC (that decides it); returns how many had run anywhere.  A
+        parked request of theirs is answered ``code`` (None: nothing)."""
+        aborted = 0
+        for handle, record in list(session.transactions.items()):
+            if record.completing:
+                continue
+            if record.bound:
+                self._abort(abort_round(handle, record.participants))
+                aborted += 1
+            self._close(session, handle, code)
+        return aborted
+
+    def _abort(self, ops: List[Tuple[int, Any]]) -> None:
+        """Push a round of abort verdicts, whose replies nobody reads, in
+        front of each shard's FIFO — ahead of the waiters the close of
+        their handle wakes, which must find the locks released."""
+        for index, op in ops:
+            self._push(index, (None, op, None), front=True)
+
+    def _close(self, session: Session, handle: str, code: Optional[str]) -> None:
+        """Close a handle — every close goes through here.  Its parked
+        request, if it has one, is answered ``code`` (None: nothing, the
+        connection is gone); the requests parked on it are woken.  Costs
+        the uncontended path one test, of an empty dict."""
+        session.close_transaction(handle)
+        if self.parked:
+            parked = self.parked.pop(handle, None)
+            if parked is not None:
+                self.waits.cancel(handle)
+                if code == "SHARD_DOWN":
+                    self._reply(parked, self._shard_down_frame(parked.request, parked.index))
+                elif code is not None:
+                    self._reply(
+                        parked, error_frame(parked.request.id, code, _CLOSED_UNDER[code])
+                    )
+            self.waits.release(handle)
+
+    def _shard_down(self, index: int) -> None:
+        """A shard died under a call: clean up, then respawn.
+
+        Every handle that touched the dead shard is aborted on its
+        surviving participants and closed (never leaked — the dead
+        shard's own active transactions died with its volatile state;
+        prepared ones are resurrected from the WAL and resolved after the
+        respawn) — except one in 2PC, whose driver hears of the death.
+        Then a new incarnation is spawned (it replays its log) and its
+        prepared set resolved by the round driver — unless the core is
+        stopping, or the last one could not start: that shard stays down
+        and every request for it answers ``SHARD_DOWN``.
+        """
+        for channel in self.channels.values():
+            session = channel.session
+            for handle, record in list(session.transactions.items()):
+                if index not in record.participants or record.completing:
+                    continue
+                self._abort(abort_round(handle, set(record.participants) - {index}))
+                self._close(session, handle, "SHARD_DOWN")
+                self.stats["transactions_aborted"] += 1
+        if not self.stopping and self.pool.revive(index):
+            self._start(_Round(resolve_prepared(index, self.workers)))
+
+    # -- parking a refused invocation on its lock holder ---------------
+
+    def _park(
+        self, channel: Channel, request: Request, index: int, reply: Dict[str, Any]
+    ) -> bool:
+        """Park an invocation refused ``CONFLICT`` until its holder's
+        handle closes; False (answer the refusal now) unless its own
+        handle is still open, the holder is an open handle on this
+        server, the requester has nothing parked already, and
+        :meth:`~repro.runtime.waiting.WaitRegistry.wait` admits the edge
+        (the holder is not itself waiting, so no cycle can form)."""
+        holder = reply.get("holder")
+        handle = request.params["transaction"]
+        if holder is None or handle in self.parked:
+            return False
+        if handle not in channel.session.transactions:
+            return False  # closed under the call
+        owner = self.channels.get(holder.partition(".")[0])
+        if owner is None or holder not in owner.session.transactions:
+            return False
+        parked = _Parked(channel, request, index, reply, self.now + WAIT_BOUND)
+        if not self.waits.wait(handle, holder, lambda: self._wake(parked)):
+            return False
+        self.parked[handle] = parked
+        return True
+
+    def _wake(self, parked: _Parked) -> None:
+        """Its holder closed: re-execute the parked request, from the
+        front of its shard's FIFO, with no BUSY check (it was admitted
+        once)."""
+        parked.deadline = None
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            parked.woke = tracer.clock()
+        self._push(parked.index, (parked.channel, parked.request, parked), front=True)
+
+    def _unpark(self, parked: _Parked) -> bool:
+        """Take a parked request out of ``parked``, to answer it; False
+        when it is no longer there (it was answered already)."""
+        handle = parked.request.params["transaction"]
+        if self.parked.get(handle) is not parked:
+            return False
+        del self.parked[handle]
+        return True
+
+    def _reply(self, parked: _Parked, frame: bytes) -> None:
+        """Answer a parked request now, on its own connection."""
+        self._send(parked.channel, frame)
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            now = tracer.clock()
+            self._timed(parked.channel, parked.request, parked.index, None, now, now)
+
+    # -- the round driver ----------------------------------------------
+
+    def _cross(self, session: Session, request: Request, record: TxnRecord) -> Rounds:
+        """Complete a multi-shard transaction — presumed-abort 2PC for a
+        commit, an abort on every participant otherwise — as a round
+        procedure whose outcome is the response frame."""
+        record.completing = True
+        handle, participants = request.params["transaction"], record.participants
+        if request.action == "abort":
+            yield abort_round(handle, participants)
+            return self._completed(session, request)
+        reply = yield from two_phase_commit(handle, participants, record.primary)
+        if "error" in reply:
+            # The 2PC already aborted the transaction on every
+            # participant; the handle is finished, not leaked.
+            self._close(session, handle, "CONFLICT")
+            self.stats["transactions_aborted"] += 1
+            return self._error(request.id, reply)
+        return self._completed(session, request, reply["ok"])
+
+    def _start(self, driver: _Round) -> None:
+        self.rounds += 1
+        self._advance(driver, None)
+
+    def _advance(self, driver: _Round, replies: Any) -> None:
+        """Send a round's replies into its procedure and push the next
+        round's ops, or answer the outcome."""
+        rounds = driver.rounds
+        try:
+            ops = rounds.send(replies)
+            while not ops:
+                ops = rounds.send([])
+        except StopIteration as done:
+            self.rounds -= 1
+            if driver.answers is not None:
+                channel, request, index, admitted, started = driver.answers
+                self._send(channel, done.value)
+                tracer = self.tracer
+                if tracer is not None and tracer.active:
+                    finished = tracer.clock()
+                    self._timed(channel, request, index, admitted, started, finished)
+            return
+        driver.replies = [None] * len(ops)
+        driver.missing = len(ops)
+        for slot, (index, op) in enumerate(ops):
+            self._push(index, (None, op, (driver, slot)))
+
+    def _answer_round(self, index: int, item: Tuple[Any, Any, Any], reply: Any) -> None:
+        """One round op's reply (None: its shard died under it); a commit
+        verdict is pushed again while its shard is back up."""
+        _none, op, (driver, slot) = item
+        if reply is None and op["op"] == "apply_commit":
+            if self.pool.shards[index].alive:
+                self._push(index, item)
+                return
+        driver.replies[slot] = reply
+        driver.missing -= 1
+        if not driver.missing:
+            self._advance(driver, driver.replies)

@@ -29,7 +29,7 @@ child process; :class:`~repro.sim.site.Site` adds a simulated host with
 a kill switch.  :func:`two_phase_commit` is the one decision procedure
 and :func:`resolve_prepared` the one recovery rule — both written as
 rounds of ``(shard, op)`` so that :class:`ShardSet` can run them with
-blocking calls, the server with queued ones, and the simulator's one
+blocking calls, the serving core with FIFO'd ones, and the simulator's one
 client, :class:`~repro.sim.client.Client` (2PC), with simulated
 messages.  That client speaks these same ops to every simulated site,
 one or many, and a ``CONFLICT`` reply names the lock's ``holder`` for

@@ -32,11 +32,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Session", "SessionError", "TxnRecord"]
-
-
-class SessionError(KeyError):
-    """An unknown transaction handle was presented to a session."""
+__all__ = ["Session", "TxnRecord"]
 
 
 class TxnRecord:
@@ -132,17 +128,6 @@ class Session:
         record = TxnRecord()
         self.transactions[handle] = record
         return record
-
-    def lookup(self, handle: str) -> TxnRecord:
-        """The :class:`TxnRecord` for ``handle``.
-
-        Raises :class:`SessionError` for handles this session never
-        minted (or already completed) — the server answers UNKNOWN_TXN.
-        """
-        try:
-            return self.transactions[handle]
-        except KeyError:
-            raise SessionError(handle) from None
 
     def close_transaction(self, handle: str) -> None:
         """Drop a completed transaction's handle."""

@@ -86,6 +86,20 @@ def test_each_rule_fires_on_a_mutated_tree(tree_copy, rule_id):
     assert any(relpath in f.path for f in result.findings)
 
 
+def test_rep106_keeps_the_event_loop_out_of_the_serving_core(tree_copy):
+    # The core is sans-IO by construction: an event loop planted in it is
+    # caught by the same scope that keeps sleeps out of the simulator.
+    relpath = os.path.join("server", "core.py")
+    with open(tree_copy / relpath, "a", encoding="utf-8") as handle:
+        handle.write("\n\nimport asyncio\n")
+    result = Runner(select=["REP106"]).run([str(tree_copy)])
+    assert not result.ok
+    assert [f.message for f in result.findings if relpath in f.path] == [
+        "asyncio imported in a sans-IO module; the event loop belongs to the"
+        " allowlisted edge modules (pass `now` in)"
+    ]
+
+
 def test_rep107_quotes_the_history_a_deleted_pair_admits(tree_copy):
     # Delete the Read/Write entry from File's hand-written Figure 4-1: the
     # module still imports (the figure is still a class table), the table

@@ -1,10 +1,14 @@
 """Each lint rule catches its seeded fixture violation (and nothing else)."""
 
+import ast
 import os
+import pathlib
 
 from repro.lint import Runner
+from repro.lint.rules.exceptions import _SWALLOW_SENSITIVE
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src", "repro")
 
 
 def lint(relpath, select=None):
@@ -66,6 +70,24 @@ class TestSeededViolations:
         assert rule_ids(result) == ["REP106"]
         assert "time.sleep" in result.findings[0].message
         assert len(result.findings) == 1
+
+    def test_rep106_event_loop_imports(self):
+        result = lint(os.path.join("server", "sans_io.py"))
+        assert rule_ids(result) == ["REP106"]
+        assert [f.line for f in result.findings] == [8, 9]
+        assert all("asyncio imported" in f.message for f in result.findings)
+
+    def test_rep105_names_only_exceptions_that_exist(self):
+        # A name no module defines never matches a handler: the rule
+        # would be silently narrower than its list says.
+        defined = set()
+        for path in pathlib.Path(SRC).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            defined.update(
+                node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            )
+        listed = _SWALLOW_SENSITIVE - {"Exception", "BaseException"}
+        assert listed <= defined, sorted(listed - defined)
 
 
 class TestScopeAndSuppression:

@@ -1,11 +1,12 @@
 """One pass and one write per readable batch, pinned by counts.
 
 Wall-clock on a shared box does not repeat; socket writes, loop polls,
-queues and worker tasks per request do.  A non-blocking shard executes
-in the connection's ``data_received`` (no queue, no worker, replies in
-request order, one write per read, one poll per request); a blocking
-shard keeps its queue and its worker's batch, and the batch answers each
-connection with one write.
+FIFO items and worker tasks per request do.  A non-blocking shard is
+called in the connection's ``data_received`` (no worker, its FIFO empty
+again after each request, replies in request order, one write per read,
+one poll per request); a blocking shard's worker takes what its FIFO
+holds as one batch, and the batch answers each connection with one
+write.
 """
 
 import asyncio
@@ -55,7 +56,7 @@ class TestLocalShards:
             reader, writer = await asyncio.open_connection(server.host, server.port)
             writer.write(request_frame(1, "ping"))
             await read_replies(reader, 1)             # the session (s1) is up
-            writes = count_writes(server._connections[0])
+            writes = count_writes(server.core.channels["s1"])
             # Inline answers and shard work, interleaved, in one segment.
             writer.write(
                 request_frame(10, "begin")
@@ -92,7 +93,9 @@ class TestLocalShards:
             return server, stats
 
         server, stats = asyncio.run(scenario())
-        assert server._queues == [] and server._worker_tasks == []
+        # Nothing waits for a local shard: no worker task, and every FIFO
+        # is empty again once a read is served.
+        assert server._workers == [] and not any(server.core.pending)
         # `repro top` still gets one depth per shard.
         assert stats["queues"] == [0, 0]
         assert stats["server"]["requests"] == 2
@@ -133,7 +136,7 @@ class TestProcessShards:
             server = ReproServer(pool=pool, drain_grace=0.5)
             server.create_object("A", "Account")
             await server.start()
-            assert len(server._queues) == len(server._worker_tasks) == 1
+            assert len(server.core.pending) == len(server._workers) == 1
             first = await AsyncClient.connect(server.host, server.port)
             second = await AsyncClient.connect(server.host, server.port)
             handles = {
@@ -153,9 +156,9 @@ class TestProcessShards:
                         client.invoke(handles[client].pop(), "A", "Credit", 1)
                     )
                 )
-            while server._queues[0].qsize() < 4:
+            while len(server.core.pending[0]) < 4:
                 await asyncio.sleep(0.005)
-            by_session = {c.session.name: c for c in server._connections}
+            by_session = server.core.channels
             writes = [count_writes(by_session[name]) for name in ("s1", "s2")]
             release.set()
             assert await asyncio.gather(*pending) == ["Ok"] * 5
@@ -206,10 +209,10 @@ class TestProcessShards:
             # cross-shard commit is admitted on shard 1's queue and its
             # prepare for shard 0 goes past the limit.
             commits = [asyncio.ensure_future(client.commit(h)) for h in singles]
-            while server._queues[0].qsize() < k:
+            while len(server.core.pending[0]) < k:
                 await asyncio.sleep(0.005)
             crossed = asyncio.ensure_future(client.commit(cross))
-            while server._queues[0].qsize() < k + 1:
+            while len(server.core.pending[0]) < k + 1:
                 await asyncio.sleep(0.005)
             release.set()
             await asyncio.gather(held, crossed, *commits)
@@ -254,7 +257,7 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
         await read_replies(reader, 3)
         written_at = []
         count_writes(
-            server._connections[0], on_write=lambda: written_at.append(bus.clock())
+            server.core.channels["s1"], on_write=lambda: written_at.append(bus.clock())
         )
         # Three transactions' invokes in one segment: one batch.
         writer.write(b"".join(invoke(10 + n, f"s1.t{n}") for n in (1, 2, 3)))

@@ -244,7 +244,7 @@ class TestConflictNamesItsHolder:
             refused = await AsyncClient.connect(server.host, server.port)
             handle = await refused.begin()
             frames = []
-            connection = server._connections[-1]
+            connection = list(server.core.channels.values())[-1]
             write = connection.transport.write
             connection.transport.write = lambda data: (frames.append(data), write(data))
             with pytest.raises(WireError) as caught:

@@ -1,14 +1,18 @@
 """A refused invocation waits for its lock holder, on every transport.
 
 When a shard refuses an ``invoke`` with ``CONFLICT`` naming a holder that
-is an open handle on the server and is not itself waiting, the server
-parks the request until that handle closes, then re-executes it.  Every
-case runs over local engines, child processes and simulated sites, and
-certifies the served history.  A parked request gets exactly one reply:
-its re-executed one, ``CONFLICT`` at the wait bound, or — when its own
-handle is closed under it — ``SHUTTING_DOWN`` on a drain, ``SHARD_DOWN``
-on a shard death, ``CONFLICT`` on its own completion and nothing on a
-lost connection.
+is an open handle on the server and is not itself waiting, the core parks
+the request until that handle closes, then re-executes it — from the
+front of its shard's FIFO.  The cases drive the sans-IO
+:class:`~repro.server.core.ServerCore` directly (``tests/server/driven.py``:
+no socket, a counter for the clock) over local engines,
+simulated sites and child processes — those called one batch per FIFO,
+as their worker calls them — and certify the served history.  A parked
+request gets exactly one reply: its re-executed one, ``CONFLICT`` once
+the clock passes its deadline, or — when its own handle is closed under
+it — ``SHUTTING_DOWN`` on a drain, ``SHARD_DOWN`` on a shard death,
+``CONFLICT`` on its own completion and nothing on a lost connection.
+One socket case per transport pins the same order through the shell.
 """
 
 import asyncio
@@ -20,11 +24,12 @@ from hypothesis import strategies as st
 
 from repro.obs import AtomicityChecker, TraceBus, read_jsonl
 from repro.recovery import MemoryWAL
-from repro.server import AsyncClient, ReproServer, WireError
-from repro.server import server as server_module
-from repro.server.engine import ShardSet
-from repro.server.protocol import FrameDecoder
+from repro.server import AsyncClient, ShardProcessPool
+from repro.server.core import WAIT_BOUND
+from repro.server.engine import LocalShard, ShardEngine, ShardSet
+from repro.server.protocol import ERROR_CODES, FrameDecoder, request_frame
 from repro.sim import Site
+from tests.server.driven import Driven, result
 
 TRANSPORTS = ["local", "process", "site"]
 
@@ -48,33 +53,16 @@ def certify(events, tmp_path):
     return collections.Counter(event.kind for event in merged)
 
 
-async def parked(client, count):
-    """Wait until the server has ``count`` parked requests."""
-    for _ in range(5000):
-        if (await client.stats())["server"]["parked"] == count:
-            return
-        await asyncio.sleep(0.001)
-    raise AssertionError(f"never {count} parked")
-
-
-async def code(awaitable):
-    with pytest.raises(WireError) as caught:
-        await asyncio.wait_for(awaitable, 10)
-    return caught.value.code
-
-
-async def clients(server, count):
-    return [await AsyncClient.connect(server.host, server.port) for _ in range(count)]
-
-
-async def hold(client, obj="A"):
-    """A transaction holding a Debit on ``obj`` (funded first)."""
-    funding = await client.begin()
-    await client.invoke(funding, obj, "Credit", 100)
-    await client.commit(funding)
-    holder = await client.begin()
-    await client.invoke(holder, obj, "Debit", 1)
-    return holder
+def shards(transport, tmp_path, tracer):
+    """Two shards behind ``transport``, tracing to ``tracer`` (process
+    shards to files of their own)."""
+    if transport == "local":
+        return ShardSet([LocalShard(ShardEngine(i, 2, tracer=tracer)) for i in range(2)])
+    if transport == "site":
+        return ShardSet([Site(i, 2, wal=MemoryWAL(), tracer=tracer) for i in range(2)])
+    pool = ShardProcessPool(2, tmp_path / "data", trace_dir=tmp_path / "traces")
+    pool.start()
+    return pool
 
 
 @pytest.fixture(params=TRANSPORTS)
@@ -83,241 +71,249 @@ def transport(request):
 
 
 @pytest.fixture
-def serve(serve_over):
-    """``serve_over``, with simulated sites that trace to the server's bus
-    too, so every transport's kernel events reach the checker."""
+def drive(tmp_path):
+    """``drive(transport, objects=(), tracer=None)``: a driven core over
+    two shards behind ``transport``, an Account per name in ``objects``;
+    process shards are served one batch per FIFO and stopped afterwards."""
+    pools = []
 
-    async def start(transport, objects=(), **kwargs):
-        if transport != "site":
-            return await serve_over(transport, objects, **kwargs)
-        kwargs.setdefault("drain_grace", 0.5)
-        tracer = kwargs["tracer"]
-        sites = [Site(index, 2, wal=MemoryWAL(), tracer=tracer) for index in range(2)]
-        server = ReproServer(pool=ShardSet(sites), **kwargs)
+    def start(transport, objects=(), tracer=None):
+        pool = shards(transport, tmp_path, tracer)
+        pools.append(pool)
+        driven = Driven(pool, tracer=tracer, batched=transport == "process")
         for name in objects:
-            server.create_object(name, "Account")
-        await server.start()
-        return server
+            driven.create(name)
+        return driven
 
-    return start
+    yield start
+    for pool in pools:
+        pool.stop()
+
+
+def hold(client, obj="A"):
+    """A transaction holding a Debit on ``obj`` (funded first)."""
+    funding = client.begin()
+    client.invoke(funding, obj, "Credit", 100)
+    client.call("commit", transaction=funding)
+    holder = client.begin()
+    assert result(client.answer(client.invoke(holder, obj, "Debit", 1))) == "Ok"
+    return holder
 
 
 @pytest.mark.parametrize("outcome", ["commit", "abort"])
-def test_a_refused_debit_waits_for_its_holder(transport, outcome, serve, tmp_path):
+def test_a_refused_debit_waits_for_its_holder(transport, outcome, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        holder = await hold(first)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        assert not debit.done()
-        await getattr(first, outcome)(holder)
-        result = await asyncio.wait_for(debit, 10)
-        await second.commit(waiter)
-        left = (await first.stats())["server"]["parked"]
-        for client in (first, second):
-            await client.aclose()
-        await server.drain()
-        return result, left, server.stats["transactions_aborted"]
-
-    result, left, aborted = asyncio.run(scenario())
-    assert (result, left) == ("Ok", 0)
-    assert aborted == (outcome == "abort")
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    assert second.answer(debit) is None and len(driven.core.parked) == 1
+    assert first.call(outcome, transaction=holder)["ok"]
+    assert result(second.answer(debit)) == "Ok"
+    assert second.call("commit", transaction=waiter)["ok"]
+    assert not driven.core.parked
+    assert driven.core.stats["transactions_aborted"] == (outcome == "abort")
     kinds = certify(events, tmp_path)
     assert kinds["lock.conflict"] == kinds["lock.wait"] == 1
 
 
-def test_a_request_never_waits_on_a_waiter(transport, serve, tmp_path):
+def test_a_request_never_waits_on_a_waiter(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A", "B"], tracer=bus)
-        first, second, third = await clients(server, 3)
-        holder = await hold(first, "A")
-        waiter = await hold(second, "B")  # holds B, then waits for A
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        refused = await third.begin()
-        answer = await code(third.invoke(refused, "B", "Debit", 1))
-        await third.abort(refused)
-        await first.commit(holder)
-        result = await asyncio.wait_for(debit, 10)
-        await second.commit(waiter)
-        for client in (first, second, third):
-            await client.aclose()
-        await server.drain()
-        return answer, result
-
-    assert asyncio.run(scenario()) == ("CONFLICT", "Ok")
+    driven = drive(transport, objects=["A", "B"], tracer=bus)
+    first, second, third = driven.connect(), driven.connect(), driven.connect()
+    holder = hold(first, "A")
+    waiter = hold(second, "B")  # holds B, then waits for A
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    assert len(driven.core.parked) == 1
+    refused = third.begin()
+    assert result(third.answer(third.invoke(refused, "B", "Debit", 1))) == "CONFLICT"
+    third.call("abort", transaction=refused)
+    first.call("commit", transaction=holder)
+    assert result(second.answer(debit)) == "Ok"
+    second.call("commit", transaction=waiter)
     kinds = certify(events, tmp_path)
     assert (kinds["lock.conflict"], kinds["lock.wait"]) == (2, 1)
 
 
-def test_the_wait_bound_answers_conflict(transport, serve, tmp_path, monkeypatch):
-    monkeypatch.setattr(server_module, "WAIT_BOUND", 0.05)
+def test_the_wait_bound_answers_conflict(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        holder = await hold(first)
-        waiter = await second.begin()
-        answer = await code(second.invoke(waiter, "A", "Debit", 2))
-        left = (await first.stats())["server"]["parked"]
-        await second.abort(waiter)
-        await first.commit(holder)
-        for client in (first, second):
-            await client.aclose()
-        await server.drain()
-        return answer, left, server.waits.waiter_count()
-
-    assert asyncio.run(scenario()) == ("CONFLICT", 0, 0)
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    assert driven.core.deadline() == WAIT_BOUND
+    driven.advance(WAIT_BOUND / 2)
+    assert second.answer(debit) is None  # not yet
+    driven.advance(WAIT_BOUND / 2)
+    assert result(second.answer(debit)) == "CONFLICT"
+    assert not driven.core.parked and driven.core.waits.waiter_count() == 0
+    assert driven.core.deadline() is None
+    second.call("abort", transaction=waiter)
+    first.call("commit", transaction=holder)
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
-def test_a_holders_disconnect_wakes_its_waiters(transport, serve, tmp_path):
+def test_a_holders_disconnect_wakes_its_waiters(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        await hold(first)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(second, 1)
-        await first.aclose()  # its open holder is aborted
-        result = await asyncio.wait_for(debit, 10)
-        await second.commit(waiter)
-        await second.aclose()
-        await server.drain()
-        return result
-
-    assert asyncio.run(scenario()) == "Ok"
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    driven.disconnect(first)  # its open holder is aborted
+    assert result(second.answer(debit)) == "Ok"
+    second.call("commit", transaction=waiter)
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
-def test_a_waiters_disconnect_cancels_its_wait(transport, serve, tmp_path):
+def test_a_waiters_disconnect_cancels_its_wait(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        holder = await hold(first)
-        waiter = await second.begin()
-        asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        await second.aclose()
-        await parked(first, 0)
-        waiting = server.waits.waiter_count()
-        timestamp, _ = await first.commit(holder)
-        await first.aclose()
-        await server.drain()
-        return waiting, isinstance(timestamp, int), server.stats["transactions_aborted"]
-
-    assert asyncio.run(scenario()) == (0, True, 1)
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    second.invoke(waiter, "A", "Debit", 2)
+    driven.disconnect(second)
+    assert not driven.core.parked and driven.core.waits.waiter_count() == 0
+    assert isinstance(first.call("commit", transaction=holder)["result"]["timestamp"], int)
+    assert driven.core.stats["transactions_aborted"] == 1
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
-def test_drain_answers_parked_requests(transport, serve, tmp_path):
+def test_drain_answers_parked_requests(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus, drain_grace=0.05)
-        first, second = await clients(server, 2)
-        await hold(first)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        report = await server.drain()
-        answer = await code(debit)
-        for client in (first, second):
-            await client.aclose()
-        return answer, report["aborted"], len(server._parked)
-
-    assert asyncio.run(scenario()) == ("SHUTTING_DOWN", 2, 0)
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    driven.core.draining = True
+    assert driven.abort_sessions("SHUTTING_DOWN") == 2
+    assert result(second.answer(debit)) == "SHUTTING_DOWN"
+    assert not driven.core.parked
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
-def test_a_waiters_own_completion_answers_its_parked_invoke(transport, serve, tmp_path):
+def test_a_waiters_own_completion_answers_its_parked_invoke(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        holder = await hold(first)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        await second.abort(waiter)  # pipelined behind its own parked invoke
-        answer = await code(debit)
-        await first.commit(holder)
-        for client in (first, second):
-            await client.aclose()
-        await server.drain()
-        return answer, len(server._parked)
-
-    assert asyncio.run(scenario()) == ("CONFLICT", 0)
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    second.call("abort", transaction=waiter)  # pipelined behind its own parked invoke
+    assert result(second.answer(debit)) == "CONFLICT"
+    first.call("commit", transaction=holder)
+    assert not driven.core.parked
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
 @pytest.mark.parametrize("transport", ["process", "site"])
-def test_a_shard_death_answers_parked_requests(transport, serve, tmp_path):
+def test_a_shard_death_answers_parked_requests(transport, drive, tmp_path):
     bus, events = traced()
-
-    async def scenario():
-        server = await serve(transport, objects=["A"], tracer=bus)
-        first, second = await clients(server, 2)
-        holder = await hold(first)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, "A", "Debit", 2))
-        await parked(first, 1)
-        shard = server.pool.shards[server.pool.shard_of("A")]
-        shard.crash_hard() if isinstance(shard, Site) else shard.kill()
-        answers = [
-            await code(first.invoke(holder, "A", "Debit", 1)),
-            await code(debit),
-        ]
-        for client in (first, second):
-            await client.aclose()
-        await server.drain()
-        return answers, len(server._parked)
-
-    assert asyncio.run(scenario()) == (["SHARD_DOWN", "SHARD_DOWN"], 0)
+    driven = drive(transport, objects=["A"], tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    shard = driven.pool.shards[driven.pool.shard_of("A")]
+    shard.crash_hard() if isinstance(shard, Site) else shard.kill()
+    invoke = first.invoke(holder, "A", "Debit", 1)
+    assert [result(first.answer(invoke)), result(second.answer(debit))] == [
+        "SHARD_DOWN",
+        "SHARD_DOWN",
+    ]
+    assert not driven.core.parked and shard.alive  # respawned
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
 def test_a_cross_shard_holder_wakes_its_waiters_when_2pc_decides(
-    transport, serve, tmp_path
+    transport, drive, tmp_path
 ):
     bus, events = traced()
+    driven = drive(transport, tracer=bus)
+    first, second = driven.connect(), driven.connect()
+    names = {}
+    for index in range(100):
+        names.setdefault(driven.pool.shard_of(f"Q{index}"), f"Q{index}")
+    for name in names.values():
+        assert first.call("create", name=name, adt="Account")["ok"]
+    holder = hold(first, names[0])
+    first.invoke(holder, names[1], "Credit", 5)
+    first.invoke(holder, names[1], "Debit", 1)
+    waiter = second.begin()
+    debit = second.invoke(waiter, names[1], "Debit", 2)
+    assert len(driven.core.parked) == 1
+    committed = first.call("commit", transaction=holder)  # two-phase: both shards
+    assert isinstance(committed["result"]["timestamp"], int)
+    assert result(second.answer(debit)) == "Ok"
+    second.call("commit", transaction=waiter)
+    assert driven.core.rounds == 0
+    assert certify(events, tmp_path)["lock.wait"] == 1
+
+
+# -- the wait order, through the socket shell ----------------------------
+
+
+def test_a_woken_waiter_runs_before_requests_read_with_its_holders_commit(
+    transport, serve_over
+):
+    """One read carries the holder's commit and a fresh conflicting
+    invoke: the waiter the commit wakes goes to the front of its shard's
+    FIFO and gets the lock; the fresh invoke parks on it."""
 
     async def scenario():
-        server = await serve(transport, tracer=bus)
-        first, second = await clients(server, 2)
-        names = {}
-        for index in range(100):
-            names.setdefault(server.pool.shard_of(f"Q{index}"), f"Q{index}")
-        for name in names.values():
-            await first.create(name, "Account")
-        holder = await hold(first, names[0])
-        await first.invoke(holder, names[1], "Credit", 5)
-        await first.invoke(holder, names[1], "Debit", 1)
-        waiter = await second.begin()
-        debit = asyncio.ensure_future(second.invoke(waiter, names[1], "Debit", 2))
-        await parked(first, 1)
-        timestamp, _ = await first.commit(holder)  # two-phase: both shards
-        result = await asyncio.wait_for(debit, 10)
-        await second.commit(waiter)
-        for client in (first, second):
-            await client.aclose()
-        await server.drain()
-        return isinstance(timestamp, int), result
+        server = await serve_over(transport, objects=["A"])
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        decoder, replies = FrameDecoder(), {}
 
-    assert asyncio.run(scenario()) == (True, "Ok")
-    assert certify(events, tmp_path)["lock.wait"] == 1
+        async def reply(rid):
+            while rid not in replies:
+                data = await asyncio.wait_for(reader.read(65536), 10)
+                replies.update((body["id"], body) for body in decoder.feed(data))
+            return replies.pop(rid)
+
+        def invoke(rid, handle, operation, amount):
+            params = {"transaction": handle, "obj": "A", "operation": operation,
+                      "args": (amount,)}
+            return request_frame(rid, "invoke", params)
+
+        # s1.t1 funds A; s1.t2 holds a Debit on it.
+        for rid, frame in enumerate(
+            (
+                request_frame(1, "begin"),
+                invoke(2, "s1.t1", "Credit", 100),
+                request_frame(3, "commit", {"transaction": "s1.t1"}),
+                request_frame(4, "begin"),
+                invoke(5, "s1.t2", "Debit", 1),
+            ),
+            start=1,
+        ):
+            writer.write(frame)
+            assert (await reply(rid))["ok"]
+        other = await AsyncClient.connect(server.host, server.port)
+        waiter = await other.begin()
+        debit = asyncio.ensure_future(other.invoke(waiter, "A", "Debit", 2))
+        for _ in range(1000):  # each stats round trip lets the server run
+            if (await other.stats())["server"]["parked"] == 1:
+                break
+        else:
+            raise AssertionError("the waiter never parked")
+        writer.write(request_frame(6, "commit", {"transaction": "s1.t2"})
+                     + request_frame(7, "begin") + invoke(8, "s1.t3", "Debit", 3))
+        assert (await reply(6))["ok"] and (await reply(7))["ok"]
+        assert await asyncio.wait_for(debit, 10) == "Ok"
+        assert 8 not in replies and (await other.stats())["server"]["parked"] == 1
+        await other.commit(waiter)
+        fresh = await reply(8)
+        await other.aclose()
+        writer.close()
+        await server.drain()
+        return fresh
+
+    assert asyncio.run(scenario())["result"]["result"] == "Ok"
 
 
 # -- one property: exactly one reply per admitted request -----------------
@@ -328,69 +324,100 @@ txn = st.lists(
     min_size=1,
     max_size=3,
 )
-scripts = st.lists(st.lists(txn, min_size=1, max_size=3), min_size=2, max_size=4)
+#: Per connection: one or two transaction sequences run side by side.
+connection = st.lists(st.lists(txn, min_size=1, max_size=2), min_size=1, max_size=2)
 
 
-def count_replies(server):
-    """Reply frames the server writes, per (session, request id)."""
-    counts = collections.Counter()
-    for connection in server._connections:
-        decoder, write = FrameDecoder(), connection.transport.write
-        name = connection.session.name
+class Agent:
+    """A closed-loop client running its transactions on one connection:
+    it sends its next request once the last one is answered, and aborts a
+    transaction an invoke of which was refused."""
 
-        def counted(data, decoder=decoder, write=write, name=name):
-            for body in decoder.feed_iter(data):
-                counts[name, body.get("id")] += 1
-            write(data)
+    def __init__(self, conn, script):
+        self.conn, self.script = conn, [list(steps) for steps in script]
+        self.last = self.action = self.handle = None
+        self.refused = False
 
-        connection.transport.write = counted
-    return counts
+    def ready(self):
+        return self.last is None or self.last in self.conn.replies
+
+    def next_frame(self, rid):
+        """The frame of the agent's next request, as ``rid`` (None: done)."""
+        if self.last is not None:
+            body = self.conn.replies[self.last][0]
+            if self.action == "begin":
+                self.handle = body["result"]["transaction"]
+            elif self.action == "invoke" and not body["ok"]:
+                assert body["error"]["code"] == "CONFLICT", body
+                self.refused = True
+            elif self.action in ("commit", "abort"):
+                self.script.pop(0)
+                self.handle, self.refused = None, False
+        if not self.script:
+            return None
+        self.last = rid
+        if self.handle is None:
+            self.action = "begin"
+            return request_frame(rid, "begin")
+        if self.script[0] and not self.refused:
+            obj, operation = self.script[0].pop(0)
+            self.action = "invoke"
+            params = {"transaction": self.handle, "obj": obj,
+                      "operation": operation, "args": (1,)}
+            return request_frame(rid, "invoke", params)
+        self.action = "abort" if self.refused else "commit"
+        return request_frame(rid, self.action, {"transaction": self.handle})
 
 
 @settings(
-    max_examples=25,
+    max_examples=60,
     deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(scripts=scripts)
-def test_every_admitted_request_gets_exactly_one_reply(scripts, monkeypatch):
-    monkeypatch.setattr(server_module, "WAIT_BOUND", 0.05)
+@given(connections=st.lists(connection, min_size=2, max_size=4), data=st.data())
+def test_every_admitted_request_gets_exactly_one_reply(connections, data):
+    """2–4 clients (some running two transactions on one connection) on
+    two hot accounts; each connection's bytes reach the core split at
+    drawn boundaries, shards are called inline or one batch per FIFO, and
+    the clock jumps past the wait bound whenever nothing else can move."""
     bus, events = traced()
-
-    async def run(client, script):
-        for steps in script:
-            handle = await client.begin()
-            try:
-                for obj, operation in steps:
-                    await asyncio.wait_for(client.invoke(handle, obj, operation, 1), 10)
-                await asyncio.wait_for(client.commit(handle), 10)
-            except WireError as exc:
-                assert exc.code == "CONFLICT", exc
-                await client.abort(handle)
-
-    async def scenario():
-        server = ReproServer(workers=2, tracer=bus, drain_grace=0.5)
-        for name in ("H0", "H1"):
-            server.create_object(name, "Account")
-        await server.start()
-        connected = await clients(server, len(scripts))
-        for client in connected:
-            await client.ping()
-        counts = count_replies(server)
-        await asyncio.gather(*(run(c, s) for c, s in zip(connected, scripts)))
-        left = (await connected[0].stats())["server"]["parked"]
-        requests = {c.session.name: c.session.requests for c in server._connections}
-        for client in connected:
-            await client.aclose()
-        await server.drain()
-        return counts, requests, left
-
-    counts, requests, left = asyncio.run(scenario())
-    assert left == 0
-    assert set(counts.values()) == {1}
-    for name, number in requests.items():
-        answered = sum(1 for session, _ in counts if session == name)
-        assert answered == number - 1  # all but the ping before counting
+    pool = ShardSet([LocalShard(ShardEngine(i, 2, tracer=bus)) for i in range(2)])
+    driven = Driven(pool, tracer=bus, batched=data.draw(st.booleans(), label="batched"))
+    for name in ("H0", "H1"):
+        driven.create(name)
+    agents, unsent, sent = [], {}, collections.Counter()
+    for scripts in connections:
+        conn = driven.connect()
+        unsent[conn] = b""
+        agents += [Agent(conn, script) for script in scripts]
+    while agents or any(unsent.values()):
+        moves = [("send", agent) for agent in agents if agent.ready()]
+        moves += [("feed", conn) for conn, pending in unsent.items() if pending]
+        if not moves:
+            # Only a parked request can still be owed a reply, and only
+            # its deadline can answer it now.
+            assert driven.core.deadline() is not None, "a request went unanswered"
+            driven.advance()  # past every deadline
+            continue
+        kind, who = data.draw(st.sampled_from(moves), label="move")
+        if kind == "send":
+            frame = who.next_frame(sent[who.conn] + 1)
+            if frame is None:
+                agents.remove(who)
+            else:
+                unsent[who.conn] += frame
+                sent[who.conn] += 1
+        else:
+            pending = unsent[who]
+            cut = data.draw(st.integers(1, len(pending)), label="cut")
+            unsent[who] = pending[cut:]
+            assert not driven.feed(who, pending[:cut])
+    assert not driven.core.parked and not any(driven.core.pending)
+    for conn in unsent:
+        assert sorted(conn.replies) == list(range(1, sent[conn] + 1))
+        for bodies in conn.replies.values():
+            assert len(bodies) == 1
+            assert bodies[0]["ok"] or bodies[0]["error"]["code"] in ERROR_CODES
     merged = sorted(events, key=lambda event: event.ts)
     report = AtomicityChecker().replay(merged).report()
     assert report["verdict"] == "clean", report["violations"]

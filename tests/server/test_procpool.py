@@ -342,7 +342,7 @@ class TestPoolServer:
             with pytest.raises(WireError) as caught:
                 await client.invoke(txn, a, "Enq", 4)
             assert caught.value.code == "UNKNOWN_TXN"
-            for connection in server._connections:
+            for connection in server.core.channels.values():
                 assert connection.session.active == 0
             # Shard 0's locks were released: a new transaction can lock a.
             txn2 = await client.begin()
@@ -452,8 +452,8 @@ class TestPoolServer:
 
 class TestTwoPhaseCommitOnTheLoop:
     """A process shard's pipe is awaited on the loop, and a cross-shard
-    commit's rounds ride the shards' queues in a task of their own: it
-    owns its handle until it decides, and stalls no worker."""
+    commit's rounds ride the shards' FIFOs through the core's round
+    driver: it owns its handle until it decides, and stalls no worker."""
 
     async def _started(self, tmp_path, **kwargs):
         bus = TraceBus()
@@ -510,7 +510,7 @@ class TestTwoPhaseCommitOnTheLoop:
             await client.aclose()  # the handler's sweep must leave it alone
             with pytest.raises(ConnectionError):
                 await commit
-            while server._connections:
+            while server.core.channels:
                 await asyncio.sleep(0.01)  # the handler has finished
             release.set()
             while not server.stats["transactions_committed"]:
@@ -535,7 +535,7 @@ class TestTwoPhaseCommitOnTheLoop:
             await entered.wait()
             server.drain_grace = 0.0
             drain = asyncio.ensure_future(server.drain())
-            while not server._stopping:
+            while not server.core.stopping:
                 await asyncio.sleep(0.01)  # force-aborting is over
             release.set()
             timestamp, _ = await commit  # the 2PC's own answer
@@ -624,7 +624,7 @@ class TestTwoPhaseCommitOnTheLoop:
             codes = [error.code for error in outcomes]
             assert codes[0] == "SHARD_DOWN"
             assert codes[1] in ("SHARD_DOWN", "UNKNOWN_TXN")
-            assert [c.session.active for c in server._connections] == [0]
+            assert [c.session.active for c in server.core.channels.values()] == [0]
             txn = await self._transfer(client, a, b)
             timestamp, _ = await asyncio.wait_for(client.commit(txn), 30)
             assert [shard.incarnation for shard in pool.shards] == [2, 2]
@@ -637,8 +637,8 @@ class TestTwoPhaseCommitOnTheLoop:
         assert self._certified(tmp_path, pool)
 
     def test_a_respawns_resolution_rides_the_peers_batch(self, tmp_path, hold):
-        """A respawned shard's prepared set is resolved by a task whose
-        queries ride the peers' worker batches: no executor job, no
+        """A respawned shard's prepared set is resolved by the core's round
+        driver, whose queries ride the peers' worker batches: no executor job, no
         blocking call on a pipe, and nobody waits for it."""
 
         class NoExecutor(concurrent.futures.ThreadPoolExecutor):
@@ -669,9 +669,9 @@ class TestTwoPhaseCommitOnTheLoop:
                 await asyncio.wait_for(client.invoke(txn, a, "Credit", 1), 30)
             assert caught.value.code == "SHARD_DOWN"
             await asyncio.wait_for(entered.wait(), 30)  # in shard 1's batch
-            assert server._tasks  # the resolution waits for it
+            assert server.core.rounds  # the resolution waits for it
             release.set()
-            while server._tasks:
+            while server.core.rounds:
                 await asyncio.sleep(0.01)
             assert pool.shards[0].single({"op": "prepared"})["ok"] == []
             assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == 3
@@ -751,7 +751,7 @@ class TestCrossShardRefusalHygiene:
             assert caught.value.code == "NO_VOTE"
             # The refusal aborted the voter and closed the handle: no
             # session leak, no prepared transaction, no lock left behind.
-            assert server._connections[0].session.active == 0
+            assert server.core.channels["s1"].session.active == 0
             assert [row["prepared"] for row in server.pool.stats()] == [[], []]
             other = await client.begin()
             await client.invoke(other, a, "Enq", 9)

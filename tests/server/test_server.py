@@ -17,13 +17,14 @@ from repro.server import (
     AsyncClient,
     ReproServer,
     Session,
-    SessionError,
     ShardedTimestampGenerator,
     ShardProcessPool,
     WireError,
     shard_for,
 )
+from repro.server.engine import LocalShard, ShardEngine, ShardSet
 from repro.server.protocol import FrameDecoder, request_frame
+from tests.server.driven import Driven
 
 
 def run(coroutine):
@@ -55,9 +56,9 @@ async def stop_reading(server, requests):
     peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SMALL_BUFFER)
     peer.setblocking(False)
     await loop.sock_connect(peer, (server.host, server.port))
-    while not server._connections:
+    while not server.core.channels:
         await asyncio.sleep(0.005)
-    (connection,) = server._connections
+    (connection,) = server.core.channels.values()
     transport = connection.transport
     transport.get_extra_info("socket").setsockopt(
         socket.SOL_SOCKET, socket.SO_SNDBUF, SMALL_BUFFER
@@ -75,11 +76,6 @@ class TestSessionUnit:
         assert first.mint_handle() == "s1.t1"
         assert first.mint_handle() == "s1.t2"
         assert second.mint_handle() == "s2.t1"
-
-    def test_lookup_of_unknown_handle_raises(self):
-        session = Session(1)
-        with pytest.raises(SessionError):
-            session.lookup("s1.t99")
 
     def test_ack_cache_is_bounded_fifo(self):
         session = Session(1, ack_capacity=2)
@@ -217,7 +213,7 @@ class TestTypedErrors:
         # A malformed argument (a list where Account's Credit expects a
         # number) raises a plain TypeError inside the ADT spec.  The
         # worker must answer a typed INTERNAL error and keep serving —
-        # before the catch-all in ``_execute`` this killed the shard's
+        # before the engine's catch-all this killed the shard's
         # worker task, stranding every queued request and hanging drain.
         async def scenario():
             server = await start_server()
@@ -318,24 +314,11 @@ class TestTypedErrors:
         # the JSON scanner, a plain ValueError from the int-digits limit,
         # a RecursionError from the tagged codec on a body the scanner
         # took), so asyncio dropped the connection and the ping's reply.
-        async def scenario():
-            server = await start_server()
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-            writer.write(request_frame(1, "ping") + struct.pack(">I", len(body)) + body)
-            await writer.drain()
-            decoder, replies = FrameDecoder(), []
-            while len(replies) < 2:
-                data = await asyncio.wait_for(reader.read(65536), 10)
-                if not data:
-                    break
-                replies.extend(decoder.feed(data))
-            writer.close()
-            await server.drain()
-            return replies
-
-        ping, error = run(scenario())
+        # Bytes in, replies out: the serving core, with no socket.
+        driven = Driven(ShardSet([LocalShard(ShardEngine())]))
+        conn = driven.connect()
+        driven.feed(conn, request_frame(1, "ping") + struct.pack(">I", len(body)) + body)
+        (ping,), (error,) = conn.replies[1], conn.replies.get(2) or conn.replies[None]
         assert ping["id"] == 1 and ping["ok"] is True
         assert error["ok"] is False and error["error"]["code"] == code
 
@@ -517,7 +500,7 @@ class TestSharding:
             assert [row["committed"] for row in server.pool.stats()] == (
                 [2, 1] if primary == 0 else [1, 2]
             )
-            assert server._connections[0].session.active == 0
+            assert server.core.channels["s1"].session.active == 0
             await client.aclose()
             await server.drain()
             assert checker.ok, checker.render_report()
@@ -547,28 +530,19 @@ class TestSharding:
 
 class TestDisconnect:
     def test_vanishing_client_gets_its_transactions_aborted(self):
-        async def scenario():
-            bus = TraceBus()
-            server = await start_server(tracer=bus)
-            server.create_object("A", "Account")
-            client = await AsyncClient.connect(server.host, server.port)
-            handle = await client.begin()
-            await client.invoke(handle, "A", "Credit", 1)
-            await client.aclose()                      # vanish mid-txn
-            for _ in range(100):
-                if server.stats["transactions_aborted"]:
-                    break
-                await asyncio.sleep(0.01)
-            assert server.stats["transactions_aborted"] == 1
-            # The abort released the lock: a new client can commit.
-            fresh = await AsyncClient.connect(server.host, server.port)
-            handle = await fresh.begin()
-            await fresh.invoke(handle, "A", "Credit", 1)
-            await fresh.commit(handle)
-            await fresh.aclose()
-            await server.drain()
-
-        run(scenario())
+        bus = TraceBus()
+        driven = Driven(ShardSet([LocalShard(ShardEngine(tracer=bus))]), tracer=bus)
+        driven.create("A")
+        client = driven.connect()
+        handle = client.begin()
+        assert client.answer(client.invoke(handle, "A", "Credit", 1))["ok"]
+        driven.disconnect(client)                      # vanish mid-txn
+        assert driven.core.stats["transactions_aborted"] == 1
+        # The abort released the lock: a new client can commit.
+        fresh = driven.connect()
+        handle = fresh.begin()
+        assert fresh.answer(fresh.invoke(handle, "A", "Debit", 1))["ok"]
+        assert fresh.call("commit", transaction=handle)["ok"]
 
 
 class TestGracefulDrain:
@@ -588,7 +562,7 @@ class TestGracefulDrain:
 
             drain_task = asyncio.ensure_future(server.drain())
             await asyncio.sleep(0.05)
-            assert server.draining
+            assert server.core.draining
             # New transactions are refused while draining...
             with pytest.raises(WireError) as excinfo:
                 await client.begin()

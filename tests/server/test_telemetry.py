@@ -34,8 +34,9 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.server import AsyncClient, ReproServer, render_top
-from repro.server.engine import shard_for
-from repro.server.protocol import WireError, parse_request, request_frame
+from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
+from repro.server.protocol import WireError, parse_request, parse_response, request_frame
+from tests.server.driven import Driven, result
 
 
 def run(coroutine):
@@ -192,44 +193,37 @@ class TestIntrospectionOps:
 class TestServedBlockedTime:
     def test_one_answer_for_refusals_after_client_pauses(self, tmp_path):
         # A holder keeps a Debit on A; another transaction's Debit is
-        # refused and parks until the holder commits, after its client
-        # paused 50 times 2 ms.  The wait is lock-wait: the span budget
-        # and the contention table agree on it, and both cover the
-        # 100 ms the holder's client spent pausing.
+        # refused and parks until the holder commits, 100 ms later on the
+        # bus's clock.  The wait is lock-wait: the span budget and the
+        # contention table agree on it, and both cover those 100 ms.
+        # (The serving core, driven with no socket, on a clock the test
+        # moves.)
         bus, registry, flight = telemetry_stack(tmp_path)
+        now = [0.0]
+        bus.clock = lambda: now[0]
         spans = bus.subscribe(SpanBuilder())
-        answers = []
-
-        async def scenario():
-            server = await start_server(tracer=bus, registry=registry, flight=flight)
-            server.create_object("A", "Account")
-            client = await AsyncClient.connect(server.host, server.port)
-            other = await AsyncClient.connect(server.host, server.port)
-            holder = await client.begin()
-            await client.invoke(holder, "A", "Credit", 100)
-            await client.invoke(holder, "A", "Debit", 1)
-            refused = await other.begin()
-            debit = asyncio.ensure_future(other.invoke(refused, "A", "Debit", 1))
-            while (await client.stats())["server"]["parked"] == 0:
-                await asyncio.sleep(0.001)
-            for _ in range(50):
-                await asyncio.sleep(0.002)
-            await client.commit(holder)
-            answers.append(await debit)
-            await other.commit(refused)
-            answers.append((await client.stats())["server"]["parked"])
-            await client.aclose()
-            await other.aclose()
-            await server.drain()
-
-        run(scenario())
+        shards = ShardSet([LocalShard(ShardEngine(tracer=bus))])
+        driven = Driven(shards, tracer=bus, registry=registry, flight=flight)
+        driven.create("A")
+        client, other = driven.connect(), driven.connect()
+        holder = client.begin()
+        client.invoke(holder, "A", "Credit", 100)
+        client.invoke(holder, "A", "Debit", 1)
+        refused = other.begin()
+        debit = other.invoke(refused, "A", "Debit", 1)
+        assert parse_response(client.call("stats")).result["server"]["parked"] == 1
+        now[0] += 0.100
+        client.call("commit", transaction=holder)
+        answers = [result(other.answer(debit))]
+        other.call("commit", transaction=refused)
+        answers.append(parse_response(client.call("stats")).result["server"]["parked"])
         assert answers == ["Ok", 0]
         every = [*spans.spans, *spans.open.values()]
         lock_wait = sum(span.budget()["lock-wait"] for span in every)
         report = contention_profile(every)
         assert report["events"] == 2  # the refusal, then the wait
         assert lock_wait == pytest.approx(report["blocked_time"], abs=1e-9)
-        assert lock_wait >= 0.100
+        assert lock_wait == pytest.approx(0.100)
         assert registry.counters["lock.waits"].value == 1
         assert "lock.blocked_time" not in registry.counters
 

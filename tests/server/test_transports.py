@@ -231,7 +231,7 @@ def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_ove
             await code(client.invoke(stranded, names[1], "Enq", 3)),
             await code(client.commit(stranded)),
         ]
-        assert [c.session.active for c in server._connections] == [0]
+        assert [c.session.active for c in server.core.channels.values()] == [0]
         # The survivor released the handle's locks and the dead shard is
         # back, recovered: both serve the next transaction.
         fresh = await client.begin()
