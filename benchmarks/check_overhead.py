@@ -51,6 +51,13 @@ without needing the pre-instrumentation binary:
   C-level calls, so a helper call that creeps back into
   ``repro.server.protocol`` fails here first.
 
+* **shard-call budget** — a local shard executes a read's run of
+  same-shard frames as one batch: a ``ServerCore`` over one local shard,
+  fed reads shaped like the e2e load generator's (``SHARD_CALL_CLIENTS``
+  transactions multiplexed on one connection, each read carrying every
+  client's next frame), must make ``SHARD_CALLS`` shard calls
+  (``take``) per committed transaction, *exactly*.
+
 * **state-size budget** — an operation costs the same whatever the
   object holds: the Python-level calls of one ``execute`` + ``commit``
   under ``sys.setprofile`` on a compacting FIFOQueue machine holding
@@ -85,6 +92,8 @@ from repro.obs import (
     TraceBus,
 )
 from repro.runtime import TransactionManager
+from repro.server.core import Channel, ServerCore
+from repro.server.engine import LocalShard, ShardEngine, ShardSet
 from repro.server.protocol import (
     FrameDecoder,
     parse_request,
@@ -139,6 +148,14 @@ SERVED_PARENT_CALLS = (18, 62)
 # filled a frozen dataclass field by field and sent every scalar through
 # the tagged codec.)
 WIRE_CALLS = (51, 90)
+# Shard calls (``ServerCore.take``) per committed transaction when
+# SHARD_CALL_CLIENTS begin / 2 x Credit / commit transactions share one
+# connection in lock step on one local shard: the begins are answered at
+# admission, and each other read is one run, one call.  Exact.  (3.0
+# while every routed frame kicked its shard: one call per invoke and one
+# per commit.)
+SHARD_CALLS = 0.375
+SHARD_CALL_CLIENTS = 8
 SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~1.6x measured
 # (~2.3x before routing, ~3.1x before that), so this only catches a sink
@@ -186,14 +203,17 @@ def churn_with_holders(machine, amount, holders=COMPILED_HOLDERS):
         machine.commit(name, index + 1)
 
 
-def best_of_holders(build, amount, repeats=REPEATS):
-    best = float("inf")
+def best_of_holders(builds, amount, repeats=REPEATS):
+    """The best holder-churn time of each of ``builds``, their repeats
+    interleaved so that a load burst hits every candidate alike."""
+    best = [float("inf")] * len(builds)
     for _ in range(repeats):
-        machine = build()
-        started = time.perf_counter()
-        churn_with_holders(machine, amount)
-        best = min(best, time.perf_counter() - started)
-    return best
+        for slot, build in enumerate(builds):
+            machine = build()
+            started = time.perf_counter()
+            churn_with_holders(machine, amount)
+            best[slot] = min(best[slot], time.perf_counter() - started)
+    return tuple(best)
 
 
 def served_transaction(name):
@@ -353,6 +373,52 @@ def wire_calls(transactions=SERVED_TRANSACTIONS):
     return counts["call"] / transactions, counts["c_call"] / transactions
 
 
+def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
+    """Shard calls per committed transaction on a ``ServerCore`` over one
+    local shard, driven as the shell drives it (``take → call → settle``
+    in the kick), by ``clients`` transactions multiplexed on one
+    connection: each read carries every client's next frame."""
+    calls = 0
+
+    def kick(index):
+        nonlocal calls
+        calls += 1
+        ops = core.take(index)
+        core.settle(index, pool.shards[index].call(ops) if ops else ops, 0.0)
+
+    pool = ShardSet([LocalShard(ShardEngine(0, 1))])
+    core = ServerCore(pool, kick)
+    core.catalog["acct1"] = pool.create_object("acct1", "Account")
+    core.catalog["acct2"] = pool.create_object("acct2", "Account")
+    channel, decoder, ids = Channel(), FrameDecoder(), iter(range(1, 1 << 30))
+    core.connect(channel)
+
+    def read(frames):
+        """Feed one read of ``frames``; the replies, in order."""
+        core.feed(channel, b"".join(request_frame(next(ids), *f) for f in frames), 0.0)
+        replies = decoder.feed(b"".join(channel.out))
+        channel.out.clear()
+        core.dirty.clear()
+        assert len(replies) == len(frames) and all(r["ok"] for r in replies), replies
+        return replies
+
+    committed = 0
+    for _ in range(0, transactions, clients):
+        begun = read([("begin", {})] * clients)
+        handles = [reply["result"]["transaction"] for reply in begun]
+        for obj, amount in (("acct1", 5), ("acct2", 7)):
+            read(
+                [
+                    ("invoke", dict(transaction=h, obj=obj, operation="Credit",
+                                    args=(amount,)))
+                    for h in handles
+                ]
+            )
+        read([("commit", {"transaction": h}) for h in handles])
+        committed += clients
+    return calls / committed
+
+
 def state_size_calls(items):
     """Python-level calls of one ``execute`` + ``commit`` on a compacting
     FIFOQueue machine holding ``items`` items."""
@@ -454,15 +520,15 @@ def main():
     manager_best = best_of_manager(bare_manager)
     checked_best = best_of_manager(checked_manager)
     holder_churn = {
-        where: (
-            best_of_holders(compiled_relation_machine, amount),
-            best_of_holders(predicate_relation_machine, amount),
+        where: best_of_holders(
+            (compiled_relation_machine, predicate_relation_machine), amount
         )
         for where, amount in COMPILED_AMOUNTS.items()
     }
     served_counts = served_calls()
     parent_counts = served_calls(transaction=served_parent_transaction)
     wire_counts = wire_calls()
+    calls_per_txn = shard_calls()
     bare_best, wired_best = served_budget()
     empty_calls, sized_calls = state_size_calls(0), state_size_calls(STATE_SIZE_ITEMS)
     disabled_tps = TRANSACTIONS / disabled_best
@@ -496,6 +562,10 @@ def main():
     print(
         f"wire codec: {wire_counts[0]:g} Python + {wire_counts[1]:g} C calls per "
         "served transaction (4 frames decoded and parsed, 4 replies encoded)"
+    )
+    print(
+        f"shard calls: {calls_per_txn:g} per transaction, {SHARD_CALL_CLIENTS} "
+        "multiplexed on one connection over one local shard"
     )
     print(
         f"state size: {empty_calls} Python calls at 0 items vs {sized_calls} "
@@ -569,6 +639,14 @@ def main():
             f"{wire_counts[1]:g} C calls in the wire codec, not the budgeted "
             f"{WIRE_CALLS[0]} + {WIRE_CALLS[1]} — repro.server.protocol's "
             "per-frame path changed (update WIRE_CALLS if on purpose)"
+        )
+
+    if calls_per_txn != SHARD_CALLS:
+        failures.append(
+            f"{SHARD_CALL_CLIENTS} transactions multiplexed on one connection "
+            f"cost {calls_per_txn:g} shard calls each on a local shard, not the "
+            f"budgeted {SHARD_CALLS:g} — a read's run of same-shard frames no "
+            "longer runs as one batch (update SHARD_CALLS if on purpose)"
         )
 
     if sized_calls != empty_calls:

@@ -12,15 +12,25 @@ answered on the spot when no shard is needed (``begin``, ``ping``,
 ``stats``, a cached ack, a refusal), else routed to one shard and
 appended to that shard's pending FIFO — one per shard, for every
 transport; ``BUSY`` refuses an admission once it holds ``queue_limit``.
-Objects are sharded by a stable CRC32 of their name; a transaction is
-pinned to the shard of the first object it touches (its *primary*), its
+The shard is kicked once per *run*: the consecutive frames of a read
+routed to it, cut by a frame routed elsewhere, by a frame answered at
+admission (the run is kicked before that answer is queued), after
+``min(BATCH_LIMIT, queue_limit)`` frames, after a ``create`` or a
+multi-shard completion (what is admitted behind them depends on their
+outcome), and at the end of the read.  A non-blocking shard takes a run
+as one batch, each request starting at its own admission stamp, so
+replies to a connection leave in request order (a parked request's
+excepted); a blocking shard's worker is woken once per run.  Objects are
+sharded by a stable CRC32 of their name; a transaction is pinned to the
+shard of the first object it touches (its *primary*), its
 :class:`~repro.server.session.TxnRecord` lists every shard it touched,
 and shard *i* of *W* mints only timestamps ≡ *i* (mod *W*), so a merged
-trace still certifies.  Whatever the transport, a shard call is
-:meth:`ServerCore.take` (plan a batch of the FIFO into ops), the call,
-and :meth:`ServerCore.settle` (replies to frames; a refused invocation
-parks; a dead shard answers ``SHARD_DOWN``, is cleaned up everywhere and
-respawned from its WAL).
+trace still certifies; a completion admitted before any invoke of its
+transaction ran follows the first admitted one to its shard.  Whatever
+the transport, a shard call is :meth:`ServerCore.take` (plan a batch of
+the FIFO into ops), the call, and :meth:`ServerCore.settle` (replies to
+frames; a refused invocation parks; a dead shard answers ``SHARD_DOWN``,
+is cleaned up everywhere and respawned from its WAL).
 
 One driver runs every round procedure — a multi-shard completion
 (presumed-abort 2PC, or an abort everywhere) and a respawned shard's
@@ -164,8 +174,8 @@ class ServerCore:
         self._batches: List[Any] = [None] * self.workers
         #: Work was pushed since the last dispatch.
         self._pushed = False
-        #: The admission stamp of a request whose kick is running.
-        self._admitted: Optional[float] = None
+        #: A run's kick is running: a take now is the run as admitted.
+        self._as_admitted = False
         #: session name -> its connection (a CONFLICT names a handle, and
         #: a handle is "<session name>.t<n>": Session.mint_handle).
         self.channels: Dict[str, Channel] = {}
@@ -231,43 +241,67 @@ class ServerCore:
         return forced
 
     def feed(self, channel: Channel, data: bytes, now: float) -> bool:
-        """Admit every frame one read completed, in arrival order; True
-        when the stream hit a framing violation (answered, and then the
-        connection must be closed: its offset is unrecoverable)."""
+        """Admit every frame one read completed, in arrival order, kicking
+        a shard once per run of them; True when the stream hit a framing
+        violation (answered, and then the connection must be closed: its
+        offset is unrecoverable)."""
         self.now = now
         session = channel.session
         tracer = self.tracer
         timed = tracer is not None and tracer.active
         pending = self.pending
+        # A run never outgrows one batch, nor the BUSY mark: a local
+        # shard's FIFO holds only the run, so it never refuses.
+        limit = min(BATCH_LIMIT, self.queue_limit)
+        shard, run = 0, 0  # the run being gathered: its shard, its length
         try:
             for body in channel.decoder.feed_iter(data):
                 routed = self._admit(session, body)
                 if type(routed) is bytes:
+                    if run:
+                        self._kick_run(shard)  # its replies leave first
+                        run = 0
                     self._send(channel, routed)
-                else:
-                    request, index = routed
-                    # The admission timestamp anchors the queue phase.
-                    admitted = tracer.clock() if timed else None
-                    pending[index].append((channel, request, admitted))
-                    self._admitted = admitted
-                    self.kick(index)
-                    self._admitted = None
+                    continue
+                request, index = routed
+                if run and index != shard:
+                    self._kick_run(shard)
+                    run = 0
+                # The admission stamp: where its queue phase begins, or
+                # its execute phase when its run is taken as admitted.
+                pending[index].append(
+                    (channel, request, tracer.clock() if timed else None)
+                )
+                shard = index
+                run += 1
+                if run >= limit or (
+                    request.action != "invoke" and self._ends_run(session, request)
+                ):
+                    self._kick_run(index)
+                    run = 0
         except FrameError as exc:
             # The frames this read completed before it keep their answers.
+            if run:
+                self._kick_run(shard)
             self.stats["errors"] += 1
             self._send(channel, error_frame(None, exc.code, exc.message))
             return True
+        if run:
+            self._kick_run(shard)
         return False
 
     def take(self, index: int) -> List[Dict[str, Any]]:
         """Plan the next batch of shard ``index``'s FIFO; returns its ops
         (possibly none: every request taken was answerable without the
         shard).  :meth:`settle` must be given their replies."""
-        fifo, tracer, started = self.pending[index], self.tracer, self._admitted
-        if started is None:
-            started = tracer.clock() if tracer is not None and tracer.active else 0.0
+        fifo, tracer = self.pending[index], self.tracer
+        if self._as_admitted:
+            # A run taken as it was admitted: each request starts at its
+            # own admission stamp, so none has a queue phase.
+            self._as_admitted = False
+            started = None
         else:
-            self._admitted = None  # taken as it was admitted: no queue phase
+            started = tracer.clock() if tracer is not None and tracer.active else 0.0
         driven, batch, ops, taken = self.rounds, [], None, 0
         while fifo and taken < BATCH_LIMIT:
             taken += 1
@@ -283,7 +317,8 @@ class ServerCore:
                     # A multi-shard completion: the round driver owns the
                     # handle until it decides, then answers.
                     rounds = self._cross(channel.session, request, plan)
-                    self._start(_Round(rounds, (channel, request, index, tag, started)))
+                    begun = tag if started is None else started
+                    self._start(_Round(rounds, (channel, request, index, tag, begun)))
                     plan = None
             batch.append((item, plan))
             if type(plan) is list:
@@ -314,7 +349,7 @@ class ServerCore:
         executed = tracer.clock() if timed else 0.0
         if replies is None:
             self._shard_down(index)
-        offset, dirty, answered, span = 0, self.dirty, self.answered, executed - started
+        offset, dirty, answered = 0, self.dirty, self.answered
         for item, plan in batch:
             channel, request, tag = item
             if type(plan) is list:
@@ -341,7 +376,11 @@ class ServerCore:
             if timed:
                 if type(tag) is _Parked:
                     tag = tag.woke  # its queue phase began there
-                queued = 0.0 if tag is None else started - tag
+                if started is None:  # taken as admitted: it began there
+                    queued, span = 0.0, 0.0 if tag is None else executed - tag
+                else:
+                    queued = 0.0 if tag is None else started - tag
+                    span = executed - started
                 entry = (channel.session, request, index, queued, span, executed)
                 answered.append(entry)
         if self._pushed or self.pending[index]:
@@ -422,6 +461,22 @@ class ServerCore:
         else:
             self.pending[index].append(item)
 
+    def _kick_run(self, index: int) -> None:
+        """Kick shard ``index`` for the run just gathered on its FIFO; a
+        non-blocking shard takes it right here, as it was admitted."""
+        self._as_admitted = True
+        self.kick(index)
+        self._as_admitted = False
+
+    def _ends_run(self, session: Session, request: Request) -> bool:
+        """Must a routed request run before the frames behind it are
+        admitted?  A ``create`` must (they route by the catalog it
+        fills), and so must a multi-shard completion (its 2PC answers
+        before them)."""
+        if request.action == "create":
+            return True
+        return session.transactions[request.params["transaction"]].cross_shard
+
     def _dispatch(self) -> None:
         """Kick every shard with work — but one whose batch is out: its
         :meth:`settle` ends here again."""
@@ -475,6 +530,10 @@ class ServerCore:
                 )
             self.stats["requests"] += 1
             routed = request, worker
+            if request.action == "invoke":
+                record = session.transactions[request.params["transaction"]]
+                if record.routed is None:
+                    record.routed = worker  # where its completion follows it
         if tracer is not None:
             tracer.emit(
                 "server.request",
@@ -593,8 +652,9 @@ class ServerCore:
             if owner is None:
                 raise WireError("UNKNOWN_OBJECT", f"no managed object {obj!r}")
             return owner
-        # commit / abort run on the primary (the 2PC decider).
-        return record.primary
+        # commit / abort run on the primary (the 2PC decider) — or, before
+        # any invoke of the handle has run, behind its first admitted one.
+        return record.routed if record.primary is None else record.primary
 
     # -- plan and finish -----------------------------------------------
 
@@ -659,6 +719,9 @@ class ServerCore:
             return ops
         if record.cross_shard:
             return record
+        if record.primary is None:
+            # The invoke it followed was answered without the shard.
+            return self._completed(session, request)
         return [{"op": action, "txn": handle}]  # commit / abort
 
     def _finish(

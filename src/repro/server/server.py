@@ -17,16 +17,18 @@ Concurrency model
 Everything here runs on one event loop, one :class:`asyncio.Protocol`
 per connection and no task for it.  Each ``read`` is served inside the
 protocol's ``data_received`` callback — the core admits every frame it
-completed, in arrival order — and each connection with replies gets
+completed, in arrival order, and kicks a shard once per *run* of
+consecutive frames routed to it — and each connection with replies gets
 **one** ``write`` for the lot.  The shell's one transport branch is
 where a shard call waits, i.e. what the core's kick does: a **local
 shard** (``workers=N``, the default) or a simulated
 :class:`~repro.sim.site.Site` is called right in the kick, ``take → call
-→ settle`` inside ``data_received``; a **process shard** (``pool=``, a
-:class:`~repro.server.procpool.ShardProcessPool`) waits on a pipe, so the
-kick wakes the shard's worker coroutine — the pipe's one owner from
-:meth:`ReproServer.start` to the drain — which runs ``take → await acall
-→ settle``: one round-trip, one group-commit fsync for what the FIFO held.
+→ settle`` inside ``data_received``, one batch per run; a **process
+shard** (``pool=``, a :class:`~repro.server.procpool.ShardProcessPool`)
+waits on a pipe, so the kick wakes the shard's worker coroutine — the
+pipe's one owner from :meth:`ReproServer.start` to the drain — which
+runs ``take → await acall → settle``: one round-trip, one group-commit
+fsync for what the FIFO held.
 
 Writes never wait: a connection whose peer stops reading has its
 replies buffered and *its* reading paused once they pass the
@@ -89,8 +91,9 @@ class ReproServer:
         Number of local shards.
     queue_limit:
         High-water mark of a shard's FIFO; admissions beyond it answer
-        ``BUSY``.  (A non-blocking shard's FIFO is empty between reads,
-        so only a limit of 0 refuses there.)
+        ``BUSY``.  (A non-blocking shard's FIFO holds at most the run of a
+        read being gathered, and a run is cut at the limit, so only a
+        limit of 0 refuses there.)
     protocol:
         Conflict-relation protocol name for objects created over the
         wire or via :meth:`create_object` (default ``hybrid``).

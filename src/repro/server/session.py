@@ -41,17 +41,21 @@ class TxnRecord:
     ``primary`` is the shard that first-touch began the transaction (the
     2PC decider); ``participants`` lists every shard it has touched, in
     touch order, primary first.  An unbound record (``primary is None``)
-    belongs to a transaction that has not invoked anything yet — its
-    completion is decided inline.  A ``completing`` handle belongs to the
-    2PC it was handed to until that decides: no sweep aborts it.
+    belongs to a transaction that has not run anything on a shard yet —
+    its completion is decided inline, unless an invoke of it was admitted
+    to a shard (``routed``): then the completion follows that invoke
+    there.  A ``completing`` handle belongs to the 2PC it was handed to
+    until that decides: no sweep aborts it.
     """
 
-    __slots__ = ("primary", "participants", "completing")
+    __slots__ = ("primary", "participants", "completing", "routed")
 
     def __init__(self) -> None:
         self.primary: Optional[int] = None
         self.participants: List[int] = []
         self.completing = False
+        #: The shard the first invoke admitted for the handle went to.
+        self.routed: Optional[int] = None
 
     @property
     def bound(self) -> bool:

@@ -1,6 +1,6 @@
 """Served deployments for the server tests: two shards per transport, for
-tests that run one body over all of them, and a server on a thread of its
-own for blocking clients."""
+tests that run one body over all of them — behind a socket server or a
+driven core — and a server on a thread of its own for blocking clients."""
 
 import asyncio
 import threading
@@ -11,6 +11,7 @@ from repro.sim import Site
 from repro.recovery import MemoryWAL
 from repro.server import ReproServer, ShardProcessPool
 from repro.server.engine import ShardSet
+from tests.server.driven import Driven, shards
 
 
 @pytest.fixture
@@ -100,3 +101,27 @@ def hold():
         return entered, release
 
     return gate
+
+
+@pytest.fixture
+def drive(tmp_path):
+    """``drive(transport, objects=(), tracer=None, batched=None, **kwargs)``:
+    a driven core (``tests/server/driven.py``) over two shards behind
+    ``transport``, an Account per name in ``objects``; process shards are
+    served one batch per FIFO (``batched`` overrides that) and stopped
+    afterwards.  ``kwargs`` go to the core (``queue_limit=``)."""
+    pools = []
+
+    def start(transport, objects=(), tracer=None, batched=None, **kwargs):
+        pool = shards(transport, tmp_path, tracer)
+        pools.append(pool)
+        if batched is None:
+            batched = transport == "process"
+        driven = Driven(pool, tracer=tracer, batched=batched, **kwargs)
+        for name in objects:
+            driven.create(name)
+        return driven
+
+    yield start
+    for pool in pools:
+        pool.stop()

@@ -6,14 +6,31 @@ advances.
 ``Driven(pool)`` calls a shard inside the core's kick, as the shell does
 for non-blocking shards; ``Driven(pool, batched=True)`` only notes the
 kick and serves every FIFO after each entry point, one batch per shard
-call, as a blocking shard's worker does.
+call, as a blocking shard's worker does.  ``shards(transport, ...)``
+builds two shards behind ``"local"`` engines, simulated ``"site"`` hosts
+or ``"process"`` children.
 """
 
 import itertools
 
-from repro.server import ShardDown
+from repro.recovery import MemoryWAL
+from repro.server import ShardDown, ShardProcessPool
 from repro.server.core import WAIT_BOUND, Channel, ServerCore
+from repro.server.engine import LocalShard, ShardEngine, ShardSet
 from repro.server.protocol import FrameDecoder, request_frame
+from repro.sim import Site
+
+
+def shards(transport, tmp_path, tracer):
+    """Two shards behind ``transport``, tracing to ``tracer`` (process
+    shards to files of their own, under ``tmp_path / "traces"``)."""
+    if transport == "local":
+        return ShardSet([LocalShard(ShardEngine(i, 2, tracer=tracer)) for i in range(2)])
+    if transport == "site":
+        return ShardSet([Site(i, 2, wal=MemoryWAL(), tracer=tracer) for i in range(2)])
+    pool = ShardProcessPool(2, tmp_path / "data", trace_dir=tmp_path / "traces")
+    pool.start()
+    return pool
 
 
 class Conn(Channel):
@@ -26,6 +43,8 @@ class Conn(Channel):
         self.inbound = FrameDecoder()
         #: request id -> every reply body the core wrote for it.
         self.replies = {}
+        #: The request ids of the replies, in the order they left.
+        self.order = []
         self._ids = itertools.count(1)
 
     def request(self, action, **params):
@@ -70,6 +89,8 @@ class Driven:
         self.pool = pool
         self.now = 0.0
         self.batched = batched
+        #: Shard calls so far (``take → call → settle``).
+        self.calls = 0
         self.core = ServerCore(pool, self._kick, tracer=tracer, **kwargs)
         self.core.started_at = self.now
 
@@ -108,6 +129,7 @@ class Driven:
     def call(self, index):
         """One shard call: take, call, settle."""
         core = self.core
+        self.calls += 1
         ops = core.take(index)
         try:
             replies = self.pool.shards[index].call(ops) if ops else ops
@@ -130,6 +152,7 @@ class Driven:
         for conn in core.dirty:
             for body in conn.inbound.feed(b"".join(conn.out)):
                 conn.replies.setdefault(body["id"], []).append(body)
+                conn.order.append(body["id"])
             conn.out.clear()
         core.dirty.clear()
         if core.answered:

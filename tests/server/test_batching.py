@@ -2,9 +2,10 @@
 
 Wall-clock on a shared box does not repeat; socket writes, loop polls,
 FIFO items and worker tasks per request do.  A non-blocking shard is
-called in the connection's ``data_received`` (no worker, its FIFO empty
-again after each request, replies in request order, one write per read,
-one poll per request); a blocking shard's worker takes what its FIFO
+called in the connection's ``data_received``, once per run of a read's
+frames routed to it (no worker, its FIFO empty again after each read,
+replies in request order, one write per read, one poll per request;
+``test_runs.py`` pins the runs); a blocking shard's worker takes what its FIFO
 holds as one batch, and the batch answers each connection with one
 write.
 """
@@ -277,7 +278,7 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
     # One read after the write stamps all three; the events follow it.
     responded = responds[0].ts - 1
     assert responded == written_at + 1
-    for request, respond in zip(requests, responds):
+    for place, (request, respond) in enumerate(zip(requests, responds)):
         phases = [respond.data[key] for key in ("queue", "execute", "respond")]
         # Admission is the first clock read after the request's event.
         assert sum(phases) == responded - (request.ts + 1)
@@ -285,5 +286,6 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
         if transport == "process":
             assert respond.data["queue"] > 0      # waited for the worker
         else:
-            assert respond.data["queue"] == 0     # nothing queues
-            assert request.data["queue_depth"] == 0
+            assert respond.data["queue"] == 0     # taken as admitted
+            # Its place in the run the read's three invokes make.
+            assert request.data["queue_depth"] == place

@@ -23,8 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import AtomicityChecker, TraceBus, read_jsonl
-from repro.recovery import MemoryWAL
-from repro.server import AsyncClient, ShardProcessPool
+from repro.server import AsyncClient
 from repro.server.core import WAIT_BOUND
 from repro.server.engine import LocalShard, ShardEngine, ShardSet
 from repro.server.protocol import ERROR_CODES, FrameDecoder, request_frame
@@ -32,6 +31,11 @@ from repro.sim import Site
 from tests.server.driven import Driven, result
 
 TRANSPORTS = ["local", "process", "site"]
+
+
+@pytest.fixture(params=TRANSPORTS)
+def transport(request):
+    return request.param
 
 
 def traced():
@@ -51,43 +55,6 @@ def certify(events, tmp_path):
     report = AtomicityChecker().replay(merged).report()
     assert report["verdict"] == "clean", report["violations"]
     return collections.Counter(event.kind for event in merged)
-
-
-def shards(transport, tmp_path, tracer):
-    """Two shards behind ``transport``, tracing to ``tracer`` (process
-    shards to files of their own)."""
-    if transport == "local":
-        return ShardSet([LocalShard(ShardEngine(i, 2, tracer=tracer)) for i in range(2)])
-    if transport == "site":
-        return ShardSet([Site(i, 2, wal=MemoryWAL(), tracer=tracer) for i in range(2)])
-    pool = ShardProcessPool(2, tmp_path / "data", trace_dir=tmp_path / "traces")
-    pool.start()
-    return pool
-
-
-@pytest.fixture(params=TRANSPORTS)
-def transport(request):
-    return request.param
-
-
-@pytest.fixture
-def drive(tmp_path):
-    """``drive(transport, objects=(), tracer=None)``: a driven core over
-    two shards behind ``transport``, an Account per name in ``objects``;
-    process shards are served one batch per FIFO and stopped afterwards."""
-    pools = []
-
-    def start(transport, objects=(), tracer=None):
-        pool = shards(transport, tmp_path, tracer)
-        pools.append(pool)
-        driven = Driven(pool, tracer=tracer, batched=transport == "process")
-        for name in objects:
-            driven.create(name)
-        return driven
-
-    yield start
-    for pool in pools:
-        pool.stop()
 
 
 def hold(client, obj="A"):
@@ -379,12 +346,24 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     """2–4 clients (some running two transactions on one connection) on
     two hot accounts; each connection's bytes reach the core split at
     drawn boundaries, shards are called inline or one batch per FIFO, and
-    the clock jumps past the wait bound whenever nothing else can move."""
+    the clock jumps past the wait bound whenever nothing else can move.
+    Called inline, the shards answer each connection in request order,
+    but for the requests that parked."""
     bus, events = traced()
     pool = ShardSet([LocalShard(ShardEngine(i, 2, tracer=bus)) for i in range(2)])
-    driven = Driven(pool, tracer=bus, batched=data.draw(st.booleans(), label="batched"))
+    batched = data.draw(st.booleans(), label="batched")
+    driven = Driven(pool, tracer=bus, batched=batched)
     for name in ("H0", "H1"):
         driven.create(name)
+    parked, park = set(), driven.core._park
+
+    def noting(channel, request, index, reply):
+        if park(channel, request, index, reply):
+            parked.add((channel, request.id))
+            return True
+        return False
+
+    driven.core._park = noting
     agents, unsent, sent = [], {}, collections.Counter()
     for scripts in connections:
         conn = driven.connect()
@@ -415,6 +394,9 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     assert not driven.core.parked and not any(driven.core.pending)
     for conn in unsent:
         assert sorted(conn.replies) == list(range(1, sent[conn] + 1))
+        if not batched:
+            unparked = [rid for rid in conn.order if (conn, rid) not in parked]
+            assert unparked == sorted(unparked), conn.order
         for bodies in conn.replies.values():
             assert len(bodies) == 1
             assert bodies[0]["ok"] or bodies[0]["error"]["code"] in ERROR_CODES
