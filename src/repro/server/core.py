@@ -9,28 +9,30 @@ shards when it *kicks* one.
 
 Each decoded frame is admitted in arrival order (:meth:`ServerCore.feed`):
 answered on the spot when no shard is needed (``begin``, ``ping``,
-``stats``, a cached ack, a refusal), else routed to one shard and
-appended to that shard's pending FIFO — one per shard, for every
-transport; ``BUSY`` refuses an admission once it holds ``queue_limit``.
+``stats``, a cached ack, a refusal), else routed to one shard, *planned*
+(its ops fixed; a first touch of the shard recorded among the
+transaction's participants and begun there) and appended to that shard's
+pending FIFO — one per shard, for every transport; ``BUSY`` refuses an
+admission once it holds ``queue_limit``.  A completion fixes the
+participants (an invoke behind it is refused); a multi-shard one starts
+its round procedure there, its ops queued behind all admitted before it.
 The shard is kicked once per *run*: the consecutive frames of a read
-routed to it, cut by a frame routed elsewhere, by a frame answered at
-admission (the run is kicked before that answer is queued), after
-``min(BATCH_LIMIT, queue_limit)`` frames, after a ``create`` or a
-multi-shard completion (what is admitted behind them depends on their
-outcome), and at the end of the read.  A non-blocking shard takes a run
-as one batch, each request starting at its own admission stamp, so
-replies to a connection leave in request order (a parked request's
-excepted); a blocking shard's worker is woken once per run.  Objects are
-sharded by a stable CRC32 of their name; a transaction is pinned to the
-shard of the first object it touches (its *primary*), its
-:class:`~repro.server.session.TxnRecord` lists every shard it touched,
-and shard *i* of *W* mints only timestamps ≡ *i* (mod *W*), so a merged
-trace still certifies; a completion admitted before any invoke of its
-transaction ran follows the first admitted one to its shard.  Whatever
-the transport, a shard call is :meth:`ServerCore.take` (plan a batch of
-the FIFO into ops), the call, and :meth:`ServerCore.settle` (replies to
-frames; a refused invocation parks; a dead shard answers ``SHARD_DOWN``,
-is cleaned up everywhere and respawned from its WAL).
+routed to it, cut by a frame routed elsewhere, by one answered at
+admission or a multi-shard completion (the run is kicked first), after
+``min(BATCH_LIMIT, queue_limit)`` frames, after a ``create`` (later
+frames route by the catalog it fills), and at the end of the read.  A
+non-blocking shard takes a run as one batch, each request starting at
+its own admission stamp, so replies to a connection leave in request
+order (a parked request's excepted); a blocking shard's worker is woken
+once per run.  Objects are sharded by a stable CRC32 of their name; a
+transaction is pinned to the shard of the first object it touches (its
+*primary*), its :class:`~repro.server.session.TxnRecord` lists every
+shard it touched, and shard *i* of *W* mints only timestamps ≡ *i* (mod
+*W*), so a merged trace still certifies.  Whatever the transport, a
+shard call is :meth:`ServerCore.take` (pop a batch), the call, and
+:meth:`ServerCore.settle` (replies to frames; a refused invocation parks;
+a dead shard answers ``SHARD_DOWN`` for its batch and its queue, is
+cleaned up everywhere and respawned from its WAL).
 
 One driver runs every round procedure — a multi-shard completion
 (presumed-abort 2PC, or an abort everywhere) and a respawned shard's
@@ -47,9 +49,10 @@ verdicts and waiters pushed there before it), and a batch ends at a
 completion that has waiters, so a woken request re-executes before any
 request admitted after its holder closed.  It gets exactly one reply:
 its re-executed one (it may park again), ``CONFLICT`` once ``now``
-passes its deadline (:meth:`ServerCore.expire`), or — its own handle
-closed under it — ``SHUTTING_DOWN`` / ``SHARD_DOWN`` / ``CONFLICT``, or
-nothing for a lost connection.
+passes its deadline (:meth:`ServerCore.expire`) or when it is woken
+while its multi-shard completion decides, or — its own handle closed
+under it — ``SHUTTING_DOWN`` / ``SHARD_DOWN`` / ``CONFLICT``, or nothing
+for a lost connection.
 """
 
 from __future__ import annotations
@@ -90,6 +93,17 @@ _CLOSED_UNDER = {
 }
 
 
+def _invoke_op(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The engine op an ``invoke`` request's params stand for."""
+    return {
+        "op": "invoke",
+        "txn": params["transaction"],
+        "obj": params["obj"],
+        "operation": params["operation"],
+        "args": params.get("args", ()),
+    }
+
+
 class Channel:
     """One client connection as the core sees it: its session (set by
     :meth:`ServerCore.connect`), its frame decoder, and the reply frames
@@ -125,8 +139,8 @@ class _Parked:
 
 class _Round:
     """A round procedure in flight: its current round's replies, and the
-    ``(channel, request, shard, admitted, started)`` its outcome answers
-    (None for a resolution, whose outcome nobody reads)."""
+    ``(channel, request, shard, started)`` its outcome answers (None for a
+    resolution, whose outcome nobody reads)."""
 
     __slots__ = ("rounds", "replies", "missing", "answers")
 
@@ -161,10 +175,10 @@ class ServerCore:
         self.kick = kick
         #: object name -> owning shard index.
         self.catalog: Dict[str, int] = {}
-        #: One FIFO of work per shard: ``(channel, request, admitted)``
-        #: for a client request (``admitted`` a :class:`_Parked` once it
-        #: was woken), ``(None, op, continuation)`` for a round op.
-        self.pending: List[Deque[Tuple[Any, Any, Any]]] = [
+        #: One FIFO of work per shard: ``(ops, channel, request, admitted)``
+        #: per client request (``admitted`` a :class:`_Parked` once woken),
+        #: ``([op], None, None, continuation)`` per round op.
+        self.pending: List[Deque[Tuple[Any, Any, Any, Any]]] = [
             deque() for _ in range(self.workers)
         ]
         #: How many items at the head of each FIFO were pushed in front.
@@ -246,7 +260,6 @@ class ServerCore:
         violation (answered, and then the connection must be closed: its
         offset is unrecoverable)."""
         self.now = now
-        session = channel.session
         tracer = self.tracer
         timed = tracer is not None and tracer.active
         pending = self.pending
@@ -256,27 +269,29 @@ class ServerCore:
         shard, run = 0, 0  # the run being gathered: its shard, its length
         try:
             for body in channel.decoder.feed_iter(data):
-                routed = self._admit(session, body)
-                if type(routed) is bytes:
+                routed = self._admit(channel, body)
+                if type(routed) is not tuple:
                     if run:
                         self._kick_run(shard)  # its replies leave first
                         run = 0
-                    self._send(channel, routed)
+                    if type(routed) is bytes:
+                        self._send(channel, routed)
+                    else:  # a multi-shard completion's round
+                        self._start(routed)
+                        self._dispatch()
                     continue
-                request, index = routed
+                ops, request, index = routed
                 if run and index != shard:
                     self._kick_run(shard)
                     run = 0
                 # The admission stamp: where its queue phase begins, or
                 # its execute phase when its run is taken as admitted.
                 pending[index].append(
-                    (channel, request, tracer.clock() if timed else None)
+                    (ops, channel, request, tracer.clock() if timed else None)
                 )
                 shard = index
                 run += 1
-                if run >= limit or (
-                    request.action != "invoke" and self._ends_run(session, request)
-                ):
+                if run >= limit or request.action == "create":
                     self._kick_run(index)
                     run = 0
         except FrameError as exc:
@@ -291,9 +306,9 @@ class ServerCore:
         return False
 
     def take(self, index: int) -> List[Dict[str, Any]]:
-        """Plan the next batch of shard ``index``'s FIFO; returns its ops
-        (possibly none: every request taken was answerable without the
-        shard).  :meth:`settle` must be given their replies."""
+        """Pop the next batch of shard ``index``'s FIFO; returns its ops
+        (possibly none: every request taken had its handle closed since its
+        admission).  :meth:`settle` must be given their replies."""
         fifo, tracer = self.pending[index], self.tracer
         if self._as_admitted:
             # A run taken as it was admitted: each request starts at its
@@ -302,25 +317,31 @@ class ServerCore:
             started = None
         else:
             started = tracer.clock() if tracer is not None and tracer.active else 0.0
-        driven, batch, ops, taken = self.rounds, [], None, 0
+        batch, ops, taken = [], None, 0
         while fifo and taken < BATCH_LIMIT:
             taken += 1
-            item = fifo.popleft()
-            channel, request, tag = item
-            if channel is None:
-                plan: Any = [request]  # a round op
-            elif type(tag) is _Parked and not self._unpark(tag):
-                plan = None  # woken, then answered when its handle closed
-            else:
-                plan = self._plan(channel.session, request, index)
-                if type(plan) is TxnRecord:
-                    # A multi-shard completion: the round driver owns the
-                    # handle until it decides, then answers.
-                    rounds = self._cross(channel.session, request, plan)
-                    begun = tag if started is None else started
-                    self._start(_Round(rounds, (channel, request, index, tag, begun)))
-                    plan = None
-            batch.append((item, plan))
+            plan, channel, request, tag = fifo.popleft()
+            if channel is not None and request.action != "create":
+                handle, session = request.params["transaction"], channel.session
+                record = session.transactions.get(handle)
+                if type(tag) is _Parked:
+                    if not self._unpark(tag):
+                        plan = None  # woken, then answered when its handle closed
+                    elif record.deciding:
+                        # Woken while its 2PC runs: never after the prepare.
+                        message = "its transaction is completing"
+                        plan = error_frame(request.id, "CONFLICT", message)
+                elif record is None:
+                    # Closed since its admission: it never reaches an engine,
+                    # where it would begin afresh; a completion's retransmit
+                    # gets its cached ack.
+                    cached = session.cached_ack(request.id)
+                    if cached is not None:
+                        plan = response_frame(request.id, cached)
+                    else:
+                        message = f"no open transaction {handle!r}"
+                        plan = error_frame(request.id, "UNKNOWN_TXN", message)
+            batch.append((plan, channel, request, tag))
             if type(plan) is list:
                 ops = ops + plan if ops else plan
                 if (
@@ -334,8 +355,6 @@ class ServerCore:
         if front[index]:
             front[index] = max(0, front[index] - taken)
         self._batches[index] = (batch, started)
-        if self.rounds > driven:
-            self._dispatch()  # the other shards a 2PC's first round went to
         return ops or []
 
     def settle(self, index: int, replies: Optional[List[Any]], now: float) -> None:
@@ -350,8 +369,8 @@ class ServerCore:
         if replies is None:
             self._shard_down(index)
         offset, dirty, answered = 0, self.dirty, self.answered
-        for item, plan in batch:
-            channel, request, tag = item
+        for item in batch:
+            plan, channel, request, tag = item
             if type(plan) is list:
                 offset += len(plan)
                 reply = None if replies is None else replies[offset - 1]
@@ -365,10 +384,10 @@ class ServerCore:
                 frame = self._finish(channel, request, index, reply)
                 if frame is None:
                     continue  # parked
-            elif type(plan) is bytes:
-                frame = plan
+            elif plan is not None:
+                frame = plan  # answered at take
             else:
-                continue  # its driver answers it, or it was answered
+                continue  # it was answered
             out = channel.out  # _send, inlined on the hot path
             if not out:
                 dirty.append(channel)
@@ -397,7 +416,9 @@ class ServerCore:
                 break  # deadlines rise in parking order
             del self.parked[handle]
             self.waits.cancel(handle)
-            self._reply(parked, self._error(parked.request.id, parked.refusal))
+            request = parked.request
+            frame = self._error(request.id, parked.refusal)
+            self._reply(parked.channel, request, parked.index, frame)
 
     def drained(self, active_at_start: int, forced: int) -> Dict[str, int]:
         """A drain's report, announced as ``server.drain``."""
@@ -436,13 +457,6 @@ class ServerCore:
             )
         self.answered.clear()
 
-    def _timed(self, channel, request, index, admitted, started, done) -> None:
-        """Note a reply's phases, for its ``server.respond`` event."""
-        queued = 0.0 if admitted is None else max(0.0, started - admitted)
-        self.answered.append(
-            (channel.session, request, index, queued, done - started, done)
-        )
-
     # -- queues and replies --------------------------------------------
 
     def _send(self, channel: Channel, frame: bytes) -> None:
@@ -451,7 +465,7 @@ class ServerCore:
             self.dirty.append(channel)
         out.append(frame)
 
-    def _push(self, index: int, item: Tuple[Any, Any, Any], front=False) -> None:
+    def _push(self, index: int, item: Tuple[Any, ...], front=False) -> None:
         """Queue work for a shard: at the back, or ``front`` — ahead of
         everything but what was pushed in front before it."""
         self._pushed = True
@@ -468,15 +482,6 @@ class ServerCore:
         self.kick(index)
         self._as_admitted = False
 
-    def _ends_run(self, session: Session, request: Request) -> bool:
-        """Must a routed request run before the frames behind it are
-        admitted?  A ``create`` must (they route by the catalog it
-        fills), and so must a multi-shard completion (its 2PC answers
-        before them)."""
-        if request.action == "create":
-            return True
-        return session.transactions[request.params["transaction"]].cross_shard
-
     def _dispatch(self) -> None:
         """Kick every shard with work — but one whose batch is out: its
         :meth:`settle` ends here again."""
@@ -488,20 +493,21 @@ class ServerCore:
 
     # -- admission -----------------------------------------------------
 
-    def _admit(self, session: Session, body: Dict[str, Any]) -> Any:
+    def _admit(self, channel: Channel, body: Dict[str, Any]) -> Any:
         """Admit one decoded frame: the reply frame when it can be
         answered here (pure bookkeeping or a refusal, no shard involved),
-        else the routed ``(request, shard index)``.  Every parsed request
-        leaves one event — ``server.request`` with the shard it went to
-        (None when answered here) and the FIFO length it found, or
-        ``server.busy`` — carrying the client's trace context: its
-        ``sent`` stamp against the event's own ``ts`` is the
+        else its plan (:meth:`_plan`) on the shard it routes to.  Every
+        parsed request leaves one event — ``server.request`` with the
+        shard it went to (None when answered here) and the FIFO length it
+        found, or ``server.busy`` — carrying the client's trace context:
+        its ``sent`` stamp against the event's own ``ts`` is the
         client→server leg of the end-to-end span."""
         try:
             request = parse_request(body)
         except WireError as exc:
             self.stats["errors"] += 1
             return error_frame(body.get("id"), exc.code, exc.message)
+        session = channel.session
         session.requests += 1
         tracer = self.tracer
         worker, depth = None, 0
@@ -529,11 +535,7 @@ class ServerCore:
                     f"({self.queue_limit}); retry",
                 )
             self.stats["requests"] += 1
-            routed = request, worker
-            if request.action == "invoke":
-                record = session.transactions[request.params["transaction"]]
-                if record.routed is None:
-                    record.routed = worker  # where its completion follows it
+            routed = self._plan(channel, request, worker)
         if tracer is not None:
             tracer.emit(
                 "server.request",
@@ -640,7 +642,7 @@ class ServerCore:
             raise WireError(
                 "UNKNOWN_TXN", f"no open transaction {handle!r} on this session"
             )
-        if record.completing:
+        if record.completing and (action == "invoke" or record.deciding):
             raise WireError("UNKNOWN_TXN", f"transaction {handle!r} is completing")
         if action == "invoke":
             obj = params.get("obj")
@@ -648,81 +650,52 @@ class ServerCore:
                 raise WireError("BAD_REQUEST", "invoke needs an obj name")
             if not isinstance(params.get("operation"), str):
                 raise WireError("BAD_REQUEST", "invoke needs an operation name")
+            if not isinstance(params.get("args", ()), (tuple, list)):
+                raise WireError("BAD_REQUEST", "args must be a sequence")
             owner = self.catalog.get(obj)
             if owner is None:
                 raise WireError("UNKNOWN_OBJECT", f"no managed object {obj!r}")
             return owner
-        # commit / abort run on the primary (the 2PC decider) — or, before
-        # any invoke of the handle has run, behind its first admitted one.
-        return record.routed if record.primary is None else record.primary
+        # commit / abort run on the primary (the 2PC decider).
+        return record.primary
 
     # -- plan and finish -----------------------------------------------
 
-    def _plan(self, session: Session, request: Request, index: int) -> Any:
-        """Translate one admitted request into ops for shard ``index``.
-
-        Returns the list of ops (:meth:`_finish` turns the reply to the
-        last one into the response); or the response frame itself, for a
-        request answerable without the shard; or the
-        :class:`~repro.server.session.TxnRecord` of a multi-shard
-        completion, for the round driver.
-        """
+    def _plan(self, channel: Channel, request: Request, index: int) -> Any:
+        """What an admitted request runs on shard ``index`` — its ``(ops,
+        request, index)``, a first touch of the shard recorded and begun
+        (:meth:`_finish` answers the last op's reply) — or, for a
+        multi-shard completion, the round procedure that completes it."""
         action = request.action
         params = request.params
-        rid = request.id
         if action == "create":
-            name = params.get("name")
-            if name in self.catalog:
-                return error_frame(
-                    rid, "BAD_REQUEST", f"object {name!r} already exists"
-                )
-            return [
-                {
-                    "op": "create",
-                    "name": name,
-                    "adt": params.get("adt", "Counter"),
-                    "protocol": params.get("protocol"),
-                }
-            ]
-        handle = params.get("transaction")
-        record = session.transactions.get(handle)
-        if record is None:
-            # Completed (or aborted by a disconnect race) since
-            # admission — for completions, the ack cache answers.
-            cached = session.cached_ack(rid)
-            if cached is not None:
-                return response_frame(rid, cached)
-            return error_frame(rid, "UNKNOWN_TXN", f"no open transaction {handle!r}")
+            op = {
+                "op": "create",
+                "name": params["name"],
+                "adt": params.get("adt", "Counter"),
+                "protocol": params.get("protocol"),
+            }
+            return [op], request, index
+        handle = params["transaction"]
+        record = channel.session.transactions[handle]
         if action == "invoke":
-            args = params.get("args", ())
-            if not isinstance(args, (tuple, list)):
-                return error_frame(rid, "BAD_REQUEST", "args must be a sequence")
-            ops = [
-                {
-                    "op": "invoke",
-                    "txn": handle,
-                    "obj": params["obj"],
-                    "operation": params["operation"],
-                    "args": args,
-                }
-            ]
-            if index not in record.participants:
-                record.touch(index)
-                # First touch of this shard begins the transaction here
-                # — quietly on a non-primary participant: the one loud
+            ops = [_invoke_op(params)]
+            if record.touch(index):
+                # First touch of this shard begins the transaction here —
+                # quietly on a non-primary participant: the one loud
                 # txn.begin came from the primary, and the checker
                 # rejects duplicates.
-                ops.insert(
-                    0,
-                    {"op": "begin", "name": handle, "quiet": record.primary != index},
-                )
-            return ops
-        if record.cross_shard:
-            return record
-        if record.primary is None:
-            # The invoke it followed was answered without the shard.
-            return self._completed(session, request)
-        return [{"op": action, "txn": handle}]  # commit / abort
+                quiet = record.primary != index
+                ops.insert(0, {"op": "begin", "name": handle, "quiet": quiet})
+            return ops, request, index
+        # Its participants are final: an invoke behind it is refused, so
+        # none touches a shard the completion passes over.
+        record.completing = True
+        if record.deciding:
+            started = self.tracer.clock() if self.tracer is not None else 0.0
+            rounds = self._cross(channel.session, request, record)
+            return _Round(rounds, (channel, request, index, started))
+        return [{"op": action, "txn": handle}], request, index  # commit / abort
 
     def _finish(
         self, channel: Channel, request: Request, index: int, reply: Dict[str, Any]
@@ -788,11 +761,11 @@ class ServerCore:
 
     def _abort_session(self, session: Session, code: Optional[str] = None) -> int:
         """Abort and close the handles a session leaves open, except one
-        in 2PC (that decides it); returns how many had run anywhere.  A
+        in 2PC (that decides it); returns how many had touched a shard.  A
         parked request of theirs is answered ``code`` (None: nothing)."""
         aborted = 0
         for handle, record in list(session.transactions.items()):
-            if record.completing:
+            if record.deciding:
                 continue
             if record.bound:
                 self._abort(abort_round(handle, record.participants))
@@ -805,7 +778,7 @@ class ServerCore:
         front of each shard's FIFO — ahead of the waiters the close of
         their handle wakes, which must find the locks released."""
         for index, op in ops:
-            self._push(index, (None, op, None), front=True)
+            self._push(index, ([op], None, None, None), front=True)
 
     def _close(self, session: Session, handle: str, code: Optional[str]) -> None:
         """Close a handle — every close goes through here.  Its parked
@@ -817,12 +790,13 @@ class ServerCore:
             parked = self.parked.pop(handle, None)
             if parked is not None:
                 self.waits.cancel(handle)
-                if code == "SHARD_DOWN":
-                    self._reply(parked, self._shard_down_frame(parked.request, parked.index))
-                elif code is not None:
-                    self._reply(
-                        parked, error_frame(parked.request.id, code, _CLOSED_UNDER[code])
-                    )
+                if code is not None:
+                    request, index = parked.request, parked.index
+                    if code == "SHARD_DOWN":
+                        frame = self._shard_down_frame(request, index)
+                    else:
+                        frame = error_frame(request.id, code, _CLOSED_UNDER[code])
+                    self._reply(parked.channel, request, index, frame)
             self.waits.release(handle)
 
     def _shard_down(self, index: int) -> None:
@@ -833,19 +807,31 @@ class ServerCore:
         shard's own active transactions died with its volatile state;
         prepared ones are resurrected from the WAL and resolved after the
         respawn) — except one in 2PC, whose driver hears of the death.
-        Then a new incarnation is spawned (it replays its log) and its
-        prepared set resolved by the round driver — unless the core is
-        stopping, or the last one could not start: that shard stays down
-        and every request for it answers ``SHARD_DOWN``.
+        The requests queued for it answer ``SHARD_DOWN`` too (a ``create``
+        waits for the new incarnation).  Then a new incarnation is spawned
+        (it replays its log) and its prepared set resolved by the round
+        driver — unless the core is stopping, or the last one could not
+        start: that shard stays down and every request for it answers
+        ``SHARD_DOWN``.
         """
         for channel in self.channels.values():
             session = channel.session
             for handle, record in list(session.transactions.items()):
-                if index not in record.participants or record.completing:
+                if index not in record.participants or record.deciding:
                     continue
                 self._abort(abort_round(handle, set(record.participants) - {index}))
                 self._close(session, handle, "SHARD_DOWN")
                 self.stats["transactions_aborted"] += 1
+        fifo = self.pending[index]
+        self._front[index] = 0  # what was pushed in front was for the dead one
+        for _ in range(len(fifo)):
+            item = fifo.popleft()
+            _ops, channel, request, tag = item
+            if channel is None or request.action == "create":
+                fifo.append(item)  # kept, in order
+            elif type(tag) is not _Parked or self._unpark(tag):
+                frame = self._shard_down_frame(request, index)
+                self._reply(channel, request, index, frame)
         if not self.stopping and self.pool.revive(index):
             self._start(_Round(resolve_prepared(index, self.workers)))
 
@@ -876,14 +862,16 @@ class ServerCore:
         return True
 
     def _wake(self, parked: _Parked) -> None:
-        """Its holder closed: re-execute the parked request, from the
-        front of its shard's FIFO, with no BUSY check (it was admitted
-        once)."""
+        """Its holder closed: re-execute the parked request (its invoke
+        alone: the shard is a participant by now), from the front of its
+        shard's FIFO, with no BUSY check (it was admitted once)."""
         parked.deadline = None
         tracer = self.tracer
         if tracer is not None and tracer.active:
             parked.woke = tracer.clock()
-        self._push(parked.index, (parked.channel, parked.request, parked), front=True)
+        request = parked.request
+        item = ([_invoke_op(request.params)], parked.channel, request, parked)
+        self._push(parked.index, item, front=True)
 
     def _unpark(self, parked: _Parked) -> bool:
         """Take a parked request out of ``parked``, to answer it; False
@@ -894,13 +882,18 @@ class ServerCore:
         del self.parked[handle]
         return True
 
-    def _reply(self, parked: _Parked, frame: bytes) -> None:
-        """Answer a parked request now, on its own connection."""
-        self._send(parked.channel, frame)
+    def _reply(
+        self, channel: Channel, request: Request, index: int, frame: bytes, started=None
+    ) -> None:
+        """Answer a request outside its shard's batches — parked, queued
+        for a dead shard, or completed by a round begun at ``started`` —
+        now, on its own connection; it has no queue phase."""
+        self._send(channel, frame)
         tracer = self.tracer
         if tracer is not None and tracer.active:
-            now = tracer.clock()
-            self._timed(parked.channel, parked.request, parked.index, None, now, now)
+            done = tracer.clock()
+            span = 0.0 if started is None else done - started
+            self.answered.append((channel.session, request, index, 0.0, span, done))
 
     # -- the round driver ----------------------------------------------
 
@@ -908,7 +901,6 @@ class ServerCore:
         """Complete a multi-shard transaction — presumed-abort 2PC for a
         commit, an abort on every participant otherwise — as a round
         procedure whose outcome is the response frame."""
-        record.completing = True
         handle, participants = request.params["transaction"], record.participants
         if request.action == "abort":
             yield abort_round(handle, participants)
@@ -937,22 +929,18 @@ class ServerCore:
         except StopIteration as done:
             self.rounds -= 1
             if driver.answers is not None:
-                channel, request, index, admitted, started = driver.answers
-                self._send(channel, done.value)
-                tracer = self.tracer
-                if tracer is not None and tracer.active:
-                    finished = tracer.clock()
-                    self._timed(channel, request, index, admitted, started, finished)
+                channel, request, index, started = driver.answers
+                self._reply(channel, request, index, done.value, started)
             return
         driver.replies = [None] * len(ops)
         driver.missing = len(ops)
         for slot, (index, op) in enumerate(ops):
-            self._push(index, (None, op, (driver, slot)))
+            self._push(index, ([op], None, None, (driver, slot)))
 
-    def _answer_round(self, index: int, item: Tuple[Any, Any, Any], reply: Any) -> None:
+    def _answer_round(self, index: int, item: Tuple[Any, ...], reply: Any) -> None:
         """One round op's reply (None: its shard died under it); a commit
         verdict is pushed again while its shard is back up."""
-        _none, op, (driver, slot) = item
+        (op,), _channel, _request, (driver, slot) = item
         if reply is None and op["op"] == "apply_commit":
             if self.pool.shards[index].alive:
                 self._push(index, item)

@@ -40,22 +40,20 @@ class TxnRecord:
 
     ``primary`` is the shard that first-touch began the transaction (the
     2PC decider); ``participants`` lists every shard it has touched, in
-    touch order, primary first.  An unbound record (``primary is None``)
-    belongs to a transaction that has not run anything on a shard yet —
-    its completion is decided inline, unless an invoke of it was admitted
-    to a shard (``routed``): then the completion follows that invoke
-    there.  A ``completing`` handle belongs to the 2PC it was handed to
-    until that decides: no sweep aborts it.
+    touch order, primary first — recorded when the touching request is
+    admitted, so a completion admitted behind it sees it.  An unbound
+    record (``primary is None``) belongs to a transaction no invoke was
+    admitted for: its completion is decided inline.  A ``completing``
+    handle had its completion admitted, so no invoke of it is admitted
+    any more.
     """
 
-    __slots__ = ("primary", "participants", "completing", "routed")
+    __slots__ = ("primary", "participants", "completing")
 
     def __init__(self) -> None:
         self.primary: Optional[int] = None
         self.participants: List[int] = []
         self.completing = False
-        #: The shard the first invoke admitted for the handle went to.
-        self.routed: Optional[int] = None
 
     @property
     def bound(self) -> bool:
@@ -66,6 +64,11 @@ class TxnRecord:
     def cross_shard(self) -> bool:
         """Has the transaction touched more than one shard?"""
         return len(self.participants) > 1
+
+    @property
+    def deciding(self) -> bool:
+        """Does a multi-shard completion's round own the handle?"""
+        return self.completing and len(self.participants) > 1
 
     def touch(self, worker: int) -> bool:
         """Record a touch of ``worker``; True when the shard is new."""

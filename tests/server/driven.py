@@ -104,16 +104,16 @@ class Driven:
 
     def feed(self, conn, data):
         poisoned = self.core.feed(conn, data, self.now)
-        self._settle_all()
+        self.settle_all()
         return poisoned
 
     def disconnect(self, conn):
         self.core.disconnect(conn, self.now)
-        self._settle_all()
+        self.settle_all()
 
     def abort_sessions(self, code="SHUTTING_DOWN"):
         forced = self.core.abort_sessions(code, self.now)
-        self._settle_all()
+        self.settle_all()
         return forced
 
     def advance(self, seconds=WAIT_BOUND):
@@ -138,7 +138,9 @@ class Driven:
         core.settle(index, replies, self.now)
         self.collect()
 
-    def _settle_all(self):
+    def settle_all(self):
+        """Serve every FIFO until all are empty, one batch per shard call
+        (batched only: inline shards were served in their kicks)."""
         while self.batched and any(self.core.pending):
             for index, fifo in enumerate(self.core.pending):
                 if fifo:

@@ -173,70 +173,57 @@ class TestProcessShards:
         # two spans both connections with two replies each.
         assert len(to_first) == 2 and len(to_second) == 1
 
-    def test_a_2pc_round_rides_the_queued_requests_batch(self, tmp_path, hold):
+    def test_a_2pc_round_rides_the_queued_requests_batch(self, drive):
         """A cross-shard commit's ``prepare`` joins the batch of what is
         queued on its shard — one pipe round-trip, one fsync for both —
         and, being no client request, is never refused BUSY, emits no
-        admission event and counts no request."""
+        admission event and counts no request.  One read carries k
+        commits, which fill shard 0's FIFO to its limit, and the
+        cross-shard commit, whose round starts at its admission."""
         k = 4
-        events = []
-
-        async def scenario():
-            bus = TraceBus()
-            bus.subscribe(events.append)
-            pool = ShardProcessPool(2, tmp_path / "data")
-            pool.start()
-            server = ReproServer(pool=pool, tracer=bus, queue_limit=k, drain_grace=0.5)
-            a, b = (
-                next(f"Q{i}" for i in itertools.count() if pool.shard_of(f"Q{i}") == s)
-                for s in (0, 1)
-            )
-            server.create_object(a, "Account")
-            server.create_object(b, "Account")
-            await server.start()
-            client = await AsyncClient.connect(server.host, server.port)
-            cross = await client.begin()
-            await client.invoke(cross, b, "Credit", 1)  # primary: shard 1
-            await client.invoke(cross, a, "Credit", 1)
-            singles = [await client.begin() for _ in range(k)]
-            for handle in singles:
-                await client.invoke(handle, a, "Credit", 1)
-            trigger = await client.begin()
-            before = pool.stats()[0]
-            entered, release = hold(pool.shards[0])
-            held = asyncio.ensure_future(client.invoke(trigger, a, "Credit", 1))
-            await entered.wait()
-            # Shard 0's queue fills to its limit with k commits; the
-            # cross-shard commit is admitted on shard 1's queue and its
-            # prepare for shard 0 goes past the limit.
-            commits = [asyncio.ensure_future(client.commit(h)) for h in singles]
-            while len(server.core.pending[0]) < k:
-                await asyncio.sleep(0.005)
-            crossed = asyncio.ensure_future(client.commit(cross))
-            while len(server.core.pending[0]) < k + 1:
-                await asyncio.sleep(0.005)
-            release.set()
-            await asyncio.gather(held, crossed, *commits)
-            after = pool.stats()[0]
-            stats = dict(server.stats)
-            await client.aclose()
-            await server.drain()
-            return before, after, stats, cross
-
-        before, after, stats, cross = asyncio.run(asyncio.wait_for(scenario(), 60))
+        bus, events = TraceBus(), []
+        bus.subscribe(events.append)
+        driven = drive("process", tracer=bus, queue_limit=k)
+        pool = driven.pool
+        a, b = (
+            next(f"Q{i}" for i in itertools.count() if pool.shard_of(f"Q{i}") == s)
+            for s in (0, 1)
+        )
+        driven.create(a)
+        driven.create(b)
+        conn = driven.connect()
+        cross = conn.begin()
+        conn.invoke(cross, b, "Credit", 1)  # primary: shard 1
+        conn.invoke(cross, a, "Credit", 1)
+        singles = [conn.begin() for _ in range(k)]
+        for handle in singles:
+            conn.invoke(handle, a, "Credit", 1)
+        before = pool.stats()[0]
+        handles = singles + [cross]
+        rids = range(100, 100 + len(handles))
+        assert not driven.feed(
+            conn,
+            b"".join(
+                request_frame(rid, "commit", {"transaction": handle})
+                for rid, handle in zip(rids, handles)
+            ),
+        )
+        assert all(conn.answer(rid)["ok"] for rid in rids)
+        after = pool.stats()[0]
         grew = {key: after[key] - before[key] for key in ("batches", "wal_syncs")}
         # Shard 0 wrote two durable batches: [k commits + prepare] and
-        # the apply_commit (the held invoke logs nothing).  Delivered on
-        # its own, the prepare was a third batch and a third fsync.
+        # the apply_commit.  Delivered on its own, the prepare was a
+        # third batch and a third fsync.
         assert grew == {"batches": 2, "wal_syncs": 2}
         assert after["batched_records"] - before["batched_records"] == k + 2
+        stats = driven.core.stats
         assert stats["busy"] == 0 and not [e for e in events if e.kind == "server.busy"]
-        # 2 + 1 + k invokes and k + 1 commits, each answered once.
+        # 2 + k invokes and k + 1 commits, each answered once.
         kinds = [(e.kind, e.data) for e in events]
         requests = [d for kind, d in kinds if kind == "server.request"]
         routed = [d for d in requests if d["shard"] is not None]
         responds = [d for kind, d in kinds if kind == "server.respond"]
-        assert stats["requests"] == len(routed) == len(responds) == 2 * k + 4
+        assert stats["requests"] == len(routed) == len(responds) == 2 * k + 3
         answers = [d["action"] for d in responds if d["transaction"] == cross]
         assert answers == ["invoke", "invoke", "commit"]
 

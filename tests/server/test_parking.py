@@ -9,14 +9,16 @@ no socket, a counter for the clock) over local engines,
 simulated sites and child processes — those called one batch per FIFO,
 as their worker calls them — and certify the served history.  A parked
 request gets exactly one reply: its re-executed one, ``CONFLICT`` once
-the clock passes its deadline, or — when its own handle is closed under
-it — ``SHUTTING_DOWN`` on a drain, ``SHARD_DOWN`` on a shard death,
+the clock passes its deadline or when it is woken while its multi-shard
+commit decides, or — when its own handle is closed under it —
+``SHUTTING_DOWN`` on a drain, ``SHARD_DOWN`` on a shard death,
 ``CONFLICT`` on its own completion and nothing on a lost connection.
 One socket case per transport pins the same order through the shell.
 """
 
 import asyncio
 import collections
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from repro.obs import AtomicityChecker, TraceBus, read_jsonl
 from repro.server import AsyncClient
 from repro.server.core import WAIT_BOUND
-from repro.server.engine import LocalShard, ShardEngine, ShardSet
+from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
 from repro.server.protocol import ERROR_CODES, FrameDecoder, request_frame
 from repro.sim import Site
 from tests.server.driven import Driven, result
@@ -221,6 +223,74 @@ def test_a_cross_shard_holder_wakes_its_waiters_when_2pc_decides(
     assert certify(events, tmp_path)["lock.wait"] == 1
 
 
+@pytest.mark.parametrize("transport", ["local", "process"])
+def test_a_multi_shard_commit_answers_its_parked_invoke(drive, transport, tmp_path):
+    """A waiter's multi-shard commit is read while an invoke of it is
+    parked, and its holder closes between the 2PC's prepare and its
+    decision: woken, the invoke answers ``CONFLICT`` — it never runs on
+    the prepared transaction."""
+    bus, events = traced()
+    driven = drive(transport, tracer=bus, batched=True)
+    names = {}
+    for index in range(100):
+        names.setdefault(driven.pool.shard_of(f"Q{index}"), f"Q{index}")
+    for name in names.values():
+        driven.create(name)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first, names[1])
+    waiter = second.begin()
+    assert result(second.answer(second.invoke(waiter, names[0], "Credit", 1))) == "Ok"
+    debit = second.invoke(waiter, names[1], "Debit", 2)
+    assert second.answer(debit) is None and len(driven.core.parked) == 1
+    core = driven.core
+    core.feed(second, request_frame(90, "commit", {"transaction": waiter}), driven.now)
+    for index in (0, 1):
+        driven.call(index)  # the prepares
+    core.feed(first, request_frame(91, "commit", {"transaction": holder}), driven.now)
+    driven.settle_all()
+    assert result(second.answer(debit)) == "CONFLICT" and not core.parked
+    assert isinstance(second.answer(90)["result"]["timestamp"], int)
+    assert first.answer(91)["ok"]
+    certify(events, tmp_path)
+
+
+@pytest.mark.parametrize("transport", ["local", "process"])
+def test_an_invoke_parked_after_its_multi_shard_commit_never_runs(
+    drive, transport, tmp_path
+):
+    """An invoke read with its transaction's multi-shard commit is refused
+    in the batch of the 2PC's prepare, and parks; its holder closes before
+    the 2PC decides.  Woken, the invoke answers ``CONFLICT``: it never
+    runs on the prepared transaction."""
+    bus, events = traced()
+    driven = drive(transport, tracer=bus, batched=True)
+    names = {}
+    for index in range(100):
+        names.setdefault(driven.pool.shard_of(f"Q{index}"), f"Q{index}")
+    for name in names.values():
+        driven.create(name)
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first, names[1])
+    waiter = second.begin()
+    for name in (names[0], names[1]):  # bound to both shards
+        assert result(second.answer(second.invoke(waiter, name, "Credit", 1))) == "Ok"
+    debit = {"transaction": waiter, "obj": names[1], "operation": "Debit"}
+    data = request_frame(60, "invoke", dict(debit, args=(2,)))
+    data += request_frame(61, "commit", {"transaction": waiter})
+    core = driven.core
+    core.feed(second, data, driven.now)
+    driven.call(1)  # the invoke is refused and parks; shard 1 prepares
+    assert second.answer(60) is None and len(core.parked) == 1
+    core.feed(first, request_frame(91, "commit", {"transaction": holder}), driven.now)
+    driven.call(1)  # the holder commits, and its close wakes the invoke
+    driven.call(1)  # the woken invoke, before the 2PC decides
+    assert result(second.answer(60)) == "CONFLICT" and second.answer(61) is None
+    driven.settle_all()
+    assert isinstance(second.answer(61)["result"]["timestamp"], int)
+    assert first.answer(91)["ok"] and not core.parked and core.rounds == 0
+    certify(events, tmp_path)
+
+
 # -- the wait order, through the socket shell ----------------------------
 
 
@@ -285,9 +355,14 @@ def test_a_woken_waiter_runs_before_requests_read_with_its_holders_commit(
 
 # -- one property: exactly one reply per admitted request -----------------
 
-#: One transaction: (account, operation) steps on two hot accounts.
+#: One hot account per shard of two, so a transaction may commit by 2PC.
+HOT = [
+    next(f"H{i}" for i in itertools.count() if shard_for(f"H{i}", 2) == shard)
+    for shard in (0, 1)
+]
+#: One transaction: (account, operation) steps on the hot accounts.
 txn = st.lists(
-    st.tuples(st.sampled_from(["H0", "H1"]), st.sampled_from(["Credit", "Debit", "Post"])),
+    st.tuples(st.sampled_from(HOT), st.sampled_from(["Credit", "Debit", "Post"])),
     min_size=1,
     max_size=3,
 )
@@ -297,12 +372,15 @@ connection = st.lists(st.lists(txn, min_size=1, max_size=2), min_size=1, max_siz
 
 class Agent:
     """A closed-loop client running its transactions on one connection:
-    it sends its next request once the last one is answered, and aborts a
-    transaction an invoke of which was refused."""
+    it sends its next request once the last one is answered — but it may
+    send a transaction's last invoke and its commit together, as
+    ``together()`` draws — and aborts a transaction an invoke of which was
+    refused."""
 
-    def __init__(self, conn, script):
+    def __init__(self, conn, script, together):
         self.conn, self.script = conn, [list(steps) for steps in script]
-        self.last = self.action = self.handle = None
+        self.together = together
+        self.last = self.action = self.handle = self.paired = None
         self.refused = False
 
     def ready(self):
@@ -312,6 +390,11 @@ class Agent:
         """The frame of the agent's next request, as ``rid`` (None: done)."""
         if self.last is not None:
             body = self.conn.replies[self.last][0]
+            if self.paired is not None:
+                # The invoke sent with the commit ran, or was refused.
+                invoked = self.conn.replies[self.paired][0]
+                assert invoked["ok"] or invoked["error"]["code"] == "CONFLICT", invoked
+                self.paired = None
             if self.action == "begin":
                 self.handle = body["result"]["transaction"]
             elif self.action == "invoke" and not body["ok"]:
@@ -331,7 +414,12 @@ class Agent:
             self.action = "invoke"
             params = {"transaction": self.handle, "obj": obj,
                       "operation": operation, "args": (1,)}
-            return request_frame(rid, "invoke", params)
+            frame = request_frame(rid, "invoke", params)
+            if self.script[0] or not self.together():
+                return frame
+            # Its commit too, without awaiting the invoke's reply.
+            self.paired, self.last, self.action = rid, rid + 1, "commit"
+            return frame + request_frame(rid + 1, "commit", {"transaction": self.handle})
         self.action = "abort" if self.refused else "commit"
         return request_frame(rid, self.action, {"transaction": self.handle})
 
@@ -344,7 +432,8 @@ class Agent:
 @given(connections=st.lists(connection, min_size=2, max_size=4), data=st.data())
 def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     """2–4 clients (some running two transactions on one connection) on
-    two hot accounts; each connection's bytes reach the core split at
+    a hot account per shard, some sending a transaction's last invoke and
+    its commit together; each connection's bytes reach the core split at
     drawn boundaries, shards are called inline or one batch per FIFO, and
     the clock jumps past the wait bound whenever nothing else can move.
     Called inline, the shards answer each connection in request order,
@@ -353,7 +442,7 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     pool = ShardSet([LocalShard(ShardEngine(i, 2, tracer=bus)) for i in range(2)])
     batched = data.draw(st.booleans(), label="batched")
     driven = Driven(pool, tracer=bus, batched=batched)
-    for name in ("H0", "H1"):
+    for name in HOT:
         driven.create(name)
     parked, park = set(), driven.core._park
 
@@ -365,10 +454,14 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
 
     driven.core._park = noting
     agents, unsent, sent = [], {}, collections.Counter()
+
+    def together():
+        return data.draw(st.booleans(), label="together")
+
     for scripts in connections:
         conn = driven.connect()
         unsent[conn] = b""
-        agents += [Agent(conn, script) for script in scripts]
+        agents += [Agent(conn, script, together) for script in scripts]
     while agents or any(unsent.values()):
         moves = [("send", agent) for agent in agents if agent.ready()]
         moves += [("feed", conn) for conn, pending in unsent.items() if pending]
@@ -385,7 +478,7 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
                 agents.remove(who)
             else:
                 unsent[who.conn] += frame
-                sent[who.conn] += 1
+                sent[who.conn] = who.last
         else:
             pending = unsent[who]
             cut = data.draw(st.integers(1, len(pending)), label="cut")

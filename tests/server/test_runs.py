@@ -5,8 +5,9 @@ order and kicks a shard once per *run*: the consecutive frames routed to
 that shard, up to a frame routed elsewhere, a frame answered at admission,
 ``min(BATCH_LIMIT, queue_limit)`` frames, a ``create`` or a multi-shard
 completion, or the end of the read.  A local
-shard or a site takes the run as one batch; a completion pipelined behind
-its transaction's first invoke follows that invoke to its shard, on every
+shard or a site takes the run as one batch.  Admission plans each request
+(its ops, its transaction's participants), so a completion pipelined
+behind invokes of its transaction sees every shard they went to, on every
 transport.
 """
 
@@ -62,11 +63,15 @@ def test_pipelined_invokes_in_one_read_are_never_busy(transport, queue_limit, dr
     assert conn.call("commit", transaction=handle)["ok"]
 
 
-@pytest.mark.parametrize(
+#: Every drive: inline (local, site) and one batch per FIFO (local, process).
+DRIVES = pytest.mark.parametrize(
     "transport, batched",
     [("local", False), ("local", True), ("site", False), ("process", True)],
     ids=["local", "local-batched", "site", "process"],
 )
+
+
+@DRIVES
 def test_a_commit_in_the_read_of_its_first_invoke_follows_it(
     transport, batched, drive
 ):
@@ -90,8 +95,8 @@ def test_a_commit_in_the_read_of_its_first_invoke_follows_it(
 def test_a_completion_whose_invoke_never_ran_is_decided_without_the_shard(
     transport, drive
 ):
-    """An invoke answered without its shard leaves the handle unbound: the
-    commit behind it is routed there and then decided inline."""
+    """An invoke refused at admission leaves the handle unbound: the
+    commit behind it is decided there too, without a shard."""
     driven = drive(transport, objects=["A"])
     conn = driven.connect()
     handle = conn.begin()
@@ -129,16 +134,32 @@ def test_answers_at_admission_cut_the_run_and_keep_request_order(transport, driv
     assert driven.calls - before == 3
 
 
-def test_a_run_ends_at_a_shard_switch_and_a_multi_shard_commit(drive):
-    """Frames routed to another shard cut the run; so does a commit that
-    runs 2PC, which answers before the frames read behind it."""
-    driven = drive("local")
-    conn = driven.connect()
+def one_account_per_shard(driven):
+    """An Account on each of the two shards, by shard index."""
     names = {}
     for index in range(100):
         names.setdefault(driven.pool.shard_of(f"Q{index}"), f"Q{index}")
     for name in names.values():
         driven.create(name)
+    return names
+
+
+def credited(driven, name):
+    """The committed balance of Account ``name``, read on its shard."""
+    shard = driven.pool.shards[driven.pool.shard_of(name)]
+    return shard.single({"op": "snapshot", "obj": name})["ok"]
+
+
+@DRIVES
+def test_a_run_ends_at_a_shard_switch_and_a_multi_shard_commit(
+    transport, batched, drive
+):
+    """Frames routed to another shard cut the run; so does a commit that
+    runs 2PC, which answers before the frames read behind it (inline) and
+    over every shard its transaction's invokes were admitted to."""
+    driven = drive(transport, batched=batched)
+    names = one_account_per_shard(driven)
+    conn = driven.connect()
     cross, single = conn.begin(), conn.begin()
     data = (
         invoke(10, cross, names[0])
@@ -148,11 +169,33 @@ def test_a_run_ends_at_a_shard_switch_and_a_multi_shard_commit(drive):
         + invoke(14, single, names[0])
     )
     assert not driven.feed(conn, data)
-    assert conn.order[-5:] == [10, 11, 12, 13, 14]
+    if not batched:
+        assert conn.order[-5:] == [10, 11, 12, 13, 14]
     assert isinstance(conn.answer(13)["result"]["timestamp"], int)
     assert [result(conn.answer(rid)) for rid in (10, 11, 12, 14)] == ["Ok"] * 4
     assert driven.core.rounds == 0 and not any(driven.core.pending)
+    assert conn.call("commit", transaction=single)["ok"]
+    assert [credited(driven, names[0]), credited(driven, names[1])] == [3, 1]
 
+
+@DRIVES
+def test_a_commit_read_with_an_invoke_on_a_new_shard_commits_both(
+    transport, batched, drive
+):
+    """A transaction already bound to shard 0 sends its first shard-1
+    invoke and its commit in one read: the commit is a 2PC over both
+    shards, and the invoke's effect is in it."""
+    driven = drive(transport, batched=batched)
+    names = one_account_per_shard(driven)
+    conn = driven.connect()
+    handle = conn.begin()
+    assert result(conn.answer(conn.invoke(handle, names[0], "Credit", 1))) == "Ok"
+    commit = request_frame(51, "commit", {"transaction": handle})
+    assert not driven.feed(conn, invoke(50, handle, names[1]) + commit)
+    assert result(conn.answer(50)) == "Ok"
+    assert isinstance(conn.answer(51)["result"]["timestamp"], int)
+    assert handle not in conn.session.transactions
+    assert [credited(driven, names[0]), credited(driven, names[1])] == [1, 1]
 
 
 @pytest.mark.parametrize("transport", INLINE)
@@ -165,3 +208,47 @@ def test_a_run_ends_at_a_create(transport, drive):
     create = request_frame(10, "create", {"name": "B", "adt": "Account"})
     assert not driven.feed(conn, create + invoke(11, handle, "B"))
     assert conn.answer(10)["ok"] and result(conn.answer(11)) == "Ok"
+
+
+@DRIVES
+def test_a_frame_read_behind_its_transactions_commit_is_refused(
+    transport, batched, drive
+):
+    """A completion fixes its transaction's participants: an invoke read
+    behind the commit — here the first touch of another shard — answers
+    ``UNKNOWN_TXN`` and leaves nothing behind on that shard, whichever
+    shard is served first."""
+    driven = drive(transport, batched=batched)
+    names = one_account_per_shard(driven)
+    conn = driven.connect()
+    handle = conn.begin()
+    assert result(conn.answer(conn.invoke(handle, names[1], "Credit", 1))) == "Ok"
+    commit = request_frame(50, "commit", {"transaction": handle})
+    assert not driven.feed(conn, commit + invoke(51, handle, names[0]))
+    assert isinstance(conn.answer(50)["result"]["timestamp"], int)
+    assert result(conn.answer(51)) == "UNKNOWN_TXN"
+    # No transaction was left holding a lock on shard 0.
+    other = conn.begin()
+    assert conn.answer(conn.invoke(other, names[0], "Debit", 1))["ok"]  # no CONFLICT
+    assert [credited(driven, names[0]), credited(driven, names[1])] == [0, 1]
+
+
+@pytest.mark.parametrize("transport", ["local", "process"])
+def test_a_commit_retransmitted_while_in_flight_gets_its_decision(transport, drive):
+    """A client retries a single-shard commit under the same request id
+    while the original is out at its shard: the retry queues behind it
+    and replays the cached decision."""
+    driven = drive(transport, objects=["A"], batched=True)
+    core, index = driven.core, driven.pool.shard_of("A")
+    conn = driven.connect()
+    handle = conn.begin()
+    assert result(conn.answer(conn.invoke(handle, "A", "Credit", 1))) == "Ok"
+    commit = request_frame(50, "commit", {"transaction": handle})
+    core.feed(conn, commit, driven.now)
+    ops = core.take(index)  # the original, out at the shard
+    core.feed(conn, commit, driven.now)  # its retransmit
+    core.settle(index, driven.pool.shards[index].call(ops), driven.now)
+    driven.settle_all()
+    original, retry = conn.replies[50]
+    assert original == retry and isinstance(original["result"]["timestamp"], int)
+    assert credited(driven, "A") == 1

@@ -22,6 +22,8 @@ from repro.server import (
     WireError,
 )
 from repro.server.engine import LocalShard, ShardSet, abort_round
+from repro.server.protocol import request_frame
+from tests.server.driven import result
 
 TRANSPORTS = ["local", "process", "site"]
 
@@ -248,3 +250,39 @@ def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_ove
 
     # Both refusals are counted as errors; the stranded handle as aborted.
     assert asyncio.run(scenario()) == ["SHARD_DOWN", "UNKNOWN_TXN", 2, 1]
+
+
+@pytest.mark.parametrize("transport", ["process", "site"])
+def test_requests_queued_for_a_dying_shard_answer_shard_down(transport, drive):
+    """A shard dies with a batch out and two requests queued behind it,
+    one of them its transaction's first touch of the shard: all three
+    answer ``SHARD_DOWN``, once each, and their handles close — nothing
+    queued runs on the new incarnation, which serves a fresh transaction."""
+    driven = drive(transport, objects=["A"], batched=True)
+    core, index = driven.core, driven.pool.shard_of("A")
+    conn = driven.connect()
+    bound, first_touch = conn.begin(), conn.begin()
+    assert result(conn.answer(conn.invoke(bound, "A", "Credit", 1))) == "Ok"
+
+    def credit(rid, handle):
+        params = {"transaction": handle, "obj": "A", "operation": "Credit", "args": (1,)}
+        return request_frame(rid, "invoke", params)
+
+    core.feed(conn, credit(10, bound), driven.now)
+    ops = core.take(index)  # the batch out
+    core.feed(conn, credit(11, bound) + credit(12, first_touch), driven.now)
+    shard = driven.pool.shards[index]
+    kill(shard)
+    with pytest.raises(ShardDown):
+        shard.call(ops)
+    core.settle(index, None, driven.now)
+    driven.settle_all()  # what is still queued, and the respawn's resolution
+    assert [result(conn.answer(rid)) for rid in (10, 11, 12)] == ["SHARD_DOWN"] * 3
+    assert bound not in conn.session.transactions
+    assert first_touch not in conn.session.transactions
+    fresh = conn.begin()
+    assert result(conn.answer(conn.invoke(fresh, "A", "Credit", 5))) == "Ok"
+    assert isinstance(conn.call("commit", transaction=fresh)["result"]["timestamp"], int)
+    assert shard.alive and shard.single({"op": "snapshot", "obj": "A"}) == {"ok": 5}
+    assert core.rounds == 0 and not any(core.pending)
+    assert [len(conn.replies[rid]) for rid in (10, 11, 12)] == [1, 1, 1]
