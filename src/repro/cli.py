@@ -19,7 +19,8 @@ Commands
     Run a simulated workload under one or more protocols and print the
     metrics table.  ``--crash-rate`` injects Poisson manager crashes;
     ``--wal-dir`` attaches an on-disk write-ahead log per protocol so the
-    run survives a real process kill.
+    run survives a real process kill; ``--trace-file`` records one
+    protocol's run (more than one is refused: see ``trace``).
 ``recover <logdir>``
     Rebuild a transaction manager from a log directory (``--wal-dir``, or
     ``serve --data-dir``'s ``shard<i>``; checkpoint record + WAL replay)
@@ -83,7 +84,7 @@ Examples::
     python -m repro simulate queue --protocol hybrid commutativity
     python -m repro simulate account --duration 500 --seed 3
     python -m repro simulate account --crash-rate 0.01 --wal-dir /tmp/wals
-    python -m repro simulate queue --verbose --trace-file /tmp/queue.jsonl
+    python -m repro simulate queue --protocol hybrid --trace-file /tmp/queue.jsonl
     python -m repro simulate queue --check
     python -m repro recover /tmp/wals/hybrid
     python -m repro trace account --format spans
@@ -312,6 +313,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if isinstance(resolved, int):
         return resolved
     factory, protocols = resolved
+    if args.trace_file and len(protocols) > 1:
+        # Each run reuses the workload's transaction and object names, so
+        # a file holding two runs cannot be certified.
+        print(
+            "simulate: --trace-file records one run: name one --protocol "
+            "(or use `repro trace`)",
+            file=sys.stderr,
+        )
+        return 2
 
     fields = [
         "committed",
@@ -865,7 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--trace-file",
         default=None,
-        help="write the structured event trace (JSONL) here",
+        help="write the structured event trace (JSONL) here "
+        "(one --protocol only)",
     )
     simulate.add_argument(
         "--check",

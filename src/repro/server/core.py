@@ -29,10 +29,11 @@ transaction is pinned to the shard of the first object it touches (its
 *primary*), its :class:`~repro.server.session.TxnRecord` lists every
 shard it touched, and shard *i* of *W* mints only timestamps ≡ *i* (mod
 *W*), so a merged trace still certifies.  Whatever the transport, a
-shard call is :meth:`ServerCore.take` (pop a batch), the call, and
-:meth:`ServerCore.settle` (replies to frames; a refused invocation parks;
-a dead shard answers ``SHARD_DOWN`` for its batch and its queue, is
-cleaned up everywhere and respawned from its WAL).
+shard call is :meth:`ServerCore.take` (pop a batch, ending it at a
+completion that has waiters), the call, and :meth:`ServerCore.settle`
+(a reply per request, but no second decision for one whose handle closed
+before it settled; a refused invocation parks; a dead shard answers
+``SHARD_DOWN`` for its batch, is cleaned up and respawned from its WAL).
 
 One driver runs every round procedure — a multi-shard completion
 (presumed-abort 2PC, or an abort everywhere) and a respawned shard's
@@ -43,16 +44,20 @@ died under is pushed again for the respawned incarnation until acked.
 
 An ``invoke`` refused ``CONFLICT`` *parks* on the holder the reply names
 when that is an open handle here that is not itself waiting (the
-:class:`~repro.runtime.waiting.WaitRegistry` rule).  Closing the holder
-wakes it to the *front* of its shard's FIFO (behind only the abort
-verdicts and waiters pushed there before it), and a batch ends at a
-completion that has waiters, so a woken request re-executes before any
-request admitted after its holder closed.  It gets exactly one reply:
-its re-executed one (it may park again), ``CONFLICT`` once ``now``
-passes its deadline (:meth:`ServerCore.expire`) or when it is woken
-while its multi-shard completion decides, or — its own handle closed
-under it — ``SHUTTING_DOWN`` / ``SHARD_DOWN`` / ``CONFLICT``, or nothing
-for a lost connection.
+:class:`~repro.runtime.waiting.WaitRegistry` rule) and its own
+multi-shard completion is not admitted.  Closing the holder wakes it: it
+leaves ``parked`` for the *front* of its shard's FIFO (behind only the
+abort verdicts and waiters pushed there before it), and a batch ends at
+a completion that has waiters, so it re-executes before any request
+admitted after its holder closed.  Else it is answered ``CONFLICT`` once
+``now`` passes its deadline (:meth:`ServerCore.expire`) or its own
+completion is admitted (multi-shard) or settles.  Disconnect, drain and
+shard death share one close: the handles concerned, but one whose
+completion was admitted (on its live shards), are aborted and closed,
+and what they left parked or queued — and every
+request but a ``create`` queued for a dead shard — never runs: it
+answers ``SHUTTING_DOWN``, ``SHARD_DOWN`` or, for a lost connection,
+nothing.
 """
 
 from __future__ import annotations
@@ -85,10 +90,10 @@ BATCH_LIMIT = 64
 #: the shell's clock, before it is answered ``CONFLICT`` after all.
 WAIT_BOUND = 0.5
 
-#: What a parked invocation is answered when its own handle is closed
-#: under it (a lost connection's is answered nothing).
+#: What a waiting invocation is answered when its own handle completes or
+#: is closed under it (a lost connection's is answered nothing).
 _CLOSED_UNDER = {
-    "CONFLICT": "its transaction completed while it waited",
+    "CONFLICT": "its transaction completed under it",
     "SHUTTING_DOWN": "server is draining",
 }
 
@@ -119,11 +124,10 @@ class _Parked:
     """An invocation refused ``CONFLICT``, waiting for its lock holder.
 
     It is live while it is the core's ``parked`` entry for its handle;
-    whoever takes it out of there answers it, exactly once: its re-run
-    after the wake, the deadline, or the close of its handle.
+    whoever takes it out of there answers it or, at the wake, re-queues it.
     """
 
-    __slots__ = ("channel", "request", "index", "refusal", "deadline", "woke")
+    __slots__ = ("channel", "request", "index", "refusal", "deadline")
 
     def __init__(self, channel, request, index, refusal, deadline):
         self.channel = channel
@@ -131,10 +135,8 @@ class _Parked:
         self.index = index
         #: The engine's CONFLICT reply, answered if the wait runs out.
         self.refusal = refusal
-        #: When the wait runs out (None once woken: it re-executes).
-        self.deadline: Optional[float] = deadline
-        #: The tracer's clock at the wake (the start of its queue phase).
-        self.woke: Optional[float] = None
+        #: When the wait runs out.
+        self.deadline = deadline
 
 
 class _Round:
@@ -175,8 +177,8 @@ class ServerCore:
         self.kick = kick
         #: object name -> owning shard index.
         self.catalog: Dict[str, int] = {}
-        #: One FIFO of work per shard: ``(ops, channel, request, admitted)``
-        #: per client request (``admitted`` a :class:`_Parked` once woken),
+        #: One FIFO of work per shard: ``(ops, channel, request, stamp)`` per
+        #: client request (admitted, or woken, at ``stamp``; None untraced),
         #: ``([op], None, None, continuation)`` per round op.
         self.pending: List[Deque[Tuple[Any, Any, Any, Any]]] = [
             deque() for _ in range(self.workers)
@@ -229,10 +231,11 @@ class ServerCore:
             self.tracer.emit("server.connect", session=session.name, peer=peer)
 
     def disconnect(self, channel: Channel, now: float) -> None:
-        """The connection is gone: abort what its session left open."""
+        """The connection is gone: abort what its session left open (but
+        a transaction whose completion was admitted: that decides it)."""
         self.now = now
         session = channel.session
-        aborted = self._abort_session(session)
+        aborted = self._abort_open([session], None)
         self.stats["transactions_aborted"] += aborted
         del self.channels[session.name]
         self._dispatch()  # what its aborts woke
@@ -245,12 +248,11 @@ class ServerCore:
             )
 
     def abort_sessions(self, code: str, now: float) -> int:
-        """Abort every open handle not in 2PC (a drain's stragglers); a
-        parked request of theirs is answered ``code``.  Returns how many
-        had run anywhere."""
+        """Abort every open handle whose completion was not admitted (a
+        drain's stragglers); what they left waiting is answered ``code``.
+        Returns how many had run anywhere."""
         self.now = now
-        channels = self.channels.values()
-        forced = sum(self._abort_session(c.session, code) for c in channels)
+        forced = self._abort_open([c.session for c in self.channels.values()], code)
         self._dispatch()
         return forced
 
@@ -306,9 +308,10 @@ class ServerCore:
         return False
 
     def take(self, index: int) -> List[Dict[str, Any]]:
-        """Pop the next batch of shard ``index``'s FIFO; returns its ops
-        (possibly none: every request taken had its handle closed since its
-        admission).  :meth:`settle` must be given their replies."""
+        """Pop the next batch of shard ``index``'s FIFO and return its ops;
+        :meth:`settle` must be given their replies.  A batch ends at a
+        completion that has waiters: what follows waits for the waiters it
+        wakes, which re-queue at the front."""
         fifo, tracer = self.pending[index], self.tracer
         if self._as_admitted:
             # A run taken as it was admitted: each request starts at its
@@ -317,45 +320,24 @@ class ServerCore:
             started = None
         else:
             started = tracer.clock() if tracer is not None and tracer.active else 0.0
-        batch, ops, taken = [], None, 0
-        while fifo and taken < BATCH_LIMIT:
-            taken += 1
-            plan, channel, request, tag = fifo.popleft()
-            if channel is not None and request.action != "create":
-                handle, session = request.params["transaction"], channel.session
-                record = session.transactions.get(handle)
-                if type(tag) is _Parked:
-                    if not self._unpark(tag):
-                        plan = None  # woken, then answered when its handle closed
-                    elif record.deciding:
-                        # Woken while its 2PC runs: never after the prepare.
-                        message = "its transaction is completing"
-                        plan = error_frame(request.id, "CONFLICT", message)
-                elif record is None:
-                    # Closed since its admission: it never reaches an engine,
-                    # where it would begin afresh; a completion's retransmit
-                    # gets its cached ack.
-                    cached = session.cached_ack(request.id)
-                    if cached is not None:
-                        plan = response_frame(request.id, cached)
-                    else:
-                        message = f"no open transaction {handle!r}"
-                        plan = error_frame(request.id, "UNKNOWN_TXN", message)
-            batch.append((plan, channel, request, tag))
-            if type(plan) is list:
-                ops = ops + plan if ops else plan
-                if (
-                    self.parked
-                    and channel is not None
-                    and request.action in ("commit", "abort")
-                    and self.waits.waited_on(request.params["transaction"])
-                ):
-                    break  # what follows waits for the waiters it wakes
+        batch, ops = [], []
+        while fifo and len(batch) < BATCH_LIMIT:
+            item = fifo.popleft()
+            batch.append(item)
+            ops += item[0]
+            request = item[2]
+            if (
+                self.parked
+                and request is not None
+                and request.action in ("commit", "abort")
+                and self.waits.waited_on(request.params["transaction"])
+            ):
+                break
         front = self._front
         if front[index]:
-            front[index] = max(0, front[index] - taken)
+            front[index] = max(0, front[index] - len(batch))
         self._batches[index] = (batch, started)
-        return ops or []
+        return ops
 
     def settle(self, index: int, replies: Optional[List[Any]], now: float) -> None:
         """Answer the batch :meth:`take` handed out, given its replies in
@@ -370,31 +352,24 @@ class ServerCore:
             self._shard_down(index)
         offset, dirty, answered = 0, self.dirty, self.answered
         for item in batch:
-            plan, channel, request, tag = item
-            if type(plan) is list:
-                offset += len(plan)
-                reply = None if replies is None else replies[offset - 1]
-                if channel is None:
-                    if tag is not None:
-                        self._answer_round(index, item, reply)
-                    continue
-                if reply is None:
-                    self._send(channel, self._shard_down_frame(request, index))
-                    continue
-                frame = self._finish(channel, request, index, reply)
-                if frame is None:
-                    continue  # parked
-            elif plan is not None:
-                frame = plan  # answered at take
-            else:
-                continue  # it was answered
+            ops, channel, request, tag = item
+            offset += len(ops)
+            reply = None if replies is None else replies[offset - 1]
+            if channel is None:
+                if tag is not None:
+                    self._answer_round(index, item, reply)
+                continue
+            if reply is None:
+                self._send(channel, self._shard_down_frame(request, index))
+                continue
+            frame = self._finish(channel, request, index, reply)
+            if frame is None:
+                continue  # parked
             out = channel.out  # _send, inlined on the hot path
             if not out:
                 dirty.append(channel)
             out.append(frame)
             if timed:
-                if type(tag) is _Parked:
-                    tag = tag.woke  # its queue phase began there
                 if started is None:  # taken as admitted: it began there
                     queued, span = 0.0, 0.0 if tag is None else executed - tag
                 else:
@@ -410,8 +385,6 @@ class ServerCore:
         ``now`` has reached, withdrawing its wait."""
         self.now = now
         for handle, parked in list(self.parked.items()):
-            if parked.deadline is None:
-                continue  # woken: it re-executes
             if parked.deadline > now:
                 break  # deadlines rise in parking order
             del self.parked[handle]
@@ -431,10 +404,8 @@ class ServerCore:
 
     def deadline(self) -> Optional[float]:
         """The earliest deadline of a parked request (None: none waits)."""
-        for parked in self.parked.values():
-            if parked.deadline is not None:
-                return parked.deadline
-        return None
+        parked = self.parked
+        return next(iter(parked.values())).deadline if parked else None
 
     def responded(self) -> None:
         """Emit ``server.respond`` for the replies answered since the last
@@ -692,6 +663,11 @@ class ServerCore:
         # none touches a shard the completion passes over.
         record.completing = True
         if record.deciding:
+            # Its invokes cannot wait any more (:meth:`_park` declines
+            # them), so none runs after the prepare: a parked one is
+            # answered now.
+            if self.parked:
+                self._withdraw(handle, "CONFLICT")
             started = self.tracer.clock() if self.tracer is not None else 0.0
             rounds = self._cross(channel.session, request, record)
             return _Round(rounds, (channel, request, index, started))
@@ -701,14 +677,23 @@ class ServerCore:
         self, channel: Channel, request: Request, index: int, reply: Dict[str, Any]
     ) -> Optional[bytes]:
         """The response frame for the engine's reply to a planned request
-        — None when a refused invocation parks instead."""
-        rid = request.id
+        — None when a refused invocation parks instead.  One whose handle
+        closed before the reply settled is answered without a decision: an
+        invoke ``CONFLICT``, a completion its cached ack or ``UNKNOWN_TXN``."""
+        rid, action, params = request.id, request.action, request.params
+        session = channel.session
+        if action != "create" and params["transaction"] not in session.transactions:
+            if action == "invoke":
+                return error_frame(rid, "CONFLICT", _CLOSED_UNDER["CONFLICT"])
+            cached = session.cached_ack(rid)
+            if cached is not None:
+                return response_frame(rid, cached)
+            message = f"no open transaction {params['transaction']!r}"
+            return error_frame(rid, "UNKNOWN_TXN", message)
         if "error" in reply:
             if reply["error"] == "CONFLICT" and self._park(channel, request, index, reply):
                 return None
             return self._error(rid, reply)
-        action = request.action
-        params = request.params
         if action == "create":
             name = params["name"]
             self.catalog[name] = index
@@ -723,7 +708,7 @@ class ServerCore:
                 "result": reply["ok"],
             }
             return response_frame(rid, result)
-        return self._completed(channel.session, request, reply["ok"])
+        return self._completed(session, request, reply["ok"])
 
     def _error(self, rid: int, reply: Dict[str, Any]) -> bytes:
         """The frame for an engine error reply."""
@@ -759,20 +744,6 @@ class ServerCore:
 
     # -- closing handles -----------------------------------------------
 
-    def _abort_session(self, session: Session, code: Optional[str] = None) -> int:
-        """Abort and close the handles a session leaves open, except one
-        in 2PC (that decides it); returns how many had touched a shard.  A
-        parked request of theirs is answered ``code`` (None: nothing)."""
-        aborted = 0
-        for handle, record in list(session.transactions.items()):
-            if record.deciding:
-                continue
-            if record.bound:
-                self._abort(abort_round(handle, record.participants))
-                aborted += 1
-            self._close(session, handle, code)
-        return aborted
-
     def _abort(self, ops: List[Tuple[int, Any]]) -> None:
         """Push a round of abort verdicts, whose replies nobody reads, in
         front of each shard's FIFO — ahead of the waiters the close of
@@ -782,56 +753,76 @@ class ServerCore:
 
     def _close(self, session: Session, handle: str, code: Optional[str]) -> None:
         """Close a handle — every close goes through here.  Its parked
-        request, if it has one, is answered ``code`` (None: nothing, the
-        connection is gone); the requests parked on it are woken.  Costs
-        the uncontended path one test, of an empty dict."""
+        request, if it has one, is answered ``code`` (None: nothing); the
+        requests parked on it are woken.  Costs the uncontended path one
+        test, of an empty dict."""
         session.close_transaction(handle)
         if self.parked:
-            parked = self.parked.pop(handle, None)
-            if parked is not None:
-                self.waits.cancel(handle)
-                if code is not None:
-                    request, index = parked.request, parked.index
-                    if code == "SHARD_DOWN":
-                        frame = self._shard_down_frame(request, index)
-                    else:
-                        frame = error_frame(request.id, code, _CLOSED_UNDER[code])
-                    self._reply(parked.channel, request, index, frame)
+            self._withdraw(handle, code)
             self.waits.release(handle)
 
-    def _shard_down(self, index: int) -> None:
-        """A shard died under a call: clean up, then respawn.
-
-        Every handle that touched the dead shard is aborted on its
-        surviving participants and closed (never leaked — the dead
-        shard's own active transactions died with its volatile state;
-        prepared ones are resurrected from the WAL and resolved after the
-        respawn) — except one in 2PC, whose driver hears of the death.
-        The requests queued for it answer ``SHARD_DOWN`` too (a ``create``
-        waits for the new incarnation).  Then a new incarnation is spawned
-        (it replays its log) and its prepared set resolved by the round
-        driver — unless the core is stopping, or the last one could not
-        start: that shard stays down and every request for it answers
-        ``SHARD_DOWN``.
-        """
-        for channel in self.channels.values():
-            session = channel.session
+    def _abort_open(
+        self, sessions: List[Session], code: Optional[str], dead: Optional[int] = None
+    ) -> int:
+        """Abort and close the open handles of ``sessions`` (those that
+        touched shard ``dead``, when it died) but one whose admitted
+        completion decides it (a shard death closes a single-shard one:
+        its completion was for the dead shard); returns how many had
+        touched a shard.  What they left parked or queued as an invoke,
+        and every request but a ``create`` queued for the dead shard,
+        never runs: it is answered ``code`` (``SHARD_DOWN`` naming the
+        dead shard; None: nothing)."""
+        closed, stranded, aborted = set(), [], 0
+        for session in sessions:
             for handle, record in list(session.transactions.items()):
-                if index not in record.participants or record.deciding:
+                if record.completing and (record.deciding or dead is None):
                     continue
-                self._abort(abort_round(handle, set(record.participants) - {index}))
-                self._close(session, handle, "SHARD_DOWN")
-                self.stats["transactions_aborted"] += 1
-        fifo = self.pending[index]
-        self._front[index] = 0  # what was pushed in front was for the dead one
-        for _ in range(len(fifo)):
-            item = fifo.popleft()
-            _ops, channel, request, tag = item
-            if channel is None or request.action == "create":
+                if dead not in (None, *record.participants):
+                    continue
+                if record.bound:
+                    self._abort(abort_round(handle, set(record.participants) - {dead}))
+                    aborted += 1
+                parked = self.parked.get(handle)
+                if parked is not None:
+                    stranded.append((parked.channel, parked.request, parked.index))
+                self._close(session, handle, None)
+                closed.add(handle)
+        for index, fifo in enumerate(self.pending):
+            front, self._front[index] = self._front[index], 0
+            for position in range(len(fifo)):
+                item = fifo.popleft()
+                _ops, channel, request, _stamp = item
+                if channel is not None and (
+                    (index == dead and request.action != "create")
+                    or (request.action == "invoke"
+                        and request.params["transaction"] in closed)
+                ):
+                    stranded.append((channel, request, index))
+                    continue
                 fifo.append(item)  # kept, in order
-            elif type(tag) is not _Parked or self._unpark(tag):
-                frame = self._shard_down_frame(request, index)
+                if position < front:
+                    self._front[index] += 1
+        if code is not None:  # a lost connection is answered nothing
+            for channel, request, index in stranded:
+                if dead is None:
+                    frame = error_frame(request.id, code, _CLOSED_UNDER[code])
+                else:
+                    frame = self._shard_down_frame(request, dead)
                 self._reply(channel, request, index, frame)
+        return aborted
+
+    def _shard_down(self, index: int) -> None:
+        """A shard died under a call: every handle that touched it is
+        aborted on its surviving participants and closed (:meth:`_abort_open`;
+        the dead shard's active transactions died with its volatile state,
+        its prepared ones are resolved after the respawn).  Then a new
+        incarnation is spawned (it replays its log) and its prepared set
+        resolved by the round driver — unless the core is stopping, or the
+        last one could not start: that shard stays down and every request
+        for it answers ``SHARD_DOWN``."""
+        sessions = [channel.session for channel in self.channels.values()]
+        aborted = self._abort_open(sessions, "SHARD_DOWN", index)
+        self.stats["transactions_aborted"] += aborted
         if not self.stopping and self.pool.revive(index):
             self._start(_Round(resolve_prepared(index, self.workers)))
 
@@ -841,17 +832,18 @@ class ServerCore:
         self, channel: Channel, request: Request, index: int, reply: Dict[str, Any]
     ) -> bool:
         """Park an invocation refused ``CONFLICT`` until its holder's
-        handle closes; False (answer the refusal now) unless its own
-        handle is still open, the holder is an open handle on this
-        server, the requester has nothing parked already, and
-        :meth:`~repro.runtime.waiting.WaitRegistry.wait` admits the edge
-        (the holder is not itself waiting, so no cycle can form)."""
+        handle closes; False (answer the refusal now) unless no
+        multi-shard completion of its own was admitted, the holder is an
+        open handle on this server, the requester has nothing parked
+        already, and :meth:`~repro.runtime.waiting.WaitRegistry.wait`
+        admits the edge (the holder is not itself waiting, so no cycle
+        can form)."""
         holder = reply.get("holder")
         handle = request.params["transaction"]
         if holder is None or handle in self.parked:
             return False
-        if handle not in channel.session.transactions:
-            return False  # closed under the call
+        if channel.session.transactions[handle].deciding:
+            return False
         owner = self.channels.get(holder.partition(".")[0])
         if owner is None or holder not in owner.session.transactions:
             return False
@@ -862,25 +854,27 @@ class ServerCore:
         return True
 
     def _wake(self, parked: _Parked) -> None:
-        """Its holder closed: re-execute the parked request (its invoke
-        alone: the shard is a participant by now), from the front of its
-        shard's FIFO, with no BUSY check (it was admitted once)."""
-        parked.deadline = None
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            parked.woke = tracer.clock()
+        """Its holder closed: the parked request leaves ``parked`` and
+        re-executes (its invoke alone: the shard is a participant by now)
+        from the front of its shard's FIFO, stamped with the wake, with no
+        BUSY check (it was admitted once)."""
         request = parked.request
-        item = ([_invoke_op(request.params)], parked.channel, request, parked)
+        del self.parked[request.params["transaction"]]
+        tracer = self.tracer
+        woke = tracer.clock() if tracer is not None and tracer.active else None
+        item = ([_invoke_op(request.params)], parked.channel, request, woke)
         self._push(parked.index, item, front=True)
 
-    def _unpark(self, parked: _Parked) -> bool:
-        """Take a parked request out of ``parked``, to answer it; False
-        when it is no longer there (it was answered already)."""
-        handle = parked.request.params["transaction"]
-        if self.parked.get(handle) is not parked:
-            return False
-        del self.parked[handle]
-        return True
+    def _withdraw(self, handle: str, code: Optional[str]) -> None:
+        """Take ``handle``'s parked request, if any, out of its wait and
+        answer it ``code`` now (None: nothing)."""
+        parked = self.parked.pop(handle, None)
+        if parked is not None:
+            self.waits.cancel(handle)
+            if code is not None:
+                request = parked.request
+                frame = error_frame(request.id, code, _CLOSED_UNDER[code])
+                self._reply(parked.channel, request, parked.index, frame)
 
     def _reply(
         self, channel: Channel, request: Request, index: int, frame: bytes, started=None

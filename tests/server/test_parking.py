@@ -9,14 +9,12 @@ no socket, a counter for the clock) over local engines,
 simulated sites and child processes — those called one batch per FIFO,
 as their worker calls them — and certify the served history.  A parked
 request gets exactly one reply: its re-executed one, ``CONFLICT`` once
-the clock passes its deadline or when it is woken while its multi-shard
-commit decides, or — when its own handle is closed under it —
+the clock passes its deadline or when its multi-shard completion is
+admitted, or — when its own handle is closed under it —
 ``SHUTTING_DOWN`` on a drain, ``SHARD_DOWN`` on a shard death,
 ``CONFLICT`` on its own completion and nothing on a lost connection.
-One socket case per transport pins the same order through the shell.
 """
 
-import asyncio
 import collections
 import itertools
 
@@ -25,10 +23,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import AtomicityChecker, TraceBus, read_jsonl
-from repro.server import AsyncClient
 from repro.server.core import WAIT_BOUND
 from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
-from repro.server.protocol import ERROR_CODES, FrameDecoder, request_frame
+from repro.server.protocol import ERROR_CODES, request_frame
 from repro.sim import Site
 from tests.server.driven import Driven, result
 
@@ -259,9 +256,9 @@ def test_an_invoke_parked_after_its_multi_shard_commit_never_runs(
     drive, transport, tmp_path
 ):
     """An invoke read with its transaction's multi-shard commit is refused
-    in the batch of the 2PC's prepare, and parks; its holder closes before
-    the 2PC decides.  Woken, the invoke answers ``CONFLICT``: it never
-    runs on the prepared transaction."""
+    in the batch of the 2PC's prepare: it cannot wait any more, so it
+    answers ``CONFLICT`` at its refusal and never runs on the prepared
+    transaction, whenever its holder closes."""
     bus, events = traced()
     driven = drive(transport, tracer=bus, batched=True)
     names = {}
@@ -279,78 +276,43 @@ def test_an_invoke_parked_after_its_multi_shard_commit_never_runs(
     data += request_frame(61, "commit", {"transaction": waiter})
     core = driven.core
     core.feed(second, data, driven.now)
-    driven.call(1)  # the invoke is refused and parks; shard 1 prepares
-    assert second.answer(60) is None and len(core.parked) == 1
+    driven.call(1)  # the invoke is refused, shard 1 prepares
+    assert result(second.answer(60)) == "CONFLICT" and not core.parked
     core.feed(first, request_frame(91, "commit", {"transaction": holder}), driven.now)
-    driven.call(1)  # the holder commits, and its close wakes the invoke
-    driven.call(1)  # the woken invoke, before the 2PC decides
-    assert result(second.answer(60)) == "CONFLICT" and second.answer(61) is None
+    driven.call(1)  # the holder commits before the 2PC decides
+    assert second.answer(61) is None
     driven.settle_all()
     assert isinstance(second.answer(61)["result"]["timestamp"], int)
     assert first.answer(91)["ok"] and not core.parked and core.rounds == 0
     certify(events, tmp_path)
 
 
-# -- the wait order, through the socket shell ----------------------------
+# -- the wait order ------------------------------------------------------
 
 
 def test_a_woken_waiter_runs_before_requests_read_with_its_holders_commit(
-    transport, serve_over
+    transport, drive
 ):
-    """One read carries the holder's commit and a fresh conflicting
-    invoke: the waiter the commit wakes goes to the front of its shard's
-    FIFO and gets the lock; the fresh invoke parks on it."""
-
-    async def scenario():
-        server = await serve_over(transport, objects=["A"])
-        reader, writer = await asyncio.open_connection(server.host, server.port)
-        decoder, replies = FrameDecoder(), {}
-
-        async def reply(rid):
-            while rid not in replies:
-                data = await asyncio.wait_for(reader.read(65536), 10)
-                replies.update((body["id"], body) for body in decoder.feed(data))
-            return replies.pop(rid)
-
-        def invoke(rid, handle, operation, amount):
-            params = {"transaction": handle, "obj": "A", "operation": operation,
-                      "args": (amount,)}
-            return request_frame(rid, "invoke", params)
-
-        # s1.t1 funds A; s1.t2 holds a Debit on it.
-        for rid, frame in enumerate(
-            (
-                request_frame(1, "begin"),
-                invoke(2, "s1.t1", "Credit", 100),
-                request_frame(3, "commit", {"transaction": "s1.t1"}),
-                request_frame(4, "begin"),
-                invoke(5, "s1.t2", "Debit", 1),
-            ),
-            start=1,
-        ):
-            writer.write(frame)
-            assert (await reply(rid))["ok"]
-        other = await AsyncClient.connect(server.host, server.port)
-        waiter = await other.begin()
-        debit = asyncio.ensure_future(other.invoke(waiter, "A", "Debit", 2))
-        for _ in range(1000):  # each stats round trip lets the server run
-            if (await other.stats())["server"]["parked"] == 1:
-                break
-        else:
-            raise AssertionError("the waiter never parked")
-        writer.write(request_frame(6, "commit", {"transaction": "s1.t2"})
-                     + request_frame(7, "begin") + invoke(8, "s1.t3", "Debit", 3))
-        assert (await reply(6))["ok"] and (await reply(7))["ok"]
-        assert await asyncio.wait_for(debit, 10) == "Ok"
-        assert 8 not in replies and (await other.stats())["server"]["parked"] == 1
-        await other.commit(waiter)
-        fresh = await reply(8)
-        await other.aclose()
-        writer.close()
-        await server.drain()
-        return fresh
-
-    assert asyncio.run(scenario())["result"]["result"] == "Ok"
+    """One read carries the holder's commit, a ``begin`` and a fresh
+    conflicting invoke: the waiter the commit wakes goes to the front of
+    its shard's FIFO and gets the lock (a batch ends at the commit); the
+    fresh invoke parks on it."""
+    driven = drive(transport, objects=["A"])
+    first, second = driven.connect(), driven.connect()
+    holder = hold(first)
+    waiter = second.begin()
+    debit = second.invoke(waiter, "A", "Debit", 2)
+    assert second.answer(debit) is None and len(driven.core.parked) == 1
+    fresh = f"{first.session.name}.t3"  # what the begin read with the commit mints
+    params = {"transaction": fresh, "obj": "A", "operation": "Debit", "args": (3,)}
+    data = request_frame(50, "commit", {"transaction": holder})
+    data += request_frame(51, "begin") + request_frame(52, "invoke", params)
+    assert not driven.feed(first, data)
+    assert first.answer(50)["ok"] and first.answer(51)["result"]["transaction"] == fresh
+    assert result(second.answer(debit)) == "Ok"
+    assert first.answer(52) is None and list(driven.core.parked) == [fresh]
+    assert second.call("commit", transaction=waiter)["ok"]
+    assert result(first.answer(52)) == "Ok"
 
 
 # -- one property: exactly one reply per admitted request -----------------
@@ -374,17 +336,23 @@ class Agent:
     """A closed-loop client running its transactions on one connection:
     it sends its next request once the last one is answered — but it may
     send a transaction's last invoke and its commit together, as
-    ``together()`` draws — and aborts a transaction an invoke of which was
+    ``together()`` draws, and a second completion with its commit, as
+    ``second()`` draws: an abort under a new id, or the commit ``again``
+    under its own — and aborts a transaction an invoke of which was
     refused."""
 
-    def __init__(self, conn, script, together):
+    def __init__(self, conn, script, together, second):
         self.conn, self.script = conn, [list(steps) for steps in script]
-        self.together = together
+        self.together, self.second = together, second
         self.last = self.action = self.handle = self.paired = None
         self.refused = False
+        #: The ids whose replies the next request waits for.
+        self.owed = []
+        #: The ids of commits sent twice (each is owed two replies).
+        self.retried = set()
 
     def ready(self):
-        return self.last is None or self.last in self.conn.replies
+        return all(rid in self.conn.replies for rid in self.owed)
 
     def next_frame(self, rid):
         """The frame of the agent's next request, as ``rid`` (None: done)."""
@@ -405,7 +373,7 @@ class Agent:
                 self.handle, self.refused = None, False
         if not self.script:
             return None
-        self.last = rid
+        self.last, self.owed = rid, [rid]
         if self.handle is None:
             self.action = "begin"
             return request_frame(rid, "begin")
@@ -418,10 +386,26 @@ class Agent:
             if self.script[0] or not self.together():
                 return frame
             # Its commit too, without awaiting the invoke's reply.
-            self.paired, self.last, self.action = rid, rid + 1, "commit"
-            return frame + request_frame(rid + 1, "commit", {"transaction": self.handle})
-        self.action = "abort" if self.refused else "commit"
-        return request_frame(rid, self.action, {"transaction": self.handle})
+            self.paired, self.last, self.owed = rid, rid + 1, [rid + 1]
+            return frame + self.commit(rid + 1)
+        if self.refused:
+            self.action = "abort"
+            return request_frame(rid, "abort", {"transaction": self.handle})
+        return self.commit(rid)
+
+    def commit(self, rid):
+        """The commit frame as ``rid``, and the second completion drawn."""
+        self.action = "commit"
+        params = {"transaction": self.handle}
+        frame = request_frame(rid, "commit", params)
+        second = self.second()
+        if second == "again":
+            self.retried.add(rid)
+            return frame + frame
+        if second == "abort":
+            self.owed.append(rid + 1)
+            return frame + request_frame(rid + 1, "abort", params)
+        return frame
 
 
 @settings(
@@ -433,11 +417,13 @@ class Agent:
 def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     """2–4 clients (some running two transactions on one connection) on
     a hot account per shard, some sending a transaction's last invoke and
-    its commit together; each connection's bytes reach the core split at
-    drawn boundaries, shards are called inline or one batch per FIFO, and
-    the clock jumps past the wait bound whenever nothing else can move.
-    Called inline, the shards answer each connection in request order,
-    but for the requests that parked."""
+    its commit together, or a second completion with a commit; each
+    connection's bytes reach the core split at drawn boundaries, shards
+    are called inline or one batch per FIFO, and the clock jumps past the
+    wait bound whenever nothing else can move.  Called inline, the shards
+    answer each connection in request order, but for the requests that
+    parked.  A transaction is decided once: no handle is answered both
+    committed and aborted, and the tallies count one decision a handle."""
     bus, events = traced()
     pool = ShardSet([LocalShard(ShardEngine(i, 2, tracer=bus)) for i in range(2)])
     batched = data.draw(st.booleans(), label="batched")
@@ -458,10 +444,14 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
     def together():
         return data.draw(st.booleans(), label="together")
 
+    def second():
+        return data.draw(st.sampled_from([None, "abort", "again"]), label="second")
+
     for scripts in connections:
         conn = driven.connect()
         unsent[conn] = b""
-        agents += [Agent(conn, script, together) for script in scripts]
+        agents += [Agent(conn, script, together, second) for script in scripts]
+    crew = list(agents)
     while agents or any(unsent.values()):
         moves = [("send", agent) for agent in agents if agent.ready()]
         moves += [("feed", conn) for conn, pending in unsent.items() if pending]
@@ -478,21 +468,32 @@ def test_every_admitted_request_gets_exactly_one_reply(connections, data):
                 agents.remove(who)
             else:
                 unsent[who.conn] += frame
-                sent[who.conn] = who.last
+                sent[who.conn] = max(who.owed)
         else:
             pending = unsent[who]
             cut = data.draw(st.integers(1, len(pending)), label="cut")
             unsent[who] = pending[cut:]
             assert not driven.feed(who, pending[:cut])
     assert not driven.core.parked and not any(driven.core.pending)
+    retried = {(agent.conn, rid) for agent in crew for rid in agent.retried}
+    decided = collections.defaultdict(set)  # handle -> how it was answered
     for conn in unsent:
         assert sorted(conn.replies) == list(range(1, sent[conn] + 1))
         if not batched:
             unparked = [rid for rid in conn.order if (conn, rid) not in parked]
             assert unparked == sorted(unparked), conn.order
-        for bodies in conn.replies.values():
-            assert len(bodies) == 1
-            assert bodies[0]["ok"] or bodies[0]["error"]["code"] in ERROR_CODES
+        for rid, bodies in conn.replies.items():
+            assert len(bodies) == 1 + ((conn, rid) in retried)
+            for body in bodies:
+                assert body["ok"] or body["error"]["code"] in ERROR_CODES
+                answer = body["result"] if body["ok"] else {}
+                outcome = answer.keys() & {"committed", "aborted"}
+                if outcome:
+                    decided[answer["transaction"]] |= outcome
+    assert all(len(outcomes) == 1 for outcomes in decided.values()), decided
+    stats = driven.core.stats
+    counted = stats["transactions_committed"] + stats["transactions_aborted"]
+    assert counted == len(decided)
     merged = sorted(events, key=lambda event: event.ts)
     report = AtomicityChecker().replay(merged).report()
     assert report["verdict"] == "clean", report["violations"]

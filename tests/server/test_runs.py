@@ -8,7 +8,7 @@ completion, or the end of the read.  A local
 shard or a site takes the run as one batch.  Admission plans each request
 (its ops, its transaction's participants), so a completion pipelined
 behind invokes of its transaction sees every shard they went to, on every
-transport.
+transport; a second completion pipelined behind one decides nothing.
 """
 
 import math
@@ -251,4 +251,33 @@ def test_a_commit_retransmitted_while_in_flight_gets_its_decision(transport, dri
     driven.settle_all()
     original, retry = conn.replies[50]
     assert original == retry and isinstance(original["result"]["timestamp"], int)
+    assert credited(driven, "A") == 1
+
+
+@DRIVES
+@pytest.mark.parametrize("second", ["abort", "retry"])
+def test_a_second_completion_read_behind_a_commit_decides_nothing(
+    second, transport, batched, drive
+):
+    """A single-shard transaction's commit and a second completion in one
+    read — its abort under a new id, or the commit again under its own:
+    the commit decides it, and the second, reaching the shard after the
+    handle closed, answers the cached ack (the retry) or ``UNKNOWN_TXN``
+    (the abort) and is not counted."""
+    driven = drive(transport, objects=["A"], batched=batched)
+    conn = driven.connect()
+    handle = conn.begin()
+    assert result(conn.answer(conn.invoke(handle, "A", "Credit", 1))) == "Ok"
+    commit = request_frame(50, "commit", {"transaction": handle})
+    if second == "retry":
+        assert not driven.feed(conn, commit + commit)
+        original, retry = conn.replies[50]
+        assert original == retry
+    else:
+        abort = request_frame(51, "abort", {"transaction": handle})
+        assert not driven.feed(conn, commit + abort)
+        assert result(conn.answer(51)) == "UNKNOWN_TXN"
+    assert isinstance(conn.replies[50][0]["result"]["timestamp"], int)
+    stats = driven.core.stats
+    assert (stats["transactions_committed"], stats["transactions_aborted"]) == (1, 0)
     assert credited(driven, "A") == 1

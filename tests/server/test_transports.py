@@ -255,34 +255,65 @@ def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_ove
 @pytest.mark.parametrize("transport", ["process", "site"])
 def test_requests_queued_for_a_dying_shard_answer_shard_down(transport, drive):
     """A shard dies with a batch out and two requests queued behind it,
-    one of them its transaction's first touch of the shard: all three
-    answer ``SHARD_DOWN``, once each, and their handles close — nothing
-    queued runs on the new incarnation, which serves a fresh transaction."""
+    one of them its transaction's first touch of the shard, while a
+    transaction bound to both shards has an invoke queued on the
+    survivor: all four answer ``SHARD_DOWN`` naming the dead shard, once
+    each, and their handles close — nothing queued runs, and the new
+    incarnation serves a fresh transaction.  A drain answers an invoke
+    queued for a handle it force-aborts ``SHUTTING_DOWN``, and leaves a
+    handle whose commit is out at its shard to that commit."""
     driven = drive(transport, objects=["A"], batched=True)
     core, index = driven.core, driven.pool.shard_of("A")
+    other = next(
+        f"B{i}" for i in range(100) if driven.pool.shard_of(f"B{i}") != index
+    )
+    driven.create(other)
     conn = driven.connect()
-    bound, first_touch = conn.begin(), conn.begin()
+    bound, first_touch, both = conn.begin(), conn.begin(), conn.begin()
     assert result(conn.answer(conn.invoke(bound, "A", "Credit", 1))) == "Ok"
+    for name in ("A", other):
+        assert result(conn.answer(conn.invoke(both, name, "Credit", 1))) == "Ok"
 
-    def credit(rid, handle):
-        params = {"transaction": handle, "obj": "A", "operation": "Credit", "args": (1,)}
-        return request_frame(rid, "invoke", params)
+    def credit(rid, handle, obj="A"):
+        params = {"transaction": handle, "obj": obj, "operation": "Credit"}
+        return request_frame(rid, "invoke", dict(params, args=(1,)))
 
-    core.feed(conn, credit(10, bound), driven.now)
+    core.feed(conn, credit(110, bound), driven.now)
     ops = core.take(index)  # the batch out
-    core.feed(conn, credit(11, bound) + credit(12, first_touch), driven.now)
+    data = credit(111, bound) + credit(112, first_touch) + credit(113, both, other)
+    core.feed(conn, data, driven.now)
     shard = driven.pool.shards[index]
     kill(shard)
     with pytest.raises(ShardDown):
         shard.call(ops)
     core.settle(index, None, driven.now)
     driven.settle_all()  # what is still queued, and the respawn's resolution
-    assert [result(conn.answer(rid)) for rid in (10, 11, 12)] == ["SHARD_DOWN"] * 3
-    assert bound not in conn.session.transactions
-    assert first_touch not in conn.session.transactions
+    rids = (110, 111, 112, 113)
+    assert [result(conn.answer(rid)) for rid in rids] == ["SHARD_DOWN"] * 4
+    for rid in rids:
+        assert f"shard {index} worker died" in conn.answer(rid)["error"]["message"]
+    assert not conn.session.transactions  # bound, first_touch and both
     fresh = conn.begin()
     assert result(conn.answer(conn.invoke(fresh, "A", "Credit", 5))) == "Ok"
     assert isinstance(conn.call("commit", transaction=fresh)["result"]["timestamp"], int)
     assert shard.alive and shard.single({"op": "snapshot", "obj": "A"}) == {"ok": 5}
     assert core.rounds == 0 and not any(core.pending)
-    assert [len(conn.replies[rid]) for rid in (10, 11, 12)] == [1, 1, 1]
+    assert [len(conn.replies[rid]) for rid in rids] == [1, 1, 1, 1]
+    # A drain: its straggler's queued invoke never runs, and a handle
+    # whose commit is out at its shard is left to that commit.
+    straggler, committing = conn.begin(), conn.begin()
+    assert result(conn.answer(conn.invoke(straggler, other, "Credit", 1))) == "Ok"
+    assert result(conn.answer(conn.invoke(committing, "A", "Credit", 2))) == "Ok"
+    commit = request_frame(121, "commit", {"transaction": committing})
+    core.feed(conn, commit, driven.now)
+    ops = core.take(index)  # the commit, out at its shard
+    core.feed(conn, credit(120, straggler, other), driven.now)
+    assert driven.abort_sessions() == 1
+    core.settle(index, shard.call(ops), driven.now)
+    driven.settle_all()
+    assert result(conn.answer(120)) == "SHUTTING_DOWN"
+    assert isinstance(conn.answer(121)["result"]["timestamp"], int)
+    assert not conn.session.transactions and not any(core.pending)
+    survivor = driven.pool.shards[driven.pool.shard_of(other)]
+    assert survivor.single({"op": "snapshot", "obj": other}) == {"ok": 0}
+    assert shard.single({"op": "snapshot", "obj": "A"}) == {"ok": 7}

@@ -314,6 +314,17 @@ class TestSimulateObservability:
         assert "trace written to" in capsys.readouterr().out
         assert target.exists() and target.read_text().strip()
 
+    def test_trace_file_of_several_protocols_is_refused(self, tmp_path, capsys):
+        # Their runs reuse transaction and object names: one file of two
+        # runs could not be certified.
+        target = tmp_path / "two.jsonl"
+        argv = ["simulate", "account", "--duration", "20", "--trace-file", str(target),
+                "--protocol", "hybrid", "commutativity"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "repro trace" in captured.err and not captured.out
+        assert not target.exists()
+
 
 class TestRecoverObservability:
     def seed_wal(self, tmp_path):
