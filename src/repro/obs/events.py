@@ -80,7 +80,7 @@ kind                   emitted when / payload highlights
                        ``queue`` in the shard's FIFO (0 on a
                        non-blocking shard), ``execute`` against the
                        manager, ``respond`` until the reply is written
-                       — with its batch-mates', in one write: a worker's
+                       — with its batch-mates', in one write: a posted
                        batch on a blocking shard, the rest of the read
                        on a non-blocking one
 ``server.drain``       graceful shutdown finished: accepted requests

@@ -15,7 +15,7 @@ and synchronous; this package is where the outside world attaches:
   admission, one pending FIFO per shard, request → op planning, parking
   and the round driver, for whichever transport the shards sit behind;
 * :mod:`~repro.server.server` — its asyncio shell: sockets, the
-  process shards' workers, the wait-bound timer and graceful drain;
+  process shards' pipes, the wait-bound timer and graceful drain;
 * :mod:`~repro.server.procpool` — the process transport: one WAL-backed
   engine per OS process under group commit, supervised respawn with
   recovery;

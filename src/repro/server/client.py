@@ -4,7 +4,7 @@ Both clients speak the length-prefixed protocol of
 :mod:`repro.server.protocol` and correlate responses by request id —
 necessary because the server answers cheap bookkeeping requests
 (``ping``, ``begin``) inline while queued work (``invoke``, ``commit``)
-flows through a worker, so responses can legally overtake each other on
+waits for its shard, so responses can legally overtake each other on
 one connection.
 
 Idempotent completion retry

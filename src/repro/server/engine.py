@@ -19,10 +19,10 @@ code ladder; :meth:`ShardEngine.execute_batch` is the group-commit
 contract (run every op, flush log and trace sink **once**, then reply).
 
 A *transport* exposes an engine as ``call(ops)`` / ``single(op)`` plus
-``alive``, ``blocking`` and ``stop()``; a blocking one also has an
-awaitable ``acall(ops)``, and one whose ``call`` can raise
-:class:`ShardDown` also has ``spawn()``, which brings the shard back
-over the same log (or raises :class:`ShardDown`: it stays down).  There
+``alive``, ``blocking`` and ``stop()``; a blocking one also has ``post``
+/ ``collect`` / ``fileno`` (an event loop's call), and one whose ``call``
+can raise :class:`ShardDown` also has ``spawn()``, which brings the shard
+back over the same log (or raises ``ShardDown``: it stays down).  There
 are three: :class:`LocalShard` calls the engine directly and adds
 nothing; :class:`~repro.server.procpool.ShardProcess` adds a pipe and a
 child process; :class:`~repro.sim.site.Site` adds a simulated host with

@@ -15,14 +15,16 @@ Message protocol (one pipe per child, strictly request/reply)::
     parent -> child   ("stop",)        child flushes, acks, exits
     child  -> parent  ("fatal", text)  unrecoverable startup failure
 
-Ops and replies are the engine's; the child is recv →
-``engine.execute_batch`` → send, so a batch shares one fsync
-(fsyncs/txn ≈ 1/depth) and every acknowledged commit is durable.
+Ops and replies are the engine's, each message one ``send_bytes`` of
+``pickle.dumps``; the child is recv → ``engine.execute_batch`` → send,
+so a batch shares one fsync (fsyncs/txn ≈ 1/depth) and every
+acknowledged commit is durable.
 
 A pipe has one user at a time and no lock: before a server starts, and
-after it drains, whoever calls ``call``; while it serves, the shard's
-worker coroutine, which awaits ``acall`` on the event loop (a blocking
-``call`` meanwhile refuses rather than interleave on the pipe).
+after it drains, whoever calls ``call`` (``post``, then ``collect``);
+while it serves, the event loop, which collects once the pipe is
+readable (a ``call`` meanwhile refuses).  A dead child is ``EPIPE`` on a
+post or EOF on the pipe, :class:`ShardDown` either way: no ``waitpid``.
 
 :class:`ShardProcessPool` is a :class:`~repro.server.engine.ShardSet`
 whose shards can die: it spawns them, and a respawned child rebuilds
@@ -35,12 +37,12 @@ and ``spawn``, and it is not forked again.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import os
 import pathlib
+import pickle
 import signal
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NoReturn, Optional, Sequence
 
 from ..obs import JSONLSink, TraceBus
 from .engine import EngineCrash, ShardDown, ShardEngine, ShardSet
@@ -76,6 +78,14 @@ def _build_engine(spec: Dict[str, Any]) -> ShardEngine:
     )
 
 
+def _send(conn, message: Any) -> None:
+    conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
+def _receive(conn) -> Any:
+    return pickle.loads(conn.recv_bytes())
+
+
 def _shard_main(conn, spec: Dict[str, Any]) -> None:
     """Child entry point: serve batches until told to stop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent coordinates
@@ -83,31 +93,31 @@ def _shard_main(conn, spec: Dict[str, Any]) -> None:
         engine = _build_engine(spec)
     except Exception as exc:
         try:
-            conn.send(("fatal", f"{type(exc).__name__}: {exc}"))
+            _send(conn, ("fatal", f"{type(exc).__name__}: {exc}"))
         finally:
             conn.close()
         return
     while True:
         try:
-            message = conn.recv()
+            message = _receive(conn)
         except EOFError:
             break
         if message[0] == "stop":
             engine.close()
-            conn.send(("ok", []))
+            _send(conn, ("ok", []))
             break
         try:
             replies = engine.execute_batch(message[1])
         except EngineCrash:
             os._exit(17)  # nothing flushed, nothing acknowledged
-        conn.send(("ok", replies))
+        _send(conn, ("ok", replies))
     conn.close()
 
 
 class ShardProcess:
     """Parent-side handle for one shard worker process."""
 
-    #: ``call`` waits on a pipe: an event loop awaits ``acall`` instead.
+    #: ``call`` waits on a pipe: an event loop posts instead.
     blocking = True
 
     def __init__(
@@ -131,8 +141,8 @@ class ShardProcess:
         self._process = None
         self._conn = None
         self._fatal: Optional[str] = None
-        #: Set while an :meth:`acall` awaits its reply.
-        self._waiter: Optional[asyncio.Future] = None
+        #: A batch was posted and its replies are not collected yet.
+        self.posted = False
         #: Trace files written by past and present incarnations, oldest
         #: first — the merge feed for certification.
         self.trace_paths: List[pathlib.Path] = []
@@ -171,16 +181,13 @@ class ShardProcess:
         self._fatal = None  # a stopped pool's restart tries again
 
     def _check_fatal(self, reply: Any = None) -> None:
-        """Raise the child's fatal startup announcement, if it made one.
-
-        A child that fails to start sends ``("fatal", text)`` and exits;
-        the message stays buffered in the pipe, so a caller racing the
-        exit still sees the cause (e.g. a stride mismatch), not a bare
-        "not running" — as does every caller after: the cause is kept.
-        """
+        """Raise the child's fatal startup announcement, if it made one:
+        ``("fatal", text)``, sent as it exits, stays buffered in the pipe,
+        so a caller racing the exit still sees the cause (e.g. a stride
+        mismatch), not a bare "not running" — as does every caller after."""
         try:
             if reply is None and self._fatal is None and self._conn.poll(0):
-                reply = self._conn.recv()
+                reply = _receive(self._conn)
         except (EOFError, OSError):
             pass
         if reply is not None and reply[0] == "fatal":
@@ -188,63 +195,52 @@ class ShardProcess:
         if self._fatal is not None:
             raise ShardDown(f"{self.name} failed to start: {self._fatal}")
 
+    def fileno(self) -> int:
+        """The pipe, readable once the posted batch's replies (or EOF) are."""
+        return self._conn.fileno()
+
     def call(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         """Send one batch and wait for its replies.
 
         Raises :class:`ShardDown` when the worker is dead or dies
         mid-request, and :class:`ShardDown` with the child's message when
         startup failed fatally (e.g. a stride mismatch on recovery).
-        Refused while an :meth:`acall` is in flight: the pipe has one user.
+        Refused while a batch is posted: the pipe has one user.
         """
-        if self._waiter is not None:
-            raise RuntimeError(
-                f"{self.name}'s pipe is awaited by its worker: a blocking call"
-                " must not interleave with it"
-            )
-        self._send(ops)
-        return self._receive()
+        if self.posted:
+            raise RuntimeError(f"{self.name} has a batch out: a call would interleave")
+        self.post(ops)
+        return self.collect()
 
-    async def acall(self, ops: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """:meth:`call` with the wait on the running loop: send, await the
-        loop's reader on the pipe, receive.  The shard's worker coroutine
-        is the one caller while a server runs."""
-        self._send(ops)
-        loop = asyncio.get_running_loop()
-        fd = self._conn.fileno()
-        self._waiter = loop.create_future()
-        loop.add_reader(fd, self._waiter.set_result, None)
-        try:
-            await self._waiter
-        finally:
-            loop.remove_reader(fd)
-            self._waiter = None
-        return self._receive()
-
-    def _send(self, ops: Sequence[Dict[str, Any]]) -> None:
+    def post(self, ops: Sequence[Dict[str, Any]]) -> None:
+        """Send one batch, waiting for nothing (:meth:`collect` its replies);
+        :class:`ShardDown` when the child is gone or could not start."""
         if self._conn is None:
             raise ShardDown(f"{self.name} is not running")
-        if not self.alive:
+        if self._fatal is not None:
             self._check_fatal()
-            raise ShardDown(f"{self.name} is not running")
         try:
-            self._conn.send(("batch", list(ops)))
+            _send(self._conn, ("batch", ops))
         except OSError:
-            pass  # the child is gone: the receive half reaps it and says so
+            self._down("is not running")
+        self.posted = True
 
-    def _receive(self) -> List[Dict[str, Any]]:
+    def collect(self) -> List[Dict[str, Any]]:
+        """The posted batch's replies; :class:`ShardDown` on EOF."""
+        self.posted = False
         try:
-            reply = self._conn.recv()
+            reply = _receive(self._conn)
         except (EOFError, OSError):
-            # Reap the corpse before raising: until the child is joined,
-            # ``is_alive()`` can still report True, and a subsequent
-            # ``respawn`` would mistake the zombie for a healthy worker
-            # and skip the restart.
-            if self._process is not None:
-                self._process.join(timeout=5.0)
-            self._check_fatal()
-            raise ShardDown(f"{self.name} died mid-request") from None
+            self._down("died mid-request")
         self._check_fatal(reply)
         return reply[1]
+
+    def _down(self, what: str) -> NoReturn:
+        # Reap it first: a zombie is ``alive``, so ``revive`` would skip it.
+        if self._process is not None:
+            self._process.join(timeout=5.0)
+        self._check_fatal()
+        raise ShardDown(f"{self.name} {what}") from None
 
     def single(self, op: Dict[str, Any]) -> Dict[str, Any]:
         """One-op convenience batch."""
@@ -254,12 +250,11 @@ class ShardProcess:
         """Flush and join the worker (no-op when already dead)."""
         if self._conn is None:
             return
-        if self.alive:
-            try:
-                self._conn.send(("stop",))
-                self._conn.recv()
-            except (EOFError, OSError):
-                pass
+        try:
+            _send(self._conn, ("stop",))
+            _receive(self._conn)
+        except (EOFError, OSError):
+            pass  # it was dead
         self._conn.close()
         self._conn = None
         if self._process is not None:

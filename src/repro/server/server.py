@@ -1,4 +1,4 @@
-"""The asyncio serving shell: sockets, workers, one timer, graceful drain.
+"""The asyncio serving shell: sockets, shard pipes, one timer, graceful drain.
 
 This is the real wire boundary the paper's model assumes (Sections 1 and
 3.3: external clients submit operations to transaction managers).  The
@@ -9,31 +9,31 @@ plans, parks and drives 2PC over one
 concurrency-control kernel stays wholly unaware that a network exists,
 exactly the layering Malta & Martinez argue for (wire tier strictly
 outside the commutativity kernel).  What is left here needs the event
-loop: the protocol callbacks, the writes, the workers, the timer.
+loop: the protocol callbacks, the writes, the shard pipes, the timer.
 
 Concurrency model
 -----------------
 
-Everything here runs on one event loop, one :class:`asyncio.Protocol`
-per connection and no task for it.  Each ``read`` is served inside the
-protocol's ``data_received`` callback — the core admits every frame it
-completed, in arrival order, and kicks a shard once per *run* of
-consecutive frames routed to it — and each connection with replies gets
-**one** ``write`` for the lot.  The shell's one transport branch is
-where a shard call waits, i.e. what the core's kick does: a **local
-shard** (``workers=N``, the default) or a simulated
+Everything here runs on one event loop, with no task for a connection
+(each is an :class:`asyncio.Protocol`) or a shard.  Each ``read`` is
+served inside the protocol's ``data_received`` callback — the core
+admits every frame it completed, in arrival order, and kicks a shard
+once per *run* of consecutive frames routed to it — and each connection
+with replies gets **one** ``write`` for the lot.  The shell's one
+transport branch is where a shard call waits, i.e. what the core's kick
+does: a **local shard** (``workers=N``, the default) or a simulated
 :class:`~repro.sim.site.Site` is called right in the kick, ``take → call
 → settle`` inside ``data_received``, one batch per run; a **process
 shard** (``pool=``, a :class:`~repro.server.procpool.ShardProcessPool`)
-waits on a pipe, so the kick wakes the shard's worker coroutine — the
-pipe's one owner from :meth:`ReproServer.start` to the drain — which
-runs ``take → await acall → settle``: one round-trip, one group-commit
-fsync for what the FIFO held.
+waits on a pipe, so its kick *posts* on the next loop turn (``take``,
+send), and the loop's reader on the pipe, registered once per child,
+runs ``collect → settle`` and posts again: one round-trip, one fsync
+for what the FIFO held; a death (``EPIPE``, EOF) settles ``SHARD_DOWN``.
 
 Writes never wait: a connection whose peer stops reading has its
 replies buffered and *its* reading paused once they pass the
 transport's high-water mark (``pause_writing``), so it stalls no shard
-worker and no other connection.  The wait bound of parked requests is
+and no other connection.  The wait bound of parked requests is
 one timer, armed at the core's earliest deadline.
 """
 
@@ -163,19 +163,16 @@ class ReproServer:
         self.tracer = tracer
         self.drain_grace = drain_grace
         self._flush_on_drain = list(flush_on_drain)
-        #: The one transport choice, where a shard call waits: a blocking
-        #: shard gets a worker (its kick sets the event that wakes it), a
-        #: non-blocking one is called inline by its kick.
-        self._signals: List[asyncio.Event] = []
-        if pool.blocking:
-            self._signals = [asyncio.Event() for _ in range(pool.workers)]
-        kick = self._signal if self._signals else self._call
+        #: The one transport choice, where a shard call waits: on a pipe
+        #: the loop watches (blocking), or inline, in the kick.
+        self._pipes = list(pool.shards) if pool.blocking else []
+        #: Per pipe: a post is due on the next loop turn.
+        self._due = [False] * len(self._pipes)
+        kick = self._kick if self._pipes else self._call
         #: The sans-IO pipeline; everything but the loop lives there.
         self.core = ServerCore(pool, kick, queue_limit, tracer, registry, flight)
         self.stats = self.core.stats
         self._loop: Any = None
-        self._workers: List[asyncio.Task] = []
-        self._closing = False
         #: The wait-bound timer, armed at the core's earliest deadline.
         self._timer: Any = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -188,15 +185,14 @@ class ReproServer:
     ) -> int:
         """Create ``name`` on its owning shard; returns the worker index.
 
-        A blocking shard's pipe belongs to its worker once the server has
-        started: create those objects before :meth:`start` (with a
+        A blocking shard's pipe belongs to the event loop once the server
+        has started: create those objects before :meth:`start` (with a
         process pool started first), or over the wire.
         """
-        if self._workers:
+        if self._pipes and self._loop is not None:
             raise RuntimeError(
-                f"cannot create {name!r} with a blocking call: the started"
-                " server's workers own the shard pipes; send the wire"
-                " `create` action instead"
+                f"cannot create {name!r} over a started server's shard pipes:"
+                " send the wire `create` action instead"
             )
         catalog = self.core.catalog
         if name in catalog:
@@ -206,7 +202,7 @@ class ReproServer:
         return worker
 
     async def start(self) -> Tuple[str, int]:
-        """Bind, spawn the workers, and begin accepting connections."""
+        """Bring the shards up, watch their pipes, accept connections."""
         self.pool.start()  # bring every shard up (or confirm it is)
         # Adopt objects the shards already hold — recovered from their
         # WALs, or created before start(): a restarted server serves
@@ -215,10 +211,8 @@ class ReproServer:
             for name in names:
                 self.core.catalog.setdefault(name, index)
         loop = self._loop = asyncio.get_running_loop()
-        self._workers = [
-            asyncio.ensure_future(self._worker(index))
-            for index in range(len(self._signals))
-        ]
+        for index, shard in enumerate(self._pipes):
+            loop.add_reader(shard.fileno(), self._readable, index)
         self._server = await loop.create_server(
             lambda: _Connection(self), self.host, self.port
         )
@@ -266,19 +260,15 @@ class ReproServer:
         forced = core.abort_sessions("SHUTTING_DOWN", loop.time())
         self._flush()
         # No further admissions or respawns; let the 2PCs and resolutions
-        # in flight finish on the running workers, and answer what was
-        # already accepted.
+        # in flight finish, and answer what was already accepted.
         core.stopping = True
-        while core.rounds or any(core.pending):
+        while core.rounds or any(core.pending) or any(s.posted for s in self._pipes):
             await asyncio.sleep(0.02)
-        self._closing = True
-        for signal in self._signals:
-            signal.set()
-        for task in self._workers:
-            await task
-        # With the workers gone, flush every shard's log and trace sink
-        # (and join its process, if it has one) — after this the
-        # per-shard trace files are complete and mergeable.
+        # With no batch out, let go of the pipes; flush every shard's log
+        # and trace sink (and join its process, if it has one) — after
+        # this the per-shard trace files are complete and mergeable.
+        for shard in self._pipes:
+            loop.remove_reader(shard.fileno())
         self.pool.stop()
         report = core.drained(active_at_start, forced)
         # Hang up on whoever is still connected; each connection_lost
@@ -343,32 +333,47 @@ class ReproServer:
             replies = None
         core.settle(index, replies, core.now)
 
-    def _signal(self, index: int) -> None:
-        """A blocking shard's kick: wake its worker."""
-        self._signals[index].set()
+    def _kick(self, index: int) -> None:
+        """A blocking shard's kick: one post per loop turn, one batch per read."""
+        if not self._due[index]:
+            self._due[index] = True
+            self._loop.call_soon(self._post, index)
 
-    async def _worker(self, index: int) -> None:
-        """Serve one blocking shard's FIFO, its pipe's one owner: take,
-        await the call (one round-trip, one fsync for the batch), settle."""
-        core = self.core
-        fifo = core.pending[index]
-        signal = self._signals[index]
-        shard = self.pool.shards[index]
-        loop = self._loop
-        while True:
-            if not fifo:
-                if self._closing:
-                    return
-                signal.clear()
-                await signal.wait()
-                continue
-            ops = core.take(index)
+    def _post(self, index: int) -> None:
+        """Take and send shard ``index``'s next batch, unless one is out."""
+        self._due[index] = False
+        shard = self._pipes[index]
+        if not shard.posted and self.core.pending[index]:
             try:
-                replies = await shard.acall(ops) if ops else ops
+                shard.post(self.core.take(index))
             except ShardDown:
-                replies = None
-            core.settle(index, replies, loop.time())
-            self._flush()
+                self._settle(index, None)
+
+    def _readable(self, index: int) -> None:
+        """Shard ``index``'s pipe is readable: collect, settle, post again
+        at once — or, nothing posted, let go of its idle dead child's EOF."""
+        shard = self._pipes[index]
+        if not shard.posted:
+            self._loop.remove_reader(shard.fileno())
+            return
+        self._due[index] = True  # a kick while it settles: posted below
+        try:
+            replies = shard.collect()
+        except ShardDown:
+            replies = None
+        self._settle(index, replies)
+        self._post(index)
+
+    def _settle(self, index: int, replies: Optional[List[Any]]) -> None:
+        """Answer shard ``index``'s batch (None: it died; watch its successor)."""
+        shard, loop = self._pipes[index], self._loop
+        incarnation = shard.incarnation
+        if replies is None:
+            loop.remove_reader(shard.fileno())
+        self.core.settle(index, replies, loop.time())
+        if shard.incarnation != incarnation:
+            loop.add_reader(shard.fileno(), self._readable, index)
+        self._flush()
 
     def _flush(self) -> None:
         """One write per connection with replies (dropped for one already

@@ -9,7 +9,7 @@ import pytest
 
 from repro.sim import Site
 from repro.recovery import MemoryWAL
-from repro.server import ReproServer, ShardProcessPool
+from repro.server import ReproServer, ShardDown, ShardProcessPool
 from repro.server.engine import ShardSet
 from tests.server.driven import Driven, shards
 
@@ -80,24 +80,40 @@ def threaded_server():
 
 @pytest.fixture
 def hold():
-    """``entered, release = hold(shard, kind=None)``: the worker of process
-    shard ``shard`` holds its next batch — the next one carrying an op of
-    ``kind``, when given — before sending it, until ``release.set()``;
-    ``entered`` is set once it holds.  Gates the worker's pipe call
-    (``ShardProcess.acall``, the pipe's one user while serving), once."""
+    """``entered, release = hold(shard, kind=None)``: process shard
+    ``shard``'s next posted batch — the next one carrying an op of
+    ``kind``, when given — is held back instead of sent, until
+    ``release.set()``; ``entered`` is set once it is held.  Gates the
+    post (``ShardProcess.post``, which the event loop sends a batch
+    with), once.  The held batch is out meanwhile: the shard's FIFO
+    queues behind it.  A child that dies while it is held settles it
+    (its EOF), and it is dropped; one whose death its release meets
+    (``ShardDown``) leaves it to the reader's EOF, as a batch the child
+    died under."""
+
+    sends = []  # the held batches' send tasks, referenced until the end
 
     def gate(shard, kind=None):
-        acall = shard.acall
+        post = shard.post
         entered, release = asyncio.Event(), asyncio.Event()
 
-        async def held(ops):
-            if kind is None or any(op["op"] == kind for op in ops):
-                shard.acall = acall
-                entered.set()
-                await release.wait()
-            return await acall(ops)
+        async def send(ops, incarnation):
+            await release.wait()
+            if shard.posted and shard.incarnation == incarnation:
+                try:
+                    post(ops)
+                except ShardDown:
+                    pass  # still posted: the reader's EOF settles it
 
-        shard.acall = held
+        def held(ops):
+            if kind is not None and not any(op["op"] == kind for op in ops):
+                return post(ops)
+            del shard.post
+            shard.posted = True
+            entered.set()
+            sends.append(asyncio.ensure_future(send(ops, shard.incarnation)))
+
+        shard.post = held
         return entered, release
 
     return gate

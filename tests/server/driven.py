@@ -6,7 +6,7 @@ advances.
 ``Driven(pool)`` calls a shard inside the core's kick, as the shell does
 for non-blocking shards; ``Driven(pool, batched=True)`` only notes the
 kick and serves every FIFO after each entry point, one batch per shard
-call, as a blocking shard's worker does.  ``shards(transport, ...)``
+call, as a blocking shard's posts do.  ``shards(transport, ...)``
 builds two shards behind ``"local"`` engines, simulated ``"site"`` hosts
 or ``"process"`` children.
 """

@@ -1,13 +1,14 @@
 """One pass and one write per readable batch, pinned by counts.
 
 Wall-clock on a shared box does not repeat; socket writes, loop polls,
-FIFO items and worker tasks per request do.  A non-blocking shard is
-called in the connection's ``data_received``, once per run of a read's
-frames routed to it (no worker, its FIFO empty again after each read,
-replies in request order, one write per read, one poll per request;
-``test_runs.py`` pins the runs); a blocking shard's worker takes what its FIFO
-holds as one batch, and the batch answers each connection with one
-write.
+selector registrations, FIFO items and tasks per request do.  A
+non-blocking shard is called in the connection's ``data_received``, once
+per run of a read's frames routed to it (no task, no pipe, its FIFO
+empty again after each read, replies in request order, one write per
+read, one poll per request; ``test_runs.py`` pins the runs); a blocking
+shard's post takes what its FIFO holds as one batch, the loop's reader
+on its pipe (registered once per child) settles it, and the batch
+answers each connection with one write.
 """
 
 import asyncio
@@ -16,8 +17,15 @@ import itertools
 import pytest
 
 from repro.obs import TraceBus
-from repro.server import AsyncClient, ReproServer, ShardProcessPool, SyncClient
+from repro.server import (
+    AsyncClient,
+    ReproServer,
+    ShardProcessPool,
+    SyncClient,
+    WireError,
+)
 from repro.server.protocol import FrameDecoder, request_frame
+from tests.server.running import run
 
 
 def count_writes(connection, on_write=None):
@@ -90,13 +98,15 @@ class TestLocalShards:
             await client.commit(handle)
             stats = await client.stats()
             await client.aclose()
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
             await server.drain()
-            return server, stats
+            return server, stats, tasks
 
-        server, stats = asyncio.run(scenario())
-        # Nothing waits for a local shard: no worker task, and every FIFO
-        # is empty again once a read is served.
-        assert server._workers == [] and not any(server.core.pending)
+        server, stats, tasks = asyncio.run(scenario())
+        # Nothing waits for a local shard: no pipe reader, no task, and
+        # every FIFO is empty again once a read is served.
+        assert server._pipes == [] and not tasks
+        assert not any(server.core.pending)
         # `repro top` still gets one depth per shard.
         assert stats["queues"] == [0, 0]
         assert stats["server"]["requests"] == 2
@@ -137,7 +147,9 @@ class TestProcessShards:
             server = ReproServer(pool=pool, drain_grace=0.5)
             server.create_object("A", "Account")
             await server.start()
-            assert len(server.core.pending) == len(server._workers) == 1
+            # One FIFO, and one pipe the loop watches, for the one shard.
+            assert len(server.core.pending) == len(server._pipes) == 1
+            assert server._loop._selector.get_key(pool.shards[0].fileno())
             first = await AsyncClient.connect(server.host, server.port)
             second = await AsyncClient.connect(server.host, server.port)
             handles = {
@@ -145,7 +157,7 @@ class TestProcessShards:
                 for client in (first, second)
             }
             # Hold the shard's first call, so what arrives meanwhile queues
-            # up and the worker's next batch is everything below.
+            # up and the next posted batch is everything below.
             entered, release = hold(pool.shards[0])
             pending = [
                 asyncio.ensure_future(first.invoke(handles[first][0], "A", "Credit", 1))
@@ -172,6 +184,125 @@ class TestProcessShards:
         # Batch one held a single request of the first connection; batch
         # two spans both connections with two replies each.
         assert len(to_first) == 2 and len(to_second) == 1
+
+    def test_a_pipe_is_registered_once_per_incarnation(self, tmp_path):
+        """The loop watches a process shard's pipe from start to drain:
+        no selector registration per batch (an add / remove of the
+        reader around every call made two), one unregistration for the
+        dead child's pipe and one registration for its successor's — and
+        one read's invokes for a shard reach its child as one batch."""
+        posts = []
+
+        async def transactions(client, count):
+            for _ in range(count):
+                handle = await client.begin()
+                await client.invoke(handle, "A", "Credit", 1)
+                await client.commit(handle)
+
+        async def scenario():
+            pool = ShardProcessPool(1, tmp_path / "data")
+            pool.start()
+            server = ReproServer(pool=pool, drain_grace=0.5)
+            server.create_object("A", "Account")
+            await server.start()
+            shard = pool.shards[0]
+            client = await AsyncClient.connect(server.host, server.port)
+            await transactions(client, 1)
+            selector = server._loop._selector
+            calls = {"register": 0, "unregister": 0}
+
+            def counting(name):
+                method = getattr(type(selector), name)
+
+                def counted(*args):
+                    calls[name] += 1
+                    return method(selector, *args)
+
+                return counted
+
+            for name in calls:
+                setattr(selector, name, counting(name))
+            try:
+                await transactions(client, 50)
+                assert calls == {"register": 0, "unregister": 0}
+                shard.kill()
+                with pytest.raises(WireError) as caught:
+                    await transactions(client, 1)
+                assert caught.value.code == "SHARD_DOWN"
+                await transactions(client, 50)
+                assert calls == {"register": 1, "unregister": 1}
+                assert shard.incarnation == 2
+            finally:
+                for name in calls:
+                    delattr(selector, name)
+            # One read, the invokes of 8 transactions: one post.
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(b"".join(request_frame(rid, "begin") for rid in range(1, 9)))
+            await read_replies(reader, 8)
+            post = shard.post
+
+            def counted_post(ops):
+                posts.append([op["op"] for op in ops])
+                post(ops)
+
+            shard.post = counted_post
+            writer.write(b"".join(invoke(10 + n, f"s2.t{n}") for n in range(1, 9)))
+            replies = await read_replies(reader, 8)
+            del shard.post
+            writer.close()
+            await client.aclose()
+            await server.drain()
+            return replies
+
+        replies = run(scenario())
+        assert all(reply["ok"] for reply in replies)
+        assert posts == [["begin", "invoke"] * 8]
+
+    def test_a_child_dying_idle_is_let_go_and_answered_at_the_next_post(
+        self, tmp_path
+    ):
+        """SIGKILL a process shard with nothing posted: its pipe's EOF is
+        unregistered, so an idle loop does not spin on it; the next
+        request for the shard meets the death (``SHARD_DOWN``), and the
+        one after it is served by the respawned child, from its log."""
+
+        async def scenario():
+            pool = ShardProcessPool(1, tmp_path / "data")
+            pool.start()
+            server = ReproServer(pool=pool, drain_grace=0.5)
+            server.create_object("A", "Account")
+            await server.start()
+            client = await AsyncClient.connect(server.host, server.port)
+            handle = await client.begin()
+            await client.invoke(handle, "A", "Credit", 5)
+            await client.commit(handle)
+            selector = server._loop._selector
+            polls = []
+
+            def counting(*args):
+                polls.append(args)
+                return type(selector).select(selector, *args)
+
+            pool.shards[0].kill()
+            selector.select = counting
+            try:
+                await asyncio.sleep(0.2)
+            finally:
+                del selector.select
+            handle = await client.begin()
+            with pytest.raises(WireError) as caught:
+                await client.invoke(handle, "A", "Credit", 1)
+            handle = await client.begin()
+            debited = await client.invoke(handle, "A", "Debit", 5)
+            await client.commit(handle)
+            await client.aclose()
+            await server.drain()
+            return len(polls), caught.value.code, debited, pool.shards[0].incarnation
+
+        polls, refused, debited, incarnation = run(scenario())
+        assert polls <= 10  # an EOF left registered is ready on every poll
+        assert refused == "SHARD_DOWN"
+        assert debited == "Ok" and incarnation == 2  # the Credit was recovered
 
     def test_a_2pc_round_rides_the_queued_requests_batch(self, drive):
         """A cross-shard commit's ``prepare`` joins the batch of what is
@@ -271,7 +402,7 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
         assert sum(phases) == responded - (request.ts + 1)
         assert all(phase >= 0 for phase in phases)
         if transport == "process":
-            assert respond.data["queue"] > 0      # waited for the worker
+            assert respond.data["queue"] > 0      # waited for the post
         else:
             assert respond.data["queue"] == 0     # taken as admitted
             # Its place in the run the read's three invokes make.

@@ -7,7 +7,7 @@ front of its shard's FIFO.  The cases drive the sans-IO
 :class:`~repro.server.core.ServerCore` directly (``tests/server/driven.py``:
 no socket, a counter for the clock) over local engines,
 simulated sites and child processes — those called one batch per FIFO,
-as their worker calls them — and certify the served history.  A parked
+as the loop posts them — and certify the served history.  A parked
 request gets exactly one reply: its re-executed one, ``CONFLICT`` once
 the clock passes its deadline or when its multi-shard completion is
 admitted, or — when its own handle is closed under it —

@@ -23,10 +23,7 @@ from repro.server import (
     ShardProcessPool,
     WireError,
 )
-
-
-def run(coroutine):
-    return asyncio.run(coroutine)
+from tests.server.running import run
 
 
 def corrupt_first_line(wal):
@@ -451,9 +448,9 @@ class TestPoolServer:
 
 
 class TestTwoPhaseCommitOnTheLoop:
-    """A process shard's pipe is awaited on the loop, and a cross-shard
+    """A process shard's pipe is watched by the loop, and a cross-shard
     commit's rounds ride the shards' FIFOs through the core's round
-    driver: it owns its handle until it decides, and stalls no worker."""
+    driver: it owns its handle until it decides, and stalls no shard."""
 
     async def _started(self, tmp_path, **kwargs):
         bus = TraceBus()
@@ -556,7 +553,7 @@ class TestTwoPhaseCommitOnTheLoop:
             entered, release = hold(pool.shards[1], "apply_commit")
             commit = asyncio.ensure_future(client.commit(txn))
             await entered.wait()
-            # Shard 0 is the 2PC's primary; its worker still serves.
+            # Shard 0 is the 2PC's primary; it still serves.
             other = await client.begin()
             await asyncio.wait_for(client.invoke(other, a, "Credit", 1), 10)
             single, _ = await asyncio.wait_for(client.commit(other), 10)
@@ -602,7 +599,7 @@ class TestTwoPhaseCommitOnTheLoop:
         assert self._balances(tmp_path, a, b) == [5, 7]
 
     def test_two_shards_dying_together_do_not_wait_on_each_other(self, tmp_path):
-        """No worker awaits another shard's queue: each dead shard's
+        """No shard waits on another shard's queue: each dead shard's
         sweep posts its survivors' aborts and goes on to its respawn."""
 
         async def scenario():
@@ -620,7 +617,7 @@ class TestTwoPhaseCommitOnTheLoop:
                 30,
             )
             # The first death's sweep may close the other handle before
-            # the second shard's worker plans it.
+            # the second shard's batch is posted.
             codes = [error.code for error in outcomes]
             assert codes[0] == "SHARD_DOWN"
             assert codes[1] in ("SHARD_DOWN", "UNKNOWN_TXN")
@@ -638,7 +635,7 @@ class TestTwoPhaseCommitOnTheLoop:
 
     def test_a_respawns_resolution_rides_the_peers_batch(self, tmp_path, hold):
         """A respawned shard's prepared set is resolved by the core's round
-        driver, whose queries ride the peers' worker batches: no executor job, no
+        driver, whose queries ride the peers' posted batches: no executor job, no
         blocking call on a pipe, and nobody waits for it."""
 
         class NoExecutor(concurrent.futures.ThreadPoolExecutor):
@@ -681,8 +678,8 @@ class TestTwoPhaseCommitOnTheLoop:
         run(scenario())
 
     def test_a_blocking_call_mid_batch_refuses(self, tmp_path):
-        """While the worker awaits its batch, a blocking ``call`` on the
-        same pipe raises instead of interleaving with it."""
+        """While the loop has a batch posted on a pipe, a blocking
+        ``call`` on the same pipe raises instead of interleaving with it."""
 
         async def scenario():
             pool, server, client, a, _b = await self._started(tmp_path)
@@ -691,7 +688,7 @@ class TestTwoPhaseCommitOnTheLoop:
             try:
                 txn = await client.begin()
                 invoked = asyncio.ensure_future(client.invoke(txn, a, "Credit", 1))
-                while shard._waiter is None:
+                while not shard.posted:
                     await asyncio.sleep(0.005)
                 with pytest.raises(RuntimeError, match="interleave"):
                     shard.single({"op": "stats"})

@@ -2,7 +2,7 @@
 
 Each test boots a real server on an ephemeral localhost port and talks
 to it over real sockets.  No pytest-asyncio: tests drive their own
-``asyncio.run``.
+event loop, through the bounded ``run`` of ``tests/server/running.py``.
 """
 
 import asyncio
@@ -25,10 +25,7 @@ from repro.server import (
 from repro.server.engine import LocalShard, ShardEngine, ShardSet
 from repro.server.protocol import FrameDecoder, request_frame
 from tests.server.driven import Driven
-
-
-def run(coroutine):
-    return asyncio.run(coroutine)
+from tests.server.running import run
 
 
 async def start_server(**kwargs):
@@ -409,7 +406,7 @@ class TestBackpressure:
             await server.drain()
             return timestamp, paused, replies
 
-        timestamp, paused, replies = run(asyncio.wait_for(scenario(), 60))
+        timestamp, paused, replies = run(scenario())
         assert isinstance(timestamp, int)
         assert paused
         assert sorted(reply["id"] for reply in replies) == list(range(1, invokes + 2))

@@ -37,10 +37,7 @@ from repro.server import AsyncClient, ReproServer, render_top
 from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
 from repro.server.protocol import WireError, parse_request, parse_response, request_frame
 from tests.server.driven import Driven, result
-
-
-def run(coroutine):
-    return asyncio.run(coroutine)
+from tests.server.running import run
 
 
 async def start_server(**kwargs):

@@ -206,10 +206,10 @@ class TestCrashes:
 
 @pytest.mark.parametrize("transport", ["process", "site"])
 def test_a_shard_killed_under_the_server_answers_shard_down(transport, serve_over):
-    """The whole ``ShardDown`` ladder behind a socket, whether the dying
-    call was made by a worker (process shards) or by the connection
-    handler itself (sites): a typed answer, the stranded handle cleaned up
-    everywhere, the shard respawned and serving."""
+    """The whole ``ShardDown`` ladder behind a socket, whether the death
+    met a pipe's post or reader (process shards) or the connection
+    handler's own call (sites): a typed answer, the stranded handle
+    cleaned up everywhere, the shard respawned and serving."""
 
     async def code(awaitable):
         with pytest.raises(WireError) as caught:
