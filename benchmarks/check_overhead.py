@@ -32,7 +32,8 @@ without needing the pre-instrumentation binary:
   predicate dispatch.
 * **served-telemetry budget** — the guards above hold "no tracer, no
   cost"; this one holds the *enabled* path, which ``repro serve`` always
-  runs.  The 15 events of one served uniform transaction go through the
+  runs.  The 15 events of one served uniform transaction sent one frame
+  per read (so each ``server.*`` event carries one row) go through the
   default wiring (``TraceBus`` + ``RegistrySink`` + ``FlightRecorder``)
   under ``sys.setprofile``, and the Python-level and C-level calls at and
   below ``emit`` must equal ``SERVED_CALLS`` *exactly*: the counts repeat,
@@ -58,6 +59,14 @@ without needing the pre-instrumentation binary:
   client's next frame), must make ``SHARD_CALLS`` shard calls
   (``take``) per committed transaction, *exactly*.
 
+* **served-events budget** — the serving tier's telemetry is per batch:
+  one ``server.request`` per admitted run of a read and one
+  ``server.respond`` per write, a row per request.  The same driven core,
+  with the served wiring and the engine on one bus, must emit exactly
+  ``SERVED_EVENTS`` events per committed transaction, by kind, for
+  sequential clients (one frame per read) and for ``SHARD_CALL_CLIENTS``
+  multiplexed on one connection.
+
 * **state-size budget** — an operation costs the same whatever the
   object holds: the Python-level calls of one ``execute`` + ``commit``
   under ``sys.setprofile`` on a compacting FIFOQueue machine holding
@@ -77,6 +86,7 @@ Run directly (``PYTHONPATH=src python benchmarks/check_overhead.py``) or
 via pytest.  Exits non-zero on violation.
 """
 
+import collections
 import sys
 import tempfile
 import time
@@ -134,12 +144,16 @@ COMPILED_AMOUNTS = {"inside": 2, "outside": 57}
 # phase of each ``server.respond``.)  (89 + 98 while every sink heard every
 # event: the registry's dispatch and the flight recorder's ring append
 # were Python calls per event, and each event ran ``TraceEvent.__init__``;
-# the bus now routes each kind to the callables that fold it.)
-SERVED_CALLS = (31, 98)
+# the bus now routes each kind to the callables that fold it.)  (31 + 98
+# while each ``server.request`` / ``server.respond`` was a flat payload the
+# registry read with a ``dict.get`` per key; they now carry positional rows,
+# read by index.)
+SERVED_CALLS = (31, 77)
 # The same count for what a process-shard parent's bus carries for one
 # wal-pool transaction: its 7 ``server.*`` events (the kernel's events are
-# on the shard child's own bus).  Exact, like SERVED_CALLS.
-SERVED_PARENT_CALLS = (18, 62)
+# on the shard child's own bus).  Exact, like SERVED_CALLS.  (18 + 62 with
+# flat payloads.)
+SERVED_PARENT_CALLS = (18, 41)
 # Calls in repro.server.protocol for one served uniform transaction: its
 # 4 request frames decoded and parsed, its 4 replies encoded, as
 # (Python-level, C-level).  Exact, like SERVED_CALLS: re-derive with
@@ -156,6 +170,32 @@ WIRE_CALLS = (51, 90)
 # per commit.)
 SHARD_CALLS = 0.375
 SHARD_CALL_CLIENTS = 8
+# Bus events per committed transaction on the same driven core, the engine
+# on the served bus, by kind: sequential clients (1) and SHARD_CALL_CLIENTS
+# in lock step on one connection.  Exact.  The multiplexed shape was 13.25
+# events while every request had its own ``server.request`` (4 per
+# transaction) and ``server.respond`` (3): they are one per admitted run
+# and one per write now, and a batch compacts each object once.
+SERVED_EVENTS = {
+    1: {
+        "compaction.advance": 2.0,
+        "server.request": 4.0,
+        "server.respond": 3.0,
+        "txn.begin": 1.0,
+        "txn.commit": 1.0,
+        "txn.invoke": 2.0,
+        "txn.respond": 2.0,
+    },
+    SHARD_CALL_CLIENTS: {
+        "compaction.advance": 0.25,
+        "server.request": 0.5,
+        "server.respond": 0.375,
+        "txn.begin": 1.0,
+        "txn.commit": 1.0,
+        "txn.invoke": 2.0,
+        "txn.respond": 2.0,
+    },
+}
 SERVED_TRANSACTIONS = 50
 # The default wiring against one no-op sink, same events: ~1.6x measured
 # (~2.3x before routing, ~3.1x before that), so this only catches a sink
@@ -216,21 +256,23 @@ def best_of_holders(builds, amount, repeats=REPEATS):
     return tuple(best)
 
 
-def served_transaction(name):
+def served_transaction(name, depth=0, phases=(0.0, 7e-05, 1.5e-05)):
     """The ``(kind, payload)`` events ``repro serve`` emits for one begin /
     2 x Credit / commit transaction on a local shard, as an untraced
-    client sends it (no ``trace`` / ``sent`` stamp — the benchmark's
-    traffic): the mix ``tests/server/test_telemetry.py`` pins by count."""
+    client sends it one frame per read (no ``trace`` / ``sent`` stamp —
+    the benchmark's traffic), so each wire event carries one row: the mix
+    ``tests/server/test_telemetry.py`` pins by count.  A routed request
+    finds ``depth`` ahead of it; a reply spent ``phases`` (queue, execute,
+    respond)."""
 
     def request(action, transaction, shard):
-        payload = dict(session="s1", action=action, trace=None, sent=None)
-        payload.update(transaction=transaction, shard=shard, queue_depth=0)
-        return "server.request", payload
+        found = 0 if shard is None else depth
+        row = ("s1", action, None, None, transaction, shard, found)  # REQUEST_ROW
+        return "server.request", dict(requests=(row,))
 
     def respond(action):
-        payload = dict(session="s1", action=action, trace=None, transaction=name)
-        payload.update(shard=0, queue=0.0, execute=7e-05, respond=1.5e-05)
-        return "server.respond", payload
+        row = ("s1", action, None, name, 0, *phases)  # REPLY_ROW
+        return "server.respond", dict(replies=(row,))
 
     def operation(obj, amount):
         invoke = dict(transaction=name, obj=obj, operation="Credit", args=(amount,))
@@ -262,19 +304,11 @@ def served_transaction(name):
 
 def served_parent_transaction(name):
     """The events a process-shard parent emits for the same transaction:
-    its ``server.*`` events, each routed request queued for the shard's
-    worker (depth 1 with it) — the mix ``tests/server/test_telemetry.py``
-    pins by count on the process transport."""
-    events = []
-    for kind, data in served_transaction(name):
-        if kind == "server.request" and data["shard"] is not None:
-            data.update(queue_depth=1)
-        elif kind == "server.respond":
-            data.update(queue=2e-05, execute=4e-04)
-        elif not kind.startswith("server."):
-            continue
-        events.append((kind, data))
-    return events
+    its ``server.*`` events, each routed request finding one ahead of it
+    in the shard's FIFO — the mix ``tests/server/test_telemetry.py`` pins
+    by count on the process transport."""
+    events = served_transaction(name, depth=1, phases=(2e-05, 4e-04, 1.5e-05))
+    return [(kind, data) for kind, data in events if kind.startswith("server.")]
 
 
 def served_bus(directory):
@@ -373,11 +407,13 @@ def wire_calls(transactions=SERVED_TRANSACTIONS):
     return counts["call"] / transactions, counts["c_call"] / transactions
 
 
-def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
-    """Shard calls per committed transaction on a ``ServerCore`` over one
-    local shard, driven as the shell drives it (``take → call → settle``
-    in the kick), by ``clients`` transactions multiplexed on one
-    connection: each read carries every client's next frame."""
+def drive_core(transactions, clients, tracer=None):
+    """Drive a ``ServerCore`` over one local shard as the shell drives it
+    (``take → call → settle`` in the kick, ``responded`` after each write)
+    through ``transactions`` begin / 2 x Credit / commit transactions,
+    ``clients`` of them multiplexed on one connection: each read carries
+    every client's next frame.  ``tracer`` is the core's bus and the
+    engine's.  Returns (shard calls, committed transactions)."""
     calls = 0
 
     def kick(index):
@@ -386,8 +422,8 @@ def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
         ops = core.take(index)
         core.settle(index, pool.shards[index].call(ops) if ops else ops, 0.0)
 
-    pool = ShardSet([LocalShard(ShardEngine(0, 1))])
-    core = ServerCore(pool, kick)
+    pool = ShardSet([LocalShard(ShardEngine(0, 1, tracer=tracer))])
+    core = ServerCore(pool, kick, tracer=tracer)
     core.catalog["acct1"] = pool.create_object("acct1", "Account")
     core.catalog["acct2"] = pool.create_object("acct2", "Account")
     channel, decoder, ids = Channel(), FrameDecoder(), iter(range(1, 1 << 30))
@@ -399,6 +435,8 @@ def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
         replies = decoder.feed(b"".join(channel.out))
         channel.out.clear()
         core.dirty.clear()
+        if core.answered:
+            core.responded()
         assert len(replies) == len(frames) and all(r["ok"] for r in replies), replies
         return replies
 
@@ -416,7 +454,32 @@ def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
             )
         read([("commit", {"transaction": h}) for h in handles])
         committed += clients
+    return calls, committed
+
+
+def shard_calls(transactions=SERVED_TRANSACTIONS, clients=SHARD_CALL_CLIENTS):
+    """Shard calls per committed transaction on ``drive_core``'s core, by
+    ``clients`` transactions multiplexed on one connection."""
+    calls, committed = drive_core(transactions, clients)
     return calls / committed
+
+
+def served_events(clients, transactions=SERVED_TRANSACTIONS):
+    """Bus events per committed transaction, by kind, on ``drive_core``'s
+    core with the served wiring, the engine on the same bus (the objects'
+    ``obj.create`` and the connection's ``server.connect`` are not per
+    transaction, and not counted)."""
+    kinds = collections.Counter()
+
+    def count(event):
+        if event.kind not in ("obj.create", "server.connect"):
+            kinds[event.kind] += 1
+
+    with tempfile.TemporaryDirectory() as directory:
+        bus = served_bus(directory)
+        bus.subscribe(count)
+        _, committed = drive_core(transactions, clients, tracer=bus)
+    return {kind: number / committed for kind, number in sorted(kinds.items())}
 
 
 def state_size_calls(items):
@@ -529,6 +592,7 @@ def main():
     parent_counts = served_calls(transaction=served_parent_transaction)
     wire_counts = wire_calls()
     calls_per_txn = shard_calls()
+    events_per_txn = {clients: served_events(clients) for clients in SERVED_EVENTS}
     bare_best, wired_best = served_budget()
     empty_calls, sized_calls = state_size_calls(0), state_size_calls(STATE_SIZE_ITEMS)
     disabled_tps = TRANSACTIONS / disabled_best
@@ -567,6 +631,12 @@ def main():
         f"shard calls: {calls_per_txn:g} per transaction, {SHARD_CALL_CLIENTS} "
         "multiplexed on one connection over one local shard"
     )
+    for clients, events in events_per_txn.items():
+        print(
+            f"served events: {sum(events.values()):g} per transaction, {clients} "
+            f"on one connection (server.request {events.get('server.request', 0):g}, "
+            f"server.respond {events.get('server.respond', 0):g})"
+        )
     print(
         f"state size: {empty_calls} Python calls at 0 items vs {sized_calls} "
         f"Python calls at {STATE_SIZE_ITEMS:,} items per execute + commit"
@@ -648,6 +718,16 @@ def main():
             f"budgeted {SHARD_CALLS:g} — a read's run of same-shard frames no "
             "longer runs as one batch (update SHARD_CALLS if on purpose)"
         )
+
+    for clients, events in events_per_txn.items():
+        if events != SERVED_EVENTS[clients]:
+            failures.append(
+                f"{clients} transaction(s) on one connection emit {events} per "
+                f"transaction on the served bus, not the budgeted "
+                f"{SERVED_EVENTS[clients]} — the serving tier's events are no "
+                "longer one per run and one per write (update SERVED_EVENTS if "
+                "on purpose)"
+            )
 
     if sized_calls != empty_calls:
         failures.append(

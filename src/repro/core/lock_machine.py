@@ -340,6 +340,11 @@ class LockMachine:
                 f"{transaction} previously committed with timestamp {previous}"
             )
         in_order = previous is None  # a re-delivered commit extends nothing
+        # A scan of every retained commit.  It is cheap only because the
+        # compacting machine, which every managed object runs, forgets a
+        # committed transaction once it falls below the horizon, so it
+        # retains the tail; this plain reference machine retains the whole
+        # history, and each commit costs more than the last.
         for other, stamp in self._committed.items():
             if other != transaction and stamp == timestamp:
                 raise ProtocolError(

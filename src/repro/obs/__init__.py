@@ -37,7 +37,7 @@ from .analyze import (
 from .bus import TraceBus
 from .checker import AtomicityChecker
 from .codec import decode_value, encode_value
-from .events import EVENT_KINDS, TraceEvent
+from .events import EVENT_KINDS, REPLY_ROW, REQUEST_ROW, TraceEvent, wire_rows
 from .flight import FlightRecorder
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -84,6 +84,9 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "EVENT_KINDS",
+    "REQUEST_ROW",
+    "REPLY_ROW",
+    "wire_rows",
     "AtomicityChecker",
     "Violation",
     "minimize_witness",

@@ -33,7 +33,7 @@ import statistics
 from collections import Counter as _Counter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .events import TraceEvent
+from .events import TraceEvent, wire_rows
 from .spans import PHASES, Span, SpanBuilder
 
 __all__ = [
@@ -151,11 +151,14 @@ def contention_profile(spans: Iterable[Span], top: int = 10) -> Dict[str, Any]:
 def _queue_timeline(
     events: Sequence[TraceEvent], buckets: int = 20
 ) -> List[Dict[str, Any]]:
-    """Max/mean admitted queue depth over ``buckets`` time slices."""
+    """Max/mean admitted queue depth over ``buckets`` time slices, a
+    sample per routed ``server.request`` row."""
     samples = [
-        (event.ts, event.data.get("queue_depth") or 0)
+        (event.ts, row.get("queue_depth") or 0)
         for event in events
-        if event.kind == "server.request" and event.data.get("shard") is not None
+        if event.kind == "server.request"
+        for row in wire_rows(event)
+        if row.get("shard") is not None
     ]
     if not samples:
         return []
@@ -196,9 +199,10 @@ def analyze_trace(
         kind_counts[event.kind] += 1
         builder(event)
         if event.kind == "server.respond":
-            shard = event.data.get("shard")
-            if shard is not None:
-                shard_requests[f"shard{shard}"] += 1
+            for row in wire_rows(event):
+                shard = row.get("shard")
+                if shard is not None:
+                    shard_requests[f"shard{shard}"] += 1
         elif event.kind == "server.busy":
             busy += 1
         elif event.kind == "check.violation":

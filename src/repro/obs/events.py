@@ -63,26 +63,36 @@ kind                   emitted when / payload highlights
 ``server.disconnect``  a connection closed; any transactions it still
                        held were aborted (``session``, ``requests``,
                        ``aborted``)
-``server.request``     a request was parsed and admitted: ``session``,
+``server.request``     requests were parsed and admitted, one
+                       positional row of :data:`REQUEST_ROW` per
+                       request (``requests``), emitted once per admitted
+                       run of a read — before the run's shard call, so
+                       it precedes the ``txn.*`` events it causes — and
+                       at the end of the read: the ``session``,
                        ``action``, ``transaction``, the client's trace
                        context (``trace`` id, ``sent`` timestamp — the
-                       client→server leg of the span) and where it went:
-                       ``shard`` and that shard's ``queue_depth``, the
-                       work waiting in its FIFO ahead of this request (0
+                       client→server leg of the span ends at the event's
+                       ``ts``) and where it went: ``shard`` and that
+                       shard's ``queue_depth``, the work waiting in its
+                       FIFO ahead of this request (its place in the run
                        on a non-blocking shard, called within the read),
-                       or ``shard=None`` when admission
-                       answered it (``begin``, ``ping``, ``stats``, a
-                       cached ack, a routing refusal)
+                       or ``shard=None`` when admission answered it
+                       (``begin``, ``ping``, ``stats``, a cached ack, a
+                       routing refusal)
 ``server.busy``        a request was refused with BUSY instead — the
                        bounded work queue was past its high-water mark
-``server.respond``     a shard-executed request was answered; carries
-                       the trace id and its phases of ``spans.PHASES``:
-                       ``queue`` in the shard's FIFO (0 on a
-                       non-blocking shard), ``execute`` against the
-                       manager, ``respond`` until the reply is written
-                       — with its batch-mates', in one write: a posted
-                       batch on a blocking shard, the rest of the read
-                       on a non-blocking one
+                       (one flat event, the keys of :data:`REQUEST_ROW`;
+                       the rows admitted before it are emitted first)
+``server.respond``     shard-executed requests were answered, one
+                       positional row of :data:`REPLY_ROW` per reply
+                       (``replies``), emitted once per write of the
+                       shell: each row carries the trace id and the
+                       request's phases of ``spans.PHASES`` — ``queue``
+                       in the shard's FIFO (0 on a non-blocking shard),
+                       ``execute`` against the manager, ``respond`` until
+                       the reply is written — with its batch-mates', in
+                       one write: a posted batch on a blocking shard, the
+                       rest of the read on a non-blocking one
 ``server.drain``       graceful shutdown finished: accepted requests
                        all answered, in-flight transactions resolved
                        (``sessions``, ``finished``, ``aborted``)
@@ -95,15 +105,50 @@ Events are deliberately plain: a slotted dataclass of ``(ts, kind,
 data)`` where ``data`` is a small dict (not frozen: one is built on every
 emit, which sets the three slots without calling ``__init__``).  Everything
 downstream — spans, metric registries, JSONL files — is a fold over the
-event stream.
+event stream.  The serving tier's two per-request kinds batch: a
+``server.request`` or ``server.respond`` carries one tuple per request,
+laid out as :data:`REQUEST_ROW` or :data:`REPLY_ROW`; :func:`wire_rows`
+reads any wire event back as one dict per request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Mapping
+from typing import Any, Dict, FrozenSet, List, Mapping
 
-__all__ = ["TraceEvent", "EVENT_KINDS", "EVENT_PAYLOADS"]
+__all__ = [
+    "TraceEvent",
+    "EVENT_KINDS",
+    "EVENT_PAYLOADS",
+    "REPLY_ROW",
+    "REQUEST_ROW",
+    "wire_rows",
+]
+
+#: The positional row of one admitted request in a ``server.request``'s
+#: ``requests`` (a ``server.busy`` carries the same keys, flat).
+REQUEST_ROW = (
+    "session",
+    "action",
+    "trace",
+    "sent",
+    "transaction",
+    "shard",
+    "queue_depth",
+)
+
+#: The positional row of one answered request in a ``server.respond``'s
+#: ``replies``; the last three are phases of ``spans.PHASES``.
+REPLY_ROW = (
+    "session",
+    "action",
+    "trace",
+    "transaction",
+    "shard",
+    "queue",
+    "execute",
+    "respond",
+)
 
 #: The declared payload vocabulary per kind — the contract between the
 #: emit sites and the consumers (the checker's handlers, the span
@@ -189,24 +234,11 @@ EVENT_PAYLOADS: Mapping[str, FrozenSet[str]] = {
     ),
     "server.connect": frozenset({"session", "peer"}),
     "server.disconnect": frozenset({"session", "requests", "aborted"}),
-    "server.request": frozenset(
-        {"session", "action", "trace", "sent", "transaction", "shard", "queue_depth"}
-    ),
+    "server.request": frozenset({"requests"}),
     "server.busy": frozenset(
         {"session", "action", "trace", "sent", "transaction", "shard", "queue_depth"}
     ),
-    "server.respond": frozenset(
-        {
-            "session",
-            "action",
-            "trace",
-            "transaction",
-            "shard",
-            "queue",
-            "execute",
-            "respond",
-        }
-    ),
+    "server.respond": frozenset({"replies"}),
     "server.drain": frozenset({"sessions", "finished", "aborted"}),
     "flight.dump": frozenset(
         {"reason", "events", "dropped", "seen", "path"}
@@ -242,3 +274,23 @@ class TraceEvent:
     def to_dict(self) -> Dict[str, Any]:
         """Flatten to a JSON-friendly dict (payload keys at top level)."""
         return {"ts": self.ts, "kind": self.kind, **self.data}
+
+
+#: Where each batched wire kind keeps its rows, and their layout.
+_ROWS = {
+    "server.request": ("requests", REQUEST_ROW),
+    "server.respond": ("replies", REPLY_ROW),
+}
+
+
+def wire_rows(event: TraceEvent) -> List[Mapping[str, Any]]:
+    """The per-request payloads of a wire event, one dict per request: a
+    ``server.request``'s or ``server.respond``'s rows keyed by their
+    layout, a ``server.busy``'s own payload; none for any other kind."""
+    if event.kind == "server.busy":
+        return [event.data]
+    rows = _ROWS.get(event.kind)
+    if rows is None:
+        return []
+    key, layout = rows
+    return [dict(zip(layout, row)) for row in event.data[key]]

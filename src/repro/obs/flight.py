@@ -13,8 +13,8 @@ file that :func:`~repro.obs.sinks.read_jsonl` replays — through the
 Triggers, each naming the ``reason`` tag of its dump: a refuted run
 (``check.violation``: ``violation``), shed load (``server.busy``: ``busy``),
 a finished graceful shutdown (``server.drain``: ``drain``, the run's
-terminal snapshot), and a ``server.request`` admitted at or above
-``queue_high_water`` depth (``queue-high-water``).
+terminal snapshot), and a ``server.request`` one of whose rows was
+admitted at or above ``queue_high_water`` depth (``queue-high-water``).
 
 Dump files are named ``flight-<NNN>-<reason>.jsonl`` (a per-recorder
 sequence number, no wall clock) and begin with a synthetic
@@ -32,12 +32,15 @@ import re
 from typing import Any, Dict, List, Optional, Tuple
 
 from .codec import encode_event
-from .events import TraceEvent
+from .events import REQUEST_ROW, TraceEvent
 from .sinks import RingBufferSink
 
 __all__ = ["FlightRecorder"]
 
 _REASON_SAFE = re.compile(r"[^a-zA-Z0-9_-]+")
+
+#: Where a ``server.request`` row keeps its queue depth.
+_DEPTH = REQUEST_ROW.index("queue_depth")
 
 #: Event kinds that unconditionally trigger a dump, mapped to reasons.
 _TRIGGER_KINDS = {
@@ -105,9 +108,12 @@ class FlightRecorder:
     def _watch(self, event: TraceEvent) -> None:
         """Dump when this watched event fires its trigger."""
         reason = _TRIGGER_KINDS.get(event.kind)
-        if reason is None:  # server.request: the queue trigger
-            depth = event.data.get("queue_depth") or 0
-            if depth < self.queue_high_water:
+        if reason is None:  # server.request: the queue trigger, on any row
+            high_water = self.queue_high_water
+            for row in event.data["requests"]:
+                if (row[_DEPTH] or 0) >= high_water:
+                    break
+            else:
                 return
             reason = "queue-high-water"
         self.dump(reason, ts=event.ts)

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .events import EVENT_PAYLOADS, TraceEvent
+from .events import REPLY_ROW, REQUEST_ROW, TraceEvent
 from .spans import PHASES
 
 __all__ = [
@@ -301,8 +301,13 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
     return "\n".join(lines) + "\n"
 
 
-#: The phases a ``server.respond`` can carry.
-_RESPOND_PHASES = tuple(p for p in PHASES if p in EVENT_PAYLOADS["server.respond"])
+#: Where a request row keeps what the registry folds.
+_SENT, _SHARD, _DEPTH, _ACTION = map(
+    REQUEST_ROW.index, ("sent", "shard", "queue_depth", "action")
+)
+#: A reply row's shard, and ``(phase, position)`` of each phase it carries.
+_REPLY_SHARD = REPLY_ROW.index("shard")
+_REPLY_PHASES = tuple((p, REPLY_ROW.index(p)) for p in PHASES if p in REPLY_ROW)
 
 
 class _Bound(dict):
@@ -371,7 +376,7 @@ class RegistrySink:
             "server.connect": self._connection("server.connections_opened", 1),
             "server.disconnect": self._connection("server.connections_closed", -1),
             "server.request": self._server_request,
-            "server.busy": self._server_request,
+            "server.busy": self._server_busy,
             "server.respond": self._server_respond,
             "server.drain": count("server.drains"),
             "flight.dump": count("flight.dumps"),
@@ -439,39 +444,57 @@ class RegistrySink:
 
         return handler
 
-    def _server_request(self, event: TraceEvent) -> None:
-        """One parsed request: its client→server leg, the queue it was
-        bound for (none: answered inline), its action or BUSY refusal."""
-        data = event.data
-        counters = self._counters
-        counters["server.decoded"].value += 1
-        sent = data.get("sent")
-        if sent is not None:
-            self._phases["client"].observe(max(0.0, event.ts - sent))
-        shard = data.get("shard")
-        if shard is not None:
-            depth = data.get("queue_depth")
-            self._gauges["server.queue_depth"].value = depth
-            self._shard_depths[shard].value = depth
-        if event.kind == "server.busy":
-            counters["server.busy"].value += 1
-        elif shard is not None:
-            counters["server.requests"].value += 1
-            action = data.get("action")
-            if action:
-                self._request_actions[action].value += 1
-
-    def _server_respond(self, event: TraceEvent) -> None:
-        data = event.data
-        phases = self._phases
-        self._counters["server.responses"].value += 1
-        for phase in _RESPOND_PHASES:  # Histogram.observe, inline
-            if phase in data:
-                histogram = phases[phase]
-                value = data[phase]
+    def _server_request(self, event: TraceEvent, busy: bool = False) -> None:
+        """Parsed requests, a row each: the client→server leg, the queue
+        each was bound for (none: answered inline), its action or BUSY
+        refusal.  ``Histogram.observe``, inline."""
+        ts = event.ts
+        counters, phases = self._counters, self._phases
+        decoded = counters["server.decoded"]
+        for row in event.data["requests"]:
+            decoded.value += 1
+            sent = row[_SENT]
+            if sent is not None:
+                histogram = phases["client"]
+                value = ts - sent
+                if value < 0.0:
+                    value = 0.0
                 histogram.counts[bisect_left(histogram.boundaries, value)] += 1
                 histogram.total += 1
                 histogram.sum += value
-        shard = data.get("shard")
-        if shard is not None:
-            self._shard_responses[shard].value += 1
+            shard = row[_SHARD]
+            if shard is not None:
+                depth = row[_DEPTH]
+                self._gauges["server.queue_depth"].value = depth
+                self._shard_depths[shard].value = depth
+            if busy:
+                counters["server.busy"].value += 1
+            elif shard is not None:
+                counters["server.requests"].value += 1
+                action = row[_ACTION]
+                if action:
+                    self._request_actions[action].value += 1
+
+    def _server_busy(self, event: TraceEvent) -> None:
+        """A BUSY refusal: one flat event, folded as a one-row batch."""
+        data = event.data
+        row = tuple(map(data.get, REQUEST_ROW))
+        batch = TraceEvent(event.ts, event.kind, {"requests": (row,)})
+        self._server_request(batch, busy=True)
+
+    def _server_respond(self, event: TraceEvent) -> None:
+        """Answered requests, a row each: their phases and shard."""
+        counters, phases = self._counters, self._phases
+        responses = counters["server.responses"]
+        for row in event.data["replies"]:
+            responses.value += 1
+            for phase, position in _REPLY_PHASES:  # Histogram.observe, inline
+                value = row[position]
+                if value is not None:
+                    histogram = phases[phase]
+                    histogram.counts[bisect_left(histogram.boundaries, value)] += 1
+                    histogram.total += 1
+                    histogram.sum += value
+            shard = row[_REPLY_SHARD]
+            if shard is not None:
+                self._shard_responses[shard].value += 1

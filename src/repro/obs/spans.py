@@ -7,14 +7,16 @@ go?" and "who blocked it?" are decided; the critical path, the
 contention table and ``repro analyze`` only fold spans.
 
 **Phases.**  :data:`PHASES` names a served transaction's time, in wall
-order: ``client`` (send → admission, from a request's ``sent`` stamp),
-``queue`` / ``execute`` / ``respond`` (the ``server.respond`` payload
-keys of the same names), and ``lock-wait`` (the blocked tally below).
+order: ``client`` (send → admission, from a request's ``sent`` stamp to
+its ``server.request``), ``queue`` / ``execute`` / ``respond`` (the
+``server.respond`` row fields of the same names), and ``lock-wait`` (the
+blocked tally below).
 :meth:`Span.budget` reads them; a new phase is one entry here plus one
 key at its emit site.
 
 **Intervals.**  While a span is open, each event naming its transaction
-— wire events included — ends the interval since the previous one:
+— wire events included, a batched one through each row naming it — ends
+the interval since the previous one:
 
 * **executing** if it is an accepted ``txn.invoke`` / ``txn.respond``
   (the machine did work);
@@ -39,9 +41,9 @@ reopening the span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from .events import TraceEvent
+from .events import TraceEvent, wire_rows
 
 __all__ = [
     "BLOCKED_KINDS",
@@ -65,7 +67,7 @@ _TERMINAL_KINDS = frozenset({"txn.commit", "txn.abort"})
 #: transaction has not been refused on a named pair before.
 _UNNAMED_BLOCKER = ("?", "(wait)/(unknown holder)", "wait")
 
-#: Serving-tier kinds the span builder *consumes*: they carry the
+#: Serving-tier kinds the span builder *consumes*: their rows carry the
 #: client's trace context and the per-request phase split, and end an
 #: open span's interval like any other event (never entering the kinds
 #: list — they are wire bookkeeping, not history events).
@@ -216,18 +218,19 @@ class SpanBuilder:
         #: Pre-begin spans dropped because the stash was full.
         self.pending_evicted = 0
 
-    def _interval(self, span: Span, event: TraceEvent) -> float:
+    def _interval(self, span: Span, ts: float) -> float:
         """The time since the open ``span``'s previous event (its begin,
-        or none before the first); ``event`` becomes the new anchor."""
+        or none before the first); ``ts`` becomes the new anchor."""
         transaction = span.transaction
         anchor = self._last_ts.get(
-            transaction, span.begin_ts if span.begin_ts is not None else event.ts
+            transaction, span.begin_ts if span.begin_ts is not None else ts
         )
-        self._last_ts[transaction] = event.ts
-        return max(0.0, event.ts - anchor)
+        self._last_ts[transaction] = ts
+        return max(0.0, ts - anchor)
 
-    def _fold_wire(self, event: TraceEvent, transaction: str) -> None:
-        """Fold a ``server.request``/``server.busy``/``server.respond``.
+    def _fold_wire(self, event: TraceEvent) -> None:
+        """Fold a ``server.request``/``server.busy``/``server.respond``,
+        each request's row into its transaction's span.
 
         Wire events bracket the machine's own event window: the first
         request arrives before ``txn.begin``, the commit's respond after
@@ -235,9 +238,19 @@ class SpanBuilder:
         into whichever span exists — open, already completed, or a
         pre-begin stash; only an open span's interval split sees them.
         """
+        admitted = event.kind != "server.respond"  # or refused BUSY
+        for data in wire_rows(event):
+            transaction = data.get("transaction")
+            if transaction is not None:
+                self._fold_row(event.ts, data, transaction, admitted)
+
+    def _fold_row(
+        self, ts: float, data: Mapping[str, Any], transaction: str, admitted: bool
+    ) -> None:
+        """One request's wire row, seen at ``ts``."""
         span = self.open.get(transaction)
         if span is not None:
-            span.queued += self._interval(span, event)
+            span.queued += self._interval(span, ts)
         else:
             span = self._done.get(transaction) or self._pending.get(transaction)
             if span is None:
@@ -245,15 +258,14 @@ class SpanBuilder:
                     self._pending.pop(next(iter(self._pending)))
                     self.pending_evicted += 1
                 span = self._pending[transaction] = Span(transaction=transaction)
-        data = event.data
         trace = data.get("trace")
         if trace is not None:
             span.trace = trace
         phases = span.phases
-        if event.kind != "server.respond":  # admitted, or refused BUSY
+        if admitted:
             sent = data.get("sent")
             if sent is not None:
-                phases["client"] = phases.get("client", 0.0) + max(0.0, event.ts - sent)
+                phases["client"] = phases.get("client", 0.0) + max(0.0, ts - sent)
         else:
             for phase in PHASES:
                 value = data.get(phase)
@@ -262,13 +274,13 @@ class SpanBuilder:
 
     def __call__(self, event: TraceEvent) -> None:
         kind = event.kind
+        if kind in WIRE_SPAN_KINDS:
+            self._fold_wire(event)
+            return
         if kind in SPAN_IRRELEVANT_KINDS:
             return
         transaction = event.data.get("transaction")
         if transaction is None or kind.startswith(("wal.", "net.")):
-            return
-        if kind in WIRE_SPAN_KINDS:
-            self._fold_wire(event, transaction)
             return
         done = self._done.get(transaction)
         if done is not None:
@@ -284,7 +296,7 @@ class SpanBuilder:
             span.begin_ts = self._last_ts[transaction] = event.ts
             span.read_only = bool(event.data.get("read_only"))
         else:
-            interval = self._interval(span, event)
+            interval = self._interval(span, event.ts)
             if kind in _EXECUTING_KINDS:
                 span.executing += interval
             elif kind in BLOCKED_KINDS:

@@ -23,12 +23,13 @@ admission or a multi-shard completion (the run is kicked first), after
 frames route by the catalog it fills), and at the end of the read.  A
 non-blocking shard takes a run as one batch, each request starting at
 its own admission stamp, so replies to a connection leave in request
-order (a parked request's excepted); a blocking shard's worker is woken
-once per run.  Objects are sharded by a stable CRC32 of their name; a
-transaction is pinned to the shard of the first object it touches (its
-*primary*), its :class:`~repro.server.session.TxnRecord` lists every
-shard it touched, and shard *i* of *W* mints only timestamps ≡ *i* (mod
-*W*), so a merged trace still certifies.  Whatever the transport, a
+order (a parked request's excepted); a blocking shard's kick schedules
+one post per loop turn, which takes what its FIFO holds then.  Objects
+are sharded by a stable CRC32 of their name; a transaction is pinned to
+the shard of the first object it touches (its *primary*), its
+:class:`~repro.server.session.TxnRecord` lists every shard it touched,
+and shard *i* of *W* mints only timestamps ≡ *i* (mod *W*), so a merged
+trace still certifies.  Whatever the transport, a
 shard call is :meth:`ServerCore.take` (pop a batch, ending it at a
 completion that has waiters), the call, and :meth:`ServerCore.settle`
 (a reply per request, but no second decision for one whose handle closed
@@ -58,6 +59,12 @@ and what they left parked or queued — and every
 request but a ``create`` queued for a dead shard — never runs: it
 answers ``SHUTTING_DOWN``, ``SHARD_DOWN`` or, for a lost connection,
 nothing.
+
+Telemetry is per batch: each admitted request adds a row to the next
+``server.request``, emitted before each run's kick (so it precedes the
+``txn.*`` events the run causes), before a round starts, ahead of a
+``server.busy`` and at the end of the read; :meth:`ServerCore.responded`
+emits one ``server.respond`` per write of the shell, a row per reply.
 """
 
 from __future__ import annotations
@@ -202,7 +209,15 @@ class ServerCore:
         #: Round procedures in flight (2PCs, resolutions).
         self.rounds = 0
         self.dirty: List[Channel] = []
+        #: The replies written since the last ``server.respond``: their
+        #: rows but the ``respond`` phase, and when they were executed.
         self.answered: List[Tuple[Any, ...]] = []
+        #: The rows (``obs.events.REQUEST_ROW``) of the requests admitted
+        #: since the last ``server.request``.  Rows and their batch are
+        #: tuples: the garbage collector stops tracking a tuple of scalars,
+        #: and the flight ring keeps 2,048 events alive, where a list would
+        #: stay tracked.
+        self._requests: Tuple[Tuple[Any, ...], ...] = ()
         #: The shell's clock at the entry point being applied.
         self.now = 0.0
         self.started_at: Optional[float] = None
@@ -258,7 +273,8 @@ class ServerCore:
 
     def feed(self, channel: Channel, data: bytes, now: float) -> bool:
         """Admit every frame one read completed, in arrival order, kicking
-        a shard once per run of them; True when the stream hit a framing
+        a shard once per run of them and announcing what each run admitted
+        in one ``server.request``; True when the stream hit a framing
         violation (answered, and then the connection must be closed: its
         offset is unrecoverable)."""
         self.now = now
@@ -274,17 +290,21 @@ class ServerCore:
                 routed = self._admit(channel, body)
                 if type(routed) is not tuple:
                     if run:
-                        self._kick_run(shard)  # its replies leave first
+                        self._announce(shard)  # its replies leave first
                         run = 0
                     if type(routed) is bytes:
-                        self._send(channel, routed)
+                        out = channel.out  # _send, inlined on the hot path
+                        if not out:
+                            self.dirty.append(channel)
+                        out.append(routed)
                     else:  # a multi-shard completion's round
+                        self._announce()
                         self._start(routed)
                         self._dispatch()
                     continue
                 ops, request, index = routed
                 if run and index != shard:
-                    self._kick_run(shard)
+                    self._announce(shard)
                     run = 0
                 # The admission stamp: where its queue phase begins, or
                 # its execute phase when its run is taken as admitted.
@@ -294,17 +314,16 @@ class ServerCore:
                 shard = index
                 run += 1
                 if run >= limit or request.action == "create":
-                    self._kick_run(index)
+                    self._announce(index)
                     run = 0
         except FrameError as exc:
             # The frames this read completed before it keep their answers.
-            if run:
-                self._kick_run(shard)
+            self._announce(shard if run else None)
             self.stats["errors"] += 1
             self._send(channel, error_frame(None, exc.code, exc.message))
             return True
-        if run:
-            self._kick_run(shard)
+        if run or self._requests:
+            self._announce(shard if run else None)
         return False
 
     def take(self, index: int) -> List[Dict[str, Any]]:
@@ -408,25 +427,28 @@ class ServerCore:
         return next(iter(parked.values())).deadline if parked else None
 
     def responded(self) -> None:
-        """Emit ``server.respond`` for the replies answered since the last
-        call, stamped now — after the shell's write, so a reply's
-        ``respond`` phase includes its wait for its batch-mates and the
-        three phases sum to the request's residence in the server."""
+        """Emit one ``server.respond`` for the replies answered since the
+        last call, a row each, stamped now — after the shell's write, so a
+        reply's ``respond`` phase includes its wait for its batch-mates and
+        the three phases sum to the request's residence in the server."""
         tracer = self.tracer
         responded = tracer.clock()
+        replies: Tuple[Tuple[Any, ...], ...] = ()  # a tuple: see _requests
         for session, request, worker, queued, executing, done in self.answered:
-            tracer.emit(
-                "server.respond",
-                session=session.name,
-                action=request.action,
-                trace=request.trace_id,
-                transaction=request.params.get("transaction"),
-                shard=worker,
-                queue=queued,
-                execute=executing,
-                respond=max(0.0, responded - done),
+            replies += (
+                (
+                    session.name,
+                    request.action,
+                    request.trace_id,
+                    request.params.get("transaction"),
+                    worker,
+                    queued,
+                    executing,
+                    max(0.0, responded - done),
+                ),
             )
         self.answered.clear()
+        tracer.emit("server.respond", replies=replies)
 
     # -- queues and replies --------------------------------------------
 
@@ -446,12 +468,19 @@ class ServerCore:
         else:
             self.pending[index].append(item)
 
-    def _kick_run(self, index: int) -> None:
-        """Kick shard ``index`` for the run just gathered on its FIFO; a
-        non-blocking shard takes it right here, as it was admitted."""
-        self._as_admitted = True
-        self.kick(index)
-        self._as_admitted = False
+    def _announce(self, kick: Optional[int] = None) -> None:
+        """Emit the rows admitted since the last call as one
+        ``server.request`` (none: nothing); then, given ``kick``, kick that
+        shard for the run just gathered on its FIFO — a non-blocking shard
+        takes it right here, as it was admitted."""
+        requests = self._requests
+        if requests:
+            self._requests = ()
+            self.tracer.emit("server.request", requests=requests)
+        if kick is not None:
+            self._as_admitted = True
+            self.kick(kick)
+            self._as_admitted = False
 
     def _dispatch(self) -> None:
         """Kick every shard with work — but one whose batch is out: its
@@ -468,10 +497,10 @@ class ServerCore:
         """Admit one decoded frame: the reply frame when it can be
         answered here (pure bookkeeping or a refusal, no shard involved),
         else its plan (:meth:`_plan`) on the shard it routes to.  Every
-        parsed request leaves one event — ``server.request`` with the
+        parsed request leaves a row of the next ``server.request`` — the
         shard it went to (None when answered here) and the FIFO length it
-        found, or ``server.busy`` — carrying the client's trace context:
-        its ``sent`` stamp against the event's own ``ts`` is the
+        found — or one ``server.busy``, carrying the client's trace
+        context: its ``sent`` stamp against the event's ``ts`` is the
         client→server leg of the end-to-end span."""
         try:
             request = parse_request(body)
@@ -489,6 +518,7 @@ class ServerCore:
             if depth >= self.queue_limit:
                 self.stats["busy"] += 1
                 if tracer is not None:
+                    self._announce()  # what was admitted before it
                     tracer.emit(
                         "server.busy",
                         session=session.name,
@@ -508,15 +538,16 @@ class ServerCore:
             self.stats["requests"] += 1
             routed = self._plan(channel, request, worker)
         if tracer is not None:
-            tracer.emit(
-                "server.request",
-                session=session.name,
-                action=request.action,
-                trace=request.trace_id,
-                sent=request.sent,
-                transaction=request.params.get("transaction"),
-                shard=worker,
-                queue_depth=depth,
+            self._requests += (
+                (
+                    session.name,
+                    request.action,
+                    request.trace_id,
+                    request.sent,
+                    request.params.get("transaction"),
+                    worker,
+                    depth,
+                ),
             )
         return routed
 

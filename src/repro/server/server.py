@@ -99,11 +99,12 @@ class ReproServer:
         wire or via :meth:`create_object` (default ``hybrid``).
     tracer:
         Optional :class:`~repro.obs.TraceBus`; the server emits
-        ``server.*`` events (one ``server.request`` or ``server.busy``
-        per parsed request, one ``server.respond`` per shard-executed
-        one) and local shards the usual ``txn.*`` / ``lock.*`` /
-        ``obj.create`` stream through it, so a served run is certifiable
-        end-to-end by the :class:`AtomicityChecker`.  ``stats`` reports
+        ``server.*`` events (a ``server.request`` row or a ``server.busy``
+        per parsed request, a ``server.respond`` row per shard-executed
+        one, batched per run of a read and per write) and local shards
+        the usual ``txn.*`` / ``lock.*`` / ``obj.create`` stream through
+        it, so a served run is certifiable end-to-end by the
+        :class:`AtomicityChecker`.  ``stats`` reports
         how many of its sinks failed and were detached.
     drain_grace:
         Seconds :meth:`drain` waits for in-flight transactions before
@@ -377,7 +378,7 @@ class ReproServer:
 
     def _flush(self) -> None:
         """One write per connection with replies (dropped for one already
-        closing), their ``server.respond`` events, the timer re-armed."""
+        closing), their ``server.respond``, the timer re-armed."""
         core = self.core
         dirty = core.dirty
         for connection in dirty:

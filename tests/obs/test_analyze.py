@@ -13,13 +13,14 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.obs.analyze import render_postmortem
+from tests.rows import admitted, answered
 
 
 def served_transaction(bus, clock, name, trace, shard=0, slow=0.0):
     """One wire-served committed transaction with a full phase split."""
     clock[0] += 0.001
-    bus.emit(
-        "server.request",
+    admitted(
+        bus,
         session="s1",
         action="invoke",
         trace=trace,
@@ -33,8 +34,8 @@ def served_transaction(bus, clock, name, trace, shard=0, slow=0.0):
     bus.emit("txn.invoke", transaction=name, obj="A", operation="Enq")
     bus.emit("txn.respond", transaction=name, obj="A", result="ok")
     bus.emit("txn.commit", transaction=name, timestamp=clock[0])
-    bus.emit(
-        "server.respond",
+    answered(
+        bus,
         session="s1",
         action="commit",
         trace=trace,

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.obs import FlightRecorder, TraceBus, read_jsonl
+from tests.rows import admitted, request
 
 
 def make_bus(clock_box):
@@ -71,9 +72,22 @@ class TestRingAndTriggers:
         flight = bus.subscribe(
             FlightRecorder(str(tmp_path), queue_high_water=4)
         )
-        bus.emit("server.request", session="s1", action="invoke", queue_depth=3)
+        admitted(bus, session="s1", action="invoke", queue_depth=3)
         assert flight.dumps == []
-        bus.emit("server.request", session="s1", action="invoke", queue_depth=4)
+        admitted(bus, session="s1", action="invoke", queue_depth=4)
+        assert flight.last_reason == "queue-high-water"
+
+    def test_queue_high_water_fires_on_any_row_of_a_batch(self, tmp_path):
+        clock = [0.0]
+        bus = make_bus(clock)
+        flight = bus.subscribe(
+            FlightRecorder(str(tmp_path), queue_high_water=4)
+        )
+        rows = [request(session="s1", queue_depth=depth) for depth in (0, 1, 2, 3)]
+        bus.emit("server.request", requests=rows)
+        assert flight.dumps == []
+        rows = [request(session="s1", queue_depth=depth) for depth in (3, 4, 0)]
+        bus.emit("server.request", requests=rows)
         assert flight.last_reason == "queue-high-water"
 
     def test_cooldown_separates_consecutive_dumps(self, tmp_path):

@@ -17,6 +17,7 @@ from repro.obs import (
 from repro.obs.analyze import gating_phase
 from repro.obs.spans import PHASES, Span
 from repro.sim import AccountWorkload, ClientParams, run_experiment
+from tests.rows import admitted, answered
 
 
 def span(client=0.0, queue=0.0, execute=0.0, respond=0.0, blocked=0.0):
@@ -196,13 +197,13 @@ def served_refusal():
     events = []
     bus.subscribe(events.append)
     request = dict(session="s1", action="invoke", trace="c1-1", shard=0, queue_depth=0)
-    bus.emit("server.request", transaction="T1", sent=8.9, **request)
+    admitted(bus, transaction="T1", sent=8.9, **request)
     bus.emit("txn.begin", transaction="T1")
     bus.emit("txn.invoke", transaction="T1", obj="A", operation="Debit", args=(1,))
     bus.emit("txn.respond", transaction="T1", obj="A", result="Ok")
     respond = dict(session="s1", action="invoke", trace="c1-1", shard=0)
-    bus.emit("server.respond", transaction="T1", queue=0.0, execute=0.5, respond=0.5, **respond)
-    bus.emit("server.request", transaction="T1", sent=11.9, **request)
+    answered(bus, transaction="T1", queue=0.0, execute=0.5, respond=0.5, **respond)
+    admitted(bus, transaction="T1", sent=11.9, **request)
     bus.emit(
         "lock.conflict",
         transaction="T1",
@@ -212,7 +213,7 @@ def served_refusal():
         held="Debit(1)",
         relation="account",
     )
-    bus.emit("server.respond", transaction="T1", queue=0.0, execute=0.001, respond=0.499, **respond)
+    answered(bus, transaction="T1", queue=0.0, execute=0.001, respond=0.499, **respond)
     bus.emit("txn.abort", transaction="T1")
     return events
 
@@ -268,8 +269,8 @@ class TestBenchReplayAgreement:
         ticks = iter([1.0, 1.0, 2.0, 3.0, 4.0])
         bus = TraceBus(clock=lambda: next(ticks))
         builder = bus.subscribe(SpanBuilder())
-        bus.emit(
-            "server.request",
+        admitted(
+            bus,
             session="s1",
             action="invoke",
             trace="c1",
@@ -281,8 +282,8 @@ class TestBenchReplayAgreement:
         bus.emit("txn.begin", transaction="T1")
         bus.emit("txn.invoke", transaction="T1", obj="A", operation="Credit(1)")
         bus.emit("txn.commit", transaction="T1", timestamp=1)
-        bus.emit(
-            "server.respond",
+        answered(
+            bus,
             session="s1",
             action="commit",
             trace="c1",
@@ -299,7 +300,7 @@ class TestBenchReplayAgreement:
     def test_the_four_phase_medians_the_served_benchmark_reads(self):
         # The frozen benchmark reads exactly these four p50s, in µs, off
         # critical_path(SpanBuilder(trace).committed(), scale=1e6): the
-        # server.respond payload keys are the phase names it relies on.
+        # server.respond row fields are the phase names it relies on.
         builder = SpanBuilder()
         for event in served_refusal():
             builder(event)
@@ -307,13 +308,13 @@ class TestBenchReplayAgreement:
         bus = TraceBus(clock=lambda: next(ticks))
         bus.subscribe(builder)
         request = dict(session="s2", action="invoke", trace="c2-1", shard=0, queue_depth=0)
-        bus.emit("server.request", transaction="T2", sent=19.0, **request)
+        admitted(bus, transaction="T2", sent=19.0, **request)
         bus.emit("txn.begin", transaction="T2")
         bus.emit("txn.invoke", transaction="T2", obj="A", operation="Credit", args=(1,))
         bus.emit("txn.respond", transaction="T2", obj="A", result="Ok")
         bus.emit("txn.commit", transaction="T2", timestamp=1)
-        bus.emit(
-            "server.respond",
+        answered(
+            bus,
             session="s2",
             action="commit",
             trace="c2-1",

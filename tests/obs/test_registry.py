@@ -14,6 +14,7 @@ from repro.obs import (
     TraceBus,
 )
 from repro.sim.metrics import Metrics
+from tests.rows import reply, request
 
 
 class TestPrimitives:
@@ -225,24 +226,33 @@ class TestPrometheusRender:
         assert render_prometheus(rebuilt) == render_prometheus(registry)
 
 
-def _admitted(ts, session, action, transaction, shard, depth, trace=None, sent=None):
-    """A ``server.request`` (``shard=None``: answered at admission)."""
+def _row(session, action, transaction, shard, depth, trace=None, sent=None):
+    """One admitted request's row (``shard=None``: answered at admission)."""
     payload = dict(session=session, action=action, trace=trace, sent=sent)
     payload.update(transaction=transaction, shard=shard, queue_depth=depth)
-    return ts, "server.request", payload
+    return payload
 
 
-def _refused(*args, **kwargs):
-    """The same request, refused BUSY."""
-    ts, _, payload = _admitted(*args, **kwargs)
-    return ts, "server.busy", payload
+def _admitted(ts, *args, **kwargs):
+    """A one-row ``server.request``."""
+    return ts, "server.request", {"requests": [request(**_row(*args, **kwargs))]}
+
+
+def _batch(ts, *rows):
+    """A ``server.request`` of several rows, each ``_row``'s arguments."""
+    return ts, "server.request", {"requests": [request(**_row(*row)) for row in rows]}
+
+
+def _refused(ts, *args, **kwargs):
+    """The same request, refused BUSY: one flat event."""
+    return ts, "server.busy", _row(*args, **kwargs)
 
 
 def _answered(ts, session, action, transaction, shard, *phases, trace=None):
     payload = dict(session=session, action=action, trace=trace)
     payload.update(transaction=transaction, shard=shard)
     payload.update(zip(("queue", "execute", "respond"), phases))
-    return ts, "server.respond", payload
+    return ts, "server.respond", {"replies": [reply(**payload)]}
 
 
 def _operation(ts, transaction, obj, operation, *args):
@@ -267,12 +277,16 @@ def _advance(ts, obj, transaction, horizon, collapsed):
 #: transaction on shard 0; on shard 1 a transaction refused by a
 #: ``lock.conflict`` and aborted, whose retry is refused on a different
 #: operation pair and by a ``lock.block`` before it commits; a BUSY; a
-#: routing refusal; connect / disconnect.
+#: routing refusal; connect / disconnect.  Two reads admit two requests
+#: each, in one ``server.request``.
 SERVED_STREAM = [
     (0.0, "server.connect", {"session": "s1", "peer": "10.0.0.1:1"}),
     (0.0, "server.connect", {"session": "s2", "peer": "10.0.0.2:2"}),
-    _admitted(1.0, "s1", "begin", None, None, 0, trace="c1-1", sent=0.5),
-    _admitted(1.0, "s2", "begin", None, None, 0),
+    _batch(
+        1.0,
+        ("s1", "begin", None, None, 0, "c1-1", 0.5),
+        ("s2", "begin", None, None, 0),
+    ),
     _admitted(2.0, "s1", "invoke", "s1.t1", 0, 0, trace="c1-2", sent=1.75),
     (2.0, "txn.begin", {"transaction": "s1.t1", "read_only": False}),
     *_operation(2.25, "s1.t1", "A", "Credit", 5),
@@ -290,8 +304,11 @@ SERVED_STREAM = [
     _advance(8.5, "A", "s1.t1", 2, 2),
     _answered(9.0, "s1", "commit", "s1.t1", 0, 0.0, 0.5, 0.5, trace="c1-4"),
     _refused(9.0, "s2", "invoke", "s2.t2", 1, 64, trace="c2-9", sent=8.0),
-    _admitted(10.0, "s2", "invoke", "s2.t2", 1, 2),
-    _admitted(10.0, "s1", "invoke", "s1.t9", None, 0, trace="c1-5", sent=9.75),
+    _batch(
+        10.0,
+        ("s2", "invoke", "s2.t2", 1, 2),
+        ("s1", "invoke", "s1.t9", None, 0, "c1-5", 9.75),
+    ),
     (11.0, "txn.begin", {"transaction": "s2.t2", "read_only": False}),
     (11.0, "txn.begin", {"transaction": "s1.t2", "read_only": False}),
     *_operation(12.0, "s1.t2", "B", "Post", 1),

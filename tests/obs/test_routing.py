@@ -24,7 +24,7 @@ from repro.obs import (
     TraceBus,
     TraceEvent,
 )
-from repro.obs.events import EVENT_PAYLOADS
+from repro.obs.events import EVENT_PAYLOADS, REPLY_ROW, REQUEST_ROW
 
 UNKNOWN_KIND = "no.such.kind"
 HIGH_WATER = 8
@@ -45,9 +45,20 @@ _VALUES = {
 _ANY = st.none() | st.integers(-2, 5) | st.sampled_from(["x", "Credit", "Ok"])
 
 
+def rows(layout):
+    """Batched wire rows: a few tuples of ``layout``'s fields."""
+    fields = st.tuples(*(_VALUES.get(key, _ANY) for key in layout))
+    return st.lists(fields, min_size=1, max_size=4)
+
+
+#: The keys a kind's handlers always read.
+_ROWS = {"requests": rows(REQUEST_ROW), "replies": rows(REPLY_ROW)}
+
+
 def payloads(kind):
     keys = EVENT_PAYLOADS.get(kind, frozenset({"transaction", "obj"}))
     required = {"transaction": _VALUES["transaction"]} if "transaction" in keys else {}
+    required.update((key, _ROWS[key]) for key in keys if key in _ROWS)
     optional = {key: _VALUES.get(key, _ANY) for key in keys if key not in required}
     return st.fixed_dictionaries(required, optional=optional)
 

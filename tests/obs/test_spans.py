@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import SpanBuilder, TraceBus
+from tests.rows import admitted, reply, request
 
 
 def make_bus(clock_values):
@@ -105,8 +106,8 @@ class TestPendingBound:
         bus = TraceBus(clock=lambda: ticks.pop(0))
         builder = bus.subscribe(SpanBuilder(pending_limit=3))
         for index in range(5):
-            bus.emit(
-                "server.request",
+            admitted(
+                bus,
                 session="s1",
                 action="invoke",
                 trace=f"c{index}",
@@ -126,8 +127,8 @@ class TestPendingBound:
         bus = TraceBus(clock=lambda: ticks.pop(0))
         builder = bus.subscribe(SpanBuilder(pending_limit=2))
         for index in range(3):
-            bus.emit(
-                "server.request",
+            admitted(
+                bus,
                 session="s1",
                 action="invoke",
                 trace=f"c{index}",
@@ -143,3 +144,39 @@ class TestPendingBound:
         assert span.trace == "c2"
         assert span.phases["client"] == pytest.approx(2.0)
         assert "T2" not in builder._pending
+
+
+class TestWireRows:
+    def test_each_row_of_a_batch_folds_into_its_own_span(self):
+        # One read admitted three requests of two transactions and their
+        # replies left in one write: each row reaches its transaction's
+        # span, the event's ``ts`` ending every row's client leg.
+        ticks = iter([0.0, 0.0, 1.0, 2.0, 2.0, 3.0])
+        bus = TraceBus(clock=lambda: next(ticks))
+        builder = bus.subscribe(SpanBuilder())
+        bus.emit("txn.begin", transaction="T1")
+        bus.emit("txn.begin", transaction="T2")
+        rows = [
+            request(trace="c1", sent=0.5, transaction="T1", shard=0),
+            request(trace="c2", sent=0.5, transaction="T2", shard=0),
+            request(trace="c3", sent=0.75, transaction="T1", shard=0),
+            request(action="ping", sent=0.0),
+        ]
+        bus.emit("server.request", requests=rows)
+        bus.emit("txn.commit", transaction="T1", timestamp=1)
+        bus.emit("txn.commit", transaction="T2", timestamp=2)
+        replies = [
+            reply(trace="c3", transaction="T1", queue=0.0, execute=0.5, respond=0.25),
+            reply(trace="c2", transaction="T2", queue=0.125, execute=1.0, respond=0.5),
+        ]
+        bus.emit("server.respond", replies=replies)
+        first, second = builder.spans  # the ping's row names no transaction
+        assert (first.trace, second.trace) == ("c3", "c2")
+        assert first.phases == {
+            "client": 0.5 + 0.25, "queue": 0.0, "execute": 0.5, "respond": 0.25,
+        }
+        assert second.phases == {
+            "client": 0.5, "queue": 0.125, "execute": 1.0, "respond": 0.5,
+        }
+        # Begin → batch → commit: the batch's ts cut each span's time.
+        assert first.queued == second.queued == pytest.approx(1.0 + 1.0)

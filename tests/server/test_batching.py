@@ -16,7 +16,7 @@ import itertools
 
 import pytest
 
-from repro.obs import TraceBus
+from repro.obs import TraceBus, wire_rows
 from repro.server import (
     AsyncClient,
     ReproServer,
@@ -350,7 +350,7 @@ class TestProcessShards:
         stats = driven.core.stats
         assert stats["busy"] == 0 and not [e for e in events if e.kind == "server.busy"]
         # 2 + k invokes and k + 1 commits, each answered once.
-        kinds = [(e.kind, e.data) for e in events]
+        kinds = [(e.kind, row) for e in events for row in wire_rows(e)]
         requests = [d for kind, d in kinds if kind == "server.request"]
         routed = [d for d in requests if d["shard"] is not None]
         responds = [d for kind, d in kinds if kind == "server.respond"]
@@ -386,24 +386,26 @@ def test_respond_phases_sum_to_the_residence_in_the_server(transport, serve_over
         return written_at
 
     (written_at,) = asyncio.run(scenario())
-    requests = [
+    (admitted,) = [
         event
         for event in events
-        if event.kind == "server.request" and event.data["shard"] is not None
+        if event.kind == "server.request" and wire_rows(event)[0]["shard"] is not None
     ]
-    responds = [event for event in events if event.kind == "server.respond"]
+    requests = wire_rows(admitted)
+    (answered,) = [event for event in events if event.kind == "server.respond"]
+    responds = wire_rows(answered)
     assert len(requests) == len(responds) == 3
-    # One read after the write stamps all three; the events follow it.
-    responded = responds[0].ts - 1
+    # One read after the write stamps all three; the event follows it.
+    responded = answered.ts - 1
     assert responded == written_at + 1
     for place, (request, respond) in enumerate(zip(requests, responds)):
-        phases = [respond.data[key] for key in ("queue", "execute", "respond")]
-        # Admission is the first clock read after the request's event.
-        assert sum(phases) == responded - (request.ts + 1)
+        phases = [respond[key] for key in ("queue", "execute", "respond")]
+        # Each admission is a clock read; the run's event is the next one.
+        assert sum(phases) == responded - (admitted.ts - len(requests) + place)
         assert all(phase >= 0 for phase in phases)
         if transport == "process":
-            assert respond.data["queue"] > 0      # waited for the post
+            assert respond["queue"] > 0      # waited for the post
         else:
-            assert respond.data["queue"] == 0     # taken as admitted
+            assert respond["queue"] == 0     # taken as admitted
             # Its place in the run the read's three invokes make.
-            assert request.data["queue_depth"] == place
+            assert request["queue_depth"] == place

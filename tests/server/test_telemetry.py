@@ -17,6 +17,7 @@ against real sockets:
 
 import asyncio
 import collections
+import itertools
 
 import pytest
 
@@ -30,12 +31,21 @@ from repro.obs import (
     TraceBus,
     analyze_trace,
     contention_profile,
+    critical_path,
     read_jsonl,
     render_prometheus,
+    wire_rows,
 )
+from repro.cli import main as repro_main
 from repro.server import AsyncClient, ReproServer, render_top
 from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
-from repro.server.protocol import WireError, parse_request, parse_response, request_frame
+from repro.server.protocol import (
+    FrameDecoder,
+    WireError,
+    parse_request,
+    parse_response,
+    request_frame,
+)
 from tests.server.driven import Driven, result
 from tests.server.running import run
 
@@ -255,15 +265,21 @@ class TestFlightIntegration:
 LIFECYCLE_KINDS = {"obj.create", "server.connect", "server.disconnect", "server.drain"}
 
 
-def co_located(count, shards=2):
-    """``count`` object names that all live on shard 0 of ``shards``."""
+def co_located(count, shards=2, shard=0):
+    """``count`` object names that all live on ``shard`` of ``shards``."""
     names = (f"acct{n}" for n in range(64))
-    return [name for name in names if shard_for(name, shards) == 0][:count]
+    return [name for name in names if shard_for(name, shards) == shard][:count]
+
+
+def rows_of(events, kind):
+    """Every row of the ``kind`` events, in order."""
+    return [row for event in events if event.kind == kind for row in wire_rows(event)]
 
 
 class TestEventsPerTransaction:
     """What a served request costs the bus, as exact counts (they repeat
-    where wall-clock does not)."""
+    where wall-clock does not): one ``server.request`` per admitted run of
+    a read and one ``server.respond`` per write, a row per request."""
 
     @pytest.mark.parametrize(
         "transport, expected",
@@ -310,7 +326,7 @@ class TestEventsPerTransaction:
             event.kind for event in events if event.kind not in LIFECYCLE_KINDS
         )
         assert per_request == expected
-        admissions = [e.data for e in events if e.kind == "server.request"]
+        admissions = rows_of(events, "server.request")
         assert [data["action"] for data in admissions] == [
             "begin",
             "invoke",
@@ -320,6 +336,68 @@ class TestEventsPerTransaction:
         # `begin` is answered at admission; the rest went to shard 0.
         assert [data["shard"] for data in admissions] == [None, 0, 0, 0]
         assert all(data["sent"] is not None for data in admissions)
+        assert len(rows_of(events, "server.respond")) == 3
+
+    @pytest.mark.parametrize("transport", ["local", "process"])
+    def test_eight_transactions_in_lock_step_on_one_connection(
+        self, transport, serve_over
+    ):
+        """Each read carries every client's next frame: its begins are
+        answered at admission, its invokes and commits run as one batch,
+        so 8 transactions cost 4 ``server.request`` + 3 ``server.respond``
+        events, with a row for each of their 32 requests and 24 replies."""
+        clients, events = 8, []
+
+        async def scenario():
+            bus = TraceBus()
+            bus.subscribe(events.append)
+            first, second = co_located(2)
+            server = await serve_over(transport, objects=[first, second], tracer=bus)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            decoder, rids = FrameDecoder(), iter(range(1, 1 << 20))
+
+            async def read(frames):
+                writer.write(b"".join(request_frame(next(rids), *f) for f in frames))
+                replies = []
+                while len(replies) < len(frames):
+                    replies += decoder.feed(await reader.read(65536))
+                assert all(reply["ok"] for reply in replies), replies
+                return replies
+
+            mark = len(events)
+            begun = await read([("begin", {})] * clients)
+            handles = [reply["result"]["transaction"] for reply in begun]
+            for obj in (first, second):
+                await read(
+                    [
+                        ("invoke", dict(transaction=h, obj=obj, operation="Credit",
+                                        args=(1,)))
+                        for h in handles
+                    ]
+                )
+            await read([("commit", {"transaction": h}) for h in handles])
+            served = events[mark:]
+            writer.close()
+            await server.drain()
+            return served
+
+        served = run(scenario())
+        wire = [e for e in served if e.kind.startswith("server.")]
+        assert collections.Counter(e.kind for e in wire) == {
+            "server.request": 4,
+            "server.respond": 3,
+        }
+        assert [len(wire_rows(e)) for e in wire] == [8, 8, 8, 8, 8, 8, 8]
+        admissions = rows_of(served, "server.request")
+        assert [data["action"] for data in admissions] == (
+            ["begin"] * 8 + ["invoke"] * 16 + ["commit"] * 8
+        )
+        assert [data["shard"] for data in admissions] == [None] * 8 + [0] * 24
+        replies = rows_of(served, "server.respond")
+        assert [data["action"] for data in replies] == ["invoke"] * 16 + ["commit"] * 8
+        assert {data["transaction"] for data in replies} == {
+            data["transaction"] for data in admissions[8:]
+        }
 
     def test_a_busy_refusal_is_one_server_busy(self, serve_over):
         events = []
@@ -367,8 +445,190 @@ class TestEventsPerTransaction:
 
         (request,) = run(scenario())
         assert request.kind == "server.request"
-        assert request.data["shard"] is None and request.data["queue_depth"] == 0
-        assert request.data["transaction"] == "s1.t99"
+        (data,) = wire_rows(request)
+        assert data["shard"] is None and data["queue_depth"] == 0
+        assert data["transaction"] == "s1.t99"
+
+
+class _TimedShard(LocalShard):
+    """A local shard whose calls take 0.5 ms per op on the test's clock."""
+
+    def __init__(self, engine, now):
+        super().__init__(engine)
+        execute = self.call
+
+        def call(ops):
+            now[0] += 0.0005 * len(ops)
+            return execute(ops)
+
+        self.call = call
+
+
+def served_script(bus, now, flight):
+    """A fixed driven run on a clock that moves only in shard calls, in
+    writes and between reads, so every clock read a wire event makes is
+    the same whether it is made per request or per batch: two clients, a
+    run cut by a shard switch, a cross-shard commit, a parked invocation
+    woken by its holder's commit, a read whose fourth invoke finds the
+    FIFO full (BUSY), a routing refusal, a ping and a disconnect."""
+
+    class Shell(Driven):
+        def collect(self):
+            now[0] += 0.0001  # the write
+            super().collect()
+
+    engines = [ShardEngine(index, 2, tracer=bus) for index in range(2)]
+    shards = ShardSet([_TimedShard(engine, now) for engine in engines])
+    driven = Shell(shards, tracer=bus, batched=True, queue_limit=3, flight=flight)
+    a, b = (co_located(1, shards=2, shard=index)[0] for index in (0, 1))
+    driven.create(a)
+    driven.create(b)
+    first, second = driven.connect(), driven.connect()
+    rids = itertools.count(1)
+
+    def read(conn, *frames):
+        now[0] += 0.001
+        sent = {"sent": now[0] - 0.0007}
+        batch = [(next(rids), action, params) for action, params in frames]
+        driven.feed(
+            conn,
+            b"".join(
+                request_frame(rid, action, params, trace={"id": f"c{rid}", **sent})
+                for rid, action, params in batch
+            ),
+        )
+        return [conn.answer(rid) for rid, _, _ in batch]
+
+    def invoke(handle, obj, operation, amount):
+        params = dict(transaction=handle, obj=obj, operation=operation, args=(amount,))
+        return "invoke", params
+
+    begun = read(first, ("begin", {}), ("begin", {}), ("begin", {}))
+    t1, t2, t3 = (reply["result"]["transaction"] for reply in begun)
+    read(
+        first,
+        invoke(t1, a, "Credit", 5),
+        invoke(t2, a, "Credit", 100),
+        invoke(t3, b, "Credit", 2),
+        invoke(t1, b, "Credit", 1),
+    )
+    read(first, invoke(t2, a, "Debit", 1))
+    (begun,) = read(second, ("begin", {}))
+    other = begun["result"]["transaction"]
+    (parked,) = read(second, invoke(other, a, "Debit", 1))
+    assert parked is None
+    read(first, ("commit", {"transaction": t2}))  # wakes it
+    credits = read(second, *[invoke(other, a, "Credit", n) for n in (1, 2, 3, 4)])
+    assert [result(body) for body in credits] == ["Ok", "Ok", "Ok", "BUSY"]
+    read(second, ("commit", {"transaction": "s2.t99"}), ("ping", {}))
+    read(first, ("commit", {"transaction": t1}), ("commit", {"transaction": t3}))
+    read(second, ("commit", {"transaction": other}))
+    driven.disconnect(second)
+
+
+def _histogram(counts, total, sum):
+    return {"counts": counts + [0] * (14 - len(counts)), "total": total, "sum": sum}
+
+
+#: The ``server.*``, ``flight.*`` and ``txn.*`` instruments of
+#: ``served_script``'s registry, as the per-request events (one
+#: ``server.request`` and one ``server.respond`` per request) left them.
+PER_REQUEST_SNAPSHOT = {
+    "counters": {
+        "flight.dumps": 1,
+        "server.busy": 1,
+        "server.connections_closed": 1,
+        "server.connections_opened": 2,
+        "server.decoded": 20,
+        "server.request[commit]": 4,
+        "server.request[invoke]": 9,
+        "server.requests": 13,
+        "server.responses": 13,
+        "server.responses[shard0]": 10,
+        "server.responses[shard1]": 3,
+        "txn.begun": 4,
+        "txn.committed": 4,
+    },
+    "gauges": {
+        "server.connections": 1,
+        "server.queue_depth": 0,
+        "server.queue_depth[shard0]": 0,
+        "server.queue_depth[shard1]": 1,
+    },
+    "histograms": {
+        "server.client": _histogram([0, 20], 20, 0.013999999999999992),
+        "server.execute": _histogram([0, 4, 6, 3], 13, 0.018300000000000007),
+        "server.queue": _histogram([10, 1, 0, 2], 13, 0.004900000000000001),
+        "server.respond": _histogram([13], 13, 0.0012999999999999956),
+        "txn.latency": _histogram([0, 0, 0, 0, 1, 3], 4, 0.049900000000000014),
+    },
+}
+
+
+class TestRowsFoldAsRequestsDid:
+    """Batched rows are a cheaper carrier, not a different measurement:
+    what the registry, the span builder and ``repro analyze`` make of a
+    served run is what they made of one event per request."""
+
+    def wired(self, tmp_path, *sinks, cooldown=256):
+        now = [0.0]
+        bus = TraceBus(clock=lambda: now[0])
+        registry = MetricsRegistry()
+        bus.subscribe(RegistrySink(registry, WIRE_LATENCY_BUCKETS))
+        flight = FlightRecorder(
+            str(tmp_path / "flight"),
+            queue_high_water=2,
+            cooldown_events=cooldown,
+            emit_to=bus,
+        )
+        bus.subscribe(flight)
+        for sink in sinks:
+            bus.subscribe(sink)
+        served_script(bus, now, flight)
+        return registry, flight
+
+    def test_the_registry_snapshot_is_the_per_request_one(self, tmp_path):
+        registry, _ = self.wired(tmp_path)
+        snapshot = registry.snapshot()
+        kept = ("server.", "flight.", "txn.")
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        assert {
+            "counters": {k: v for k, v in counters.items() if k.startswith(kept)},
+            "gauges": {k: v for k, v in gauges.items() if k.startswith(kept)},
+            "histograms": {
+                name: {key: entry[key] for key in ("counts", "total", "sum")}
+                for name, entry in snapshot["histograms"].items()
+                if name.startswith(kept)
+            },
+        } == PER_REQUEST_SNAPSHOT
+
+    def test_a_replayed_trace_folds_to_the_live_spans(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JSONLSink(str(path)) as sink:
+            live = SpanBuilder()
+            self.wired(tmp_path, live, sink)
+        replayed = SpanBuilder()
+        for event in read_jsonl(str(path)):
+            replayed(event)
+        assert len(live.committed()) == 4
+        assert [(s.transaction, s.trace, s.phases) for s in replayed.spans] == [
+            (s.transaction, s.trace, s.phases) for s in live.spans
+        ]
+        budget = critical_path(live.committed())["phase_budget"]
+        assert critical_path(replayed.committed())["phase_budget"] == budget
+        assert all(budget[phase]["total"] > 0 for phase in ("client", "execute"))
+
+    def test_a_flight_dump_opens_in_analyze(self, tmp_path, capsys):
+        _, flight = self.wired(tmp_path, cooldown=0)
+        path = flight.dump("manual")
+        report = analyze_trace(read_jsonl(path))
+        assert report["shards"]["requests"] == {"shard0": 10, "shard1": 3}
+        assert max(row["max_depth"] for row in report["queue_timeline"]) == 2
+        assert sum(row["samples"] for row in report["queue_timeline"]) == 13
+        assert repro_main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "queue depth timeline (admitted requests):" in out
+        assert "shard0" in out and "shard1" in out
 
 
 class TestFailingSink:

@@ -10,6 +10,7 @@ loop is exercised end to end in ``test_telemetry.py``.
 
 from repro.obs import WIRE_LATENCY_BUCKETS, MetricsRegistry, RegistrySink, TraceBus
 from repro.server import render_top
+from tests.rows import admitted, answered
 
 
 def folded_metrics():
@@ -23,12 +24,12 @@ def folded_metrics():
     for index, leg in enumerate([0.0005] * 10 + [0.005] * 5 + [0.05]):
         now[0] += 1.0
         name = f"s1.t{index}"
-        bus.emit(
-            "server.request", session="s1", action="invoke", trace=None,
+        admitted(
+            bus, session="s1", action="invoke", trace=None,
             sent=now[0] - leg, transaction=name, shard=0, queue_depth=0,
         )
-        bus.emit(
-            "server.respond", session="s1", action="invoke", trace=None,
+        answered(
+            bus, session="s1", action="invoke", trace=None,
             transaction=name, shard=0, queue=0.0, execute=0.0004, respond=0.0001,
         )
     for operation, held, count in (("Enq", "Deq", 9), ("Credit", "Debit", 4)):
