@@ -424,6 +424,8 @@ def drive_core(transactions, clients, tracer=None):
 
     pool = ShardSet([LocalShard(ShardEngine(0, 1, tracer=tracer))])
     core = ServerCore(pool, kick, tracer=tracer)
+    kick(0)  # its start-up resolution, run out before the shell accepts
+    calls = 0
     core.catalog["acct1"] = pool.create_object("acct1", "Account")
     core.catalog["acct2"] = pool.create_object("acct2", "Account")
     channel, decoder, ids = Channel(), FrameDecoder(), iter(range(1, 1 << 30))

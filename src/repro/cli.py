@@ -615,7 +615,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         RegistrySink,
         TraceBus,
     )
-    from .server import ReproServer
+    from .server import ReproServer, ShardDown
 
     tracer = TraceBus()
     registry = MetricsRegistry()
@@ -660,18 +660,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flight=flight,
         pool=pool,
     )
+    async def refuse(reason: str) -> int:
+        print(f"serve: {reason}", file=sys.stderr)
+        await server.drain()  # stops the shards, children included
+        return 2
+
     async def run() -> int:
         # Objects are created before start(): from then on a process
-        # shard's pipe belongs to the server's worker for it.
+        # shard's pipe belongs to the event loop.
         for spec in args.object or []:
             name, _, adt = spec.partition(":")
             try:
                 server.create_object(name, adt or "Account")
-            except (KeyError, ValueError) as exc:
-                print(f"serve: cannot create {spec!r}: {exc}", file=sys.stderr)
-                await server.drain()
-                return 2
-        host, port = await server.start()
+            except (KeyError, ValueError, ShardDown) as exc:
+                return await refuse(f"cannot create {spec!r}: {exc}")
+        try:
+            host, port = await server.start()
+        except ShardDown as exc:  # e.g. a log written under another stride
+            return await refuse(str(exc))
         server.install_signal_handlers([signal.SIGTERM, signal.SIGINT])
         tier = (
             f"{args.processes} shard process(es), group commit"

@@ -37,11 +37,14 @@ before it settled; a refused invocation parks; a dead shard answers
 ``SHARD_DOWN`` for its batch, is cleaned up and respawned from its WAL).
 
 One driver runs every round procedure — a multi-shard completion
-(presumed-abort 2PC, or an abort everywhere) and a respawned shard's
-prepared-set resolution: a round's ops join their shards' FIFOs carrying
-a continuation instead of a request, and its last settled reply sends
-the round's replies into the procedure.  An ``apply_commit`` its shard
-died under is pushed again for the respawned incarnation until acked.
+(presumed-abort 2PC, or an abort everywhere) and each prepared-set
+resolution: every shard's at start-up, queued as the core is built so
+that it heads each FIFO (the shell runs it out before it accepts a
+connection), and a respawned shard's.  A round's ops join their shards'
+FIFOs carrying a continuation instead of a request, and its last settled
+reply sends the round's replies into the procedure.  An ``apply_commit``
+its shard died under is pushed again for the respawned incarnation until
+acked — the one retry-through-death rule.
 
 An ``invoke`` refused ``CONFLICT`` *parks* on the holder the reply names
 when that is an open handle here that is not itself waiting (the
@@ -234,6 +237,10 @@ class ServerCore:
             "transactions_committed": 0,
             "transactions_aborted": 0,
         }
+        # What recovery left prepared is settled before any request can
+        # meet its locks: each shard's resolution is its first work.
+        for index in range(self.workers):
+            self._start(_Round(resolve_prepared(index, self.workers)))
 
     # -- entry points --------------------------------------------------
 

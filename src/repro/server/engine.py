@@ -28,13 +28,13 @@ nothing; :class:`~repro.server.procpool.ShardProcess` adds a pipe and a
 child process; :class:`~repro.sim.site.Site` adds a simulated host with
 a kill switch.  :func:`two_phase_commit` is the one decision procedure
 and :func:`resolve_prepared` the one recovery rule — both written as
-rounds of ``(shard, op)`` so that :class:`ShardSet` can run them with
-blocking calls, the serving core with FIFO'd ones, and the simulator's one
-client, :class:`~repro.sim.client.Client` (2PC), with simulated
-messages.  That client speaks these same ops to every simulated site,
-one or many, and a ``CONFLICT`` reply names the lock's ``holder`` for
-its block wait policy (the wire's error frame carries only the code and
-the message).
+rounds of ``(shard, op)`` so that the serving core runs them with FIFO'd
+ops (the one served driver, start-up resolution included) and the
+simulator's one client, :class:`~repro.sim.client.Client` (2PC), with
+simulated messages.  That client speaks these same ops to every
+simulated site, one or many, and a ``CONFLICT`` reply names the lock's
+``holder`` for its block wait policy (the wire's error frame carries
+only the code and the message).
 
 The module is pure (no sockets, clocks, pipes or files: a log or trace
 sink is handed in already open), so it stays under REP104/REP106.
@@ -416,11 +416,11 @@ class ShardSet:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
-        """Settle what recovery brought back: with every shard up, each
-        shard's prepared transactions get their verdict.  (A shard that
-        failed to start keeps its cause for its first caller.)"""
-        for index in range(self.workers):
-            self.drive(resolve_prepared(index, self.workers))
+        """Spawn every shard that is not alive (a restart replays its log;
+        one that cannot start raises :class:`ShardDown` with its cause)."""
+        for shard in self.shards:
+            if not shard.alive:
+                shard.spawn()
 
     def stop(self) -> None:
         """Flush and release every shard."""
@@ -460,47 +460,20 @@ class ShardSet:
                 out.append({"shard": index, "down": True})
         return out
 
-    # -- the round procedures, driven by blocking calls ------------------
-
     def commit_cross_shard(
         self, name: str, participants: Sequence[int], primary: int
     ) -> Dict[str, Any]:
-        """Run :func:`two_phase_commit` for ``name``; returns ``{"ok": ts}``
-        or an error reply shaped like the engine's."""
-        return self.drive(two_phase_commit(name, participants, primary))
-
-    def drive(self, rounds: Rounds) -> Any:
-        """Run a round procedure to its outcome, each op :meth:`deliver`-ed."""
+        """Run :func:`two_phase_commit` for ``name`` over blocking calls to
+        live shards; returns ``{"ok": ts}`` or an error reply.  A timing
+        probe for the e2e benchmark's ``pool_section`` only — served 2PC
+        is the core's — and it goes once that probe moves (ROADMAP 1(f))."""
+        rounds = two_phase_commit(name, participants, primary)
         try:
             ops = next(rounds)
             while True:
-                ops = rounds.send([self.deliver(index, op) for index, op in ops])
+                ops = rounds.send([self.shards[i].single(op) for i, op in ops])
         except StopIteration as done:
             return done.value
-
-    def deliver(self, index: int, op: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """One op to one shard.  A dead shard leaves a question unanswered
-        (None) and presumes an abort, but a commit decision is
-        retransmitted until acked — through the death, by respawning the
-        shard: recovery resurrects the prepared transaction (its vote and
-        intentions are on the stable log), :func:`resolve_prepared` may
-        already find the primary's commit record, and the retried apply
-        is then an idempotent ack.  A shard that cannot come back is not
-        retried: the decision reaches it by resolution at its next start."""
-        while True:
-            try:
-                return self.shards[index].single(op)
-            except ShardDown:
-                if op["op"] != "apply_commit" or not self.revive(index):
-                    return None
-                self.drive(resolve_prepared(index, self.workers))
-
-    def respawn(self, index: int) -> List[str]:
-        """Bring a dead shard back and resolve its prepared transactions;
-        returns their names (none when the shard did not come back)."""
-        if not self.revive(index):
-            return []
-        return self.drive(resolve_prepared(index, self.workers))
 
     def revive(self, index: int) -> bool:
         """Spawn a fresh incarnation of dead shard ``index`` — it replays

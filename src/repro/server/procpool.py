@@ -27,12 +27,14 @@ readable (a ``call`` meanwhile refuses).  A dead child is ``EPIPE`` on a
 post or EOF on the pipe, :class:`ShardDown` either way: no ``waitpid``.
 
 :class:`ShardProcessPool` is a :class:`~repro.server.engine.ShardSet`
-whose shards can die: it spawns them, and a respawned child rebuilds
-itself from its WAL (which refuses a resized stride), resurrecting
-prepared transactions with their locks for the set to resolve —
-commit if any shard logged the decision, presumed abort otherwise.  A
-child that cannot start stays down: its cause answers every later call
-and ``spawn``, and it is not forked again.
+whose shards can die: ``start`` spawns the ones that are down, and a
+respawned child rebuilds itself from its WAL (which refuses a resized
+stride), resurrecting prepared transactions with their locks for the
+serving core to resolve — commit if any shard logged the decision,
+presumed abort otherwise (:func:`~repro.server.engine.resolve_prepared`,
+run by the core at start-up and after each respawn).  A child that
+cannot start stays down: it is reaped once its announcement is read, its
+cause answers every later call and ``spawn``, and it is not forked again.
 """
 
 from __future__ import annotations
@@ -180,18 +182,18 @@ class ShardProcess:
         self._conn = parent_conn
         self._fatal = None  # a stopped pool's restart tries again
 
-    def _check_fatal(self, reply: Any = None) -> None:
+    def _check_fatal(self) -> None:
         """Raise the child's fatal startup announcement, if it made one:
         ``("fatal", text)``, sent as it exits, stays buffered in the pipe,
         so a caller racing the exit still sees the cause (e.g. a stride
         mismatch), not a bare "not running" — as does every caller after."""
         try:
-            if reply is None and self._fatal is None and self._conn.poll(0):
+            if self._fatal is None and self._conn.poll(0):
                 reply = _receive(self._conn)
+                if reply[0] == "fatal":
+                    self._fatal = reply[1]
         except (EOFError, OSError):
             pass
-        if reply is not None and reply[0] == "fatal":
-            self._fatal = reply[1]
         if self._fatal is not None:
             raise ShardDown(f"{self.name} failed to start: {self._fatal}")
 
@@ -232,7 +234,9 @@ class ShardProcess:
             reply = _receive(self._conn)
         except (EOFError, OSError):
             self._down("died mid-request")
-        self._check_fatal(reply)
+        if reply[0] == "fatal":  # it exits as it announces: reap it
+            self._fatal = reply[1]
+            self._down("failed to start")
         return reply[1]
 
     def _down(self, what: str) -> NoReturn:
@@ -294,17 +298,6 @@ class ShardProcessPool(ShardSet):
                 ShardProcess(shard, workers, shard_dir, trace_dir, protocol)
             )
         super().__init__(shards, tracer=tracer)
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn every worker that is not running (restarts recover from
-        their WALs); after a spawn, settle the recovered prepared sets."""
-        down = [shard for shard in self.shards if not shard.alive]
-        for shard in down:
-            shard.spawn()
-        if down:
-            super().start()
 
     def status(self) -> Dict[str, Any]:
         """The supervisor's view, with no pipe round-trips (introspection

@@ -203,15 +203,19 @@ class ReproServer:
         return worker
 
     async def start(self) -> Tuple[str, int]:
-        """Bring the shards up, watch their pipes, accept connections."""
-        self.pool.start()  # bring every shard up (or confirm it is)
+        """Bring the shards up, settle what recovery left prepared, watch
+        their pipes, accept connections.  Raises :class:`ShardDown` with
+        its cause when a shard cannot start."""
+        loop = self._loop = asyncio.get_running_loop()
+        self.pool.start()  # spawn every shard that is down
+        self._run_out()  # the core's start-up resolution, before any request
         # Adopt objects the shards already hold — recovered from their
         # WALs, or created before start(): a restarted server serves
-        # its pre-crash catalog immediately.
+        # its pre-crash catalog immediately.  (A shard the resolution
+        # found dead and could not bring back raises its cause here.)
         for index, names in enumerate(self.pool.catalog()):
             for name in names:
                 self.core.catalog.setdefault(name, index)
-        loop = self._loop = asyncio.get_running_loop()
         for index, shard in enumerate(self._pipes):
             loop.add_reader(shard.fileno(), self._readable, index)
         self._server = await loop.create_server(
@@ -250,6 +254,13 @@ class ReproServer:
         core.draining = True
         if self._server is not None:
             self._server.close()  # stops accepting now
+        else:
+            # It never served: no pipe is watched, so the work the core
+            # queued (its start-up resolution) runs out here, and no
+            # shard is respawned for it.
+            self._loop = asyncio.get_running_loop()
+            core.stopping = True
+            self._run_out()
         loop = asyncio.get_running_loop()
         connections = core.channels.values()
         active_at_start = sum(c.session.active for c in connections)
@@ -333,6 +344,15 @@ class ReproServer:
         except ShardDown:
             replies = None
         core.settle(index, replies, core.now)
+
+    def _run_out(self) -> None:
+        """Call every shard with work until no FIFO holds any, blocking on
+        each call (``take → call → settle``) — while no pipe is watched."""
+        core = self.core
+        while any(core.pending):
+            for index, fifo in enumerate(core.pending):
+                if fifo:
+                    self._call(index)
 
     def _kick(self, index: int) -> None:
         """A blocking shard's kick: one post per loop turn, one batch per read."""

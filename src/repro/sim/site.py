@@ -135,7 +135,7 @@ class Site:
         self.engine = self._boot()
         return self.engine.recovery
 
-    #: The transport contract's name for it (``ShardSet.respawn``).
+    #: The transport contract's name for it (``ShardSet.revive``).
     spawn = recover
 
     def checkpoint(self) -> Dict[str, Any]:

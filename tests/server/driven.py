@@ -3,10 +3,12 @@ drives it, with no event loop and no socket: frames go in as bytes,
 replies come back out of the channels, and the clock is a number the test
 advances.
 
-``Driven(pool)`` calls a shard inside the core's kick, as the shell does
-for non-blocking shards; ``Driven(pool, batched=True)`` only notes the
-kick and serves every FIFO after each entry point, one batch per shard
-call, as a blocking shard's posts do.  ``shards(transport, ...)``
+``Driven(pool)`` first runs out the core's start-up resolution (each
+shard's recovered prepared set), as the shell's ``start`` does, and then
+counts shard calls from 0.  It calls a shard inside the core's kick, as
+the shell does for non-blocking shards; ``Driven(pool, batched=True)``
+only notes the kick and serves every FIFO after each entry point, one
+batch per shard call, as a blocking shard's posts do.  ``shards(transport, ...)``
 builds two shards behind ``"local"`` engines, simulated ``"site"`` hosts
 or ``"process"`` children.
 """
@@ -16,7 +18,7 @@ import itertools
 from repro.recovery import MemoryWAL
 from repro.server import ShardDown, ShardProcessPool
 from repro.server.core import WAIT_BOUND, Channel, ServerCore
-from repro.server.engine import LocalShard, ShardEngine, ShardSet
+from repro.server.engine import LocalShard, ShardEngine, ShardSet, shard_for
 from repro.server.protocol import FrameDecoder, request_frame
 from repro.sim import Site
 
@@ -93,9 +95,23 @@ class Driven:
         self.calls = 0
         self.core = ServerCore(pool, self._kick, tracer=tracer, **kwargs)
         self.core.started_at = self.now
+        self.serve()  # the start-up resolution, before any request
+        self.calls = 0
 
     def create(self, name, adt="Account"):
         self.core.catalog[name] = self.pool.create_object(name, adt)
+
+    def meet(self, index):
+        """Send dead shard ``index`` a ``create``, on a connection of its
+        own: the core answers it ``SHARD_DOWN``, respawns the shard from
+        its log and resolves what the log left prepared."""
+        name = next(
+            f"M{n}"
+            for n in itertools.count()
+            if shard_for(f"M{n}", self.core.workers) == index
+        )
+        body = self.connect().call("create", name=name, adt="Account")
+        assert body["error"]["code"] == "SHARD_DOWN", body
 
     def connect(self):
         conn = Conn(self)
@@ -138,13 +154,19 @@ class Driven:
         core.settle(index, replies, self.now)
         self.collect()
 
-    def settle_all(self):
-        """Serve every FIFO until all are empty, one batch per shard call
-        (batched only: inline shards were served in their kicks)."""
-        while self.batched and any(self.core.pending):
+    def serve(self):
+        """Call every shard with work until all FIFOs are empty, one batch
+        per shard call."""
+        while any(self.core.pending):
             for index, fifo in enumerate(self.core.pending):
                 if fifo:
                     self.call(index)
+
+    def settle_all(self):
+        """Serve every FIFO (batched only: inline shards were served in
+        their kicks), then collect the replies."""
+        if self.batched:
+            self.serve()
         self.collect()
 
     def collect(self):

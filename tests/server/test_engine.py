@@ -18,6 +18,7 @@ from repro.recovery.wal import GroupCommitWAL, MemoryWAL
 from repro.server import AsyncClient, ShardEngine, ShardProcessPool, WireError
 from repro.server.engine import EngineCrash, LocalShard, ShardSet, abort_round
 from repro.server.procpool import ShardDown
+from tests.server.driven import Driven, result
 
 OPS = (
     "create begin invoke commit abort txn prepare decide apply_commit "
@@ -458,29 +459,33 @@ class TestBatchAndShardSet:
         assert shards.catalog() == [[names[0]], [names[1]]]
         with pytest.raises(ValueError, match="already exists"):
             shards.create_object(names[0], "Account")
-        shards.shards[0].single({"op": "begin", "name": "X"})
-        shards.shards[1].single({"op": "begin", "name": "X", "quiet": True})
-        for home in (0, 1):
-            shards.shards[home].single(
-                {
-                    "op": "invoke",
-                    "txn": "X",
-                    "obj": names[home],
-                    "operation": "Credit",
-                    "args": (4,),
-                }
-            )
-        reply = shards.commit_cross_shard("X", [0, 1], primary=1)
-        assert reply["ok"] % 2 == 1
+        # The served driver runs the 2PC: a transaction whose primary is
+        # shard 1 commits on its stride, everywhere.
+        driven = Driven(shards)
+        conn = driven.connect()
+        for name in names.values():
+            driven.core.catalog[name] = shards.shard_of(name)
+
+        def transaction(*homes):
+            handle = conn.begin()
+            for home in homes:
+                rid = conn.invoke(handle, names[home], "Credit", 4)
+                assert result(conn.answer(rid)) == "Ok"
+            return handle
+
+        x = transaction(1, 0)
+        reply = conn.call("commit", transaction=x)
+        assert reply["result"]["timestamp"] % 2 == 1
         assert [row["committed"] for row in shards.stats()] == [1, 1]
         # An abort everywhere is harmless after the fact, and a prepare
         # nobody can vote on aborts the rest.
-        for index, op in abort_round("X", [0, 1]):
-            assert shards.deliver(index, op) == {"ok": None}
-        shards.shards[0].single({"op": "begin", "name": "Y"})
-        refused = shards.commit_cross_shard("Y", [0, 1], primary=0)
-        assert refused["error"] == "NO_VOTE"
-        assert shards.shards[0].engine.manager.transaction("Y") is None
+        for index, op in abort_round(x, [0, 1]):
+            assert shards.shards[index].single(op) == {"ok": None}
+        y = transaction(0, 1)
+        shards.shards[1].single({"op": "abort", "txn": y})
+        refused = conn.call("commit", transaction=y)
+        assert refused["error"]["code"] == "NO_VOTE"
+        assert shards.shards[0].engine.manager.transaction(y) is None
         assert not shards.blocking
 
 

@@ -14,7 +14,7 @@ import signal
 
 import pytest
 
-from repro.obs import AtomicityChecker, JSONLSink, TraceBus, read_jsonl
+from repro.obs import AtomicityChecker, JSONLSink, RingBufferSink, TraceBus, read_jsonl
 from repro.server import (
     AsyncClient,
     ReproServer,
@@ -23,6 +23,7 @@ from repro.server import (
     ShardProcessPool,
     WireError,
 )
+from tests.server.driven import Driven
 from tests.server.running import run
 
 
@@ -54,6 +55,16 @@ def pool(tmp_path):
     built.stop()
 
 
+@pytest.fixture()
+def served(pool):
+    """A driven core over ``pool`` (one batch per shard call) with a
+    connection (``served.conn``); ``served.meet(i)`` brings killed shard
+    ``i`` back, as the core does."""
+    driven = Driven(pool, batched=True)
+    driven.conn = driven.connect()
+    return driven
+
+
 class TestPoolDirect:
     def test_single_shard_txn_fast_path(self, pool):
         a, _ = two_shard_names(pool)
@@ -67,27 +78,23 @@ class TestPoolDirect:
         snapshot = pool.shards[0].single({"op": "snapshot", "obj": a})
         assert snapshot["ok"] == (1, 2)
 
-    def test_cross_shard_2pc_commits_everywhere(self, pool):
+    def test_cross_shard_2pc_commits_everywhere(self, pool, served):
         a, b = two_shard_names(pool)
-        pool.create_object(a, "FIFOQueue")
-        pool.create_object(b, "FIFOQueue")
-        pool.shards[0].single({"op": "begin", "name": "X"})
-        pool.shards[1].single({"op": "begin", "name": "X", "quiet": True})
-        pool.shards[0].single(
-            {"op": "invoke", "txn": "X", "obj": a, "operation": "Enq", "args": (7,)}
-        )
-        pool.shards[1].single(
-            {"op": "invoke", "txn": "X", "obj": b, "operation": "Enq", "args": (8,)}
-        )
-        reply = pool.commit_cross_shard("X", [0, 1], primary=0)
-        assert "ok" in reply
+        served.create(a, "FIFOQueue")
+        served.create(b, "FIFOQueue")
+        conn = served.conn
+        x = conn.begin()
+        conn.invoke(x, a, "Enq", 7)
+        conn.invoke(x, b, "Enq", 8)
+        reply = conn.call("commit", transaction=x)
+        assert reply["ok"]
         # The decision lands on the primary's stride and both shards
         # applied it.
-        assert reply["ok"] % pool.workers == 0
+        assert reply["result"]["timestamp"] % pool.workers == 0
         assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == (7,)
         assert pool.shards[1].single({"op": "snapshot", "obj": b})["ok"] == (8,)
 
-    def test_killed_shard_recovers_committed_state_from_wal(self, pool):
+    def test_killed_shard_recovers_committed_state_from_wal(self, pool, served):
         a, _ = two_shard_names(pool)
         pool.create_object(a, "FIFOQueue")
         pool.shards[0].single(
@@ -96,7 +103,7 @@ class TestPoolDirect:
         pool.shards[0].kill()
         with pytest.raises(ShardDown):
             pool.shards[0].single({"op": "stats"})
-        pool.respawn(0)
+        served.meet(0)
         assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == (5,)
         stats = pool.shards[0].single({"op": "stats"})["ok"]
         assert stats["incarnation"] == 2
@@ -117,7 +124,7 @@ class TestPoolDirect:
         assert after["wal_syncs"] == before["wal_syncs"] + 1
         assert after["wal_appends"] == before["wal_appends"] + 8
 
-    def test_a_shard_checkpoints_and_restarts_from_it(self, pool):
+    def test_a_shard_checkpoints_and_restarts_from_it(self, pool, served):
         a, _ = two_shard_names(pool)
         pool.create_object(a, "Account")
         shard = pool.shards[0]
@@ -128,7 +135,7 @@ class TestPoolDirect:
         assert shard.single({"op": "stats"})["ok"]["wal_records"] == 3
         before = shard.single({"op": "snapshot", "obj": a})
         shard.kill()
-        pool.respawn(0)
+        served.meet(0)
         assert shard.single({"op": "snapshot", "obj": a}) == before == {"ok": 6}
         later = shard.single({"op": "txn", "name": "L", "steps": [(a, "Credit", (1,))]})
         assert later["ok"] == 10        # above the four folded commits, 2 to 8
@@ -149,7 +156,9 @@ class TestPoolDirect:
         report = AtomicityChecker().replay(events).report()
         assert report["verdict"] == "clean", report["violations"]
 
-    def test_prepared_transaction_survives_crash_and_resolves_commit(self, pool):
+    def test_prepared_transaction_survives_crash_and_resolves_commit(
+        self, pool, served
+    ):
         a, b = two_shard_names(pool)
         pool.create_object(a, "FIFOQueue")
         pool.create_object(b, "FIFOQueue")
@@ -168,14 +177,15 @@ class TestPoolDirect:
         decided = pool.shards[0].single(
             {"op": "decide", "txn": "X", "votes": [v0, v1]}
         )["ok"]
+        assert pool.shards[1].single({"op": "prepared"})["ok"] == ["X"]
         pool.shards[1].kill()
-        resolved = pool.respawn(1)
-        assert resolved == ["X"]
+        served.meet(1)
+        assert pool.shards[1].single({"op": "prepared"})["ok"] == []
         verdict = pool.shards[1].single({"op": "decision", "txn": "X"})["ok"]
         assert verdict == {"outcome": "commit", "ts": decided}
         assert pool.shards[1].single({"op": "snapshot", "obj": b})["ok"] == (2,)
 
-    def test_prepared_transaction_presumed_abort_without_decision(self, pool):
+    def test_prepared_transaction_presumed_abort_without_decision(self, pool, served):
         a, b = two_shard_names(pool)
         pool.create_object(a, "FIFOQueue")
         pool.create_object(b, "FIFOQueue")
@@ -187,20 +197,21 @@ class TestPoolDirect:
         pool.shards[1].single({"op": "prepare", "txn": "X"})
         # No shard ever logged a commit: crash + respawn resolves the
         # prepared transaction by presumed abort, releasing its locks.
+        assert pool.shards[1].single({"op": "prepared"})["ok"] == ["X"]
         pool.shards[1].kill()
-        assert pool.respawn(1) == ["X"]
+        served.meet(1)
         verdict = pool.shards[1].single({"op": "decision", "txn": "X"})["ok"]
         assert verdict == {"outcome": "unknown"}
         assert pool.shards[1].single({"op": "snapshot", "obj": b})["ok"] == ()
         assert pool.shards[1].single({"op": "prepared"})["ok"] == []
 
-    def test_coordinator_crash_between_prepare_and_decide(self, pool):
+    def test_coordinator_crash_between_prepare_and_decide(self, pool, served):
         """Fault injection: both shards prepared, the coordinator dies
         before deciding anywhere — no commit record exists, so recovery
         resolves the transaction by presumed abort on every shard."""
         a, b = two_shard_names(pool)
-        pool.create_object(a, "FIFOQueue")
-        pool.create_object(b, "FIFOQueue")
+        served.create(a, "FIFOQueue")
+        served.create(b, "FIFOQueue")
         pool.shards[0].single({"op": "begin", "name": "X"})
         pool.shards[1].single({"op": "begin", "name": "X", "quiet": True})
         for home, name in ((0, a), (1, b)):
@@ -215,12 +226,14 @@ class TestPoolDirect:
             )
             pool.shards[home].single({"op": "prepare", "txn": "X"})
         # The coordinator (parent) "crashes": kill both participants
-        # before any decide lands, then bring them back.
-        pool.shards[0].kill()
-        pool.shards[1].kill()
-        assert pool.respawn(0) == ["X"]
-        assert pool.respawn(1) == ["X"]
+        # before any decide lands, then bring them back — the core meets
+        # shard 0 dead, and shard 1 when shard 0's resolution asks it.
+        for shard in pool.shards:
+            assert shard.single({"op": "prepared"})["ok"] == ["X"]
+            shard.kill()
+        served.meet(0)
         for home, name in ((0, a), (1, b)):
+            assert pool.shards[home].incarnation == 2
             assert pool.shards[home].single(
                 {"op": "decision", "txn": "X"}
             )["ok"] == {"outcome": "unknown"}
@@ -229,21 +242,13 @@ class TestPoolDirect:
             )["ok"] == ()
             assert pool.shards[home].single({"op": "prepared"})["ok"] == []
         # Both shards are consistent and unlocked: the same pair commits.
-        pool.shards[0].single({"op": "begin", "name": "Y"})
-        pool.shards[1].single({"op": "begin", "name": "Y", "quiet": True})
-        for home, name in ((0, a), (1, b)):
-            pool.shards[home].single(
-                {
-                    "op": "invoke",
-                    "txn": "Y",
-                    "obj": name,
-                    "operation": "Enq",
-                    "args": (8,),
-                }
-            )
-        assert "ok" in pool.commit_cross_shard("Y", [0, 1], primary=1)
+        conn = served.conn
+        y = conn.begin()
+        for name in (b, a):  # primary: shard 1
+            conn.invoke(y, name, "Enq", 8)
+        assert conn.call("commit", transaction=y)["ok"]
 
-    def test_crash_op_loses_only_the_unflushed_batch(self, pool):
+    def test_crash_op_loses_only_the_unflushed_batch(self, pool, served):
         """Fault injection: a hard crash mid-batch (before the group
         flush) loses exactly the unacknowledged batch — earlier acked
         batches survive via the WAL."""
@@ -266,7 +271,7 @@ class TestPoolDirect:
                     {"op": "crash"},
                 ]
             )
-        pool.respawn(0)
+        served.meet(0)
         assert pool.shards[0].single({"op": "snapshot", "obj": a})["ok"] == (1, 2)
 
     def test_stride_mismatch_is_refused_on_respawn(self, tmp_path):
@@ -486,10 +491,12 @@ class TestTwoPhaseCommitOnTheLoop:
 
     @staticmethod
     def _balances(tmp_path, a, b):
-        """Both accounts as a restart over the same logs finds them."""
+        """Both accounts as a restart over the same logs finds them (its
+        core's start-up resolution included)."""
         reopened = ShardProcessPool(2, tmp_path / "data")
         reopened.start()
         try:
+            Driven(reopened, batched=True)
             return [
                 reopened.shards[home].single({"op": "snapshot", "obj": name})["ok"]
                 for home, name in ((0, a), (1, b))
@@ -781,11 +788,10 @@ class TestSessionRecords:
 
 
 class TestRestartResolvesPrepared:
-    """Satellite regression: a *full* restart settles the prepared sets.
-
-    ``resolve_prepared`` used to run only from ``respawn``; a pool
-    stopped (or killed) with a prepared, undecided cross-shard
-    transaction came back holding its locks for ever.
+    """A *full* restart settles the prepared sets: the core resolves every
+    shard's before it serves a request.  A pool stopped (or killed) with a
+    prepared, undecided cross-shard transaction used to come back holding
+    its locks for ever.
     """
 
     @staticmethod
@@ -820,6 +826,8 @@ class TestRestartResolvesPrepared:
         reopened = ShardProcessPool(2, tmp_path / "data")
         reopened.start()
         try:
+            assert reopened.shards[1].single({"op": "prepared"})["ok"] == ["X"]
+            Driven(reopened, batched=True)  # the core's start-up resolution
             assert reopened.shards[1].single({"op": "prepared"})["ok"] == []
             verdict = reopened.shards[1].single({"op": "decision", "txn": "X"})["ok"]
             assert verdict == {"outcome": "commit", "ts": decided}
@@ -834,6 +842,7 @@ class TestRestartResolvesPrepared:
         reopened = ShardProcessPool(2, tmp_path / "data")
         reopened.start()
         try:
+            Driven(reopened, batched=True)  # the core's start-up resolution
             for home, name in ((0, a), (1, b)):
                 shard = reopened.shards[home]
                 assert shard.single({"op": "prepared"})["ok"] == []
@@ -865,9 +874,16 @@ class TestRestartResolvesPrepared:
         a, _ = two_shard_names(pool)
         pool.create_object(a, "FIFOQueue")
         pool.stop()
-        resized = ShardProcessPool(3, tmp_path / "data")
+        bus = TraceBus()
+        events = bus.subscribe(RingBufferSink())
+        resized = ShardProcessPool(3, tmp_path / "data", tracer=bus)
         try:
-            resized.start()  # its own resolve pass already met the refusal
+            resized.start()
+            Driven(resized, batched=True)  # its resolution meets the refusal
+            # Both logs were written under stride 2: the core meets each
+            # refusal, announces the crash and tries one revive.
+            crashed = [e.data["site"] for e in events.events() if e.kind == "site.crash"]
+            assert crashed == ["shard0", "shard1"]
             for _ in range(2):
                 with pytest.raises(ShardDown, match="stride"):
                     resized.shards[0].single({"op": "stats"})

@@ -480,6 +480,7 @@ def served_script(bus, now, flight):
     engines = [ShardEngine(index, 2, tracer=bus) for index in range(2)]
     shards = ShardSet([_TimedShard(engine, now) for engine in engines])
     driven = Shell(shards, tracer=bus, batched=True, queue_limit=3, flight=flight)
+    now[0] = 0.0  # the run starts here, after the core's start-up resolution
     a, b = (co_located(1, shards=2, shard=index)[0] for index in (0, 1))
     driven.create(a)
     driven.create(b)

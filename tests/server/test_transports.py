@@ -1,11 +1,15 @@
-"""One 2PC participant, one decision rule, three transports.
+"""One 2PC participant, one decision rule, one served driver, three transports.
 
-``ShardSet.commit_cross_shard`` drives :func:`two_phase_commit` over
-whatever its shards are: local engines, child processes or simulated
-sites.  Every case below runs the same body over all three and expects
-the same replies — including the crash cases, which the site transport
-makes cheap to state: a shard is killed at a chosen op and the outcome
-must be the one presumed abort prescribes.
+The serving core runs :func:`two_phase_commit` and :func:`resolve_prepared`
+over whatever its shards are: local engines, child processes or simulated
+sites.  Every case below sends the same frames to a driven core
+(``tests/server/driven.py``) over all three and expects the same replies —
+including the crash cases, which the kill switches make cheap to state: a
+shard is killed at a chosen op, or while idle, and the outcome must be the
+one presumed abort prescribes.  The core brings a dead shard back when it
+meets it — respawned from its log, its prepared set resolved — so a case
+reads that set as the kill leaves it (what the log brings back) and again
+once the core has resolved it.
 """
 
 import asyncio
@@ -16,6 +20,7 @@ from repro.sim import Site
 from repro.recovery import MemoryWAL
 from repro.server import (
     AsyncClient,
+    ReproServer,
     ShardDown,
     ShardEngine,
     ShardProcessPool,
@@ -23,7 +28,7 @@ from repro.server import (
 )
 from repro.server.engine import LocalShard, ShardSet, abort_round
 from repro.server.protocol import request_frame
-from tests.server.driven import result
+from tests.server.driven import Driven, result
 
 TRANSPORTS = ["local", "process", "site"]
 
@@ -52,153 +57,194 @@ class MortalLocalShard(LocalShard):
 
 
 @pytest.fixture(params=TRANSPORTS)
-def shards(request, tmp_path):
-    """Two shards behind one transport, an Account homed on each, and a
-    transaction ``X`` that has credited both (primary: shard 0)."""
+def driven(request, tmp_path):
+    """A driven core over two shards behind one transport, an Account
+    homed on each (``driven.names[i]`` on shard ``i``), and a connection
+    (``driven.conn``)."""
     if request.param == "local":
-        built = ShardSet([MortalLocalShard(index, 2) for index in range(2)])
+        pool = ShardSet([MortalLocalShard(index, 2) for index in range(2)])
     elif request.param == "process":
-        built = ShardProcessPool(2, tmp_path / "data")
-        built.start()
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
     else:
-        built = ShardSet([Site(index, 2, wal=MemoryWAL()) for index in range(2)])
+        pool = ShardSet([Site(index, 2, wal=MemoryWAL()) for index in range(2)])
+    built = Driven(pool, batched=request.param == "process")
     built.names = {}
     index = 0
     while len(built.names) < 2:
-        built.names.setdefault(built.shard_of(f"Q{index}"), f"Q{index}")
+        built.names.setdefault(pool.shard_of(f"Q{index}"), f"Q{index}")
         index += 1
     for name in built.names.values():
-        built.create_object(name, "Account")
-    for home in (0, 1):
-        replies = built.shards[home].call(
-            [
-                {"op": "begin", "name": "X", "quiet": home != 0},
-                {"op": "invoke", "txn": "X", "obj": built.names[home],
-                 "operation": "Credit", "args": (4,)},
-            ]
-        )
-        assert replies == [{"ok": "X"}, {"ok": "Ok"}]
+        built.create(name)
+    built.conn = built.connect()
     yield built
-    built.stop()
+    pool.stop()
+
+
+def credit_both(driven, primary=0):
+    """Begin a transaction over the wire and credit 4 on each shard's
+    Account, the ``primary``'s first; returns its handle."""
+    conn = driven.conn
+    handle = conn.begin()
+    for home in (primary, 1 - primary):
+        rid = conn.invoke(handle, driven.names[home], "Credit", 4)
+        assert result(conn.answer(rid)) == "Ok"
+    return handle
 
 
 def kill(shard):
     shard.crash_hard() if isinstance(shard, Site) else shard.kill()
 
 
+def kill_reading(shard):
+    """Kill ``shard``; returns its prepared set as the kill leaves it."""
+    left = shard.single({"op": "prepared"})["ok"]
+    kill(shard)
+    return left
+
+
 def kill_at(shard, kind):
-    """Kill ``shard`` the moment it is sent an op of ``kind`` (once)."""
-    deliver = shard.single
+    """Kill ``shard`` the moment a batch holding an op of ``kind`` reaches
+    it (once); returns a list that then holds its prepared set."""
+    call, left = shard.call, []
 
-    def single(op):
-        if op["op"] == kind:
-            shard.single = deliver
-            kill(shard)
-        return deliver(op)
+    def killing(ops):
+        if not any(op["op"] == kind for op in ops):
+            return call(ops)
+        shard.call = call
+        left.append(kill_reading(shard))
+        return shard.call(ops)
 
-    shard.single = single
+    shard.call = killing
+    return left
 
 
-def balances(shards):
+def balances(driven):
     return [
-        shards.shards[home].single({"op": "snapshot", "obj": shards.names[home]})["ok"]
+        driven.pool.shards[home].single({"op": "snapshot", "obj": driven.names[home]})["ok"]
         for home in (0, 1)
     ]
 
 
-def prepared(shards):
-    return [shard.single({"op": "prepared"})["ok"] for shard in shards.shards]
+def prepared(driven):
+    return [shard.single({"op": "prepared"})["ok"] for shard in driven.pool.shards]
+
+
+def incarnation(shard):
+    return shard.single({"op": "stats"})["ok"]["incarnation"]
 
 
 class TestDecisionProcedure:
-    def test_commit_is_decided_on_the_primary_stride_and_applied(self, shards):
-        assert shards.catalog() == [[shards.names[0]], [shards.names[1]]]
+    def test_commit_is_decided_on_the_primary_stride_and_applied(self, driven):
+        pool, names = driven.pool, driven.names
+        assert pool.catalog() == [[names[0]], [names[1]]]
         with pytest.raises(ValueError, match="already exists"):
-            shards.create_object(shards.names[0], "Account")
-        reply = shards.commit_cross_shard("X", [1, 0], primary=1)
-        assert reply == {"ok": 1}                       # both voted 0; stride 1 of 2
-        assert balances(shards) == [4, 4] and prepared(shards) == [[], []]
-        assert [row["committed"] for row in shards.stats()] == [1, 1]
-        for shard in shards.shards:
-            assert shard.single({"op": "decision", "txn": "X"}) == {
+            pool.create_object(names[0], "Account")
+        x = credit_both(driven, primary=1)
+        reply = driven.conn.call("commit", transaction=x)
+        assert reply["result"]["timestamp"] == 1        # both voted 0; stride 1 of 2
+        assert balances(driven) == [4, 4] and prepared(driven) == [[], []]
+        assert [row["committed"] for row in pool.stats()] == [1, 1]
+        for shard in pool.shards:
+            assert shard.single({"op": "decision", "txn": x}) == {
                 "ok": {"outcome": "commit", "ts": 1}
             }
         # A retransmitted verdict is an idempotent ack; an abort after the
         # fact is harmless.
-        retransmit = {"op": "apply_commit", "txn": "X", "ts": 1}
-        assert shards.shards[0].single(retransmit) == {"ok": 1}
-        for index, op in abort_round("X", [0, 1]):
-            assert shards.deliver(index, op) == {"ok": None}
-        assert balances(shards) == [4, 4]
+        retransmit = {"op": "apply_commit", "txn": x, "ts": 1}
+        assert pool.shards[0].single(retransmit) == {"ok": 1}
+        for index, op in abort_round(x, [0, 1]):
+            assert pool.shards[index].single(op) == {"ok": None}
+        assert balances(driven) == [4, 4]
         # Neither shard mints below the decision afterwards.
-        later = shards.shards[0].single(
-            {"op": "txn", "name": "L", "steps": [(shards.names[0], "Credit", (1,))]}
+        later = pool.shards[0].single(
+            {"op": "txn", "name": "L", "steps": [(names[0], "Credit", (1,))]}
         )
         assert later["ok"] == 2
 
-    def test_a_refused_vote_aborts_the_voters(self, shards):
-        shards.shards[1].single({"op": "abort", "txn": "X"})
-        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
-        assert refused == {"error": "NO_VOTE", "message": "no transaction 'X'"}
-        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
-        assert shards.shards[0].single({"op": "prepare", "txn": "X"})["error"] == "NO_VOTE"
+    def test_a_refused_vote_aborts_the_voters(self, driven):
+        x = credit_both(driven)
+        driven.pool.shards[1].single({"op": "abort", "txn": x})
+        refused = driven.conn.call("commit", transaction=x)
+        assert refused["error"] == {"code": "NO_VOTE", "message": f"no transaction {x!r}"}
+        assert prepared(driven) == [[], []] and balances(driven) == [0, 0]
+        prepare = {"op": "prepare", "txn": x}
+        assert driven.pool.shards[0].single(prepare)["error"] == "NO_VOTE"
 
 
 class TestCrashes:
-    def test_participant_down_at_prepare(self, shards):
-        kill(shards.shards[1])
-        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
-        assert refused == {"error": "NO_VOTE", "message": "shard1 is down"}
-        # The voter was aborted; the dead shard presumes it on recovery.
-        assert shards.shards[0].single({"op": "prepared"}) == {"ok": []}
-        assert shards.respawn(1) == []
-        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
-        assert shards.shards[1].single({"op": "prepare", "txn": "X"})["error"] == "NO_VOTE"
+    def test_participant_down_at_prepare(self, driven):
+        shards = driven.pool.shards
+        x = credit_both(driven)
+        assert kill_reading(shards[1]) == []
+        refused = driven.conn.call("commit", transaction=x)
+        assert refused["error"] == {"code": "NO_VOTE", "message": "shard1 is down"}
+        # The voter was aborted; the dead shard, respawned where the
+        # prepare met it, had nothing prepared and presumes the abort.
+        assert incarnation(shards[1]) == 2
+        assert prepared(driven) == [[], []] and balances(driven) == [0, 0]
+        assert shards[1].single({"op": "prepare", "txn": x})["error"] == "NO_VOTE"
 
-    def test_primary_dies_between_prepare_and_decide(self, shards):
-        kill_at(shards.shards[0], "decide")
-        refused = shards.commit_cross_shard("X", [0, 1], primary=0)
-        assert refused == {"error": "ABORTED", "message": "shard0 died deciding"}
-        # No commit record exists anywhere: presumed abort everywhere —
-        # at once on the participant, on respawn for the primary's own
-        # prepared entry.
-        assert shards.shards[1].single({"op": "prepared"}) == {"ok": []}
-        assert shards.respawn(0) == ["X"]
-        assert prepared(shards) == [[], []] and balances(shards) == [0, 0]
-        for shard in shards.shards:
-            assert shard.single({"op": "decision", "txn": "X"}) == {
+    def test_primary_dies_between_prepare_and_decide(self, driven):
+        shards = driven.pool.shards
+        x = credit_both(driven)
+        left = kill_at(shards[0], "decide")
+        refused = driven.conn.call("commit", transaction=x)
+        assert refused["error"] == {"code": "ABORTED", "message": "shard0 died deciding"}
+        # No commit record exists anywhere: presumed abort everywhere — on
+        # the participant by the 2PC's abort round, for the primary's own
+        # prepared entry by its respawn's resolution.
+        assert left == [[x]] and incarnation(shards[0]) == 2
+        assert prepared(driven) == [[], []] and balances(driven) == [0, 0]
+        for shard in shards:
+            assert shard.single({"op": "decision", "txn": x}) == {
                 "ok": {"outcome": "unknown"}
             }
 
-    def test_participant_dies_after_the_decision(self, shards):
-        kill_at(shards.shards[1], "apply_commit")
+    def test_participant_dies_after_the_decision(self, driven):
+        shards = driven.pool.shards
+        x = credit_both(driven)
+        left = kill_at(shards[1], "apply_commit")
         # The decision is retransmitted until acked: through the death,
         # by respawning the participant, whose log still holds the vote.
-        assert shards.commit_cross_shard("X", [0, 1], primary=0) == {"ok": 2}
-        assert shards.shards[1].alive
-        assert shards.shards[1].single({"op": "stats"})["ok"]["incarnation"] == 2
-        assert prepared(shards) == [[], []] and balances(shards) == [4, 4]
-        replay = {"op": "apply_commit", "txn": "X", "ts": 2}
-        assert shards.shards[1].single(replay) == {"ok": 2}     # idempotent
-        assert balances(shards) == [4, 4]
+        reply = driven.conn.call("commit", transaction=x)
+        assert reply["result"]["timestamp"] == 2
+        assert left == [[x]] and shards[1].alive and incarnation(shards[1]) == 2
+        assert prepared(driven) == [[], []] and balances(driven) == [4, 4]
+        replay = {"op": "apply_commit", "txn": x, "ts": 2}
+        assert shards[1].single(replay) == {"ok": 2}     # idempotent
+        assert balances(driven) == [4, 4]
 
-    def test_a_checkpointed_primary_still_answers_for_its_decision(self, shards):
+    def test_a_checkpointed_primary_still_answers_for_its_decision(self, driven):
         # The primary decides; the participant dies before it applies the
         # decision; the primary checkpoints — folding the commit and
         # dropping its records — crashes and restarts; only then does the
         # participant come back and ask what was decided.  It used to be
-        # told nothing, presume abort, and split the commit.
+        # told nothing, presume abort, and split the commit.  (The
+        # coordinator is played by hand, so the core never hears of X.)
+        shards, names = driven.pool.shards, driven.names
+        for home in (0, 1):
+            replies = shards[home].call(
+                [
+                    {"op": "begin", "name": "X", "quiet": home != 0},
+                    {"op": "invoke", "txn": "X", "obj": names[home],
+                     "operation": "Credit", "args": (4,)},
+                ]
+            )
+            assert replies == [{"ok": "X"}, {"ok": "Ok"}]
         prepare = {"op": "prepare", "txn": "X"}
-        votes = [shards.shards[index].single(prepare)["ok"] for index in (0, 1)]
-        decided = shards.shards[0].single({"op": "decide", "txn": "X", "votes": votes})
-        kill(shards.shards[1])
-        assert shards.shards[0].single({"op": "checkpoint"}) == {"ok": 1}
-        kill(shards.shards[0])
-        assert shards.respawn(0) == []
-        assert shards.shards[0].single({"op": "stats"})["ok"]["wal_records"] == 3
-        assert shards.respawn(1) == ["X"]
-        assert prepared(shards) == [[], []] and balances(shards) == [4, 4]
-        for shard in shards.shards:
+        votes = [shards[index].single(prepare)["ok"] for index in (0, 1)]
+        decided = shards[0].single({"op": "decide", "txn": "X", "votes": votes})
+        assert kill_reading(shards[1]) == ["X"]
+        assert shards[0].single({"op": "checkpoint"}) == {"ok": 1}
+        assert kill_reading(shards[0]) == []
+        driven.meet(0)     # resolved while shard 1 is down
+        assert shards[0].single({"op": "prepared"}) == {"ok": []}
+        assert not shards[1].alive
+        assert shards[0].single({"op": "stats"})["ok"]["wal_records"] == 3
+        driven.meet(1)
+        assert prepared(driven) == [[], []] and balances(driven) == [4, 4]
+        for shard in shards:
             assert shard.single({"op": "decision", "txn": "X"}) == {
                 "ok": {"outcome": "commit", "ts": decided["ok"]}
             }
@@ -317,3 +363,52 @@ def test_requests_queued_for_a_dying_shard_answer_shard_down(transport, drive):
     survivor = driven.pool.shards[driven.pool.shard_of(other)]
     assert survivor.single({"op": "snapshot", "obj": other}) == {"ok": 0}
     assert shard.single({"op": "snapshot", "obj": "A"}) == {"ok": 7}
+
+
+@pytest.mark.parametrize("transport", ["process", "site"])
+def test_a_restarted_server_resolves_before_it_accepts(transport, tmp_path):
+    """Shards that come back holding an undecided prepared ``X`` — its
+    Credit locks held — are resolved before the server takes a request:
+    the first client's Debit answers ``Overdraft`` from the empty
+    committed balance, not ``CONFLICT``.  (The e2e benchmark's restart
+    probe debits every account the moment the server is back.)"""
+    if transport == "process":
+        pool = ShardProcessPool(2, tmp_path / "data")
+        pool.start()
+    else:
+        pool = ShardSet([Site(index, 2, wal=MemoryWAL()) for index in range(2)])
+    names = {}
+    for index in range(100):
+        names.setdefault(pool.shard_of(f"Q{index}"), f"Q{index}")
+    for home, name in sorted(names.items()):
+        pool.create_object(name, "Account")
+        replies = pool.shards[home].call(
+            [
+                {"op": "begin", "name": "X", "quiet": home != 0},
+                {"op": "invoke", "txn": "X", "obj": name,
+                 "operation": "Credit", "args": (5,)},
+                {"op": "prepare", "txn": "X"},
+            ]
+        )
+        assert "ok" in replies[-1]
+    if transport == "process":
+        pool.stop()
+        pool = ShardProcessPool(2, tmp_path / "data")
+    else:
+        for shard in pool.shards:
+            shard.crash_hard()  # the log, prepare records included, survives
+
+    async def scenario():
+        server = ReproServer(pool=pool, drain_grace=0.5)
+        await server.start()
+        client = await AsyncClient.connect(server.host, server.port)
+        debits = []
+        for _home, name in sorted(names.items()):
+            handle = await client.begin()
+            debits.append(await client.invoke(handle, name, "Debit", 1))
+            await client.commit(handle)
+        await client.aclose()
+        await server.drain()
+        return debits
+
+    assert asyncio.run(scenario()) == ["Overdraft", "Overdraft"]

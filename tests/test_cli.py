@@ -674,3 +674,26 @@ class TestServe:
             assert section in out
         assert "wire phases (median):" not in out
         assert [path.name for path in flight.glob("*drain*")]
+
+    def test_a_shard_that_cannot_start_exits_2_with_its_cause(self, tmp_path, capsys):
+        """Three processes over a two-shard data directory: shards 0 and 1
+        refuse their logs' stride.  ``serve`` says why on one line, stops
+        every child it started, and exits 2 — no traceback."""
+        import multiprocessing
+
+        from repro.server import ShardProcessPool
+
+        data = tmp_path / "data"
+        pool = ShardProcessPool(2, data)
+        pool.start()
+        pool.create_object("a", "Account")
+        pool.stop()
+        capsys.readouterr()
+        argv = ["serve", "--processes", "3", "--data-dir", str(data), "--port", "0",
+                "--flight-dir", str(tmp_path / "flight")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("serve: shard0 failed to start: RecoveryError:")
+        assert "stride mismatch" in captured.err and captured.err.count("\n") == 1
+        assert multiprocessing.active_children() == []
